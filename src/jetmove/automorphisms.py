@@ -26,9 +26,8 @@ from dataclasses import dataclass, replace
 
 from .errors import (DegreeMismatch, IdentityFails, MixedSurfaces,
                      NotCurvilinear, PreconditionFailed, RootInForbiddenRegion)
-from .exactalg import (NEG_INF, ONE, POS_INF, ZERO, Poly, Scalar, Series,
-                       SturmChain, cauchy_bound, isolate_root, parse_scalar,
-                       scal, scalar_to_str, square_free_part, sturm_root_count)
+from .exactalg import (ONE, ZERO, Poly, Scalar, Series, isolate_root,
+                       parse_scalar, scal, scalar_to_str, sturm_root_count)
 from .surfaces import (SPHERE, TORUS, Jet, ProjPoint, SphereParam, SpherePoint,
                        TorusParam, TorusPoint, jet_from_sphere_param,
                        jet_from_torus_param, jet_parametrize)
@@ -40,11 +39,14 @@ from .surfaces import (SPHERE, TORUS, Jet, ProjPoint, SphereParam, SpherePoint,
 
 @dataclass(frozen=True, eq=True)
 class Certificate:
-    """Record of the exact checks a generator passed."""
+    """The proof route a generator passed; each kind names its checks.
+
+    torus-twist: Sturm count of q on the real line, deg p = deg q.
+    sphere-twist: Sturm count of r on [-1, 1], p^2 + q^2 = r^2.
+    sphere-twist-square: 4r = q^2 + 4 (so r >= 1), p^2 + q^2 = r^2.
+    moebius: both matrices nonsingular.
+    """
     kind: str
-    root_count: int
-    variations: tuple[int, int]
-    identity_checked: bool
 
 
 @dataclass(frozen=True, eq=True)
@@ -166,25 +168,13 @@ def word_inverse(w: AutWord) -> AutWord:
 # certification
 
 
-def _root_free(pol: Poly, interval, kind: str) -> tuple[int, tuple[int, int]]:
-    """Sturm-prove pol has no root in the region; return variation counts."""
-    count = sturm_root_count(pol, interval)
-    if count:
-        if interval is None:
-            b = cauchy_bound(pol)
-            region = (-b, b)
-        else:
-            region = interval
-        witness = isolate_root(square_free_part(pol), region)
+def _root_free(pol: Poly, interval, kind: str) -> None:
+    """Sturm-prove pol has no root in the region (None: the real line)."""
+    if sturm_root_count(pol, interval):
         where = "the real line" if interval is None else "[-1, 1]"
         raise RootInForbiddenRegion(
-            f"{kind} denominator has a root in {where}", witness=witness)
-    chain = SturmChain(square_free_part(pol))
-    if interval is None:
-        lo, hi = NEG_INF, POS_INF
-    else:
-        lo, hi = interval
-    return count, (chain.variations_at(lo), chain.variations_at(hi))
+            f"{kind} denominator has a root in {where}",
+            witness=isolate_root(pol, interval))
 
 
 def certify_twist(g: Generator) -> Generator:
@@ -198,12 +188,11 @@ def certify_twist(g: Generator) -> Generator:
     if isinstance(g, TorusTwist):
         if g.axis not in ("x", "y"):
             raise PreconditionFailed("twist axis must be x or y")
-        _, variations = _root_free(g.q, None, "twist")
+        _root_free(g.q, None, "twist")
         if g.p.degree != g.q.degree:
             raise DegreeMismatch(
                 f"deg p = {g.p.degree} but deg q = {g.q.degree}")
-        cert = Certificate("torus-twist", 0, variations, False)
-        return replace(g, certificate=cert)
+        return replace(g, certificate=Certificate("torus-twist"))
     if isinstance(g, SphereTwist):
         if g.fixed not in ("x", "y", "z"):
             raise PreconditionFailed("fixed coordinate must be x, y or z")
@@ -212,21 +201,19 @@ def certify_twist(g: Generator) -> Generator:
         if g.r * four == qq + four:
             # 4r = q^2 + 4 pins r >= 1 on all of R with no sign work;
             # every interpolated rotation lands here
-            kind, variations = "sphere-twist-square", (0, 0)
+            kind = "sphere-twist-square"
         else:
-            _, variations = _root_free(g.r, (scal(-1), scal(1)), "rotation")
+            _root_free(g.r, (scal(-1), scal(1)), "rotation")
             kind = "sphere-twist"
         if not (g.p * g.p + qq == g.r * g.r):
             raise IdentityFails("p^2 + q^2 differs from r^2")
-        cert = Certificate(kind, 0, variations, True)
-        return replace(g, certificate=cert)
+        return replace(g, certificate=Certificate(kind))
     if isinstance(g, TorusMoebius):
         for m in (g.mx, g.my):
             det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
             if det.is_zero():
                 raise PreconditionFailed("moebius matrix is singular")
-        cert = Certificate("moebius", 0, (0, 0), False)
-        return replace(g, certificate=cert)
+        return replace(g, certificate=Certificate("moebius"))
     raise PreconditionFailed(f"unknown generator {type(g).__name__}")
 
 
@@ -413,11 +400,6 @@ def _poly_from_json(arr) -> Poly:
     return Poly([parse_scalar(c) for c in arr])
 
 
-def _cert_json(c: Certificate) -> dict:
-    return {"kind": c.kind, "root_count": c.root_count,
-            "variations": list(c.variations), "identity": c.identity_checked}
-
-
 def generator_to_json(g: Generator) -> dict:
     if isinstance(g, TorusTwist):
         d = {"type": "twist", "axis": g.axis,
@@ -429,7 +411,7 @@ def generator_to_json(g: Generator) -> dict:
         ser = lambda m: [[scalar_to_str(e) for e in row] for row in m]
         d = {"type": "moebius", "mx": ser(g.mx), "my": ser(g.my)}
     if g.certificate is not None:
-        d["certificate"] = _cert_json(g.certificate)
+        d["certificate"] = {"kind": g.certificate.kind}
     d["formula"] = str(g)
     return d
 

@@ -12,7 +12,8 @@ word moving one configuration to the other while fixing the pinned jets.
 
 Exit codes: 0 success / positive verdict, 1 negative verdict, 2 invalid
 input (parse, validation, or certification failure), 3 internal
-verification failure, 4 question outside the decidable scope.
+verification failure or any other unexpected error, 4 question outside
+the decidable scope.  main() alone maps exceptions to codes 2 and 3.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ from .automorphisms import apply_jet, word_concat, word_from_json, word_to_json
 from .dantesque import (HYPOTHESIS_NOT_MET, ISOMORPHIC, descriptor_from_json,
                         descriptor_invariants, isomorphism_decide,
                         singularity_name)
-from .errors import JetmoveError, RootInForbiddenRegion
+from .errors import (InternalVerificationFailure, JetmoveError,
+                     RootInForbiddenRegion)
 from .surfaces import jet_from_json, jet_to_json, standard_config
 from .transitivity import synth_pair, synth_sphere, synth_torus
 
@@ -81,43 +83,22 @@ def _first_mismatch(i: int, got, want) -> str:
 
 
 def cmd_synth(args) -> int:
-    try:
-        job = _load(args.job)
-        if "from" in job and "to" in job:
-            sources = _job_config(job, "from")
-            targets = _job_config(job, "to")
-            pinned = _job_jets(job, "pinned") if "pinned" in job else []
-            word = synth_pair(sources, targets, pinned)
-        else:
-            targets = _job_config(job)
+    """Synthesize and write a word; synthesis has already checked it."""
+    job = _load(args.job)
+    if "from" in job and "to" in job:
+        sources = _job_config(job, "from")
+        targets = _job_config(job, "to")
+        pinned = _job_jets(job, "pinned") if "pinned" in job else []
+        word = synth_pair(sources, targets, pinned)
+    else:
+        targets = _job_config(job)
+        if "pinned" in job:
             sources = standard_config(job["surface"],
                                       [j.order for j in targets]).jets
-            if "pinned" in job:
-                pinned = _job_jets(job, "pinned")
-                word = synth_pair(sources, targets, pinned)
-            else:
-                pinned = []
-                word = synth_torus(targets) if job["surface"] == "torus" \
-                    else synth_sphere(targets)
-    except RootInForbiddenRegion as e:
-        print(f"certification failed: {e} (witness {_interval(e.witness)})",
-              file=sys.stderr)
-        return INVALID
-    except JetmoveError as e:
-        print(f"invalid job: {e}", file=sys.stderr)
-        return INVALID
-    except _PARSE_ERRORS as e:
-        print(f"cannot read job: {e}", file=sys.stderr)
-        return INVALID
-    except AssertionError:
-        print("internal verification failure", file=sys.stderr)
-        return INTERNAL
-
-    # independent re-check before anything is written
-    for s, t in zip(list(sources) + list(pinned), list(targets) + list(pinned)):
-        if apply_jet(word, s) != t:
-            print("internal verification failure", file=sys.stderr)
-            return INTERNAL
+            word = synth_pair(sources, targets, _job_jets(job, "pinned"))
+        else:
+            word = synth_torus(targets) if job["surface"] == "torus" \
+                else synth_sphere(targets)
     with open(args.out, "w") as fh:
         json.dump(word_to_json(word), fh, indent=2)
         fh.write("\n")
@@ -128,19 +109,11 @@ def cmd_synth(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        word = word_from_json(_load(args.word))
-        from_jets = _job_config(_load(args.from_job))
-        to_jets = _job_config(_load(args.to_job))
-        if len(from_jets) != len(to_jets):
-            raise JetmoveError("from and to configurations differ in length")
-    except RootInForbiddenRegion as e:
-        print(f"certification failed: {e} (witness {_interval(e.witness)})",
-              file=sys.stderr)
-        return INVALID
-    except (JetmoveError, *_PARSE_ERRORS) as e:
-        print(f"invalid input: {e}", file=sys.stderr)
-        return INVALID
+    word = word_from_json(_load(args.word))
+    from_jets = _job_config(_load(args.from_job))
+    to_jets = _job_config(_load(args.to_job))
+    if len(from_jets) != len(to_jets):
+        raise JetmoveError("from and to configurations differ in length")
     for i, (s, t) in enumerate(zip(from_jets, to_jets)):
         got = apply_jet(word, s)
         if got != t:
@@ -151,17 +124,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_apply(args) -> int:
-    try:
-        word = word_from_json(_load(args.word))
-        jet = jet_from_json(_load(args.jet))
-        out = apply_jet(word, jet)
-    except RootInForbiddenRegion as e:
-        print(f"certification failed: {e} (witness {_interval(e.witness)})",
-              file=sys.stderr)
-        return INVALID
-    except (JetmoveError, *_PARSE_ERRORS) as e:
-        print(f"invalid input: {e}", file=sys.stderr)
-        return INVALID
+    word = word_from_json(_load(args.word))
+    jet = jet_from_json(_load(args.jet))
+    out = apply_jet(word, jet)
     json.dump(jet_to_json(out), sys.stdout, indent=2)
     print()
     return OK
@@ -176,12 +141,8 @@ def _describe(d) -> str:
 
 
 def cmd_classify(args) -> int:
-    try:
-        d1 = descriptor_from_json(_load(args.first))
-        d2 = descriptor_from_json(_load(args.second))
-    except (JetmoveError, *_PARSE_ERRORS) as e:
-        print(f"invalid descriptor: {e}", file=sys.stderr)
-        return INVALID
+    d1 = descriptor_from_json(_load(args.first))
+    d2 = descriptor_from_json(_load(args.second))
     verdict = isomorphism_decide(d1, d2)
     print(verdict)
     print(f"  {args.first}: {_describe(d1)}")
@@ -194,17 +155,9 @@ def cmd_classify(args) -> int:
 
 
 def cmd_compose(args) -> int:
-    try:
-        w1 = word_from_json(_load(args.first))
-        w2 = word_from_json(_load(args.second))
-        w = word_concat(w1, w2)
-    except RootInForbiddenRegion as e:
-        print(f"certification failed: {e} (witness {_interval(e.witness)})",
-              file=sys.stderr)
-        return INVALID
-    except (JetmoveError, *_PARSE_ERRORS) as e:
-        print(f"invalid input: {e}", file=sys.stderr)
-        return INVALID
+    w1 = word_from_json(_load(args.first))
+    w2 = word_from_json(_load(args.second))
+    w = word_concat(w1, w2)
     with open(args.out, "w") as fh:
         json.dump(word_to_json(w), fh, indent=2)
         fh.write("\n")
@@ -221,35 +174,58 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="synthesize a word for a job file")
     p.add_argument("--job", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_synth)
+    p.set_defaults(func=cmd_synth, what="job")
 
     p = sub.add_parser("verify", help="check a word against two configurations")
     p.add_argument("--word", required=True)
     p.add_argument("--from", dest="from_job", required=True)
     p.add_argument("--to", dest="to_job", required=True)
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func=cmd_verify, what="input")
 
     p = sub.add_parser("apply", help="apply a word to a single jet")
     p.add_argument("--word", required=True)
     p.add_argument("--jet", required=True)
-    p.set_defaults(func=cmd_apply)
+    p.set_defaults(func=cmd_apply, what="input")
 
     p = sub.add_parser("classify", help="decide isomorphism of two descriptors")
     p.add_argument("first")
     p.add_argument("second")
-    p.set_defaults(func=cmd_classify)
+    p.set_defaults(func=cmd_classify, what="descriptor")
 
     p = sub.add_parser("compose", help="concatenate two words")
     p.add_argument("first")
     p.add_argument("second")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_compose)
+    p.set_defaults(func=cmd_compose, what="input")
     return ap
 
 
 def main(argv=None) -> int:
+    """Run one command; the only place exceptions become exit codes.
+
+    ``what`` names the command's input in the messages.  An error of the
+    program itself exits 3 with one line on stderr, never 1, which is
+    reserved for a negative verdict.
+    """
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except RootInForbiddenRegion as e:
+        print(f"certification failed: {e} (witness {_interval(e.witness)})",
+              file=sys.stderr)
+        return INVALID
+    except InternalVerificationFailure as e:
+        print(f"internal verification failure: {e}", file=sys.stderr)
+        return INTERNAL
+    except JetmoveError as e:
+        print(f"invalid {args.what}: {e}", file=sys.stderr)
+        return INVALID
+    except _PARSE_ERRORS as e:
+        print(f"cannot read {args.what}: {e}", file=sys.stderr)
+        return INVALID
+    except Exception as e:
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return INTERNAL
 
 
 if __name__ == "__main__":

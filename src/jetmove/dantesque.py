@@ -21,7 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import CyclicReference, DuplicateCenter, PreconditionFailed
+from .errors import (CyclicReference, DuplicateCenter, PreconditionFailed,
+                     ensure)
 from .surfaces import Jet, jet_from_json, jet_to_json, standard_config
 
 SPHERE = "sphere"
@@ -129,7 +130,7 @@ def forest_build(d: SurfaceDescriptor) -> BlowupForest:
         seen.append(c.center)
     forest = BlowupForest(tuple(r.parent for r in d.records),
                           tuple(roots), tuple(edges))
-    assert forest.s == len(d.records) - forest.trees
+    ensure(forest.s == len(d.records) - forest.trees, "forest edge count is off")
     return forest
 
 
@@ -202,9 +203,9 @@ def descriptor_normalize(d: SurfaceDescriptor) -> SurfaceDescriptor:
     inv = descriptor_invariants(d)
     keep = sorted((rec.order for rec in d.records if rec.order >= 2), reverse=True)
     ones = inv.genus - sum(keep)
-    assert ones >= 0
+    ensure(ones >= 0, "resolution genus below the singular orders")
     flat = _flat_sphere(keep + [1] * ones)
-    assert descriptor_invariants(flat) == inv
+    ensure(descriptor_invariants(flat) == inv, "normal form changed the invariants")
     return flat
 
 

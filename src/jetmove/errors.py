@@ -94,3 +94,16 @@ class CyclicReference(JetmoveError):
 
 class EnumerationExhausted(JetmoveError):
     """Search over rational parameters hit the configured cap."""
+
+
+class InternalVerificationFailure(JetmoveError):
+    """A result failed the exact check of what it was built to satisfy.
+
+    Raised, never asserted, so the check also runs under ``python -O``.
+    """
+
+
+def ensure(condition, message: str) -> None:
+    """Raise InternalVerificationFailure(message) unless condition holds."""
+    if not condition:
+        raise InternalVerificationFailure(message)

@@ -29,7 +29,7 @@ from .automorphisms import (AutWord, SphereTwist, TorusMoebius, TorusTwist,
                             apply_jet, apply_point, certify_twist, word_concat,
                             word_identity, word_inverse)
 from .errors import (DuplicatePoints, EnumerationExhausted, MixedSurfaces,
-                     NotDistant, OrderMismatch, PreconditionFailed)
+                     NotDistant, OrderMismatch, PreconditionFailed, ensure)
 from .exactalg import (ONE, ZERO, Poly, Scalar, Series, crt_combine,
                        hensel_sqrt, poly_to_series, scal, scalar_sqrt_adjoin)
 from .surfaces import (SPHERE, TORUS, Jet, SpherePoint, TorusPoint, jet_is_vertical,
@@ -205,7 +205,9 @@ def separate_points_torus(points) -> AutWord:
                 "y-separating shift")
             taken.extend(y + shift for y in members)
             residues.append((gx, 1, shift))
-        push(interpolating_twist("y", residues) or _identity_unreachable())
+        tw = interpolating_twist("y", residues)
+        ensure(tw is not None, "y-separating twist came out as the identity")
+        push(tw)
 
     # x-corrections over the now-distinct y nodes
     if any(not (p.x.value == scal(i)) for i, p in enumerate(pts, 1)):
@@ -219,12 +221,8 @@ def separate_points_torus(points) -> AutWord:
         push(interpolating_twist("y", residues))
 
     for i, p in enumerate(pts, 1):
-        assert p == torus_standard_center(i)
+        ensure(p == torus_standard_center(i), f"point {i - 1} missed its center")
     return AutWord(TORUS, tuple(gens))
-
-
-def _identity_unreachable():
-    raise AssertionError("interpolation produced an identity where a move was needed")
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +357,7 @@ def separate_points_sphere(points, orders=None) -> AutWord:
         residues.append((p.x, e, half_angle(c, s, tgt.y * tgt.y)))
     push(rotation_twist("x", residues))
 
-    assert pts == targets
+    ensure(pts == targets, "points missed their standard centers")
     return AutWord(SPHERE, tuple(gens))
 
 
@@ -391,8 +389,8 @@ def make_nonvertical_torus(jets) -> tuple[AutWord, tuple[Jet, ...]]:
     w = AutWord(TORUS, (tw,))
     out = tuple(apply_jet(w, j) for j in jets)
     for i, j in enumerate(out, 1):
-        assert j.center == torus_standard_center(i)
-        assert j.order == 1 or not jet_is_vertical(j)
+        ensure(j.center == torus_standard_center(i), f"jet {i - 1} left its center")
+        ensure(j.order == 1 or not jet_is_vertical(j), f"jet {i - 1} is still vertical")
     return w, out
 
 
@@ -431,8 +429,8 @@ def make_nonvertical_sphere(jets) -> tuple[AutWord, tuple[Jet, ...]]:
     w = AutWord(SPHERE, (tw,))
     out = tuple(apply_jet(w, j) for j in jets)
     for i, j in enumerate(out, 1):
-        assert j.center == sphere_standard_center(i)
-        assert j.order == 1 or not jet_is_vertical(j)
+        ensure(j.center == sphere_standard_center(i), f"jet {i - 1} left its center")
+        ensure(j.order == 1 or not jet_is_vertical(j), f"jet {i - 1} is still vertical")
     return w, out
 
 
@@ -471,8 +469,8 @@ def solve_rotation_parameter(f: Series, g: Series, h: Series) -> Series:
     gbar = hensel_sqrt(u - hbar * hbar, y)
     a = (hbar * (fbar + gbar).invert()).truncate(e)
     aa = a * a
-    assert (one - aa) * f == (one + aa) * g
-    assert (a + a) * f == (one + aa) * h
+    ensure((one - aa) * f == (one + aa) * g, "rotation parameter misses g")
+    ensure((a + a) * f == (one + aa) * h, "rotation parameter misses h")
     return a
 
 
@@ -485,13 +483,29 @@ def _standard_jets(surface: str, orders) -> tuple[Jet, ...]:
 
 
 def _verify_word(w: AutWord, sources, targets):
-    for s, t in zip(sources, targets):
-        assert apply_jet(w, s) == t, "synthesized word failed re-verification"
+    """The one final check of a synthesized word, run once per synthesis."""
+    for i, (s, t) in enumerate(zip(sources, targets)):
+        ensure(apply_jet(w, s) == t, f"synthesized word misses target jet {i}")
 
 
 def synth_torus(targets) -> AutWord:
     """Word w with apply_jet(w, standard jet i) = targets[i], exactly."""
     targets = tuple(targets)
+    w = _build_torus(targets)
+    _verify_word(w, _standard_jets(TORUS, (j.order for j in targets)), targets)
+    return w
+
+
+def synth_sphere(targets) -> AutWord:
+    """Word w with apply_jet(w, standard jet i) = targets[i], exactly."""
+    targets = tuple(targets)
+    w = _build_sphere(targets)
+    _verify_word(w, _standard_jets(SPHERE, (j.order for j in targets)), targets)
+    return w
+
+
+def _build_torus(targets: tuple[Jet, ...]) -> AutWord:
+    """synth_torus without its final check."""
     if not targets:
         return word_identity(TORUS)
     for j in targets:
@@ -504,18 +518,16 @@ def synth_torus(targets) -> AutWord:
     w2, nonv = make_nonvertical_torus(moved)
     residues = []
     for i, j in enumerate(nonv, 1):
-        assert not j.transposed and j.chart == (0, 0)
+        ensure(not j.transposed and j.chart == (0, 0),
+               f"jet {i - 1} left the affine chart")
         residues.append((scal(i), j.order, j.graphs[0]))
     final = interpolating_twist("y", residues)
     w3 = AutWord(TORUS, (final,) if final is not None else ())
-    w = word_concat(w3, word_inverse(word_concat(w1, w2)))
-    _verify_word(w, _standard_jets(TORUS, (j.order for j in targets)), targets)
-    return w
+    return word_concat(w3, word_inverse(word_concat(w1, w2)))
 
 
-def synth_sphere(targets) -> AutWord:
-    """Word w with apply_jet(w, standard jet i) = targets[i], exactly."""
-    targets = tuple(targets)
+def _build_sphere(targets: tuple[Jet, ...]) -> AutWord:
+    """synth_sphere without its final check."""
     if not targets:
         return word_identity(SPHERE)
     for j in targets:
@@ -530,7 +542,7 @@ def synth_sphere(targets) -> AutWord:
     params = []
     for i, j in enumerate(nonv, 1):
         center = sphere_standard_center(i)
-        assert j.chart == "x"
+        ensure(j.chart == "x", f"jet {i - 1} is not a graph over x")
         u = poly_to_series(Poly([1, 0, -1]), center.x, j.order)
         f = hensel_sqrt(u, center.y)
         a_i = solve_rotation_parameter(f, j.graphs[0], j.graphs[1])
@@ -545,9 +557,7 @@ def synth_sphere(targets) -> AutWord:
         if tw is not None:
             final.append(tw)
     w3 = AutWord(SPHERE, tuple(final))
-    w = word_concat(w3, word_inverse(word_concat(w1, w2)))
-    _verify_word(w, _standard_jets(SPHERE, (j.order for j in targets)), targets)
-    return w
+    return word_concat(w3, word_inverse(word_concat(w1, w2)))
 
 
 def synth_pair(from_jets, to_jets, pinned=()) -> AutWord:
@@ -555,6 +565,7 @@ def synth_pair(from_jets, to_jets, pinned=()) -> AutWord:
 
     Both sides route through the standard configuration with the pinned
     jets occupying the same leading slots, so the pinned moves cancel.
+    Only the composite is checked, not the two halves.
     """
     from_jets, to_jets = tuple(from_jets), tuple(to_jets)
     pinned = tuple(pinned) if pinned is not None else ()
@@ -571,9 +582,8 @@ def synth_pair(from_jets, to_jets, pinned=()) -> AutWord:
         raise NotDistant("pinned + from jets share a center")
     if not jets_mutually_distant(pinned + to_jets):
         raise NotDistant("pinned + to jets share a center")
-    synth = synth_torus if surface == TORUS else synth_sphere
-    w_from = synth(pinned + from_jets)
-    w_to = synth(pinned + to_jets)
-    w = word_concat(word_inverse(w_from), w_to)
+    build = _build_torus if surface == TORUS else _build_sphere
+    w = word_concat(word_inverse(build(pinned + from_jets)),
+                    build(pinned + to_jets))
     _verify_word(w, pinned + from_jets, pinned + to_jets)
     return w

@@ -79,7 +79,7 @@ def test_certify_rejects_bad_axis():
 
 def test_certify_sphere_twist():
     g = certify_twist(SphereTwist.of("z", [1, 0, -1], [0, 2], [1, 0, 1]))
-    assert g.certificate.identity_checked
+    assert g.certificate.kind == "sphere-twist-square"
 
 
 def test_certify_rejects_pythagorean_failure():
@@ -317,20 +317,42 @@ def test_jacobian_composes_by_chain_rule():
 # serialization
 
 
+# the same words as written when a certificate also stored root_count,
+# variations and identity; loading ignores them and re-certifies
+FOUR_FIELD_TORUS_WORD = {"surface": "torus", "generators": [
+    {"type": "twist", "axis": "y", "p": ["0", "0", "1"], "q": ["1", "0", "1"],
+     "certificate": {"kind": "torus-twist", "root_count": 0,
+                     "variations": [1, 1], "identity": False},
+     "formula": "y -> y + (x^2)/(1 + x^2)"},
+    {"type": "moebius", "mx": [["0", "1"], ["1", "0"]], "my": [["1", "0"], ["0", "1"]],
+     "certificate": {"kind": "moebius", "root_count": 0,
+                     "variations": [0, 0], "identity": False},
+     "formula": "moebius x: ((0, 1), (1, 0)), y: ((1, 0), (0, 1))"}]}
+FOUR_FIELD_SPHERE_WORD = {"surface": "sphere", "generators": [
+    {"type": "twist", "fixed": "z", "p": ["1", "0", "-1"], "q": ["0", "2"],
+     "r": ["1", "0", "1"],
+     "certificate": {"kind": "sphere-twist-square", "root_count": 0,
+                     "variations": [0, 0], "identity": True},
+     "formula": "rotate about z by angle with cos = p/r, sin = q/r, "
+                "p = 1 + -z^2, q = 2*z, r = 1 + z^2"}]}
+
+
 def test_word_json_round_trip():
     w = word_of(TORUS, [
         TorusTwist.of("y", [0, 0, 1], [1, 0, 1]),
         TorusMoebius.of([[0, 1], [1, 0]], [[1, 0], [0, 1]]),
     ])
     assert word_from_json(word_to_json(w)) == w
+    assert word_from_json(FOUR_FIELD_TORUS_WORD) == w
 
 
 def test_sphere_word_json_round_trip():
     w = word_of(SPHERE, [SphereTwist.of("z", [1, 0, -1], [0, 2], [1, 0, 1])])
     d = word_to_json(w)
-    assert d["generators"][0]["certificate"]["identity"]
+    assert d["generators"][0]["certificate"] == {"kind": "sphere-twist-square"}
     assert "formula" in d["generators"][0]
     assert word_from_json(d) == w
+    assert word_from_json(FOUR_FIELD_SPHERE_WORD) == w
 
 
 def test_json_load_recertifies():

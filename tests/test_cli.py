@@ -9,7 +9,9 @@ import pytest
 from conftest import PYPROJECT, parse_project_scripts, wrapper_source
 from jetmove.automorphisms import apply_jet, word_from_json
 from jetmove.cli import INTERNAL, INVALID, NEGATIVE, OK, OUT_OF_SCOPE, main
+from jetmove import cli
 from jetmove.dantesque import BASE, BlowupRecord, SurfaceDescriptor, descriptor_to_json
+from jetmove.errors import InternalVerificationFailure
 from jetmove.exactalg import ONE, ZERO, Series, scal
 from jetmove.surfaces import (
     Jet,
@@ -167,6 +169,44 @@ def test_pinned_job(tmp_path, capsys):
     word = word_from_json(json.loads((tmp_path / "word.json").read_text()))
     assert apply_jet(word, pin[0]) == pin[0]
     assert apply_jet(word, standard_config(TORUS, [2]).jets[0]) == targets[0]
+
+
+# ---------------------------------------------------------------------------
+# exit codes of failures
+
+
+def test_synth_internal_failure_writes_nothing(tmp_path, capsys, torus_targets,
+                                               monkeypatch):
+    def failing(targets):
+        raise InternalVerificationFailure("synthesized word misses target jet 0")
+
+    monkeypatch.setattr(cli, "synth_torus", failing)
+    job = job_file(tmp_path, "job.json", TORUS, torus_targets)
+    out = tmp_path / "word.json"
+    assert main(["synth", "--job", job, "--out", str(out)]) == INTERNAL
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err == "internal verification failure: synthesized word misses target jet 0\n"
+
+
+def test_crash_exits_internal_not_negative(tmp_path, capsys):
+    # a scalar nested past the recursion limit crashes the parser; that is
+    # an error of the program, not a negative verdict
+    std = standard_config(SPHERE, [1]).jets[0]
+    hostile = jet_to_json(std)
+    hostile["center"] = ["-" * 5000 + "1", "0", "0"]
+    jet = write(tmp_path / "jet.json", hostile)
+    job = write(tmp_path / "job.json", {"surface": SPHERE, "partition": [1],
+                                        "jets": [hostile]})
+    word = write(tmp_path / "word.json", {"surface": SPHERE, "generators": []})
+    for argv in (["synth", "--job", job, "--out", str(tmp_path / "w.json")],
+                 ["apply", "--word", word, "--jet", jet]):
+        assert main(argv) == INTERNAL
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("internal error: RecursionError")
+        assert err.count("\n") == 1
+    assert not (tmp_path / "w.json").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,11 @@
 """Rational enumeration, separation and normalization stages, and synthesis."""
 
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +17,8 @@ from conftest import (
     tau_triple,
 )
 
+import jetmove
+from jetmove import transitivity
 from jetmove.automorphisms import apply_jet, apply_point, word_to_json
 from jetmove.errors import (
     DuplicatePoints,
@@ -370,3 +376,43 @@ def test_synth_is_deterministic(rng):
     assert word_to_json(synth_torus(jets)) == word_to_json(synth_torus(jets))
     sj = [rand_sphere_jet(rng, 2)]
     assert word_to_json(synth_sphere(sj)) == word_to_json(synth_sphere(sj))
+
+
+def test_each_synthesis_checks_its_word_once(monkeypatch, rng):
+    checks = []
+    verify = transitivity._verify_word
+
+    def counted(w, sources, targets):
+        checks.append(len(sources))
+        verify(w, sources, targets)
+
+    monkeypatch.setattr(transitivity, "_verify_word", counted)
+    pin = [Jet.torus(TorusPoint.affine(10, 10), 1, Series(scal(10), 1, [scal(10)]))]
+    synth_pair([rand_torus_jet(rng, 2)], [rand_torus_jet(rng, 2)], pin)
+    assert checks == [2]
+    synth_sphere([rand_sphere_jet(rng, 2)])
+    assert checks == [2, 1]
+
+
+# the check must raise even where python -O strips assert statements
+_WRONG_TARGET = """
+import sys
+from jetmove.errors import InternalVerificationFailure
+from jetmove.surfaces import standard_config
+from jetmove.transitivity import _verify_word, synth_torus
+jets = standard_config("torus", [1, 1]).jets
+word = synth_torus(jets)
+try:
+    _verify_word(word, jets, jets[::-1])
+except InternalVerificationFailure:
+    print("optimize", sys.flags.optimize, "raised")
+"""
+
+
+def test_word_check_raises_under_optimize():
+    package_root = str(Path(jetmove.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=package_root)
+    proc = subprocess.run([sys.executable, "-O", "-c", _WRONG_TARGET],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["optimize", "1", "raised"]
