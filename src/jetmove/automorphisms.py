@@ -12,12 +12,16 @@ Three generator kinds:
   and cyclically otherwise, where p^2 + q^2 = r^2 exactly and r has no
   root in [-1, 1].
 
-certify_twist proves the conditions by Sturm counts and exact identity
-checks and attaches a Certificate; AutWord composes certified
-generators left-to-right.  Points move through exact coordinate
-formulas (projective pairs on the torus, so nothing breaks over
-infinity); jets move through their parameter series and come back in
-canonical form.
+certify_twist proves the conditions and attaches a Certificate naming
+the proof route.  The shapes the synthesizer builds carry their own
+proof: a torus q = 1 + m^2 is at least 1 on R, and a sphere 4r = q^2 + 4
+gives r >= 1 and reduces the identity to p = +-(r - 2).  Any other
+shape is proved by Sturm counts and the full identity check.
+
+AutWord composes certified generators left-to-right.  Points move
+through exact coordinate formulas (projective pairs on the torus, so
+nothing breaks over infinity); jets move through their parameter series
+and come back in canonical form.
 """
 
 from __future__ import annotations
@@ -27,7 +31,8 @@ from dataclasses import dataclass, replace
 from .errors import (DegreeMismatch, IdentityFails, MixedSurfaces,
                      NotCurvilinear, PreconditionFailed, RootInForbiddenRegion)
 from .exactalg import (ONE, ZERO, Poly, Scalar, Series, isolate_root,
-                       parse_scalar, scal, scalar_to_str, sturm_root_count)
+                       parse_scalar, scal, scalar_to_str, sturm_root_count,
+                       try_sqrt)
 from .surfaces import (SPHERE, TORUS, Jet, ProjPoint, SphereParam, SpherePoint,
                        TorusParam, TorusPoint, jet_from_sphere_param,
                        jet_from_torus_param, jet_parametrize)
@@ -41,9 +46,12 @@ from .surfaces import (SPHERE, TORUS, Jet, ProjPoint, SphereParam, SpherePoint,
 class Certificate:
     """The proof route a generator passed; each kind names its checks.
 
+    torus-twist-square: q - 1 = m^2 for an m found exactly (so q >= 1),
+        deg p = deg q.
     torus-twist: Sturm count of q on the real line, deg p = deg q.
+    sphere-twist-square: 4r = q^2 + 4 (so r >= 1), p = +-(r - 2), which
+        given the first is equivalent to p^2 + q^2 = r^2.
     sphere-twist: Sturm count of r on [-1, 1], p^2 + q^2 = r^2.
-    sphere-twist-square: 4r = q^2 + 4 (so r >= 1), p^2 + q^2 = r^2.
     moebius: both matrices nonsingular.
     """
     kind: str
@@ -177,35 +185,69 @@ def _root_free(pol: Poly, interval, kind: str) -> None:
             witness=isolate_root(pol, interval))
 
 
+def _is_square(d: Poly) -> bool:
+    """Whether d = m^2 for a polynomial m found from the top down.
+
+    The leading root comes from try_sqrt in the tower of d's leading
+    coefficient; each lower coefficient of m then follows linearly.  The
+    final product check makes True exact; False only means no such m
+    was found, and the caller falls back to Sturm.
+    """
+    if d.is_zero() or d.degree % 2:
+        return False
+    lead = try_sqrt(d.lead())
+    if lead is None:
+        return False
+    k = d.degree // 2
+    m = [ZERO] * k + [lead]
+    half_inv = (lead + lead).inverse()
+    for i in range(k - 1, -1, -1):
+        rest = ZERO
+        for j in range(i + 1, k):
+            rest = rest + m[j] * m[k + i - j]
+        m[i] = (d[k + i] - rest) * half_inv
+    mp = Poly(m)
+    return mp * mp == d
+
+
 def certify_twist(g: Generator) -> Generator:
     """Prove the generator is a well-defined automorphism on real points.
 
     Root conditions are checked before shape conditions, so a candidate
-    failing both reports the root.
+    failing both reports the root.  The shapes the synthesizer builds
+    (q = 1 + m^2, 4r = q^2 + 4) are recognized from the coefficients and
+    proved directly; any other shape falls back to Sturm counts.
     """
     if g.certificate is not None:
         return g
     if isinstance(g, TorusTwist):
         if g.axis not in ("x", "y"):
             raise PreconditionFailed("twist axis must be x or y")
-        _root_free(g.q, None, "twist")
+        if _is_square(g.q - ONE):
+            kind = "torus-twist-square"
+        else:
+            _root_free(g.q, None, "twist")
+            kind = "torus-twist"
         if g.p.degree != g.q.degree:
             raise DegreeMismatch(
                 f"deg p = {g.p.degree} but deg q = {g.q.degree}")
-        return replace(g, certificate=Certificate("torus-twist"))
+        return replace(g, certificate=Certificate(kind))
     if isinstance(g, SphereTwist):
         if g.fixed not in ("x", "y", "z"):
             raise PreconditionFailed("fixed coordinate must be x, y or z")
         qq = g.q * g.q
         four = Poly.const(4)
         if g.r * four == qq + four:
-            # 4r = q^2 + 4 pins r >= 1 on all of R with no sign work;
-            # every interpolated rotation lands here
+            # r^2 - q^2 = (r - 2)^2 here, so the identity p^2 + q^2 = r^2
+            # holds exactly when p = +-(r - 2)
             kind = "sphere-twist-square"
+            r2 = g.r - 2
+            holds = g.p == r2 or g.p == -r2
         else:
             _root_free(g.r, (scal(-1), scal(1)), "rotation")
             kind = "sphere-twist"
-        if not (g.p * g.p + qq == g.r * g.r):
+            holds = g.p * g.p + qq == g.r * g.r
+        if not holds:
             raise IdentityFails("p^2 + q^2 differs from r^2")
         return replace(g, certificate=Certificate(kind))
     if isinstance(g, TorusMoebius):

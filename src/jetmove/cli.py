@@ -47,9 +47,22 @@ def _interval(w) -> str:
     return str(w)
 
 
+class _WriteFailed(Exception):
+    """Writing an output file failed; main() reports the path, exit 2."""
+
+
 def _load(path: str):
     with open(path) as fh:
         return json.load(fh)
+
+
+def _write_word(path: str, word) -> None:
+    try:
+        with open(path, "w") as fh:
+            json.dump(word_to_json(word), fh, indent=2)
+            fh.write("\n")
+    except OSError as e:
+        raise _WriteFailed(f"cannot write {path}: {e.strerror or e}") from e
 
 
 def _job_jets(job: dict, key: str) -> list:
@@ -99,9 +112,7 @@ def cmd_synth(args) -> int:
         else:
             word = synth_torus(targets) if job["surface"] == "torus" \
                 else synth_sphere(targets)
-    with open(args.out, "w") as fh:
-        json.dump(word_to_json(word), fh, indent=2)
-        fh.write("\n")
+    _write_word(args.out, word)
     for g in word.generators:
         print(g)
     print(f"wrote {len(word)} generators to {args.out}")
@@ -158,9 +169,7 @@ def cmd_compose(args) -> int:
     w1 = word_from_json(_load(args.first))
     w2 = word_from_json(_load(args.second))
     w = word_concat(w1, w2)
-    with open(args.out, "w") as fh:
-        json.dump(word_to_json(w), fh, indent=2)
-        fh.write("\n")
+    _write_word(args.out, w)
     print(f"wrote {len(w)} generators to {args.out}")
     return OK
 
@@ -213,6 +222,9 @@ def main(argv=None) -> int:
     except RootInForbiddenRegion as e:
         print(f"certification failed: {e} (witness {_interval(e.witness)})",
               file=sys.stderr)
+        return INVALID
+    except _WriteFailed as e:
+        print(e, file=sys.stderr)
         return INVALID
     except InternalVerificationFailure as e:
         print(f"internal verification failure: {e}", file=sys.stderr)

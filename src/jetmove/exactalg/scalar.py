@@ -490,6 +490,11 @@ def scalar_to_str(s: Scalar) -> str:
     return "".join(parts) if parts else "0"
 
 
+# far beyond the tower depth any synthesized word reaches; bounds the
+# parser's recursion on hostile text
+MAX_SQRT_NESTING = 64
+
+
 class _ScalarParser:
     """Recursive-descent parser for the scalar text form.
 
@@ -497,15 +502,20 @@ class _ScalarParser:
               term := factor ('*' factor)*
               factor := rational | 'sqrt' '(' expr ')' | '-' factor
     Square roots are built through scalar_sqrt_adjoin, so parsing a file
-    reconstructs the same canonical towers the writer used.
+    reconstructs the same canonical towers the writer used.  Leading
+    signs fold in a loop, and ``sqrt(`` nesting deeper than
+    MAX_SQRT_NESTING is refused with ValueError, so hostile text cannot
+    exhaust the interpreter stack.
     """
 
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def error(self, msg):
-        raise ValueError(f"bad scalar {self.text!r} at {self.pos}: {msg}")
+        shown = self.text if len(self.text) <= 40 else self.text[:40] + "..."
+        raise ValueError(f"bad scalar {shown!r} at {self.pos}: {msg}")
 
     def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -543,21 +553,28 @@ class _ScalarParser:
         return v
 
     def factor(self) -> Scalar:
-        c = self.peek()
-        if c == "-":
+        negate = False
+        while self.peek() == "-":
             self.pos += 1
-            return -self.factor()
-        if self.text.startswith("sqrt", self.pos):
-            self.pos += 4
-            if self.peek() != "(":
-                self.error("expected ( after sqrt")
-            self.pos += 1
-            inner = self.expr()
-            if self.peek() != ")":
-                self.error("expected )")
-            self.pos += 1
-            return scalar_sqrt_adjoin(inner)
-        return self.rational()
+            negate = not negate
+        v = self.radical() if self.text.startswith("sqrt", self.pos) \
+            else self.rational()
+        return -v if negate else v
+
+    def radical(self) -> Scalar:
+        self.pos += 4
+        if self.peek() != "(":
+            self.error("expected ( after sqrt")
+        self.pos += 1
+        self.depth += 1
+        if self.depth > MAX_SQRT_NESTING:
+            self.error(f"sqrt nested deeper than {MAX_SQRT_NESTING}")
+        inner = self.expr()
+        if self.peek() != ")":
+            self.error("expected )")
+        self.pos += 1
+        self.depth -= 1
+        return scalar_sqrt_adjoin(inner)
 
     def rational(self) -> Scalar:
         self.skip_ws()

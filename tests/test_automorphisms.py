@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import rand_sphere_jet, rand_sphere_point, rand_torus_jet
 
@@ -29,7 +31,8 @@ from jetmove.errors import (
     PreconditionFailed,
     RootInForbiddenRegion,
 )
-from jetmove.exactalg import ONE, ZERO, Poly, Series, scal
+from jetmove.exactalg import (ONE, ZERO, Poly, Series, scal, scalar_sqrt_adjoin,
+                              sturm_root_count)
 from jetmove.surfaces import (
     Jet,
     ProjPoint,
@@ -48,7 +51,67 @@ from jetmove.surfaces import (
 def test_certify_torus_twist():
     g = certify_twist(TorusTwist.of("y", [0, 0, 1], [1, 0, 1]))
     assert g.certificate is not None
+    assert g.certificate.kind == "torus-twist-square"
+
+
+def test_certify_torus_twist_sturm_route():
+    # q - 1 = x^2 + x + 1 is no square, yet q = x^2 + x + 2 has no real root
+    g = certify_twist(TorusTwist.of("y", [0, 0, 1], [2, 1, 1]))
     assert g.certificate.kind == "torus-twist"
+
+
+_S2, _S3 = scalar_sqrt_adjoin(2), scalar_sqrt_adjoin(3)
+_rationals = st.fractions(min_value=-9, max_value=9, max_denominator=7)
+_nonzero = _rationals.filter(lambda f: f != 0)
+# a + b sqrt(2) + c sqrt(3); a leading a != 0 keeps the square of the
+# leading coefficient in a tower that holds its root
+_towered = st.builds(lambda a, b, c: scal(a) + _S2 * b + _S3 * c,
+                     _rationals, _rationals, _rationals)
+_towered_lead = st.builds(lambda a, b: scal(a) + _S2 * b, _nonzero, _rationals)
+
+
+def _polys(coeff, lead, max_deg=4):
+    return st.builds(lambda cs, c: Poly(cs + [c]),
+                     st.lists(coeff, max_size=max_deg), lead)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(_polys(_rationals, _nonzero), _polys(_towered, _towered_lead)))
+def test_certify_torus_square_shape(m):
+    q = Poly.const(1) + m * m
+    g = certify_twist(TorusTwist("x", m * m, q))
+    assert g.certificate.kind == "torus-twist-square"
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(
+    _polys(_rationals, _nonzero, max_deg=6),
+    # 1 + m^2 shifted by c: the square shape at c = 0, a real root for
+    # many c < 0
+    st.builds(lambda m, c: m * m + scal(1 + c), _polys(_rationals, _nonzero),
+              st.one_of(st.just(Fraction(0)), _rationals))))
+def test_certify_torus_routes_agree_with_sturm(q):
+    # whichever route proves q, it never accepts a q with a real root
+    assume(not q.is_zero())
+    try:
+        g = certify_twist(TorusTwist("y", q, q))
+    except RootInForbiddenRegion:
+        assert sturm_root_count(q) > 0
+    else:
+        assert sturm_root_count(q) == 0
+        assert g.certificate.kind in ("torus-twist", "torus-twist-square")
+
+
+@settings(max_examples=40, deadline=None)
+@given(_polys(_rationals, _nonzero), st.booleans(), _polys(_rationals, _nonzero))
+def test_certify_sphere_square_shape(q, plus, other):
+    r = (q * q + 4) * scal(Fraction(1, 4))
+    p = r - 2 if plus else 2 - r
+    g = certify_twist(SphereTwist("y", p, q, r))
+    assert g.certificate.kind == "sphere-twist-square"
+    assert p * p + q * q == r * r
+    with pytest.raises(IdentityFails):
+        certify_twist(SphereTwist("y", p + other, q, r))
 
 
 def test_certify_rejects_denominator_root():
@@ -343,7 +406,10 @@ def test_word_json_round_trip():
         TorusMoebius.of([[0, 1], [1, 0]], [[1, 0], [0, 1]]),
     ])
     assert word_from_json(word_to_json(w)) == w
-    assert word_from_json(FOUR_FIELD_TORUS_WORD) == w
+    # the stored Sturm kind is ignored: q = 1 + x^2 proves by its shape
+    loaded = word_from_json(FOUR_FIELD_TORUS_WORD)
+    assert loaded == w
+    assert loaded.generators[0].certificate.kind == "torus-twist-square"
 
 
 def test_sphere_word_json_round_trip():
@@ -361,6 +427,14 @@ def test_json_load_recertifies():
     # tamper with the stored denominator; the forged certificate is ignored
     d["generators"][0]["q"] = ["-1", "0", "1"]
     with pytest.raises(RootInForbiddenRegion):
+        word_from_json(d)
+    # q = (x - 1)^2 is the m^2 of a built q = 1 + m^2 without the 1
+    d["generators"][0]["q"] = ["1", "-2", "1"]
+    with pytest.raises(RootInForbiddenRegion):
+        word_from_json(d)
+    # q = 1 + (x^2)^2 keeps the square shape but no longer matches deg p
+    d["generators"][0]["q"] = ["1", "0", "0", "0", "1"]
+    with pytest.raises(DegreeMismatch):
         word_from_json(d)
 
 

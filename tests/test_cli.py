@@ -189,24 +189,57 @@ def test_synth_internal_failure_writes_nothing(tmp_path, capsys, torus_targets,
     assert err == "internal verification failure: synthesized word misses target jet 0\n"
 
 
-def test_crash_exits_internal_not_negative(tmp_path, capsys):
-    # a scalar nested past the recursion limit crashes the parser; that is
-    # an error of the program, not a negative verdict
+@pytest.mark.parametrize("scalar", ["-" * 5000 + "1",
+                                    "sqrt(" * 5000 + "2" + ")" * 5000],
+                         ids=["minus-signs", "sqrt-nesting"])
+def test_hostile_scalar_nesting_is_invalid_input(tmp_path, capsys, scalar):
+    # signs fold in a loop and sqrt( nesting has a stated limit, so neither
+    # reaches the interpreter's recursion limit
     std = standard_config(SPHERE, [1]).jets[0]
     hostile = jet_to_json(std)
-    hostile["center"] = ["-" * 5000 + "1", "0", "0"]
+    hostile["center"] = [scalar, "0", "0"]
     jet = write(tmp_path / "jet.json", hostile)
     job = write(tmp_path / "job.json", {"surface": SPHERE, "partition": [1],
                                         "jets": [hostile]})
     word = write(tmp_path / "word.json", {"surface": SPHERE, "generators": []})
     for argv in (["synth", "--job", job, "--out", str(tmp_path / "w.json")],
                  ["apply", "--word", word, "--jet", jet]):
-        assert main(argv) == INTERNAL
+        assert main(argv) == INVALID
         err = capsys.readouterr().err
-        assert "Traceback" not in err
-        assert err.startswith("internal error: RecursionError")
+        assert "Traceback" not in err and "internal" not in err
         assert err.count("\n") == 1
     assert not (tmp_path / "w.json").exists()
+
+
+def test_crash_exits_internal_not_negative(tmp_path, capsys, torus_targets,
+                                           monkeypatch):
+    # an unexpected error of the program is not a negative verdict
+    def crash(jets):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "synth_torus", crash)
+    job = job_file(tmp_path, "job.json", TORUS, torus_targets)
+    out = tmp_path / "w.json"
+    assert main(["synth", "--job", job, "--out", str(out)]) == INTERNAL
+    err = capsys.readouterr().err
+    assert err == "internal error: RuntimeError: boom\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["synth", "compose"])
+def test_out_write_error_names_the_output(tmp_path, capsys, torus_targets,
+                                          command):
+    job = job_file(tmp_path, "job.json", TORUS, torus_targets)
+    word = str(tmp_path / "word.json")
+    assert main(["synth", "--job", job, "--out", word]) == OK
+    capsys.readouterr()
+    out = str(tmp_path / "missing" / "w.json")
+    argv = (["synth", "--job", job, "--out", out] if command == "synth"
+            else ["compose", word, word, "--out", out])
+    assert main(argv) == INVALID
+    captured = capsys.readouterr()
+    assert captured.err == f"cannot write {out}: No such file or directory\n"
+    assert "wrote" not in captured.out
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from jetmove.errors import NegativeRadicand
 from jetmove.exactalg import (ONE, ZERO, Scalar, parse_scalar, scal,
                               scalar_sqrt_adjoin, scalar_to_str, try_sqrt)
+from jetmove.exactalg.scalar import MAX_SQRT_NESTING
 
 s2 = scalar_sqrt_adjoin(2)
 s3 = scalar_sqrt_adjoin(3)
@@ -88,6 +89,16 @@ def test_text_round_trip():
         assert parse_scalar(scalar_to_str(s)) == s
     assert scalar_to_str(s2) == "sqrt(2)"
     assert scalar_to_str(1 + 2 * s2) == "1 + 2*sqrt(2)"
+
+
+def test_parse_folds_signs_and_caps_sqrt_nesting():
+    assert parse_scalar("-" * 5000 + "1") == 1
+    assert parse_scalar("-" * 5001 + "sqrt(2)") == -s2
+    limit = MAX_SQRT_NESTING
+    deepest = "sqrt(" * limit + "2" + ")" * limit
+    assert parse_scalar(deepest) > 1
+    with pytest.raises(ValueError, match=f"nested deeper than {limit}"):
+        parse_scalar("sqrt(" + deepest + ")")
 
 
 def test_scalar_is_unhashable():

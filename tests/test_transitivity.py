@@ -18,7 +18,7 @@ from conftest import (
 )
 
 import jetmove
-from jetmove import transitivity
+from jetmove import automorphisms, transitivity
 from jetmove.automorphisms import apply_jet, apply_point, word_to_json
 from jetmove.errors import (
     DuplicatePoints,
@@ -307,6 +307,28 @@ def test_synth_torus_mixed_configuration():
     w = synth_torus(jets)
     for src, j in zip(standard_config(TORUS, [2, 2, 1]).jets, jets):
         assert apply_jet(w, src) == j
+
+
+def test_synth_torus_builds_twists_in_square_shape(monkeypatch, rng):
+    # every torus twist the synthesizer builds, including the
+    # non-verticality shear, must prove itself without a Sturm chain
+    def no_sturm(*args):
+        raise AssertionError("a synthesized twist took the Sturm route")
+
+    monkeypatch.setattr(automorphisms, "sturm_root_count", no_sturm)
+    jets = [
+        Jet.torus(TorusPoint(ProjPoint.infinity(), ProjPoint.affine(2)), 2,
+                  Series(ZERO, 2, [scal(2), ONE])),
+        _vertical_jet_at(4),
+        rand_torus_jet(rng, 3, p_inf=0),
+    ]
+    word = synth_torus(jets)
+    kinds = {g.certificate.kind for g in word.generators}
+    assert "torus-twist-square" in kinds and "torus-twist" not in kinds
+    loaded = automorphisms.word_from_json(word_to_json(word))
+    assert loaded == word
+    for src, j in zip(standard_config(TORUS, [2, 2, 3]).jets, jets):
+        assert apply_jet(loaded, src) == j
 
 
 def test_synth_torus_random(rng):
