@@ -18,10 +18,12 @@ proof: a torus q = 1 + m^2 is at least 1 on R, and a sphere 4r = q^2 + 4
 gives r >= 1 and reduces the identity to p = +-(r - 2).  Any other
 shape is proved by Sturm counts and the full identity check.
 
-AutWord composes certified generators left-to-right.  Points move
-through exact coordinate formulas (projective pairs on the torus, so
-nothing breaks over infinity); jets move through their parameter series
-and come back in canonical form.
+AutWord composes certified generators left-to-right.  Jets move through
+their parameter series and come back in canonical form; a point moves as
+the order-1 case of a jet, and a Jacobian as the order-2 case, so one
+transport serves all three.  Torus coordinates travel as (chart, local
+series) pairs, so nothing breaks over infinity.  A twist polynomial
+meets a series only through its Taylor shift to the series' value.
 """
 
 from __future__ import annotations
@@ -29,13 +31,13 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .errors import (DegreeMismatch, IdentityFails, MixedSurfaces,
-                     NotCurvilinear, PreconditionFailed, RootInForbiddenRegion)
-from .exactalg import (ONE, ZERO, Poly, Scalar, Series, isolate_root,
-                       parse_scalar, scal, scalar_to_str, sturm_root_count,
-                       try_sqrt)
+                     PreconditionFailed, RootInForbiddenRegion)
+from .exactalg import (ONE, ZERO, Poly, Scalar, Series, compose_centered,
+                       isolate_root, parse_scalar, poly_to_series, scal,
+                       scalar_to_str, sturm_root_count, try_sqrt)
 from .surfaces import (SPHERE, TORUS, Jet, ProjPoint, SphereParam, SpherePoint,
-                       TorusParam, TorusPoint, jet_from_sphere_param,
-                       jet_from_torus_param, jet_parametrize)
+                       TorusParam, TorusPoint, chart_pair, jet_from_sphere_param,
+                       jet_from_torus_param, jet_parametrize, normalize_pair)
 
 
 # ---------------------------------------------------------------------------
@@ -260,116 +262,55 @@ def certify_twist(g: Generator) -> Generator:
 
 
 # ---------------------------------------------------------------------------
-# action on points
+# action on parameter series (shared by apply_point, apply_jet and jacobian_at)
 
 
-def _hom_eval_point(pol: Poly, n: int, pt: ProjPoint) -> Scalar:
-    """Degree-n homogenization of pol, at the canonical pair (u : v)."""
-    if pt.is_infinite:
-        return pol[n]
-    return pol(pt.value)
+def _eval(pol: Poly, s: Series) -> Series:
+    """pol(s), through the Taylor shift of pol to the value of s.
+
+    Only the first s.order coefficients of pol around s(0) survive
+    composition with the deviation s - s(0), so deg pol costs one
+    synthetic division per kept coefficient, not one series product.
+    """
+    return compose_centered(poly_to_series(pol, s.value(), s.order), s)
 
 
-def _twist_point_pair(tw, src: ProjPoint, moved: ProjPoint) -> ProjPoint:
-    n = tw.q.degree
-    ph = _hom_eval_point(tw.p, n, src)
-    qh = _hom_eval_point(tw.q, n, src)
-    return ProjPoint(moved.u * qh + ph * moved.v, moved.v * qh)
+def _hom_eval_series(pol: Poly, n: int, chart: int, loc: Series) -> Series:
+    """Degree-n homogenization of pol at the pair (loc : 1) or (1 : loc)."""
+    if chart == 1:
+        pol = Poly([pol[n - k] for k in range(n + 1)])
+    return _eval(pol, loc)
 
 
-def _moebius_point(m, pt: ProjPoint) -> ProjPoint:
-    return ProjPoint(m[0][0] * pt.u + m[0][1] * pt.v,
-                     m[1][0] * pt.u + m[1][1] * pt.v)
+def _moebius(m, f: tuple[int, Series]) -> tuple[int, Series]:
+    f0, f1 = chart_pair(*f)
+    return normalize_pair(f0 * m[0][0] + f1 * m[0][1],
+                          f0 * m[1][0] + f1 * m[1][1])
+
+
+def _push_torus(w: AutWord, x: tuple[int, Series], y: tuple[int, Series]):
+    """Move the (chart, local series) coordinates of a torus curve."""
+    for g in w.generators:
+        if isinstance(g, TorusTwist):
+            src, moved = (x, y) if g.axis == "y" else (y, x)
+            n = g.q.degree
+            ph = _hom_eval_series(g.p, n, *src)
+            qh = _hom_eval_series(g.q, n, *src)
+            m0, m1 = chart_pair(*moved)
+            moved = normalize_pair(m0 * qh + ph * m1, m1 * qh)
+            x, y = (src, moved) if g.axis == "y" else (moved, src)
+        else:
+            x, y = _moebius(g.mx, x), _moebius(g.my, y)
+    return x, y
 
 
 _CYCLE = {"x": ("y", "z"), "y": ("z", "x"), "z": ("x", "y")}
 
 
-def _sphere_twist_point(tw: SphereTwist, pt: SpherePoint) -> SpherePoint:
-    coords = {"x": pt.x, "y": pt.y, "z": pt.z}
-    t = coords[tw.fixed]
-    pv, qv, rv = tw.p(t), tw.q(t), tw.r(t)
-    a, b = _CYCLE[tw.fixed]
-    u, v = coords[a], coords[b]
-    coords[a] = (u * pv - v * qv) / rv
-    coords[b] = (u * qv + v * pv) / rv
-    return SpherePoint(coords["x"], coords["y"], coords["z"])
-
-
-def apply_point(w: AutWord, pt: TorusPoint | SpherePoint):
-    """Image of the point under the word; exact, total on real points."""
-    if w.surface == TORUS:
-        if not isinstance(pt, TorusPoint):
-            raise MixedSurfaces("torus word applied to a non-torus point")
-        for g in w.generators:
-            if isinstance(g, TorusTwist):
-                if g.axis == "y":
-                    pt = TorusPoint(pt.x, _twist_point_pair(g, pt.x, pt.y))
-                else:
-                    pt = TorusPoint(_twist_point_pair(g, pt.y, pt.x), pt.y)
-            else:
-                pt = TorusPoint(_moebius_point(g.mx, pt.x),
-                                _moebius_point(g.my, pt.y))
-        return pt
-    if not isinstance(pt, SpherePoint):
-        raise MixedSurfaces("sphere word applied to a non-sphere point")
-    for g in w.generators:
-        pt = _sphere_twist_point(g, pt)
-    return pt
-
-
-# ---------------------------------------------------------------------------
-# action on parameter series (shared by apply_jet and jacobian_at)
-
-
-def _hom_eval_series(pol: Poly, n: int, chart: int, loc: Series) -> Series:
-    if chart == 0:
-        return pol(loc)
-    rev = Poly([pol[n - k] for k in range(n + 1)])
-    return rev(loc)
-
-
-def _norm_factor(a: Series, b: Series) -> tuple[int, Series]:
-    """Normalize a homogeneous pair to (chart, local series)."""
-    if not b.value().is_zero():
-        return 0, a * b.invert()
-    if not a.value().is_zero():
-        return 1, b * a.invert()
-    raise NotCurvilinear("degenerate homogeneous pair along a jet")
-
-
-def _scale(c: Scalar, s: Series) -> Series:
-    return Series(s.center, s.order, [c * x for x in s.coeffs])
-
-
-def _push_torus(w: AutWord, x: tuple[int, Series], y: tuple[int, Series]):
-    one = Series.constant(1, ZERO, x[1].order)
-    pair = lambda f: (f[1], one) if f[0] == 0 else (one, f[1])
-    for g in w.generators:
-        if isinstance(g, TorusTwist):
-            src, moved = (x, y) if g.axis == "y" else (y, x)
-            n = g.q.degree
-            ph = _hom_eval_series(g.p, n, src[0], src[1])
-            qh = _hom_eval_series(g.q, n, src[0], src[1])
-            m0, m1 = pair(moved)
-            moved = _norm_factor(m0 * qh + ph * m1, m1 * qh)
-            x, y = (src, moved) if g.axis == "y" else (moved, src)
-        else:
-            for m, f in ((g.mx, "x"), (g.my, "y")):
-                f0, f1 = pair(x if f == "x" else y)
-                new = _norm_factor(_scale(m[0][0], f0) + _scale(m[0][1], f1),
-                                   _scale(m[1][0], f0) + _scale(m[1][1], f1))
-                if f == "x":
-                    x = new
-                else:
-                    y = new
-    return x, y
-
-
 def _push_sphere(w: AutWord, coords: dict[str, Series]) -> dict[str, Series]:
     for g in w.generators:
         t = coords[g.fixed]
-        pv, qv, rv = g.p(t), g.q(t), g.r(t)
+        pv, qv, rv = _eval(g.p, t), _eval(g.q, t), _eval(g.r, t)
         rinv = rv.invert()
         a, b = _CYCLE[g.fixed]
         u, v = coords[a], coords[b]
@@ -379,19 +320,44 @@ def _push_sphere(w: AutWord, coords: dict[str, Series]) -> dict[str, Series]:
     return coords
 
 
+def _torus_local(pp: ProjPoint, tail=()) -> tuple[int, Series]:
+    """A P1 coordinate as (chart, series); infinity is chart 1, value 0."""
+    chart = 1 if pp.is_infinite else 0
+    return chart, Series(ZERO, 1 + len(tail), [ZERO if chart else pp.value, *tail])
+
+
+def _torus_coord(f: tuple[int, Series]) -> ProjPoint:
+    return ProjPoint.infinity() if f[0] else ProjPoint.affine(f[1].value())
+
+
+def apply_point(w: AutWord, pt: TorusPoint | SpherePoint):
+    """Image of the point under the word; exact, total on real points.
+
+    A point is moved as the order-1 case of a jet, by the same series
+    transport as jets and Jacobians.
+    """
+    if w.surface == TORUS:
+        if not isinstance(pt, TorusPoint):
+            raise MixedSurfaces("torus word applied to a non-torus point")
+        x, y = _push_torus(w, _torus_local(pt.x), _torus_local(pt.y))
+        return TorusPoint(_torus_coord(x), _torus_coord(y))
+    if not isinstance(pt, SpherePoint):
+        raise MixedSurfaces("sphere word applied to a non-sphere point")
+    out = _push_sphere(w, {n: Series(ZERO, 1, [c])
+                           for n, c in zip("xyz", pt.coords())})
+    return SpherePoint(*(out[n].value() for n in "xyz"))
+
+
 def apply_jet(w: AutWord, j: Jet) -> Jet:
     """Transport the jet, returning it in canonical graph form."""
     if j.surface != w.surface:
         raise MixedSurfaces("word and jet live on different surfaces")
     par = jet_parametrize(j)
     if j.surface == TORUS:
-        x = _norm_factor(par.x0, par.x1)
-        y = _norm_factor(par.y0, par.y1)
-        x, y = _push_torus(w, x, y)
-        one = Series.constant(1, ZERO, j.order)
-        x0, x1 = (x[1], one) if x[0] == 0 else (one, x[1])
-        y0, y1 = (y[1], one) if y[0] == 0 else (one, y[1])
-        return jet_from_torus_param(TorusParam(x0, x1, y0, y1), j.order)
+        x, y = _push_torus(w, normalize_pair(par.x0, par.x1),
+                           normalize_pair(par.y0, par.y1))
+        return jet_from_torus_param(TorusParam(*chart_pair(*x), *chart_pair(*y)),
+                                    j.order)
     out = _push_sphere(w, {"x": par.x, "y": par.y, "z": par.z})
     return jet_from_sphere_param(SphereParam(out["x"], out["y"], out["z"]), j.order)
 
@@ -411,12 +377,8 @@ def jacobian_at(w: AutWord, pt: TorusPoint | SpherePoint):
         cols = []
         for d in range(2):
             dirs = (ONE, ZERO) if d == 0 else (ZERO, ONE)
-            fac = []
-            for pp, a in zip((pt.x, pt.y), dirs):
-                v0 = ZERO if pp.is_infinite else pp.value
-                chart = 1 if pp.is_infinite else 0
-                fac.append((chart, Series(ZERO, 2, [v0, a])))
-            x, y = _push_torus(w, fac[0], fac[1])
+            x, y = _push_torus(w, _torus_local(pt.x, (dirs[0],)),
+                               _torus_local(pt.y, (dirs[1],)))
             cols.append((x[1].coeffs[1], y[1].coeffs[1]))
         return ((cols[0][0], cols[1][0]), (cols[0][1], cols[1][1]))
     cols = []

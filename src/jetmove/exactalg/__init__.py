@@ -5,7 +5,7 @@ from .poly import Poly, poly_gcd, square_free_part
 from .scalar import (ONE, ZERO, Scalar, Tower, parse_scalar, scal,
                      scalar_sqrt_adjoin, scalar_to_str, try_sqrt)
 from .series import (Series, compose_centered, hensel_sqrt, poly_to_series,
-                     series_invert, series_reverse)
+                     series_reverse)
 from .sturm import (NEG_INF, POS_INF, SturmChain, cauchy_bound, isolate_root,
                     sturm_root_count)
 
@@ -20,6 +20,6 @@ __all__ = [
     "cauchy_bound", "compose_centered", "crt_combine", "hensel_sqrt",
     "isolate_root", "parse_scalar", "poly_gcd", "poly_to_series",
     "poly_valuation", "scal", "scalar_sqrt_adjoin", "scalar_to_str",
-    "series_invert", "series_reverse", "square_free_part", "sturm_root_count",
+    "series_reverse", "square_free_part", "sturm_root_count",
     "try_sqrt",
 ]

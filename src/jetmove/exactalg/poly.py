@@ -122,13 +122,14 @@ class Poly:
         return Poly([self.coeffs[k] * k for k in range(1, len(self.coeffs))])
 
     def __call__(self, x):
-        """Horner evaluation; works for Scalars and for Series arguments."""
-        if isinstance(x, (int, Scalar)):
-            acc = ZERO
-            for c in reversed(self.coeffs):
-                acc = acc * x + c
-            return acc
-        acc = x * 0
+        """Horner evaluation at a scalar.
+
+        A series argument is refused: evaluate through the Taylor shift
+        (poly_to_series at the series' value, then compose_centered).
+        """
+        if not isinstance(x, (int, Scalar)):
+            raise TypeError(f"cannot evaluate a Poly at {type(x).__name__}")
+        acc = ZERO
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc

@@ -196,10 +196,6 @@ def poly_to_series(p: Poly, center: RatLike, order: int) -> Series:
     return Series(c, order, p.shifted_coeffs(c, order))
 
 
-def series_invert(u: Series) -> Series:
-    return u.invert()
-
-
 def hensel_sqrt(u: Series, seed: RatLike) -> Series:
     """The square root of ``u`` whose value at the center is ``seed``.
 

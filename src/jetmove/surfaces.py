@@ -24,9 +24,8 @@ automorphism layer transports them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .errors import (MixedSurfaces, NotCurvilinear, NotDistant, NotOnEquator,
+from .errors import (MixedSurfaces, NotCurvilinear, NotOnEquator,
                      PreconditionFailed)
 from .exactalg import (ONE, ZERO, Poly, Scalar, Series, compose_centered,
                        hensel_sqrt, parse_scalar, poly_to_series, scal,
@@ -285,12 +284,8 @@ def jet_parametrize(j: Jet) -> TorusParam | SphereParam:
         else:
             xloc = Series(ZERO, e, [cx, ONE] if e >= 2 else [cx])
             yloc = _recenter_zero(j.graphs[0])
-        one = Series.constant(1, ZERO, e)
-        xc = j.chart[0]
-        yc = j.chart[1]
-        x0, x1 = (xloc, one) if xc == 0 else (one, xloc)
-        y0, y1 = (yloc, one) if yc == 0 else (one, yloc)
-        return TorusParam(x0, x1, y0, y1)
+        return TorusParam(*chart_pair(j.chart[0], xloc),
+                          *chart_pair(j.chart[1], yloc))
     x0, y0, z0 = j.center.coords()
     v0 = {"x": x0, "y": y0, "z": z0}[j.chart]
     var = Series(ZERO, e, [v0, ONE] if e >= 2 else [v0])
@@ -303,7 +298,13 @@ def jet_parametrize(j: Jet) -> TorusParam | SphereParam:
     return SphereParam(g, h, var)
 
 
-def _normalize_pair(s0: Series, s1: Series) -> tuple[int, Series]:
+def chart_pair(chart: int, loc: Series) -> tuple[Series, Series]:
+    """The homogeneous P1 pair (loc : 1) on chart 0, (1 : loc) on chart 1."""
+    one = Series.constant(1, loc.center, loc.order)
+    return (loc, one) if chart == 0 else (one, loc)
+
+
+def normalize_pair(s0: Series, s1: Series) -> tuple[int, Series]:
     """Return (chart, local series) for a homogeneous P1 series pair."""
     if not s1.value().is_zero():
         return 0, s0 * s1.invert()
@@ -322,8 +323,8 @@ def _reparametrize(driver: Series, others: list[Series]) -> list[Series]:
 
 
 def jet_from_torus_param(p: TorusParam, order: int) -> Jet:
-    xc, xloc = _normalize_pair(p.x0, p.x1)
-    yc, yloc = _normalize_pair(p.y0, p.y1)
+    xc, xloc = normalize_pair(p.x0, p.x1)
+    yc, yloc = normalize_pair(p.y0, p.y1)
     cx, cy = xloc.value(), yloc.value()
     px = ProjPoint.infinity() if xc == 1 else ProjPoint.affine(cx)
     py = ProjPoint.infinity() if yc == 1 else ProjPoint.affine(cy)
@@ -494,11 +495,6 @@ def jets_mutually_distant(jets) -> bool:
             if jets[i].center == jets[k].center:
                 return False
     return True
-
-
-def require_distant(jets, what="jets"):
-    if not jets_mutually_distant(jets):
-        raise NotDistant(f"{what} are not mutually distant")
 
 
 # ---------------------------------------------------------------------------

@@ -119,26 +119,27 @@ def interpolating_twist(axis: str, residues) -> TorusTwist | None:
     return certify_twist(TorusTwist(axis, p, q))
 
 
+def _half_angle_twist(fixed: str, a: Poly) -> SphereTwist:
+    """Sphere twist with tangent half-angle a: p = 1 - a^2, q = 2a, r = 1 + a^2.
+
+    Then 4r = q^2 + 4 and p = 2 - r, so certification takes the square
+    route and r >= 1 needs no proof.
+    """
+    aa = a * a
+    return certify_twist(SphereTwist(fixed, Poly.const(1) - aa, a + a,
+                                     Poly.const(1) + aa))
+
+
 def rotation_twist(fixed: str, residues) -> SphereTwist | None:
     """Sphere twist with tangent-half-angle polynomial interpolated by CRT.
 
-    a = a_i mod (x - c_i)^{e_i} gives p = 1 - a^2, q = 2a, r = 1 + a^2;
-    r is everywhere positive so certification always succeeds.  None when
-    a vanishes identically.
+    a = a_i mod (x - c_i)^{e_i}, built by _half_angle_twist.  None when a
+    vanishes identically.
     """
     a = crt_combine(residues)
     if a.is_zero():
         return None
-    p = Poly.const(1) - a * a
-    q = a + a
-    r = Poly.const(1) + a * a
-    return certify_twist(SphereTwist(fixed, p, q, r))
-
-
-def _constant_rotation(fixed: str, half_angle: Scalar) -> SphereTwist:
-    t = half_angle
-    return certify_twist(SphereTwist.of(
-        fixed, [ONE - t * t], [t + t], [ONE + t * t]))
+    return _half_angle_twist(fixed, a)
 
 
 # ---------------------------------------------------------------------------
@@ -276,9 +277,9 @@ def separate_points_sphere(points, orders=None) -> AutWord:
         def try_pair(s, t):
             cand = []
             if not t.is_zero():
-                cand.append(_constant_rotation("x", t))
+                cand.append(_half_angle_twist("x", Poly.const(t)))
             if not s.is_zero():
-                cand.append(_constant_rotation("z", s))
+                cand.append(_half_angle_twist("z", Poly.const(s)))
             if not cand:
                 return False
             w = AutWord(SPHERE, tuple(cand))
@@ -286,9 +287,9 @@ def separate_points_sphere(points, orders=None) -> AutWord:
 
         s, t = _pick_pair(try_pair, "generic rotation")
         if not t.is_zero():
-            push(_constant_rotation("x", t))
+            push(_half_angle_twist("x", Poly.const(t)))
         if not s.is_zero():
-            push(_constant_rotation("z", s))
+            push(_half_angle_twist("z", Poly.const(s)))
 
     # fiber heights v_i = Y_i (1-s^2)/(1+s^2) for rational s, so the later
     # x-move leg sqrt(Y_i^2 - v_i^2) = 2 Y_i s/(1+s^2) is rational and the
@@ -397,9 +398,10 @@ def make_nonvertical_torus(jets) -> tuple[AutWord, tuple[Jet, ...]]:
 def make_nonvertical_sphere(jets) -> tuple[AutWord, tuple[Jet, ...]]:
     """One twist about z fixing the equator pointwise, no jet vertical.
 
-    Uses the family p = (1+z^2)^2 - (lam z)^2, q = 2 lam z (1+z^2),
-    r = (1+z^2)^2 + (lam z)^2, a Pythagorean triple for every lam, with
-    q'(0) = 2 lam shearing tangents off the vertical.
+    The twist has tangent half-angle lam*z (p = 1 - lam^2 z^2, q = 2 lam z,
+    r = 1 + lam^2 z^2), so it is the identity on z = 0, its angle has
+    derivative 2 lam there, shearing tangents off the vertical, and it
+    certifies on the square route like every other synthesized twist.
     """
     jets = tuple(jets)
     for i, j in enumerate(jets, 1):
@@ -422,11 +424,7 @@ def make_nonvertical_sphere(jets) -> tuple[AutWord, tuple[Jet, ...]]:
         return True
 
     lam = _pick(ok, "non-verticality parameter", skip_zero=True)
-    sq = Poly([1, 0, 1]) ** 2
-    lz2 = Poly([ZERO, ZERO, lam * lam])
-    tw = certify_twist(SphereTwist(
-        "z", sq - lz2, Poly([ZERO, lam + lam]) * Poly([1, 0, 1]), sq + lz2))
-    w = AutWord(SPHERE, (tw,))
+    w = AutWord(SPHERE, (_half_angle_twist("z", Poly([ZERO, lam])),))
     out = tuple(apply_jet(w, j) for j in jets)
     for i, j in enumerate(out, 1):
         ensure(j.center == sphere_standard_center(i), f"jet {i - 1} left its center")

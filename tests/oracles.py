@@ -1,8 +1,10 @@
 """Independent reference implementations used only by the tests.
 
-Everything here runs on plain lists of Fractions, so the code under test
-shares no arithmetic with the oracle that checks it.  Polynomials are
-coefficient lists, lowest degree first.
+Everything here runs on plain lists, so the code under test shares no
+polynomial or series arithmetic with the oracle that checks it.  The
+lists hold Fractions, except that the series oracle also takes the
+package's scalars, to cover tower coefficients.  Polynomials and series
+are coefficient lists, lowest degree first.
 """
 
 from __future__ import annotations
@@ -42,6 +44,25 @@ def p_eval(a, x):
     acc = F(0)
     for c in reversed(a):
         acc = acc * x + c
+    return acc
+
+
+def s_mul(a, b):
+    """Product of two truncated series of the same length."""
+    e = len(a)
+    out = [a[0] - a[0]] * e
+    for i in range(e):
+        for j in range(e - i):
+            out[i + j] = out[i + j] + a[i] * b[j]
+    return out
+
+
+def series_horner(a, s):
+    """a(s) truncated to len(s) terms, by Horner's rule over series."""
+    acc = [s[0] - s[0]] * len(s)
+    for c in reversed(a):
+        acc = s_mul(acc, s)
+        acc[0] = acc[0] + c
     return acc
 
 

@@ -7,7 +7,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import rand_sphere_jet, rand_sphere_point, rand_torus_jet
+from oracles import series_horner
 
+from jetmove import automorphisms
 from jetmove.automorphisms import (
     AutWord,
     SphereTwist,
@@ -231,6 +233,19 @@ def test_moebius_swaps_zero_and_infinity():
     assert pt.y.value == scal(7)
 
 
+def test_points_move_onto_and_along_infinity():
+    # a point rides the series transport in charts; one that lands at
+    # infinity comes back in chart 1, one at infinity stays there
+    swap = word_of(TORUS, [TorusMoebius.of([[0, 1], [1, 0]], [[0, 1], [1, 0]])])
+    pt = apply_point(swap, TorusPoint.affine(0, 3))
+    assert pt.x.is_infinite
+    assert pt.y.value == scal(Fraction(1, 3))
+    w = word_of(TORUS, [TorusTwist.of("y", [0, 0, 1], [1, 0, 1])])
+    pt = apply_point(w, TorusPoint(ProjPoint.affine(2), ProjPoint.infinity()))
+    assert pt.x.value == scal(2)
+    assert pt.y.is_infinite
+
+
 def test_sphere_rotation_constant_angle():
     w = word_of(SPHERE, [SphereTwist.of("z", [3], [4], [5])])
     pt = apply_point(w, SpherePoint(ONE, ZERO, ZERO))
@@ -327,6 +342,26 @@ def test_identity_word_fixes_jets(rng):
     for _ in range(10):
         j = rand_sphere_jet(rng, rng.randint(1, 3))
         assert apply_jet(word_identity(SPHERE), j) == j
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.tuples(st.lists(_rationals, max_size=8),
+                           st.lists(_rationals, min_size=5, max_size=5)),
+                 st.tuples(st.lists(_towered, max_size=6),
+                           st.lists(_towered, min_size=5, max_size=5))),
+       st.integers(1, 5), st.sampled_from([0, 1]), st.integers(0, 2))
+def test_twist_series_evaluation_matches_horner(data, order, chart, extra):
+    # the Taylor-shift evaluation of a homogenized twist polynomial agrees
+    # with Horner's rule run over truncated series
+    coeffs, loc = data
+    pol = Poly(coeffs)
+    n = max(pol.degree, 0) + extra
+    s = Series(ZERO, order, loc[:order])
+    hom = list(pol.coeffs) if chart == 0 else [pol[n - k] for k in range(n + 1)]
+    want = series_horner(hom, list(s.coeffs))
+    got = automorphisms._hom_eval_series(pol, n, chart, s)
+    assert got.center == ZERO and got.order == order
+    assert all(a == b for a, b in zip(got.coeffs, want))
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,11 @@ def test_poly_basics():
     assert Poly([0, 0]).is_zero()
 
 
+def test_poly_call_refuses_series():
+    with pytest.raises(TypeError):
+        Poly([1, 2, 3])(Series(ZERO, 3, [1, 1]))
+
+
 def test_poly_divmod_and_gcd():
     a = (x - 1) * (x + 2) ** 2
     b = (x - 1) * (x - 3)

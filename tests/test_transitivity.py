@@ -331,6 +331,25 @@ def test_synth_torus_builds_twists_in_square_shape(monkeypatch, rng):
         assert apply_jet(loaded, src) == j
 
 
+def test_synth_sphere_builds_twists_in_square_shape(monkeypatch, rng):
+    # every sphere twist the synthesizer builds, including the
+    # non-verticality shear, must prove itself without a Sturm chain
+    def no_sturm(*args):
+        raise AssertionError("a synthesized twist took the Sturm route")
+
+    monkeypatch.setattr(automorphisms, "sturm_root_count", no_sturm)
+    jets = [rand_sphere_jet(rng, 3), rand_sphere_jet(rng, 2)]
+    while jets[1].center == jets[0].center:
+        jets[1] = rand_sphere_jet(rng, 2)
+    word = synth_sphere(jets)
+    kinds = {g.certificate.kind for g in word.generators}
+    assert kinds == {"sphere-twist-square"}
+    loaded = automorphisms.word_from_json(word_to_json(word))
+    assert loaded == word
+    for src, j in zip(standard_config(SPHERE, [3, 2]).jets, jets):
+        assert apply_jet(loaded, src) == j
+
+
 def test_synth_torus_random(rng):
     for _ in range(6):
         orders = [rng.randint(1, 3) for _ in range(rng.randint(1, 3))]
