@@ -19,11 +19,13 @@ gives r >= 1 and reduces the identity to p = +-(r - 2).  Any other
 shape is proved by Sturm counts and the full identity check.
 
 AutWord composes certified generators left-to-right.  Jets move through
-their parameter series and come back in canonical form; a point moves as
-the order-1 case of a jet, and a Jacobian as the order-2 case, so one
-transport serves all three.  Torus coordinates travel as (chart, local
-series) pairs, so nothing breaks over infinity.  A twist polynomial
-meets a series only through its Taylor shift to the series' value.
+their parameter form (surfaces.TorusParam or SphereParam) and come back
+in canonical form; a point moves as the order-1 case of a jet, and a
+Jacobian as the order-2 case, so one transport serves all three.  Torus
+coordinates travel as (chart, local series) pairs, so nothing breaks
+over infinity; only Moebius maps and twist steps form homogeneous pairs,
+and they normalize their result back at once.  A twist polynomial meets
+a series only through its Taylor shift to the series' value.
 """
 
 from __future__ import annotations
@@ -31,13 +33,13 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .errors import (DegreeMismatch, IdentityFails, MixedSurfaces,
-                     PreconditionFailed, RootInForbiddenRegion)
+                     NotCurvilinear, PreconditionFailed, RootInForbiddenRegion)
 from .exactalg import (ONE, ZERO, Poly, Scalar, Series, compose_centered,
                        isolate_root, parse_scalar, poly_to_series, scal,
                        scalar_to_str, sturm_root_count, try_sqrt)
-from .surfaces import (SPHERE, TORUS, Jet, ProjPoint, SphereParam, SpherePoint,
-                       TorusParam, TorusPoint, chart_pair, jet_from_sphere_param,
-                       jet_from_torus_param, jet_parametrize, normalize_pair)
+from .surfaces import (SPHERE, SPHERE_CHARTS, TORUS, Jet, SphereParam,
+                       SpherePoint, TorusParam, TorusPoint, jet_from_sphere_param,
+                       jet_from_torus_param, jet_parametrize)
 
 
 # ---------------------------------------------------------------------------
@@ -282,52 +284,64 @@ def _hom_eval_series(pol: Poly, n: int, chart: int, loc: Series) -> Series:
     return _eval(pol, loc)
 
 
+def _chart_pair(chart: int, loc: Series) -> tuple[Series, Series]:
+    """The homogeneous P1 pair (loc : 1) on chart 0, (1 : loc) on chart 1."""
+    one = Series.constant(1, loc.center, loc.order)
+    return (loc, one) if chart == 0 else (one, loc)
+
+
+def _normalize_pair(s0: Series, s1: Series) -> tuple[int, Series]:
+    """Return (chart, local series) for a homogeneous P1 series pair."""
+    if not s1.value().is_zero():
+        return 0, s0 * s1.invert()
+    if not s0.value().is_zero():
+        return 1, s1 * s0.invert()
+    raise NotCurvilinear("homogeneous pair vanishes at the center")
+
+
 def _moebius(m, f: tuple[int, Series]) -> tuple[int, Series]:
-    f0, f1 = chart_pair(*f)
-    return normalize_pair(f0 * m[0][0] + f1 * m[0][1],
-                          f0 * m[1][0] + f1 * m[1][1])
+    f0, f1 = _chart_pair(*f)
+    return _normalize_pair(f0 * m[0][0] + f1 * m[0][1],
+                           f0 * m[1][0] + f1 * m[1][1])
 
 
-def _push_torus(w: AutWord, x: tuple[int, Series], y: tuple[int, Series]):
-    """Move the (chart, local series) coordinates of a torus curve."""
+def _push_torus(w: AutWord, par: TorusParam) -> TorusParam:
+    x, y = par.x, par.y
     for g in w.generators:
         if isinstance(g, TorusTwist):
             src, moved = (x, y) if g.axis == "y" else (y, x)
             n = g.q.degree
             ph = _hom_eval_series(g.p, n, *src)
             qh = _hom_eval_series(g.q, n, *src)
-            m0, m1 = chart_pair(*moved)
-            moved = normalize_pair(m0 * qh + ph * m1, m1 * qh)
+            m0, m1 = _chart_pair(*moved)
+            moved = _normalize_pair(m0 * qh + ph * m1, m1 * qh)
             x, y = (src, moved) if g.axis == "y" else (moved, src)
         else:
             x, y = _moebius(g.mx, x), _moebius(g.my, y)
-    return x, y
+    return TorusParam(x, y)
 
 
-_CYCLE = {"x": ("y", "z"), "y": ("z", "x"), "z": ("x", "y")}
-
-
-def _push_sphere(w: AutWord, coords: dict[str, Series]) -> dict[str, Series]:
+def _push_sphere(w: AutWord, par: SphereParam) -> SphereParam:
     for g in w.generators:
-        t = coords[g.fixed]
+        names = SPHERE_CHARTS[g.fixed]
+        t, u, v = (getattr(par, n) for n in names)
         pv, qv, rv = _eval(g.p, t), _eval(g.q, t), _eval(g.r, t)
         rinv = rv.invert()
-        a, b = _CYCLE[g.fixed]
-        u, v = coords[a], coords[b]
-        coords = dict(coords)
-        coords[a] = (u * pv - v * qv) * rinv
-        coords[b] = (u * qv + v * pv) * rinv
-    return coords
+        par = replace(par, **{names[1]: (u * pv - v * qv) * rinv,
+                              names[2]: (u * qv + v * pv) * rinv})
+    return par
 
 
-def _torus_local(pp: ProjPoint, tail=()) -> tuple[int, Series]:
-    """A P1 coordinate as (chart, series); infinity is chart 1, value 0."""
-    chart = 1 if pp.is_infinite else 0
-    return chart, Series(ZERO, 1 + len(tail), [ZERO if chart else pp.value, *tail])
-
-
-def _torus_coord(f: tuple[int, Series]) -> ProjPoint:
-    return ProjPoint.infinity() if f[0] else ProjPoint.affine(f[1].value())
+def _point_param(pt: TorusPoint | SpherePoint, tangent=None):
+    """The point as an order-1 parameter form or, given ``tangent`` in
+    local chart components, the order-2 line through it that way."""
+    torus = isinstance(pt, TorusPoint)
+    values = (pt.x.local, pt.y.local) if torus else pt.coords()
+    tails = [()] * len(values) if tangent is None else [(d,) for d in tangent]
+    local = [Series(ZERO, 1 + len(t), [v, *t]) for v, t in zip(values, tails)]
+    if torus:
+        return TorusParam((pt.x.chart, local[0]), (pt.y.chart, local[1]))
+    return SphereParam(*local)
 
 
 def apply_point(w: AutWord, pt: TorusPoint | SpherePoint):
@@ -336,30 +350,20 @@ def apply_point(w: AutWord, pt: TorusPoint | SpherePoint):
     A point is moved as the order-1 case of a jet, by the same series
     transport as jets and Jacobians.
     """
+    if not isinstance(pt, TorusPoint if w.surface == TORUS else SpherePoint):
+        raise MixedSurfaces(f"{w.surface} word applied to a {type(pt).__name__}")
     if w.surface == TORUS:
-        if not isinstance(pt, TorusPoint):
-            raise MixedSurfaces("torus word applied to a non-torus point")
-        x, y = _push_torus(w, _torus_local(pt.x), _torus_local(pt.y))
-        return TorusPoint(_torus_coord(x), _torus_coord(y))
-    if not isinstance(pt, SpherePoint):
-        raise MixedSurfaces("sphere word applied to a non-sphere point")
-    out = _push_sphere(w, {n: Series(ZERO, 1, [c])
-                           for n, c in zip("xyz", pt.coords())})
-    return SpherePoint(*(out[n].value() for n in "xyz"))
+        return jet_from_torus_param(_push_torus(w, _point_param(pt)), 1).center
+    return jet_from_sphere_param(_push_sphere(w, _point_param(pt)), 1).center
 
 
 def apply_jet(w: AutWord, j: Jet) -> Jet:
     """Transport the jet, returning it in canonical graph form."""
     if j.surface != w.surface:
         raise MixedSurfaces("word and jet live on different surfaces")
-    par = jet_parametrize(j)
     if j.surface == TORUS:
-        x, y = _push_torus(w, normalize_pair(par.x0, par.x1),
-                           normalize_pair(par.y0, par.y1))
-        return jet_from_torus_param(TorusParam(*chart_pair(*x), *chart_pair(*y)),
-                                    j.order)
-    out = _push_sphere(w, {"x": par.x, "y": par.y, "z": par.z})
-    return jet_from_sphere_param(SphereParam(out["x"], out["y"], out["z"]), j.order)
+        return jet_from_torus_param(_push_torus(w, jet_parametrize(j)), j.order)
+    return jet_from_sphere_param(_push_sphere(w, jet_parametrize(j)), j.order)
 
 
 # ---------------------------------------------------------------------------
@@ -373,23 +377,17 @@ def jacobian_at(w: AutWord, pt: TorusPoint | SpherePoint):
     transporting first-order perturbations through the word, which is the
     chain rule without writing down any intermediate formula.
     """
-    if w.surface == TORUS:
-        cols = []
-        for d in range(2):
-            dirs = (ONE, ZERO) if d == 0 else (ZERO, ONE)
-            x, y = _push_torus(w, _torus_local(pt.x, (dirs[0],)),
-                               _torus_local(pt.y, (dirs[1],)))
-            cols.append((x[1].coeffs[1], y[1].coeffs[1]))
-        return ((cols[0][0], cols[1][0]), (cols[0][1], cols[1][1]))
+    n = 2 if w.surface == TORUS else 3
     cols = []
-    for d in range(3):
-        coords = {}
-        for i, (name, c) in enumerate(zip("xyz", pt.coords())):
-            a = ONE if i == d else ZERO
-            coords[name] = Series(ZERO, 2, [c, a])
-        out = _push_sphere(w, coords)
-        cols.append(tuple(out[n].coeffs[1] for n in "xyz"))
-    return tuple(tuple(cols[j][i] for j in range(3)) for i in range(3))
+    for d in range(n):
+        par = _point_param(pt, [ONE if i == d else ZERO for i in range(n)])
+        if w.surface == TORUS:
+            out = _push_torus(w, par)
+            cols.append((out.x[1].coeffs[1], out.y[1].coeffs[1]))
+        else:
+            out = _push_sphere(w, par)
+            cols.append((out.x.coeffs[1], out.y.coeffs[1], out.z.coeffs[1]))
+    return tuple(zip(*cols))
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,22 @@ def _coerce_value(value, center: Scalar, order: int) -> Series:
     return Series.constant(scal(value), center, order)
 
 
+def node_product(residues) -> Poly:
+    """M = prod (x - c_i)^{e_i} over the (center, order, value) residues."""
+    m = Poly.const(1)
+    for center, order, _ in residues:
+        m = m * Poly([-scal(center), ONE]) ** order
+    return m
+
+
+def _strip_node(m: Poly, c: Scalar) -> Poly:
+    """m / (x - c) by synthetic division; (x - c) must divide m."""
+    q = list(m.coeffs[1:])
+    for k in range(len(q) - 2, -1, -1):
+        q[k] = q[k] + q[k + 1] * c
+    return Poly(q)
+
+
 def crt_combine(residues) -> Poly:
     """Unique polynomial p with deg p < sum(e_i), p = value_i mod (x-c_i)^{e_i}.
 
@@ -39,12 +55,12 @@ def crt_combine(residues) -> Poly:
         for j in range(i + 1, len(items)):
             if items[i][0] == items[j][0]:
                 raise DuplicateCenter(f"center {items[i][0]} listed twice")
+    m = node_product(items)
     out = Poly()
-    for i, (c, e, val) in enumerate(items):
-        m_i = Poly.const(1)
-        for j, (cj, ej, _) in enumerate(items):
-            if j != i:
-                m_i = m_i * (Poly([-cj, ONE]) ** ej)
+    for c, e, val in items:
+        m_i = m
+        for _ in range(e):
+            m_i = _strip_node(m_i, c)
         # correct the residue so that m_i * lift matches val mod (x-c)^e
         s = val * poly_to_series(m_i, c, e).invert()
         out = out + m_i * s.to_poly()

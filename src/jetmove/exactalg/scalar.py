@@ -288,10 +288,6 @@ class Scalar:
         cands = (blo * slo, blo * shi, bhi * slo, bhi * shi)
         return (alo + min(cands), ahi + max(cands))
 
-    def __float__(self):
-        lo, hi = self.interval(64)
-        return float((lo + hi) * _HALF)
-
     # -- formatting ------------------------------------------------------
 
     def __str__(self):

@@ -11,14 +11,19 @@ canonical graph form over an affine chart:
   congruence x^2 + g^2 + h^2 = 1 mod (x - x0)^e, and cyclically for
   charts y and z.
 
-Chart tags record which affine chart of each P1 factor carries the data
-(finite coordinates use chart 0, points at infinity chart 1), so every
-jet, including those over infinity, has exactly one stored form and
-equality is structural.
+Chart tags record which affine chart of each P1 factor carries the data.
+ProjPoint alone fixes the rule (finite coordinates use chart 0, points
+at infinity chart 1 with local value 0), and a torus jet's tags must
+match its center, so every jet, including those over infinity, has
+exactly one stored form and equality is structural.  The sphere charts
+follow the cyclic order of SPHERE_CHARTS, and a stored sphere chart must
+be the canonical one (the first of x, y, z whose tangent component is
+nonzero).
 
 Internally jets convert to and from a one-parameter description, the
-coordinates as truncated series in a local parameter t, which is how the
-automorphism layer transports them.
+coordinates as truncated series in a local parameter t: TorusParam keeps
+each torus coordinate as a (chart, local series) pair and SphereParam
+keeps x, y, z.  This is the one form the automorphism layer transports.
 """
 
 from __future__ import annotations
@@ -34,13 +39,23 @@ from .exactalg import (ONE, ZERO, Poly, Scalar, Series, compose_centered,
 TORUS = "torus"
 SPHERE = "sphere"
 
+# sphere chart -> (chart variable, g coordinate, h coordinate)
+SPHERE_CHARTS = {"x": "xyz", "y": "yzx", "z": "zxy"}
+
+# largest order a jet file may ask for; loading allocates series that long
+MAX_JET_ORDER = 64
+
 
 # ---------------------------------------------------------------------------
 # points
 
 
 class ProjPoint:
-    """A point of P1(R), canonically (value, 1) for finite or (1, 0)."""
+    """A point of P1(R), canonically (value, 1) for finite or (1, 0).
+
+    The chart rule lives here: a finite point sits on chart 0 at its
+    value, infinity on chart 1 at local value 0.
+    """
 
     __slots__ = ("u", "v")
 
@@ -70,6 +85,19 @@ class ProjPoint:
         if self.is_infinite:
             raise ValueError("point at infinity has no affine value")
         return self.u
+
+    @property
+    def chart(self) -> int:
+        return 1 if self.is_infinite else 0
+
+    @property
+    def local(self) -> Scalar:
+        return ZERO if self.is_infinite else self.u
+
+    @staticmethod
+    def in_chart(chart: int, value) -> ProjPoint:
+        """The point at local ``value`` on ``chart`` (0 on chart 1)."""
+        return ProjPoint.infinity() if chart else ProjPoint.affine(value)
 
     def __eq__(self, other):
         if not isinstance(other, ProjPoint):
@@ -168,8 +196,7 @@ class Jet:
     def torus(center: TorusPoint, order: int, f: Series,
               transposed: bool = False, chart: tuple[int, int] | None = None) -> Jet:
         if chart is None:
-            chart = (1 if center.x.is_infinite else 0,
-                     1 if center.y.is_infinite else 0)
+            chart = (center.x.chart, center.y.chart)
         jet = Jet(TORUS, order, center, chart, transposed, (f,))
         _check_torus_shape(jet)
         return jet
@@ -196,9 +223,7 @@ class Jet:
     def local_centers(self) -> tuple[Scalar, ...]:
         """Local chart values of the center coordinates."""
         if self.surface == TORUS:
-            cx = ZERO if self.center.x.is_infinite else self.center.x.value
-            cy = ZERO if self.center.y.is_infinite else self.center.y.value
-            return (cx, cy)
+            return (self.center.x.local, self.center.y.local)
         return self.center.coords()
 
     def __str__(self):
@@ -210,6 +235,8 @@ class Jet:
 
 
 def _check_torus_shape(j: Jet):
+    if j.chart != (j.center.x.chart, j.center.y.chart):
+        raise PreconditionFailed("chart tags do not match the center")
     cx, cy = j.local_centers()
     f = j.graphs[0]
     if f.order != j.order:
@@ -229,18 +256,19 @@ def _check_torus_shape(j: Jet):
             raise PreconditionFailed("transposed graph must have zero slope")
 
 
-def _check_sphere_shape(j: Jet):
-    if j.chart not in ("x", "y", "z"):
+def _sphere_chart(chart) -> str:
+    """The coordinate names of a sphere chart, refusing unknown charts."""
+    if chart not in SPHERE_CHARTS:
         raise PreconditionFailed("sphere chart must be x, y or z")
+    return SPHERE_CHARTS[chart]
+
+
+def _check_sphere_shape(j: Jet):
+    names = _sphere_chart(j.chart)
     g, h = j.graphs
     if g.order != j.order or h.order != j.order:
         raise PreconditionFailed("graph order differs from jet order")
-    x0, y0, z0 = j.center.coords()
-    var0, g0, h0 = {
-        "x": (x0, y0, z0),
-        "y": (y0, z0, x0),
-        "z": (z0, x0, y0),
-    }[j.chart]
+    var0, g0, h0 = (getattr(j.center, n) for n in names)
     if not (g.center == var0 and h.center == var0):
         raise PreconditionFailed("graph series is centered at the wrong value")
     if not (g.value() == g0 and h.value() == h0):
@@ -248,6 +276,12 @@ def _check_sphere_shape(j: Jet):
     var = Series.variable(var0, j.order)
     if not (var * var + g * g + h * h == Series.constant(1, var0, j.order)):
         raise PreconditionFailed("jet does not lie on the sphere")
+    if j.order >= 2:
+        # canonical chart: the first of x, y, z that moves along the jet
+        comps = jet_tangent_vector(j).components
+        want = next(n for n, c in zip("xyz", comps) if not c.is_zero())
+        if j.chart != want:
+            raise PreconditionFailed(f"canonical chart is {want}, stored {j.chart}")
 
 
 # ---------------------------------------------------------------------------
@@ -256,11 +290,12 @@ def _check_sphere_shape(j: Jet):
 
 @dataclass
 class TorusParam:
-    """Coordinates along the jet as homogeneous series pairs in t."""
-    x0: Series
-    x1: Series
-    y0: Series
-    y1: Series
+    """Coordinates along the jet as (chart, local series in t) pairs.
+
+    Charts follow ProjPoint: chart 1 only at infinity, local value 0.
+    """
+    x: tuple[int, Series]
+    y: tuple[int, Series]
 
 
 @dataclass
@@ -284,33 +319,11 @@ def jet_parametrize(j: Jet) -> TorusParam | SphereParam:
         else:
             xloc = Series(ZERO, e, [cx, ONE] if e >= 2 else [cx])
             yloc = _recenter_zero(j.graphs[0])
-        return TorusParam(*chart_pair(j.chart[0], xloc),
-                          *chart_pair(j.chart[1], yloc))
-    x0, y0, z0 = j.center.coords()
-    v0 = {"x": x0, "y": y0, "z": z0}[j.chart]
+        return TorusParam((j.chart[0], xloc), (j.chart[1], yloc))
+    v0 = getattr(j.center, j.chart)
     var = Series(ZERO, e, [v0, ONE] if e >= 2 else [v0])
-    g = _recenter_zero(j.graphs[0])
-    h = _recenter_zero(j.graphs[1])
-    if j.chart == "x":
-        return SphereParam(var, g, h)
-    if j.chart == "y":
-        return SphereParam(h, var, g)
-    return SphereParam(g, h, var)
-
-
-def chart_pair(chart: int, loc: Series) -> tuple[Series, Series]:
-    """The homogeneous P1 pair (loc : 1) on chart 0, (1 : loc) on chart 1."""
-    one = Series.constant(1, loc.center, loc.order)
-    return (loc, one) if chart == 0 else (one, loc)
-
-
-def normalize_pair(s0: Series, s1: Series) -> tuple[int, Series]:
-    """Return (chart, local series) for a homogeneous P1 series pair."""
-    if not s1.value().is_zero():
-        return 0, s0 * s1.invert()
-    if not s0.value().is_zero():
-        return 1, s1 * s0.invert()
-    raise NotCurvilinear("homogeneous pair vanishes at the center")
+    local = (var, _recenter_zero(j.graphs[0]), _recenter_zero(j.graphs[1]))
+    return SphereParam(**dict(zip(SPHERE_CHARTS[j.chart], local)))
 
 
 def _reparametrize(driver: Series, others: list[Series]) -> list[Series]:
@@ -323,12 +336,9 @@ def _reparametrize(driver: Series, others: list[Series]) -> list[Series]:
 
 
 def jet_from_torus_param(p: TorusParam, order: int) -> Jet:
-    xc, xloc = normalize_pair(p.x0, p.x1)
-    yc, yloc = normalize_pair(p.y0, p.y1)
+    (xc, xloc), (yc, yloc) = p.x, p.y
     cx, cy = xloc.value(), yloc.value()
-    px = ProjPoint.infinity() if xc == 1 else ProjPoint.affine(cx)
-    py = ProjPoint.infinity() if yc == 1 else ProjPoint.affine(cy)
-    center = TorusPoint(px, py)
+    center = TorusPoint(ProjPoint.in_chart(xc, cx), ProjPoint.in_chart(yc, cy))
     if order == 1:
         f = Series(cx, 1, [cy])
         return Jet(TORUS, 1, center, (xc, yc), False, (f,))
@@ -350,10 +360,9 @@ def jet_from_sphere_param(p: SphereParam, order: int) -> Jet:
         g = Series(cx, 1, [cy])
         h = Series(cx, 1, [cz])
         return Jet(SPHERE, 1, center, "x", False, (g, h))
-    for chart, driver, g_src, h_src, c in (
-            ("x", p.x, p.y, p.z, cx),
-            ("y", p.y, p.z, p.x, cy),
-            ("z", p.z, p.x, p.y, cz)):
+    for chart, names in SPHERE_CHARTS.items():
+        driver, g_src, h_src = (getattr(p, n) for n in names)
+        c = driver.value()
         if (driver - c).valuation() == 1:
             gs, hs = _reparametrize(driver, [g_src, h_src])
             g = Series(c, order, gs.coeffs)
@@ -366,8 +375,8 @@ def jet_from_sphere_param(p: SphereParam, order: int) -> Jet:
 # canonicalization from raw ideal generators
 
 
-def canonicalize_torus_ideal(center, order: int, y_coeff: Series, const: Series,
-                             chart: tuple[int, int] = (0, 0)) -> Jet:
+def canonicalize_torus_ideal(center, order: int, y_coeff: Series,
+                             const: Series) -> Jet:
     """Jet with ideal ((x - center)^order, y_coeff * y + const).
 
     The linear coefficient must be a unit at the center, otherwise the
@@ -377,12 +386,7 @@ def canonicalize_torus_ideal(center, order: int, y_coeff: Series, const: Series,
     if y_coeff.coeffs[0].is_zero():
         raise NotCurvilinear("y coefficient vanishes at the center")
     f = -(const * y_coeff.invert())
-    if chart == (0, 0):
-        center_pt = TorusPoint.affine(c, f.value())
-        return Jet.torus(center_pt, order, f)
-    px = ProjPoint.infinity() if chart[0] == 1 else ProjPoint.affine(c)
-    py = ProjPoint.infinity() if chart[1] == 1 else ProjPoint.affine(f.value())
-    return Jet(TORUS, order, TorusPoint(px, py), chart, False, (f,))
+    return Jet.torus(TorusPoint.affine(c, f.value()), order, f)
 
 
 def canonicalize_sphere_ideal(center, order: int,
@@ -428,19 +432,6 @@ def jet_validate(j: Jet) -> JetReport:
         problems.append(str(exc))
     if j.order < 1:
         problems.append("order must be at least 1")
-    if j.order >= 2 and not problems:
-        # canonical chart: the stored series variable must be the first
-        # coordinate with nonzero tangent component
-        t = jet_tangent_vector(j)
-        comps = t.components
-        if j.surface == TORUS:
-            if j.transposed and not comps[0].is_zero():
-                problems.append("transposed form stored for a non-vertical jet")
-        else:
-            first = next(i for i, c in enumerate(comps) if not c.is_zero())
-            want = "xyz"[first]
-            if j.chart != want:
-                problems.append(f"canonical chart is {want}, stored {j.chart}")
     return JetReport(not problems, problems)
 
 
@@ -453,14 +444,9 @@ def jet_tangent_vector(j: Jet) -> TangentVector:
         d = j.graphs[0].coeffs[1]
         comps = (d, ONE) if j.transposed else (ONE, d)
         return TangentVector(TORUS, comps)
-    g1 = j.graphs[0].coeffs[1]
-    h1 = j.graphs[1].coeffs[1]
-    comps = {
-        "x": (ONE, g1, h1),
-        "y": (h1, ONE, g1),
-        "z": (g1, h1, ONE),
-    }[j.chart]
-    return TangentVector(SPHERE, comps)
+    local = (ONE, j.graphs[0].coeffs[1], j.graphs[1].coeffs[1])
+    comps = dict(zip(SPHERE_CHARTS[j.chart], local))
+    return TangentVector(SPHERE, tuple(comps[n] for n in "xyz"))
 
 
 def jet_is_vertical(j: Jet) -> bool:
@@ -607,22 +593,22 @@ def jet_to_json(j: Jet) -> dict:
 
 def jet_from_json(d: dict) -> Jet:
     surface = d["surface"]
-    order = int(d["order"])
+    order = d["order"]
+    # bounded before any series of that length exists; bool is not an order
+    if type(order) is not int or not 1 <= order <= MAX_JET_ORDER:
+        raise PreconditionFailed(
+            f"jet order must be an integer from 1 to {MAX_JET_ORDER}")
     center = point_from_json(surface, d["center"])
     if surface == TORUS:
         ch = d["chart"]
         chart = (int(ch["x"]), int(ch["y"]))
         transposed = bool(ch.get("transposed", False))
-        cx, cy = (ZERO if center.x.is_infinite else center.x.value,
-                  ZERO if center.y.is_infinite else center.y.value)
-        base = cy if transposed else cx
+        base = (center.y if transposed else center.x).local
         f = Series(base, order, [parse_scalar(c) for c in d["graph"]["f"]])
-        jet = Jet(TORUS, order, center, chart, transposed, (f,))
-        _check_torus_shape(jet)
-        return jet
+        return Jet.torus(center, order, f, transposed, chart)
     if surface == SPHERE:
         chart = d["chart"]
-        base = {"x": center.x, "y": center.y, "z": center.z}[chart]
+        base = getattr(center, _sphere_chart(chart)[0])
         g = Series(base, order, [parse_scalar(c) for c in d["graph"]["g"]])
         h = Series(base, order, [parse_scalar(c) for c in d["graph"]["h"]])
         return Jet.sphere(center, order, g, h, chart)

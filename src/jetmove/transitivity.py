@@ -31,7 +31,8 @@ from .automorphisms import (AutWord, SphereTwist, TorusMoebius, TorusTwist,
 from .errors import (DuplicatePoints, EnumerationExhausted, MixedSurfaces,
                      NotDistant, OrderMismatch, PreconditionFailed, ensure)
 from .exactalg import (ONE, ZERO, Poly, Scalar, Series, crt_combine,
-                       hensel_sqrt, poly_to_series, scal, scalar_sqrt_adjoin)
+                       hensel_sqrt, node_product, poly_to_series, scal,
+                       scalar_sqrt_adjoin)
 from .surfaces import (SPHERE, TORUS, Jet, SpherePoint, TorusPoint, jet_is_vertical,
                        jet_tangent_vector, jets_mutually_distant,
                        sphere_standard_center, standard_config,
@@ -109,9 +110,7 @@ def interpolating_twist(axis: str, residues) -> TorusTwist | None:
     value is zero and the twist would be the identity.
     """
     p0 = crt_combine(residues)
-    m = Poly.const(1)
-    for center, order, _ in residues:
-        m = m * (Poly([-scal(center), ONE]) ** order)
+    m = node_product(residues)
     if p0.is_zero():
         return None
     p = p0 + m * m

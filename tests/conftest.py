@@ -10,7 +10,8 @@ import pytest
 import jetmove
 from jetmove.exactalg import ONE, ZERO, Poly, Series, hensel_sqrt, poly_to_series, scal
 from jetmove.surfaces import (Jet, ProjPoint, SphereParam, TorusPoint,
-                              jet_from_sphere_param, sphere_point_stereo)
+                              jet_from_sphere_param, jet_to_json,
+                              sphere_point_stereo, standard_config)
 
 try:
     import tomllib
@@ -162,6 +163,20 @@ def rand_sphere_jet(rng, order):
     sinv = hensel_sqrt(ux * ux + uy * uy + uz * uz, 1).invert()
     return jet_from_sphere_param(SphereParam(ux * sinv, uy * sinv, uz * sinv),
                                  order)
+
+
+def noncanonical_sphere_jet_json():
+    """The standard order-2 jet at (-3/5, 4/5, 0), stored in chart y.
+
+    Its tangent (1, 3/4, 0) moves x, so its canonical chart is x.
+    """
+    std = standard_config("sphere", [2]).jets[0]
+    x0, y0, _ = std.center.coords()
+    x_of_y = hensel_sqrt(poly_to_series(Poly([1, 0, -1]), y0, 2), x0)
+    d = jet_to_json(std)
+    d["chart"] = "y"
+    d["graph"] = {"g": ["0", "0"], "h": [str(c) for c in x_of_y.coeffs]}
+    return d
 
 
 def tau_triple(rng, order):

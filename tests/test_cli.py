@@ -6,7 +6,8 @@ import sys
 
 import pytest
 
-from conftest import PYPROJECT, parse_project_scripts, wrapper_source
+from conftest import (PYPROJECT, noncanonical_sphere_jet_json,
+                      parse_project_scripts, wrapper_source)
 from jetmove.automorphisms import apply_jet, word_from_json
 from jetmove.cli import INTERNAL, INVALID, NEGATIVE, OK, OUT_OF_SCOPE, main
 from jetmove import cli
@@ -240,6 +241,59 @@ def test_out_write_error_names_the_output(tmp_path, capsys, torus_targets,
     captured = capsys.readouterr()
     assert captured.err == f"cannot write {out}: No such file or directory\n"
     assert "wrote" not in captured.out
+
+
+def identity_word(tmp_path, surface):
+    return write(tmp_path / "id.json", {"surface": surface, "generators": []})
+
+
+@pytest.mark.parametrize("tag", [1, 7])
+def test_torus_chart_tag_against_center_is_invalid(tmp_path, capsys, tag):
+    jet = jet_to_json(Jet.torus(TorusPoint.affine(5, 7), 1,
+                                Series(scal(5), 1, [7])))
+    jet["chart"]["x"] = tag
+    jfile = write(tmp_path / "jet.json", jet)
+    assert main(["apply", "--word", identity_word(tmp_path, TORUS),
+                 "--jet", jfile]) == INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "chart tags do not match the center" in captured.err
+
+
+def test_noncanonical_sphere_chart_is_invalid(tmp_path, capsys):
+    std = std_file(tmp_path, "std.json", SPHERE, [2])
+    bad = write(tmp_path / "bad.json", {"surface": SPHERE, "partition": [2],
+                                        "jets": [noncanonical_sphere_jet_json()]})
+    assert main(["verify", "--word", identity_word(tmp_path, SPHERE),
+                 "--from", std, "--to", bad]) == INVALID
+    assert "canonical chart is x, stored y" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("chart", ["w", "coords", ["x"]])
+def test_unknown_sphere_chart_is_invalid(tmp_path, capsys, chart):
+    jet = jet_to_json(standard_config(SPHERE, [2]).jets[0])
+    jet["chart"] = chart
+    jfile = write(tmp_path / "jet.json", jet)
+    assert main(["apply", "--word", identity_word(tmp_path, SPHERE),
+                 "--jet", jfile]) == INVALID
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "internal" not in err
+
+
+@pytest.mark.parametrize("order", [10 ** 9, "3", True, 2.7, 0])
+def test_jet_order_out_of_range_is_invalid(tmp_path, capsys, monkeypatch,
+                                           order):
+    jet = jet_to_json(standard_config(TORUS, [1]).jets[0])
+    jet["order"] = order
+    jfile = write(tmp_path / "jet.json", jet)
+    word = identity_word(tmp_path, TORUS)
+
+    def no_series(*args, **kwargs):
+        raise RuntimeError("a series was allocated")
+
+    monkeypatch.setattr(Series, "__init__", no_series)
+    assert main(["apply", "--word", word, "--jet", jfile]) == INVALID
+    assert "jet order must be an integer" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

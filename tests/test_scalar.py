@@ -125,3 +125,11 @@ def test_field_laws_with_radical(a, b, c, d):
 def test_sqrt_of_square_is_abs(a):
     s = scal(a)
     assert try_sqrt(s * s) == abs(s)
+
+
+def test_scalars_have_no_float_conversion():
+    # exact arithmetic only: no float reading of a scalar exists
+    with pytest.raises(TypeError):
+        float(scal(1))
+    with pytest.raises(TypeError):
+        float(s2)

@@ -1,11 +1,13 @@
 """Properties of the package source itself."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import jetmove
 
 PACKAGE = Path(jetmove.__file__).resolve().parent
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def test_no_assert_statements():
@@ -17,3 +19,36 @@ def test_no_assert_statements():
         found += [f"{path.relative_to(PACKAGE)}:{node.lineno}"
                   for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not found, f"assert statements in {', '.join(found)}"
+
+
+def _resolves(module: str, path: str) -> bool:
+    obj = importlib.import_module(module)
+    for name in path.split("."):
+        if not hasattr(obj, name):
+            return False
+        obj = getattr(obj, name)
+    return True
+
+
+def test_perfbench_names_resolve():
+    # the benchmark imports and traces package names from outside, so a
+    # rename inside the package must not leave it pointing at nothing
+    wanted = []
+    for script in ("gen.py", "worker.py"):
+        tree = ast.parse((PERFBENCH / script).read_text(encoding="utf-8"))
+        wanted += [(node.module, alias.name) for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom)
+                   and (node.module or "").split(".")[0] == "jetmove"
+                   for alias in node.names]
+    tree = ast.parse((PERFBENCH / "tracing.py").read_text(encoding="utf-8"))
+    tables = {target.id: ast.literal_eval(node.value)
+              for node in tree.body if isinstance(node, ast.Assign)
+              for target in node.targets
+              if isinstance(target, ast.Name)
+              and target.id in ("TRACED", "COUNTED")}
+    wanted += [(module, path) for _, module, path in tables["TRACED"]]
+    wanted.append(tables["COUNTED"])
+    assert len(wanted) > len(tables["TRACED"])
+    missing = [f"{module}:{path}" for module, path in wanted
+               if not _resolves(module, path)]
+    assert not missing, f"perfbench names missing from jetmove: {missing}"

@@ -4,13 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import rand_fraction, rand_sphere_jet, rand_torus_jet
+from conftest import (noncanonical_sphere_jet_json, rand_fraction,
+                      rand_sphere_jet, rand_torus_jet)
 from jetmove.errors import (MixedSurfaces, NotCurvilinear, NotOnEquator,
                             PreconditionFailed)
 from jetmove.exactalg import (ONE, ZERO, Poly, Series, hensel_sqrt,
-                              poly_to_series, scal, scalar_sqrt_adjoin)
-from jetmove.surfaces import (Jet, Partition, ProjPoint, SpherePoint,
-                              TorusPoint, canonicalize_sphere_ideal,
+                              parse_scalar, poly_to_series, scal,
+                              scalar_sqrt_adjoin)
+from jetmove.surfaces import (MAX_JET_ORDER, Jet, Partition, ProjPoint,
+                              SpherePoint, TorusPoint, canonicalize_sphere_ideal,
                               canonicalize_torus_ideal, equator_point,
                               jet_from_json, jet_from_sphere_param,
                               jet_from_torus_param, jet_is_vertical,
@@ -19,6 +21,14 @@ from jetmove.surfaces import (Jet, Partition, ProjPoint, SpherePoint,
                               point_from_json, point_to_json,
                               sphere_point_stereo, sphere_standard_center,
                               standard_config, torus_standard_center)
+
+
+def test_projective_point_charts():
+    inf, five = ProjPoint.infinity(), ProjPoint.affine(5)
+    assert (inf.chart, inf.local) == (1, ZERO)
+    assert (five.chart, five.local) == (0, scal(5))
+    assert ProjPoint.in_chart(1, ZERO) == inf
+    assert ProjPoint.in_chart(0, scal(5)) == five
 
 
 def test_projective_point_canonical():
@@ -191,6 +201,51 @@ def test_jet_validate_reports():
 def test_non_curvilinear_param_rejected():
     from jetmove.surfaces import TorusParam
     flat = Series(ZERO, 2, [ONE, ZERO])
-    one = Series.constant(1, ZERO, 2)
     with pytest.raises(NotCurvilinear):
-        jet_from_torus_param(TorusParam(flat, one, flat, one), 2)
+        jet_from_torus_param(TorusParam((0, flat), (0, flat)), 2)
+
+
+def test_torus_chart_tags_must_match_center():
+    good = jet_to_json(Jet.torus(TorusPoint.affine(5, 7), 2,
+                                 Series(scal(5), 2, [7, 2])))
+    for tag in (1, 7):
+        bad = dict(good, chart=dict(good["chart"], x=tag))
+        with pytest.raises(PreconditionFailed, match="chart tags"):
+            jet_from_json(bad)
+    with pytest.raises(PreconditionFailed, match="chart tags"):
+        Jet.torus(TorusPoint.affine(5, 7), 1, Series(scal(5), 1, [7]),
+                  chart=(0, 1))
+    stale = Jet("torus", 1, TorusPoint.affine(5, 7), (1, 0), False,
+                (Series(scal(5), 1, [7]),))
+    assert not jet_validate(stale).ok
+
+
+def test_sphere_jet_in_noncanonical_chart_refused():
+    d = noncanonical_sphere_jet_json()
+    with pytest.raises(PreconditionFailed, match="canonical chart is x, stored y"):
+        jet_from_json(d)
+    std = standard_config("sphere", [2]).jets[0]
+    assert jet_from_json(jet_to_json(std)) == std
+    y0 = std.center.y
+    raw = Jet("sphere", 2, std.center, "y", False,
+              tuple(Series(y0, 2, [parse_scalar(c) for c in d["graph"][k]])
+                    for k in "gh"))
+    assert jet_validate(raw).problems == ["canonical chart is x, stored y"]
+
+
+@pytest.mark.parametrize("order", [0, MAX_JET_ORDER + 1, 10 ** 9, "3", True, 2.7])
+def test_jet_order_refused_before_any_series(monkeypatch, order):
+    d = jet_to_json(standard_config("torus", [1]).jets[0])
+    d["order"] = order
+
+    def no_series(*args, **kwargs):
+        raise AssertionError("a series was allocated")
+
+    monkeypatch.setattr(Series, "__init__", no_series)
+    with pytest.raises(PreconditionFailed, match="jet order"):
+        jet_from_json(d)
+
+
+def test_jet_order_limit_is_inclusive():
+    d = jet_to_json(standard_config("torus", [MAX_JET_ORDER]).jets[0])
+    assert jet_from_json(d).order == MAX_JET_ORDER
