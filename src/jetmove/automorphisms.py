@@ -9,14 +9,16 @@ Three generator kinds:
 * TorusMoebius: a pair of fractional-linear maps acting factorwise.
 * SphereTwist: rotates two coordinates by an angle depending on the
   third, (x, y, z) -> (x, (y p - z q)/r, (y q + z p)/r) for fixed "x"
-  and cyclically otherwise, where p^2 + q^2 = r^2 exactly and r has no
-  root in [-1, 1].
+  and cyclically otherwise.  It stores the tangent of the half-angle,
+  n/d in lowest terms, and (p, q, r) = (d^2 - n^2, 2nd, d^2 + n^2), so
+  p^2 + q^2 = r^2 and r > 0 on R hold by construction.
 
 certify_twist proves the conditions and attaches a Certificate naming
-the proof route.  The shapes the synthesizer builds carry their own
-proof: a torus q = 1 + m^2 is at least 1 on R, and a sphere 4r = q^2 + 4
-gives r >= 1 and reduces the identity to p = +-(r - 2).  Any other
-shape is proved by Sturm counts and the full identity check.
+the proof route.  The synthesizer builds every sphere twist from its
+half-angle and certifies it by that construction; a torus q = 1 + m^2
+is at least 1 on R.  A sphere triple read from a file goes through
+SphereTwist.of, which recovers n/d and proves the triple a multiple of
+it; any other torus shape is proved by Sturm counts.
 
 AutWord composes certified generators left-to-right.  Jets move through
 their parameter form (surfaces.TorusParam or SphereParam) and come back
@@ -30,13 +32,13 @@ a series only through its Taylor shift to the series' value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from .errors import (DegreeMismatch, IdentityFails, MixedSurfaces,
                      NotCurvilinear, PreconditionFailed, RootInForbiddenRegion)
 from .exactalg import (ONE, ZERO, Poly, Scalar, Series, compose_centered,
-                       isolate_root, parse_scalar, poly_to_series, scal,
-                       scalar_to_str, sturm_root_count, try_sqrt)
+                       isolate_root, parse_scalar, poly_gcd, poly_to_series,
+                       scal, scalar_to_str, sturm_root_count, try_sqrt)
 from .surfaces import (SPHERE, SPHERE_CHARTS, TORUS, Jet, SphereParam,
                        SpherePoint, TorusParam, TorusPoint, jet_from_sphere_param,
                        jet_from_torus_param, jet_parametrize)
@@ -53,9 +55,11 @@ class Certificate:
     torus-twist-square: q - 1 = m^2 for an m found exactly (so q >= 1),
         deg p = deg q.
     torus-twist: Sturm count of q on the real line, deg p = deg q.
-    sphere-twist-square: 4r = q^2 + 4 (so r >= 1), p = +-(r - 2), which
-        given the first is equivalent to p^2 + q^2 = r^2.
-    sphere-twist: Sturm count of r on [-1, 1], p^2 + q^2 = r^2.
+    sphere-twist-square: (p, q, r) = lam (d^2 - n^2, 2nd, d^2 + n^2) for
+        the half-angle n/d and a nonzero constant lam, so r has no real
+        root and p^2 + q^2 = r^2.
+    sphere-twist: Sturm count of r on [-1, 1], then the same identity
+        with lam a polynomial.
     moebius: both matrices nonsingular.
     """
     kind: str
@@ -106,25 +110,65 @@ class TorusMoebius:
 
 @dataclass(frozen=True, eq=True)
 class SphereTwist:
+    """Rotation whose tangent half-angle is n/d, a function of ``fixed``.
+
+    n/d is in lowest terms with d monic; the half turn is n = 1, d = 0.
+    """
     fixed: str           # invariant coordinate carrying the angle, "x", "y" or "z"
-    p: Poly
-    q: Poly
-    r: Poly
-    certificate: Certificate | None = None
+    n: Poly
+    d: Poly
+    certificate: Certificate | None = field(default=None, kw_only=True)
 
     surface = SPHERE
 
     @staticmethod
     def of(fixed: str, p, q, r) -> SphereTwist:
-        return SphereTwist(fixed, _as_poly(p), _as_poly(q), _as_poly(r))
+        """The certified twist with cos = p/r and sin = q/r.
+
+        Its half-angle is n/d = q/(r + p).  When p^2 + q^2 = r^2 and
+        r != 0, r is a polynomial lam times d^2 + n^2, which has no real
+        root because n and d are coprime; so a nonzero constant lam needs
+        no root count.  Any other r is Sturm-checked on [-1, 1] before
+        the identity, so a candidate failing both reports the root.
+        """
+        if fixed not in ("x", "y", "z"):
+            raise PreconditionFailed("fixed coordinate must be x, y or z")
+        p, q, r = _as_poly(p), _as_poly(q), _as_poly(r)
+        s = r + p
+        if s.is_zero():
+            n, d = Poly.const(1), Poly()
+        else:
+            g = poly_gcd(q, s)
+            d = s // g
+            unit = d.lead().inverse()
+            n, d = q // g * unit, d * unit
+        tw = SphereTwist(fixed, n, d)
+        cos, sin, norm = tw.triple()
+        lam, rem = r.divmod(norm)
+        if rem.is_zero() and lam.degree == 0:
+            kind = "sphere-twist-square"
+        else:
+            _root_free(r, (scal(-1), scal(1)), "rotation")
+            kind = "sphere-twist"
+        if not (rem.is_zero() and p == lam * cos and q == lam * sin):
+            raise IdentityFails("p^2 + q^2 differs from r^2")
+        return replace(tw, certificate=Certificate(kind))
+
+    def triple(self) -> tuple[Poly, Poly, Poly]:
+        """(p, q, r) = (d^2 - n^2, 2nd, d^2 + n^2)."""
+        nn, dd, nd = self.n * self.n, self.d * self.d, self.n * self.d
+        return dd - nn, nd + nd, dd + nn
 
     def inverse(self) -> SphereTwist:
-        return replace(self, q=-self.q)
+        if self.d.is_zero():
+            return self          # the half turn, kept as n = 1
+        return replace(self, n=-self.n)
 
     def __str__(self):
         v = self.fixed
+        p, q, r = self.triple()
         return (f"rotate about {v} by angle with cos = p/r, sin = q/r, "
-                f"p = {self.p.str_in(v)}, q = {self.q.str_in(v)}, r = {self.r.str_in(v)}")
+                f"p = {p.str_in(v)}, q = {q.str_in(v)}, r = {r.str_in(v)}")
 
 
 def _as_poly(p) -> Poly:
@@ -146,7 +190,7 @@ class AutWord:
         for g in self.generators:
             if g.surface != self.surface:
                 raise MixedSurfaces("word mixes torus and sphere generators")
-            if g.certificate is None:
+            if not isinstance(g.certificate, Certificate):
                 raise PreconditionFailed("word contains an uncertified generator")
 
     def __len__(self):
@@ -218,9 +262,9 @@ def certify_twist(g: Generator) -> Generator:
     """Prove the generator is a well-defined automorphism on real points.
 
     Root conditions are checked before shape conditions, so a candidate
-    failing both reports the root.  The shapes the synthesizer builds
-    (q = 1 + m^2, 4r = q^2 + 4) are recognized from the coefficients and
-    proved directly; any other shape falls back to Sturm counts.
+    failing both reports the root.  A torus q = 1 + m^2 is recognized
+    from its coefficients and proved directly; any other q falls back to
+    Sturm counts.  A sphere twist is proved by SphereTwist.of.
     """
     if g.certificate is not None:
         return g
@@ -237,23 +281,7 @@ def certify_twist(g: Generator) -> Generator:
                 f"deg p = {g.p.degree} but deg q = {g.q.degree}")
         return replace(g, certificate=Certificate(kind))
     if isinstance(g, SphereTwist):
-        if g.fixed not in ("x", "y", "z"):
-            raise PreconditionFailed("fixed coordinate must be x, y or z")
-        qq = g.q * g.q
-        four = Poly.const(4)
-        if g.r * four == qq + four:
-            # r^2 - q^2 = (r - 2)^2 here, so the identity p^2 + q^2 = r^2
-            # holds exactly when p = +-(r - 2)
-            kind = "sphere-twist-square"
-            r2 = g.r - 2
-            holds = g.p == r2 or g.p == -r2
-        else:
-            _root_free(g.r, (scal(-1), scal(1)), "rotation")
-            kind = "sphere-twist"
-            holds = g.p * g.p + qq == g.r * g.r
-        if not holds:
-            raise IdentityFails("p^2 + q^2 differs from r^2")
-        return replace(g, certificate=Certificate(kind))
+        return SphereTwist.of(g.fixed, *g.triple())
     if isinstance(g, TorusMoebius):
         for m in (g.mx, g.my):
             det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
@@ -274,6 +302,8 @@ def _eval(pol: Poly, s: Series) -> Series:
     composition with the deviation s - s(0), so deg pol costs one
     synthetic division per kept coefficient, not one series product.
     """
+    if pol.degree < 1:
+        return Series.constant(pol[0], s.center, s.order)
     return compose_centered(poly_to_series(pol, s.value(), s.order), s)
 
 
@@ -325,8 +355,10 @@ def _push_sphere(w: AutWord, par: SphereParam) -> SphereParam:
     for g in w.generators:
         names = SPHERE_CHARTS[g.fixed]
         t, u, v = (getattr(par, n) for n in names)
-        pv, qv, rv = _eval(g.p, t), _eval(g.q, t), _eval(g.r, t)
-        rinv = rv.invert()
+        nv, dv = _eval(g.n, t), _eval(g.d, t)
+        nn, dd, nd = nv * nv, dv * dv, nv * dv
+        pv, qv = dd - nn, nd + nd
+        rinv = (dd + nn).invert()
         par = replace(par, **{names[1]: (u * pv - v * qv) * rinv,
                               names[2]: (u * qv + v * pv) * rinv})
     return par
@@ -407,8 +439,9 @@ def generator_to_json(g: Generator) -> dict:
         d = {"type": "twist", "axis": g.axis,
              "p": _poly_json(g.p), "q": _poly_json(g.q)}
     elif isinstance(g, SphereTwist):
-        d = {"type": "twist", "fixed": g.fixed, "p": _poly_json(g.p),
-             "q": _poly_json(g.q), "r": _poly_json(g.r)}
+        p, q, r = g.triple()
+        d = {"type": "twist", "fixed": g.fixed, "p": _poly_json(p),
+             "q": _poly_json(q), "r": _poly_json(r)}
     else:
         ser = lambda m: [[scalar_to_str(e) for e in row] for row in m]
         d = {"type": "moebius", "mx": ser(g.mx), "my": ser(g.my)}
@@ -426,8 +459,7 @@ def generator_from_json(surface: str, d: dict) -> Generator:
     elif surface == TORUS:
         g = TorusTwist(d["axis"], _poly_from_json(d["p"]), _poly_from_json(d["q"]))
     else:
-        g = SphereTwist(d["fixed"], _poly_from_json(d["p"]),
-                        _poly_from_json(d["q"]), _poly_from_json(d["r"]))
+        return SphereTwist.of(d["fixed"], *(_poly_from_json(d[k]) for k in "pqr"))
     return certify_twist(g)
 
 

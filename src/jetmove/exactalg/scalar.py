@@ -118,9 +118,6 @@ class Scalar:
     def is_zero(self) -> bool:
         return self.tower is None and self.a == 0
 
-    def is_rational(self) -> bool:
-        return self.tower is None
-
     def as_fraction(self) -> Fraction:
         if self.tower is not None:
             raise ValueError("scalar is not rational")

@@ -153,22 +153,13 @@ class Series:
             raise ValueError("lift_zero cannot lower the order")
         return Series(self.center, order, self.coeffs)
 
-    def derivative(self) -> Series:
-        """Termwise derivative, truncated back into the same context."""
-        d = [self.coeffs[k] * k for k in range(1, self.order)]
-        return Series(self.center, self.order, d)
-
     def to_poly(self) -> Poly:
-        """The canonical polynomial lift, expanded in powers of x."""
-        c = self.center
-        shift = Poly([-c, ONE])
-        out = Poly()
-        power = Poly.const(1)
-        for a in self.coeffs:
-            if not a.is_zero():
-                out = out + power * a
-            power = power * shift
-        return out
+        """The canonical polynomial lift, expanded in powers of x.
+
+        The coefficients are those of a polynomial in x - center, so its
+        Taylor shift back to 0 gives them in powers of x.
+        """
+        return Poly(Poly(self.coeffs).shifted_coeffs(-self.center, self.order))
 
     def __str__(self):
         c = self.center
@@ -238,53 +229,3 @@ def compose_centered(outer: Series, inner: Series) -> Series:
         if k + 1 < outer.order:
             power = power * dev
     return acc
-
-
-def series_reverse(u: Series) -> Series:
-    """Compositional inverse of a series with u(center)=0 and valuation 1.
-
-    Solves u(v(s)) = s coefficient by coefficient; the result v is again
-    centered at 0 offset, i.e. v has center 0 in the variable s with
-    v(0) = 0.  Only meaningful for center-0 parameter series.
-    """
-    if not u.center.is_zero():
-        raise SeriesContextMismatch("reversion expects a center-0 series")
-    if not u.coeffs[0].is_zero() or u.order < 1:
-        raise NotAUnit("reversion needs zero constant term")
-    if u.order >= 2 and u.coeffs[1].is_zero():
-        raise NotAUnit("reversion needs valuation exactly 1")
-    e = u.order
-    if e == 1:
-        return Series(ZERO, 1, [ZERO])
-    inv_u1 = u.coeffs[1].inverse()
-    v = [ZERO, inv_u1]
-    for k in range(2, e):
-        # coefficient of s^k in u(v): must vanish for k >= 2
-        comp = _compose_coeff(u, v + [ZERO], k)
-        v.append(-comp * inv_u1)
-    return Series(ZERO, e, v)
-
-
-def _compose_coeff(u: Series, v: list[Scalar], k: int) -> Scalar:
-    """Coefficient of s^k in u(v(s)) treating v[k] as zero."""
-    e = len(v)
-    acc = ZERO
-    power = [ONE] + [ZERO] * (e - 1)  # v^0
-    for j in range(1, min(k, u.order - 1) + 1):
-        power = _list_mul(power, v, e)
-        uj = u.coeffs[j]
-        if not uj.is_zero():
-            acc = acc + uj * power[k]
-    return acc
-
-
-def _list_mul(a: list[Scalar], b: list[Scalar], e: int) -> list[Scalar]:
-    out = [ZERO] * e
-    for i, x in enumerate(a):
-        if x.is_zero():
-            continue
-        for j in range(e - i):
-            y = b[j]
-            if not y.is_zero():
-                out[i + j] = out[i + j] + x * y
-    return out

@@ -32,9 +32,8 @@ from dataclasses import dataclass
 
 from .errors import (MixedSurfaces, NotCurvilinear, NotOnEquator,
                      PreconditionFailed)
-from .exactalg import (ONE, ZERO, Poly, Scalar, Series, compose_centered,
-                       hensel_sqrt, parse_scalar, poly_to_series, scal,
-                       scalar_to_str, series_reverse)
+from .exactalg import (ONE, ZERO, Poly, Scalar, Series, hensel_sqrt,
+                       parse_scalar, poly_to_series, scal, scalar_to_str)
 
 TORUS = "torus"
 SPHERE = "sphere"
@@ -326,13 +325,30 @@ def jet_parametrize(j: Jet) -> TorusParam | SphereParam:
     return SphereParam(**dict(zip(SPHERE_CHARTS[j.chart], local)))
 
 
-def _reparametrize(driver: Series, others: list[Series]) -> list[Series]:
-    """Re-express ``others`` as series in s = driver - driver(0).
+def _reparametrize(driver: Series, others: list[Series], order: int) -> list[Series]:
+    """Re-express ``others`` as order-``order`` series centered at
+    driver(0), in the deviation s = driver - driver(0).
 
-    The driver must have valuation 1 in t; the caller checked that.
+    The driver must have valuation 1 in t; the caller checked that.  Then
+    s^k starts at t^k, so the powers of s form a triangular basis and
+    each coefficient peels off in turn: o = sum_k c_k s^k.
     """
-    t_of_s = series_reverse(driver - driver.value())
-    return [compose_centered(o, t_of_s) for o in others]
+    s = driver - driver.value()
+    powers = [Series.constant(1, s.center, s.order)]
+    for _ in range(1, s.order):
+        powers.append(powers[-1] * s)
+    out = []
+    for o in others:
+        rest = list(o.coeffs)
+        coeffs = []
+        for k, pw in enumerate(powers):
+            c = rest[k] / pw.coeffs[k]
+            coeffs.append(c)
+            if not c.is_zero():
+                for i in range(k + 1, s.order):
+                    rest[i] = rest[i] - c * pw.coeffs[i]
+        out.append(Series(driver.value(), order, coeffs))
+    return out
 
 
 def jet_from_torus_param(p: TorusParam, order: int) -> Jet:
@@ -343,13 +359,11 @@ def jet_from_torus_param(p: TorusParam, order: int) -> Jet:
         f = Series(cx, 1, [cy])
         return Jet(TORUS, 1, center, (xc, yc), False, (f,))
     if (xloc - cx).valuation() == 1:
-        (fs,) = _reparametrize(xloc, [yloc])
-        f = Series(cx, order, fs.coeffs)
-        return Jet(TORUS, order, center, (xc, yc), False, (f,))
+        return Jet(TORUS, order, center, (xc, yc), False,
+                   tuple(_reparametrize(xloc, [yloc], order)))
     if (yloc - cy).valuation() == 1:
-        (gs,) = _reparametrize(yloc, [xloc])
-        g = Series(cy, order, gs.coeffs)
-        return Jet(TORUS, order, center, (xc, yc), True, (g,))
+        return Jet(TORUS, order, center, (xc, yc), True,
+                   tuple(_reparametrize(yloc, [xloc], order)))
     raise NotCurvilinear("parametrization is not an embedding")
 
 
@@ -364,10 +378,8 @@ def jet_from_sphere_param(p: SphereParam, order: int) -> Jet:
         driver, g_src, h_src = (getattr(p, n) for n in names)
         c = driver.value()
         if (driver - c).valuation() == 1:
-            gs, hs = _reparametrize(driver, [g_src, h_src])
-            g = Series(c, order, gs.coeffs)
-            h = Series(c, order, hs.coeffs)
-            return Jet(SPHERE, order, center, chart, False, (g, h))
+            return Jet(SPHERE, order, center, chart, False,
+                       tuple(_reparametrize(driver, [g_src, h_src], order)))
     raise NotCurvilinear("parametrization is not an embedding")
 
 
@@ -601,8 +613,14 @@ def jet_from_json(d: dict) -> Jet:
     center = point_from_json(surface, d["center"])
     if surface == TORUS:
         ch = d["chart"]
-        chart = (int(ch["x"]), int(ch["y"]))
-        transposed = bool(ch.get("transposed", False))
+        chart = (ch["x"], ch["y"])
+        transposed = ch.get("transposed", False)
+        # JSON integers and a JSON bool only: int() and bool() would read
+        # 0.5 as chart 0 and "false" as true
+        if any(type(c) is not int for c in chart):
+            raise PreconditionFailed("chart tags must be JSON integers")
+        if type(transposed) is not bool:
+            raise PreconditionFailed("transposed must be a JSON bool")
         base = (center.y if transposed else center.x).local
         f = Series(base, order, [parse_scalar(c) for c in d["graph"]["f"]])
         return Jet.torus(center, order, f, transposed, chart)

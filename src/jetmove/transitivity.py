@@ -15,19 +15,19 @@ stages, then returns the composition in the right order:
 
 Every generic choice enumerates rationals in a fixed order and takes
 the first that passes its exact test, so identical inputs produce
-identical words.  JETMOVE_ENUM_LIMIT (default 1000) caps how many
-candidates any single choice may try.
+identical words.  ENUM_LIMIT caps how many candidates any single choice
+may try.  Every sphere twist is built from its tangent half-angle and
+carries its certificate from that construction.
 """
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 from math import gcd
 
-from .automorphisms import (AutWord, SphereTwist, TorusMoebius, TorusTwist,
-                            apply_jet, apply_point, certify_twist, word_concat,
-                            word_identity, word_inverse)
+from .automorphisms import (AutWord, Certificate, SphereTwist, TorusMoebius,
+                            TorusTwist, apply_jet, apply_point, certify_twist,
+                            word_concat, word_identity, word_inverse)
 from .errors import (DuplicatePoints, EnumerationExhausted, MixedSurfaces,
                      NotDistant, OrderMismatch, PreconditionFailed, ensure)
 from .exactalg import (ONE, ZERO, Poly, Scalar, Series, crt_combine,
@@ -38,15 +38,8 @@ from .surfaces import (SPHERE, TORUS, Jet, SpherePoint, TorusPoint, jet_is_verti
                        sphere_standard_center, standard_config,
                        torus_standard_center)
 
-DEFAULT_ENUM_LIMIT = 1000
-
-
-def _enum_limit() -> int:
-    raw = os.environ.get("JETMOVE_ENUM_LIMIT", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return DEFAULT_ENUM_LIMIT
+# candidates one generic choice may try before EnumerationExhausted
+ENUM_LIMIT = 1000
 
 
 def enumerate_rationals():
@@ -63,38 +56,36 @@ def enumerate_rationals():
 
 
 def _pick(test, what: str, skip_zero: bool = False) -> Scalar:
-    limit = _enum_limit()
     tried = 0
     for r in enumerate_rationals():
         if skip_zero and r == 0:
             continue
-        if tried >= limit:
+        if tried >= ENUM_LIMIT:
             break
         tried += 1
         c = scal(r)
         if test(c):
             return c
-    raise EnumerationExhausted(f"no admissible rational for {what} in {limit} tries")
+    raise EnumerationExhausted(f"no admissible rational for {what} in {ENUM_LIMIT} tries")
 
 
 def _pick_pair(test, what: str) -> tuple[Scalar, Scalar]:
     """First pair (by diagonal order) passing the exact test."""
-    limit = _enum_limit()
     pool: list[Fraction] = []
     gen = enumerate_rationals()
     tried = 0
-    for n in range(limit):
+    for n in range(ENUM_LIMIT):
         while len(pool) <= n:
             pool.append(next(gen))
         for i in range(n + 1):
-            if tried >= limit:
+            if tried >= ENUM_LIMIT:
                 raise EnumerationExhausted(
-                    f"no admissible rational pair for {what} in {limit} tries")
+                    f"no admissible rational pair for {what} in {ENUM_LIMIT} tries")
             tried += 1
             a, b = scal(pool[i]), scal(pool[n - i])
             if test(a, b):
                 return a, b
-    raise EnumerationExhausted(f"no admissible rational pair for {what} in {limit} tries")
+    raise EnumerationExhausted(f"no admissible rational pair for {what} in {ENUM_LIMIT} tries")
 
 
 # ---------------------------------------------------------------------------
@@ -121,12 +112,11 @@ def interpolating_twist(axis: str, residues) -> TorusTwist | None:
 def _half_angle_twist(fixed: str, a: Poly) -> SphereTwist:
     """Sphere twist with tangent half-angle a: p = 1 - a^2, q = 2a, r = 1 + a^2.
 
-    Then 4r = q^2 + 4 and p = 2 - r, so certification takes the square
-    route and r >= 1 needs no proof.
+    r = 1 + a^2 >= 1 and p^2 + q^2 = r^2 hold by construction, so the
+    twist is certified as built, with nothing to compute.
     """
-    aa = a * a
-    return certify_twist(SphereTwist(fixed, Poly.const(1) - aa, a + a,
-                                     Poly.const(1) + aa))
+    return SphereTwist(fixed, a, Poly.const(1),
+                       certificate=Certificate("sphere-twist-square"))
 
 
 def rotation_twist(fixed: str, residues) -> SphereTwist | None:
@@ -399,8 +389,8 @@ def make_nonvertical_sphere(jets) -> tuple[AutWord, tuple[Jet, ...]]:
 
     The twist has tangent half-angle lam*z (p = 1 - lam^2 z^2, q = 2 lam z,
     r = 1 + lam^2 z^2), so it is the identity on z = 0, its angle has
-    derivative 2 lam there, shearing tangents off the vertical, and it
-    certifies on the square route like every other synthesized twist.
+    derivative 2 lam there, shearing tangents off the vertical, and it is
+    built by _half_angle_twist like every other synthesized sphere twist.
     """
     jets = tuple(jets)
     for i, j in enumerate(jets, 1):

@@ -112,7 +112,7 @@ def _shear_twist(lam):
     sq = Poly([1, 0, 1]) ** 2
     lz2 = Poly([ZERO, ZERO, lam * lam])
     q = Poly([ZERO, lam + lam]) * Poly([1, 0, 1])
-    return SphereTwist("z", sq - lz2, q, sq + lz2)
+    return SphereTwist.of("z", sq - lz2, q, sq + lz2)
 
 
 def test_criterion_2_shear_family_and_jacobians():
@@ -124,7 +124,8 @@ def test_criterion_2_shear_family_and_jacobians():
     for k in range(1, 7):
         lam = scal(k)
         tw = certify_twist(_shear_twist(lam))
-        assert tw.p * tw.p + tw.q * tw.q == tw.r * tw.r
+        p, q, r = tw.triple()
+        assert p * p + q * q == r * r
         w = AutWord(SPHERE, (tw,))
         two_lam = lam + lam
         for _ in range(10):
@@ -171,15 +172,15 @@ def test_criterion_4_certified_rotations_preserve_the_sphere():
         a = rand_poly(rng, max_deg=rng.randint(0, 3))
         p = Poly.const(1) - a * a
         twists.append(certify_twist(
-            SphereTwist(rng.choice("xyz"), p, a + a, Poly.const(1) + a * a)))
+            SphereTwist.of(rng.choice("xyz"), p, a + a, Poly.const(1) + a * a)))
     for k in range(10):
         s = Poly([k + 2, 0, 1])
-        twists.append(certify_twist(SphereTwist(
+        twists.append(certify_twist(SphereTwist.of(
             "z", Poly.const(3) * s, Poly.const(4) * s, Poly.const(5) * s)))
     # the rotation image identity is a quadratic form in (y, z) over the
     # polynomial ring; three independent evaluations pin all coefficients
     for tw in twists:
-        p, q, r = tw.p, tw.q, tw.r
+        p, q, r = tw.triple()
         for y, z in ((1, 0), (0, 1), (1, 2)):
             y, z = Poly.const(y), Poly.const(z)
             lhs = (y * p - z * q) ** 2 + (y * q + z * p) ** 2
@@ -265,12 +266,12 @@ def _rand_sphere_word(rng, length):
     for _ in range(length):
         if rng.random() < 0.2:
             s = Poly([rng.randint(2, 4), 0, 1])
-            gens.append(SphereTwist(rng.choice("xyz"), Poly.const(3) * s,
-                                    Poly.const(4) * s, Poly.const(5) * s))
+            gens.append(SphereTwist.of(rng.choice("xyz"), Poly.const(3) * s,
+                                       Poly.const(4) * s, Poly.const(5) * s))
         else:
             a = rand_poly(rng, max_deg=rng.randint(0, 2))
-            gens.append(SphereTwist(rng.choice("xyz"), Poly.const(1) - a * a,
-                                    a + a, Poly.const(1) + a * a))
+            gens.append(SphereTwist.of(rng.choice("xyz"), Poly.const(1) - a * a,
+                                       a + a, Poly.const(1) + a * a))
     return word_of(SPHERE, gens)
 
 

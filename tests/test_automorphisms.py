@@ -33,8 +33,8 @@ from jetmove.errors import (
     PreconditionFailed,
     RootInForbiddenRegion,
 )
-from jetmove.exactalg import (ONE, ZERO, Poly, Series, scal, scalar_sqrt_adjoin,
-                              sturm_root_count)
+from jetmove.exactalg import (ONE, ZERO, Poly, Series, poly_gcd, scal,
+                              scalar_sqrt_adjoin, sturm_root_count)
 from jetmove.surfaces import (
     Jet,
     ProjPoint,
@@ -109,11 +109,45 @@ def test_certify_torus_routes_agree_with_sturm(q):
 def test_certify_sphere_square_shape(q, plus, other):
     r = (q * q + 4) * scal(Fraction(1, 4))
     p = r - 2 if plus else 2 - r
-    g = certify_twist(SphereTwist("y", p, q, r))
+    g = SphereTwist.of("y", p, q, r)
     assert g.certificate.kind == "sphere-twist-square"
     assert p * p + q * q == r * r
     with pytest.raises(IdentityFails):
-        certify_twist(SphereTwist("y", p + other, q, r))
+        SphereTwist.of("y", p + other, q, r)
+
+
+_positive = _rationals.filter(lambda f: f > 0)
+# a common factor lam of the triple: a nonzero constant proves r by its
+# shape, k + z^2 > 0 needs the Sturm route
+_lams = st.one_of(
+    _nonzero.map(lambda c: (Poly.const(c), "sphere-twist-square")),
+    _positive.map(lambda k: (Poly([k, 0, 1]), "sphere-twist")))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_polys(_rationals, _nonzero, max_deg=3),
+       _polys(_rationals, st.just(Fraction(1)), max_deg=3),
+       _lams, _polys(_rationals, _nonzero, max_deg=2), st.sampled_from("pqr"))
+def test_sphere_twist_of_recovers_half_angle(n, d, lam_kind, bump, which):
+    assume(poly_gcd(n, d).degree == 0)
+    lam, kind = lam_kind
+    p, q, r = (lam * c for c in SphereTwist("z", n, d).triple())
+    g = SphereTwist.of("z", p, q, r)
+    assert (g.n, g.d, g.certificate.kind) == (n, d, kind)
+    # the half turn (-r, 0, r) has no finite half-angle
+    half = SphereTwist.of("z", -r, Poly(), r)
+    assert (half.n, half.d) == (Poly.const(1), Poly())
+    assert half.inverse() == half
+    flip = apply_point(AutWord(SPHERE, (half,)), SpherePoint(ONE, ZERO, ZERO))
+    assert flip.coords() == (-ONE, ZERO, ZERO)
+    # a tampered triple raises what the p^2 + q^2 = r^2 check raised:
+    # a root of r in [-1, 1] first, otherwise the identity
+    tp, tq, tr = {"p": (p + bump, q, r), "q": (p, q + bump, r),
+                  "r": (p, q, r + bump)}[which]
+    assume(tp * tp + tq * tq != tr * tr)
+    root = sturm_root_count(tr, (scal(-1), scal(1))) > 0
+    with pytest.raises(RootInForbiddenRegion if root else IdentityFails):
+        SphereTwist.of("z", tp, tq, tr)
 
 
 def test_certify_rejects_denominator_root():
@@ -189,6 +223,13 @@ def test_inverse_keeps_certificate():
 def test_word_rejects_uncertified_generator():
     with pytest.raises(PreconditionFailed):
         AutWord(TORUS, (TorusTwist.of("x", [1], [1]),))
+    # only a Certificate certifies; the certificate is keyword-only, so
+    # a (p, q, r) call cannot bind r to it
+    forged = SphereTwist("z", Poly([0, 1]), Poly.const(1), certificate=Poly([1]))
+    with pytest.raises(PreconditionFailed):
+        AutWord(SPHERE, (forged,))
+    with pytest.raises(TypeError):
+        SphereTwist("z", Poly([1, 0, -1]), Poly([0, 2]), Poly([1, 0, 1]))
 
 
 def test_word_rejects_mixed_surfaces():

@@ -260,6 +260,22 @@ def test_torus_chart_tag_against_center_is_invalid(tmp_path, capsys, tag):
     assert "chart tags do not match the center" in captured.err
 
 
+@pytest.mark.parametrize("field, value", [("x", 0.5), ("x", "0"), ("y", True),
+                                          ("transposed", "false"),
+                                          ("transposed", 0)])
+def test_torus_chart_field_of_wrong_json_type_is_invalid(tmp_path, capsys,
+                                                         field, value):
+    jet = jet_to_json(Jet.torus(TorusPoint.affine(5, 5), 2,
+                                Series(scal(5), 2, [5, 0])))
+    jet["chart"][field] = value
+    jfile = write(tmp_path / "jet.json", jet)
+    assert main(["apply", "--word", identity_word(tmp_path, TORUS),
+                 "--jet", jfile]) == INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("invalid input: ")
+
+
 def test_noncanonical_sphere_chart_is_invalid(tmp_path, capsys):
     std = std_file(tmp_path, "std.json", SPHERE, [2])
     bad = write(tmp_path / "bad.json", {"surface": SPHERE, "partition": [2],

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 from conftest import rand_poly, rand_series
 from jetmove.errors import NotAUnit, SeriesContextMismatch
 from jetmove.exactalg import (ONE, ZERO, Poly, Series, compose_centered,
-                              hensel_sqrt, poly_gcd, poly_to_series,
-                              poly_valuation, scal, series_reverse,
+                              hensel_sqrt, poly_gcd, poly_to_series, scal,
                               square_free_part)
 
 x = Poly.x()
@@ -45,10 +44,10 @@ def test_poly_divmod_and_gcd():
 def test_valuation_at_center():
     c = scal(Fraction(3, 5))
     u = poly_to_series(Poly([Fraction(-24, 25), Fraction(8, 5)]), c, 2)
-    assert poly_valuation(u) == 1
-    assert poly_valuation(Series(ZERO, 3, [0, 0, 5])) == 2
-    assert poly_valuation(Series(ZERO, 3, [0, 0, 0])) == 3
-    assert poly_valuation(Series(ZERO, 2, [7, 0])) == 0
+    assert u.valuation() == 1
+    assert Series(ZERO, 3, [0, 0, 5]).valuation() == 2
+    assert Series(ZERO, 3, [0, 0, 0]).valuation() == 3
+    assert Series(ZERO, 2, [7, 0]).valuation() == 0
 
 
 def test_series_ring_and_context_guard():
@@ -100,25 +99,6 @@ def test_compose_centered():
     inner = Series(ZERO, 3, [1, 3, 0])         # u(t) = 1 + 3t
     got = compose_centered(outer, inner)
     assert got == Series(ZERO, 3, [1, 6, 9])
-
-
-def test_series_reverse_pinned():
-    u = Series(ZERO, 4, [0, 1, 1, 0])          # t + t^2
-    r = series_reverse(u)
-    assert list(r.coeffs) == [scal(0), scal(1), scal(-1), scal(2)]
-    assert compose_centered(u, r) == Series.variable(ZERO, 4)
-    assert compose_centered(r, u) == Series.variable(ZERO, 4)
-
-
-def test_series_reverse_random_round_trip(rng):
-    for _ in range(20):
-        e = rng.randint(2, 6)
-        coeffs = [ZERO, scal(rng.choice([1, -1, 2, Fraction(1, 3)]))]
-        coeffs += [scal(Fraction(rng.randint(-4, 4), rng.randint(1, 4)))
-                   for _ in range(e - 2)]
-        u = Series(ZERO, e, coeffs)
-        r = series_reverse(u)
-        assert compose_centered(u, r) == Series.variable(ZERO, e)
 
 
 def test_truncate_and_lift():

@@ -3,13 +3,15 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (noncanonical_sphere_jet_json, rand_fraction,
                       rand_sphere_jet, rand_torus_jet)
 from jetmove.errors import (MixedSurfaces, NotCurvilinear, NotOnEquator,
                             PreconditionFailed)
-from jetmove.exactalg import (ONE, ZERO, Poly, Series, hensel_sqrt,
-                              parse_scalar, poly_to_series, scal,
+from jetmove.exactalg import (ONE, ZERO, Poly, Series, compose_centered,
+                              hensel_sqrt, parse_scalar, poly_to_series, scal,
                               scalar_sqrt_adjoin)
 from jetmove.surfaces import (MAX_JET_ORDER, Jet, Partition, ProjPoint,
                               SpherePoint, TorusPoint, canonicalize_sphere_ideal,
@@ -20,7 +22,8 @@ from jetmove.surfaces import (MAX_JET_ORDER, Jet, Partition, ProjPoint,
                               jet_validate, jets_mutually_distant,
                               point_from_json, point_to_json,
                               sphere_point_stereo, sphere_standard_center,
-                              standard_config, torus_standard_center)
+                              standard_config, torus_standard_center,
+                              _reparametrize)
 
 
 def test_projective_point_charts():
@@ -205,6 +208,24 @@ def test_non_curvilinear_param_rejected():
         jet_from_torus_param(TorusParam((0, flat), (0, flat)), 2)
 
 
+_small = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 7), st.data())
+def test_reparametrize_undoes_composition(e, data):
+    # f = _reparametrize(driver, [o], e) is o re-expressed in
+    # driver - driver(0), so substituting the driver back gives o
+    row = lambda: [scal(c) for c in data.draw(st.lists(_small, min_size=e,
+                                                       max_size=e))]
+    lead = scal(data.draw(_small.filter(lambda c: c != 0)))
+    driver = Series(ZERO, e, [*row()[:1], lead, *row()[2:]])
+    others = [Series(ZERO, e, row()) for _ in range(2)]
+    for f, o in zip(_reparametrize(driver, others, e), others):
+        assert (f.center, f.order) == (driver.value(), e)
+        assert compose_centered(f, driver) == o
+
+
 def test_torus_chart_tags_must_match_center():
     good = jet_to_json(Jet.torus(TorusPoint.affine(5, 7), 2,
                                  Series(scal(5), 2, [7, 2])))
@@ -218,6 +239,22 @@ def test_torus_chart_tags_must_match_center():
     stale = Jet("torus", 1, TorusPoint.affine(5, 7), (1, 0), False,
                 (Series(scal(5), 1, [7]),))
     assert not jet_validate(stale).ok
+
+
+def test_torus_chart_fields_must_be_json_typed():
+    # a horizontal order-2 jet at (5, 5): "transposed": "false" must not
+    # load it as the vertical jet x = 5
+    good = jet_to_json(Jet.torus(TorusPoint.affine(5, 5), 2,
+                                 Series(scal(5), 2, [5, 0])))
+    assert jet_from_json(good).transposed is False
+    for tag in (0.5, "0", False, None):
+        bad = dict(good, chart=dict(good["chart"], x=tag))
+        with pytest.raises(PreconditionFailed, match="chart tags"):
+            jet_from_json(bad)
+    for flag in ("false", "true", 0, None):
+        bad = dict(good, chart=dict(good["chart"], transposed=flag))
+        with pytest.raises(PreconditionFailed, match="transposed"):
+            jet_from_json(bad)
 
 
 def test_sphere_jet_in_noncanonical_chart_refused():

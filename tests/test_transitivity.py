@@ -204,7 +204,7 @@ def test_make_nonvertical_torus_rejects_misplaced_jet():
 
 
 def test_make_nonvertical_torus_exhausts_under_tiny_limit(monkeypatch):
-    monkeypatch.setenv("JETMOVE_ENUM_LIMIT", "1")
+    monkeypatch.setattr(transitivity, "ENUM_LIMIT", 1)
     j = Jet.torus(torus_standard_center(1), 2, Series(ONE, 2, [ZERO, -ONE]))
     with pytest.raises(EnumerationExhausted):
         make_nonvertical_torus([j])
