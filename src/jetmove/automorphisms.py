@@ -13,12 +13,12 @@ Three generator kinds:
   n/d in lowest terms, and (p, q, r) = (d^2 - n^2, 2nd, d^2 + n^2), so
   p^2 + q^2 = r^2 and r > 0 on R hold by construction.
 
-certify_twist proves the conditions and attaches a Certificate naming
-the proof route.  The synthesizer builds every sphere twist from its
-half-angle and certifies it by that construction; a torus q = 1 + m^2
-is at least 1 on R.  A sphere triple read from a file goes through
-SphereTwist.of, which recovers n/d and proves the triple a multiple of
-it; any other torus shape is proved by Sturm counts.
+Every generator in a word carries a Certificate naming its proof route.
+The synthesizer attaches it as it builds the generator; what is read
+from outside is proved on load.  certify_twist proves a torus q = 1 + m^2
+from its coefficients and any other q by Sturm counts; SphereTwist.of
+recovers n/d from a sphere triple and proves the triple a multiple of
+it.  A word file holds only generator data; str(g) renders the formula.
 
 AutWord composes certified generators left-to-right.  Jets move through
 their parameter form (surfaces.TorusParam or SphereParam) and come back
@@ -37,11 +37,11 @@ from dataclasses import dataclass, field, replace
 from .errors import (DegreeMismatch, IdentityFails, MixedSurfaces,
                      NotCurvilinear, PreconditionFailed, RootInForbiddenRegion)
 from .exactalg import (ONE, ZERO, Poly, Scalar, Series, compose_centered,
-                       isolate_root, parse_scalar, poly_gcd, poly_to_series,
-                       scal, scalar_to_str, sturm_root_count, try_sqrt)
+                       isolate_root, poly_gcd, poly_to_series, scal,
+                       scalar_to_str, sturm_root_count, try_sqrt)
 from .surfaces import (SPHERE, SPHERE_CHARTS, TORUS, Jet, SphereParam,
                        SpherePoint, TorusParam, TorusPoint, jet_from_sphere_param,
-                       jet_from_torus_param, jet_parametrize)
+                       jet_from_torus_param, jet_parametrize, scalars_from_json)
 
 
 # ---------------------------------------------------------------------------
@@ -431,31 +431,27 @@ def _poly_json(p: Poly) -> list[str]:
 
 
 def _poly_from_json(arr) -> Poly:
-    return Poly([parse_scalar(c) for c in arr])
+    return Poly(scalars_from_json(arr, "polynomial"))
 
 
 def generator_to_json(g: Generator) -> dict:
+    """The generator's data keys only; a load re-proves it from them."""
     if isinstance(g, TorusTwist):
-        d = {"type": "twist", "axis": g.axis,
-             "p": _poly_json(g.p), "q": _poly_json(g.q)}
-    elif isinstance(g, SphereTwist):
+        return {"type": "twist", "axis": g.axis,
+                "p": _poly_json(g.p), "q": _poly_json(g.q)}
+    if isinstance(g, SphereTwist):
         p, q, r = g.triple()
-        d = {"type": "twist", "fixed": g.fixed, "p": _poly_json(p),
-             "q": _poly_json(q), "r": _poly_json(r)}
-    else:
-        ser = lambda m: [[scalar_to_str(e) for e in row] for row in m]
-        d = {"type": "moebius", "mx": ser(g.mx), "my": ser(g.my)}
-    if g.certificate is not None:
-        d["certificate"] = {"kind": g.certificate.kind}
-    d["formula"] = str(g)
-    return d
+        return {"type": "twist", "fixed": g.fixed, "p": _poly_json(p),
+                "q": _poly_json(q), "r": _poly_json(r)}
+    ser = lambda m: [[scalar_to_str(e) for e in row] for row in m]
+    return {"type": "moebius", "mx": ser(g.mx), "my": ser(g.my)}
 
 
 def generator_from_json(surface: str, d: dict) -> Generator:
-    """Rebuild and re-certify; stored certificates are never trusted."""
+    """Rebuild and re-certify; keys other than the data are ignored."""
     if d["type"] == "moebius":
-        g = TorusMoebius.of([[parse_scalar(e) for e in row] for row in d["mx"]],
-                            [[parse_scalar(e) for e in row] for row in d["my"]])
+        rows = lambda m: [scalars_from_json(row, "moebius row") for row in m]
+        g = TorusMoebius.of(rows(d["mx"]), rows(d["my"]))
     elif surface == TORUS:
         g = TorusTwist(d["axis"], _poly_from_json(d["p"]), _poly_from_json(d["q"]))
     else:

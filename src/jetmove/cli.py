@@ -96,7 +96,8 @@ def _first_mismatch(i: int, got, want) -> str:
 
 
 def cmd_synth(args) -> int:
-    """Synthesize and write a word; synthesis has already checked it."""
+    """Synthesize and write a word, which synthesis has checked, and print
+    each generator as ``<route>: <formula>``."""
     job = _load(args.job)
     if "from" in job and "to" in job:
         sources = _job_config(job, "from")
@@ -114,7 +115,7 @@ def cmd_synth(args) -> int:
                 else synth_sphere(targets)
     _write_word(args.out, word)
     for g in word.generators:
-        print(g)
+        print(f"{g.certificate.kind}: {g}")
     print(f"wrote {len(word)} generators to {args.out}")
     return OK
 

@@ -1,6 +1,6 @@
 """Exact scalar, polynomial and series arithmetic used by every layer above."""
 
-from .crt import crt_combine, node_product
+from .crt import crt_combine, crt_with_modulus
 from .poly import Poly, poly_gcd, square_free_part
 from .scalar import (ONE, ZERO, Scalar, Tower, parse_scalar, scal,
                      scalar_sqrt_adjoin, scalar_to_str, try_sqrt)
@@ -10,8 +10,8 @@ from .sturm import (NEG_INF, POS_INF, SturmChain, cauchy_bound, isolate_root,
 
 __all__ = [
     "ONE", "ZERO", "Scalar", "Tower", "Poly", "Series", "SturmChain",
-    "cauchy_bound", "compose_centered", "crt_combine", "hensel_sqrt",
-    "isolate_root", "node_product", "parse_scalar", "poly_gcd",
+    "cauchy_bound", "compose_centered", "crt_combine", "crt_with_modulus",
+    "hensel_sqrt", "isolate_root", "parse_scalar", "poly_gcd",
     "poly_to_series", "scal", "scalar_sqrt_adjoin", "scalar_to_str",
     "square_free_part", "sturm_root_count", "try_sqrt",
 ]

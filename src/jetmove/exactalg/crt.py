@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from ..errors import DuplicateCenter
 from .poly import Poly
-from .scalar import ONE, RatLike, Scalar, scal
+from .scalar import ONE, Scalar, scal
 from .series import Series, poly_to_series
 
 
@@ -21,14 +21,6 @@ def _coerce_value(value, center: Scalar, order: int) -> Series:
     if isinstance(value, (list, tuple)):
         return Series(center, order, value)
     return Series.constant(scal(value), center, order)
-
-
-def node_product(residues) -> Poly:
-    """M = prod (x - c_i)^{e_i} over the (center, order, value) residues."""
-    m = Poly.const(1)
-    for center, order, _ in residues:
-        m = m * Poly([-scal(center), ONE]) ** order
-    return m
 
 
 def _strip_node(m: Poly, c: Scalar) -> Poly:
@@ -45,8 +37,11 @@ def crt_combine(residues) -> Poly:
     ``residues`` is a list of (center, order, value) with value a Series at
     that center and order, or anything coercible to one.
     """
-    if not residues:
-        return Poly()
+    return crt_with_modulus(residues)[0]
+
+
+def crt_with_modulus(residues) -> tuple[Poly, Poly]:
+    """crt_combine's interpolant and its node product prod (x - c_i)^{e_i}."""
     items: list[tuple[Scalar, int, Series]] = []
     for center, order, value in residues:
         c = scal(center)
@@ -55,7 +50,9 @@ def crt_combine(residues) -> Poly:
         for j in range(i + 1, len(items)):
             if items[i][0] == items[j][0]:
                 raise DuplicateCenter(f"center {items[i][0]} listed twice")
-    m = node_product(items)
+    m = Poly.const(1)
+    for c, e, _ in items:
+        m = m * Poly([-c, ONE]) ** e
     out = Poly()
     for c, e, val in items:
         m_i = m
@@ -64,4 +61,4 @@ def crt_combine(residues) -> Poly:
         # correct the residue so that m_i * lift matches val mod (x-c)^e
         s = val * poly_to_series(m_i, c, e).invert()
         out = out + m_i * s.to_poly()
-    return out
+    return out, m

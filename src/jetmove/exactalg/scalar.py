@@ -69,10 +69,6 @@ class Tower:
         return f"Tower(depth={self.depth}, sqrt({self.radicand!s}))"
 
 
-def _depth(t: Tower | None) -> int:
-    return 0 if t is None else t.depth
-
-
 def _is_ancestor(a: Tower | None, b: Tower | None) -> bool:
     """True when chain ``a`` is a prefix of chain ``b`` (None is always one)."""
     if a is None:
@@ -587,6 +583,8 @@ class _ScalarParser:
             if self.pos == start:
                 self.error("expected a denominator")
             den = int(self.text[start:self.pos])
+            if den == 0:
+                self.error("zero denominator")
         return Scalar._rat(Fraction(num, den))
 
 

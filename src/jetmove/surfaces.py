@@ -352,12 +352,13 @@ def _reparametrize(driver: Series, others: list[Series], order: int) -> list[Ser
 
 
 def jet_from_torus_param(p: TorusParam, order: int) -> Jet:
+    """The jet along p, whose series fix its order; at order 1 every
+    deviation is zero, of valuation 1, so a point takes the jet path."""
     (xc, xloc), (yc, yloc) = p.x, p.y
+    if order != xloc.order:
+        raise ValueError(f"order {order} differs from the parameter order {xloc.order}")
     cx, cy = xloc.value(), yloc.value()
     center = TorusPoint(ProjPoint.in_chart(xc, cx), ProjPoint.in_chart(yc, cy))
-    if order == 1:
-        f = Series(cx, 1, [cy])
-        return Jet(TORUS, 1, center, (xc, yc), False, (f,))
     if (xloc - cx).valuation() == 1:
         return Jet(TORUS, order, center, (xc, yc), False,
                    tuple(_reparametrize(xloc, [yloc], order)))
@@ -368,12 +369,10 @@ def jet_from_torus_param(p: TorusParam, order: int) -> Jet:
 
 
 def jet_from_sphere_param(p: SphereParam, order: int) -> Jet:
-    cx, cy, cz = p.x.value(), p.y.value(), p.z.value()
-    center = SpherePoint(cx, cy, cz)
-    if order == 1:
-        g = Series(cx, 1, [cy])
-        h = Series(cx, 1, [cz])
-        return Jet(SPHERE, 1, center, "x", False, (g, h))
+    """As jet_from_torus_param; an order-1 point reads back in chart x."""
+    if order != p.x.order:
+        raise ValueError(f"order {order} differs from the parameter order {p.x.order}")
+    center = SpherePoint(p.x.value(), p.y.value(), p.z.value())
     for chart, names in SPHERE_CHARTS.items():
         driver, g_src, h_src = (getattr(p, n) for n in names)
         c = driver.value()
@@ -571,8 +570,11 @@ def _pp_to_json(p: ProjPoint) -> list[str]:
     return [scalar_to_str(p.u), scalar_to_str(p.v)]
 
 
-def _pp_from_json(arr) -> ProjPoint:
-    return ProjPoint(parse_scalar(arr[0]), parse_scalar(arr[1]))
+def scalars_from_json(arr, what: str) -> list[Scalar]:
+    """The scalars of a JSON list; a string would read as one per character."""
+    if type(arr) is not list:
+        raise PreconditionFailed(f"{what} must be a JSON list")
+    return [parse_scalar(c) for c in arr]
 
 
 def point_to_json(p: TorusPoint | SpherePoint):
@@ -583,8 +585,9 @@ def point_to_json(p: TorusPoint | SpherePoint):
 
 def point_from_json(surface: str, data):
     if surface == TORUS:
-        return TorusPoint(_pp_from_json(data[0]), _pp_from_json(data[1]))
-    return SpherePoint(*(parse_scalar(c) for c in data))
+        return TorusPoint(*(ProjPoint(*scalars_from_json(c, "torus coordinate"))
+                            for c in data))
+    return SpherePoint(*scalars_from_json(data, "sphere center"))
 
 
 def jet_to_json(j: Jet) -> dict:
@@ -622,12 +625,12 @@ def jet_from_json(d: dict) -> Jet:
         if type(transposed) is not bool:
             raise PreconditionFailed("transposed must be a JSON bool")
         base = (center.y if transposed else center.x).local
-        f = Series(base, order, [parse_scalar(c) for c in d["graph"]["f"]])
+        f = Series(base, order, scalars_from_json(d["graph"]["f"], "graph f"))
         return Jet.torus(center, order, f, transposed, chart)
     if surface == SPHERE:
         chart = d["chart"]
         base = getattr(center, _sphere_chart(chart)[0])
-        g = Series(base, order, [parse_scalar(c) for c in d["graph"]["g"]])
-        h = Series(base, order, [parse_scalar(c) for c in d["graph"]["h"]])
+        g = Series(base, order, scalars_from_json(d["graph"]["g"], "graph g"))
+        h = Series(base, order, scalars_from_json(d["graph"]["h"], "graph h"))
         return Jet.sphere(center, order, g, h, chart)
     raise MixedSurfaces(f"unknown surface {surface!r}")

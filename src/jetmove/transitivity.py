@@ -16,8 +16,8 @@ stages, then returns the composition in the right order:
 Every generic choice enumerates rationals in a fixed order and takes
 the first that passes its exact test, so identical inputs produce
 identical words.  ENUM_LIMIT caps how many candidates any single choice
-may try.  Every sphere twist is built from its tangent half-angle and
-carries its certificate from that construction.
+may try.  Each generator carries its certificate from how it is built,
+so synthesis proves nothing twice.
 """
 
 from __future__ import annotations
@@ -26,12 +26,12 @@ from fractions import Fraction
 from math import gcd
 
 from .automorphisms import (AutWord, Certificate, SphereTwist, TorusMoebius,
-                            TorusTwist, apply_jet, apply_point, certify_twist,
-                            word_concat, word_identity, word_inverse)
+                            TorusTwist, apply_jet, apply_point, word_concat,
+                            word_identity, word_inverse)
 from .errors import (DuplicatePoints, EnumerationExhausted, MixedSurfaces,
                      NotDistant, OrderMismatch, PreconditionFailed, ensure)
 from .exactalg import (ONE, ZERO, Poly, Scalar, Series, crt_combine,
-                       hensel_sqrt, node_product, poly_to_series, scal,
+                       crt_with_modulus, hensel_sqrt, poly_to_series, scal,
                        scalar_sqrt_adjoin)
 from .surfaces import (SPHERE, TORUS, Jet, SpherePoint, TorusPoint, jet_is_vertical,
                        jet_tangent_vector, jets_mutually_distant,
@@ -95,18 +95,19 @@ def _pick_pair(test, what: str) -> tuple[Scalar, Scalar]:
 def interpolating_twist(axis: str, residues) -> TorusTwist | None:
     """Torus twist adding value_i to ``axis`` at node i of the other factor.
 
-    residues are (center, order, value) as for crt_combine.  The twist is
-    p/q with q = 1 + M^2 and p the CRT interpolant plus M^2, so q is 1 at
-    every node, has no real roots, and deg p = deg q.  None when every
-    value is zero and the twist would be the identity.
+    residues are (center, order, value) as for crt_combine, and M is their
+    node product.  The twist is p/q with q = 1 + M^2 and p the CRT
+    interpolant plus M^2: q is 1 at every node and at least 1 on R, and
+    deg p = deg q since the interpolant's degree is below deg M, so the
+    twist is certified as built.  None when every value is zero.
     """
-    p0 = crt_combine(residues)
-    m = node_product(residues)
+    p0, m = crt_with_modulus(residues)
     if p0.is_zero():
         return None
-    p = p0 + m * m
-    q = Poly.const(1) + m * m
-    return certify_twist(TorusTwist(axis, p, q))
+    ensure(p0.degree < m.degree, "CRT interpolant reaches the node degree")
+    mm = m * m
+    return TorusTwist(axis, p0 + mm, Poly.const(1) + mm,
+                      certificate=Certificate("torus-twist-square"))
 
 
 def _half_angle_twist(fixed: str, a: Poly) -> SphereTwist:
@@ -169,8 +170,10 @@ def separate_points_torus(points) -> AutWord:
                           "affine chart shift")
             return ((ZERO, ONE), (ONE, -alpha))
 
-        push(certify_twist(TorusMoebius(
-            chart_matrix([p.x for p in pts]), chart_matrix([p.y for p in pts]))))
+        # each matrix has determinant 1 or -1: certified as built
+        push(TorusMoebius(chart_matrix([p.x for p in pts]),
+                          chart_matrix([p.y for p in pts]),
+                          certificate=Certificate("moebius")))
 
     def distinct(vals):
         return all(not (vals[i] == vals[j])
@@ -360,7 +363,8 @@ def make_nonvertical_torus(jets) -> tuple[AutWord, tuple[Jet, ...]]:
 
     The twist is x -> x + lam*(y + y^2)/(1 + y^2), whose derivative at
     y = 0 is lam; a jet with tangent (a, b) maps to one with tangent
-    (a + lam*b, b), so lam only needs to avoid the values -a_i/b_i.
+    (a + lam*b, b), so lam only needs to avoid the values -a_i/b_i.  As
+    lam != 0, deg p = deg q = 2 with q = 1 + y^2: certified as built.
     """
     jets = tuple(jets)
     for i, j in enumerate(jets, 1):
@@ -375,8 +379,8 @@ def make_nonvertical_torus(jets) -> tuple[AutWord, tuple[Jet, ...]]:
         return all(not (a + lam * b).is_zero() for a, b in tangents)
 
     lam = _pick(ok, "non-verticality parameter", skip_zero=True)
-    tw = certify_twist(TorusTwist("x", Poly([ZERO, lam, lam]), Poly([1, 0, 1])))
-    w = AutWord(TORUS, (tw,))
+    w = AutWord(TORUS, (TorusTwist("x", Poly([ZERO, lam, lam]), Poly([1, 0, 1]),
+                                   certificate=Certificate("torus-twist-square")),))
     out = tuple(apply_jet(w, j) for j in jets)
     for i, j in enumerate(out, 1):
         ensure(j.center == torus_standard_center(i), f"jet {i - 1} left its center")

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -60,7 +61,13 @@ def test_synth_verify_round_trip(tmp_path, capsys, torus_targets):
     job = job_file(tmp_path, "job.json", TORUS, torus_targets)
     out = str(tmp_path / "word.json")
     assert main(["synth", "--job", job, "--out", out]) == OK
-    assert "generators" in capsys.readouterr().out
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[-1].endswith("generators to " + out)
+    # one "<route>: <formula>" line per generator; the file stores neither
+    word = word_from_json(json.loads(Path(out).read_text()))
+    assert printed[:-1] == [f"{g.certificate.kind}: {g}" for g in word.generators]
+    assert all(set(g) <= {"type", "axis", "p", "q", "mx", "my"}
+               for g in json.loads(Path(out).read_text())["generators"])
 
     std = std_file(tmp_path, "std.json", TORUS, [2, 1])
     assert main(["verify", "--word", out, "--from", std, "--to", job]) == OK
@@ -294,6 +301,47 @@ def test_unknown_sphere_chart_is_invalid(tmp_path, capsys, chart):
                  "--jet", jfile]) == INVALID
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "internal" not in err
+
+
+def test_zero_denominator_is_invalid(tmp_path, capsys):
+    jet = jet_to_json(standard_config(TORUS, [1]).jets[0])
+    jet["graph"]["f"] = ["1/0"]
+    jfile = write(tmp_path / "jet.json", jet)
+    assert main(["apply", "--word", identity_word(tmp_path, TORUS),
+                 "--jet", jfile]) == INVALID
+    err = capsys.readouterr().err
+    assert err.startswith("cannot read input") and "zero denominator" in err
+
+
+@pytest.mark.parametrize("g", [
+    # "q": "12" would read as 1 + 2x
+    {"type": "twist", "axis": "y", "p": ["0", "0", "1"], "q": "12"},
+    {"type": "moebius", "mx": "12", "my": [["1", "0"], ["0", "1"]]},
+    {"type": "moebius", "mx": ["01", ["1", "0"]], "my": [["1", "0"], ["0", "1"]]},
+])
+def test_word_arrays_must_be_lists(tmp_path, capsys, g):
+    wfile = write(tmp_path / "w.json", {"surface": TORUS, "generators": [g]})
+    jfile = write(tmp_path / "jet.json", jet_to_json(standard_config(TORUS, [1]).jets[0]))
+    assert main(["apply", "--word", wfile, "--jet", jfile]) == INVALID
+    assert "must be a JSON list" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("surface, key, value", [
+    (TORUS, "center", ["51", "31"]),  # would read as (5, 3)
+    (SPHERE, "center", "100"),        # would read as (1, 0, 0)
+    (TORUS, "f", "0"),
+    (SPHERE, "g", "0"),
+])
+def test_jet_arrays_must_be_lists(tmp_path, capsys, surface, key, value):
+    jet = jet_to_json(standard_config(surface, [1]).jets[0])
+    if key == "center":
+        jet["center"] = value
+    else:
+        jet["graph"][key] = value
+    jfile = write(tmp_path / "jet.json", jet)
+    assert main(["apply", "--word", identity_word(tmp_path, surface),
+                 "--jet", jfile]) == INVALID
+    assert "must be a JSON list" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("order", [10 ** 9, "3", True, 2.7, 0])

@@ -3,10 +3,10 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from jetmove.errors import NegativeRadicand
+from jetmove.errors import JetmoveError, NegativeRadicand
 from jetmove.exactalg import (ONE, ZERO, Scalar, parse_scalar, scal,
                               scalar_sqrt_adjoin, scalar_to_str, try_sqrt)
 from jetmove.exactalg.scalar import MAX_SQRT_NESTING
@@ -99,6 +99,25 @@ def test_parse_folds_signs_and_caps_sqrt_nesting():
     assert parse_scalar(deepest) > 1
     with pytest.raises(ValueError, match=f"nested deeper than {limit}"):
         parse_scalar("sqrt(" + deepest + ")")
+
+
+def test_zero_denominator_is_refused():
+    for text in ("1/0", "-3/00", "sqrt(2) + 1/0"):
+        with pytest.raises(ValueError, match="zero denominator"):
+            parse_scalar(text)
+
+
+_TOKENS = [*"0123456789", "/", "+", "-", "*", "sqrt(", ")", " "]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(_TOKENS), max_size=30).map("".join))
+@example("2 * 1/0")
+def test_parse_garbage_raises_only_parse_errors(text):
+    try:
+        parse_scalar(text)
+    except (ValueError, JetmoveError):
+        pass
 
 
 def test_scalar_is_unhashable():

@@ -111,6 +111,18 @@ def test_parametrize_round_trip_sphere(rng):
         assert jet_from_sphere_param(jet_parametrize(j), e) == j
 
 
+def test_param_read_back_keeps_the_series_order():
+    # padding the order-3 series to order 5 would make up coefficients:
+    # the "jet" would leave the sphere
+    sphere = standard_config("sphere", [3]).jets[0]
+    torus = standard_config("torus", [3]).jets[0]
+    with pytest.raises(ValueError, match="differs from the parameter order"):
+        jet_from_sphere_param(jet_parametrize(sphere), 5)
+    with pytest.raises(ValueError, match="differs from the parameter order"):
+        jet_from_torus_param(jet_parametrize(torus), 5)
+    assert jet_from_sphere_param(jet_parametrize(sphere), 3) == sphere
+
+
 def test_ideal_canonicalization_torus():
     # y*2 - 2x = 0 along x near 1, order 2: graph y = x
     y_coeff = Series(ONE, 2, [2, 0])

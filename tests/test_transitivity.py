@@ -331,6 +331,25 @@ def test_synth_torus_builds_twists_in_square_shape(monkeypatch, rng):
         assert apply_jet(loaded, src) == j
 
 
+def test_synth_torus_certifies_by_construction(monkeypatch, rng):
+    # the synthesizer attaches each certificate as it builds the generator,
+    # so neither square recovery nor a Sturm chain runs
+    def refuse(*args):
+        raise AssertionError("a synthesized generator was proved again")
+
+    monkeypatch.setattr(automorphisms, "_is_square", refuse)
+    monkeypatch.setattr(automorphisms, "sturm_root_count", refuse)
+    jets = [
+        Jet.torus(TorusPoint(ProjPoint.infinity(), ProjPoint.affine(2)), 2,
+                  Series(ZERO, 2, [scal(2), ONE])),
+        _vertical_jet_at(4),
+        rand_torus_jet(rng, 3, p_inf=0),
+    ]
+    word = synth_torus(jets)
+    kinds = [g.certificate.kind for g in word.generators]
+    assert set(kinds) == {"torus-twist-square", "moebius"}
+
+
 def test_synth_sphere_builds_twists_in_square_shape(monkeypatch, rng):
     # every sphere twist the synthesizer builds, including the
     # non-verticality shear, must prove itself without a Sturm chain
