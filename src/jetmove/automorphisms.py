@@ -96,7 +96,11 @@ class TorusMoebius:
 
     @staticmethod
     def of(mx, my) -> TorusMoebius:
-        coerce = lambda m: tuple(tuple(scal(e) for e in row) for row in m)
+        def coerce(m):
+            m = tuple(tuple(scal(e) for e in row) for row in m)
+            if len(m) != 2 or any(len(row) != 2 for row in m):
+                raise PreconditionFailed("a moebius matrix must be 2x2")
+            return m
         return TorusMoebius(coerce(mx), coerce(my))
 
     def inverse(self) -> TorusMoebius:

@@ -29,7 +29,7 @@ from .dantesque import (HYPOTHESIS_NOT_MET, ISOMORPHIC, descriptor_from_json,
 from .errors import (InternalVerificationFailure, JetmoveError,
                      RootInForbiddenRegion)
 from .surfaces import jet_from_json, jet_to_json, standard_config
-from .transitivity import synth_pair, synth_sphere, synth_torus
+from .transitivity import first_miss, synth_pair, synth_sphere, synth_torus
 
 OK = 0
 NEGATIVE = 1
@@ -126,11 +126,10 @@ def cmd_verify(args) -> int:
     to_jets = _job_config(_load(args.to_job))
     if len(from_jets) != len(to_jets):
         raise JetmoveError("from and to configurations differ in length")
-    for i, (s, t) in enumerate(zip(from_jets, to_jets)):
-        got = apply_jet(word, s)
-        if got != t:
-            print(_first_mismatch(i, got, t))
-            return NEGATIVE
+    miss = first_miss(word, from_jets, to_jets)
+    if miss is not None:
+        print(_first_mismatch(*miss))
+        return NEGATIVE
     print(f"ok: {len(from_jets)} jets verified")
     return OK
 

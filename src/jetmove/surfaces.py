@@ -275,12 +275,12 @@ def _check_sphere_shape(j: Jet):
     var = Series.variable(var0, j.order)
     if not (var * var + g * g + h * h == Series.constant(1, var0, j.order)):
         raise PreconditionFailed("jet does not lie on the sphere")
-    if j.order >= 2:
-        # canonical chart: the first of x, y, z that moves along the jet
-        comps = jet_tangent_vector(j).components
-        want = next(n for n, c in zip("xyz", comps) if not c.is_zero())
-        if j.chart != want:
-            raise PreconditionFailed(f"canonical chart is {want}, stored {j.chart}")
+    # canonical chart: the first of x, y, z that moves along the jet, and
+    # x for an order-1 jet, which does not move
+    comps = jet_tangent_vector(j).components
+    want = next((n for n, c in zip("xyz", comps) if not c.is_zero()), "x")
+    if j.chart != want:
+        raise PreconditionFailed(f"canonical chart is {want}, stored {j.chart}")
 
 
 # ---------------------------------------------------------------------------
@@ -570,10 +570,13 @@ def _pp_to_json(p: ProjPoint) -> list[str]:
     return [scalar_to_str(p.u), scalar_to_str(p.v)]
 
 
-def scalars_from_json(arr, what: str) -> list[Scalar]:
-    """The scalars of a JSON list; a string would read as one per character."""
+def scalars_from_json(arr, what: str, length: int | None = None) -> list[Scalar]:
+    """The scalars of a JSON list, of ``length`` entries when given; a
+    string would read as one per character."""
     if type(arr) is not list:
         raise PreconditionFailed(f"{what} must be a JSON list")
+    if length is not None and len(arr) != length:
+        raise PreconditionFailed(f"{what} must hold {length} entries, not {len(arr)}")
     return [parse_scalar(c) for c in arr]
 
 
@@ -625,12 +628,12 @@ def jet_from_json(d: dict) -> Jet:
         if type(transposed) is not bool:
             raise PreconditionFailed("transposed must be a JSON bool")
         base = (center.y if transposed else center.x).local
-        f = Series(base, order, scalars_from_json(d["graph"]["f"], "graph f"))
+        f = Series(base, order, scalars_from_json(d["graph"]["f"], "graph f", order))
         return Jet.torus(center, order, f, transposed, chart)
     if surface == SPHERE:
         chart = d["chart"]
         base = getattr(center, _sphere_chart(chart)[0])
-        g = Series(base, order, scalars_from_json(d["graph"]["g"], "graph g"))
-        h = Series(base, order, scalars_from_json(d["graph"]["h"], "graph h"))
-        return Jet.sphere(center, order, g, h, chart)
+        g, h = (scalars_from_json(d["graph"][k], f"graph {k}", order) for k in "gh")
+        return Jet.sphere(center, order, Series(base, order, g), Series(base, order, h),
+                          chart)
     raise MixedSurfaces(f"unknown surface {surface!r}")

@@ -1,17 +1,23 @@
 """Synthesis of automorphism words moving jet tuples into position.
 
-The pipeline for both surfaces runs standard -> target through three
-stages, then returns the composition in the right order:
+One pipeline serves both surfaces (_build).  It takes the standard jets
+to the targets in three stages and returns w3 (w1 w2)^-1; only the
+stage functions differ by surface:
 
-1. separate_points_*: a word taking the target centers to the standard
+1. separate_points_*: w1 takes the target centers to the standard
    centers, built from generic moves with exactly-tested rational
    parameters and interpolated twists (one shared twist adjusts every
    point at once, with CRT choosing the local values).
-2. make_nonvertical_*: one parameter twist, with the parameter chosen
-   from an ordered rational enumeration avoiding the finitely many
-   values that would leave some jet vertical.
-3. A final interpolated twist matching the standard jets to the moved
-   targets exactly, graph by graph.
+2. make_nonvertical_*: w2 is one shear, its parameter the first nonzero
+   rational that leaves no moved jet vertical; the two surfaces differ
+   only in that test and in the shear itself.
+3. _align_*: w3 matches the standard jets to the sheared targets
+   exactly, graph by graph: one interpolated y-twist on the torus, one
+   rotation twist per jet on the sphere.
+
+synth_torus, synth_sphere and synth_pair check the configurations,
+build, and check the word once through first_miss, the image check
+that the batch front end's verify uses as well.
 
 Every generic choice enumerates rationals in a fixed order and takes
 the first that passes its exact test, so identical inputs produce
@@ -23,13 +29,15 @@ so synthesis proves nothing twice.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import count
 from math import gcd
 
 from .automorphisms import (AutWord, Certificate, SphereTwist, TorusMoebius,
                             TorusTwist, apply_jet, apply_point, word_concat,
                             word_identity, word_inverse)
-from .errors import (DuplicatePoints, EnumerationExhausted, MixedSurfaces,
-                     NotDistant, OrderMismatch, PreconditionFailed, ensure)
+from .errors import (DuplicatePoints, EnumerationExhausted,
+                     InternalVerificationFailure, MixedSurfaces, NotDistant,
+                     OrderMismatch, PreconditionFailed, ensure)
 from .exactalg import (ONE, ZERO, Poly, Scalar, Series, crt_combine,
                        crt_with_modulus, hensel_sqrt, poly_to_series, scal,
                        scalar_sqrt_adjoin)
@@ -55,37 +63,31 @@ def enumerate_rationals():
         h += 1
 
 
-def _pick(test, what: str, skip_zero: bool = False) -> Scalar:
-    tried = 0
-    for r in enumerate_rationals():
-        if skip_zero and r == 0:
-            continue
+def _nonzero_rationals():
+    return (scal(r) for r in enumerate_rationals() if r != 0)
+
+
+def _rational_pairs():
+    """(r_i, r_{n-i}) for n = 0, 1, ... over the rational enumeration."""
+    pool: list[Scalar] = []
+    gen = enumerate_rationals()
+    for n in count():
+        pool.append(scal(next(gen)))
+        for i in range(n + 1):
+            yield pool[i], pool[n - i]
+
+
+def _pick(test, what: str, candidates=None):
+    """The first candidate (default: every rational) passing the exact
+    test, after at most ENUM_LIMIT tries."""
+    if candidates is None:
+        candidates = map(scal, enumerate_rationals())
+    for tried, c in enumerate(candidates):
         if tried >= ENUM_LIMIT:
             break
-        tried += 1
-        c = scal(r)
         if test(c):
             return c
-    raise EnumerationExhausted(f"no admissible rational for {what} in {ENUM_LIMIT} tries")
-
-
-def _pick_pair(test, what: str) -> tuple[Scalar, Scalar]:
-    """First pair (by diagonal order) passing the exact test."""
-    pool: list[Fraction] = []
-    gen = enumerate_rationals()
-    tried = 0
-    for n in range(ENUM_LIMIT):
-        while len(pool) <= n:
-            pool.append(next(gen))
-        for i in range(n + 1):
-            if tried >= ENUM_LIMIT:
-                raise EnumerationExhausted(
-                    f"no admissible rational pair for {what} in {ENUM_LIMIT} tries")
-            tried += 1
-            a, b = scal(pool[i]), scal(pool[n - i])
-            if test(a, b):
-                return a, b
-    raise EnumerationExhausted(f"no admissible rational pair for {what} in {ENUM_LIMIT} tries")
+    raise EnumerationExhausted(f"no admissible {what} in {ENUM_LIMIT} tries")
 
 
 # ---------------------------------------------------------------------------
@@ -132,6 +134,26 @@ def rotation_twist(fixed: str, residues) -> SphereTwist | None:
     return _half_angle_twist(fixed, a)
 
 
+def _rotation_twists(fixed: str, nodes, orders, values):
+    """One rotation twist per node, skipping the identities: angle
+    values[i] to order orders[i] at node i and zero to order at the
+    others, so each point or jet stays inside its own ground field."""
+    for i, val in enumerate(values):
+        tw = rotation_twist(fixed, [(c, e, val if k == i else 0)
+                                    for k, (c, e) in enumerate(zip(nodes, orders))])
+        if tw is not None:
+            yield tw
+
+
+def _moved(gens: list, pts: list, g) -> list:
+    """Append generator g (None is the identity) and return pts moved by it."""
+    if g is None:
+        return pts
+    gens.append(g)
+    w = AutWord(g.surface, (g,))
+    return [apply_point(w, p) for p in pts]
+
+
 # ---------------------------------------------------------------------------
 # point separation, torus
 
@@ -148,15 +170,8 @@ def _check_distinct_points(points, cls):
 
 def separate_points_torus(points) -> AutWord:
     """Word taking point i (0-based input order) to (i+1, 0)."""
-    pts = list(points)
+    pts, gens = list(points), []
     _check_distinct_points(pts, TorusPoint)
-    gens = []
-
-    def push(g):
-        nonlocal pts
-        gens.append(g)
-        w = AutWord(TORUS, (g,))
-        pts = [apply_point(w, p) for p in pts]
 
     # everything into the affine chart
     if any(p.x.is_infinite or p.y.is_infinite for p in pts):
@@ -171,9 +186,9 @@ def separate_points_torus(points) -> AutWord:
             return ((ZERO, ONE), (ONE, -alpha))
 
         # each matrix has determinant 1 or -1: certified as built
-        push(TorusMoebius(chart_matrix([p.x for p in pts]),
-                          chart_matrix([p.y for p in pts]),
-                          certificate=Certificate("moebius")))
+        pts = _moved(gens, pts, TorusMoebius(chart_matrix([p.x for p in pts]),
+                                             chart_matrix([p.y for p in pts]),
+                                             certificate=Certificate("moebius")))
 
     def distinct(vals):
         return all(not (vals[i] == vals[j])
@@ -200,18 +215,14 @@ def separate_points_torus(points) -> AutWord:
             residues.append((gx, 1, shift))
         tw = interpolating_twist("y", residues)
         ensure(tw is not None, "y-separating twist came out as the identity")
-        push(tw)
+        pts = _moved(gens, pts, tw)
 
-    # x-corrections over the now-distinct y nodes
-    if any(not (p.x.value == scal(i)) for i, p in enumerate(pts, 1)):
-        residues = [(p.y.value, 1, scal(i) - p.x.value)
-                    for i, p in enumerate(pts, 1)]
-        push(interpolating_twist("x", residues))
-
-    # zero out y over the standard x nodes
-    if any(not p.y.value.is_zero() for p in pts):
-        residues = [(scal(i), 1, -p.y.value) for i, p in enumerate(pts, 1)]
-        push(interpolating_twist("y", residues))
+    # x-corrections over the now-distinct y nodes, then y zeroed over the
+    # standard x nodes; each twist is None when nothing needs moving
+    pts = _moved(gens, pts, interpolating_twist(
+        "x", [(p.y.value, 1, scal(i) - p.x.value) for i, p in enumerate(pts, 1)]))
+    pts = _moved(gens, pts, interpolating_twist(
+        "y", [(scal(i), 1, -p.y.value) for i, p in enumerate(pts, 1)]))
 
     for i, p in enumerate(pts, 1):
         ensure(p == torus_standard_center(i), f"point {i - 1} missed its center")
@@ -233,11 +244,10 @@ def separate_points_sphere(points, orders=None) -> AutWord:
     stay rational and every half-angle is finite.
 
     ``orders`` (default all 1) gives the jet order riding on each point:
-    the varying stages emit one twist per point, constant to that order at
-    its own point and vanishing to it at every other, so a transported jet
-    only ever meets the one square root adjoined for it.
+    the varying stages emit one twist per point (_rotation_twists), so a
+    transported jet only ever meets the one square root adjoined for it.
     """
-    pts = list(points)
+    pts, gens = list(points), []
     _check_distinct_points(pts, SpherePoint)
     n = len(pts)
     if orders is None:
@@ -245,15 +255,6 @@ def separate_points_sphere(points, orders=None) -> AutWord:
     targets = [sphere_standard_center(i) for i in range(1, n + 1)]
     if pts == targets:
         return word_identity(SPHERE)
-    gens = []
-
-    def push(g):
-        nonlocal pts
-        if g is None:
-            return
-        gens.append(g)
-        w = AutWord(SPHERE, (g,))
-        pts = [apply_point(w, p) for p in pts]
 
     def xs_good(ps):
         xs = [p.x for p in ps]
@@ -265,23 +266,18 @@ def separate_points_sphere(points, orders=None) -> AutWord:
                     return False
         return True
 
-    if not xs_good(pts):
-        def try_pair(s, t):
-            cand = []
-            if not t.is_zero():
-                cand.append(_half_angle_twist("x", Poly.const(t)))
-            if not s.is_zero():
-                cand.append(_half_angle_twist("z", Poly.const(s)))
-            if not cand:
-                return False
-            w = AutWord(SPHERE, tuple(cand))
-            return xs_good([apply_point(w, p) for p in pts])
+    def generic_rotation(s, t):
+        return [_half_angle_twist(fixed, Poly.const(a))
+                for fixed, a in (("x", t), ("z", s)) if not a.is_zero()]
 
-        s, t = _pick_pair(try_pair, "generic rotation")
-        if not t.is_zero():
-            push(_half_angle_twist("x", Poly.const(t)))
-        if not s.is_zero():
-            push(_half_angle_twist("z", Poly.const(s)))
+    if not xs_good(pts):
+        def moves_apart(cand):
+            w = AutWord(SPHERE, tuple(cand))
+            return bool(cand) and xs_good([apply_point(w, p) for p in pts])
+
+        rotations = (generic_rotation(s, t) for s, t in _rational_pairs())
+        for g in _pick(moves_apart, "generic rotation", rotations):
+            pts = _moved(gens, pts, g)
 
     # fiber heights v_i = Y_i (1-s^2)/(1+s^2) for rational s, so the later
     # x-move leg sqrt(Y_i^2 - v_i^2) = 2 Y_i s/(1+s^2) is rational and the
@@ -315,14 +311,6 @@ def separate_points_sphere(points, orders=None) -> AutWord:
         # tangent half-angle of the rotation with cos = c/denom, sin = s/denom
         return s / (denom + c)
 
-    def push_each(fixed, nodes, values):
-        # one twist per point: constant angle to jet order at its own node,
-        # zero to jet order at the others, so no two ground fields mix
-        for i, val in enumerate(values):
-            res = [(nodes[k], orders[k], val if k == i else 0)
-                   for k in range(n)]
-            push(rotation_twist(fixed, res))
-
     values = []
     for p, v in zip(pts, vs):
         rho2 = ONE - p.x * p.x
@@ -330,7 +318,8 @@ def separate_points_sphere(points, orders=None) -> AutWord:
         c = p.y * v + p.z * z
         s = p.y * z - p.z * v
         values.append(half_angle(c, s, rho2))
-    push_each("x", [p.x for p in pts], values)
+    for g in _rotation_twists("x", [p.x for p in pts], orders, values):
+        pts = _moved(gens, pts, g)
 
     # move x to its target along the circle of constant y
     values = []
@@ -339,7 +328,8 @@ def separate_points_sphere(points, orders=None) -> AutWord:
         c = p.z * w + p.x * tgt.x
         s = p.z * tgt.x - p.x * w
         values.append(half_angle(c, s, r2))
-    push_each("y", [p.y for p in pts], values)
+    for g in _rotation_twists("y", [p.y for p in pts], orders, values):
+        pts = _moved(gens, pts, g)
 
     # drop to the equator within each target fiber; all angles are rational
     # here, so a single interpolated twist is fine
@@ -348,7 +338,7 @@ def separate_points_sphere(points, orders=None) -> AutWord:
         c = p.y * tgt.y
         s = -(p.z * tgt.y)
         residues.append((p.x, e, half_angle(c, s, tgt.y * tgt.y)))
-    push(rotation_twist("x", residues))
+    pts = _moved(gens, pts, rotation_twist("x", residues))
 
     ensure(pts == targets, "points missed their standard centers")
     return AutWord(SPHERE, tuple(gens))
@@ -356,6 +346,32 @@ def separate_points_sphere(points, orders=None) -> AutWord:
 
 # ---------------------------------------------------------------------------
 # non-verticality
+
+
+def _shear_off_vertical(surface: str, jets, admissible, shear):
+    """The one generator ``shear(lam)`` leaving the standard centers fixed
+    and no jet vertical; the identity when every jet has order 1.
+
+    ``admissible(lam, tangent, center)`` tests lam on one jet of order at
+    least 2, and lam runs over the nonzero rationals.
+    """
+    jets = tuple(jets)
+    center = torus_standard_center if surface == TORUS else sphere_standard_center
+    for i, j in enumerate(jets, 1):
+        if not (j.surface == surface and j.center == center(i)):
+            raise PreconditionFailed(f"jet {i - 1} is not at standard center {center(i)}")
+    if all(j.order == 1 for j in jets):
+        return word_identity(surface), jets
+    data = [(jet_tangent_vector(j).components, j.center)
+            for j in jets if j.order >= 2]
+    lam = _pick(lambda lam: all(admissible(lam, t, c) for t, c in data),
+                "non-verticality parameter", _nonzero_rationals())
+    w = AutWord(surface, (shear(lam),))
+    out = tuple(apply_jet(w, j) for j in jets)
+    for i, j in enumerate(out, 1):
+        ensure(j.center == center(i), f"jet {i - 1} left its center")
+        ensure(j.order == 1 or not jet_is_vertical(j), f"jet {i - 1} is still vertical")
+    return w, out
 
 
 def make_nonvertical_torus(jets) -> tuple[AutWord, tuple[Jet, ...]]:
@@ -366,26 +382,10 @@ def make_nonvertical_torus(jets) -> tuple[AutWord, tuple[Jet, ...]]:
     (a + lam*b, b), so lam only needs to avoid the values -a_i/b_i.  As
     lam != 0, deg p = deg q = 2 with q = 1 + y^2: certified as built.
     """
-    jets = tuple(jets)
-    for i, j in enumerate(jets, 1):
-        if not (j.surface == TORUS and j.center == torus_standard_center(i)):
-            raise PreconditionFailed(f"jet {i - 1} is not centered at ({i}, 0)")
-    if all(j.order == 1 for j in jets):
-        return word_identity(TORUS), jets
-    tangents = [jet_tangent_vector(j).components
-                for j in jets if j.order >= 2]
-
-    def ok(lam):
-        return all(not (a + lam * b).is_zero() for a, b in tangents)
-
-    lam = _pick(ok, "non-verticality parameter", skip_zero=True)
-    w = AutWord(TORUS, (TorusTwist("x", Poly([ZERO, lam, lam]), Poly([1, 0, 1]),
-                                   certificate=Certificate("torus-twist-square")),))
-    out = tuple(apply_jet(w, j) for j in jets)
-    for i, j in enumerate(out, 1):
-        ensure(j.center == torus_standard_center(i), f"jet {i - 1} left its center")
-        ensure(j.order == 1 or not jet_is_vertical(j), f"jet {i - 1} is still vertical")
-    return w, out
+    return _shear_off_vertical(
+        TORUS, jets, lambda lam, t, c: not (t[0] + lam * t[1]).is_zero(),
+        lambda lam: TorusTwist("x", Poly([ZERO, lam, lam]), Poly([1, 0, 1]),
+                               certificate=Certificate("torus-twist-square")))
 
 
 def make_nonvertical_sphere(jets) -> tuple[AutWord, tuple[Jet, ...]]:
@@ -396,33 +396,14 @@ def make_nonvertical_sphere(jets) -> tuple[AutWord, tuple[Jet, ...]]:
     derivative 2 lam there, shearing tangents off the vertical, and it is
     built by _half_angle_twist like every other synthesized sphere twist.
     """
-    jets = tuple(jets)
-    for i, j in enumerate(jets, 1):
-        if not (j.surface == SPHERE and j.center == sphere_standard_center(i)):
-            raise PreconditionFailed(f"jet {i - 1} is not at standard center {i}")
-    if all(j.order == 1 for j in jets):
-        return word_identity(SPHERE), jets
-    data = []
-    for j in jets:
-        if j.order >= 2:
-            a, b, c = jet_tangent_vector(j).components
-            x0, y0 = j.center.x, j.center.y
-            data.append((a, b, c, x0, y0))
-
-    def ok(lam):
+    def admissible(lam, t, c):
+        a, b, dz = t
         two_lam = lam + lam
-        for a, b, c, x0, y0 in data:
-            if (a - two_lam * y0 * c).is_zero() and (b + two_lam * x0 * c).is_zero():
-                return False
-        return True
+        return not ((a - two_lam * c.y * dz).is_zero()
+                    and (b + two_lam * c.x * dz).is_zero())
 
-    lam = _pick(ok, "non-verticality parameter", skip_zero=True)
-    w = AutWord(SPHERE, (_half_angle_twist("z", Poly([ZERO, lam])),))
-    out = tuple(apply_jet(w, j) for j in jets)
-    for i, j in enumerate(out, 1):
-        ensure(j.center == sphere_standard_center(i), f"jet {i - 1} left its center")
-        ensure(j.order == 1 or not jet_is_vertical(j), f"jet {i - 1} is still vertical")
-    return w, out
+    return _shear_off_vertical(SPHERE, jets, admissible,
+                               lambda lam: _half_angle_twist("z", Poly([ZERO, lam])))
 
 
 # ---------------------------------------------------------------------------
@@ -469,86 +450,88 @@ def solve_rotation_parameter(f: Series, g: Series, h: Series) -> Series:
 # synthesis
 
 
-def _standard_jets(surface: str, orders) -> tuple[Jet, ...]:
-    return standard_config(surface, list(orders)).jets
+def first_miss(w: AutWord, sources, targets):
+    """The first (index, image, target) with image = w(source) != target,
+    or None when w takes every source to its target."""
+    for i, (s, t) in enumerate(zip(sources, targets)):
+        got = apply_jet(w, s)
+        if got != t:
+            return i, got, t
+    return None
 
 
 def _verify_word(w: AutWord, sources, targets):
     """The one final check of a synthesized word, run once per synthesis."""
-    for i, (s, t) in enumerate(zip(sources, targets)):
-        ensure(apply_jet(w, s) == t, f"synthesized word misses target jet {i}")
+    miss = first_miss(w, sources, targets)
+    if miss is not None:
+        raise InternalVerificationFailure(f"synthesized word misses target jet {miss[0]}")
+
+
+def _check_config(surface: str, jets, what: str):
+    """Refuse jets off ``surface`` or sharing a center before any build."""
+    for j in jets:
+        if j.surface != surface:
+            raise MixedSurfaces(f"{what} jets must all lie on the {surface}")
+    if not jets_mutually_distant(jets):
+        raise NotDistant(f"{what} jets share a center")
+
+
+def _align_torus(nonv, std) -> AutWord:
+    """One y-twist taking the standard jets onto the non-vertical ones."""
+    residues = []
+    for i, (j, s) in enumerate(zip(nonv, std)):
+        ensure(not j.transposed and j.chart == (0, 0),
+               f"jet {i} left the affine chart")
+        residues.append((s.center.x.value, j.order, j.graphs[0]))
+    final = interpolating_twist("y", residues)
+    return AutWord(TORUS, (final,) if final is not None else ())
+
+
+def _align_sphere(nonv, std) -> AutWord:
+    """One x-twist per jet rotating the standard jet (height f) onto the
+    non-vertical one."""
+    values = []
+    for i, (j, s) in enumerate(zip(nonv, std)):
+        ensure(j.chart == "x", f"jet {i} is not a graph over x")
+        values.append(solve_rotation_parameter(s.graphs[0], j.graphs[0], j.graphs[1]))
+    return AutWord(SPHERE, tuple(_rotation_twists(
+        "x", [s.center.x for s in std], [s.order for s in std], values)))
+
+
+def _build(surface: str, targets: tuple[Jet, ...], std) -> AutWord:
+    """The word taking the standard jets ``std`` to ``targets``, unchecked:
+    w1 separates the target centers onto the standard ones, w2 shears the
+    moved jets off the vertical and w3 aligns the standard jets with
+    them, so the word is w3 (w1 w2)^-1."""
+    if not targets:
+        return word_identity(surface)
+    torus = surface == TORUS
+    centers = [j.center for j in targets]
+    w1 = (separate_points_torus(centers) if torus
+          else separate_points_sphere(centers, [j.order for j in targets]))
+    moved = [apply_jet(w1, j) for j in targets]
+    w2, nonv = (make_nonvertical_torus if torus else make_nonvertical_sphere)(moved)
+    w3 = (_align_torus if torus else _align_sphere)(nonv, std)
+    return word_concat(w3, word_inverse(word_concat(w1, w2)))
+
+
+def _synth(surface: str, targets) -> AutWord:
+    targets = tuple(targets)
+    _check_config(surface, targets, "target")
+    std = standard_config(surface, [j.order for j in targets]).jets
+    w = _build(surface, targets, std)
+    _verify_word(w, std, targets)
+    return w
 
 
 def synth_torus(targets) -> AutWord:
     """Word w with apply_jet(w, standard jet i) = targets[i], exactly."""
-    targets = tuple(targets)
-    w = _build_torus(targets)
-    _verify_word(w, _standard_jets(TORUS, (j.order for j in targets)), targets)
-    return w
+    return _synth(TORUS, targets)
 
 
 def synth_sphere(targets) -> AutWord:
     """Word w with apply_jet(w, standard jet i) = targets[i], exactly."""
-    targets = tuple(targets)
-    w = _build_sphere(targets)
-    _verify_word(w, _standard_jets(SPHERE, (j.order for j in targets)), targets)
-    return w
-
-
-def _build_torus(targets: tuple[Jet, ...]) -> AutWord:
-    """synth_torus without its final check."""
-    if not targets:
-        return word_identity(TORUS)
-    for j in targets:
-        if j.surface != TORUS:
-            raise MixedSurfaces("synth_torus needs torus jets")
-    if not jets_mutually_distant(targets):
-        raise NotDistant("target jets share a center")
-    w1 = separate_points_torus([j.center for j in targets])
-    moved = [apply_jet(w1, j) for j in targets]
-    w2, nonv = make_nonvertical_torus(moved)
-    residues = []
-    for i, j in enumerate(nonv, 1):
-        ensure(not j.transposed and j.chart == (0, 0),
-               f"jet {i - 1} left the affine chart")
-        residues.append((scal(i), j.order, j.graphs[0]))
-    final = interpolating_twist("y", residues)
-    w3 = AutWord(TORUS, (final,) if final is not None else ())
-    return word_concat(w3, word_inverse(word_concat(w1, w2)))
-
-
-def _build_sphere(targets: tuple[Jet, ...]) -> AutWord:
-    """synth_sphere without its final check."""
-    if not targets:
-        return word_identity(SPHERE)
-    for j in targets:
-        if j.surface != SPHERE:
-            raise MixedSurfaces("synth_sphere needs sphere jets")
-    if not jets_mutually_distant(targets):
-        raise NotDistant("target jets share a center")
-    w1 = separate_points_sphere([j.center for j in targets],
-                                [j.order for j in targets])
-    moved = [apply_jet(w1, j) for j in targets]
-    w2, nonv = make_nonvertical_sphere(moved)
-    params = []
-    for i, j in enumerate(nonv, 1):
-        center = sphere_standard_center(i)
-        ensure(j.chart == "x", f"jet {i - 1} is not a graph over x")
-        u = poly_to_series(Poly([1, 0, -1]), center.x, j.order)
-        f = hensel_sqrt(u, center.y)
-        a_i = solve_rotation_parameter(f, j.graphs[0], j.graphs[1])
-        params.append((center.x, j.order, a_i))
-    # one aligning twist per jet, vanishing to jet order at the others,
-    # so each stays inside its own ground field
-    final = []
-    for i in range(len(params)):
-        res = [(c, e, a if k == i else 0)
-               for k, (c, e, a) in enumerate(params)]
-        tw = rotation_twist("x", res)
-        if tw is not None:
-            final.append(tw)
-    w3 = AutWord(SPHERE, tuple(final))
-    return word_concat(w3, word_inverse(word_concat(w1, w2)))
+    return _synth(SPHERE, targets)
 
 
 def synth_pair(from_jets, to_jets, pinned=()) -> AutWord:
@@ -562,19 +545,14 @@ def synth_pair(from_jets, to_jets, pinned=()) -> AutWord:
     pinned = tuple(pinned) if pinned is not None else ()
     if [j.order for j in from_jets] != [j.order for j in to_jets]:
         raise OrderMismatch("from and to configurations have different order lists")
-    everything = pinned + from_jets + to_jets
-    if not everything:
+    sources, targets = pinned + from_jets, pinned + to_jets
+    if not sources:
         raise PreconditionFailed("nothing to move")
-    surface = everything[0].surface
-    for j in everything:
-        if j.surface != surface:
-            raise MixedSurfaces("mixed torus and sphere jets")
-    if not jets_mutually_distant(pinned + from_jets):
-        raise NotDistant("pinned + from jets share a center")
-    if not jets_mutually_distant(pinned + to_jets):
-        raise NotDistant("pinned + to jets share a center")
-    build = _build_torus if surface == TORUS else _build_sphere
-    w = word_concat(word_inverse(build(pinned + from_jets)),
-                    build(pinned + to_jets))
-    _verify_word(w, pinned + from_jets, pinned + to_jets)
+    surface = sources[0].surface
+    _check_config(surface, sources, "pinned + from")
+    _check_config(surface, targets, "pinned + to")
+    std = standard_config(surface, [j.order for j in sources]).jets
+    w = word_concat(word_inverse(_build(surface, sources, std)),
+                    _build(surface, targets, std))
+    _verify_word(w, sources, targets)
     return w

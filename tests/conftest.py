@@ -165,17 +165,18 @@ def rand_sphere_jet(rng, order):
                                  order)
 
 
-def noncanonical_sphere_jet_json():
-    """The standard order-2 jet at (-3/5, 4/5, 0), stored in chart y.
+def noncanonical_sphere_jet_json(order=2):
+    """The standard jet at (-3/5, 4/5, 0) of ``order``, stored in chart y.
 
-    Its tangent (1, 3/4, 0) moves x, so its canonical chart is x.
+    At order 2 its tangent (1, 3/4, 0) moves x, so its canonical chart is
+    x; at order 1 it is a point, whose canonical chart is x too.
     """
-    std = standard_config("sphere", [2]).jets[0]
+    std = standard_config("sphere", [order]).jets[0]
     x0, y0, _ = std.center.coords()
-    x_of_y = hensel_sqrt(poly_to_series(Poly([1, 0, -1]), y0, 2), x0)
+    x_of_y = hensel_sqrt(poly_to_series(Poly([1, 0, -1]), y0, order), x0)
     d = jet_to_json(std)
     d["chart"] = "y"
-    d["graph"] = {"g": ["0", "0"], "h": [str(c) for c in x_of_y.coeffs]}
+    d["graph"] = {"g": ["0"] * order, "h": [str(c) for c in x_of_y.coeffs]}
     return d
 
 

@@ -211,6 +211,20 @@ def test_certify_rejects_singular_moebius():
         certify_twist(TorusMoebius.of([[1, 2], [2, 4]], [[1, 0], [0, 1]]))
 
 
+@pytest.mark.parametrize("mx, my", [
+    ([[0, 1, 7], [1, 0]], [[1, 0], [0, 1]]),
+    ([[0, 1], [1, 0]], [[1, 0], [0, 1], [2, 3]]),
+    ([[0, 1], [1]], [[1, 0], [0, 1]]),
+])
+def test_moebius_matrix_must_be_2x2(mx, my):
+    with pytest.raises(PreconditionFailed, match="2x2"):
+        TorusMoebius.of(mx, my)
+    with pytest.raises(PreconditionFailed, match="2x2"):
+        word_from_json({"surface": TORUS, "generators": [
+            {"type": "moebius", "mx": [[str(e) for e in r] for r in mx],
+             "my": [[str(e) for e in r] for r in my]}]})
+
+
 def test_inverse_keeps_certificate():
     g = certify_twist(SphereTwist.of("y", [1, 0, -1], [0, 2], [1, 0, 1]))
     assert g.inverse().certificate is not None

@@ -284,12 +284,18 @@ def test_torus_chart_field_of_wrong_json_type_is_invalid(tmp_path, capsys,
 
 
 def test_noncanonical_sphere_chart_is_invalid(tmp_path, capsys):
-    std = std_file(tmp_path, "std.json", SPHERE, [2])
-    bad = write(tmp_path / "bad.json", {"surface": SPHERE, "partition": [2],
-                                        "jets": [noncanonical_sphere_jet_json()]})
-    assert main(["verify", "--word", identity_word(tmp_path, SPHERE),
-                 "--from", std, "--to", bad]) == INVALID
-    assert "canonical chart is x, stored y" in capsys.readouterr().err
+    # at order 1, synth used to fail its own final check (exit 3) and
+    # verify to give a negative verdict
+    for order in (2, 1):
+        std = std_file(tmp_path, "std.json", SPHERE, [order])
+        bad = write(tmp_path / "bad.json",
+                    {"surface": SPHERE, "partition": [order],
+                     "jets": [noncanonical_sphere_jet_json(order)]})
+        assert main(["verify", "--word", identity_word(tmp_path, SPHERE),
+                     "--from", std, "--to", bad]) == INVALID
+        assert "canonical chart is x, stored y" in capsys.readouterr().err
+        assert main(["synth", "--job", bad, "--out", str(tmp_path / "w.json")]) == INVALID
+        assert "canonical chart is x, stored y" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("chart", ["w", "coords", ["x"]])
@@ -326,6 +332,21 @@ def test_word_arrays_must_be_lists(tmp_path, capsys, g):
     assert "must be a JSON list" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mx, my", [
+    ([["0", "1", "7"], ["1", "0"]], [["1", "0"], ["0", "1"]]),
+    ([["0", "1"], ["1", "0"]], [["1", "0"], ["0", "1"], ["2", "3"]]),
+    ([["0", "1"]], [["1", "0"], ["0", "1"]]),
+])
+def test_moebius_matrix_not_2x2_is_invalid(tmp_path, capsys, mx, my):
+    g = {"type": "moebius", "mx": mx, "my": my}
+    wfile = write(tmp_path / "w.json", {"surface": TORUS, "generators": [g]})
+    jfile = write(tmp_path / "jet.json", jet_to_json(standard_config(TORUS, [1]).jets[0]))
+    assert main(["apply", "--word", wfile, "--jet", jfile]) == INVALID
+    assert main(["compose", wfile, wfile, "--out", str(tmp_path / "c.json")]) == INVALID
+    assert not (tmp_path / "c.json").exists()
+    assert capsys.readouterr().err.count("a moebius matrix must be 2x2") == 2
+
+
 @pytest.mark.parametrize("surface, key, value", [
     (TORUS, "center", ["51", "31"]),  # would read as (5, 3)
     (SPHERE, "center", "100"),        # would read as (1, 0, 0)
@@ -342,6 +363,19 @@ def test_jet_arrays_must_be_lists(tmp_path, capsys, surface, key, value):
     assert main(["apply", "--word", identity_word(tmp_path, surface),
                  "--jet", jfile]) == INVALID
     assert "must be a JSON list" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("surface, key", [(TORUS, "f"), (SPHERE, "g"), (SPHERE, "h")])
+def test_short_graph_list_is_invalid(tmp_path, capsys, surface, key):
+    # an order-3 torus jet with "f": ["7"] used to load as 7, 0, 0
+    jet = jet_to_json(standard_config(surface, [3]).jets[0])
+    jet["graph"][key] = jet["graph"][key][:1]
+    jfile = write(tmp_path / "jet.json", jet)
+    assert main(["apply", "--word", identity_word(tmp_path, surface),
+                 "--jet", jfile]) == INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"graph {key} must hold 3 entries, not 1" in captured.err
 
 
 @pytest.mark.parametrize("order", [10 ** 9, "3", True, 2.7, 0])

@@ -270,16 +270,36 @@ def test_torus_chart_fields_must_be_json_typed():
 
 
 def test_sphere_jet_in_noncanonical_chart_refused():
-    d = noncanonical_sphere_jet_json()
-    with pytest.raises(PreconditionFailed, match="canonical chart is x, stored y"):
+    # an order-1 jet reads back in chart x, so chart y is refused for it too
+    for order in (2, 1):
+        d = noncanonical_sphere_jet_json(order)
+        with pytest.raises(PreconditionFailed, match="canonical chart is x, stored y"):
+            jet_from_json(d)
+        std = standard_config("sphere", [order]).jets[0]
+        assert jet_from_json(jet_to_json(std)) == std
+        y0 = std.center.y
+        raw = Jet("sphere", order, std.center, "y", False,
+                  tuple(Series(y0, order, [parse_scalar(c) for c in d["graph"][k]])
+                        for k in "gh"))
+        assert jet_validate(raw).problems == ["canonical chart is x, stored y"]
+
+
+@pytest.mark.parametrize("surface, key, coeffs", [
+    ("torus", "f", ["7"]),            # would load as 7, 0, 0
+    ("torus", "f", ["7", "0", "0", "0"]),
+    ("sphere", "g", ["0"]),
+    ("sphere", "h", []),
+])
+def test_graph_list_of_wrong_length_refused(monkeypatch, surface, key, coeffs):
+    d = jet_to_json(standard_config(surface, [3]).jets[0])
+    d["graph"][key] = coeffs
+
+    def no_series(*args, **kwargs):
+        raise AssertionError("a series was allocated")
+
+    monkeypatch.setattr(Series, "__init__", no_series)
+    with pytest.raises(PreconditionFailed, match=f"graph {key} must hold 3 entries"):
         jet_from_json(d)
-    std = standard_config("sphere", [2]).jets[0]
-    assert jet_from_json(jet_to_json(std)) == std
-    y0 = std.center.y
-    raw = Jet("sphere", 2, std.center, "y", False,
-              tuple(Series(y0, 2, [parse_scalar(c) for c in d["graph"][k]])
-                    for k in "gh"))
-    assert jet_validate(raw).problems == ["canonical chart is x, stored y"]
 
 
 @pytest.mark.parametrize("order", [0, MAX_JET_ORDER + 1, 10 ** 9, "3", True, 2.7])

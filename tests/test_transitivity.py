@@ -1,6 +1,8 @@
 """Rational enumeration, separation and normalization stages, and synthesis."""
 
+import hashlib
 import itertools
+import json
 import os
 import subprocess
 import sys
@@ -476,3 +478,43 @@ def test_word_check_raises_under_optimize():
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["optimize", "1", "raised"]
+
+
+def _pinned_jobs():
+    """Three fixed synthesis jobs, each touching a different stage."""
+    # torus: a point over x = infinity and a vertical order-2 jet, so the
+    # chart Moebius map and the non-verticality shear both appear
+    at_infinity = Jet.torus(TorusPoint(ProjPoint.infinity(), ProjPoint.affine(3)),
+                            1, Series(ZERO, 1, [scal(3)]))
+    vertical = Jet.torus(TorusPoint.affine(2, 5), 2, Series(scal(5), 2, [2, 0]),
+                         transposed=True)
+    yield "torus", lambda: synth_torus([at_infinity, vertical])
+    # sphere [2, 1]: an order-2 jet at (1/3, 2/3, 2/3) with tangent
+    # (1, 0, -1/2), then a point with the same x, so separation needs its
+    # generic rotation
+    c2 = sphere_point_stereo(1, 2)
+    c1 = SpherePoint.of(Fraction(1, 3), Fraction(-2, 3), Fraction(2, 3))
+    jets = [Jet.sphere(c2, 2, Series(c2.x, 2, [c2.y, 0]),
+                       Series(c2.x, 2, [c2.z, scal(Fraction(-1, 2))])),
+            Jet.sphere(c1, 1, Series(c1.x, 1, [c1.y]), Series(c1.x, 1, [c1.z]))]
+    yield "sphere", lambda: synth_sphere(jets)
+    pin = [Jet.torus(TorusPoint.affine(10, 10), 1, Series(scal(10), 1, [10]))]
+    frm = [Jet.torus(TorusPoint.affine(5, 7), 2, Series(scal(5), 2, [7, 2]))]
+    to = [Jet.torus(TorusPoint.affine(0, 1), 2, Series(ZERO, 2, [1, -1]))]
+    yield "pair", lambda: synth_pair(frm, to, pin)
+
+
+# SHA-256 of json.dumps(word_to_json(word), sort_keys=True), recorded when
+# synthesis still had one pipeline per surface; a change that alters a
+# word must say why and record the new hash
+_PINNED_WORDS = {
+    "torus": "cb668fced973849888cdb6fdc6428b10e8d3d1f197ebee2274fe404d8c5e79dd",
+    "sphere": "745a01b6e6658ed7fe11edc6c67938ef0457b4bd6c83d8b579cc6672343687da",
+    "pair": "3c5c1cb88d7df403cdb14821cd04141be25402568665cb3b0113535dbc05b7d6",
+}
+
+
+def test_synthesized_words_are_pinned():
+    for name, synth in _pinned_jobs():
+        dump = json.dumps(word_to_json(synth()), sort_keys=True).encode()
+        assert hashlib.sha256(dump).hexdigest() == _PINNED_WORDS[name], name
