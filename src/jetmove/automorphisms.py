@@ -453,6 +453,8 @@ def generator_to_json(g: Generator) -> dict:
 
 def generator_from_json(surface: str, d: dict) -> Generator:
     """Rebuild and re-certify; keys other than the data are ignored."""
+    if d["type"] not in ("twist", "moebius"):
+        raise PreconditionFailed(f"unknown generator type {d['type']!r}")
     if d["type"] == "moebius":
         rows = lambda m: [scalars_from_json(row, "moebius row") for row in m]
         g = TorusMoebius.of(rows(d["mx"]), rows(d["my"]))

@@ -28,7 +28,8 @@ from .dantesque import (HYPOTHESIS_NOT_MET, ISOMORPHIC, descriptor_from_json,
                         singularity_name)
 from .errors import (InternalVerificationFailure, JetmoveError,
                      RootInForbiddenRegion)
-from .surfaces import jet_from_json, jet_to_json, standard_config
+from .surfaces import (SPHERE, TORUS, jet_from_json, jet_to_json,
+                       standard_config)
 from .transitivity import first_miss, synth_pair, synth_sphere, synth_torus
 
 OK = 0
@@ -66,6 +67,8 @@ def _write_word(path: str, word) -> None:
 
 
 def _job_jets(job: dict, key: str) -> list:
+    if job["surface"] not in (TORUS, SPHERE):
+        raise JetmoveError(f"unknown job surface {job['surface']!r}")
     jets = [jet_from_json(d) for d in job[key]]
     for j in jets:
         if j.surface != job["surface"]:

@@ -53,7 +53,7 @@ class BlowupRecord:
             raise PreconditionFailed("parent must be 'base' or a record index")
         if isinstance(self.parent, bool):
             raise PreconditionFailed("parent must be 'base' or a record index")
-        if not isinstance(self.order, int) or self.order < 1:
+        if type(self.order) is not int or self.order < 1:
             raise PreconditionFailed("blow-up order must be an integer >= 1")
 
 

@@ -13,11 +13,14 @@ leans on:
 
 Scalars are immutable and canonically stored at the shallowest level that
 can represent them, so pure rationals stay plain ``Fraction`` wrappers no
-matter which tower they came from.
+matter which tower they came from.  Addition and multiplication first
+align both operands on one chain (``Scalar._aligned``), then combine
+their (a, b) pairs over it.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import isqrt
 from typing import Union
@@ -92,16 +95,10 @@ class Scalar:
     __slots__ = ("tower", "a", "b", "_sign")
 
     def __init__(self, tower, a, b):
-        # internal: use scal() / _rat() / _ext() instead
         self.tower = tower
         self.a = a
         self.b = b
         self._sign = None
-
-    @staticmethod
-    def _rat(f: Fraction) -> Scalar:
-        s = Scalar(None, f, None)
-        return s
 
     @staticmethod
     def _ext(tower: Tower, a: Scalar, b: Scalar) -> Scalar:
@@ -130,37 +127,36 @@ class Scalar:
         """View self as (a, b) over ``tower``, which must contain self."""
         if self.tower is tower:
             return self.a, self.b
-        return self, _zero_scalar()
+        return self, ZERO
 
-    def _combine(self, other: Scalar, op) -> Scalar:
-        x, y = self, other
-        tx, ty = x.tower, y.tower
-        if tx is ty:
-            return op(x, y, tx)
+    def _aligned(self, other: RatLike) -> tuple[Tower | None, Scalar, Scalar]:
+        """Coerce ``other`` and return (tower, x, y) with x, y the operands
+        over one chain: the longer one when one chain contains the other,
+        else the chain _merge_chains builds, where alignment runs again."""
+        other = scal(other)
+        tx, ty = self.tower, other.tower
+        if tx is ty or _is_ancestor(ty, tx):
+            return tx, self, other
         if _is_ancestor(tx, ty):
-            return op(x, y, ty)
-        if _is_ancestor(ty, tx):
-            return op(x, y, tx)
-        merged, embed = _merge_chains(tx, ty)
-        return embed(x)._combine(embed(y), op)
+            return ty, self, other
+        _, embed = _merge_chains(tx, ty)
+        return embed(self)._aligned(embed(other))
 
     # -- arithmetic ------------------------------------------------------
 
     def __add__(self, other):
-        other = scal(other)
-        def add(x, y, t):
-            if t is None:
-                return Scalar._rat(x.a + y.a)
-            xa, xb = x._parts_over(t)
-            ya, yb = y._parts_over(t)
-            return Scalar._ext(t, xa + ya, xb + yb)
-        return self._combine(other, add)
+        t, x, y = self._aligned(other)
+        if t is None:
+            return Scalar(None, x.a + y.a, None)
+        xa, xb = x._parts_over(t)
+        ya, yb = y._parts_over(t)
+        return Scalar._ext(t, xa + ya, xb + yb)
 
     __radd__ = __add__
 
     def __neg__(self):
         if self.tower is None:
-            return Scalar._rat(-self.a)
+            return Scalar(None, -self.a, None)
         return Scalar(self.tower, -self.a, -self.b)
 
     def __sub__(self, other):
@@ -170,19 +166,17 @@ class Scalar:
         return scal(other) + (-self)
 
     def __mul__(self, other):
-        other = scal(other)
-        def mul(x, y, t):
-            if t is None:
-                return Scalar._rat(x.a * y.a)
-            xa, xb = x._parts_over(t)
-            ya, yb = y._parts_over(t)
-            if xb.is_zero():
-                return Scalar._ext(t, xa * ya, xa * yb)
-            if yb.is_zero():
-                return Scalar._ext(t, xa * ya, xb * ya)
-            r = t.radicand
-            return Scalar._ext(t, xa * ya + xb * yb * r, xa * yb + xb * ya)
-        return self._combine(other, mul)
+        t, x, y = self._aligned(other)
+        if t is None:
+            return Scalar(None, x.a * y.a, None)
+        xa, xb = x._parts_over(t)
+        ya, yb = y._parts_over(t)
+        if xb.is_zero():
+            return Scalar._ext(t, xa * ya, xa * yb)
+        if yb.is_zero():
+            return Scalar._ext(t, xa * ya, xb * ya)
+        r = t.radicand
+        return Scalar._ext(t, xa * ya + xb * yb * r, xa * yb + xb * ya)
 
     __rmul__ = __mul__
 
@@ -190,7 +184,7 @@ class Scalar:
         if self.is_zero():
             raise ZeroDivisionError("scalar inverse of zero")
         if self.tower is None:
-            return Scalar._rat(1 / self.a)
+            return Scalar(None, 1 / self.a, None)
         a, b, r = self.a, self.b, self.tower.radicand
         # (a + b*sqrt(r))^-1 = (a - b*sqrt(r)) / (a^2 - b^2 r); the norm is
         # nonzero because r is a certified non-square of the parent level
@@ -208,7 +202,7 @@ class Scalar:
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        out = _one_scalar()
+        out = ONE
         base = self
         while n:
             if n & 1:
@@ -290,27 +284,19 @@ class Scalar:
         return f"Scalar({scalar_to_str(self)})"
 
 
-def _zero_scalar() -> Scalar:
-    return Scalar._rat(_ZERO)
-
-
-def _one_scalar() -> Scalar:
-    return Scalar._rat(Fraction(1))
-
-
 def scal(x: RatLike) -> Scalar:
     """Coerce an int, Fraction or string into a Scalar."""
     if isinstance(x, Scalar):
         return x
     if isinstance(x, (int, Fraction)):
-        return Scalar._rat(Fraction(x))
+        return Scalar(None, Fraction(x), None)
     if isinstance(x, str):
         return parse_scalar(x)
     raise TypeError(f"cannot coerce {type(x).__name__} to Scalar")
 
 
-ZERO = _zero_scalar()
-ONE = _one_scalar()
+ZERO = Scalar(None, _ZERO, None)
+ONE = Scalar(None, Fraction(1), None)
 
 
 # -- chain merging -------------------------------------------------------
@@ -341,7 +327,7 @@ def _merge_chains(t1, t2):
         root = try_sqrt(rad, merged)
         if root is None:
             merged = Tower.extend(merged, rad)
-            root = Scalar._ext(merged, _zero_scalar(), _one_scalar())
+            root = Scalar(merged, ZERO, ONE)
         images[level] = root
     return merged, embed
 
@@ -375,9 +361,9 @@ def _try_sqrt_in(s: Scalar, chain: Tower | None) -> Scalar | None:
             return None
         rn, rd = isqrt(n), isqrt(d)
         if rn * rn == n and rd * rd == d:
-            return Scalar._rat(Fraction(rn, rd))
+            return Scalar(None, Fraction(rn, rd), None)
         return None
-    a, b = s._parts_over(chain) if s.tower is chain else (s, _zero_scalar())
+    a, b = s._parts_over(chain)
     parent, r = chain.parent, chain.radicand
     if b.is_zero():
         u = _try_sqrt_in(a, parent)
@@ -385,8 +371,7 @@ def _try_sqrt_in(s: Scalar, chain: Tower | None) -> Scalar | None:
             return u
         v = _try_sqrt_in(a / r, parent)
         if v is not None:
-            gen = Scalar._ext(chain, _zero_scalar(), _one_scalar())
-            return v * gen
+            return v * Scalar(chain, ZERO, ONE)
         return None
     # t = u + v*sqrt(r) with 2uv = b forces u^2 to solve a quadratic whose
     # discriminant a^2 - b^2 r is a square exactly when s is one
@@ -417,12 +402,12 @@ def scalar_sqrt_adjoin(s: RatLike) -> Scalar:
     if s.sign() < 0:
         raise NegativeRadicand(f"sqrt of negative scalar {s}")
     if s.is_zero():
-        return _zero_scalar()
+        return ZERO
     root = try_sqrt(s)
     if root is not None:
         return root
     tower = Tower.extend(s.tower, s)
-    return Scalar._ext(tower, _zero_scalar(), _one_scalar())
+    return Scalar(tower, ZERO, ONE)
 
 
 # -- rational sqrt enclosures -------------------------------------------
@@ -484,108 +469,107 @@ def scalar_to_str(s: Scalar) -> str:
 MAX_SQRT_NESTING = 64
 
 
+# one token, after any whitespace: a run of digits, the word sqrt, any
+# other single character, or the empty string at the end of the text
+_TOKEN = re.compile(r"\s*(\d+|sqrt|\S|\Z)")
+
+
 class _ScalarParser:
     """Recursive-descent parser for the scalar text form.
 
     Grammar:  expr := term (('+'|'-') term)*
               term := factor ('*' factor)*
               factor := rational | 'sqrt' '(' expr ')' | '-' factor
-    Square roots are built through scalar_sqrt_adjoin, so parsing a file
-    reconstructs the same canonical towers the writer used.  Leading
-    signs fold in a loop, and ``sqrt(`` nesting deeper than
-    MAX_SQRT_NESTING is refused with ValueError, so hostile text cannot
-    exhaust the interpreter stack.
+              rational := digits ('/' digits)?
+    ``tok`` is the one token of lookahead, matched by _TOKEN from the end
+    of the previous one, so the text is never split into a list; ``pos``
+    and ``end`` are its span.  Square roots are built through
+    scalar_sqrt_adjoin, so parsing a file reconstructs the same canonical
+    towers the writer used.  Leading signs fold in a loop, and ``sqrt(``
+    nesting deeper than MAX_SQRT_NESTING is refused with ValueError, so
+    hostile text cannot exhaust the interpreter stack.
     """
 
     def __init__(self, text: str):
         self.text = text
-        self.pos = 0
-        self.depth = 0
+        self.tok, self.end, self.depth = "", 0, 0
+        self.take()
 
-    def error(self, msg):
+    def error(self, msg, at=None):
         shown = self.text if len(self.text) <= 40 else self.text[:40] + "..."
-        raise ValueError(f"bad scalar {shown!r} at {self.pos}: {msg}")
+        at = self.pos if at is None else at
+        raise ValueError(f"bad scalar {shown!r} at {at}: {msg}")
 
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self):
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+    def take(self) -> str:
+        """Consume the lookahead token, match the next one, and return the
+        consumed one."""
+        tok = self.tok
+        m = _TOKEN.match(self.text, self.end)
+        self.tok = m[1]
+        self.pos, self.end = m.span(1)
+        return tok
 
     def parse(self) -> Scalar:
         v = self.expr()
-        self.skip_ws()
-        if self.pos != len(self.text):
+        if self.tok:
             self.error("trailing input")
         return v
 
     def expr(self) -> Scalar:
         v = self.term()
-        while True:
-            c = self.peek()
-            if c == "+":
-                self.pos += 1
-                v = v + self.term()
-            elif c == "-":
-                self.pos += 1
-                v = v - self.term()
-            else:
-                return v
+        while self.tok in ("+", "-"):
+            op = self.take()
+            rhs = self.term()
+            v = v + rhs if op == "+" else v - rhs
+        return v
 
     def term(self) -> Scalar:
         v = self.factor()
-        while self.peek() == "*":
-            self.pos += 1
+        while self.tok == "*":
+            self.take()
             v = v * self.factor()
         return v
 
     def factor(self) -> Scalar:
         negate = False
-        while self.peek() == "-":
-            self.pos += 1
+        while self.tok == "-":
+            self.take()
             negate = not negate
-        v = self.radical() if self.text.startswith("sqrt", self.pos) \
-            else self.rational()
+        v = self.radical() if self.tok == "sqrt" else self.rational()
         return -v if negate else v
 
     def radical(self) -> Scalar:
-        self.pos += 4
-        if self.peek() != "(":
+        self.take()
+        if self.tok != "(":
             self.error("expected ( after sqrt")
-        self.pos += 1
         self.depth += 1
         if self.depth > MAX_SQRT_NESTING:
-            self.error(f"sqrt nested deeper than {MAX_SQRT_NESTING}")
+            self.error(f"sqrt nested deeper than {MAX_SQRT_NESTING}", self.end)
+        self.take()
         inner = self.expr()
-        if self.peek() != ")":
+        if self.tok != ")":
             self.error("expected )")
-        self.pos += 1
+        self.take()
         self.depth -= 1
         return scalar_sqrt_adjoin(inner)
 
+    def digits(self, msg: str) -> int:
+        # _TOKEN's \d is exactly str.isdecimal, so this tests for a digit run
+        if not self.tok.isdecimal():
+            self.error(msg)
+        return int(self.tok)
+
     def rational(self) -> Scalar:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            self.error("expected a number")
-        num = int(self.text[start:self.pos])
+        num = self.digits("expected a number")
+        self.take()
         den = 1
-        if self.peek() == "/":
-            self.pos += 1
-            self.skip_ws()
-            start = self.pos
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                self.pos += 1
-            if self.pos == start:
-                self.error("expected a denominator")
-            den = int(self.text[start:self.pos])
+        if self.tok == "/":
+            self.take()
+            den = self.digits("expected a denominator")
             if den == 0:
-                self.error("zero denominator")
-        return Scalar._rat(Fraction(num, den))
+                self.error("zero denominator", self.end)
+            self.take()
+        return Scalar(None, Fraction(num, den), None)
 
 
 def parse_scalar(text: str) -> Scalar:

@@ -532,3 +532,12 @@ def test_json_load_recertifies():
 def test_json_rejects_unknown_surface():
     with pytest.raises(MixedSurfaces):
         word_from_json({"surface": "cylinder", "generators": []})
+
+
+@pytest.mark.parametrize("surface", [TORUS, SPHERE])
+def test_json_rejects_unknown_generator_type(surface):
+    # the data keys of a certified torus twist, under a type nobody writes
+    g = {"type": "banana", "axis": "y", "p": ["0", "0", "1"],
+         "q": ["1", "0", "1"]}
+    with pytest.raises(PreconditionFailed, match="unknown generator type 'banana'"):
+        word_from_json({"surface": surface, "generators": [g]})

@@ -123,6 +123,16 @@ def test_synth_rejects_shared_centers(tmp_path, capsys):
     assert "invalid job" in capsys.readouterr().err
 
 
+def test_unknown_job_surface_is_invalid(tmp_path, capsys):
+    job = write(tmp_path / "k.json", {"surface": "klein", "jets": []})
+    out = tmp_path / "w.json"
+    assert main(["synth", "--job", job, "--out", str(out)]) == INVALID
+    assert not out.exists()
+    word = identity_word(tmp_path, SPHERE)
+    assert main(["verify", "--word", word, "--from", job, "--to", job]) == INVALID
+    assert capsys.readouterr().err.count("unknown job surface 'klein'") == 2
+
+
 def test_synth_rejects_partition_mismatch(tmp_path, capsys, torus_targets):
     job = job_file(tmp_path, "job.json", TORUS, torus_targets,
                    partition=[3, 1])
@@ -319,6 +329,16 @@ def test_zero_denominator_is_invalid(tmp_path, capsys):
     assert err.startswith("cannot read input") and "zero denominator" in err
 
 
+@pytest.mark.parametrize("entry", [7, None, 1.5, ["1"]])
+def test_non_string_scalar_is_invalid(tmp_path, capsys, entry):
+    jet = jet_to_json(standard_config(TORUS, [1]).jets[0])
+    jet["graph"]["f"] = [entry]
+    jfile = write(tmp_path / "jet.json", jet)
+    assert main(["apply", "--word", identity_word(tmp_path, TORUS),
+                 "--jet", jfile]) == INVALID
+    assert capsys.readouterr().err.startswith("cannot read input")
+
+
 @pytest.mark.parametrize("g", [
     # "q": "12" would read as 1 + 2x
     {"type": "twist", "axis": "y", "p": ["0", "0", "1"], "q": "12"},
@@ -467,6 +487,15 @@ def test_classify_invalid_descriptor(tmp_path, capsys):
     b = desc_file(tmp_path, "b.json", "sphere", [])
     assert main(["classify", a, b]) == INVALID
     assert "invalid descriptor" in capsys.readouterr().err
+
+
+def test_classify_refuses_bool_order(tmp_path, capsys):
+    # true would read as a weight-1 blow-up, isomorphic to b
+    a = write(tmp_path / "a.json", {"base": "sphere",
+                                    "records": [{"parent": "base", "order": True}]})
+    b = desc_file(tmp_path, "b.json", "sphere", [1])
+    assert main(["classify", a, b]) == INVALID
+    assert "blow-up order must be an integer" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,8 @@ def test_record_validation():
     with pytest.raises(PreconditionFailed):
         BlowupRecord(True, 1)
     with pytest.raises(PreconditionFailed):
+        BlowupRecord(BASE, True)
+    with pytest.raises(PreconditionFailed):
         SurfaceDescriptor("plane")
 
 

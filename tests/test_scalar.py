@@ -1,5 +1,6 @@
 """Exact scalar arithmetic in quadratic extension towers."""
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -99,6 +100,47 @@ def test_parse_folds_signs_and_caps_sqrt_nesting():
     assert parse_scalar(deepest) > 1
     with pytest.raises(ValueError, match=f"nested deeper than {limit}"):
         parse_scalar("sqrt(" + deepest + ")")
+
+
+# sums of rational multiples of products of sqrt(2), sqrt(3) and the
+# nested sqrt(2 + sqrt(2)), whose chain merges with both of the others
+_BASIS = [ONE, s2, s3, scalar_sqrt_adjoin(2 + s2)]
+_BASIS += [x * y for i, x in enumerate(_BASIS[1:], 1) for y in _BASIS[i + 1:]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.fractions(min_value=-9, max_value=9,
+                                       max_denominator=9),
+                          st.sampled_from(_BASIS)), max_size=4))
+def test_text_round_trip_in_towers(terms):
+    s = sum((scal(c) * b for c, b in terms), ZERO)
+    assert parse_scalar(scalar_to_str(s)) == s
+
+
+@pytest.mark.parametrize("text, at, msg", [
+    ("1 + x", 4, "expected a number"),
+    ("", 0, "expected a number"),
+    ("3/ x", 3, "expected a denominator"),
+    ("sqrt 2", 5, "expected ( after sqrt"),
+    ("sqrt(2 3)", 7, "expected )"),
+    ("1 2", 2, "trailing input"),
+])
+def test_parse_error_messages(text, at, msg):
+    with pytest.raises(ValueError) as err:
+        parse_scalar(text)
+    assert str(err.value) == f"bad scalar {text!r} at {at}: {msg}"
+
+
+def test_parse_long_sign_run_in_bounded_memory():
+    # tokens are matched one at a time, never collected into a list
+    text = "-" * 200_000 + "1"
+    tracemalloc.start()
+    try:
+        assert parse_scalar(text) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_zero_denominator_is_refused():

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import sys
 from pathlib import Path
 
 import jetmove
@@ -10,15 +11,37 @@ PACKAGE = Path(jetmove.__file__).resolve().parent
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
+def _package_nodes():
+    """(file:line, node) for every AST node of every package module."""
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            yield f"{path.relative_to(PACKAGE)}:{getattr(node, 'lineno', 0)}", node
+
+
 def test_no_assert_statements():
     # python -O strips assert statements, so every check the package relies
     # on must raise an error instead
-    found = []
-    for path in sorted(PACKAGE.rglob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        found += [f"{path.relative_to(PACKAGE)}:{node.lineno}"
-                  for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    found = [where for where, node in _package_nodes()
+             if isinstance(node, ast.Assert)]
     assert not found, f"assert statements in {', '.join(found)}"
+
+
+def test_runtime_imports_only_the_standard_library():
+    # the package runs on a bare interpreter: it imports itself and the
+    # standard library, nothing that needs installing
+    allowed = {"jetmove", *sys.stdlib_module_names}
+    found = []
+    for where, node in _package_nodes():
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found += [f"{where} {name}" for name in names
+                  if name.split(".")[0] not in allowed]
+    assert not found, f"imports outside the standard library: {found}"
 
 
 def _resolves(module: str, path: str) -> bool:
