@@ -24,7 +24,21 @@ def _coerce_value(value, center: Scalar, order: int) -> Series:
 
 
 def _strip_node(m: Poly, c: Scalar) -> Poly:
-    """m / (x - c) by synthetic division; (x - c) must divide m."""
+    """m / (x - c) by synthetic division; (x - c) must divide m.
+
+    For rational m and c = a/b, Gauss's lemma makes the integer form of m
+    (z over den) divisible by b x - a in Z[x], so the quotient w comes
+    from exact integer divisions and m / (x - c) is b w / den.
+    """
+    form = m.int_form() if c.tower is None else None
+    if form is not None:
+        z, den = form
+        a, b = c.a.numerator, c.a.denominator
+        w = [0] * (len(z) - 1)
+        acc = 0
+        for k in range(len(z) - 1, 0, -1):
+            acc = w[k - 1] = (z[k] + a * acc) // b
+        return Poly.from_ints([b * v for v in w], den)
     q = list(m.coeffs[1:])
     for k in range(len(q) - 2, -1, -1):
         q[k] = q[k] + q[k + 1] * c

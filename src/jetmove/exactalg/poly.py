@@ -3,23 +3,58 @@
 The zero polynomial is the empty coefficient tuple and has degree -1 by
 convention here; callers that need the "no degree" reading test is_zero
 first.  All arithmetic is exact.
+
+A polynomial whose coefficients are all rational also has an integer
+form: one integer vector over one common denominator, computed once
+(``int_form``; a Poly never changes, so it never goes stale).  The
+Taylor shift to a rational center, and so evaluation at a rational
+point, and the product of two rational polynomials run on that form in
+Python ints, with one gcd per output coefficient instead of one per
+step.  A tower coefficient or a tower center takes the Scalar loop.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable
 
-from .scalar import ONE, ZERO, RatLike, Scalar, scal
+from .scalar import ZERO, RatLike, Scalar, scal
 
 
 class Poly:
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_ints")
 
     def __init__(self, coeffs: Iterable[RatLike] = ()):
         cs = [scal(c) for c in coeffs]
         while cs and cs[-1].is_zero():
             cs.pop()
         self.coeffs = tuple(cs)
+        self._ints = None
+
+    @staticmethod
+    def from_ints(ints: list[int], den: int) -> Poly:
+        """The rational polynomial sum(ints[k] x^k) / den, for den > 0 and
+        ints empty or ending in a nonzero entry, with its integer form
+        stored reduced by the common content."""
+        g = gcd(den, *ints)
+        ints, den = tuple(z // g for z in ints), den // g
+        p = Poly.__new__(Poly)
+        p.coeffs = tuple(Scalar(None, Fraction(z, den), None) for z in ints)
+        p._ints = (ints, den)
+        return p
+
+    def int_form(self) -> tuple[tuple[int, ...], int] | None:
+        """(integer vector, common denominator) when every coefficient is
+        rational, else None."""
+        if self._ints is None:
+            if any(c.tower is not None for c in self.coeffs):
+                self._ints = False
+            else:
+                den = lcm(*(c.a.denominator for c in self.coeffs))
+                self._ints = (tuple(c.a.numerator * (den // c.a.denominator)
+                                    for c in self.coeffs), den)
+        return self._ints or None
 
     @staticmethod
     def const(c: RatLike) -> Poly:
@@ -76,6 +111,14 @@ class Poly:
         other = _coerce(other)
         if self.is_zero() or other.is_zero():
             return Poly()
+        zs, zo = self.int_form(), other.int_form()
+        if zs and zo:
+            ints = [0] * (len(zs[0]) + len(zo[0]) - 1)
+            for i, a in enumerate(zs[0]):
+                if a:
+                    for j, b in enumerate(zo[0]):
+                        ints[i + j] += a * b
+            return Poly.from_ints(ints, zs[1] * zo[1])
         out = [ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a.is_zero():
@@ -129,10 +172,7 @@ class Poly:
         """
         if not isinstance(x, (int, Scalar)):
             raise TypeError(f"cannot evaluate a Poly at {type(x).__name__}")
-        acc = ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        return self.shifted_coeffs(scal(x), 1)[0]
 
     def monic(self) -> Poly:
         if self.is_zero():
@@ -141,7 +181,32 @@ class Poly:
         return Poly([c * li for c in self.coeffs])
 
     def shifted_coeffs(self, center: Scalar, n: int) -> list[Scalar]:
-        """First n Taylor coefficients of self around ``center``."""
+        """First n Taylor coefficients of self around ``center``.
+
+        At a rational center a/b of a rational polynomial the shift runs
+        over Z: den b^d p(y / b) has integer coefficients, its synthetic
+        divisions at the integer a give T_j den b^(d-j) with T_j the
+        wanted coefficients, and each T_j is formed once, as a Fraction.
+        """
+        form = self.int_form() if center.tower is None else None
+        if form is not None:
+            ints, den = form
+            d = len(ints) - 1
+            a, b = center.a.numerator, center.a.denominator
+            w, scale = list(ints), 1
+            for k in range(d, -1, -1):
+                w[k] *= scale
+                scale *= b
+            kept = min(n, d + 1)
+            for j in range(min(n, d)):
+                for k in range(d - 1, j - 1, -1):
+                    w[k] += a * w[k + 1]
+            out = [ZERO] * n
+            den *= b ** (d - kept + 1)
+            for j in range(kept - 1, -1, -1):
+                out[j] = Scalar(None, Fraction(w[j], den), None)
+                den *= b
+            return out
         rem = list(self.coeffs)
         out = []
         for _ in range(n):

@@ -468,6 +468,11 @@ def scalar_to_str(s: Scalar) -> str:
 # parser's recursion on hostile text
 MAX_SQRT_NESTING = 64
 
+# far beyond the longest digit run an emitted word holds (133 digits on
+# the seed-1 benchmark words) and below int()'s default 4300-digit cap, so
+# the parser, not that interpreter-wide setting, refuses a longer run
+MAX_SCALAR_DIGITS = 4000
+
 
 # one token, after any whitespace: a run of digits, the word sqrt, any
 # other single character, or the empty string at the end of the text
@@ -487,7 +492,8 @@ class _ScalarParser:
     scalar_sqrt_adjoin, so parsing a file reconstructs the same canonical
     towers the writer used.  Leading signs fold in a loop, and ``sqrt(``
     nesting deeper than MAX_SQRT_NESTING is refused with ValueError, so
-    hostile text cannot exhaust the interpreter stack.
+    hostile text cannot exhaust the interpreter stack; so is a digit run
+    longer than MAX_SCALAR_DIGITS, before int() sees it.
     """
 
     def __init__(self, text: str):
@@ -557,6 +563,8 @@ class _ScalarParser:
         # _TOKEN's \d is exactly str.isdecimal, so this tests for a digit run
         if not self.tok.isdecimal():
             self.error(msg)
+        if len(self.tok) > MAX_SCALAR_DIGITS:
+            self.error(f"more than {MAX_SCALAR_DIGITS} digits")
         return int(self.tok)
 
     def rational(self) -> Scalar:

@@ -10,6 +10,7 @@ are coefficient lists, lowest degree first.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 F = Fraction
 
@@ -45,6 +46,15 @@ def p_eval(a, x):
     for c in reversed(a):
         acc = acc * x + c
     return acc
+
+
+def p_taylor(a, c, n):
+    """First n Taylor coefficients of ``a`` around ``c``, by the binomial
+    sum t_j = sum_k C(k, j) a_k c^(k-j); the entries of ``a`` and ``c``
+    may be Fractions or the package's scalars."""
+    zero = c - c
+    return [sum((a[k] * comb(k, j) * c ** (k - j) for k in range(j, len(a))), zero)
+            for j in range(n)]
 
 
 def s_mul(a, b):

@@ -1,14 +1,17 @@
 """End-to-end checks of the batch front end, driven in process."""
 
 import json
+import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from conftest import (PYPROJECT, noncanonical_sphere_jet_json,
                       parse_project_scripts, wrapper_source)
+import jetmove
 from jetmove.automorphisms import apply_jet, word_from_json
 from jetmove.cli import INTERNAL, INVALID, NEGATIVE, OK, OUT_OF_SCOPE, main
 from jetmove import cli
@@ -17,6 +20,7 @@ from jetmove.errors import InternalVerificationFailure
 from jetmove.exactalg import ONE, ZERO, Series, scal
 from jetmove.surfaces import (
     Jet,
+    ProjPoint,
     SPHERE,
     TORUS,
     TorusPoint,
@@ -430,6 +434,32 @@ def test_apply_prints_transported_jet(tmp_path, capsys, torus_targets):
     printed = jet_from_json(json.loads(capsys.readouterr().out))
     word = word_from_json(json.loads((tmp_path / "word.json").read_text()))
     assert printed == apply_jet(word, src)
+
+
+def test_synth_verify_apply_under_optimize(tmp_path):
+    """The CLI's guarantees hold with asserts stripped: synth, verify and
+    apply run as ``python -O`` on a torus job with a point over x = oo,
+    and apply carries the standard point onto its target."""
+    over_inf = Jet.torus(TorusPoint(ProjPoint.infinity(), ProjPoint.affine(3)),
+                         1, Series(ZERO, 1, [scal(3)]))
+    affine = Jet.torus(TorusPoint.affine(Fraction(2, 3), -5), 1,
+                       Series(scal(Fraction(2, 3)), 1, [scal(-5)]))
+    job = job_file(tmp_path, "job.json", TORUS, [over_inf, affine])
+    std = std_file(tmp_path, "std.json", TORUS, [1, 1])
+    src = write(tmp_path / "jet.json", jet_to_json(standard_config(TORUS, [1, 1]).jets[0]))
+    word = str(tmp_path / "word.json")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(jetmove.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+
+    def cli(*argv):
+        proc = subprocess.run([sys.executable, "-O", "-m", "jetmove.cli", *argv],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == OK, proc.stderr
+        return proc.stdout
+
+    cli("synth", "--job", job, "--out", word)
+    assert "ok: 2 jets verified" in cli("verify", "--word", word, "--from", std, "--to", job)
+    assert jet_from_json(json.loads(cli("apply", "--word", word, "--jet", src))) == over_inf
 
 
 def test_compose_concatenates(tmp_path, capsys, torus_targets):

@@ -3,13 +3,17 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import rand_fraction
 from jetmove.errors import DuplicateCenter, ZeroPolynomial
-from jetmove.exactalg import (NEG_INF, POS_INF, Poly, Series, cauchy_bound,
-                              crt_combine, isolate_root, poly_to_series, scal,
-                              sturm_root_count)
-from oracles import count_closed, count_line
+from jetmove.exactalg import (NEG_INF, ONE, POS_INF, Poly, Series,
+                              cauchy_bound, crt_combine, crt_with_modulus,
+                              isolate_root, poly_to_series, scal,
+                              scalar_sqrt_adjoin, sturm_root_count)
+from jetmove.exactalg.crt import _strip_node
+from oracles import count_closed, count_line, p_divmod, p_mul, p_taylor
 
 x = Poly.x()
 
@@ -99,3 +103,72 @@ def _mul_lists(a, b):
         for j, v in enumerate(b):
             out[i + j] += u * v
     return out
+
+
+# ---------------------------------------------------------------------------
+# the integer path of node products, node stripping and interpolation
+# against the Fraction oracle
+
+s2 = scalar_sqrt_adjoin(2)
+node = st.one_of(st.just(Fraction(0)), st.integers(-9, -1).map(Fraction),
+                 st.fractions(min_value=-5, max_value=5, max_denominator=9))
+nodes = st.lists(st.tuples(node, st.integers(1, 3)), min_size=1, max_size=4,
+                 unique_by=lambda ne: ne[0])
+
+
+def _node_product(items):
+    m = [Fraction(1)]
+    for c, e in items:
+        for _ in range(e):
+            m = p_mul(m, [-c, Fraction(1)])
+    return m
+
+
+@settings(max_examples=60, deadline=None)
+@given(nodes, st.data())
+def test_crt_with_modulus_agrees_with_oracle(items, data):
+    residues = []
+    for c, e in items:
+        vals = data.draw(st.lists(node, min_size=e, max_size=e))
+        residues.append((scal(c), e, Series(scal(c), e, vals)))
+    p, m = crt_with_modulus(residues)
+    assert list(m.coeffs) == _node_product(items)
+    assert p.is_zero() or p.degree < m.degree
+    for c, e, val in residues:
+        assert p_taylor(list(p.coeffs), c, e) == list(val.coeffs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(nodes, st.integers(0, 3))
+def test_strip_node_agrees_with_oracle(items, k):
+    m = _node_product(items)
+    c = items[k % len(items)][0]
+    quo, rem = p_divmod(m, [-c, Fraction(1)])
+    assert rem == []
+    assert list(_strip_node(Poly(m), scal(c)).coeffs) == quo
+
+
+def test_strip_node_at_high_degree_and_constants():
+    m = _node_product([(Fraction(k, 7), 1) for k in range(-14, 15)])
+    assert len(m) == 30
+    for c in (Fraction(-2), Fraction(0), Fraction(13, 7)):
+        assert list(_strip_node(Poly(m), scal(c)).coeffs) == \
+            p_divmod(m, [-c, Fraction(1)])[0]
+    assert _strip_node(Poly([5]), scal(Fraction(1, 3))).is_zero()
+    assert _strip_node(Poly(), scal(2)).is_zero()
+
+
+@pytest.mark.parametrize("c, values", [
+    (Fraction(1, 3), [s2, 1 - s2]),            # tower values, rational node
+    (1 + s2, [Fraction(2, 5), Fraction(-1)]),  # a tower node
+])
+def test_crt_and_strip_node_fall_back_on_towers(c, values):
+    c = scal(c)
+    residues = [(c, 2, Series(c, 2, values)), (scal(-1), 1, scal(3))]
+    p, m = crt_with_modulus(residues)
+    assert list(m.coeffs) == p_mul(p_mul([-c, ONE], [-c, ONE]), [ONE, ONE])
+    for center, e, val in residues:
+        val = val if isinstance(val, Series) else Series.constant(val, center, 1)
+        assert p_taylor(list(p.coeffs), center, e) == list(val.coeffs)
+    tower_m = Poly([s2, 1]) * Poly([-c, 1])
+    assert _strip_node(tower_m, c) == Poly([s2, 1])

@@ -3,14 +3,15 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import rand_poly, rand_series
 from jetmove.errors import NotAUnit, SeriesContextMismatch
 from jetmove.exactalg import (ONE, ZERO, Poly, Series, compose_centered,
                               hensel_sqrt, poly_gcd, poly_to_series, scal,
-                              square_free_part)
+                              scalar_sqrt_adjoin, square_free_part)
+from oracles import p_eval, p_mul, p_taylor, trim
 
 x = Poly.x()
 
@@ -129,3 +130,70 @@ def test_poly_divmod_law(a, b):
     quo, rem = p.divmod(q)
     assert quo * q + rem == p
     assert rem.is_zero() or rem.degree < q.degree
+
+
+# ---------------------------------------------------------------------------
+# the integer path of rational polynomials against the Fraction oracle
+
+s2 = scalar_sqrt_adjoin(2)
+coeff = st.fractions(min_value=-40, max_value=40, max_denominator=12)
+center = st.one_of(st.just(Fraction(0)), st.integers(-9, -1).map(Fraction),
+                   st.fractions(min_value=-5, max_value=5, max_denominator=9))
+
+
+def _shift_matches(a, c, extra):
+    """shifted_coeffs of Poly(a) at c, for n up to len(a) + 1 + extra,
+    past deg + 1, equals the binomial-sum oracle, and its first
+    coefficient is Poly(a)(c)."""
+    top = len(a) + 1 + extra
+    p, want = Poly(a), p_taylor(trim(list(a)), c, top)
+    for n in (0, 1, len(a) // 2, top):
+        assert p.shifted_coeffs(scal(c), n) == want[:n]
+    assert p(scal(c)) == p_eval(trim(list(a)), c)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(coeff, max_size=8), center, st.integers(0, 4))
+@example([], Fraction(1, 3), 2)
+@example([Fraction(5, 7)], Fraction(-2), 3)
+def test_shift_agrees_with_oracle(a, c, extra):
+    _shift_matches(a, c, extra)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.lists(coeff, min_size=28, max_size=32),
+       st.fractions(min_value=1, max_value=40, max_denominator=12), center)
+def test_shift_agrees_with_oracle_at_high_degree(a, lead, c):
+    _shift_matches(a + [lead], c, 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(coeff, max_size=8), st.lists(coeff, max_size=8))
+@example([], [Fraction(3)])
+@example(list(map(Fraction, range(1, 30))), [Fraction(-1, 2), Fraction(1)])
+def test_product_agrees_with_oracle(a, b):
+    prod = Poly(a) * Poly(b)
+    assert list(prod.coeffs) == p_mul(trim(list(a)), trim(list(b)))
+    # the product's stored integer form is the one its coefficients give
+    assert prod.int_form() == Poly(prod.coeffs).int_form()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(coeff, min_size=1, max_size=6), st.integers(0, 5), center,
+       st.integers(0, 4))
+def test_tower_coefficient_takes_the_scalar_loop(a, k, c, extra):
+    a = [scal(f) for f in a]
+    a[k % len(a)] = a[k % len(a)] + s2
+    p = Poly(a)
+    assert p.int_form() is None
+    want = p_taylor(a, c, len(a) + extra)
+    assert p.shifted_coeffs(scal(c), len(a) + extra) == want
+    assert p * Poly([c, 1]) == Poly(p_mul(a, [c, Fraction(1)]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(coeff, max_size=6), center, st.integers(0, 4))
+def test_tower_center_takes_the_scalar_loop(a, c, extra):
+    at = c + s2
+    assert Poly(a).shifted_coeffs(at, len(a) + extra) == \
+        p_taylor(trim(list(a)), at, len(a) + extra)

@@ -1,5 +1,6 @@
 """Exact scalar arithmetic in quadratic extension towers."""
 
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from jetmove.errors import JetmoveError, NegativeRadicand
 from jetmove.exactalg import (ONE, ZERO, Scalar, parse_scalar, scal,
                               scalar_sqrt_adjoin, scalar_to_str, try_sqrt)
-from jetmove.exactalg.scalar import MAX_SQRT_NESTING
+from jetmove.exactalg.scalar import MAX_SCALAR_DIGITS, MAX_SQRT_NESTING
 
 s2 = scalar_sqrt_adjoin(2)
 s3 = scalar_sqrt_adjoin(3)
@@ -100,6 +101,25 @@ def test_parse_folds_signs_and_caps_sqrt_nesting():
     assert parse_scalar(deepest) > 1
     with pytest.raises(ValueError, match=f"nested deeper than {limit}"):
         parse_scalar("sqrt(" + deepest + ")")
+
+
+@pytest.mark.parametrize("int_digit_cap", [None, 0])
+def test_parse_caps_digit_runs(int_digit_cap):
+    """The digit cap is the parser's own: the same with int()'s
+    interpreter-wide cap at its default and switched off."""
+    saved = sys.get_int_max_str_digits()
+    if int_digit_cap is not None:
+        sys.set_int_max_str_digits(int_digit_cap)
+    try:
+        longest = "7" * MAX_SCALAR_DIGITS
+        assert parse_scalar(f"-1/{longest}") == Fraction(-1, int(longest))
+        for text, at in [(longest + "7", 0), ("2 + 1/" + longest + "7", 6)]:
+            with pytest.raises(ValueError) as err:
+                parse_scalar(text)
+            assert f"at {at}: more than {MAX_SCALAR_DIGITS} digits" in str(err.value)
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert sys.get_int_max_str_digits() == saved
 
 
 # sums of rational multiples of products of sqrt(2), sqrt(3) and the
