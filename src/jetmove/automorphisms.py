@@ -15,10 +15,12 @@ Three generator kinds:
 
 Every generator in a word carries a Certificate naming its proof route.
 The synthesizer attaches it as it builds the generator; what is read
-from outside is proved on load.  certify_twist proves a torus q = 1 + m^2
-from its coefficients and any other q by Sturm counts; SphereTwist.of
-recovers n/d from a sphere triple and proves the triple a multiple of
-it.  A word file holds only generator data; str(g) renders the formula.
+from outside is proved on load by its kind's ``of``, the one place that
+proves it: TorusTwist.of proves a q = 1 + m^2 from its coefficients and
+any other q by Sturm counts, TorusMoebius.of checks both determinants,
+and SphereTwist.of recovers n/d from a sphere triple and proves
+p^2 + q^2 = r^2 by one product identity.  A word file holds only
+generator data; str(g) renders the formula.
 
 AutWord composes certified generators left-to-right.  Jets move through
 their parameter form (surfaces.TorusParam or SphereParam) and come back
@@ -37,8 +39,8 @@ from dataclasses import dataclass, field, replace
 from .errors import (DegreeMismatch, IdentityFails, MixedSurfaces,
                      NotCurvilinear, PreconditionFailed, RootInForbiddenRegion)
 from .exactalg import (ONE, ZERO, Poly, Scalar, Series, compose_centered,
-                       isolate_root, poly_gcd, poly_to_series, scal,
-                       scalar_to_str, sturm_root_count, try_sqrt)
+                       hensel_sqrt, isolate_root, poly_gcd, poly_to_series,
+                       scal, scalar_to_str, sturm_root_count, try_sqrt)
 from .surfaces import (SPHERE, SPHERE_CHARTS, TORUS, Jet, SphereParam,
                        SpherePoint, TorusParam, TorusPoint, jet_from_sphere_param,
                        jet_from_torus_param, jet_parametrize, scalars_from_json)
@@ -50,16 +52,15 @@ from .surfaces import (SPHERE, SPHERE_CHARTS, TORUS, Jet, SphereParam,
 
 @dataclass(frozen=True, eq=True)
 class Certificate:
-    """The proof route a generator passed; each kind names its checks.
+    """The proof route a generator passed; each kind's ``of`` proves it.
 
     torus-twist-square: q - 1 = m^2 for an m found exactly (so q >= 1),
         deg p = deg q.
     torus-twist: Sturm count of q on the real line, deg p = deg q.
-    sphere-twist-square: (p, q, r) = lam (d^2 - n^2, 2nd, d^2 + n^2) for
-        the half-angle n/d and a nonzero constant lam, so r has no real
-        root and p^2 + q^2 = r^2.
-    sphere-twist: Sturm count of r on [-1, 1], then the same identity
-        with lam a polynomial.
+    sphere-twist-square: (r - p)(r + p) = q^2 and deg r = 2 max(deg n,
+        deg d) for the half-angle n/d, so r is a nonzero constant times
+        d^2 + n^2, which has no real root.
+    sphere-twist: Sturm count of r on [-1, 1], then the same identity.
     moebius: both matrices nonsingular.
     """
     kind: str
@@ -76,7 +77,24 @@ class TorusTwist:
 
     @staticmethod
     def of(axis: str, p, q) -> TorusTwist:
-        return TorusTwist(axis, _as_poly(p), _as_poly(q))
+        """The certified twist adding p/q to ``axis``.
+
+        q = 1 + m^2 for an m recovered from q's coefficients is proved by
+        that shape; any other q by a Sturm count on the real line.  The
+        root is checked before the degree, so a candidate failing both
+        reports the root.
+        """
+        if axis not in ("x", "y"):
+            raise PreconditionFailed("twist axis must be x or y")
+        p, q = _as_poly(p), _as_poly(q)
+        if _is_square(q - ONE):
+            kind = "torus-twist-square"
+        else:
+            _root_free(q, None, "twist")
+            kind = "torus-twist"
+        if p.degree != q.degree:
+            raise DegreeMismatch(f"deg p = {p.degree} but deg q = {q.degree}")
+        return TorusTwist(axis, p, q, Certificate(kind))
 
     def inverse(self) -> TorusTwist:
         return replace(self, p=-self.p)
@@ -96,12 +114,16 @@ class TorusMoebius:
 
     @staticmethod
     def of(mx, my) -> TorusMoebius:
+        """The certified pair; both matrices must be 2x2 and nonsingular."""
         def coerce(m):
             m = tuple(tuple(scal(e) for e in row) for row in m)
             if len(m) != 2 or any(len(row) != 2 for row in m):
                 raise PreconditionFailed("a moebius matrix must be 2x2")
             return m
-        return TorusMoebius(coerce(mx), coerce(my))
+        mx, my = coerce(mx), coerce(my)
+        if any((m[0][0] * m[1][1] - m[0][1] * m[1][0]).is_zero() for m in (mx, my)):
+            raise PreconditionFailed("moebius matrix is singular")
+        return TorusMoebius(mx, my, Certificate("moebius"))
 
     def inverse(self) -> TorusMoebius:
         adj = lambda m: ((m[1][1], -m[0][1]), (-m[1][0], m[0][0]))
@@ -129,11 +151,14 @@ class SphereTwist:
     def of(fixed: str, p, q, r) -> SphereTwist:
         """The certified twist with cos = p/r and sin = q/r.
 
-        Its half-angle is n/d = q/(r + p).  When p^2 + q^2 = r^2 and
-        r != 0, r is a polynomial lam times d^2 + n^2, which has no real
-        root because n and d are coprime; so a nonzero constant lam needs
-        no root count.  Any other r is Sturm-checked on [-1, 1] before
-        the identity, so a candidate failing both reports the root.
+        Its half-angle is n/d = q/(r + p), and p^2 + q^2 = r^2 is checked
+        as (r - p)(r + p) = q^2.  When that holds, r is a polynomial lam
+        times d^2 + n^2, which has no real root because n and d are
+        coprime, and whose leading coefficient is positive; so lam is a
+        nonzero constant, needing no root count, exactly when
+        deg r = 2 max(deg n, deg d).  Any other r is Sturm-checked on
+        [-1, 1] before the identity, so a candidate failing both reports
+        the root.
         """
         if fixed not in ("x", "y", "z"):
             raise PreconditionFailed("fixed coordinate must be x, y or z")
@@ -146,17 +171,15 @@ class SphereTwist:
             d = s // g
             unit = d.lead().inverse()
             n, d = q // g * unit, d * unit
-        tw = SphereTwist(fixed, n, d)
-        cos, sin, norm = tw.triple()
-        lam, rem = r.divmod(norm)
-        if rem.is_zero() and lam.degree == 0:
+        holds = (r - p) * s == q * q
+        if holds and r.degree == 2 * max(n.degree, d.degree):
             kind = "sphere-twist-square"
         else:
             _root_free(r, (scal(-1), scal(1)), "rotation")
             kind = "sphere-twist"
-        if not (rem.is_zero() and p == lam * cos and q == lam * sin):
+        if not holds:
             raise IdentityFails("p^2 + q^2 differs from r^2")
-        return replace(tw, certificate=Certificate(kind))
+        return SphereTwist(fixed, n, d, certificate=Certificate(kind))
 
     def triple(self) -> tuple[Poly, Poly, Poly]:
         """(p, q, r) = (d^2 - n^2, 2nd, d^2 + n^2)."""
@@ -170,9 +193,10 @@ class SphereTwist:
 
     def __str__(self):
         v = self.fixed
-        p, q, r = self.triple()
-        return (f"rotate about {v} by angle with cos = p/r, sin = q/r, "
-                f"p = {p.str_in(v)}, q = {q.str_in(v)}, r = {r.str_in(v)}")
+        if self.d.is_zero():
+            return f"rotate about {v} by a half turn"
+        return (f"rotate about {v} by angle with tan(angle/2) = "
+                f"({self.n.str_in(v)})/({self.d.str_in(v)})")
 
 
 def _as_poly(p) -> Poly:
@@ -240,10 +264,11 @@ def _root_free(pol: Poly, interval, kind: str) -> None:
 def _is_square(d: Poly) -> bool:
     """Whether d = m^2 for a polynomial m found from the top down.
 
-    The leading root comes from try_sqrt in the tower of d's leading
-    coefficient; each lower coefficient of m then follows linearly.  The
-    final product check makes True exact; False only means no such m
-    was found, and the caller falls back to Sturm.
+    Reversed, d is a series in 1/x whose square root's leading term
+    comes from try_sqrt in the tower of d's leading coefficient; its
+    top k + 1 coefficients fix m of degree k, found by hensel_sqrt.
+    The final product check makes True exact; False only means no such
+    m was found, and the caller falls back to Sturm.
     """
     if d.is_zero() or d.degree % 2:
         return False
@@ -251,47 +276,22 @@ def _is_square(d: Poly) -> bool:
     if lead is None:
         return False
     k = d.degree // 2
-    m = [ZERO] * k + [lead]
-    half_inv = (lead + lead).inverse()
-    for i in range(k - 1, -1, -1):
-        rest = ZERO
-        for j in range(i + 1, k):
-            rest = rest + m[j] * m[k + i - j]
-        m[i] = (d[k + i] - rest) * half_inv
-    mp = Poly(m)
-    return mp * mp == d
+    top = Series(ZERO, k + 1, d.coeffs[k:][::-1])
+    m = Poly(hensel_sqrt(top, lead).coeffs[::-1])
+    return m * m == d
 
 
 def certify_twist(g: Generator) -> Generator:
-    """Prove the generator is a well-defined automorphism on real points.
-
-    Root conditions are checked before shape conditions, so a candidate
-    failing both reports the root.  A torus q = 1 + m^2 is recognized
-    from its coefficients and proved directly; any other q falls back to
-    Sturm counts.  A sphere twist is proved by SphereTwist.of.
-    """
+    """The generator certified: as it is when it carries a certificate,
+    otherwise proved by its kind's ``of``."""
     if g.certificate is not None:
         return g
     if isinstance(g, TorusTwist):
-        if g.axis not in ("x", "y"):
-            raise PreconditionFailed("twist axis must be x or y")
-        if _is_square(g.q - ONE):
-            kind = "torus-twist-square"
-        else:
-            _root_free(g.q, None, "twist")
-            kind = "torus-twist"
-        if g.p.degree != g.q.degree:
-            raise DegreeMismatch(
-                f"deg p = {g.p.degree} but deg q = {g.q.degree}")
-        return replace(g, certificate=Certificate(kind))
+        return TorusTwist.of(g.axis, g.p, g.q)
+    if isinstance(g, TorusMoebius):
+        return TorusMoebius.of(g.mx, g.my)
     if isinstance(g, SphereTwist):
         return SphereTwist.of(g.fixed, *g.triple())
-    if isinstance(g, TorusMoebius):
-        for m in (g.mx, g.my):
-            det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
-            if det.is_zero():
-                raise PreconditionFailed("moebius matrix is singular")
-        return replace(g, certificate=Certificate("moebius"))
     raise PreconditionFailed(f"unknown generator {type(g).__name__}")
 
 
@@ -457,12 +457,10 @@ def generator_from_json(surface: str, d: dict) -> Generator:
         raise PreconditionFailed(f"unknown generator type {d['type']!r}")
     if d["type"] == "moebius":
         rows = lambda m: [scalars_from_json(row, "moebius row") for row in m]
-        g = TorusMoebius.of(rows(d["mx"]), rows(d["my"]))
-    elif surface == TORUS:
-        g = TorusTwist(d["axis"], _poly_from_json(d["p"]), _poly_from_json(d["q"]))
-    else:
-        return SphereTwist.of(d["fixed"], *(_poly_from_json(d[k]) for k in "pqr"))
-    return certify_twist(g)
+        return TorusMoebius.of(rows(d["mx"]), rows(d["my"]))
+    if surface == TORUS:
+        return TorusTwist.of(d["axis"], *(_poly_from_json(d[k]) for k in "pq"))
+    return SphereTwist.of(d["fixed"], *(_poly_from_json(d[k]) for k in "pqr"))
 
 
 def word_to_json(w: AutWord) -> dict:

@@ -3,8 +3,8 @@
 A Series is an element of F[x] / (x - center)^order, stored as exactly
 ``order`` ascending coefficients.  Series are immutable and arithmetic is
 only defined between series sharing both center and order; changing the
-order is an explicit act (truncate down, lift_zero up) because padding
-with zeros is a choice of lift, not a no-op.
+order is an explicit act (truncate down); there is no lift up, because
+padding with zeros is a choice of lift, not a no-op.
 """
 
 from __future__ import annotations
@@ -142,16 +142,6 @@ class Series:
         if order > self.order:
             raise ValueError("truncate cannot raise the order")
         return Series(self.center, order, self.coeffs[:order])
-
-    def lift_zero(self, order: int) -> Series:
-        """Lift to a higher order by appending zero coefficients.
-
-        This picks one lift among many; algorithms that call it must not
-        depend on which lift they got beyond the original order.
-        """
-        if order < self.order:
-            raise ValueError("lift_zero cannot lower the order")
-        return Series(self.center, order, self.coeffs)
 
     def to_poly(self) -> Poly:
         """The canonical polynomial lift, expanded in powers of x.

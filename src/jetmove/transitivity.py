@@ -39,8 +39,7 @@ from .errors import (DuplicatePoints, EnumerationExhausted,
                      InternalVerificationFailure, MixedSurfaces, NotDistant,
                      OrderMismatch, PreconditionFailed, ensure)
 from .exactalg import (ONE, ZERO, Poly, Scalar, Series, crt_combine,
-                       crt_with_modulus, hensel_sqrt, poly_to_series, scal,
-                       scalar_sqrt_adjoin)
+                       crt_with_modulus, scal, scalar_sqrt_adjoin)
 from .surfaces import (SPHERE, TORUS, Jet, SpherePoint, TorusPoint, jet_is_vertical,
                        jet_tangent_vector, jets_mutually_distant,
                        sphere_standard_center, standard_config,
@@ -415,9 +414,9 @@ def solve_rotation_parameter(f: Series, g: Series, h: Series) -> Series:
 
     f is the height of a circle jet (x^2 + f^2 = 1), (g, h) the target
     graphs (x^2 + g^2 + h^2 = 1), all at the same center and order, with
-    f and g sharing the nonzero center value.  Lifts f, g, h to order
-    e + 2 val(h), where the quotient h/(f+g) is provably exact, then
-    truncates back.
+    f and g sharing the nonzero center value y.  f + g has value 2y, so
+    it is a unit, and a = h/(f + g) solves both at the jet's own order:
+    h^2 = f^2 - g^2 gives 1 + a^2 = 2f/(f + g) and 1 - a^2 = 2g/(f + g).
     """
     e, c = f.order, f.center
     if g.order != e or h.order != e or not (g.center == c and h.center == c):
@@ -431,15 +430,7 @@ def solve_rotation_parameter(f: Series, g: Series, h: Series) -> Series:
         raise PreconditionFailed("x^2 + f^2 is not 1 at this order")
     if not (var * var + g * g + h * h == one):
         raise PreconditionFailed("x^2 + g^2 + h^2 is not 1 at this order")
-    d = h.valuation()
-    if d == e:
-        return Series.constant(0, c, e)
-    lifted = e + 2 * d
-    u = poly_to_series(Poly([1, 0, -1]), c, lifted)
-    fbar = hensel_sqrt(u, y)
-    hbar = h.lift_zero(lifted)
-    gbar = hensel_sqrt(u - hbar * hbar, y)
-    a = (hbar * (fbar + gbar).invert()).truncate(e)
+    a = h * (f + g).invert()
     aa = a * a
     ensure((one - aa) * f == (one + aa) * g, "rotation parameter misses g")
     ensure((a + a) * f == (one + aa) * h, "rotation parameter misses h")

@@ -187,3 +187,35 @@ def euler_resolve_then_contract(base_chi: int, orders) -> int:
             chain_chi = 0 * (e - 1) - (e - 2)
             chi += 1 - chain_chi
     return chi
+
+
+def sphere_route(p, q, r):
+    """The proof of a sphere triple by the half-angle multiple lam.
+
+    n/d = q/(r + p) in lowest terms with d monic (the half turn n = 1,
+    d = 0 when r + p = 0); r = lam (d^2 + n^2) exactly by division, and
+    a nonzero constant lam is the square route; any other r is first
+    root-counted on [-1, 1].  Returns (route, n, d), or the name of the
+    error raised: ZeroPolynomial, RootInForbiddenRegion or IdentityFails.
+    """
+    s = p_add(r, p)
+    if not s:
+        n, d = [F(1)], []
+    else:
+        g = p_gcd(q, s)
+        n, d = p_divmod(q, g)[0], p_divmod(s, g)[0]
+        n, d = p_scale(n, 1 / d[-1]), p_scale(d, 1 / d[-1])
+    nn, dd, nd = p_mul(n, n), p_mul(d, d), p_mul(n, d)
+    cos, sin, norm = p_add(dd, p_scale(nn, F(-1))), p_add(nd, nd), p_add(dd, nn)
+    lam, rem = p_divmod(r, norm)
+    if not rem and len(lam) == 1:
+        route = "sphere-twist-square"
+    elif not r:
+        return "ZeroPolynomial"
+    elif count_closed(r, F(-1), F(1)):
+        return "RootInForbiddenRegion"
+    else:
+        route = "sphere-twist"
+    if rem or p != p_mul(lam, cos) or q != p_mul(lam, sin):
+        return "IdentityFails"
+    return route, n, d

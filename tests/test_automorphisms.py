@@ -3,11 +3,11 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import rand_sphere_jet, rand_sphere_point, rand_torus_jet
-from oracles import series_horner
+from oracles import p_add, p_mul, p_scale, series_horner, sphere_route
 
 from jetmove import automorphisms
 from jetmove.automorphisms import (
@@ -29,6 +29,7 @@ from jetmove.automorphisms import (
 from jetmove.errors import (
     DegreeMismatch,
     IdentityFails,
+    JetmoveError,
     MixedSurfaces,
     PreconditionFailed,
     RootInForbiddenRegion,
@@ -60,6 +61,19 @@ def test_certify_torus_twist_sturm_route():
     # q - 1 = x^2 + x + 1 is no square, yet q = x^2 + x + 2 has no real root
     g = certify_twist(TorusTwist.of("y", [0, 0, 1], [2, 1, 1]))
     assert g.certificate.kind == "torus-twist"
+    # the square recovery at its edges: constants (k = 0), zero, odd
+    # degree, a leading coefficient that is negative or has no rational
+    # root, a square lead on a non-square, and a tower leading coefficient
+    is_square = automorphisms._is_square
+    s2 = scalar_sqrt_adjoin(2)
+    m = Poly([ONE, s2, ONE + s2])
+    for d in (Poly.const(4), Poly.const(1), Poly.const(ONE + s2) ** 2, m * m,
+              Poly([Fraction(1, 4), 1, 1])):
+        assert is_square(d), d
+    for d in (Poly(), Poly.const(3), Poly.const(-4), Poly([0, 0, 0, 1]),
+              Poly([1, 1]), Poly([1, 0, -1]), Poly([0, 0, 2]), Poly([1, 1, 1]),
+              m * m + Poly.const(1), Poly.const(s2)):
+        assert not is_square(d), d
 
 
 _S2, _S3 = scalar_sqrt_adjoin(2), scalar_sqrt_adjoin(3)
@@ -150,6 +164,52 @@ def test_sphere_twist_of_recovers_half_angle(n, d, lam_kind, bump, which):
         SphereTwist.of("z", tp, tq, tr)
 
 
+F = Fraction
+_small = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+_plist = st.builds(lambda cs, c: cs + [c], st.lists(_small, max_size=2),
+                   _small.filter(lambda f: f != 0))
+
+
+@st.composite
+def _sphere_triples(draw):
+    """lam (d^2 - n^2, 2nd, d^2 + n^2) as Fraction lists, for n and d
+    possibly zero and lam a nonzero constant or polynomial, kept, made a
+    half turn (-r, 0, r), or with one entry bumped."""
+    n, d = (draw(st.one_of(st.just([]), _plist)) for _ in "nd")
+    lam = draw(_plist)
+    nn, dd, nd = p_mul(n, n), p_mul(d, d), p_mul(n, d)
+    triple = [p_mul(lam, c) for c in
+              (p_add(dd, p_scale(nn, F(-1))), p_add(nd, nd), p_add(dd, nn))]
+    shape = draw(st.sampled_from(["built", "half", "p", "q", "r"]))
+    if shape == "half":
+        return p_scale(triple[2], F(-1)), [], triple[2]
+    if shape != "built":
+        i = "pqr".index(shape)
+        triple[i] = p_add(triple[i], draw(_plist))
+    return tuple(triple)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sphere_triples())
+@example(([F(3)], [F(4)], [F(5)]))                           # constant lam
+@example(([F(12), 0, F(-3)], [F(16), 0, F(-4)], [F(20), 0, F(-5)]))  # lam = 4 - z^2
+@example(([F(1)], [F(1)], [F(1), 0, F(-2)]))                 # r has roots in [-1, 1]
+@example(([F(-2), 0, F(-1)], [], [F(2), 0, F(1)]))           # a half turn
+@example(([], [], []))                                       # the all-zero triple
+def test_sphere_twist_of_matches_lam_proof(triple):
+    # the one identity (r - p)(r + p) = q^2 and the degree rule accept what
+    # the proof by r = lam (d^2 + n^2) accepted, by the same route, with
+    # the same half-angle, and raise the same error first otherwise
+    p, q, r = triple
+    want = sphere_route(p, q, r)
+    try:
+        g = SphereTwist.of("x", Poly(p), Poly(q), Poly(r))
+    except JetmoveError as exc:
+        assert type(exc).__name__ == want
+    else:
+        assert (g.certificate.kind, g.n, g.d) == (want[0], Poly(want[1]), Poly(want[2]))
+
+
 def test_certify_rejects_denominator_root():
     # q = x^2 - 1 vanishes at +-1
     with pytest.raises(RootInForbiddenRegion) as exc:
@@ -235,8 +295,9 @@ def test_inverse_keeps_certificate():
 
 
 def test_word_rejects_uncertified_generator():
+    # the raw constructor builds an uncertified twist; ``of`` certifies
     with pytest.raises(PreconditionFailed):
-        AutWord(TORUS, (TorusTwist.of("x", [1], [1]),))
+        AutWord(TORUS, (TorusTwist("x", Poly([1]), Poly([1])),))
     # only a Certificate certifies; the certificate is keyword-only, so
     # a (p, q, r) call cannot bind r to it
     forged = SphereTwist("z", Poly([0, 1]), Poly.const(1), certificate=Poly([1]))

@@ -10,9 +10,9 @@ from pathlib import Path
 import pytest
 
 from conftest import (PYPROJECT, noncanonical_sphere_jet_json,
-                      parse_project_scripts, wrapper_source)
+                      parse_project_scripts, rand_sphere_jet, wrapper_source)
 import jetmove
-from jetmove.automorphisms import apply_jet, word_from_json
+from jetmove.automorphisms import SphereTwist, apply_jet, word_from_json
 from jetmove.cli import INTERNAL, INVALID, NEGATIVE, OK, OUT_OF_SCOPE, main
 from jetmove import cli
 from jetmove.dantesque import BASE, BlowupRecord, SurfaceDescriptor, descriptor_to_json
@@ -85,6 +85,28 @@ def test_synth_sphere_job(tmp_path, capsys, torus_targets):
     assert main(["synth", "--job", job, "--out", out]) == OK
     capsys.readouterr()
     assert main(["verify", "--word", out, "--from", job, "--to", job]) == OK
+
+
+def test_sphere_word_loads_without_triple(tmp_path, capsys, monkeypatch, rng):
+    # a load proves each stored (p, q, r) by (r - p)(r + p) = q^2 and an
+    # apply moves jets through n/d, so neither forms the triple again
+    targets = [rand_sphere_jet(rng, 2), rand_sphere_jet(rng, 1)]
+    job = job_file(tmp_path, "sjob.json", SPHERE, targets)
+    std = std_file(tmp_path, "std.json", SPHERE, [2, 1])
+    out = str(tmp_path / "sword.json")
+    assert main(["synth", "--job", job, "--out", out]) == OK
+    capsys.readouterr()
+
+    def refuse(self):
+        raise AssertionError("a sphere triple was formed again")
+
+    monkeypatch.setattr(SphereTwist, "triple", refuse)
+    word = word_from_json(json.loads(Path(out).read_text()))
+    assert any(isinstance(g, SphereTwist) for g in word.generators)
+    std_jets = standard_config(SPHERE, [2, 1]).jets
+    assert [apply_jet(word, j) for j in std_jets] == targets
+    assert main(["verify", "--word", out, "--from", std, "--to", job]) == OK
+    assert "ok: 2 jets verified" in capsys.readouterr().out
 
 
 def test_verify_reports_first_bad_coefficient(tmp_path, capsys, torus_targets):

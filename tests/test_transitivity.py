@@ -481,7 +481,7 @@ def test_word_check_raises_under_optimize():
 
 
 def _pinned_jobs():
-    """Three fixed synthesis jobs, each touching a different stage."""
+    """Four fixed synthesis jobs, each touching a different stage."""
     # torus: a point over x = infinity and a vertical order-2 jet, so the
     # chart Moebius map and the non-verticality shear both appear
     at_infinity = Jet.torus(TorusPoint(ProjPoint.infinity(), ProjPoint.affine(3)),
@@ -502,15 +502,31 @@ def _pinned_jobs():
     frm = [Jet.torus(TorusPoint.affine(5, 7), 2, Series(scal(5), 2, [7, 2]))]
     to = [Jet.torus(TorusPoint.affine(0, 1), 2, Series(ZERO, 2, [1, -1]))]
     yield "pair", lambda: synth_pair(frm, to, pin)
+    # sphere pair: order-3 jets on both sides and one pinned point, so
+    # both halves run the rotation-parameter solve at order 3
+    pin = [Jet.sphere(c1, 1, Series(c1.x, 1, [c1.y]), Series(c1.x, 1, [c1.z]))]
+    frm = [_sphere_jet3(sphere_point_stereo(2, 3), [1, 2])]
+    to = [_sphere_jet3(sphere_point_stereo(-1, 2), [Fraction(1, 2), -1])]
+    yield "sphere-pair", lambda: synth_pair(frm, to, pin)
+
+
+def _sphere_jet3(c, tail):
+    """Order-3 sphere jet at c with g = c.y + tail in powers of x - c.x,
+    and h the root of 1 - x^2 - g^2 through c.z."""
+    g = Series(c.x, 3, [c.y, *tail])
+    h = hensel_sqrt(poly_to_series(Poly([1, 0, -1]), c.x, 3) - g * g, c.z)
+    return Jet.sphere(c, 3, g, h)
 
 
 # SHA-256 of json.dumps(word_to_json(word), sort_keys=True), recorded when
-# synthesis still had one pipeline per surface; a change that alters a
-# word must say why and record the new hash
+# synthesis still had one pipeline per surface (sphere-pair: when the
+# rotation-parameter solve still lifted to order e + 2 val(h)); a change
+# that alters a word must say why and record the new hash
 _PINNED_WORDS = {
     "torus": "cb668fced973849888cdb6fdc6428b10e8d3d1f197ebee2274fe404d8c5e79dd",
     "sphere": "745a01b6e6658ed7fe11edc6c67938ef0457b4bd6c83d8b579cc6672343687da",
     "pair": "3c5c1cb88d7df403cdb14821cd04141be25402568665cb3b0113535dbc05b7d6",
+    "sphere-pair": "854549be9a44e8517100b174e4eb95edcaaeac33d0b1dc3906356e6b2d91e297",
 }
 
 
