@@ -19,6 +19,7 @@ the decidable scope.  main() alone maps exceptions to codes 2 and 3.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -177,7 +178,10 @@ def cmd_compose(args) -> int:
     return OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: parsing never changes it, and a
+    parser rebuilt per call leaves cycles for the collector."""
     ap = argparse.ArgumentParser(
         prog="jetmove",
         description="exact automorphism synthesis and surface classification")

@@ -31,14 +31,14 @@ def _strip_node(m: Poly, c: Scalar) -> Poly:
     from exact integer divisions and m / (x - c) is b w / den.
     """
     form = m.int_form() if c.tower is None else None
-    if form is not None:
-        z, den = form
+    if form is not None and form[0] is None:
+        _, (z,), den = form
         a, b = c.a.numerator, c.a.denominator
         w = [0] * (len(z) - 1)
         acc = 0
         for k in range(len(z) - 1, 0, -1):
             acc = w[k - 1] = (z[k] + a * acc) // b
-        return Poly.from_ints([b * v for v in w], den)
+        return Poly.from_ints(None, ([b * v for v in w],), den)
     q = list(m.coeffs[1:])
     for k in range(len(q) - 2, -1, -1):
         q[k] = q[k] + q[k + 1] * c

@@ -4,22 +4,25 @@ The zero polynomial is the empty coefficient tuple and has degree -1 by
 convention here; callers that need the "no degree" reading test is_zero
 first.  All arithmetic is exact.
 
-A polynomial whose coefficients are all rational also has an integer
-form: one integer vector over one common denominator, computed once
-(``int_form``; a Poly never changes, so it never goes stale).  The
-Taylor shift to a rational center, and so evaluation at a rational
-point, and the product of two rational polynomials run on that form in
-Python ints, with one gcd per output coefficient instead of one per
-step.  A tower coefficient or a tower center takes the Scalar loop.
+A polynomial whose coefficients all lie in Q, or in one quadratic field
+Q(sqrt r) with r rational (a tower of depth 1), also has an integer
+form: integer vectors over one common denominator, (A,) for A / den or
+(A, B) for (A + B sqrt r) / den, computed once (``int_form``; a Poly
+never changes, so it never goes stale).  Products of such polynomials
+over one field, the Taylor shift to a rational center, and so
+evaluation at a rational point, run on that form over Z, with one gcd
+per output coefficient instead of one per step.  Coefficients in two
+towers or in a deeper tower, and a tower center, take the Scalar loop.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from typing import Iterable
 
-from .scalar import ZERO, RatLike, Scalar, scal
+from .scalar import ZERO, RatLike, Scalar, Tower, scal
 
 
 class Poly:
@@ -33,27 +36,42 @@ class Poly:
         self._ints = None
 
     @staticmethod
-    def from_ints(ints: list[int], den: int) -> Poly:
-        """The rational polynomial sum(ints[k] x^k) / den, for den > 0 and
-        ints empty or ending in a nonzero entry, with its integer form
-        stored reduced by the common content."""
-        g = gcd(den, *ints)
-        ints, den = tuple(z // g for z in ints), den // g
+    def from_ints(tower: Tower | None, vectors, den: int) -> Poly:
+        """The polynomial sum(A[k] x^k) / den for vectors (A,) and tower
+        None, or sum((A[k] + B[k] sqrt r) x^k) / den for vectors (A, B)
+        over the depth-1 tower Q(sqrt r); den > 0 and the last column not
+        all zero.  Its integer form is stored reduced by the common
+        content, and an all-zero B is dropped with its tower."""
+        g = gcd(den, *chain.from_iterable(vectors))
+        if g > 1:
+            den //= g
+            vectors = [[z // g for z in v] for v in vectors]
+        if len(vectors) == 2 and not any(vectors[1]):
+            tower, vectors = None, vectors[:1]
         p = Poly.__new__(Poly)
-        p.coeffs = tuple(Scalar(None, Fraction(z, den), None) for z in ints)
-        p._ints = (ints, den)
+        p.coeffs = tuple(_scalars(tower, vectors, den))
+        p._ints = (tower, tuple(map(tuple, vectors)), den)
         return p
 
-    def int_form(self) -> tuple[tuple[int, ...], int] | None:
-        """(integer vector, common denominator) when every coefficient is
-        rational, else None."""
+    def int_form(self):
+        """(tower, vectors, den) as from_ints takes them, when every
+        coefficient is rational (tower None) or lies in one depth-1 tower
+        Q(sqrt r); else None."""
         if self._ints is None:
-            if any(c.tower is not None for c in self.coeffs):
+            cs = self.coeffs
+            towers = {c.tower for c in cs}
+            towers.discard(None)
+            tower = towers.pop() if towers else None
+            if towers or (tower is not None and tower.parent is not None):
                 self._ints = False
             else:
-                den = lcm(*(c.a.denominator for c in self.coeffs))
-                self._ints = (tuple(c.a.numerator * (den // c.a.denominator)
-                                    for c in self.coeffs), den)
+                rows = ([c.a for c in cs],) if tower is None else (
+                    [c.a.a if c.tower else c.a for c in cs],
+                    [c.b.a if c.tower else 0 for c in cs])
+                den = lcm(*[f.denominator for row in rows for f in row])
+                self._ints = (tower, tuple([
+                    tuple([f.numerator * (den // f.denominator) for f in row])
+                    for row in rows]), den)
         return self._ints or None
 
     @staticmethod
@@ -105,20 +123,24 @@ class Poly:
         return _coerce(other) + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Scalar)):
-            c = scal(other)
-            return Poly([a * c for a in self.coeffs])
         other = _coerce(other)
         if self.is_zero() or other.is_zero():
             return Poly()
-        zs, zo = self.int_form(), other.int_form()
-        if zs and zo:
-            ints = [0] * (len(zs[0]) + len(zo[0]) - 1)
-            for i, a in enumerate(zs[0]):
-                if a:
-                    for j, b in enumerate(zo[0]):
-                        ints[i + j] += a * b
-            return Poly.from_ints(ints, zs[1] * zo[1])
+        fs, fo = self.int_form(), other.int_form()
+        if fs and fo and (fs[0] is fo[0] or fs[0] is None or fo[0] is None):
+            (ts, vs, ds), (to, vo, do) = fs, fo
+            if len(vs) == 1 or len(vo) == 1:
+                (x,), ys = (vs, vo) if len(vs) == 1 else (vo, vs)
+                return Poly.from_ints(ts or to, [_conv(x, y) for y in ys], ds * do)
+            # (A + B sqrt r)(C + D sqrt r) for r = num / rden is
+            # (rden AC + num BD + rden (AD + BC) sqrt r) / rden
+            (a, b), (c, d) = vs, vo
+            r = ts.radicand.a
+            num, rden = r.numerator, r.denominator
+            ac, bd = _conv(a, c), _conv(b, d)
+            mid = [u + v for u, v in zip(_conv(a, d), _conv(b, c))]
+            return Poly.from_ints(ts, ([rden * u + num * v for u, v in zip(ac, bd)],
+                                       [rden * u for u in mid]), ds * do * rden)
         out = [ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a.is_zero():
@@ -142,6 +164,8 @@ class Poly:
     def divmod(self, other: Poly) -> tuple[Poly, Poly]:
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
+        if other.degree == 0:
+            return self * other.lead().inverse(), Poly()
         q = [ZERO] * max(0, self.degree - other.degree + 1)
         rem = list(self.coeffs)
         dlead = other.lead().inverse()
@@ -177,36 +201,35 @@ class Poly:
     def monic(self) -> Poly:
         if self.is_zero():
             return self
-        li = self.lead().inverse()
-        return Poly([c * li for c in self.coeffs])
+        return self * self.lead().inverse()
 
     def shifted_coeffs(self, center: Scalar, n: int) -> list[Scalar]:
         """First n Taylor coefficients of self around ``center``.
 
-        At a rational center a/b of a rational polynomial the shift runs
-        over Z: den b^d p(y / b) has integer coefficients, its synthetic
-        divisions at the integer a give T_j den b^(d-j) with T_j the
-        wanted coefficients, and each T_j is formed once, as a Fraction.
+        At a rational center a/b of a polynomial with an integer form the
+        shift runs over Z, on each vector alone (the shift is Q-linear):
+        den b^d v(y / b) has integer coefficients, its synthetic divisions
+        at the integer a give T_j den b^(d-j) with T_j the wanted
+        coefficients, and each T_j is formed once.
         """
         form = self.int_form() if center.tower is None else None
         if form is not None:
-            ints, den = form
-            d = len(ints) - 1
+            tower, vectors, den = form
+            d = len(vectors[0]) - 1
             a, b = center.a.numerator, center.a.denominator
-            w, scale = list(ints), 1
-            for k in range(d, -1, -1):
-                w[k] *= scale
-                scale *= b
             kept = min(n, d + 1)
-            for j in range(min(n, d)):
-                for k in range(d - 1, j - 1, -1):
-                    w[k] += a * w[k + 1]
-            out = [ZERO] * n
+            ws = []
+            for v in vectors:
+                w, scale = list(v), 1
+                for k in range(d, -1, -1):
+                    w[k] *= scale
+                    scale *= b
+                for j in range(min(n, d)):
+                    for k in range(d - 1, j - 1, -1):
+                        w[k] += a * w[k + 1]
+                ws.append(w[:kept])
             den *= b ** (d - kept + 1)
-            for j in range(kept - 1, -1, -1):
-                out[j] = Scalar(None, Fraction(w[j], den), None)
-                den *= b
-            return out
+            return _scalars(tower, ws, den, b) + [ZERO] * (n - kept)
         rem = list(self.coeffs)
         out = []
         for _ in range(n):
@@ -242,6 +265,33 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({self})"
+
+
+def _scalars(tower: Tower | None, vectors, den: int, b: int = 1) -> list[Scalar]:
+    """The canonical scalars A[k] / den_k for vectors (A,), or
+    (A[k] + B[k] sqrt r) / den_k over ``tower`` for (A, B), where den_k
+    is den for the last entry and gains a factor b per step down; one
+    with B[k] = 0 is demoted to the rational, as Scalar._ext does."""
+    a_s = vectors[0]
+    b_s = vectors[1] if tower is not None else None
+    out = [ZERO] * len(a_s)
+    for k in range(len(a_s) - 1, -1, -1):
+        x = Scalar(None, Fraction(a_s[k], den), None)
+        if b_s and b_s[k]:
+            x = Scalar(tower, x, Scalar(None, Fraction(b_s[k], den), None))
+        out[k] = x
+        den *= b
+    return out
+
+
+def _conv(x, y) -> list[int]:
+    """The product of two integer coefficient vectors."""
+    out = [0] * (len(x) + len(y) - 1)
+    for i, a in enumerate(x):
+        if a:
+            for j, b in enumerate(y):
+                out[i + j] += a * b
+    return out
 
 
 def _coerce(p) -> Poly:

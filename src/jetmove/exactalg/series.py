@@ -2,9 +2,9 @@
 
 A Series is an element of F[x] / (x - center)^order, stored as exactly
 ``order`` ascending coefficients.  Series are immutable and arithmetic is
-only defined between series sharing both center and order; changing the
-order is an explicit act (truncate down); there is no lift up, because
-padding with zeros is a choice of lift, not a no-op.
+only defined between series sharing both center and order; no method
+changes the order of a series, because padding with zeros is a choice of
+lift, not a no-op.
 """
 
 from __future__ import annotations
@@ -137,11 +137,6 @@ class Series:
             if not c.is_zero():
                 return k
         return self.order
-
-    def truncate(self, order: int) -> Series:
-        if order > self.order:
-            raise ValueError("truncate cannot raise the order")
-        return Series(self.center, order, self.coeffs[:order])
 
     def to_poly(self) -> Poly:
         """The canonical polynomial lift, expanded in powers of x.

@@ -1,5 +1,6 @@
 """End-to-end checks of the batch front end, driven in process."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -548,6 +549,28 @@ def test_classify_refuses_bool_order(tmp_path, capsys):
     b = desc_file(tmp_path, "b.json", "sphere", [1])
     assert main(["classify", a, b]) == INVALID
     assert "blow-up order must be an integer" in capsys.readouterr().err
+
+
+def test_parser_is_built_once_per_process(tmp_path, capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    a = desc_file(tmp_path, "a.json", "sphere", [2])
+    b = desc_file(tmp_path, "b.json", "sphere", [3])
+    assert main(["classify", a, a]) == OK
+    assert main(["classify", a, b]) == NEGATIVE
+    with pytest.raises(SystemExit) as e:
+        main(["classify", a])
+    assert e.value.code == 2
+    assert main(["classify", b, b]) == OK
+    assert built.count("jetmove") == 1
+    assert "not-isomorphic" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from conftest import rand_poly, rand_series
 from jetmove.errors import NotAUnit, SeriesContextMismatch
-from jetmove.exactalg import (ONE, ZERO, Poly, Series, compose_centered,
+from jetmove.exactalg import (ONE, ZERO, Poly, Scalar, Series, compose_centered,
                               hensel_sqrt, poly_gcd, poly_to_series, scal,
-                              scalar_sqrt_adjoin, square_free_part)
+                              scalar_sqrt_adjoin, scalar_to_str, square_free_part)
 from oracles import p_eval, p_mul, p_taylor, trim
 
 x = Poly.x()
@@ -102,9 +102,12 @@ def test_compose_centered():
     assert got == Series(ZERO, 3, [1, 6, 9])
 
 
-def test_truncate_and_lift():
-    s = Series(ZERO, 4, [1, 2, 3, 4])
-    assert s.truncate(2) == Series(ZERO, 2, [1, 2])
+def test_series_order_is_fixed():
+    # exactly ``order`` coefficients: a short list is padded, a long one
+    # refused, since dropping terms is no identity
+    assert Series(ZERO, 4, [1, 2]).coeffs == (ONE, scal(2), ZERO, ZERO)
+    with pytest.raises(ValueError):
+        Series(ZERO, 2, [1, 2, 3])
 
 
 small = st.fractions(min_value=-6, max_value=6, max_denominator=4)
@@ -134,6 +137,7 @@ def test_poly_divmod_law(a, b):
 # the integer path of rational polynomials against the Fraction oracle
 
 s2 = scalar_sqrt_adjoin(2)
+s3 = scalar_sqrt_adjoin(3)
 coeff = st.fractions(min_value=-40, max_value=40, max_denominator=12)
 center = st.one_of(st.just(Fraction(0)), st.integers(-9, -1).map(Fraction),
                    st.fractions(min_value=-5, max_value=5, max_denominator=9))
@@ -180,8 +184,9 @@ def test_product_agrees_with_oracle(a, b):
 @given(st.lists(coeff, min_size=1, max_size=6), st.integers(0, 5), center,
        st.integers(0, 4))
 def test_tower_coefficient_takes_the_scalar_loop(a, k, c, extra):
+    # a coefficient of depth 2: only Q and one depth-1 tower have a form
     a = [scal(f) for f in a]
-    a[k % len(a)] = a[k % len(a)] + s2
+    a[k % len(a)] = a[k % len(a)] + s2 + s3
     p = Poly(a)
     assert p.int_form() is None
     want = p_taylor(a, c, len(a) + extra)
@@ -195,3 +200,119 @@ def test_tower_center_takes_the_scalar_loop(a, c, extra):
     at = c + s2
     assert Poly(a).shifted_coeffs(at, len(a) + extra) == \
         p_taylor(trim(list(a)), at, len(a) + extra)
+
+
+# ---------------------------------------------------------------------------
+# the integer path of Q(sqrt r) polynomials against the Scalar loop
+
+radicand = st.sampled_from([2, Fraction(3, 5), Fraction(7, 4),
+                            Fraction(618849, 2719201)])
+# (a, b) for a + b sqrt r; b = 0 often, so rational coefficients mix in
+qpair = st.tuples(coeff, st.one_of(st.just(Fraction(0)), coeff))
+
+
+def _q(pairs, root):
+    return [scal(a) + scal(b) * root for a, b in pairs]
+
+
+def _same(got, want):
+    """Coefficient by coefficient: one tower object, equal parts and equal
+    text.  ``want`` comes from the oracles run on the package's scalars."""
+    want = [scal(w) for w in want]
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.tower is w.tower
+        assert g.a == w.a and g.b == w.b
+        assert scalar_to_str(g) == scalar_to_str(w)
+
+
+def _check_product(f, g):
+    for x, y in ((f, g), (g, f)):
+        prod = x * y
+        _same(prod.coeffs, p_mul(list(x.coeffs), list(y.coeffs)))
+        # the stored form is the one the coefficients give
+        assert prod.int_form() == Poly(prod.coeffs).int_form()
+
+
+@settings(max_examples=60, deadline=None)
+@given(radicand, st.lists(coeff, max_size=6), st.lists(qpair, max_size=6))
+@example(2, [], [(Fraction(1), Fraction(1))])
+@example(Fraction(7, 4), [Fraction(3)], [(Fraction(0), Fraction(1, 2))])
+def test_rational_times_quadratic_matches_scalar_loop(r, a, b):
+    _check_product(Poly(a), Poly(_q(b, scalar_sqrt_adjoin(r))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(radicand, st.lists(qpair, max_size=6), st.lists(qpair, max_size=6))
+@example(Fraction(3, 5), [(Fraction(2), Fraction(0))], [(Fraction(0), Fraction(-4, 3))])
+def test_quadratic_product_matches_scalar_loop(r, a, b):
+    root = scalar_sqrt_adjoin(r)
+    f, g = Poly(_q(a, root)), Poly(_q(b, root))
+    assert f.int_form() and g.int_form()
+    _check_product(f, g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(radicand, st.lists(qpair, min_size=1, max_size=6))
+@example(2, [(Fraction(0), Fraction(1)), (Fraction(0), Fraction(-3, 2))])
+def test_product_whose_root_parts_cancel_is_rational(r, a):
+    # (A + B sqrt r)(A - B sqrt r) = A^2 - B^2 r
+    root = scalar_sqrt_adjoin(r)
+    f, conj = Poly(_q(a, root)), Poly(_q([(x, -y) for x, y in a], root))
+    if f.is_zero():
+        return
+    _check_product(f, conj)
+    tower, vectors, _ = (f * conj).int_form()
+    assert tower is None and len(vectors) == 1
+    assert all(c.tower is None for c in (f * conj).coeffs)
+
+
+@settings(max_examples=80, deadline=None)
+@given(radicand, st.lists(qpair, max_size=7), center, st.integers(0, 4))
+@example(2, [], Fraction(1, 3), 2)
+@example(Fraction(7, 4), [(Fraction(5, 7), Fraction(-1, 2))], Fraction(-2), 3)
+def test_quadratic_shift_matches_scalar_loop(r, a, c, extra):
+    p = Poly(_q(a, scalar_sqrt_adjoin(r)))
+    top = len(p.coeffs) + 1 + extra
+    want = p_taylor(list(p.coeffs), c, top)
+    for n in (0, 1, len(p.coeffs) // 2, top):
+        _same(p.shifted_coeffs(scal(c), n), want[:n])
+    _same([p(scal(c))], want[:1])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(qpair, min_size=1, max_size=4), st.lists(qpair, min_size=1, max_size=4),
+       center, st.integers(0, 3))
+def test_two_fields_deep_towers_and_tower_centers_take_the_scalar_loop(a, b, c, extra):
+    f = Poly(_q(a, s2))
+    for g in (Poly(_q(b, s3)), Poly(_q(b, s2 + s3))):
+        _check_product(f, g)
+    at = c + s2
+    _same(f.shifted_coeffs(at, len(a) + extra), p_taylor(list(f.coeffs), at, len(a) + extra))
+
+
+def test_quadratic_fast_paths_multiply_no_scalars(monkeypatch):
+    # a loaded sphere twist as synthesis builds it: n = a CRT interpolant
+    # with Q(sqrt r) values, d = 1, stored as (1 - n^2, 2n, 1 + n^2)
+    from jetmove.automorphisms import SphereTwist, _poly_from_json, generator_to_json
+    from jetmove.transitivity import rotation_twist
+    root = scalar_sqrt_adjoin(Fraction(618849, 2719201))
+    tw = rotation_twist("y", [(Fraction(-2, 7), 2, [3 * root, 5 - root]),
+                              (Fraction(5, 9), 1, Fraction(1, 4) + root)])
+    stored = generator_to_json(tw)
+    p, q, r = (_poly_from_json(stored[k]) for k in "pqr")
+    f, g = Poly(_q([(1, 2), (Fraction(-3, 5), 0), (0, 7)], root)), Poly(_q([(4, -1)], root))
+    c = scal(Fraction(-3, 4))
+    want_prod, want_shift = p_mul(list(f.coeffs), list(g.coeffs)), p_taylor(list(f.coeffs), c, 5)
+
+    def refuse(self, other):
+        raise AssertionError("a Scalar product was formed")
+
+    monkeypatch.setattr(Scalar, "__mul__", refuse)
+    prod, shift = f * g, f.shifted_coeffs(c, 5)
+    loaded = SphereTwist.of("y", p, q, r)
+    monkeypatch.undo()
+    _same(prod.coeffs, want_prod)
+    _same(shift, want_shift)
+    assert (loaded.n, loaded.d) == (tw.n, tw.d)
+    assert loaded.certificate.kind == "sphere-twist-square"
