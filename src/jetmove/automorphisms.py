@@ -38,12 +38,15 @@ from dataclasses import dataclass, field, replace
 
 from .errors import (DegreeMismatch, IdentityFails, MixedSurfaces,
                      NotCurvilinear, PreconditionFailed, RootInForbiddenRegion)
-from .exactalg import (ONE, ZERO, Poly, Scalar, Series, compose_centered,
-                       hensel_sqrt, isolate_root, poly_gcd, poly_to_series,
-                       scal, scalar_to_str, sturm_root_count, try_sqrt)
+from .exactalg import (ONE, ZERO, Poly, Scalar, Series, SturmChain,
+                       compose_centered, hensel_sqrt, poly_gcd, poly_to_series,
+                       scal, scalar_to_str, try_sqrt)
 from .surfaces import (SPHERE, SPHERE_CHARTS, TORUS, Jet, SphereParam,
                        SpherePoint, TorusParam, TorusPoint, jet_from_sphere_param,
                        jet_from_torus_param, jet_parametrize, scalars_from_json)
+
+# highest twist degree a word file may hold; a load Sturm-checks up to it
+MAX_TWIST_DEGREE = 64
 
 
 # ---------------------------------------------------------------------------
@@ -254,11 +257,12 @@ def word_inverse(w: AutWord) -> AutWord:
 
 def _root_free(pol: Poly, interval, kind: str) -> None:
     """Sturm-prove pol has no root in the region (None: the real line)."""
-    if sturm_root_count(pol, interval):
+    chain = SturmChain(pol)
+    if chain.count(interval):
         where = "the real line" if interval is None else "[-1, 1]"
         raise RootInForbiddenRegion(
             f"{kind} denominator has a root in {where}",
-            witness=isolate_root(pol, interval))
+            witness=chain.witness(interval))
 
 
 def _is_square(d: Poly) -> bool:
@@ -458,9 +462,14 @@ def generator_from_json(surface: str, d: dict) -> Generator:
     if d["type"] == "moebius":
         rows = lambda m: [scalars_from_json(row, "moebius row") for row in m]
         return TorusMoebius.of(rows(d["mx"]), rows(d["my"]))
+    arrs = [d[k] for k in ("pq" if surface == TORUS else "pqr")]
+    # bounded by list length, before any scalar is parsed
+    if any(type(a) is list and len(a) > MAX_TWIST_DEGREE + 1 for a in arrs):
+        raise PreconditionFailed(
+            f"a twist polynomial may have degree at most {MAX_TWIST_DEGREE}")
     if surface == TORUS:
-        return TorusTwist.of(d["axis"], *(_poly_from_json(d[k]) for k in "pq"))
-    return SphereTwist.of(d["fixed"], *(_poly_from_json(d[k]) for k in "pqr"))
+        return TorusTwist.of(d["axis"], *map(_poly_from_json, arrs))
+    return SphereTwist.of(d["fixed"], *map(_poly_from_json, arrs))
 
 
 def word_to_json(w: AutWord) -> dict:

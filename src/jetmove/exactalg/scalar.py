@@ -139,7 +139,7 @@ class Scalar:
             return tx, self, other
         if _is_ancestor(tx, ty):
             return ty, self, other
-        _, embed = _merge_chains(tx, ty)
+        embed = _merge_chains(tx, ty)
         return embed(self)._aligned(embed(other))
 
     # -- arithmetic ------------------------------------------------------
@@ -301,14 +301,17 @@ ONE = Scalar(None, Fraction(1), None)
 
 # -- chain merging -------------------------------------------------------
 
-def _merge_chains(t1, t2):
+def _merge_chains(t1: Tower, t2: Tower):
     """Merge two incompatible chains into one that embeds both.
 
-    Returns (merged_tower, embed) where embed re-expresses any scalar of
-    either input chain over the merged chain.  Levels of t2 whose radicand
-    becomes a square inside the partially merged chain are not duplicated;
-    their generators map to the existing root.
+    Returns embed, re-expressing any scalar of either chain over the
+    merged one: the chain whose radicand texts sort first, extended by
+    the other's levels, so it does not depend on operand order.  Levels
+    whose radicand becomes a square inside the partially merged chain
+    are not duplicated; their generators map to the existing root.
     """
+    t1, t2 = sorted((t1, t2), key=lambda t: [
+        scalar_to_str(level.radicand) for level in t.chain()])
     images: dict[Tower, Scalar] = {}
 
     def embed(s: Scalar) -> Scalar:
@@ -320,7 +323,7 @@ def _merge_chains(t1, t2):
         return s
 
     merged = t1
-    for level in (t2.chain() if t2 is not None else []):
+    for level in t2.chain():
         rad = embed(level.radicand)
         if not _is_ancestor(rad.tower, merged):
             raise IncompatibleTowers("cannot merge extension chains")
@@ -329,7 +332,7 @@ def _merge_chains(t1, t2):
             merged = Tower.extend(merged, rad)
             root = Scalar(merged, ZERO, ONE)
         images[level] = root
-    return merged, embed
+    return embed
 
 
 # -- square detection and adjunction -------------------------------------

@@ -1,118 +1,99 @@
 """Sturm-chain root counting over the exact scalar field.
 
-Counts distinct real roots, on the whole line or on a closed interval.
-The chain is built from the square-free part, so multiplicities never
-skew the count.  Roots landing exactly on an interval endpoint are
-handled by dividing the linear factor out and counting the endpoint
-separately, which keeps everything exact with no epsilon shrinking.
+One signed remainder sequence of p and p' gives the number of distinct
+real roots, on the whole line or on a closed interval, and an interval
+isolating one.  The sequence ends in g = gcd(p, p'); divided by g it is
+a Sturm sequence of the square-free part p/g (Basu, Pollack and Roy,
+Algorithms in Real Algebraic Geometry, ch. 2), so multiplicities never
+skew the count, and V(a) - V(b) counts the roots in (a, b] exactly.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from ..errors import ZeroPolynomial
-from .poly import Poly, square_free_part
-from .scalar import ONE, Scalar, scal
+from .poly import Poly
+from .scalar import Scalar, scal
 
 POS_INF = "+inf"
 NEG_INF = "-inf"
 
 
 class SturmChain:
-    """The negated-remainder sequence of a square-free polynomial."""
+    """The signed remainder sequence of a nonzero p and p', built once and
+    divided by its last element g when deg g >= 1, so that polys[0] is
+    the square-free part of p."""
 
     __slots__ = ("polys",)
 
     def __init__(self, p: Poly):
+        if p.is_zero():
+            raise ZeroPolynomial("root counting on the zero polynomial")
         chain = [p, p.derivative()]
-        while not chain[-1].is_zero() and chain[-1].degree > 0:
-            rem = chain[-2] % chain[-1]
-            if rem.is_zero():
-                break
-            chain.append(-rem)
-        self.polys = [q for q in chain if not q.is_zero()]
+        while chain[-1].degree > 0:
+            chain.append(-(chain[-2] % chain[-1]))
+        chain = [q for q in chain if not q.is_zero()]
+        g = chain[-1]
+        self.polys = [q // g for q in chain] if g.degree >= 1 else chain
 
     def variations_at(self, x) -> int:
-        signs = []
-        for q in self.polys:
-            if x == POS_INF:
-                s = q.lead().sign()
-            elif x == NEG_INF:
-                s = q.lead().sign() * (-1 if q.degree % 2 else 1)
-            else:
-                s = q(x).sign()
-            if s != 0:
-                signs.append(s)
+        """Sign changes at x or at a +-inf marker, zero signs dropped."""
+        if x == POS_INF or x == NEG_INF:
+            end = -1 if x == NEG_INF else 1
+            signs = [q.lead().sign() * end ** q.degree for q in self.polys]
+        else:
+            signs = [q(x).sign() for q in self.polys]
+        signs = [s for s in signs if s]
         return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
-    def count(self, a, b) -> int:
-        """Distinct roots in (a, b]; endpoints may be +-inf markers."""
-        return self.variations_at(a) - self.variations_at(b)
+    def count(self, interval: tuple | None = None) -> int:
+        """Distinct real roots, whole-line or in closed [a, b]."""
+        if interval is None:
+            return self.variations_at(NEG_INF) - self.variations_at(POS_INF)
+        a, b = scal(interval[0]), scal(interval[1])
+        if b < a:
+            raise ValueError("interval endpoints out of order")
+        return (self.variations_at(a) - self.variations_at(b)
+                + (self.polys[0](a).sign() == 0))
+
+    def witness(self, region: tuple | None = None) -> tuple:
+        """Exact interval (lo, hi) isolating some root in the closed region
+        (None: the whole line), for witness reporting; requires a root."""
+        sf = self.polys[0]
+        if region is None:
+            bound = cauchy_bound(sf)
+            lo, hi = -bound, bound
+        else:
+            lo, hi = scal(region[0]), scal(region[1])
+            for end in (lo, hi):
+                if sf(end).sign() == 0:
+                    return (end, end)
+        v_lo, v_hi = self.variations_at(lo), self.variations_at(hi)
+        if v_lo - v_hi < 1:
+            raise ValueError("no root to isolate in the region")
+        while v_lo - v_hi > 1:
+            mid = (lo + hi) / 2
+            if sf(mid).sign() == 0:
+                return (mid, mid)
+            v_mid = self.variations_at(mid)
+            if v_lo > v_mid:
+                hi, v_hi = mid, v_mid
+            else:
+                lo, v_lo = mid, v_mid
+        return (lo, hi)
 
 
 def cauchy_bound(p: Poly) -> Scalar:
     """B with every real root of p inside (-B, B)."""
     li = p.lead().inverse()
-    acc = scal(0)
-    for c in p.coeffs[:-1]:
-        acc = acc + abs(c * li)
-    return acc + 1
+    return sum((abs(c * li) for c in p.coeffs[:-1]), scal(0)) + 1
 
 
 def sturm_root_count(p: Poly, interval: tuple | None = None) -> int:
-    """Number of distinct real roots of p, whole-line or in closed [a, b].
-
-    Raises ZeroPolynomial for p = 0.  A nonzero constant has no roots.
-    """
-    if p.is_zero():
-        raise ZeroPolynomial("root counting on the zero polynomial")
-    if p.degree == 0:
-        return 0
-    sf = square_free_part(p)
-    if interval is None:
-        return SturmChain(sf).count(NEG_INF, POS_INF)
-    a, b = scal(interval[0]), scal(interval[1])
-    if b < a:
-        raise ValueError("interval endpoints out of order")
-    extra = 0
-    for end in (a, b):
-        if sf.degree >= 1 and sf(end).sign() == 0:
-            # sf is square-free, so the factor is simple; divide it out
-            sf = sf.divmod(Poly([-end, ONE]))[0]
-            extra += 1
-    if a == b:
-        return extra
-    if sf.degree == 0:
-        return extra
-    return SturmChain(sf).count(a, b) + extra
+    """Distinct real roots of p, whole-line or in closed [a, b]; raises
+    ZeroPolynomial for p = 0, and a nonzero constant has none."""
+    return SturmChain(p).count(interval)
 
 
 def isolate_root(p: Poly, region: tuple | None = None) -> tuple:
-    """Exact rational interval (lo, hi) isolating one real root of p.
-
-    ``region`` limits the search to a closed interval; None means the whole
-    line.  Intended for witness reporting, so it targets some root, not a
-    specific one.  Requires at least one root in the region.
-    """
-    sf = square_free_part(p)
-    chain = SturmChain(sf)
-    if region is None:
-        bound = cauchy_bound(sf)
-        lo, hi = -bound, bound
-    else:
-        lo, hi = scal(region[0]), scal(region[1])
-        for end in (lo, hi):
-            if sf(end).sign() == 0:
-                return (end, end)
-    if chain.count(lo, hi) < 1:
-        raise ValueError("no root to isolate in the region")
-    while chain.count(lo, hi) > 1:
-        mid = (lo + hi) / 2
-        if sf(mid).sign() == 0:
-            return (mid, mid)
-        if chain.count(lo, mid) >= 1:
-            hi = mid
-        else:
-            lo = mid
-    return (lo, hi)
+    """SturmChain(p).witness(region)."""
+    return SturmChain(p).witness(region)

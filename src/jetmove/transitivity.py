@@ -32,9 +32,9 @@ from fractions import Fraction
 from itertools import count
 from math import gcd
 
-from .automorphisms import (AutWord, Certificate, SphereTwist, TorusMoebius,
-                            TorusTwist, apply_jet, apply_point, word_concat,
-                            word_identity, word_inverse)
+from .automorphisms import (MAX_TWIST_DEGREE, AutWord, Certificate, SphereTwist,
+                            TorusMoebius, TorusTwist, apply_jet, apply_point,
+                            word_concat, word_identity, word_inverse)
 from .errors import (DuplicatePoints, EnumerationExhausted,
                      InternalVerificationFailure, MixedSurfaces, NotDistant,
                      OrderMismatch, PreconditionFailed, ensure)
@@ -459,7 +459,13 @@ def _verify_word(w: AutWord, sources, targets):
 
 
 def _check_config(surface: str, jets, what: str):
-    """Refuse jets off ``surface`` or sharing a center before any build."""
+    """Refuse jets off ``surface``, sharing a center or with orders summing
+    past MAX_TWIST_DEGREE // 2 (a built torus twist's q has twice that
+    degree, a sphere twist's r less, so every word loads) before any build."""
+    total = sum(j.order for j in jets)
+    if total > MAX_TWIST_DEGREE // 2:
+        raise PreconditionFailed(
+            f"{what} jet orders sum to {total}, more than {MAX_TWIST_DEGREE // 2}")
     for j in jets:
         if j.surface != surface:
             raise MixedSurfaces(f"{what} jets must all lie on the {surface}")

@@ -1,5 +1,7 @@
 """Generator certification, group structure, and the action on points and jets."""
 
+import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -9,8 +11,9 @@ from hypothesis import strategies as st
 from conftest import rand_sphere_jet, rand_sphere_point, rand_torus_jet
 from oracles import p_add, p_mul, p_scale, series_horner, sphere_route
 
-from jetmove import automorphisms
+from jetmove import automorphisms, surfaces
 from jetmove.automorphisms import (
+    MAX_TWIST_DEGREE,
     AutWord,
     SphereTwist,
     TorusMoebius,
@@ -34,8 +37,8 @@ from jetmove.errors import (
     PreconditionFailed,
     RootInForbiddenRegion,
 )
-from jetmove.exactalg import (ONE, ZERO, Poly, Series, poly_gcd, scal,
-                              scalar_sqrt_adjoin, sturm_root_count)
+from jetmove.exactalg import (ONE, ZERO, Poly, Series, SturmChain, poly_gcd,
+                              scal, scalar_sqrt_adjoin, sturm_root_count)
 from jetmove.surfaces import (
     Jet,
     ProjPoint,
@@ -252,6 +255,54 @@ def test_certify_rejects_rotation_denominator_root():
         certify_twist(SphereTwist.of("z", [1], [1], [1, 0, -2]))
     lo, hi = exc.value.witness
     assert scal(-1) <= lo and hi <= scal(1)
+
+
+# refused twists with the witnesses that counting on the square-free part,
+# in a chain built for the count and another for the witness, reported;
+# the one chain must report the same
+PINNED_REFUSALS = [
+    (lambda: TorusTwist.of("y", [1, 0, 0, 0, 0, 1], [-7, 3, 0, -2, 5, 1]),
+     "twist denominator has a root in the real line", ("-9", "-9/2")),
+    # q = (3x - 1)^2 (x^2 - 2): a double root among three
+    (lambda: TorusTwist.of("x", [0, 0, 0, 0, 1], [-2, 12, -17, -6, 9]),
+     "twist denominator has a root in the real line", ("-4", "0")),
+    (lambda: SphereTwist.of("z", [1], [1], [-1, 0, 9, 0, -4]),
+     "rotation denominator has a root in [-1, 1]", ("-1", "0")),
+    # r = (z - 1)(3z^2 + 2z + 5): the root is the endpoint 1
+    (lambda: SphereTwist.of("x", [1], [1], [-5, 3, -1, 3]),
+     "rotation denominator has a root in [-1, 1]", ("1", "1")),
+]
+
+
+@pytest.mark.parametrize("make, message, witness", PINNED_REFUSALS)
+def test_refusal_witnesses_are_pinned(make, message, witness):
+    with pytest.raises(RootInForbiddenRegion, match=re.escape(message)) as exc:
+        make()
+    assert tuple(map(str, exc.value.witness)) == witness
+
+
+def test_refusal_builds_one_chain(monkeypatch):
+    # the count and the witness come from one remainder sequence, and no
+    # separate square-free part is taken
+    built = []
+    init = SturmChain.__init__
+
+    def counting(self, p):
+        built.append(p)
+        init(self, p)
+
+    def refuse(*args):
+        raise AssertionError("square_free_part was called")
+
+    monkeypatch.setattr(SturmChain, "__init__", counting)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("jetmove") and hasattr(module, "square_free_part"):
+            monkeypatch.setattr(module, "square_free_part", refuse)
+    for make, _, _ in PINNED_REFUSALS:
+        built.clear()
+        with pytest.raises(RootInForbiddenRegion):
+            make()
+        assert len(built) == 1
 
 
 def test_certify_allows_root_outside_unit_interval():
@@ -588,6 +639,41 @@ def test_json_load_recertifies():
     d["generators"][0]["q"] = ["1", "0", "0", "0", "1"]
     with pytest.raises(DegreeMismatch):
         word_from_json(d)
+
+
+def _twist_word(surface, length):
+    """A word of one twist whose polynomials hold ``length`` entries, the
+    last 1; q (torus) or r (sphere) is 1 + x^(length - 1)."""
+    top = ["0"] * (length - 1) + ["1"]
+    if surface == TORUS:
+        return {"surface": TORUS, "generators": [
+            {"type": "twist", "axis": "y", "p": top, "q": ["1"] + top[1:]}]}
+    return {"surface": SPHERE, "generators": [
+        {"type": "twist", "fixed": "x", "p": ["1"], "q": ["0"],
+         "r": ["1"] + top[1:]}]}
+
+
+@pytest.mark.parametrize("surface", [TORUS, SPHERE])
+def test_twist_degree_refused_before_any_scalar(monkeypatch, surface):
+    word = _twist_word(surface, MAX_TWIST_DEGREE + 2)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the load went past the length check")
+
+    monkeypatch.setattr(surfaces, "parse_scalar", refuse)
+    monkeypatch.setattr(automorphisms, "SturmChain", refuse)
+    with pytest.raises(PreconditionFailed,
+                       match=f"degree at most {MAX_TWIST_DEGREE}"):
+        word_from_json(word)
+
+
+def test_twist_degree_limit_is_inclusive():
+    # q = 1 + x^64 loads by its square shape; r = 1 + x^64 with p = 1,
+    # q = 0 fails only the identity, after the Sturm count found no root
+    g, = word_from_json(_twist_word(TORUS, MAX_TWIST_DEGREE + 1)).generators
+    assert g.q.degree == MAX_TWIST_DEGREE
+    with pytest.raises(IdentityFails):
+        word_from_json(_twist_word(SPHERE, MAX_TWIST_DEGREE + 1))
 
 
 def test_json_rejects_unknown_surface():

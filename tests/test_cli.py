@@ -13,7 +13,8 @@ import pytest
 from conftest import (PYPROJECT, noncanonical_sphere_jet_json,
                       parse_project_scripts, rand_sphere_jet, wrapper_source)
 import jetmove
-from jetmove.automorphisms import SphereTwist, apply_jet, word_from_json
+from jetmove.automorphisms import (MAX_TWIST_DEGREE, SphereTwist, apply_jet,
+                                   word_from_json)
 from jetmove.cli import INTERNAL, INVALID, NEGATIVE, OK, OUT_OF_SCOPE, main
 from jetmove import cli
 from jetmove.dantesque import BASE, BlowupRecord, SurfaceDescriptor, descriptor_to_json
@@ -185,6 +186,22 @@ def test_bad_word_fails_certification(tmp_path, capsys, torus_targets):
         == INVALID
     err = capsys.readouterr().err
     assert "certification failed" in err and "witness" in err
+
+
+def test_load_limits_exit_invalid(tmp_path, capsys):
+    # a twist polynomial past MAX_TWIST_DEGREE in a word, and jet orders
+    # summing past half of it in a job, are both invalid input
+    long = ["1"] + ["0"] * MAX_TWIST_DEGREE + ["1"]
+    wfile = write(tmp_path / "long.json", {"surface": TORUS, "generators": [
+        {"type": "twist", "axis": "y", "p": long, "q": long}]})
+    std = std_file(tmp_path, "std.json", TORUS, [1])
+    assert main(["verify", "--word", wfile, "--from", std, "--to", std]) == INVALID
+    assert f"degree at most {MAX_TWIST_DEGREE}" in capsys.readouterr().err
+    total = MAX_TWIST_DEGREE // 2 + 1
+    job = std_file(tmp_path, "big.json", TORUS, [total])
+    assert main(["synth", "--job", job, "--out", str(tmp_path / "w.json")]) == INVALID
+    assert f"jet orders sum to {total}" in capsys.readouterr().err
+    assert not (tmp_path / "w.json").exists()
 
 
 def test_pair_mode_job(tmp_path, capsys):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import rand_fraction
 from jetmove.errors import DuplicateCenter, ZeroPolynomial
-from jetmove.exactalg import (NEG_INF, ONE, POS_INF, Poly, Series,
+from jetmove.exactalg import (NEG_INF, ONE, POS_INF, Poly, Series, SturmChain,
                               cauchy_bound, crt_combine, crt_with_modulus,
                               isolate_root, poly_to_series, scal,
                               scalar_sqrt_adjoin, sturm_root_count)
@@ -95,6 +95,48 @@ def test_sturm_agrees_with_bisection_oracle(rng):
         p = Poly(frs)
         assert sturm_root_count(p) == count_line(frs)
         assert sturm_root_count(p, (scal(-1), scal(1))) == count_closed(frs, -1, 1)
+
+
+def test_sturm_agrees_with_sympy(rng):
+    # an independent implementation: distinct real roots on the whole line
+    # and on closed [-1, 1] (count_roots), and the chain's first element
+    # against sqf_part up to a constant, with multiple roots and roots at
+    # the endpoints +-1 mixed in
+    sympy = pytest.importorskip("sympy")
+    sx = sympy.Symbol("x")
+
+    def sym(frs):
+        return sympy.Poly([sympy.Rational(f.numerator, f.denominator)
+                           for f in reversed(frs)], sx)
+
+    for _ in range(120):
+        frs = [rand_fraction(rng, 5, 5) for _ in range(rng.randint(1, 4))]
+        if all(f == 0 for f in frs):
+            frs[-1] = Fraction(1)
+        for _ in range(rng.randint(0, 3)):
+            root = rng.choice([Fraction(-1), Fraction(1), rand_fraction(rng, 3, 3)])
+            for _ in range(rng.randint(1, 3)):
+                frs = _mul_lists(frs, [-root, Fraction(1)])
+        if len(frs) < 2:
+            continue
+        p, want = Poly(frs), sym(frs)
+        assert sturm_root_count(p) == want.count_roots()
+        assert sturm_root_count(p, (scal(-1), scal(1))) == want.count_roots(-1, 1)
+        sf = SturmChain(p).polys[0].monic()
+        ref = sympy.sqf_part(want).monic().all_coeffs()[::-1]
+        assert [c.as_fraction() for c in sf.coeffs] == \
+            [Fraction(int(c.p), int(c.q)) for c in ref]
+
+
+def test_chain_is_built_on_the_square_free_part():
+    # the remainder sequence of p, p' ends in gcd(p, p'); divided by it, the
+    # chain starts at p / gcd and ends at a constant
+    p = (x - 1) ** 3 * (x + 2) ** 2 * (x * x + 1)
+    polys = SturmChain(p).polys
+    assert polys[0].monic() == ((x - 1) * (x + 2) * (x * x + 1)).monic()
+    assert polys[-1].degree == 0
+    assert SturmChain(Poly([3])).polys == [Poly([3])]
+    assert SturmChain(x * x - 2).polys[0] == x * x - 2
 
 
 def _mul_lists(a, b):

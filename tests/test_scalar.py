@@ -202,6 +202,23 @@ def test_field_laws_with_radical(a, b, c, d):
         assert (x / y) * y == x
 
 
+def test_merged_tower_ignores_operand_order():
+    s5 = scalar_sqrt_adjoin(5)
+    nested = scalar_sqrt_adjoin(1 + s2)
+    # (1 + sqrt(2)) * sqrt(3) printed "sqrt(3) + sqrt(3)*sqrt(2)" with the
+    # operands swapped, on a different merged tower
+    pinned = (1 + s2) * s3
+    assert str(pinned) == str(s3 * (1 + s2)) == "sqrt(3) + sqrt(2)*sqrt(3)"
+    pairs = [(1 + s2, s3), (s2 - 2 * s3, s5), (Fraction(1, 2) + s3, s5 - s2),
+             (nested, s3), (1 + nested, s2 + s5)]
+    for a, b in pairs:
+        for op in (lambda u, v: u + v, lambda u, v: u * v):
+            ab, ba = op(a, b), op(b, a)
+            assert ab == ba
+            assert str(ab) == str(ba)
+            assert ab.tower is ba.tower
+
+
 @given(fractions)
 def test_sqrt_of_square_is_abs(a):
     s = scal(a)

@@ -56,6 +56,8 @@ def _resolves(module: str, path: str) -> bool:
 def test_perfbench_names_resolve():
     # the benchmark imports and traces package names from outside, so a
     # rename inside the package must not leave it pointing at nothing
+    assert PACKAGE == PERFBENCH.parent / "src" / "jetmove", \
+        f"jetmove imported from {PACKAGE}, not from this tree's src/"
     wanted = []
     for script in ("gen.py", "worker.py"):
         tree = ast.parse((PERFBENCH / script).read_text(encoding="utf-8"))

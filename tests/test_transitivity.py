@@ -20,8 +20,9 @@ from conftest import (
 )
 
 import jetmove
-from jetmove import automorphisms, transitivity
-from jetmove.automorphisms import apply_jet, apply_point, word_to_json
+from jetmove import automorphisms, surfaces, transitivity
+from jetmove.automorphisms import (MAX_TWIST_DEGREE, apply_jet, apply_point,
+                                   word_to_json)
 from jetmove.errors import (
     DuplicatePoints,
     EnumerationExhausted,
@@ -317,7 +318,7 @@ def test_synth_torus_builds_twists_in_square_shape(monkeypatch, rng):
     def no_sturm(*args):
         raise AssertionError("a synthesized twist took the Sturm route")
 
-    monkeypatch.setattr(automorphisms, "sturm_root_count", no_sturm)
+    monkeypatch.setattr(automorphisms, "SturmChain", no_sturm)
     jets = [
         Jet.torus(TorusPoint(ProjPoint.infinity(), ProjPoint.affine(2)), 2,
                   Series(ZERO, 2, [scal(2), ONE])),
@@ -340,7 +341,7 @@ def test_synth_torus_certifies_by_construction(monkeypatch, rng):
         raise AssertionError("a synthesized generator was proved again")
 
     monkeypatch.setattr(automorphisms, "_is_square", refuse)
-    monkeypatch.setattr(automorphisms, "sturm_root_count", refuse)
+    monkeypatch.setattr(automorphisms, "SturmChain", refuse)
     jets = [
         Jet.torus(TorusPoint(ProjPoint.infinity(), ProjPoint.affine(2)), 2,
                   Series(ZERO, 2, [scal(2), ONE])),
@@ -358,7 +359,7 @@ def test_synth_sphere_builds_twists_in_square_shape(monkeypatch, rng):
     def no_sturm(*args):
         raise AssertionError("a synthesized twist took the Sturm route")
 
-    monkeypatch.setattr(automorphisms, "sturm_root_count", no_sturm)
+    monkeypatch.setattr(automorphisms, "SturmChain", no_sturm)
     jets = [rand_sphere_jet(rng, 3), rand_sphere_jet(rng, 2)]
     while jets[1].center == jets[0].center:
         jets[1] = rand_sphere_jet(rng, 2)
@@ -406,6 +407,43 @@ def test_synth_rejects_wrong_surface():
         synth_torus([standard_config(SPHERE, [1]).jets[0]])
     with pytest.raises(MixedSurfaces):
         synth_sphere([standard_config(TORUS, [1]).jets[0]])
+
+
+def _refuse_any_work(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("synthesis went past the order-sum check")
+
+    monkeypatch.setattr(transitivity, "_build", refuse)
+    monkeypatch.setattr(automorphisms, "SturmChain", refuse)
+    monkeypatch.setattr(surfaces, "parse_scalar", refuse)
+
+
+@pytest.mark.parametrize("surface, orders", [
+    (TORUS, [MAX_TWIST_DEGREE // 2 + 1]), (SPHERE, [17, 16]),
+    (TORUS, [1] * (MAX_TWIST_DEGREE // 2 + 1))])
+def test_synth_refuses_order_sum_before_any_build(monkeypatch, surface, orders):
+    # a torus twist's q has degree twice the order sum, and a word load
+    # refuses degrees past MAX_TWIST_DEGREE
+    jets = standard_config(surface, orders).jets
+    _refuse_any_work(monkeypatch)
+    synth = synth_torus if surface == TORUS else synth_sphere
+    with pytest.raises(PreconditionFailed, match=f"target jet orders sum to {sum(orders)}"):
+        synth(jets)
+
+
+def test_synth_pair_counts_pinned_orders(monkeypatch):
+    # each side alone is within the limit; pinned and moved jets together are not
+    half = MAX_TWIST_DEGREE // 4
+    jets = standard_config(TORUS, [half + 1, half]).jets
+    _refuse_any_work(monkeypatch)
+    with pytest.raises(PreconditionFailed, match="pinned \\+ from jet orders sum"):
+        synth_pair(jets[1:], jets[1:], jets[:1])
+
+
+def test_order_sum_limit_is_inclusive():
+    for surface in (TORUS, SPHERE):
+        jets = standard_config(surface, [MAX_TWIST_DEGREE // 2 - 1, 1]).jets
+        transitivity._check_config(surface, jets, "target")
 
 
 def test_synth_pair_moves_jets(rng):
