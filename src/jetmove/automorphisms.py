@@ -330,9 +330,9 @@ def _chart_pair(chart: int, loc: Series) -> tuple[Series, Series]:
 
 def _normalize_pair(s0: Series, s1: Series) -> tuple[int, Series]:
     """Return (chart, local series) for a homogeneous P1 series pair."""
-    if not s1.value().is_zero():
+    if s1.valuation() == 0:
         return 0, s0 * s1.invert()
-    if not s0.value().is_zero():
+    if s0.valuation() == 0:
         return 1, s1 * s0.invert()
     raise NotCurvilinear("homogeneous pair vanishes at the center")
 

@@ -54,8 +54,13 @@ class _WriteFailed(Exception):
 
 
 def _load(path: str):
+    """The JSON document in ``path``; nesting too deep for the parser
+    is invalid input, reported as a ValueError."""
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def _write_word(path: str, word) -> None:

@@ -7,18 +7,22 @@ first.  All arithmetic is exact.
 A polynomial whose coefficients all lie in Q, or in one quadratic field
 Q(sqrt r) with r rational (a tower of depth 1), also has an integer
 form: integer vectors over one common denominator, (A,) for A / den or
-(A, B) for (A + B sqrt r) / den, computed once (``int_form``; a Poly
-never changes, so it never goes stale).  Products of such polynomials
-over one field, the Taylor shift to a rational center, and so
-evaluation at a rational point, run on that form over Z, with one gcd
-per output coefficient instead of one per step.  Coefficients in two
-towers or in a deeper tower, and a tower center, take the Scalar loop.
+(A, B) for (A + B sqrt r) / den, reduced by their common content, so
+equal polynomials over the same tower object have equal forms (towers
+are kept per radicand as written, so Q(sqrt 2) and Q(sqrt 8) are two
+towers of one field, and their forms are not compared).  Sums, products
+(also cut below a degree), inverses modulo a power of x, compositions
+and the Taylor shift to a rational center run on that form over Z, with
+one gcd per result instead of one per coefficient step, and their
+results keep it: a polynomial made from an integer form builds its
+Scalar coefficients only when they are read, and its valuation reads
+the form.  Coefficients in two towers or in a deeper tower, and a tower
+center, take the Scalar loop.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
 from math import gcd, lcm
 from typing import Iterable
 
@@ -26,39 +30,56 @@ from .scalar import ZERO, RatLike, Scalar, Tower, scal
 
 
 class Poly:
-    __slots__ = ("coeffs", "_ints")
+    __slots__ = ("_cs", "_ints")
 
     def __init__(self, coeffs: Iterable[RatLike] = ()):
         cs = [scal(c) for c in coeffs]
         while cs and cs[-1].is_zero():
             cs.pop()
-        self.coeffs = tuple(cs)
+        self._cs = tuple(cs)
         self._ints = None
 
     @staticmethod
     def from_ints(tower: Tower | None, vectors, den: int) -> Poly:
         """The polynomial sum(A[k] x^k) / den for vectors (A,) and tower
         None, or sum((A[k] + B[k] sqrt r) x^k) / den for vectors (A, B)
-        over the depth-1 tower Q(sqrt r); den > 0 and the last column not
-        all zero.  Its integer form is stored reduced by the common
-        content, and an all-zero B is dropped with its tower."""
-        g = gcd(den, *chain.from_iterable(vectors))
-        if g > 1:
-            den //= g
-            vectors = [[z // g for z in v] for v in vectors]
-        if len(vectors) == 2 and not any(vectors[1]):
-            tower, vectors = None, vectors[:1]
+        over the depth-1 tower Q(sqrt r); den > 0.  Its integer form is
+        stored without top all-zero columns and reduced by the common
+        content, and an all-zero B is dropped with its tower; its
+        coefficients are built when first read."""
+        a = vectors[0]
+        b = vectors[1] if len(vectors) == 2 and any(vectors[1]) else None
+        n = len(a)
+        if b is None:
+            tower, vectors = None, (a,)
+            g = gcd(den, *a)
+            while n and not a[n - 1]:
+                n -= 1
+        else:
+            g = gcd(den, *a, *b)
+            while n and not (a[n - 1] or b[n - 1]):
+                n -= 1
         p = Poly.__new__(Poly)
-        p.coeffs = tuple(_scalars(tower, vectors, den))
-        p._ints = (tower, tuple(map(tuple, vectors)), den)
+        p._cs = None
+        if g == 1:
+            p._ints = (tower, tuple([tuple(v[:n]) for v in vectors]), den)
+        else:
+            p._ints = (tower, tuple([tuple([z // g for z in v[:n]]) for v in vectors]),
+                       den // g)
         return p
+
+    @property
+    def coeffs(self) -> tuple[Scalar, ...]:
+        if self._cs is None:
+            self._cs = tuple(_scalars(*self._ints))
+        return self._cs
 
     def int_form(self):
         """(tower, vectors, den) as from_ints takes them, when every
         coefficient is rational (tower None) or lies in one depth-1 tower
         Q(sqrt r); else None."""
         if self._ints is None:
-            cs = self.coeffs
+            cs = self._cs
             towers = {c.tower for c in cs}
             towers.discard(None)
             tower = towers.pop() if towers else None
@@ -76,44 +97,73 @@ class Poly:
 
     @staticmethod
     def const(c: RatLike) -> Poly:
-        return Poly([scal(c)])
+        c = scal(c)
+        if c.tower is None:
+            return Poly.from_ints(None, ((c.a.numerator,),), c.a.denominator)
+        return Poly([c])
 
     @staticmethod
     def x() -> Poly:
         return Poly([0, 1])
 
+    def _size(self) -> int:
+        """The number of coefficients, degree + 1."""
+        cs = self._cs
+        return len(cs) if cs is not None else len(self._ints[1][0])
+
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._size()
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return self._size() - 1
 
     def lead(self) -> Scalar:
         if self.is_zero():
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return self[self._size() - 1]
 
     def __getitem__(self, k: int) -> Scalar:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else ZERO
+        return self.coeffs[k] if 0 <= k < self._size() else ZERO
+
+    def valuation(self) -> int | None:
+        """Index of the first nonzero coefficient; None for zero."""
+        if self._cs is None:
+            columns = zip(*self._ints[1])
+            return next((k for k, col in enumerate(columns) if any(col)), None)
+        return next((k for k, c in enumerate(self._cs) if not c.is_zero()), None)
 
     def __eq__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
-        if len(self.coeffs) != len(other.coeffs):
-            return False
-        return all(a == b for a, b in zip(self.coeffs, other.coeffs))
+        fs, fo = self._ints, other._ints
+        if fs and fo and fs[0] is fo[0]:
+            return fs == fo
+        return self.coeffs == other.coeffs
 
     __hash__ = None
 
     def __add__(self, other):
         other = _coerce(other)
-        n = max(len(self.coeffs), len(other.coeffs))
+        common = _common(self, other)
+        if common:
+            tower, (_, vs, ds), (_, vo, do) = common
+            den = lcm(ds, do)
+            ms, mo = den // ds, den // do
+            pad = (0,) * max(len(vs[0]), len(vo[0]))
+            rows = [_axpy(ms, vs[i] if i < len(vs) else pad, mo, vo[i] if i < len(vo) else pad)
+                    for i in range(max(len(vs), len(vo)))]
+            return Poly.from_ints(tower, rows, den)
+        n = max(self._size(), other._size())
         return Poly([self[k] + other[k] for k in range(n)])
 
     __radd__ = __add__
 
     def __neg__(self):
+        form = self.int_form()
+        if form:
+            tower, vectors, den = form
+            return Poly.from_ints(tower, [[-z for z in v] for v in vectors], den)
         return Poly([-c for c in self.coeffs])
 
     def __sub__(self, other):
@@ -122,32 +172,37 @@ class Poly:
     def __rsub__(self, other):
         return _coerce(other) + (-self)
 
-    def __mul__(self, other):
+    def mul(self, other, n: int | None = None) -> Poly:
+        """self * other, cut below degree n when n is given."""
         other = _coerce(other)
-        if self.is_zero() or other.is_zero():
+        if self.is_zero() or other.is_zero() or n == 0:
             return Poly()
-        fs, fo = self.int_form(), other.int_form()
-        if fs and fo and (fs[0] is fo[0] or fs[0] is None or fo[0] is None):
-            (ts, vs, ds), (to, vo, do) = fs, fo
+        common = _common(self, other)
+        if common:
+            tower, (_, vs, ds), (_, vo, do) = common
             if len(vs) == 1 or len(vo) == 1:
                 (x,), ys = (vs, vo) if len(vs) == 1 else (vo, vs)
-                return Poly.from_ints(ts or to, [_conv(x, y) for y in ys], ds * do)
+                return Poly.from_ints(tower, [_conv(x, y, n) for y in ys], ds * do)
             # (A + B sqrt r)(C + D sqrt r) for r = num / rden is
             # (rden AC + num BD + rden (AD + BC) sqrt r) / rden
             (a, b), (c, d) = vs, vo
-            r = ts.radicand.a
+            r = tower.radicand.a
             num, rden = r.numerator, r.denominator
-            ac, bd = _conv(a, c), _conv(b, d)
-            mid = [u + v for u, v in zip(_conv(a, d), _conv(b, c))]
-            return Poly.from_ints(ts, ([rden * u + num * v for u, v in zip(ac, bd)],
-                                       [rden * u for u in mid]), ds * do * rden)
-        out = [ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
+            ac, bd = _conv(a, c, n), _conv(b, d, n)
+            mid = _axpy(1, _conv(a, d, n), 1, _conv(b, c, n))
+            return Poly.from_ints(tower, (_axpy(rden, ac, num, bd),
+                                          [rden * u for u in mid]), ds * do * rden)
+        top = self._size() + other._size() - 1
+        out = [ZERO] * (top if n is None else min(n, top))
+        for i, a in enumerate(self.coeffs[:len(out)]):
             if a.is_zero():
                 continue
-            for j, b in enumerate(other.coeffs):
+            for j, b in enumerate(other.coeffs[:len(out) - i]):
                 out[i + j] = out[i + j] + a * b
         return Poly(out)
+
+    def __mul__(self, other):
+        return self.mul(other)
 
     __rmul__ = __mul__
 
@@ -160,6 +215,61 @@ class Poly:
             base = base * base
             n >>= 1
         return out
+
+    def inverse(self, n: int) -> Poly:
+        """1/self cut below degree n; the constant term must be nonzero.
+
+        Newton's iteration v <- v (2 - self v) doubles the number of
+        correct coefficients per step from v = 1/self(0) (von zur
+        Gathen-Gerhard, Modern Computer Algebra, 9.1), so it needs only
+        products.  Over Q it runs on the integer form: for self = A / den
+        and v = W / dw, 2 - self v is (2 den dw - A W) / (den dw), with
+        one gcd per step.  Over Q(sqrt r) it goes through the conjugate:
+        self conj(self) = A^2 - r B^2 is rational, and 1/self is
+        conj(self) / (self conj(self)).
+        """
+        form = self.int_form()
+        if not form:
+            v, k = Poly.const(self[0].inverse()), 1
+            while k < n:
+                k = min(2 * k, n)
+                v = v.mul(2 - self.mul(v, k), k)
+            return v
+        tower, vectors, den = form
+        conj = None
+        if tower is not None:
+            conj = Poly.from_ints(tower, (vectors[0], [-z for z in vectors[1]]), den)
+            _, vectors, den = self.mul(conj, n).int_form()
+        (a,) = vectors
+        w, dw, k = [den], a[0], 1
+        while k < n:
+            k = min(2 * k, n)
+            d = den * dw
+            t = [-z for z in _conv(a, w, k)]
+            t[0] += 2 * d
+            w, dw = _conv(w, t, k), dw * d
+            g = gcd(dw, *w)
+            w, dw = [z // g for z in w], dw // g
+        v = Poly.from_ints(None, ([-z for z in w] if dw < 0 else w,), abs(dw))
+        return v if conj is None else conj.mul(v, n)
+
+    def compose(self, inner: Poly, n: int) -> Poly:
+        """self(inner) cut below degree n >= 1, by Horner's rule on cut
+        products; each coefficient of self enters as a constant."""
+        top = self._size() - 1
+        if top < 1:
+            return self
+        acc = self._term(top)
+        for k in range(top - 1, -1, -1):
+            acc = acc.mul(inner, n) + self._term(k)
+        return acc
+
+    def _term(self, k: int) -> Poly:
+        """The constant polynomial of coefficient k."""
+        if self._ints:
+            tower, vectors, den = self._ints
+            return Poly.from_ints(tower, [v[k:k + 1] for v in vectors], den)
+        return Poly.const(self.coeffs[k])
 
     def divmod(self, other: Poly) -> tuple[Poly, Poly]:
         if other.is_zero():
@@ -186,7 +296,7 @@ class Poly:
         return self.divmod(other)[0]
 
     def derivative(self) -> Poly:
-        return Poly([self.coeffs[k] * k for k in range(1, len(self.coeffs))])
+        return Poly([self.coeffs[k] * k for k in range(1, self._size())])
 
     def __call__(self, x):
         """Horner evaluation at a scalar.
@@ -196,28 +306,29 @@ class Poly:
         """
         if not isinstance(x, (int, Scalar)):
             raise TypeError(f"cannot evaluate a Poly at {type(x).__name__}")
-        return self.shifted_coeffs(scal(x), 1)[0]
+        return self.shifted(scal(x), 1)[0]
 
     def monic(self) -> Poly:
         if self.is_zero():
             return self
         return self * self.lead().inverse()
 
-    def shifted_coeffs(self, center: Scalar, n: int) -> list[Scalar]:
-        """First n Taylor coefficients of self around ``center``.
+    def shifted(self, center: Scalar, n: int) -> Poly:
+        """The first n Taylor coefficients of self around ``center``, as
+        a polynomial in (x - center).
 
         At a rational center a/b of a polynomial with an integer form the
         shift runs over Z, on each vector alone (the shift is Q-linear):
         den b^d v(y / b) has integer coefficients, its synthetic divisions
         at the integer a give T_j den b^(d-j) with T_j the wanted
-        coefficients, and each T_j is formed once.
+        coefficients, and each T_j is formed once; T_j b^j over den b^d
+        is the result's integer form.
         """
         form = self.int_form() if center.tower is None else None
         if form is not None:
             tower, vectors, den = form
             d = len(vectors[0]) - 1
             a, b = center.a.numerator, center.a.denominator
-            kept = min(n, d + 1)
             ws = []
             for v in vectors:
                 w, scale = list(v), 1
@@ -227,22 +338,25 @@ class Poly:
                 for j in range(min(n, d)):
                     for k in range(d - 1, j - 1, -1):
                         w[k] += a * w[k + 1]
-                ws.append(w[:kept])
-            den *= b ** (d - kept + 1)
-            return _scalars(tower, ws, den, b) + [ZERO] * (n - kept)
+                if b > 1:
+                    scale = 1
+                    for j in range(min(n, d + 1)):
+                        w[j] *= scale
+                        scale *= b
+                ws.append(w[:n])
+            return Poly.from_ints(tower, ws, den * b ** max(d, 0))
         rem = list(self.coeffs)
         out = []
         for _ in range(n):
             if not rem:
-                out.append(ZERO)
-                continue
+                break
             # synthetic division by (x - center): remainder is the value
             acc = ZERO
             for k in range(len(rem) - 1, -1, -1):
                 acc = acc * center + rem[k]
                 rem[k] = acc
             out.append(rem.pop(0))
-        return out
+        return Poly(out)
 
     def str_in(self, var: str) -> str:
         if self.is_zero():
@@ -267,35 +381,62 @@ class Poly:
         return f"Poly({self})"
 
 
-def _scalars(tower: Tower | None, vectors, den: int, b: int = 1) -> list[Scalar]:
-    """The canonical scalars A[k] / den_k for vectors (A,), or
-    (A[k] + B[k] sqrt r) / den_k over ``tower`` for (A, B), where den_k
-    is den for the last entry and gains a factor b per step down; one
-    with B[k] = 0 is demoted to the rational, as Scalar._ext does."""
-    a_s = vectors[0]
+def _scalars(tower: Tower | None, vectors, den: int) -> list[Scalar]:
+    """The canonical scalars A[k] / den for vectors (A,), or
+    (A[k] + B[k] sqrt r) / den over ``tower`` for (A, B); one with
+    B[k] = 0 is demoted to the rational, as Scalar._ext does."""
     b_s = vectors[1] if tower is not None else None
-    out = [ZERO] * len(a_s)
-    for k in range(len(a_s) - 1, -1, -1):
-        x = Scalar(None, Fraction(a_s[k], den), None)
+    out = []
+    for k, a in enumerate(vectors[0]):
+        x = Scalar(None, Fraction(a, den), None)
         if b_s and b_s[k]:
             x = Scalar(tower, x, Scalar(None, Fraction(b_s[k], den), None))
-        out[k] = x
-        den *= b
+        out.append(x)
     return out
 
 
-def _conv(x, y) -> list[int]:
-    """The product of two integer coefficient vectors."""
-    out = [0] * (len(x) + len(y) - 1)
-    for i, a in enumerate(x):
+def _common(p: Poly, q: Poly):
+    """(tower, form of p, form of q) when both have an integer form over
+    one field: the same tower, or Q and a tower; else None."""
+    fp, fq = p.int_form(), q.int_form()
+    if fp and fq:
+        tp, tq = fp[0], fq[0]
+        if tp is tq or tp is None or tq is None:
+            return tp or tq, fp, fq
+    return None
+
+
+def _axpy(a: int, x, b: int, y) -> list[int]:
+    """a x + b y for integer vectors, the shorter padded with zeros."""
+    if len(x) < len(y):
+        a, x, b, y = b, y, a, x
+    out = [a * u for u in x]
+    for k, v in enumerate(y):
+        out[k] += b * v
+    return out
+
+
+def _conv(x, y, n: int | None = None) -> list[int]:
+    """The product of two integer coefficient vectors, cut below degree
+    n when n is given."""
+    if len(x) > len(y):
+        x, y = y, x
+    top = len(x) + len(y) - 1
+    if n is not None and n < top:
+        top = n
+    if len(x) == 1:
+        a = x[0]
+        return [a * b for b in y[:top]]
+    out = [0] * top
+    for i, a in enumerate(x[:top]):
         if a:
-            for j, b in enumerate(y):
-                out[i + j] += a * b
+            for j, b in enumerate(y[:top - i], i):
+                out[j] += a * b
     return out
 
 
 def _coerce(p) -> Poly:
-    if isinstance(p, Poly):
+    if p.__class__ is Poly:
         return p
     if isinstance(p, (int, Scalar)):
         return Poly.const(p)

@@ -1,38 +1,59 @@
 """Truncated power series in (x - center) with exact Scalar coefficients.
 
-A Series is an element of F[x] / (x - center)^order, stored as exactly
-``order`` ascending coefficients.  Series are immutable and arithmetic is
-only defined between series sharing both center and order; no method
-changes the order of a series, because padding with zeros is a choice of
-lift, not a no-op.
+A Series is an element of F[x] / (x - center)^order: a polynomial in
+(x - center) of degree below ``order``, held as a ``Poly``, with the
+order that cuts it.  Sums, products, inverses, square roots and
+compositions are the polynomial's, cut at the order, so they run on its
+integer form (over Q or one Q(sqrt r)) and keep it from one operation
+to the next; the Scalar coefficients are built only when they are read
+(``coeffs``, ``value``), and the valuation, so the unit test, reads the
+form.  Series are immutable and arithmetic is only defined between
+series sharing both center and order; no method changes the order of a
+series, because padding with zeros is a choice of lift, not a no-op.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Iterable
 
 from ..errors import BadSeed, NotAUnit, SeriesContextMismatch, ZeroSeed
 from .poly import Poly
 from .scalar import ONE, ZERO, RatLike, Scalar, scal
 
+_HALF = scal(Fraction(1, 2))
+
 
 class Series:
-    __slots__ = ("center", "order", "coeffs")
+    __slots__ = ("center", "order", "poly")
 
     def __init__(self, center: RatLike, order: int, coeffs: Iterable[RatLike]):
         if order < 1:
             raise ValueError("series order must be at least 1")
-        cs = [scal(c) for c in coeffs]
+        cs = list(coeffs)
         if len(cs) > order:
             raise ValueError("more coefficients than the order allows")
-        cs.extend([ZERO] * (order - len(cs)))
         self.center = scal(center)
         self.order = order
-        self.coeffs = tuple(cs)
+        self.poly = Poly(cs)
+
+    @staticmethod
+    def _of(center: Scalar, order: int, poly: Poly) -> Series:
+        """The series of ``poly``, a polynomial in (x - center) of degree
+        below ``order``."""
+        s = Series.__new__(Series)
+        s.center, s.order, s.poly = center, order, poly
+        return s
+
+    @property
+    def coeffs(self) -> tuple[Scalar, ...]:
+        """Exactly ``order`` ascending coefficients."""
+        cs = self.poly.coeffs
+        return cs + (ZERO,) * (self.order - len(cs))
 
     @staticmethod
     def constant(value: RatLike, center: RatLike, order: int) -> Series:
-        return Series(center, order, [scal(value)])
+        return Series._of(scal(center), order, Poly.const(value))
 
     @staticmethod
     def variable(center: RatLike, order: int) -> Series:
@@ -41,58 +62,51 @@ class Series:
         return Series(c, order, [c, ONE] if order >= 2 else [c])
 
     def _check(self, other: Series):
-        if not (self.center == other.center) or self.order != other.order:
+        if self.order != other.order or not (
+                self.center is other.center or self.center == other.center):
             raise SeriesContextMismatch(
                 f"series at ({self.center}, {self.order}) vs "
                 f"({other.center}, {other.order})")
 
+    def _lift(self, other) -> Series:
+        """``other`` as a series in self's context: a scalar becomes a
+        constant, a series must share center and order."""
+        if isinstance(other, (int, Scalar)):
+            return Series._of(self.center, self.order, Poly.const(other))
+        self._check(other)
+        return other
+
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
+        return self.poly.is_zero()
 
     def __eq__(self, other):
         if not isinstance(other, Series):
             return NotImplemented
         if self.order != other.order or not (self.center == other.center):
             return False
-        return all(a == b for a, b in zip(self.coeffs, other.coeffs))
+        return self.poly == other.poly
 
     __hash__ = None
 
     def __add__(self, other):
-        if isinstance(other, (int, Scalar)):
-            other = Series.constant(other, self.center, self.order)
-        self._check(other)
-        return Series(self.center, self.order,
-                      [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        return Series._of(self.center, self.order, self.poly + self._lift(other).poly)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Series(self.center, self.order, [-c for c in self.coeffs])
+        return Series._of(self.center, self.order, -self.poly)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Scalar)):
-            other = Series.constant(other, self.center, self.order)
-        return self + (-other)
+        return Series._of(self.center, self.order, self.poly - self._lift(other).poly)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Scalar)):
-            c = scal(other)
-            return Series(self.center, self.order, [a * c for a in self.coeffs])
+            return Series._of(self.center, self.order, self.poly * other)
         self._check(other)
-        e = self.order
-        out = [ZERO] * e
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j in range(e - i):
-                b = other.coeffs[j]
-                if not b.is_zero():
-                    out[i + j] = out[i + j] + a * b
-        return Series(self.center, e, out)
+        return Series._of(self.center, self.order, self.poly.mul(other.poly, self.order))
 
     __rmul__ = __mul__
 
@@ -108,19 +122,9 @@ class Series:
 
     def invert(self) -> Series:
         """Multiplicative inverse; the constant term must be nonzero."""
-        u0 = self.coeffs[0]
-        if u0.is_zero():
+        if self.valuation():
             raise NotAUnit("series with zero constant term has no inverse")
-        v0 = u0.inverse()
-        out = [v0]
-        for k in range(1, self.order):
-            acc = ZERO
-            for i in range(1, k + 1):
-                ci = self.coeffs[i]
-                if not ci.is_zero():
-                    acc = acc + ci * out[k - i]
-            out.append(-acc * v0)
-        return Series(self.center, self.order, out)
+        return Series._of(self.center, self.order, self.poly.inverse(self.order))
 
     def __truediv__(self, other):
         if isinstance(other, (int, Scalar)):
@@ -129,14 +133,12 @@ class Series:
 
     def value(self) -> Scalar:
         """Value at the center."""
-        return self.coeffs[0]
+        return self.poly[0]
 
     def valuation(self) -> int:
         """Index of the first nonzero coefficient; the order for zero."""
-        for k, c in enumerate(self.coeffs):
-            if not c.is_zero():
-                return k
-        return self.order
+        k = self.poly.valuation()
+        return self.order if k is None else k
 
     def to_poly(self) -> Poly:
         """The canonical polynomial lift, expanded in powers of x.
@@ -144,7 +146,7 @@ class Series:
         The coefficients are those of a polynomial in x - center, so its
         Taylor shift back to 0 gives them in powers of x.
         """
-        return Poly(Poly(self.coeffs).shifted_coeffs(-self.center, self.order))
+        return self.poly.shifted(-self.center, self.order)
 
     def __str__(self):
         c = self.center
@@ -169,29 +171,27 @@ class Series:
 def poly_to_series(p: Poly, center: RatLike, order: int) -> Series:
     """Reduce a polynomial modulo (x - center)^order."""
     c = scal(center)
-    return Series(c, order, p.shifted_coeffs(c, order))
+    return Series._of(c, order, p.shifted(c, order))
 
 
 def hensel_sqrt(u: Series, seed: RatLike) -> Series:
     """The square root of ``u`` whose value at the center is ``seed``.
 
     The seed must be nonzero and must square to the constant term of u;
-    under those conditions the root exists, is unique, and is found by the
-    triangular recurrence 2*s0*s_k = u_k - sum_{0<i<k} s_i s_{k-i}.
+    under those conditions the root exists, is unique, and Newton's
+    iteration s <- (s + u / s) / 2 doubles its correct coefficients per
+    step from s = seed.
     """
     s0 = scal(seed)
     if s0.is_zero():
         raise ZeroSeed("square-root seed must be nonzero")
-    if not (s0 * s0 == u.coeffs[0]):
-        raise BadSeed(f"seed {s0} does not square to {u.coeffs[0]}")
-    inv2s0 = (s0 + s0).inverse()
-    out = [s0]
-    for k in range(1, u.order):
-        acc = u.coeffs[k]
-        for i in range(1, k):
-            acc = acc - out[i] * out[k - i]
-        out.append(acc * inv2s0)
-    return Series(u.center, u.order, out)
+    if not (s0 * s0 == u.value()):
+        raise BadSeed(f"seed {s0} does not square to {u.value()}")
+    s, k = Poly.const(s0), 1
+    while k < u.order:
+        k = min(2 * k, u.order)
+        s = (s + u.poly.mul(s.inverse(k), k)) * _HALF
+    return Series._of(u.center, u.order, s)
 
 
 def compose_centered(outer: Series, inner: Series) -> Series:
@@ -204,13 +204,5 @@ def compose_centered(outer: Series, inner: Series) -> Series:
         raise SeriesContextMismatch("inner value must equal outer center")
     if outer.order < inner.order:
         raise SeriesContextMismatch("outer order too small for composition")
-    dev = inner - inner.value()
-    acc = Series.constant(0, inner.center, inner.order)
-    power = Series.constant(1, inner.center, inner.order)
-    for k in range(outer.order):
-        a = outer.coeffs[k]
-        if not a.is_zero():
-            acc = acc + power * a
-        if k + 1 < outer.order:
-            power = power * dev
-    return acc
+    dev = inner.poly - outer.center
+    return Series._of(inner.center, inner.order, outer.poly.compose(dev, inner.order))

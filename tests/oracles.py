@@ -57,13 +57,87 @@ def p_taylor(a, c, n):
             for j in range(n)]
 
 
+class Quad:
+    """a + b sqrt(r) for Fractions a, b and a fixed rational non-square r,
+    as a plain pair: the series oracles run on these (or on Fractions)
+    to check the package's Q(sqrt r) arithmetic without sharing it."""
+
+    __slots__ = ("a", "b", "r")
+
+    def __init__(self, a, b=0, r=0):
+        self.a, self.b, self.r = F(a), F(b), F(r)
+
+    def _lift(self, o):
+        return o if isinstance(o, Quad) else Quad(o, 0, self.r)
+
+    def __add__(self, o):
+        o = self._lift(o)
+        return Quad(self.a + o.a, self.b + o.b, self.r)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Quad(-self.a, -self.b, self.r)
+
+    def __sub__(self, o):
+        return self + (-self._lift(o))
+
+    def __rsub__(self, o):
+        return (-self) + o
+
+    def __mul__(self, o):
+        o = self._lift(o)
+        return Quad(self.a * o.a + self.r * self.b * o.b,
+                    self.a * o.b + self.b * o.a, self.r)
+
+    __rmul__ = __mul__
+
+    def __rtruediv__(self, o):
+        norm = self.a * self.a - self.r * self.b * self.b
+        return Quad(self.a / norm, -self.b / norm, self.r) * o
+
+    def __eq__(self, o):
+        o = self._lift(o)
+        return self.a == o.a and self.b == o.b
+
+    def __repr__(self):
+        return f"Quad({self.a}, {self.b}, r={self.r})"
+
+
 def s_mul(a, b):
-    """Product of two truncated series of the same length."""
+    """Product of two truncated series of the same length; the entries
+    may be Fractions, Quads or the package's scalars."""
     e = len(a)
     out = [a[0] - a[0]] * e
     for i in range(e):
         for j in range(e - i):
             out[i + j] = out[i + j] + a[i] * b[j]
+    return out
+
+
+def s_inv(a):
+    """Inverse of a truncated series with a[0] != 0, by the triangular
+    recurrence v_k = -v_0 sum_{0<i<=k} a_i v_(k-i)."""
+    v0 = 1 / a[0]
+    out = [v0]
+    for k in range(1, len(a)):
+        acc = a[0] - a[0]
+        for i in range(1, k + 1):
+            acc = acc + a[i] * out[k - i]
+        out.append(-(acc * v0))
+    return out
+
+
+def s_sqrt(a, s0):
+    """The square root of a truncated series whose value is s0, by the
+    recurrence 2 s0 s_k = a_k - sum_{0<i<k} s_i s_(k-i)."""
+    inv = 1 / (s0 + s0)
+    out = [s0]
+    for k in range(1, len(a)):
+        acc = a[k]
+        for i in range(1, k):
+            acc = acc - out[i] * out[k - i]
+        out.append(acc * inv)
     return out
 
 

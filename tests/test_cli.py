@@ -19,7 +19,7 @@ from jetmove.cli import INTERNAL, INVALID, NEGATIVE, OK, OUT_OF_SCOPE, main
 from jetmove import cli
 from jetmove.dantesque import BASE, BlowupRecord, SurfaceDescriptor, descriptor_to_json
 from jetmove.errors import InternalVerificationFailure
-from jetmove.exactalg import ONE, ZERO, Series, scal
+from jetmove.exactalg import ONE, ZERO, Poly, Series, hensel_sqrt, poly_to_series, scal
 from jetmove.surfaces import (
     Jet,
     ProjPoint,
@@ -28,6 +28,7 @@ from jetmove.surfaces import (
     TorusPoint,
     jet_from_json,
     jet_to_json,
+    sphere_point_stereo,
     standard_config,
 )
 
@@ -273,6 +274,31 @@ def test_hostile_scalar_nesting_is_invalid_input(tmp_path, capsys, scalar):
     assert not (tmp_path / "w.json").exists()
 
 
+_DEEP = ["synth", "verify", "apply", "classify", "compose"]
+
+
+@pytest.mark.parametrize("command", _DEEP, ids=_DEEP)
+def test_deeply_nested_json_is_invalid_input(tmp_path, capsys, command):
+    # 200,000 nested arrays exhaust the JSON parser's recursion, which is
+    # bad input (exit 2), not a crash of the program (exit 3)
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000)
+    std = std_file(tmp_path, "std.json", TORUS, [1])
+    word = write(tmp_path / "word.json", {"surface": TORUS, "generators": []})
+    desc = desc_file(tmp_path, "desc.json", "torus", [1])
+    out = str(tmp_path / "w.json")
+    argv = {"synth": ["synth", "--job", str(deep), "--out", out],
+            "verify": ["verify", "--word", str(deep), "--from", std, "--to", std],
+            "apply": ["apply", "--word", word, "--jet", str(deep)],
+            "classify": ["classify", desc, str(deep)],
+            "compose": ["compose", word, str(deep), "--out", out]}[command]
+    assert main(argv) == INVALID
+    err = capsys.readouterr().err
+    assert err.startswith("cannot read") and "nested too deeply" in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "w.json").exists()
+
+
 def test_crash_exits_internal_not_negative(tmp_path, capsys, torus_targets,
                                            monkeypatch):
     # an unexpected error of the program is not a negative verdict
@@ -478,16 +504,18 @@ def test_apply_prints_transported_jet(tmp_path, capsys, torus_targets):
 
 def test_synth_verify_apply_under_optimize(tmp_path):
     """The CLI's guarantees hold with asserts stripped: synth, verify and
-    apply run as ``python -O`` on a torus job with a point over x = oo,
-    and apply carries the standard point onto its target."""
+    apply run as ``python -O`` on a torus job with a point over x = oo
+    and on a sphere job with an order-3 jet, whose series move through
+    the integer products, and apply carries each standard jet onto its
+    target."""
     over_inf = Jet.torus(TorusPoint(ProjPoint.infinity(), ProjPoint.affine(3)),
                          1, Series(ZERO, 1, [scal(3)]))
     affine = Jet.torus(TorusPoint.affine(Fraction(2, 3), -5), 1,
                        Series(scal(Fraction(2, 3)), 1, [scal(-5)]))
-    job = job_file(tmp_path, "job.json", TORUS, [over_inf, affine])
-    std = std_file(tmp_path, "std.json", TORUS, [1, 1])
-    src = write(tmp_path / "jet.json", jet_to_json(standard_config(TORUS, [1, 1]).jets[0]))
-    word = str(tmp_path / "word.json")
+    c = sphere_point_stereo(2, 3)
+    g = Series(c.x, 3, [c.y, 1, Fraction(-2, 5)])
+    h = hensel_sqrt(poly_to_series(Poly([1, 0, -1]), c.x, 3) - g * g, c.z)
+    order3 = Jet.sphere(c, 3, g, h)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(Path(jetmove.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
 
@@ -497,9 +525,18 @@ def test_synth_verify_apply_under_optimize(tmp_path):
         assert proc.returncode == OK, proc.stderr
         return proc.stdout
 
-    cli("synth", "--job", job, "--out", word)
-    assert "ok: 2 jets verified" in cli("verify", "--word", word, "--from", std, "--to", job)
-    assert jet_from_json(json.loads(cli("apply", "--word", word, "--jet", src))) == over_inf
+    for surface, targets in ((TORUS, [over_inf, affine]), (SPHERE, [order3])):
+        orders = [j.order for j in targets]
+        job = job_file(tmp_path, f"{surface}-job.json", surface, targets)
+        std = std_file(tmp_path, f"{surface}-std.json", surface, orders)
+        src = write(tmp_path / f"{surface}-jet.json",
+                    jet_to_json(standard_config(surface, orders).jets[0]))
+        word = str(tmp_path / f"{surface}-word.json")
+        cli("synth", "--job", job, "--out", word)
+        assert f"ok: {len(targets)} jets verified" in \
+            cli("verify", "--word", word, "--from", std, "--to", job)
+        assert jet_from_json(json.loads(cli("apply", "--word", word, "--jet", src))) \
+            == targets[0]
 
 
 def test_compose_concatenates(tmp_path, capsys, torus_targets):

@@ -10,8 +10,10 @@ from conftest import rand_poly, rand_series
 from jetmove.errors import NotAUnit, SeriesContextMismatch
 from jetmove.exactalg import (ONE, ZERO, Poly, Scalar, Series, compose_centered,
                               hensel_sqrt, poly_gcd, poly_to_series, scal,
-                              scalar_sqrt_adjoin, scalar_to_str, square_free_part)
-from oracles import p_eval, p_mul, p_taylor, trim
+                              parse_scalar, scalar_sqrt_adjoin, scalar_to_str,
+                              square_free_part)
+from oracles import (Quad, p_eval, p_mul, p_taylor, s_inv, s_mul, s_sqrt,
+                     series_horner, trim)
 
 x = Poly.x()
 
@@ -144,13 +146,13 @@ center = st.one_of(st.just(Fraction(0)), st.integers(-9, -1).map(Fraction),
 
 
 def _shift_matches(a, c, extra):
-    """shifted_coeffs of Poly(a) at c, for n up to len(a) + 1 + extra,
-    past deg + 1, equals the binomial-sum oracle, and its first
-    coefficient is Poly(a)(c)."""
+    """The Taylor shift of Poly(a) to c, cut at n for n up to
+    len(a) + 1 + extra, past deg + 1, equals the binomial-sum oracle,
+    and its first coefficient is Poly(a)(c)."""
     top = len(a) + 1 + extra
     p, want = Poly(a), p_taylor(trim(list(a)), c, top)
     for n in (0, 1, len(a) // 2, top):
-        assert p.shifted_coeffs(scal(c), n) == want[:n]
+        assert p.shifted(scal(c), n) == Poly(want[:n])
     assert p(scal(c)) == p_eval(trim(list(a)), c)
 
 
@@ -190,7 +192,7 @@ def test_tower_coefficient_takes_the_scalar_loop(a, k, c, extra):
     p = Poly(a)
     assert p.int_form() is None
     want = p_taylor(a, c, len(a) + extra)
-    assert p.shifted_coeffs(scal(c), len(a) + extra) == want
+    assert p.shifted(scal(c), len(a) + extra) == Poly(want)
     assert p * Poly([c, 1]) == Poly(p_mul(a, [c, Fraction(1)]))
 
 
@@ -198,8 +200,8 @@ def test_tower_coefficient_takes_the_scalar_loop(a, k, c, extra):
 @given(st.lists(coeff, max_size=6), center, st.integers(0, 4))
 def test_tower_center_takes_the_scalar_loop(a, c, extra):
     at = c + s2
-    assert Poly(a).shifted_coeffs(at, len(a) + extra) == \
-        p_taylor(trim(list(a)), at, len(a) + extra)
+    assert Poly(a).shifted(at, len(a) + extra) == \
+        Poly(p_taylor(trim(list(a)), at, len(a) + extra))
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +278,7 @@ def test_quadratic_shift_matches_scalar_loop(r, a, c, extra):
     top = len(p.coeffs) + 1 + extra
     want = p_taylor(list(p.coeffs), c, top)
     for n in (0, 1, len(p.coeffs) // 2, top):
-        _same(p.shifted_coeffs(scal(c), n), want[:n])
+        _same(p.shifted(scal(c), n).coeffs, trim(want[:n]))
     _same([p(scal(c))], want[:1])
 
 
@@ -288,7 +290,8 @@ def test_two_fields_deep_towers_and_tower_centers_take_the_scalar_loop(a, b, c, 
     for g in (Poly(_q(b, s3)), Poly(_q(b, s2 + s3))):
         _check_product(f, g)
     at = c + s2
-    _same(f.shifted_coeffs(at, len(a) + extra), p_taylor(list(f.coeffs), at, len(a) + extra))
+    _same(f.shifted(at, len(a) + extra).coeffs,
+          trim(p_taylor(list(f.coeffs), at, len(a) + extra)))
 
 
 def test_quadratic_fast_paths_multiply_no_scalars(monkeypatch):
@@ -309,10 +312,177 @@ def test_quadratic_fast_paths_multiply_no_scalars(monkeypatch):
         raise AssertionError("a Scalar product was formed")
 
     monkeypatch.setattr(Scalar, "__mul__", refuse)
-    prod, shift = f * g, f.shifted_coeffs(c, 5)
+    prod, shift = f * g, f.shifted(c, 5)
     loaded = SphereTwist.of("y", p, q, r)
     monkeypatch.undo()
     _same(prod.coeffs, want_prod)
-    _same(shift, want_shift)
+    _same(shift.coeffs, trim(want_shift))
     assert (loaded.n, loaded.d) == (tw.n, tw.d)
     assert loaded.certificate.kind == "sphere-twist-square"
+
+
+# ---------------------------------------------------------------------------
+# Series on the integer form against the Fraction / (a, b)-pair oracle
+
+order = st.integers(1, 4)
+
+
+@st.composite
+def series_case(draw, count=2):
+    """(root, center, e, lists): a field Q or Q(sqrt r), its sqrt r as a
+    scalar (None for Q), a rational center, an order e in 1..4 and
+    ``count`` oracle coefficient lists of length e, each zero, short
+    (padded with zeros) or full."""
+    r = draw(st.one_of(st.none(), radicand))
+    entry = coeff if r is None else st.builds(
+        Quad, coeff, st.one_of(st.just(Fraction(0)), coeff), st.just(r))
+    e = draw(order)
+    zero = Fraction(0) if r is None else Quad(0, 0, r)
+    lists = []
+    for _ in range(count):
+        a = draw(st.one_of(st.just([]), st.lists(entry, max_size=e)))
+        lists.append(a + [zero] * (e - len(a)))
+    root = None if r is None else scalar_sqrt_adjoin(r)
+    return root, draw(center), e, lists
+
+
+def _scalar(x, root):
+    return scal(x) if root is None else scal(x.a) + scal(x.b) * root
+
+
+def _series(c, e, xs, root):
+    return Series(c, e, [_scalar(x, root) for x in xs])
+
+
+def _matches(got, want, root):
+    """got has exactly the oracle's coefficients, and the integer form it
+    stores is the one those coefficients give (so its denominator and
+    content are reduced)."""
+    _same(got.coeffs, [_scalar(w, root) for w in want])
+    assert len(got.poly.coeffs) <= got.order
+    assert got.poly.int_form() == Poly(got.coeffs).int_form()
+
+
+@settings(max_examples=120, deadline=None)
+@given(series_case(), qpair)
+@example((None, Fraction(0), 1, [[Fraction(0)], [Fraction(0)]]), (Fraction(0), Fraction(0)))
+def test_series_ring_ops_match_pair_oracle(case, k):
+    root, c, e, (a, b) = case
+    s, t = _series(c, e, a, root), _series(c, e, b, root)
+    _matches(s * t, s_mul(a, b), root)
+    _matches(s + t, [x + y for x, y in zip(a, b)], root)
+    _matches(s - t, [x - y for x, y in zip(a, b)], root)
+    _matches(-s, [-x for x in a], root)
+    k = k[0] if root is None else Quad(*k, a[0].r)
+    _matches(s * _scalar(k, root), [x * k for x in a], root)
+
+
+@settings(max_examples=120, deadline=None)
+@given(series_case(count=1))
+@example((None, Fraction(-3), 3, [[Fraction(2), Fraction(1), Fraction(0)]]))
+def test_series_invert_matches_pair_oracle(case):
+    root, c, e, (a,) = case
+    s = _series(c, e, a, root)
+    if a[0] == 0:
+        with pytest.raises(NotAUnit):
+            s.invert()
+        return
+    inv = s.invert()
+    _matches(inv, s_inv(a), root)
+    assert s * inv == Series.constant(1, c, e)
+
+
+@settings(max_examples=100, deadline=None)
+@given(series_case(), order, center)
+def test_compose_centered_matches_pair_oracle(case, extra, value):
+    # outer lives at inner's value, with an order at least inner's
+    root, c, e, (a, b) = case
+    inner = _series(c, e, [b[0] - b[0] + value] + b[1:], root)
+    outer = _series(scal(value), max(e, extra), a + [a[0] - a[0]] * (extra - e), root)
+    dev = [b[0] - b[0]] + b[1:]
+    _matches(compose_centered(outer, inner), series_horner(a[:e], dev), root)
+
+
+@settings(max_examples=100, deadline=None)
+@given(series_case(count=1))
+def test_hensel_sqrt_matches_pair_oracle(case):
+    root, c, e, (s,) = case
+    if s[0] == 0:
+        return
+    u = s_mul(s, s)
+    got = hensel_sqrt(_series(c, e, u, root), _scalar(s[0], root))
+    _matches(got, s_sqrt(u, s[0]), root)
+    _matches(got, s, root)
+
+
+@settings(max_examples=40, deadline=None)
+@given(radicand, center, order, st.lists(qpair, min_size=1, max_size=4))
+def test_series_root_parts_cancel_to_q(r, c, e, pairs):
+    # (A + B sqrt r)(A - B sqrt r) = A^2 - r B^2 leaves Q(sqrt r) for Q
+    root = scalar_sqrt_adjoin(r)
+    a = [Quad(x, y, r) for x, y in pairs[:e]]
+    a += [Quad(0, 0, r)] * (e - len(a))
+    s, conj = _series(c, e, a, root), _series(c, e, [Quad(q.a, -q.b, r) for q in a], root)
+    prod = s * conj
+    _matches(prod, s_mul(a, [Quad(q.a, -q.b, r) for q in a]), root)
+    assert all(x.tower is None for x in prod.coeffs)
+    assert prod.poly.int_form()[0] is None
+
+
+@settings(max_examples=30, deadline=None)
+@given(center, order, st.lists(qpair, max_size=3), st.lists(qpair, max_size=3))
+def test_series_in_two_towers_or_depth_two_take_the_scalar_loop(c, e, a, b):
+    # 1 + sqrt 2 against 1 + sqrt 3 or 1 + sqrt 2 + sqrt 3 leading: no
+    # integer form over one field, so the oracles run on the package's
+    # own scalars
+    def pad(xs):
+        return (xs + [ZERO] * e)[:e]
+
+    one = (Fraction(1), Fraction(1))
+    f = pad(_q([one] + a, s2))
+    for g in (pad(_q([one] + b, s3)), pad(_q([one] + b, s2 + s3))):
+        s, t = Series(c, e, f), Series(c, e, g)
+        assert t.poly.int_form() is None or t.poly.int_form()[0] is not s.poly.int_form()[0]
+        _same((s * t).coeffs, s_mul(f, g))
+        _same((s + t).coeffs, [x + y for x, y in zip(f, g)])
+        _same(t.invert().coeffs, s_inv(g))
+        _same(compose_centered(Series(g[0], e, f), t).coeffs,
+              series_horner(f, [ZERO] + g[1:]))
+
+
+def test_series_refusals_are_unchanged():
+    s = Series(Fraction(1, 3), 3, [1, 2])
+    with pytest.raises(NotAUnit):
+        Series(ZERO, 3, [0, 5]).invert()
+    with pytest.raises(NotAUnit):
+        Series(ZERO, 2, [s2 - s2, s2]).invert()
+    for other in (Series(ZERO, 3, [1]), Series(Fraction(1, 3), 2, [1])):
+        for op in (lambda: s + other, lambda: s - other, lambda: s * other):
+            with pytest.raises(SeriesContextMismatch):
+                op()
+    with pytest.raises(SeriesContextMismatch):
+        compose_centered(Series(ZERO, 3, [1]), s)
+    with pytest.raises(SeriesContextMismatch):
+        compose_centered(Series(ONE, 2, [1]), s)
+    with pytest.raises(ValueError, match="more coefficients"):
+        Series(ZERO, 2, [1, 0, 0])
+    with pytest.raises(ValueError, match="at least 1"):
+        Series(ZERO, 0, [])
+
+
+def test_equality_across_towers_of_one_field():
+    # sqrt(8) and 2*sqrt(2) are one number in two towers (one per radicand
+    # as written); equality must not depend on which forms are cached.
+    r8, r2 = parse_scalar("sqrt(8)"), parse_scalar("2*sqrt(2)")
+    assert r8.tower is not r2.tower
+    for make in (lambda c: Poly([c, 1]), lambda c: Series(Fraction(-1, 3), 3, [c, 1])):
+        p, q = make(r8), make(r2)
+        assert p == q
+        for f in (p, q):
+            (f if isinstance(f, Poly) else f.poly).int_form()
+        assert p == q and not (p != q)
+    # a product keeps only its integer form and still equals the other tower
+    p, q = Poly([r8, 1]) * Poly([1, 1]), Poly([r2, 1]) * Poly([1, 1])
+    q.int_form()
+    assert p._cs is None and p == q
+    assert Poly([r8]) != Poly([r2 + 1])

@@ -40,6 +40,7 @@ from jetmove.surfaces import (
     TORUS,
     TorusPoint,
     jet_is_vertical,
+    jet_to_json,
     sphere_point_stereo,
     sphere_standard_center,
     standard_config,
@@ -572,3 +573,45 @@ def test_synthesized_words_are_pinned():
     for name, synth in _pinned_jobs():
         dump = json.dumps(word_to_json(synth()), sort_keys=True).encode()
         assert hashlib.sha256(dump).hexdigest() == _PINNED_WORDS[name], name
+
+
+def _probes(name):
+    """Fixed jets to move by the pinned word of job ``name``: an order-3
+    jet at the job's first source center, bent away from the source jet
+    there, and the point at its second.  A word takes its sources to
+    points of modest height, where the image of an arbitrary point can
+    run to thousands of digits."""
+    centers = {
+        "torus": [torus_standard_center(1), torus_standard_center(2)],
+        "sphere": [sphere_standard_center(1), sphere_standard_center(2)],
+        "pair": [TorusPoint.affine(5, 7), TorusPoint.affine(10, 10)],
+        "sphere-pair": [sphere_point_stereo(2, 3),
+                        SpherePoint.of(Fraction(1, 3), Fraction(-2, 3), Fraction(2, 3))],
+    }[name]
+    c, p = centers
+    if isinstance(c, TorusPoint):
+        bent = Jet.torus(c, 3, Series(c.x.value, 3, [c.y.value, Fraction(1, 2), -2]))
+        return [bent, Jet.torus(p, 1, Series(p.x.value, 1, [p.y.value]))]
+    h = Series(c.x, 3, [c.z, Fraction(1, 3), 1])
+    g = hensel_sqrt(poly_to_series(Poly([1, 0, -1]), c.x, 3) - h * h, c.y)
+    return [Jet.sphere(c, 3, g, h),
+            Jet.sphere(p, 1, Series(p.x, 1, [p.y]), Series(p.x, 1, [p.z]))]
+
+
+# SHA-256 of json.dumps([jet_to_json(apply_jet(word, j)) for j in probes],
+# sort_keys=True) for each pinned word; they guard the transport of jets
+# through a word, and a change that moves an image must say why
+_PINNED_IMAGES = {
+    "torus": "93b735880f50980f12d69b417749e22578de7ddefef3b220171ff3e9cbfb26e1",
+    "sphere": "913b0095dc222836345188be6220838d73d91bbf846f19eae9614006205f078d",
+    "pair": "5dcfdcf6c4e74741339038cd2847a9e8c0681c7281f62ac846780af051d15fb2",
+    "sphere-pair": "2b7cc5805038cc384c444855009b1350b64d0f1499e665b31e7df468889f65aa",
+}
+
+
+def test_apply_images_under_pinned_words_are_pinned():
+    for name, synth in _pinned_jobs():
+        word = synth()
+        images = [jet_to_json(apply_jet(word, j)) for j in _probes(name)]
+        dump = json.dumps(images, sort_keys=True).encode()
+        assert hashlib.sha256(dump).hexdigest() == _PINNED_IMAGES[name], name
