@@ -20,7 +20,10 @@ proves it: TorusTwist.of proves a q = 1 + m^2 from its coefficients and
 any other q by Sturm counts, TorusMoebius.of checks both determinants,
 and SphereTwist.of recovers n/d from a sphere triple and proves
 p^2 + q^2 = r^2 by one product identity.  A word file holds only
-generator data; str(g) renders the formula.
+generator data; str(g) renders the formula.  Twist polynomial text in Q
+or one Q(sqrt r) is read and written on the integer form, with no
+Scalar built per coefficient (exactalg's poly_from_json and
+poly_to_json); other text is parsed and printed one Scalar at a time.
 
 AutWord composes certified generators left-to-right.  Jets move through
 their parameter form (surfaces.TorusParam or SphereParam) and come back
@@ -39,11 +42,13 @@ from dataclasses import dataclass, field, replace
 from .errors import (DegreeMismatch, IdentityFails, MixedSurfaces,
                      NotCurvilinear, PreconditionFailed, RootInForbiddenRegion)
 from .exactalg import (ONE, ZERO, Poly, Scalar, Series, SturmChain,
-                       compose_centered, hensel_sqrt, poly_gcd, poly_to_series,
-                       scal, scalar_to_str, try_sqrt)
+                       compose_centered, hensel_sqrt, poly_from_json, poly_gcd,
+                       poly_to_json, poly_to_series, scal, scalar_to_json,
+                       try_sqrt)
 from .surfaces import (SPHERE, SPHERE_CHARTS, TORUS, Jet, SphereParam,
                        SpherePoint, TorusParam, TorusPoint, jet_from_sphere_param,
-                       jet_from_torus_param, jet_parametrize, scalars_from_json)
+                       jet_from_torus_param, jet_parametrize, json_list,
+                       scalars_from_json)
 
 # highest twist degree a word file may hold; a load Sturm-checks up to it
 MAX_TWIST_DEGREE = 64
@@ -434,24 +439,20 @@ def jacobian_at(w: AutWord, pt: TorusPoint | SpherePoint):
 # serialization
 
 
-def _poly_json(p: Poly) -> list[str]:
-    return [scalar_to_str(c) for c in p.coeffs]
-
-
 def _poly_from_json(arr) -> Poly:
-    return Poly(scalars_from_json(arr, "polynomial"))
+    return poly_from_json(json_list(arr, "polynomial"))
 
 
 def generator_to_json(g: Generator) -> dict:
     """The generator's data keys only; a load re-proves it from them."""
     if isinstance(g, TorusTwist):
         return {"type": "twist", "axis": g.axis,
-                "p": _poly_json(g.p), "q": _poly_json(g.q)}
+                "p": poly_to_json(g.p), "q": poly_to_json(g.q)}
     if isinstance(g, SphereTwist):
         p, q, r = g.triple()
-        return {"type": "twist", "fixed": g.fixed, "p": _poly_json(p),
-                "q": _poly_json(q), "r": _poly_json(r)}
-    ser = lambda m: [[scalar_to_str(e) for e in row] for row in m]
+        return {"type": "twist", "fixed": g.fixed, "p": poly_to_json(p),
+                "q": poly_to_json(q), "r": poly_to_json(r)}
+    ser = lambda m: [[scalar_to_json(e) for e in row] for row in m]
     return {"type": "moebius", "mx": ser(g.mx), "my": ser(g.my)}
 
 

@@ -13,7 +13,10 @@ word moving one configuration to the other while fixing the pinned jets.
 Exit codes: 0 success / positive verdict, 1 negative verdict, 2 invalid
 input (parse, validation, or certification failure), 3 internal
 verification failure or any other unexpected error, 4 question outside
-the decidable scope.  main() alone maps exceptions to codes 2 and 3.
+the decidable scope, 5 output too large: a result holding a number of
+more than MAX_SCALAR_DIGITS (4000) digits, which no file may hold since
+the readers refuse it, is not written.  main() alone maps exceptions to
+codes 2, 3 and 5.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from .dantesque import (HYPOTHESIS_NOT_MET, ISOMORPHIC, descriptor_from_json,
                         descriptor_invariants, isomorphism_decide,
                         singularity_name)
 from .errors import (InternalVerificationFailure, JetmoveError,
-                     RootInForbiddenRegion)
+                     OutputTooLarge, RootInForbiddenRegion)
 from .surfaces import (SPHERE, TORUS, jet_from_json, jet_to_json,
                        standard_config)
 from .transitivity import first_miss, synth_pair, synth_sphere, synth_torus
@@ -38,6 +41,7 @@ NEGATIVE = 1
 INVALID = 2
 INTERNAL = 3
 OUT_OF_SCOPE = 4
+TOO_LARGE = 5
 
 _PARSE_ERRORS = (OSError, json.JSONDecodeError, KeyError, TypeError,
                  ValueError, IndexError)
@@ -64,9 +68,10 @@ def _load(path: str):
 
 
 def _write_word(path: str, word) -> None:
+    data = word_to_json(word)     # before the file is opened, as it may refuse
     try:
         with open(path, "w") as fh:
-            json.dump(word_to_json(word), fh, indent=2)
+            json.dump(data, fh, indent=2)
             fh.write("\n")
     except OSError as e:
         raise _WriteFailed(f"cannot write {path}: {e.strerror or e}") from e
@@ -238,6 +243,9 @@ def main(argv=None) -> int:
     except _WriteFailed as e:
         print(e, file=sys.stderr)
         return INVALID
+    except OutputTooLarge as e:
+        print(f"output too large: {e}", file=sys.stderr)
+        return TOO_LARGE
     except InternalVerificationFailure as e:
         print(f"internal verification failure: {e}", file=sys.stderr)
         return INTERNAL

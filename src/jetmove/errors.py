@@ -96,6 +96,10 @@ class EnumerationExhausted(JetmoveError):
     """Search over rational parameters hit the configured cap."""
 
 
+class OutputTooLarge(JetmoveError):
+    """A number to be written has more digits than a file may hold."""
+
+
 class InternalVerificationFailure(JetmoveError):
     """A result failed the exact check of what it was built to satisfy.
 

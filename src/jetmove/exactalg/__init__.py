@@ -1,9 +1,11 @@
 """Exact scalar, polynomial and series arithmetic used by every layer above."""
 
 from .crt import crt_combine, crt_with_modulus
-from .poly import Poly, poly_gcd, square_free_part
+from .poly import (Poly, poly_from_json, poly_gcd, poly_to_json,
+                   square_free_part)
 from .scalar import (ONE, ZERO, Scalar, Tower, parse_scalar, scal,
-                     scalar_sqrt_adjoin, scalar_to_str, try_sqrt)
+                     scalar_sqrt_adjoin, scalar_to_json, scalar_to_str,
+                     try_sqrt)
 from .series import Series, compose_centered, hensel_sqrt, poly_to_series
 from .sturm import (NEG_INF, POS_INF, SturmChain, cauchy_bound, isolate_root,
                     sturm_root_count)
@@ -11,7 +13,8 @@ from .sturm import (NEG_INF, POS_INF, SturmChain, cauchy_bound, isolate_root,
 __all__ = [
     "ONE", "ZERO", "Scalar", "Tower", "Poly", "Series", "SturmChain",
     "cauchy_bound", "compose_centered", "crt_combine", "crt_with_modulus",
-    "hensel_sqrt", "isolate_root", "parse_scalar", "poly_gcd",
-    "poly_to_series", "scal", "scalar_sqrt_adjoin", "scalar_to_str",
+    "hensel_sqrt", "isolate_root", "parse_scalar", "poly_from_json",
+    "poly_gcd", "poly_to_json", "poly_to_series", "scal",
+    "scalar_sqrt_adjoin", "scalar_to_json", "scalar_to_str",
     "square_free_part", "sturm_root_count", "try_sqrt",
 ]

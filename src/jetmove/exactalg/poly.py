@@ -18,15 +18,24 @@ results keep it: a polynomial made from an integer form builds its
 Scalar coefficients only when they are read, and its valuation reads
 the form.  Coefficients in two towers or in a deeper tower, and a tower
 center, take the Scalar loop.
+
+A coefficient list in a word file is read and written on the integer
+form too (poly_from_json, poly_to_json): text in the shapes
+scalar_to_str writes for Q or one Q(sqrt r) goes straight to and from
+the vectors, byte for byte, and any other list takes parse_scalar and
+scalar_to_json one coefficient at a time.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable
 
-from .scalar import ZERO, RatLike, Scalar, Tower, scal
+from .scalar import (MAX_SCALAR_DIGITS, ZERO, RatLike, Scalar, Tower,
+                     parse_scalar, ratio_to_json, scal, scalar_sqrt_adjoin,
+                     scalar_to_json)
 
 
 class Poly:
@@ -458,3 +467,104 @@ def square_free_part(p: Poly) -> Poly:
     if g.degree <= 0:
         return p
     return p.divmod(g)[0]
+
+
+# one coefficient as scalar_to_str writes it in Q or one Q(sqrt r): an
+# optional rational (groups 2, 3), then its end or its sign and a radical
+# term (4), and the radical term's optional rational factor (5, 6) and
+# rational radicand (7, 8); the leading sign (1) belongs to the first
+# term, digit runs are capped as parse_scalar caps them, and no other
+# whitespace is allowed.  The lookahead after the rational keeps the
+# match free of backtracking on the shapes the writer emits.
+_NUM = rf"([0-9]{{1,{MAX_SCALAR_DIGITS}}})"
+_RAT = rf"{_NUM}(?:/{_NUM})?"
+_COEFF_TEXT = re.compile(
+    rf"(-?)(?:{_RAT}(?=\Z| [+-] ))?(?(2)(?: ([+-]) (?=[0-9s]))?)"
+    rf"(?:(?:{_RAT}\*)?sqrt\({_RAT}\))?")
+
+
+def _text_form(texts: list):
+    """(tower, vectors, den) for Poly.from_ints read from coefficient
+    texts, or None unless every entry is a nonempty string in the shape
+    of _COEFF_TEXT with no zero denominator, and all radicals share one
+    radicand text naming a rational that is not a square."""
+    xs, ys, rad = [], [], None     # (numerator, denominator) per part
+    for t in texts:
+        m = _COEFF_TEXT.fullmatch(t) if type(t) is str else None
+        if m is None:
+            return None
+        neg, a, ad, op, c, cd, e, ed = m.groups()
+        x, dx, y, dy = 0, 1, 0, 1
+        if a is not None:
+            x, dx = int(a), int(ad or 1)
+            if neg:
+                x = -x
+        if e is not None:
+            if rad is None:
+                rad = (e, ed)
+            elif rad != (e, ed):
+                return None
+            y, dy = int(c or 1), int(cd or 1)
+            if (op == "-") if a is not None else neg:
+                y = -y
+        elif a is None:            # the empty text, or a sign alone
+            return None
+        if not (dx and dy):
+            return None
+        xs.append((x, dx))
+        ys.append((y, dy))
+    den = lcm(*[d for _, d in xs], *[d for _, d in ys])
+    rows = [[n * (den // d) for n, d in part] for part in (xs, ys)]
+    if rad is None:
+        return None, rows[:1], den
+    e, ed = int(rad[0]), int(rad[1] or 1)
+    if not ed:
+        return None
+    root = scalar_sqrt_adjoin(Fraction(e, ed))
+    if root.tower is None:           # a square or zero radicand
+        return None
+    return root.tower, rows, den
+
+
+def poly_from_json(texts: list) -> Poly:
+    """The polynomial whose coefficients are the texts of a JSON list.
+
+    A list in the shapes scalar_to_str writes for Q or one Q(sqrt r) goes
+    straight to the integer form, with one scalar_sqrt_adjoin for its
+    radicand, so it lands in the tower parse_scalar would build.  Any
+    other list is parsed whole by parse_scalar, one entry at a time, so
+    it is accepted or refused exactly as there.
+    """
+    try:
+        form = _text_form(texts)
+    except ValueError:     # int()'s own digit cap, when set below ours
+        form = None
+    if form is None:
+        return Poly([parse_scalar(t) for t in texts])
+    return Poly.from_ints(*form)
+
+
+def poly_to_json(p: Poly) -> list[str]:
+    """[scalar_to_json(c) for c in p.coeffs], byte for byte, written from
+    the integer form when p has one, with the radical's text formed once;
+    a digit run past MAX_SCALAR_DIGITS is refused as there."""
+    form = p.int_form()
+    if not form:
+        return [scalar_to_json(c) for c in p.coeffs]
+    tower, vectors, den = form
+    if tower is None:
+        return [ratio_to_json(a, den) for a in vectors[0]]
+    r = tower.radicand.a
+    rad = f"sqrt({ratio_to_json(r.numerator, r.denominator)})"
+    out = []
+    for a, b in zip(*vectors):
+        if not b:
+            out.append(ratio_to_json(a, den))
+            continue
+        mag = ratio_to_json(abs(b), den)
+        term = rad if mag == "1" else f"{mag}*{rad}"
+        if not a:
+            out.append(term if b > 0 else f"-{term}")
+        else:
+            out.append(f"{ratio_to_json(a, den)} {'+' if b > 0 else '-'} {term}")
+    return out

@@ -22,10 +22,10 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 from typing import Union
 
-from ..errors import IncompatibleTowers, NegativeRadicand
+from ..errors import IncompatibleTowers, NegativeRadicand, OutputTooLarge
 
 RatLike = Union[int, str, Fraction, "Scalar"]
 
@@ -467,14 +467,46 @@ def scalar_to_str(s: Scalar) -> str:
     return "".join(parts) if parts else "0"
 
 
+def _fits(s: Scalar) -> bool:
+    """Whether every number scalar_to_str writes for s has at most
+    MAX_SCALAR_DIGITS digits."""
+    if s.tower is None:
+        f = s.a
+        return -_DIGIT_BOUND < f.numerator < _DIGIT_BOUND and f.denominator < _DIGIT_BOUND
+    return _fits(s.a) and _fits(s.b) and _fits(s.tower.radicand)
+
+
+def scalar_to_json(s: Scalar) -> str:
+    """scalar_to_str(s) for a file.  A digit run longer than
+    MAX_SCALAR_DIGITS, which parse_scalar refuses, is refused here with
+    OutputTooLarge, so every file written reads back; str() is not
+    bounded, as error messages use it."""
+    if not _fits(s):
+        raise OutputTooLarge(_TOO_LARGE)
+    return scalar_to_str(s)
+
+
+def ratio_to_json(n: int, d: int) -> str:
+    """scalar_to_json of the rational n/d, d > 0, from its integers."""
+    g = gcd(n, d)
+    if g != 1:
+        n, d = n // g, d // g
+    if not (-_DIGIT_BOUND < n < _DIGIT_BOUND and d < _DIGIT_BOUND):
+        raise OutputTooLarge(_TOO_LARGE)
+    return str(n) if d == 1 else f"{n}/{d}"
+
+
 # far beyond the tower depth any synthesized word reaches; bounds the
 # parser's recursion on hostile text
 MAX_SQRT_NESTING = 64
 
 # far beyond the longest digit run an emitted word holds (133 digits on
 # the seed-1 benchmark words) and below int()'s default 4300-digit cap, so
-# the parser, not that interpreter-wide setting, refuses a longer run
+# the parser, not that interpreter-wide setting, refuses a longer run; the
+# JSON writers refuse to write one, so every file written reads back
 MAX_SCALAR_DIGITS = 4000
+_DIGIT_BOUND = 10 ** MAX_SCALAR_DIGITS
+_TOO_LARGE = f"a number has more than {MAX_SCALAR_DIGITS} digits, the most a file may hold"
 
 
 # one token, after any whitespace: a run of digits, the word sqrt, any

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from .errors import (MixedSurfaces, NotCurvilinear, NotOnEquator,
                      PreconditionFailed)
 from .exactalg import (ONE, ZERO, Poly, Scalar, Series, hensel_sqrt,
-                       parse_scalar, poly_to_series, scal, scalar_to_str)
+                       parse_scalar, poly_to_series, scal, scalar_to_json)
 
 TORUS = "torus"
 SPHERE = "sphere"
@@ -567,23 +567,28 @@ def standard_config(surface: str, partition: Partition | list) -> StandardConfig
 
 
 def _pp_to_json(p: ProjPoint) -> list[str]:
-    return [scalar_to_str(p.u), scalar_to_str(p.v)]
+    return [scalar_to_json(p.u), scalar_to_json(p.v)]
 
 
-def scalars_from_json(arr, what: str, length: int | None = None) -> list[Scalar]:
-    """The scalars of a JSON list, of ``length`` entries when given; a
-    string would read as one per character."""
+def json_list(arr, what: str, length: int | None = None) -> list:
+    """``arr`` once it is a JSON list, of ``length`` entries when given; a
+    string would read as one scalar per character."""
     if type(arr) is not list:
         raise PreconditionFailed(f"{what} must be a JSON list")
     if length is not None and len(arr) != length:
         raise PreconditionFailed(f"{what} must hold {length} entries, not {len(arr)}")
-    return [parse_scalar(c) for c in arr]
+    return arr
+
+
+def scalars_from_json(arr, what: str, length: int | None = None) -> list[Scalar]:
+    """The scalars of a JSON list, as json_list checks it."""
+    return [parse_scalar(c) for c in json_list(arr, what, length)]
 
 
 def point_to_json(p: TorusPoint | SpherePoint):
     if isinstance(p, TorusPoint):
         return [_pp_to_json(p.x), _pp_to_json(p.y)]
-    return [scalar_to_str(c) for c in p.coords()]
+    return [scalar_to_json(c) for c in p.coords()]
 
 
 def point_from_json(surface: str, data):
@@ -601,11 +606,11 @@ def jet_to_json(j: Jet) -> dict:
     }
     if j.surface == TORUS:
         d["chart"] = {"x": j.chart[0], "y": j.chart[1], "transposed": j.transposed}
-        d["graph"] = {"f": [scalar_to_str(c) for c in j.graphs[0].coeffs]}
+        d["graph"] = {"f": [scalar_to_json(c) for c in j.graphs[0].coeffs]}
     else:
         d["chart"] = j.chart
-        d["graph"] = {"g": [scalar_to_str(c) for c in j.graphs[0].coeffs],
-                      "h": [scalar_to_str(c) for c in j.graphs[1].coeffs]}
+        d["graph"] = {"g": [scalar_to_json(c) for c in j.graphs[0].coeffs],
+                      "h": [scalar_to_json(c) for c in j.graphs[1].coeffs]}
     return d
 
 

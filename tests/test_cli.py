@@ -15,10 +15,11 @@ from conftest import (PYPROJECT, noncanonical_sphere_jet_json,
 import jetmove
 from jetmove.automorphisms import (MAX_TWIST_DEGREE, SphereTwist, apply_jet,
                                    word_from_json)
-from jetmove.cli import INTERNAL, INVALID, NEGATIVE, OK, OUT_OF_SCOPE, main
+from jetmove.cli import (INTERNAL, INVALID, NEGATIVE, OK, OUT_OF_SCOPE,
+                         TOO_LARGE, main)
 from jetmove import cli
 from jetmove.dantesque import BASE, BlowupRecord, SurfaceDescriptor, descriptor_to_json
-from jetmove.errors import InternalVerificationFailure
+from jetmove.errors import InternalVerificationFailure, OutputTooLarge
 from jetmove.exactalg import ONE, ZERO, Poly, Series, hensel_sqrt, poly_to_series, scal
 from jetmove.surfaces import (
     Jet,
@@ -328,6 +329,28 @@ def test_out_write_error_names_the_output(tmp_path, capsys, torus_targets,
     captured = capsys.readouterr()
     assert captured.err == f"cannot write {out}: No such file or directory\n"
     assert "wrote" not in captured.out
+
+
+@pytest.mark.parametrize("command", ["synth", "compose"])
+def test_refused_output_leaves_out_untouched(tmp_path, capsys, torus_targets,
+                                             monkeypatch, command):
+    job = job_file(tmp_path, "job.json", TORUS, torus_targets)
+    word = str(tmp_path / "word.json")
+    assert main(["synth", "--job", job, "--out", word]) == OK
+    capsys.readouterr()
+
+    def too_large(w):
+        raise OutputTooLarge("a number has more than 4000 digits")
+
+    monkeypatch.setattr(cli, "word_to_json", too_large)
+    out = tmp_path / "w.json"
+    out.write_text("kept\n")
+    argv = (["synth", "--job", job, "--out", str(out)] if command == "synth"
+            else ["compose", word, word, "--out", str(out)])
+    assert main(argv) == TOO_LARGE
+    captured = capsys.readouterr()
+    assert captured.err == "output too large: a number has more than 4000 digits\n"
+    assert out.read_text() == "kept\n"
 
 
 def identity_word(tmp_path, surface):

@@ -1,5 +1,6 @@
 """Dense polynomials and truncated series with exact coefficients."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -7,11 +8,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import rand_poly, rand_series
-from jetmove.errors import NotAUnit, SeriesContextMismatch
+from jetmove.errors import NotAUnit, OutputTooLarge, SeriesContextMismatch
 from jetmove.exactalg import (ONE, ZERO, Poly, Scalar, Series, compose_centered,
-                              hensel_sqrt, poly_gcd, poly_to_series, scal,
-                              parse_scalar, scalar_sqrt_adjoin, scalar_to_str,
-                              square_free_part)
+                              hensel_sqrt, poly_from_json, poly_gcd, poly_to_json,
+                              poly_to_series, scal, parse_scalar,
+                              scalar_sqrt_adjoin, scalar_to_str, square_free_part)
+from jetmove.exactalg.scalar import MAX_SCALAR_DIGITS
+from jetmove.surfaces import scalars_from_json
 from oracles import (Quad, p_eval, p_mul, p_taylor, s_inv, s_mul, s_sqrt,
                      series_horner, trim)
 
@@ -486,3 +489,161 @@ def test_equality_across_towers_of_one_field():
     q.int_form()
     assert p._cs is None and p == q
     assert Poly([r8]) != Poly([r2 + 1])
+
+
+# ---------------------------------------------------------------------------
+# word text read and written on the integer form, against the Scalar path
+
+
+def _outcome(read):
+    try:
+        return read(), None
+    except Exception as e:          # compared by type and message below
+        return None, e
+
+
+def _reads_alike(arr):
+    """poly_from_json and the entry-by-entry parse give equal polynomials
+    over the same tower object with the same integer form, or raise the
+    same exception type with the same message."""
+    got, gerr = _outcome(lambda: poly_from_json(arr))
+    want, werr = _outcome(lambda: Poly(scalars_from_json(arr, "polynomial")))
+    if werr is not None or gerr is not None:
+        assert (type(gerr), str(gerr)) == (type(werr), str(werr)), arr
+        return
+    fg, fw = got.int_form(), want.int_form()
+    assert (fg is None) == (fw is None), arr
+    if fg is not None:
+        assert fg[0] is fw[0] and fg == fw, arr
+    assert got == want, arr
+    assert poly_to_json(got) == [scalar_to_str(c) for c in want.coeffs], arr
+
+
+_digits = st.one_of(st.integers(0, 12).map(str), st.integers(0, 10 ** 30).map(str),
+                    st.integers(0, 99).map(lambda n: f"00{n}"))
+_rat = st.tuples(_digits, st.one_of(st.none(), _digits)).map(
+    lambda t: t[0] if t[1] is None else f"{t[0]}/{t[1]}")
+_rad = st.sampled_from(["2", "8", "6", "3/5", "12/5", "618849/2719201", "4",
+                        "9/4", "0", "02", "16/2"])
+
+
+@st.composite
+def _coeff_texts(draw):
+    """A list of coefficient texts in the writer's shapes, over one
+    radicand text mostly, with a hostile entry now and then."""
+    rad = draw(_rad)
+    out = []
+    for _ in range(draw(st.integers(0, 6))):
+        shape = draw(st.sampled_from(["rat", "both", "root", "odd"]))
+        sign = draw(st.sampled_from(["", "-"]))
+        r = draw(st.one_of(st.just(rad), _rad)) if draw(st.booleans()) else rad
+        coef = draw(st.one_of(st.just(""), _rat.map(lambda c: c + "*")))
+        if shape == "rat":
+            out.append(sign + draw(_rat))
+        elif shape == "both":
+            op = draw(st.sampled_from([" + ", " - "]))
+            out.append(f"{sign}{draw(_rat)}{op}{coef}sqrt({r})")
+        elif shape == "root":
+            out.append(f"{sign}{coef}sqrt({r})")
+        else:
+            out.append(draw(st.sampled_from(_HOSTILE_ENTRIES)))
+    return out
+
+
+_HOSTILE_ENTRIES = [
+    " 1", "1 ", "1 +  sqrt(2)", "1+sqrt(2)", "1 + sqrt( 2)", "sqrt(2) + 1",
+    "sqrt(2)*3", "sqrt(sqrt(2))", "sqrt(2)*sqrt(3)", "2*3*sqrt(5)", "1/2/3",
+    "1 - -sqrt(2)", "--1", "+1", "", "-", "1 + ", "sqrt()", "sqrt(-2)",
+    "1/0", "1 + 1/0*sqrt(2)", "sqrt(2/0)", "sqrt(4)", "sqrt(0)", "-0",
+    "1\n", "sqrt(2)\n", "٣", "- sqrt(2)", "x", 1, 2.5, None, True, ["1"],
+    "2sqrt(3)", "1/2sqrt(3)", "1 +sqrt(2)", "1+ sqrt(2)", "1 + 2 + sqrt(2)",
+    "sqrt(2)sqrt(2)", "1 + 2*sqrt(2) - 1",
+]
+
+_HOSTILE_LISTS = [
+    [e] for e in _HOSTILE_ENTRIES] + [
+    # one radicand per polynomial: two texts, or two values, fall back
+    ["sqrt(2)", "sqrt(3)"], ["sqrt(8)", "2*sqrt(2)"], ["sqrt(2)", "sqrt(16/8)"],
+    ["1 + sqrt(8)", "3/4*sqrt(8)"],
+    # sqrt(8) against 2*sqrt(2): one number in two towers, kept apart
+    ["sqrt(8)"], ["2*sqrt(2)"], ["1 - 3*sqrt(8)", "5"],
+    # -0, leading zeros and zero radical parts
+    ["-0"], ["-0 + sqrt(2)"], ["-0/5"], ["007"], ["0012/0004"],
+    ["1 + 02*sqrt(03)", "003/6 - sqrt(03)"], ["0*sqrt(2)"], ["1 + 0*sqrt(2)", "5"],
+    ["0*sqrt(4)"], ["1 + 3*sqrt(9/4)"], ["2*sqrt(0/5)"],
+    # digit runs at and past MAX_SCALAR_DIGITS
+    ["7" * MAX_SCALAR_DIGITS], ["7" * (MAX_SCALAR_DIGITS + 1)],
+    ["1/" + "3" * MAX_SCALAR_DIGITS, "-" + "9" * MAX_SCALAR_DIGITS + "/7"],
+    ["1/" + "3" * (MAX_SCALAR_DIGITS + 1)],
+    ["1 + " + "3" * MAX_SCALAR_DIGITS + "*sqrt(2)"],
+    ["sqrt(" + "2" * MAX_SCALAR_DIGITS + ")"], ["sqrt(" + "2" * (MAX_SCALAR_DIGITS + 1) + ")"],
+    # a good entry before a bad one: the parse reports the bad one
+    ["1", "sqrt(2)", "1/0"], ["sqrt(2)", 7], [], ["0", "0"],
+]
+
+
+@pytest.mark.parametrize("arr", _HOSTILE_LISTS)
+def test_word_text_reader_on_hostile_lists(arr):
+    _reads_alike(arr)
+
+
+def test_word_text_reader_under_a_lower_int_digit_cap():
+    # int() may be capped below MAX_SCALAR_DIGITS for the whole process;
+    # the parse then fails at the first long run in text order
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        _reads_alike(["sqrt(" + "2" * 700 + ")", "9" * 800])
+        _reads_alike(["1 + " + "3" * 700 + "*sqrt(2)"])
+    finally:
+        sys.set_int_max_str_digits(cap)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_coeff_texts())
+@example(["1 + sqrt(2)", "-3/4 - 5/7*sqrt(2)", "-sqrt(2)", "2*sqrt(2)", "0"])
+def test_word_text_reader_matches_the_scalar_parse(arr):
+    _reads_alike(arr)
+
+
+@st.composite
+def _int_forms(draw):
+    """(tower, vectors, den) over Q or a quadratic field, with unit and
+    zero parts, negative B and large entries."""
+    r = draw(st.sampled_from([None, 2, 6, 8, Fraction(12, 5), Fraction(618849, 2719201)]))
+    den = draw(st.integers(1, 60))
+    entry = st.one_of(st.just(0), st.sampled_from([den, -den]),
+                      st.integers(-10 ** 4, 10 ** 4), st.integers(-10 ** 40, 10 ** 40))
+    n = draw(st.integers(0, 7))
+    a = [draw(entry) for _ in range(n)]
+    if r is None:
+        return None, (a,), den
+    b = [draw(entry) for _ in range(n)]
+    return scalar_sqrt_adjoin(r).tower, (a, b), den
+
+
+@settings(max_examples=100, deadline=None)
+@given(_int_forms())
+@example((scalar_sqrt_adjoin(6).tower, ([0, 3, -3, 1], [3, -3, 0, -6]), 3))
+def test_word_text_writer_matches_scalar_to_str(form):
+    p = Poly.from_ints(*form)
+    want = [scalar_to_str(c) for c in p.coeffs]
+    assert poly_to_json(p) == want
+    # a polynomial built from its scalars writes the same text
+    assert poly_to_json(Poly(p.coeffs)) == want
+    q = poly_from_json(want)
+    assert q.int_form() == p.int_form() and q.int_form()[0] is p.int_form()[0]
+
+
+def test_word_text_writer_refuses_what_the_reader_refuses():
+    big = 10 ** MAX_SCALAR_DIGITS             # one digit more than a file holds
+    root = scalar_sqrt_adjoin(2)
+    deep = scalar_sqrt_adjoin(1 + root)          # no integer form: the Scalar loop
+    for p in (Poly([big]), Poly([Fraction(1, big)]), Poly([1, -big * root]),
+              Poly([root * Fraction(1, big)]), Poly([deep * big]),
+              Poly([scalar_sqrt_adjoin(big + 1)])):
+        with pytest.raises(OutputTooLarge, match=f"more than {MAX_SCALAR_DIGITS} digits"):
+            poly_to_json(p)
+    for p in (Poly([big - 1, Fraction(1, big - 1)]), Poly([(1 - big) * root]),
+              Poly([deep * (big - 1)])):
+        assert poly_from_json(poly_to_json(p)) == p

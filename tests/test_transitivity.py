@@ -20,18 +20,20 @@ from conftest import (
 )
 
 import jetmove
-from jetmove import automorphisms, surfaces, transitivity
+from jetmove import automorphisms, cli, exactalg, surfaces, transitivity
 from jetmove.automorphisms import (MAX_TWIST_DEGREE, apply_jet, apply_point,
-                                   word_to_json)
+                                   word_from_json, word_to_json)
 from jetmove.errors import (
     DuplicatePoints,
     EnumerationExhausted,
     MixedSurfaces,
     NotDistant,
     OrderMismatch,
+    OutputTooLarge,
     PreconditionFailed,
 )
 from jetmove.exactalg import ONE, ZERO, Poly, Series, hensel_sqrt, poly_to_series, scal
+from jetmove.exactalg.scalar import MAX_SCALAR_DIGITS
 from jetmove.surfaces import (
     Jet,
     ProjPoint,
@@ -615,3 +617,65 @@ def test_apply_images_under_pinned_words_are_pinned():
         images = [jet_to_json(apply_jet(word, j)) for j in _probes(name)]
         dump = json.dumps(images, sort_keys=True).encode()
         assert hashlib.sha256(dump).hexdigest() == _PINNED_IMAGES[name], name
+
+
+def _count_calls(monkeypatch, name):
+    """A list that grows by one per call of the exactalg function ``name``
+    through any jetmove module that binds it."""
+    original = getattr(exactalg, name)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for mname, module in list(sys.modules.items()):
+        if mname.startswith("jetmove") and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_pinned_sphere_words_load_and_write_on_the_integer_form(monkeypatch):
+    # their twist polynomials lie in Q(sqrt r): a load parses no scalar
+    # text, and a write forms at most one radicand text per polynomial
+    for name, synth in _pinned_jobs():
+        if not name.startswith("sphere"):
+            continue
+        data = json.loads(json.dumps(word_to_json(synth())))
+        polys = sum(k in g for g in data["generators"] for k in "pqr")
+        assert any("sqrt" in c for g in data["generators"] for c in g["p"]), name
+        parsed = _count_calls(monkeypatch, "parse_scalar")
+        written = _count_calls(monkeypatch, "scalar_to_str")
+        word = word_from_json(data)
+        assert not parsed, name
+        assert word_to_json(word) == data, name
+        assert len(written) <= polys, name
+        monkeypatch.undo()
+
+
+def test_output_past_the_digit_limit_exits_too_large(tmp_path, capsys):
+    # the image of this point under the pinned sphere word holds numbers
+    # of more than MAX_SCALAR_DIGITS digits, which no file may hold
+    word = dict(_pinned_jobs())["sphere"]()
+    pt = SpherePoint.of(Fraction(2, 7), Fraction(3, 7), Fraction(-6, 7))
+    jet = Jet.sphere(pt, 1, Series(pt.x, 1, [pt.y]), Series(pt.x, 1, [pt.z]))
+    wfile, jfile = tmp_path / "word.json", tmp_path / "jet.json"
+    wfile.write_text(json.dumps(word_to_json(word)))
+    jfile.write_text(json.dumps(jet_to_json(jet)))
+    assert cli.main(["apply", "--word", str(wfile), "--jet", str(jfile)]) == cli.TOO_LARGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"output too large: a number has more than {MAX_SCALAR_DIGITS} "
+                   "digits, the most a file may hold\n")
+
+
+def test_word_writer_refuses_a_number_no_file_may_hold():
+    big = 10 ** MAX_SCALAR_DIGITS
+    twist = automorphisms.TorusTwist.of("y", [big, 0, 1], [1, 0, 1])
+    moebius = automorphisms.TorusMoebius.of([[big, 0], [0, 1]], [[1, 0], [0, 1]])
+    for g in (twist, moebius):
+        with pytest.raises(OutputTooLarge):
+            word_to_json(automorphisms.AutWord(TORUS, (g,)))
+    fits = automorphisms.TorusTwist.of("y", [big - 1, 0, 1], [1, 0, 1])
+    w = automorphisms.AutWord(TORUS, (fits,))
+    assert word_from_json(word_to_json(w)) == w
