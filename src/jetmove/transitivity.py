@@ -7,7 +7,10 @@ stage functions differ by surface:
 1. separate_points_*: w1 takes the target centers to the standard
    centers, built from generic moves with exactly-tested rational
    parameters and interpolated twists (one shared twist adjusts every
-   point at once, with CRT choosing the local values).
+   point at once, with CRT choosing the local values).  The targets ride
+   through the stage as parameter forms, pushed one generator at a time;
+   its point tests read the centers off their constant terms, and each
+   jet is read back once, at the end, as apply_jet(w1, target).
 2. make_nonvertical_*: w2 is one shear, its parameter the first nonzero
    rational that leaves no moved jet vertical; the two surfaces differ
    only in that test and in the shear itself.
@@ -33,17 +36,19 @@ from itertools import count
 from math import gcd
 
 from .automorphisms import (MAX_TWIST_DEGREE, AutWord, Certificate, SphereTwist,
-                            TorusMoebius, TorusTwist, apply_jet, apply_point,
-                            word_concat, word_identity, word_inverse)
+                            TorusMoebius, TorusTwist, _push_sphere, _push_torus,
+                            apply_jet, apply_point, word_concat, word_identity,
+                            word_inverse)
 from .errors import (DuplicatePoints, EnumerationExhausted,
                      InternalVerificationFailure, MixedSurfaces, NotDistant,
                      OrderMismatch, PreconditionFailed, ensure)
 from .exactalg import (ONE, ZERO, Poly, Scalar, Series, crt_combine,
                        crt_with_modulus, scal, scalar_sqrt_adjoin)
-from .surfaces import (SPHERE, TORUS, Jet, SpherePoint, TorusPoint, jet_is_vertical,
-                       jet_tangent_vector, jets_mutually_distant,
-                       sphere_standard_center, standard_config,
-                       torus_standard_center)
+from .surfaces import (SPHERE, TORUS, Jet, ProjPoint, SpherePoint, TorusParam,
+                       TorusPoint, jet_from_sphere_param, jet_from_torus_param,
+                       jet_is_vertical, jet_parametrize, jet_tangent_vector,
+                       jets_mutually_distant, sphere_standard_center,
+                       standard_config, torus_standard_center)
 
 # candidates one generic choice may try before EnumerationExhausted
 ENUM_LIMIT = 1000
@@ -144,13 +149,29 @@ def _rotation_twists(fixed: str, nodes, orders, values):
             yield tw
 
 
-def _moved(gens: list, pts: list, g) -> list:
-    """Append generator g (None is the identity) and return pts moved by it."""
-    if g is None:
-        return pts
-    gens.append(g)
-    w = AutWord(g.surface, (g,))
-    return [apply_point(w, p) for p in pts]
+def _center(par):
+    """The center of a parameter form, read off its constant terms."""
+    if isinstance(par, TorusParam):
+        (xc, x), (yc, y) = par.x, par.y
+        return TorusPoint(ProjPoint.in_chart(xc, x.value()),
+                          ProjPoint.in_chart(yc, y.value()))
+    return SpherePoint(par.x.value(), par.y.value(), par.z.value())
+
+
+def _moved(gens: list, forms: list, g) -> tuple[list, list]:
+    """Append generator g (None is the identity) and push the carried
+    parameter forms through it; return the forms and their centers.
+
+    A center depends only on the constant terms going in, so it is the
+    image apply_point gives, and the jets read back from the forms at the
+    end of a stage are the images apply_jet gives under the stage's word.
+    """
+    if g is not None:
+        gens.append(g)
+        w = AutWord(g.surface, (g,))
+        push = _push_torus if g.surface == TORUS else _push_sphere
+        forms = [push(w, f) for f in forms]
+    return forms, [_center(f) for f in forms]
 
 
 # ---------------------------------------------------------------------------
@@ -167,10 +188,13 @@ def _check_distinct_points(points, cls):
                 raise DuplicatePoints(f"points {i} and {j} coincide")
 
 
-def separate_points_torus(points) -> AutWord:
-    """Word taking point i (0-based input order) to (i+1, 0)."""
-    pts, gens = list(points), []
+def separate_points_torus(jets) -> tuple[AutWord, tuple[Jet, ...]]:
+    """Word w1 taking the center of jet i (0-based input order) to
+    (i+1, 0), and the jets moved by it."""
+    jets = tuple(jets)
+    pts, gens = [j.center for j in jets], []
     _check_distinct_points(pts, TorusPoint)
+    forms = [jet_parametrize(j) for j in jets]
 
     # everything into the affine chart
     if any(p.x.is_infinite or p.y.is_infinite for p in pts):
@@ -185,9 +209,9 @@ def separate_points_torus(points) -> AutWord:
             return ((ZERO, ONE), (ONE, -alpha))
 
         # each matrix has determinant 1 or -1: certified as built
-        pts = _moved(gens, pts, TorusMoebius(chart_matrix([p.x for p in pts]),
-                                             chart_matrix([p.y for p in pts]),
-                                             certificate=Certificate("moebius")))
+        forms, pts = _moved(gens, forms, TorusMoebius(
+            chart_matrix([p.x for p in pts]), chart_matrix([p.y for p in pts]),
+            certificate=Certificate("moebius")))
 
     def distinct(vals):
         return all(not (vals[i] == vals[j])
@@ -214,26 +238,28 @@ def separate_points_torus(points) -> AutWord:
             residues.append((gx, 1, shift))
         tw = interpolating_twist("y", residues)
         ensure(tw is not None, "y-separating twist came out as the identity")
-        pts = _moved(gens, pts, tw)
+        forms, pts = _moved(gens, forms, tw)
 
     # x-corrections over the now-distinct y nodes, then y zeroed over the
     # standard x nodes; each twist is None when nothing needs moving
-    pts = _moved(gens, pts, interpolating_twist(
+    forms, pts = _moved(gens, forms, interpolating_twist(
         "x", [(p.y.value, 1, scal(i) - p.x.value) for i, p in enumerate(pts, 1)]))
-    pts = _moved(gens, pts, interpolating_twist(
+    forms, pts = _moved(gens, forms, interpolating_twist(
         "y", [(scal(i), 1, -p.y.value) for i, p in enumerate(pts, 1)]))
 
     for i, p in enumerate(pts, 1):
         ensure(p == torus_standard_center(i), f"point {i - 1} missed its center")
-    return AutWord(TORUS, tuple(gens))
+    return (AutWord(TORUS, tuple(gens)),
+            tuple(jet_from_torus_param(f, j.order) for f, j in zip(forms, jets)))
 
 
 # ---------------------------------------------------------------------------
 # point separation, sphere
 
 
-def separate_points_sphere(points, orders=None) -> AutWord:
-    """Word taking point i to the standard equator center i+1.
+def separate_points_sphere(jets) -> tuple[AutWord, tuple[Jet, ...]]:
+    """Word w1 taking the center of jet i to the standard equator center
+    i+1, and the jets moved by it.
 
     Stages: a generic constant rotation making x-coordinates distinct and
     off +-1; a fiber rotation to chosen heights v_i (adjoining one square
@@ -242,18 +268,18 @@ def separate_points_sphere(points, orders=None) -> AutWord:
     point of the circle of radius Y_i, so the x-move and the equator drop
     stay rational and every half-angle is finite.
 
-    ``orders`` (default all 1) gives the jet order riding on each point:
-    the varying stages emit one twist per point (_rotation_twists), so a
-    transported jet only ever meets the one square root adjoined for it.
+    The varying stages emit one twist per point (_rotation_twists), each
+    to the order of the jet riding on its point, so a transported jet only
+    ever meets the one square root adjoined for it.
     """
-    pts, gens = list(points), []
+    jets = tuple(jets)
+    pts, gens = [j.center for j in jets], []
     _check_distinct_points(pts, SpherePoint)
-    n = len(pts)
-    if orders is None:
-        orders = [1] * n
-    targets = [sphere_standard_center(i) for i in range(1, n + 1)]
+    orders = [j.order for j in jets]
+    targets = [sphere_standard_center(i) for i in range(1, len(pts) + 1)]
     if pts == targets:
-        return word_identity(SPHERE)
+        return word_identity(SPHERE), jets
+    forms = [jet_parametrize(j) for j in jets]
 
     def xs_good(ps):
         xs = [p.x for p in ps]
@@ -276,7 +302,7 @@ def separate_points_sphere(points, orders=None) -> AutWord:
 
         rotations = (generic_rotation(s, t) for s, t in _rational_pairs())
         for g in _pick(moves_apart, "generic rotation", rotations):
-            pts = _moved(gens, pts, g)
+            forms, pts = _moved(gens, forms, g)
 
     # fiber heights v_i = Y_i (1-s^2)/(1+s^2) for rational s, so the later
     # x-move leg sqrt(Y_i^2 - v_i^2) = 2 Y_i s/(1+s^2) is rational and the
@@ -318,7 +344,7 @@ def separate_points_sphere(points, orders=None) -> AutWord:
         s = p.y * z - p.z * v
         values.append(half_angle(c, s, rho2))
     for g in _rotation_twists("x", [p.x for p in pts], orders, values):
-        pts = _moved(gens, pts, g)
+        forms, pts = _moved(gens, forms, g)
 
     # move x to its target along the circle of constant y
     values = []
@@ -328,7 +354,7 @@ def separate_points_sphere(points, orders=None) -> AutWord:
         s = p.z * tgt.x - p.x * w
         values.append(half_angle(c, s, r2))
     for g in _rotation_twists("y", [p.y for p in pts], orders, values):
-        pts = _moved(gens, pts, g)
+        forms, pts = _moved(gens, forms, g)
 
     # drop to the equator within each target fiber; all angles are rational
     # here, so a single interpolated twist is fine
@@ -337,10 +363,11 @@ def separate_points_sphere(points, orders=None) -> AutWord:
         c = p.y * tgt.y
         s = -(p.z * tgt.y)
         residues.append((p.x, e, half_angle(c, s, tgt.y * tgt.y)))
-    pts = _moved(gens, pts, rotation_twist("x", residues))
+    forms, pts = _moved(gens, forms, rotation_twist("x", residues))
 
     ensure(pts == targets, "points missed their standard centers")
-    return AutWord(SPHERE, tuple(gens))
+    return (AutWord(SPHERE, tuple(gens)),
+            tuple(jet_from_sphere_param(f, e) for f, e in zip(forms, orders)))
 
 
 # ---------------------------------------------------------------------------
@@ -497,16 +524,14 @@ def _align_sphere(nonv, std) -> AutWord:
 
 def _build(surface: str, targets: tuple[Jet, ...], std) -> AutWord:
     """The word taking the standard jets ``std`` to ``targets``, unchecked:
-    w1 separates the target centers onto the standard ones, w2 shears the
-    moved jets off the vertical and w3 aligns the standard jets with
-    them, so the word is w3 (w1 w2)^-1."""
+    w1 separates the target centers onto the standard ones, the targets
+    riding through it and read back once, w2 shears the moved jets off
+    the vertical and w3 aligns the standard jets with them, so the word
+    is w3 (w1 w2)^-1."""
     if not targets:
         return word_identity(surface)
     torus = surface == TORUS
-    centers = [j.center for j in targets]
-    w1 = (separate_points_torus(centers) if torus
-          else separate_points_sphere(centers, [j.order for j in targets]))
-    moved = [apply_jet(w1, j) for j in targets]
+    w1, moved = (separate_points_torus if torus else separate_points_sphere)(targets)
     w2, nonv = (make_nonvertical_torus if torus else make_nonvertical_sphere)(moved)
     w3 = (_align_torus if torus else _align_sphere)(nonv, std)
     return word_concat(w3, word_inverse(word_concat(w1, w2)))

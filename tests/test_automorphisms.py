@@ -129,6 +129,9 @@ def test_certify_sphere_square_shape(q, plus, other):
     g = SphereTwist.of("y", p, q, r)
     assert g.certificate.kind == "sphere-twist-square"
     assert p * p + q * q == r * r
+    # the sign-flipped triple holds as well, so other = -2p is no bump
+    assert SphereTwist.of("y", -p, q, r).certificate.kind == "sphere-twist-square"
+    assume(not (other == -(p + p)))
     with pytest.raises(IdentityFails):
         SphereTwist.of("y", p + other, q, r)
 

@@ -121,10 +121,27 @@ def word_of_one(gen):
 # point separation
 
 
+def _point_jet(p):
+    """The order-1 jet at point p, the form a bare point rides separation in."""
+    if isinstance(p, TorusPoint):
+        return Jet.torus(p, 1, Series(p.x.local, 1, [p.y.local]))
+    return Jet.sphere(p, 1, Series(p.x, 1, [p.y]), Series(p.x, 1, [p.z]))
+
+
+def _separate(stage, pts):
+    """The stage's word on the point jets at pts, checking that the jets
+    it hands back sit on the standard centers."""
+    w, moved = stage([_point_jet(p) for p in pts])
+    center = torus_standard_center if stage is separate_points_torus else sphere_standard_center
+    assert [j.center for j in moved] == [center(i) for i in range(1, len(pts) + 1)]
+    assert all(j.order == 1 for j in moved)
+    return w
+
+
 def test_separate_torus_points():
     pts = [TorusPoint.affine(5, 7), TorusPoint.affine(2, 3),
            TorusPoint.affine(-1, Fraction(1, 2))]
-    w = separate_points_torus(pts)
+    w = _separate(separate_points_torus, pts)
     for i, p in enumerate(pts, 1):
         assert apply_point(w, p) == torus_standard_center(i)
 
@@ -132,7 +149,7 @@ def test_separate_torus_points():
 def test_separate_torus_points_from_infinity():
     pts = [TorusPoint(ProjPoint.infinity(), ProjPoint.affine(0)),
            TorusPoint(ProjPoint.affine(0), ProjPoint.infinity())]
-    w = separate_points_torus(pts)
+    w = _separate(separate_points_torus, pts)
     for i, p in enumerate(pts, 1):
         assert apply_point(w, p) == torus_standard_center(i)
 
@@ -140,35 +157,139 @@ def test_separate_torus_points_from_infinity():
 def test_separate_torus_points_sharing_a_column():
     pts = [TorusPoint.affine(0, 1), TorusPoint.affine(0, 2),
            TorusPoint.affine(1, 1)]
-    w = separate_points_torus(pts)
+    w = _separate(separate_points_torus, pts)
     for i, p in enumerate(pts, 1):
         assert apply_point(w, p) == torus_standard_center(i)
 
 
 def test_separate_rejects_duplicates():
     with pytest.raises(DuplicatePoints):
-        separate_points_torus([TorusPoint.affine(1, 1), TorusPoint.affine(1, 1)])
+        separate_points_torus([_point_jet(TorusPoint.affine(1, 1))] * 2)
     with pytest.raises(MixedSurfaces):
-        separate_points_torus([SpherePoint(ONE, ZERO, ZERO)])
+        separate_points_torus([_point_jet(SpherePoint(ONE, ZERO, ZERO))])
 
 
 def test_separate_sphere_points():
     pts = [SpherePoint(ZERO, ZERO, ONE), SpherePoint(ONE, ZERO, ZERO),
            sphere_point_stereo(1, 1)]
-    w = separate_points_sphere(pts)
+    w = _separate(separate_points_sphere, pts)
     for i, p in enumerate(pts, 1):
         assert apply_point(w, p) == sphere_standard_center(i)
 
 
 def test_separate_sphere_already_standard():
     pts = [sphere_standard_center(1), sphere_standard_center(2)]
-    assert len(separate_points_sphere(pts)) == 0
+    assert len(_separate(separate_points_sphere, pts)) == 0
 
 
 def test_separate_sphere_rejects_duplicates():
-    p = sphere_point_stereo(2, 3)
+    p = _point_jet(sphere_point_stereo(2, 3))
     with pytest.raises(DuplicatePoints):
         separate_points_sphere([p, p])
+
+
+def _sphere_jet(c, tail):
+    """Sphere jet at c of order len(tail) + 1 with g = c.y + tail in powers
+    of x - c.x, and h the root of 1 - x^2 - g^2 through c.z."""
+    e = len(tail) + 1
+    g = Series(c.x, e, [c.y, *tail])
+    h = hensel_sqrt(poly_to_series(Poly([1, 0, -1]), c.x, e) - g * g, c.z)
+    return Jet.sphere(c, e, g, h)
+
+
+def _separation_targets():
+    """Torus jets over x = infinity, over y = infinity and one transposed
+    (vertical), and sphere jets of orders [3, 2, 2], two sharing their x
+    so that the generic rotation runs."""
+    torus = [
+        Jet.torus(TorusPoint(ProjPoint.infinity(), ProjPoint.affine(3)), 2,
+                  Series(ZERO, 2, [3, 1])),
+        Jet.torus(TorusPoint(ProjPoint.affine(2), ProjPoint.infinity()), 3,
+                  Series(scal(2), 3, [0, 1, Fraction(1, 2)])),
+        Jet.torus(TorusPoint.affine(2, 5), 2, Series(scal(5), 2, [2, 0]), transposed=True),
+        Jet.torus(TorusPoint.affine(-1, 4), 1, Series(scal(-1), 1, [4])),
+    ]
+    sphere = [
+        _sphere_jet(sphere_point_stereo(1, 2), [1, Fraction(-1, 2)]),
+        _sphere_jet(SpherePoint.of(Fraction(1, 3), Fraction(-2, 3), Fraction(2, 3)), [2]),
+        _sphere_jet(sphere_point_stereo(2, 3), [Fraction(-1, 3)]),
+    ]
+    return [(separate_points_torus, torus), (separate_points_sphere, sphere)]
+
+
+def _word_dump(w):
+    return json.dumps(word_to_json(w), sort_keys=True)
+
+
+def test_separation_carries_the_targets_once(monkeypatch):
+    # the stage reads its centers off the carried forms: they are the
+    # images apply_point gives of the target centers under the word so
+    # far, the word is the one those images build, and each jet handed
+    # back is apply_jet(w1, target)
+    carried = transitivity._moved
+    for stage, targets in _separation_targets():
+        w1, moved = stage(targets)
+        assert len(moved) == len(targets)
+        for j, m in zip(targets, moved):
+            assert m == apply_jet(w1, j)
+        steps = []
+
+        def by_points(gens, forms, g, targets=targets):
+            forms, pts = carried(gens, forms, g)
+            w = automorphisms.AutWord(targets[0].surface, tuple(gens))
+            want = [apply_point(w, j.center) for j in targets]
+            assert pts == want
+            steps.append(len(gens))
+            return forms, want
+
+        monkeypatch.setattr(transitivity, "_moved", by_points)
+        w_ref, moved_ref = stage(targets)
+        monkeypatch.undo()
+        assert steps and steps[-1] == len(w1)
+        assert _word_dump(w_ref) == _word_dump(w1)
+        assert moved_ref == moved
+
+
+def test_torus_separation_word_depends_on_the_centers_only():
+    _, targets = _separation_targets()[0]
+    w1, _ = separate_points_torus(targets)
+    w_pts, _ = separate_points_torus([_point_jet(j.center) for j in targets])
+    assert len(w1) > 0
+    assert _word_dump(w_pts) == _word_dump(w1)
+
+
+def test_sphere_separation_at_the_standard_centers_is_the_identity():
+    jets = standard_config(SPHERE, [2, 1, 3]).jets
+    w1, moved = separate_points_sphere(jets)
+    assert len(w1) == 0 and w1.surface == SPHERE
+    assert moved == tuple(jets)
+
+
+def test_synthesis_moves_each_target_through_separation_once(monkeypatch):
+    # generator steps of the torus transport over one synth_torus: the
+    # targets cross the separating word w1 once, the shear w2 once, and
+    # the final check crosses the whole word once
+    steps, words = [], {}
+    original = automorphisms._push_torus
+
+    def counted(w, par):
+        steps.append(len(w.generators))
+        return original(w, par)
+
+    for mname, module in list(sys.modules.items()):
+        if mname.startswith("jetmove") and getattr(module, "_push_torus", None) is original:
+            monkeypatch.setattr(module, "_push_torus", counted)
+    for name in ("separate_points_torus", "make_nonvertical_torus"):
+        def stage(jets, name=name, inner=getattr(transitivity, name)):
+            words[name] = out = inner(jets)
+            return out
+        monkeypatch.setattr(transitivity, name, stage)
+    w = dict(_pinned_jobs())["torus"]()
+    n = 2
+    w1 = words["separate_points_torus"][0]
+    w2 = words["make_nonvertical_torus"][0]
+    assert len(w1) > 0 and len(w2) == 1
+    assert sum(steps) == len(w1) * n + len(w2) * n + len(w) * n
 
 
 # ---------------------------------------------------------------------------
