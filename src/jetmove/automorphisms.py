@@ -16,10 +16,12 @@ Three generator kinds:
 Every generator in a word carries a Certificate naming its proof route.
 The synthesizer attaches it as it builds the generator; what is read
 from outside is proved on load by its kind's ``of``, the one place that
-proves it: TorusTwist.of proves a q = 1 + m^2 from its coefficients and
-any other q by Sturm counts, TorusMoebius.of checks both determinants,
-and SphereTwist.of recovers n/d from a sphere triple and proves
-p^2 + q^2 = r^2 by one product identity.  A word file holds only
+proves it: TorusTwist.of proves a q = 1 + m^2 from its coefficients (a
+rational q by an integer square root of q - 1 over Z, a tower q by a
+series root) and any other q by Sturm counts, TorusMoebius.of checks
+both determinants, and SphereTwist.of recovers n/d from a sphere triple
+(with no gcd when r + p is a constant, as in every synthesized twist)
+and proves p^2 + q^2 = r^2 by one product identity.  A word file holds only
 generator data; str(g) renders the formula.  Twist polynomial text in Q
 or one Q(sqrt r) is read and written on the integer form, with no
 Scalar built per coefficient (exactalg's poly_from_json and
@@ -38,6 +40,7 @@ a series only through its Taylor shift to the series' value.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from math import isqrt
 
 from .errors import (DegreeMismatch, IdentityFails, MixedSurfaces,
                      NotCurvilinear, PreconditionFailed, RootInForbiddenRegion)
@@ -63,11 +66,13 @@ class Certificate:
     """The proof route a generator passed; each kind's ``of`` proves it.
 
     torus-twist-square: q - 1 = m^2 for an m found exactly (so q >= 1),
-        deg p = deg q.
+        deg p = deg q; over Q by an integer square root of q - 1's
+        integer form, in a tower by a series root (_is_square).
     torus-twist: Sturm count of q on the real line, deg p = deg q.
     sphere-twist-square: (r - p)(r + p) = q^2 and deg r = 2 max(deg n,
         deg d) for the half-angle n/d, so r is a nonzero constant times
-        d^2 + n^2, which has no real root.
+        d^2 + n^2, which has no real root.  n/d is q/(r + p) divided by
+        its gcd, or read off with d = 1 when r + p is a constant.
     sphere-twist: Sturm count of r on [-1, 1], then the same identity.
     moebius: both matrices nonsingular.
     """
@@ -159,7 +164,8 @@ class SphereTwist:
     def of(fixed: str, p, q, r) -> SphereTwist:
         """The certified twist with cos = p/r and sin = q/r.
 
-        Its half-angle is n/d = q/(r + p), and p^2 + q^2 = r^2 is checked
+        Its half-angle is n/d = q/(r + p), reduced by their gcd unless
+        r + p is a constant (then d = 1), and p^2 + q^2 = r^2 is checked
         as (r - p)(r + p) = q^2.  When that holds, r is a polynomial lam
         times d^2 + n^2, which has no real root because n and d are
         coprime, and whose leading coefficient is positive; so lam is a
@@ -174,6 +180,9 @@ class SphereTwist:
         s = r + p
         if s.is_zero():
             n, d = Poly.const(1), Poly()
+        elif s.degree == 0:
+            # a nonzero constant is coprime to q: q/s is in lowest terms
+            n, d = q * s.lead().inverse(), Poly.const(1)
         else:
             g = poly_gcd(q, s)
             d = s // g
@@ -273,20 +282,46 @@ def _root_free(pol: Poly, interval, kind: str) -> None:
 def _is_square(d: Poly) -> bool:
     """Whether d = m^2 for a polynomial m found from the top down.
 
-    Reversed, d is a series in 1/x whose square root's leading term
-    comes from try_sqrt in the tower of d's leading coefficient; its
-    top k + 1 coefficients fix m of degree k, found by hensel_sqrt.
-    The final product check makes True exact; False only means no such
-    m was found, and the caller falls back to Sturm.
+    A rational d is tested on its integer form A / D, which is reduced
+    (D > 0 and D coprime to the content of A).  If m = B / E in lowest
+    terms, then B^2 / E^2 is in lowest terms too, since by Gauss's lemma
+    the content of B^2 is the square of B's; and the reduced form is
+    unique.  So d is a square in Q[x] exactly when D = E^2 and A = B^2
+    in Z[x], for E = isqrt(D).  B's leading coefficient is the isqrt of
+    A's, and each lower one, from the top down, is an exact integer
+    division by twice it: a remainder proves A is no square over Z.
+
+    Any other d, reversed, is a series in 1/x whose square root's
+    leading term comes from try_sqrt in the tower of d's leading
+    coefficient; its top k + 1 coefficients fix m of degree k, found by
+    hensel_sqrt.
+
+    The final product check makes True exact on both routes.  False
+    proves d no square on the integer route and only means no m was
+    found on the other; either way the caller falls back to Sturm.
     """
     if d.is_zero() or d.degree % 2:
         return False
-    lead = try_sqrt(d.lead())
-    if lead is None:
-        return False
     k = d.degree // 2
-    top = Series(ZERO, k + 1, d.coeffs[k:][::-1])
-    m = Poly(hensel_sqrt(top, lead).coeffs[::-1])
+    form = d.int_form()
+    if form and form[0] is None:
+        _, (a,), den = form
+        e, lead = isqrt(den), isqrt(max(a[-1], 0))
+        if e * e != den or lead * lead != a[-1]:
+            return False
+        b = [0] * k + [lead]
+        for i in range(1, k + 1):
+            t = a[2 * k - i] - sum(b[k - j] * b[k - i + j] for j in range(1, i))
+            b[k - i], rem = divmod(t, 2 * lead)
+            if rem:
+                return False
+        m = Poly.from_ints(None, (b,), e)
+    else:
+        lead = try_sqrt(d.lead())
+        if lead is None:
+            return False
+        top = Series(ZERO, k + 1, d.coeffs[k:][::-1])
+        m = Poly(hensel_sqrt(top, lead).coeffs[::-1])
     return m * m == d
 
 

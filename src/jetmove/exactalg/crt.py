@@ -55,7 +55,12 @@ def crt_combine(residues) -> Poly:
 
 
 def crt_with_modulus(residues) -> tuple[Poly, Poly]:
-    """crt_combine's interpolant and its node product prod (x - c_i)^{e_i}."""
+    """crt_combine's interpolant and its node product prod (x - c_i)^{e_i}.
+
+    The interpolant is the sum over the residues of m_i times the lift
+    of value_i / m_i mod (x - c_i)^{e_i}, for m_i the node product
+    without node i; a zero value's term is zero and is not formed.
+    """
     items: list[tuple[Scalar, int, Series]] = []
     for center, order, value in residues:
         c = scal(center)
@@ -69,6 +74,8 @@ def crt_with_modulus(residues) -> tuple[Poly, Poly]:
         m = m * Poly([-c, ONE]) ** e
     out = Poly()
     for c, e, val in items:
+        if val.is_zero():
+            continue
         m_i = m
         for _ in range(e):
             m_i = _strip_node(m_i, c)

@@ -10,7 +10,7 @@ are coefficient lists, lowest degree first.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, isqrt
 
 F = Fraction
 
@@ -138,6 +138,44 @@ def s_sqrt(a, s0):
         for i in range(1, k):
             acc = acc - out[i] * out[k - i]
         out.append(acc * inv)
+    return out
+
+
+def p_sqrt(a):
+    """The m with m^2 = a and a positive leading coefficient, found from
+    the top down over Fractions, or None when the nonzero ``a`` is no
+    square in Q[x]; the zero polynomial, with no leading coefficient to
+    take the root of, gives None as well."""
+    a = trim(list(a))
+    if not a or len(a) % 2 == 0 or a[-1] < 0:
+        return None
+    num, den = a[-1].numerator, a[-1].denominator
+    rn, rd = isqrt(num), isqrt(den)
+    if rn * rn != num or rd * rd != den:
+        return None
+    k = len(a) // 2
+    m = [F(0)] * k + [F(rn, rd)]
+    for i in range(1, k + 1):
+        acc = a[2 * k - i]
+        for j in range(1, i):
+            acc -= m[k - j] * m[k - i + j]
+        m[k - i] = acc / (2 * m[k])
+    return m if p_mul(m, m) == a else None
+
+
+def crt_full_sum(residues):
+    """The CRT interpolant of (c, e, values) triples as the sum of every
+    residue's term m_i L_i, zero residues included: m_i is the node
+    product without node i, and L_i the lift to powers of x of
+    values / m_i mod (x - c)^e."""
+    out = []
+    for i, (c, e, vals) in enumerate(residues):
+        m_i = [F(1)]
+        for j, (cj, ej, _) in enumerate(residues):
+            for _ in range(ej if j != i else 0):
+                m_i = p_mul(m_i, [-cj, F(1)])
+        u = s_mul(list(vals), s_inv(p_taylor(m_i, c, e)))
+        out = p_add(out, p_mul(m_i, p_taylor(u, -c, e)))
     return out
 
 

@@ -9,7 +9,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import rand_sphere_jet, rand_sphere_point, rand_torus_jet
-from oracles import p_add, p_mul, p_scale, series_horner, sphere_route
+from oracles import (p_add, p_mul, p_scale, p_sqrt, series_horner,
+                     sphere_route, trim)
 
 from jetmove import automorphisms, surfaces
 from jetmove.automorphisms import (
@@ -214,6 +215,87 @@ def test_sphere_twist_of_matches_lam_proof(triple):
         assert type(exc).__name__ == want
     else:
         assert (g.certificate.kind, g.n, g.d) == (want[0], Poly(want[1]), Poly(want[2]))
+
+
+_wide = st.one_of(_rationals, st.integers(-10 ** 12, 10 ** 12).map(Fraction),
+                 st.fractions(min_value=-10 ** 6, max_value=10 ** 6,
+                              max_denominator=10 ** 4))
+_wide_nonzero = _wide.filter(lambda f: f != 0)
+
+
+@st.composite
+def _square_candidates(draw):
+    """Fraction lists: c m^2 for a rational m (any lead, with
+    denominators) and c a square or any rational, m^2 with one
+    coefficient moved, an odd degree, or zero."""
+    m = draw(st.lists(_wide, max_size=5)) + [draw(_wide_nonzero)]
+    mm = p_mul(m, m)
+    shape = draw(st.sampled_from(["square", "scaled", "moved", "odd", "zero"]))
+    if shape == "square":
+        return p_scale(mm, draw(_nonzero.map(lambda f: f * f)))
+    if shape == "scaled":
+        c = draw(st.one_of(_nonzero, st.sampled_from([F(2), F(-1), F(-4), F(1, 2),
+                                                       F(8, 9)])))
+        return p_scale(mm, c)
+    if shape == "moved":
+        i = draw(st.integers(0, len(mm) - 1))
+        mm[i] += draw(_wide_nonzero)
+        return trim(mm)
+    if shape == "odd":
+        k = draw(st.integers(0, 3))
+        return draw(st.lists(_wide, min_size=2 * k + 1, max_size=2 * k + 1)) + \
+            [draw(_wide_nonzero)]
+    return []
+
+
+@settings(max_examples=120, deadline=None)
+@given(_square_candidates())
+@example([F(1, 4), F(1), F(1)])                  # (x + 1/2)^2
+@example([F(1), F(2), F(1), F(0), F(0)])        # trailing zeros trimmed
+@example([F(4, 9), F(0), F(-2, 3), F(0), F(1, 4)])  # (x^2/2 - 2/3)^2
+@example([F(1), F(0), F(2)])                    # square numerators, no square lead
+def test_is_square_agrees_with_fraction_oracle(d):
+    # rational d takes the integer route, which must accept exactly the
+    # squares in Q[x] that the Fraction top-down root finds
+    assert automorphisms._is_square(Poly(d)) == (p_sqrt(d) is not None)
+
+
+def _refuse(*args):
+    raise AssertionError("route not expected here")
+
+
+_lam_in_q_or_s2 = st.one_of(
+    _nonzero.map(scal),
+    st.builds(lambda a, b: scal(a) + _S2 * b, _rationals, _nonzero))
+_over_s2 = st.builds(lambda a, b: scal(a) + _S2 * b, _rationals, _rationals)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_lam_in_q_or_s2, st.one_of(st.just(Poly()), _polys(_rationals, _nonzero),
+                            _polys(_over_s2, _towered_lead)))
+def test_sphere_twist_of_constant_sum_route(lam, a):
+    # lam (1 - a^2, 2a, 1 + a^2) has r + p = 2 lam, a nonzero constant:
+    # n = q / (2 lam) = a and d = 1 are read off with no gcd
+    p, q, r = (1 - a * a) * lam, a * 2 * lam, (1 + a * a) * lam
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(automorphisms, "poly_gcd", _refuse)
+        g = SphereTwist.of("x", p, q, r)
+    assert (g.n, g.d, g.certificate.kind) == (a, Poly.const(1), "sphere-twist-square")
+    assert g.triple() == (1 - a * a, a * 2, 1 + a * a)
+
+
+def test_sphere_twist_of_nonconstant_sum_takes_the_gcd(monkeypatch):
+    # n/d = 2/(x + 1) scaled by 3: r + p = 6 (x + 1)^2 is no constant, so
+    # the gcd of q and r + p is taken, once, and divided out
+    p, q, r = (Poly(c) * 3 for c in ([-3, 2, 1], [4, 4], [5, 2, 1]))
+    calls = []
+    gcd = automorphisms.poly_gcd
+    monkeypatch.setattr(automorphisms, "poly_gcd",
+                        lambda *args: calls.append(args) or gcd(*args))
+    g = SphereTwist.of("x", p, q, r)
+    assert (g.n, g.d, g.certificate.kind) == \
+        (Poly.const(2), Poly([1, 1]), "sphere-twist-square")
+    assert len(calls) == 1
 
 
 def test_certify_rejects_denominator_root():

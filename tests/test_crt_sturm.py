@@ -13,7 +13,8 @@ from jetmove.exactalg import (NEG_INF, ONE, POS_INF, Poly, Series, SturmChain,
                               isolate_root, poly_to_series, scal,
                               scalar_sqrt_adjoin, sturm_root_count)
 from jetmove.exactalg.crt import _strip_node
-from oracles import count_closed, count_line, p_divmod, p_mul, p_taylor
+from oracles import (count_closed, count_line, crt_full_sum, p_divmod, p_mul,
+                     p_taylor)
 
 x = Poly.x()
 
@@ -178,6 +179,31 @@ def test_crt_with_modulus_agrees_with_oracle(items, data):
     assert p.is_zero() or p.degree < m.degree
     for c, e, val in residues:
         assert p_taylor(list(p.coeffs), c, e) == list(val.coeffs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(nodes, st.data())
+def test_crt_skips_zero_residues_and_equals_the_full_sum(items, data):
+    # a zero residue's term is left out: the interpolant still equals
+    # the sum of every residue's term, zeros included
+    residues, triples = [], []
+    for c, e in items:
+        vals = data.draw(st.one_of(st.just([Fraction(0)] * e),
+                                   st.lists(node, min_size=e, max_size=e)))
+        residues.append((scal(c), e, Series(scal(c), e, vals)))
+        triples.append((c, e, vals))
+    p, m = crt_with_modulus(residues)
+    assert list(p.coeffs) == crt_full_sum(triples)
+    assert list(m.coeffs) == _node_product(items)
+
+
+def test_crt_of_zero_residues_still_checks_them():
+    # all zero: the zero interpolant and the whole node product, and a
+    # zero residue is still coerced to its (center, order)
+    p, m = crt_with_modulus([(scal(0), 2, scal(0)), (scal(1), 1, [0])])
+    assert p.is_zero() and m == Poly([0, -1, 1]) * Poly([0, 1])
+    with pytest.raises(ValueError):
+        crt_with_modulus([(scal(0), 2, Series(scal(0), 1, [0]))])
 
 
 @settings(max_examples=60, deadline=None)

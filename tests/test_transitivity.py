@@ -774,6 +774,22 @@ def test_pinned_sphere_words_load_and_write_on_the_integer_form(monkeypatch):
         monkeypatch.undo()
 
 
+def test_pinned_words_load_with_no_series_root_or_gcd(monkeypatch):
+    # a torus twist's q - 1 = m^2 is rational, so it is proved a square
+    # on its integer form, with no hensel_sqrt; a synthesized sphere
+    # twist has r + p = 2, so its half-angle needs no poly_gcd
+    words = [(name, synth()) for name, synth in _pinned_jobs()]
+
+    def refuse(*args):
+        raise AssertionError("not expected on this load")
+
+    monkeypatch.setattr(automorphisms, "hensel_sqrt", refuse)
+    monkeypatch.setattr(automorphisms, "poly_gcd", refuse)
+    for name, word in words:
+        data = json.loads(json.dumps(word_to_json(word)))
+        assert word_from_json(data) == word, name
+
+
 def test_output_past_the_digit_limit_exits_too_large(tmp_path, capsys):
     # the image of this point under the pinned sphere word holds numbers
     # of more than MAX_SCALAR_DIGITS digits, which no file may hold
