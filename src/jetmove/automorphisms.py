@@ -34,7 +34,9 @@ Jacobian as the order-2 case, so one transport serves all three.  Torus
 coordinates travel as (chart, local series) pairs, so nothing breaks
 over infinity; only Moebius maps and twist steps form homogeneous pairs,
 and they normalize their result back at once.  A twist polynomial meets
-a series only through its Taylor shift to the series' value.
+a series only through its Taylor shift to the series' value.  A twist
+step with a zero angle or translation series is skipped: it multiplies
+by a unit and divides by it again (d^2, or q homogenized), exactly.
 """
 
 from __future__ import annotations
@@ -390,6 +392,10 @@ def _push_torus(w: AutWord, par: TorusParam) -> TorusParam:
             src, moved = (x, y) if g.axis == "y" else (y, x)
             n = g.q.degree
             ph = _hom_eval_series(g.p, n, *src)
+            if ph.is_zero():
+                # qh is a unit (q: no real root, deg n), so (m0 qh : m1 qh)
+                # normalizes back to moved, chart 1 having local value 0
+                continue
             qh = _hom_eval_series(g.q, n, *src)
             m0, m1 = _chart_pair(*moved)
             moved = _normalize_pair(m0 * qh + ph * m1, m1 * qh)
@@ -403,7 +409,11 @@ def _push_sphere(w: AutWord, par: SphereParam) -> SphereParam:
     for g in w.generators:
         names = SPHERE_CHARTS[g.fixed]
         t, u, v = (getattr(par, n) for n in names)
-        nv, dv = _eval(g.n, t), _eval(g.d, t)
+        nv = _eval(g.n, t)
+        if nv.is_zero():
+            # (p, q, r) = (d^2, 0, d^2), d(t) a unit (n, d coprime): identity
+            continue
+        dv = _eval(g.d, t)
         nn, dd, nd = nv * nv, dv * dv, nv * dv
         pv, qv = dd - nn, nd + nd
         rinv = (dd + nn).invert()

@@ -69,7 +69,9 @@ class ProjPoint:
 
     @staticmethod
     def affine(value) -> ProjPoint:
-        return ProjPoint(value, 1)
+        pt = ProjPoint.__new__(ProjPoint)
+        pt.u, pt.v = scal(value), ONE
+        return pt
 
     @staticmethod
     def infinity() -> ProjPoint:
@@ -331,8 +333,11 @@ def _reparametrize(driver: Series, others: list[Series], order: int) -> list[Ser
 
     The driver must have valuation 1 in t; the caller checked that.  Then
     s^k starts at t^k, so the powers of s form a triangular basis and
-    each coefficient peels off in turn: o = sum_k c_k s^k.
+    each coefficient peels off in turn: o = sum_k c_k s^k.  At order 1
+    s is zero and each series is its own constant.
     """
+    if order == 1:
+        return [Series(driver.value(), 1, [o.value()]) for o in others]
     s = driver - driver.value()
     powers = [Series.constant(1, s.center, s.order)]
     for _ in range(1, s.order):

@@ -188,6 +188,41 @@ def series_horner(a, s):
     return acc
 
 
+def sphere_twist_step(n, d, t, u, v):
+    """The rotated pair (u, v) of one sphere twist with half-angle n/d at
+    the series t, always by the full formula ((u p - v q)/r, (u q + v p)/r)
+    for (p, q, r) = (d^2 - n^2, 2nd, d^2 + n^2): every product and the
+    inverse of r are formed, whether the angle is zero or not."""
+    nv, dv = series_horner(n, t), series_horner(d, t)
+    nn, dd, nd = s_mul(nv, nv), s_mul(dv, dv), s_mul(nv, dv)
+    p = [a - b for a, b in zip(dd, nn)]
+    q = [a + a for a in nd]
+    rinv = s_inv([a + b for a, b in zip(dd, nn)])
+    up, uq, vp, vq = s_mul(u, p), s_mul(u, q), s_mul(v, p), s_mul(v, q)
+    return (s_mul([a - b for a, b in zip(up, vq)], rinv),
+            s_mul([a + b for a, b in zip(uq, vp)], rinv))
+
+
+def torus_twist_step(p, q, src, moved):
+    """The moved (chart, series) pair after adding p/q of the src pair,
+    always by the full formula: p and q homogenized to degree deg q and
+    read at src, the pair (m0 q + p m1 : m1 q) formed and brought to
+    chart 0 when its second entry is a unit, to chart 1 otherwise."""
+    k = len(q) - 1
+    (sc, s), (mc, m) = src, moved
+    if sc == 1:
+        p, q = ([a[k - i] if k - i < len(a) else F(0) for i in range(k + 1)]
+                for a in (p, q))
+    ph, qh = series_horner(p, s), series_horner(q, s)
+    one = [F(1)] + [F(0)] * (len(s) - 1)
+    m0, m1 = (m, one) if mc == 0 else (one, m)
+    h0 = [a + b for a, b in zip(s_mul(m0, qh), s_mul(ph, m1))]
+    h1 = s_mul(m1, qh)
+    if h1[0] != 0:
+        return 0, s_mul(h0, s_inv(h1))
+    return 1, s_mul(h1, s_inv(h0))
+
+
 def p_divmod(a, b):
     a = list(a)
     q = [F(0)] * max(len(a) - len(b) + 1, 0)

@@ -2,6 +2,7 @@
 
 import re
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import rand_sphere_jet, rand_sphere_point, rand_torus_jet
 from oracles import (p_add, p_mul, p_scale, p_sqrt, series_horner,
-                     sphere_route, trim)
+                     sphere_route, sphere_twist_step, torus_twist_step, trim)
 
 from jetmove import automorphisms, surfaces
 from jetmove.automorphisms import (
@@ -41,14 +42,21 @@ from jetmove.errors import (
 from jetmove.exactalg import (ONE, ZERO, Poly, Series, SturmChain, poly_gcd,
                               scal, scalar_sqrt_adjoin, sturm_root_count)
 from jetmove.surfaces import (
+    SPHERE_CHARTS,
     Jet,
     ProjPoint,
     SPHERE,
+    SphereParam,
     SpherePoint,
     TORUS,
+    TorusParam,
     TorusPoint,
+    jet_from_sphere_param,
+    jet_from_torus_param,
+    jet_parametrize,
     sphere_point_stereo,
 )
+from jetmove.transitivity import interpolating_twist, rotation_twist
 
 
 # ---------------------------------------------------------------------------
@@ -614,6 +622,74 @@ def test_twist_series_evaluation_matches_horner(data, order, chart, extra):
     got = automorphisms._hom_eval_series(pol, n, chart, s)
     assert got.center == ZERO and got.order == order
     assert all(a == b for a, b in zip(got.coeffs, want))
+
+
+# ---------------------------------------------------------------------------
+# steps that fix the carried jet: the transport skips a twist whose angle
+# or translation series is zero, so each step is checked against the
+# full formula run every time (oracles), on twists that vanish at the
+# jet's node to an order k at, above or below the jet's own
+
+
+def _fractions(pol):
+    return [c.as_fraction() for c in pol.coeffs]
+
+
+def _series(cs):
+    return Series(ZERO, len(cs), cs)
+
+
+@st.composite
+def _stereo_jets(draw):
+    # the stereographic image of a plane curve through (u0, v0), at order e
+    e = draw(st.integers(1, 4))
+    u, v = (_series(draw(st.lists(_rationals, min_size=e, max_size=e)))
+            for _ in range(2))
+    assume(e == 1 or not (u.coeffs[1].is_zero() and v.coeffs[1].is_zero()))
+    inv = (u * u + v * v + 1).invert()
+    par = SphereParam((u + u) * inv, (v + v) * inv, (u * u + v * v - 1) * inv)
+    return jet_from_sphere_param(par, e)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_stereo_jets(), st.sampled_from("xyz"), st.integers(1, 5), _rationals, _nonzero)
+def test_sphere_step_matches_full_formula(j, fixed, k, other, value):
+    node = getattr(j.center, fixed)
+    assume(not (node == scal(other)))
+    tw = rotation_twist(fixed, [(node, k, 0), (other, 1, value)])
+    names = SPHERE_CHARTS[fixed]
+    par = jet_parametrize(j)
+    t, u, v = (_fractions(getattr(par, n)) for n in names)
+    u, v = sphere_twist_step(_fractions(tw.n), _fractions(tw.d), t, u, v)
+    want = replace(par, **{names[1]: _series(u), names[2]: _series(v)})
+    assert apply_jet(AutWord(SPHERE, (tw,)), j) == jet_from_sphere_param(want, j.order)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from("xy"), st.booleans(), st.integers(1, 4), st.integers(1, 5),
+       _rationals, _rationals, _nonzero, st.data())
+def test_torus_step_matches_full_formula(axis, over_infinity, e, k, c, other, value,
+                                         data):
+    # the twist moves ``axis``, at infinity (chart 1) or finite, and reads
+    # the other coordinate, finite at the node c
+    assume(c != other)
+    src = ProjPoint.affine(c)
+    moved = ProjPoint.infinity() if over_infinity else ProjPoint.affine(data.draw(_rationals))
+    center = TorusPoint(src, moved) if axis == "y" else TorusPoint(moved, src)
+    transposed = e >= 2 and data.draw(st.booleans())
+    tail = data.draw(st.lists(_rationals, min_size=e - 1, max_size=e - 1))
+    if transposed:
+        tail[0] = 0
+    base, graph = (center.y, center.x) if transposed else (center.x, center.y)
+    j = Jet.torus(center, e, Series(base.local, e, [graph.local, *tail]), transposed)
+    tw = interpolating_twist(axis, [(c, k, 0), (other, 1, value)])
+    par = jet_parametrize(j)
+    pair = lambda cs: (cs[0], _fractions(cs[1]))
+    s, m = (par.x, par.y) if axis == "y" else (par.y, par.x)
+    chart, loc = torus_twist_step(_fractions(tw.p), _fractions(tw.q), pair(s), pair(m))
+    m = (chart, _series(loc))
+    want = TorusParam(s, m) if axis == "y" else TorusParam(m, s)
+    assert apply_jet(AutWord(TORUS, (tw,)), j) == jet_from_torus_param(want, e)
 
 
 # ---------------------------------------------------------------------------

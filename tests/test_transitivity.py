@@ -365,6 +365,26 @@ def test_make_nonvertical_sphere():
         assert not jet_is_vertical(j)
 
 
+@pytest.mark.parametrize("surface", [TORUS, SPHERE])
+def test_shear_skips_order_one_jets(monkeypatch, surface):
+    # the shear's translation term lam (y + y^2) and angle lam z vanish at
+    # every standard center, so an order-1 jet crossing it forms no
+    # inverse; the vertical jet beside it does
+    torus = surface == TORUS
+    vertical = _vertical_jet_at(1) if torus else _sphere_vertical_jet(1)
+    points = standard_config(surface, [2, 1, 1]).jets[1:]
+    w, out = (make_nonvertical_torus if torus else make_nonvertical_sphere)(
+        [vertical, *points])
+    assert len(w) == 1 and out[1:] == points
+    calls = []
+    invert = Series.invert
+    monkeypatch.setattr(Series, "invert", lambda s: calls.append(s) or invert(s))
+    assert tuple(apply_jet(w, j) for j in points) == points
+    assert calls == []
+    apply_jet(w, vertical)
+    assert calls
+
+
 # ---------------------------------------------------------------------------
 # the rotation-parameter solve
 
