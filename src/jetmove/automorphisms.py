@@ -29,14 +29,17 @@ poly_to_json); other text is parsed and printed one Scalar at a time.
 
 AutWord composes certified generators left-to-right.  Jets move through
 their parameter form (surfaces.TorusParam or SphereParam) and come back
-in canonical form; a point moves as the order-1 case of a jet, and a
-Jacobian as the order-2 case, so one transport serves all three.  Torus
-coordinates travel as (chart, local series) pairs, so nothing breaks
-over infinity; only Moebius maps and twist steps form homogeneous pairs,
-and they normalize their result back at once.  A twist polynomial meets
-a series only through its Taylor shift to the series' value.  A twist
-step with a zero angle or translation series is skipped: it multiplies
-by a unit and divides by it again (d^2, or q homogenized), exactly.
+in canonical form, and a Jacobian as an order-2 jet: one transport
+serves all.  A point is an order-1 form, over F[t]/(t), which is the
+field F itself, so its series cross as their values, plain Scalars; only
+the leaves (_eval, _chart_pair, _normalize_pair, the sphere's 1/r) tell
+a Scalar from a Series.  Torus coordinates travel as (chart, local)
+pairs, so nothing breaks over infinity; only Moebius maps and twist
+steps form homogeneous pairs, and they normalize their result back at
+once.  A twist polynomial meets a series only through its Taylor shift
+to the series' value.  A twist step with a zero angle or translation
+is skipped: it multiplies by a unit and divides by it again (d^2, or q
+homogenized), exactly.
 """
 
 from __future__ import annotations
@@ -345,41 +348,51 @@ def certify_twist(g: Generator) -> Generator:
 # action on parameter series (shared by apply_point, apply_jet and jacobian_at)
 
 
-def _eval(pol: Poly, s: Series) -> Series:
+def _eval(pol: Poly, s: Series | Scalar) -> Series | Scalar:
     """pol(s), through the Taylor shift of pol to the value of s.
 
     Only the first s.order coefficients of pol around s(0) survive
     composition with the deviation s - s(0), so deg pol costs one
     synthetic division per kept coefficient, not one series product.
+    A Scalar s takes the shift's first coefficient alone.
     """
+    if isinstance(s, Scalar):
+        return pol.shifted(s, 1)[0]
     if pol.degree < 1:
         return Series.constant(pol[0], s.center, s.order)
     return compose_centered(poly_to_series(pol, s.value(), s.order), s)
 
 
-def _hom_eval_series(pol: Poly, n: int, chart: int, loc: Series) -> Series:
+def _hom_eval_series(pol: Poly, n: int, chart: int, loc: Series | Scalar):
     """Degree-n homogenization of pol at the pair (loc : 1) or (1 : loc)."""
     if chart == 1:
         pol = Poly([pol[n - k] for k in range(n + 1)])
     return _eval(pol, loc)
 
 
-def _chart_pair(chart: int, loc: Series) -> tuple[Series, Series]:
+def _chart_pair(chart: int, loc: Series | Scalar) -> tuple:
     """The homogeneous P1 pair (loc : 1) on chart 0, (1 : loc) on chart 1."""
-    one = Series.constant(1, loc.center, loc.order)
+    one = ONE if isinstance(loc, Scalar) else Series.constant(1, loc.center, loc.order)
     return (loc, one) if chart == 0 else (one, loc)
 
 
-def _normalize_pair(s0: Series, s1: Series) -> tuple[int, Series]:
-    """Return (chart, local series) for a homogeneous P1 series pair."""
-    if s1.valuation() == 0:
+def _normalize_pair(s0: Series | Scalar, s1: Series | Scalar) -> tuple:
+    """Return (chart, local part) for a homogeneous P1 pair of series, or
+    of Scalars; a Scalar unit is a nonzero one, so a Scalar pair lands on
+    chart 1 only at infinity itself, with local value s1 = 0."""
+    if isinstance(s0, Scalar):
+        if not s1.is_zero():
+            return 0, s0 * s1.inverse()
+        if not s0.is_zero():
+            return 1, s1
+    elif s1.valuation() == 0:
         return 0, s0 * s1.invert()
-    if s0.valuation() == 0:
+    elif s0.valuation() == 0:
         return 1, s1 * s0.invert()
     raise NotCurvilinear("homogeneous pair vanishes at the center")
 
 
-def _moebius(m, f: tuple[int, Series]) -> tuple[int, Series]:
+def _moebius(m, f: tuple) -> tuple:
     f0, f1 = _chart_pair(*f)
     return _normalize_pair(f0 * m[0][0] + f1 * m[0][1],
                            f0 * m[1][0] + f1 * m[1][1])
@@ -387,6 +400,10 @@ def _moebius(m, f: tuple[int, Series]) -> tuple[int, Series]:
 
 def _push_torus(w: AutWord, par: TorusParam) -> TorusParam:
     x, y = par.x, par.y
+    point = x[1].order == 1
+    if point:
+        center = x[1].center
+        x, y = ((c, s.value()) for c, s in (x, y))
     for g in w.generators:
         if isinstance(g, TorusTwist):
             src, moved = (x, y) if g.axis == "y" else (y, x)
@@ -402,10 +419,16 @@ def _push_torus(w: AutWord, par: TorusParam) -> TorusParam:
             x, y = (src, moved) if g.axis == "y" else (moved, src)
         else:
             x, y = _moebius(g.mx, x), _moebius(g.my, y)
+    if point:
+        x, y = ((c, Series(center, 1, [v])) for c, v in (x, y))
     return TorusParam(x, y)
 
 
 def _push_sphere(w: AutWord, par: SphereParam) -> SphereParam:
+    point = par.x.order == 1
+    if point:
+        center = par.x.center
+        par = SphereParam(par.x.value(), par.y.value(), par.z.value())
     for g in w.generators:
         names = SPHERE_CHARTS[g.fixed]
         t, u, v = (getattr(par, n) for n in names)
@@ -416,9 +439,12 @@ def _push_sphere(w: AutWord, par: SphereParam) -> SphereParam:
         dv = _eval(g.d, t)
         nn, dd, nd = nv * nv, dv * dv, nv * dv
         pv, qv = dd - nn, nd + nd
-        rinv = (dd + nn).invert()
+        r = dd + nn
+        rinv = r.inverse() if point else r.invert()
         par = replace(par, **{names[1]: (u * pv - v * qv) * rinv,
                               names[2]: (u * qv + v * pv) * rinv})
+    if point:
+        par = SphereParam(*(Series(center, 1, [v]) for v in (par.x, par.y, par.z)))
     return par
 
 
@@ -437,8 +463,8 @@ def _point_param(pt: TorusPoint | SpherePoint, tangent=None):
 def apply_point(w: AutWord, pt: TorusPoint | SpherePoint):
     """Image of the point under the word; exact, total on real points.
 
-    A point is moved as the order-1 case of a jet, by the same series
-    transport as jets and Jacobians.
+    The point is an order-1 form, whose series the shared transport
+    carries as Scalars (F[t]/(t) is F), and is read back as a point.
     """
     if not isinstance(pt, TorusPoint if w.surface == TORUS else SpherePoint):
         raise MixedSurfaces(f"{w.surface} word applied to a {type(pt).__name__}")

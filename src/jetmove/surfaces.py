@@ -61,7 +61,8 @@ class ProjPoint:
     def __init__(self, u, v):
         u, v = scal(u), scal(v)
         if not v.is_zero():
-            self.u, self.v = u / v, ONE
+            # a finite coordinate in a jet file is [u, "1"]: no division
+            self.u, self.v = u if v == ONE else u / v, ONE
         elif not u.is_zero():
             self.u, self.v = ONE, ZERO
         else:
@@ -598,9 +599,9 @@ def point_to_json(p: TorusPoint | SpherePoint):
 
 def point_from_json(surface: str, data):
     if surface == TORUS:
-        return TorusPoint(*(ProjPoint(*scalars_from_json(c, "torus coordinate"))
-                            for c in data))
-    return SpherePoint(*scalars_from_json(data, "sphere center"))
+        return TorusPoint(*(ProjPoint(*scalars_from_json(c, "torus coordinate", 2))
+                            for c in json_list(data, "torus center", 2)))
+    return SpherePoint(*scalars_from_json(data, "sphere center", 3))
 
 
 def jet_to_json(j: Jet) -> dict:

@@ -217,7 +217,21 @@ def torus_twist_step(p, q, src, moved):
     one = [F(1)] + [F(0)] * (len(s) - 1)
     m0, m1 = (m, one) if mc == 0 else (one, m)
     h0 = [a + b for a, b in zip(s_mul(m0, qh), s_mul(ph, m1))]
-    h1 = s_mul(m1, qh)
+    return _normalize(h0, s_mul(m1, qh))
+
+
+def moebius_step(m, f):
+    """The (chart, series) pair f moved by the 2x2 Fraction matrix m:
+    the pair (m00 f0 + m01 f1 : m10 f0 + m11 f1) of its homogeneous
+    entries, brought to a chart as in torus_twist_step."""
+    mc, s = f
+    one = [F(1)] + [F(0)] * (len(s) - 1)
+    f0, f1 = (s, one) if mc == 0 else (one, s)
+    return _normalize(*([r[0] * a + r[1] * b for a, b in zip(f0, f1)] for r in m))
+
+
+def _normalize(h0, h1):
+    """Chart 0 and h0/h1 when h1 is a unit, else chart 1 and h1/h0."""
     if h1[0] != 0:
         return 0, s_mul(h0, s_inv(h1))
     return 1, s_mul(h1, s_inv(h0))

@@ -10,7 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import rand_sphere_jet, rand_sphere_point, rand_torus_jet
-from oracles import (p_add, p_mul, p_scale, p_sqrt, series_horner,
+from oracles import (moebius_step, p_add, p_mul, p_scale, p_sqrt, series_horner,
                      sphere_route, sphere_twist_step, torus_twist_step, trim)
 
 from jetmove import automorphisms, surfaces
@@ -690,6 +690,100 @@ def test_torus_step_matches_full_formula(axis, over_infinity, e, k, c, other, va
     m = (chart, _series(loc))
     want = TorusParam(s, m) if axis == "y" else TorusParam(m, s)
     assert apply_jet(AutWord(TORUS, (tw,)), j) == jet_from_torus_param(want, e)
+
+
+# ---------------------------------------------------------------------------
+# the point path: an order-1 form crosses the transport on Scalars, so
+# apply_point is checked against the oracle steps run on length-1 lists
+# and against the center of an order-2 jet, which takes the Series leaves
+
+
+@st.composite
+def _torus_point_words(draw):
+    # each twist and Moebius pair is drawn at the point's current image
+    # (the oracle's), so the word moves the point; "pole" sends a finite
+    # coordinate to infinity and its inverse brings it back
+    pt = TorusPoint(*(ProjPoint.affine(c) if c is not None else ProjPoint.infinity()
+                      for c in draw(st.lists(st.none() | _rationals,
+                                             min_size=2, max_size=2))))
+    cur = [(p.chart, [p.local.as_fraction()]) for p in (pt.x, pt.y)]
+    gens, size = [], draw(st.integers(1, 4))
+    while len(gens) < size:
+        finite = [i for i in (0, 1) if cur[i][0] == 0]
+        room = len(gens) + 2 <= size
+        kind = draw(st.sampled_from(["twist", "moebius"] + ["pole"] * (room and bool(finite))))
+        if kind == "twist":
+            axis = draw(st.sampled_from("xy"))
+            i = 0 if axis == "y" else 1
+            (chart, (node,)), other = cur[i], draw(_rationals)
+            node = other + 1 if chart else node    # over infinity: any other node
+            assume(other != node)
+            tw = interpolating_twist(axis, [(node, draw(st.integers(1, 2)),
+                                             draw(_nonzero)), (other, 1, draw(_rationals))])
+            cur[1 - i] = torus_twist_step(_fractions(tw.p), _fractions(tw.q),
+                                          cur[i], cur[1 - i])
+            gens.append(tw)
+            continue
+        if kind == "moebius":
+            mx, my = (draw(st.lists(st.lists(st.integers(-3, 3), min_size=2, max_size=2),
+                                    min_size=2, max_size=2)) for _ in "xy")
+            assume(all(m[0][0] * m[1][1] != m[0][1] * m[1][0] for m in (mx, my)))
+            steps = [TorusMoebius.of(mx, my)]
+        else:
+            i = draw(st.sampled_from(finite))
+            pole = [[0, 1], [1, -cur[i][1][0]]]
+            ident = [[1, 0], [0, 1]]
+            g = TorusMoebius.of(*((pole, ident) if i == 0 else (ident, pole)))
+            steps = [g, g.inverse()]
+        for g in steps:
+            cur = [moebius_step([[e.as_fraction() for e in row] for row in m], f)
+                   for m, f in zip((g.mx, g.my), cur)]
+            gens.append(g)
+    want = TorusPoint(*(ProjPoint.in_chart(c, scal(v[0])) for c, v in cur))
+    return pt, AutWord(TORUS, tuple(gens)), want
+
+
+@st.composite
+def _sphere_point_words(draw):
+    # a rational point and its order-2 line, the stereographic image of
+    # (u0 + t, v0 + b t); each rotation has a nonzero angle at the
+    # point's current image
+    u0, v0, b = (draw(_rationals) for _ in range(3))
+    u, v = Series(ZERO, 2, [u0, 1]), Series(ZERO, 2, [v0, b])
+    inv = (u * u + v * v + 1).invert()
+    line = jet_from_sphere_param(
+        SphereParam((u + u) * inv, (v + v) * inv, (u * u + v * v - 1) * inv), 2)
+    cur = [[c.as_fraction()] for c in line.center.coords()]
+    gens = []
+    for _ in range(draw(st.integers(1, 4))):
+        fixed = draw(st.sampled_from("xyz"))
+        if draw(st.booleans()):
+            tw = SphereTwist.of(fixed, [-1], [], [1])
+        else:
+            node, other = cur["xyz".index(fixed)][0], draw(_rationals)
+            assume(other != node)
+            tw = rotation_twist(fixed, [(node, draw(st.integers(1, 2)), draw(_nonzero)),
+                                        (other, 1, draw(_rationals))])
+        t, a, c = ("xyz".index(n) for n in SPHERE_CHARTS[fixed])
+        cur[a], cur[c] = sphere_twist_step(_fractions(tw.n), _fractions(tw.d),
+                                           cur[t], cur[a], cur[c])
+        gens.append(tw)
+    return line, AutWord(SPHERE, tuple(gens)), SpherePoint.of(*(v[0] for v in cur))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_torus_point_words(), _rationals)
+def test_torus_point_path_matches_oracle_and_jets(case, slope):
+    pt, w, want = case
+    line = Jet.torus(pt, 2, Series(pt.x.local, 2, [pt.y.local, slope]))
+    assert apply_point(w, pt) == want == apply_jet(w, line).center
+
+
+@settings(max_examples=40, deadline=None)
+@given(_sphere_point_words())
+def test_sphere_point_path_matches_oracle_and_jets(case):
+    line, w, want = case
+    assert apply_point(w, line.center) == want == apply_jet(w, line).center
 
 
 # ---------------------------------------------------------------------------

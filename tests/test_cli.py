@@ -478,6 +478,21 @@ def test_jet_arrays_must_be_lists(tmp_path, capsys, surface, key, value):
     assert "must be a JSON list" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("surface, center, message", [
+    (SPHERE, ["1", "0"], "sphere center must hold 3 entries, not 2"),
+    (TORUS, [["1", "1"]], "torus center must hold 2 entries, not 1"),
+    (TORUS, [["1", "1", "1"], ["0", "1"]], "torus coordinate must hold 2 entries, not 3"),
+])
+def test_center_of_wrong_shape_is_invalid(tmp_path, capsys, surface, center, message):
+    # each used to surface as a Python signature error from the point class
+    jet = jet_to_json(standard_config(surface, [1]).jets[0])
+    jet["center"] = center
+    jfile = write(tmp_path / "jet.json", jet)
+    assert main(["apply", "--word", identity_word(tmp_path, surface),
+                 "--jet", jfile]) == INVALID
+    assert capsys.readouterr().err == f"invalid input: {message}\n"
+
+
 @pytest.mark.parametrize("surface, key", [(TORUS, "f"), (SPHERE, "g"), (SPHERE, "h")])
 def test_short_graph_list_is_invalid(tmp_path, capsys, surface, key):
     # an order-3 torus jet with "f": ["7"] used to load as 7, 0, 0

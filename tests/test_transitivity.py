@@ -760,6 +760,24 @@ def test_apply_images_under_pinned_words_are_pinned():
         assert hashlib.sha256(dump).hexdigest() == _PINNED_IMAGES[name], name
 
 
+def test_order_1_transport_does_no_series_arithmetic(monkeypatch):
+    # F[t]/(t) is the field: points and order-1 jets cross the pinned
+    # words on Scalars, with no series composition, product or inverse
+    words = {name: synth() for name, synth in _pinned_jobs() if name in ("torus", "sphere")}
+    probes = {name: _probes(name) for name in words}
+    moved = lambda: [([apply_point(w, j.center) for j in probes[name]],
+                      apply_jet(w, probes[name][1])) for name, w in words.items()]
+    want = moved()
+
+    def refuse(*args):
+        raise AssertionError("series arithmetic on an order-1 transport")
+
+    monkeypatch.setattr(automorphisms, "compose_centered", refuse)
+    monkeypatch.setattr(Series, "invert", refuse)
+    monkeypatch.setattr(Series, "__mul__", refuse)
+    assert moved() == want
+
+
 def _count_calls(monkeypatch, name):
     """A list that grows by one per call of the exactalg function ``name``
     through any jetmove module that binds it."""
