@@ -33,7 +33,7 @@ def _strip_node(m: Poly, c: Scalar) -> Poly:
     form = m.int_form() if c.tower is None else None
     if form is not None and form[0] is None:
         _, (z,), den = form
-        a, b = c.a.numerator, c.a.denominator
+        a, b = c.a, c.b
         w = [0] * (len(z) - 1)
         acc = 0
         for k in range(len(z) - 1, 0, -1):
@@ -59,7 +59,8 @@ def crt_with_modulus(residues) -> tuple[Poly, Poly]:
 
     The interpolant is the sum over the residues of m_i times the lift
     of value_i / m_i mod (x - c_i)^{e_i}, for m_i the node product
-    without node i; a zero value's term is zero and is not formed.
+    without node i; a zero value's term is zero and is not formed.  At
+    an order-1 node that lift is the scalar value_i / m_i(c_i).
     """
     items: list[tuple[Scalar, int, Series]] = []
     for center, order, value in residues:
@@ -80,6 +81,9 @@ def crt_with_modulus(residues) -> tuple[Poly, Poly]:
         for _ in range(e):
             m_i = _strip_node(m_i, c)
         # correct the residue so that m_i * lift matches val mod (x-c)^e
-        s = val * poly_to_series(m_i, c, e).invert()
-        out = out + m_i * s.to_poly()
+        if e == 1:
+            lift = val.value() * m_i.shifted(c, 1)[0].inverse()
+        else:
+            lift = (val * poly_to_series(m_i, c, e).invert()).to_poly()
+        out = out + m_i * lift
     return out, m

@@ -29,13 +29,12 @@ scalar_to_json one coefficient at a time.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable
 
 from .scalar import (MAX_SCALAR_DIGITS, ZERO, RatLike, Scalar, Tower,
-                     parse_scalar, ratio_to_json, scal, scalar_sqrt_adjoin,
-                     scalar_to_json)
+                     parse_scalar, ratio, ratio_to_json, scal,
+                     scalar_sqrt_adjoin, scalar_to_json)
 
 
 class Poly:
@@ -95,12 +94,12 @@ class Poly:
             if towers or (tower is not None and tower.parent is not None):
                 self._ints = False
             else:
-                rows = ([c.a for c in cs],) if tower is None else (
-                    [c.a.a if c.tower else c.a for c in cs],
-                    [c.b.a if c.tower else 0 for c in cs])
-                den = lcm(*[f.denominator for row in rows for f in row])
+                rows = (cs,) if tower is None else (
+                    [c.a if c.tower else c for c in cs],
+                    [c.b if c.tower else ZERO for c in cs])
+                den = lcm(*[f.b for row in rows for f in row])
                 self._ints = (tower, tuple([
-                    tuple([f.numerator * (den // f.denominator) for f in row])
+                    tuple([f.a * (den // f.b) for f in row])
                     for row in rows]), den)
         return self._ints or None
 
@@ -108,7 +107,7 @@ class Poly:
     def const(c: RatLike) -> Poly:
         c = scal(c)
         if c.tower is None:
-            return Poly.from_ints(None, ((c.a.numerator,),), c.a.denominator)
+            return Poly.from_ints(None, ((c.a,),), c.b)
         return Poly([c])
 
     @staticmethod
@@ -195,8 +194,7 @@ class Poly:
             # (A + B sqrt r)(C + D sqrt r) for r = num / rden is
             # (rden AC + num BD + rden (AD + BC) sqrt r) / rden
             (a, b), (c, d) = vs, vo
-            r = tower.radicand.a
-            num, rden = r.numerator, r.denominator
+            num, rden = tower.radicand.a, tower.radicand.b
             ac, bd = _conv(a, c, n), _conv(b, d, n)
             mid = _axpy(1, _conv(a, d, n), 1, _conv(b, c, n))
             return Poly.from_ints(tower, (_axpy(rden, ac, num, bd),
@@ -337,7 +335,7 @@ class Poly:
         if form is not None:
             tower, vectors, den = form
             d = len(vectors[0]) - 1
-            a, b = center.a.numerator, center.a.denominator
+            a, b = center.a, center.b
             ws = []
             for v in vectors:
                 w, scale = list(v), 1
@@ -397,9 +395,9 @@ def _scalars(tower: Tower | None, vectors, den: int) -> list[Scalar]:
     b_s = vectors[1] if tower is not None else None
     out = []
     for k, a in enumerate(vectors[0]):
-        x = Scalar(None, Fraction(a, den), None)
+        x = ratio(a, den)
         if b_s and b_s[k]:
-            x = Scalar(tower, x, Scalar(None, Fraction(b_s[k], den), None))
+            x = Scalar(tower, x, ratio(b_s[k], den))
         out.append(x)
     return out
 
@@ -520,7 +518,7 @@ def _text_form(texts: list):
     e, ed = int(rad[0]), int(rad[1] or 1)
     if not ed:
         return None
-    root = scalar_sqrt_adjoin(Fraction(e, ed))
+    root = scalar_sqrt_adjoin(ratio(e, ed))
     if root.tower is None:           # a square or zero radicand
         return None
     return root.tower, rows, den
@@ -554,8 +552,7 @@ def poly_to_json(p: Poly) -> list[str]:
     tower, vectors, den = form
     if tower is None:
         return [ratio_to_json(a, den) for a in vectors[0]]
-    r = tower.radicand.a
-    rad = f"sqrt({ratio_to_json(r.numerator, r.denominator)})"
+    rad = f"sqrt({ratio_to_json(tower.radicand.a, tower.radicand.b)})"
     out = []
     for a, b in zip(*vectors):
         if not b:

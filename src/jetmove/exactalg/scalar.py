@@ -12,10 +12,13 @@ leans on:
   interval enclosures until zero is excluded.
 
 Scalars are immutable and canonically stored at the shallowest level that
-can represent them, so pure rationals stay plain ``Fraction`` wrappers no
-matter which tower they came from.  Addition and multiplication first
-align both operands on one chain (``Scalar._aligned``), then combine
-their (a, b) pairs over it.
+can represent them, so a pure rational is a reduced pair of ints no
+matter which tower it came from.  Rational arithmetic runs on those ints
+with Henrici's cross-gcd sum and product (Knuth, TAOCP vol. 2, 4.5.1);
+``Fraction`` appears only where one is taken in (``scal``) or handed out
+(``as_fraction``, ``interval``).  Addition and multiplication of deeper
+scalars first align both operands on one chain (``Scalar._aligned``),
+then combine their (a, b) pairs over it.
 """
 
 from __future__ import annotations
@@ -28,9 +31,6 @@ from typing import Union
 from ..errors import IncompatibleTowers, NegativeRadicand, OutputTooLarge
 
 RatLike = Union[int, str, Fraction, "Scalar"]
-
-_ZERO = Fraction(0)
-_HALF = Fraction(1, 2)
 
 
 class Tower:
@@ -86,10 +86,11 @@ def _is_ancestor(a: Tower | None, b: Tower | None) -> bool:
 class Scalar:
     """An exact real number in a quadratic extension tower.
 
-    Rational scalars have ``tower is None`` and carry a ``Fraction``.
-    Deeper scalars carry a pair (a, b) over the parent chain meaning
-    a + b*sqrt(radicand), with b nonzero; construction demotes b == 0
-    to the parent level so representations are unique per chain.
+    Rational scalars have ``tower is None`` and carry their numerator
+    ``a`` and denominator ``b`` as ints, with gcd(a, b) == 1 and b > 0.
+    Deeper scalars carry a pair (a, b) of Scalars over the parent chain
+    meaning a + b*sqrt(radicand), with b nonzero; construction demotes
+    b == 0 to the parent level so representations are unique per chain.
     """
 
     __slots__ = ("tower", "a", "b", "_sign")
@@ -114,11 +115,11 @@ class Scalar:
     def as_fraction(self) -> Fraction:
         if self.tower is not None:
             raise ValueError("scalar is not rational")
-        return self.a
+        return Fraction(self.a, self.b)
 
     def _key(self):
         if self.tower is None:
-            return (self.a.numerator, self.a.denominator)
+            return (self.a, self.b)
         return (self.a._key(), self.b._key(), self.tower.depth)
 
     # -- alignment across towers ----------------------------------------
@@ -129,11 +130,10 @@ class Scalar:
             return self.a, self.b
         return self, ZERO
 
-    def _aligned(self, other: RatLike) -> tuple[Tower | None, Scalar, Scalar]:
-        """Coerce ``other`` and return (tower, x, y) with x, y the operands
-        over one chain: the longer one when one chain contains the other,
-        else the chain _merge_chains builds, where alignment runs again."""
-        other = scal(other)
+    def _aligned(self, other: Scalar) -> tuple[Tower | None, Scalar, Scalar]:
+        """(tower, x, y) with x, y the operands over one chain: the longer
+        one when one chain contains the other, else the chain
+        _merge_chains builds, where alignment runs again."""
         tx, ty = self.tower, other.tower
         if tx is ty or _is_ancestor(ty, tx):
             return tx, self, other
@@ -145,9 +145,18 @@ class Scalar:
     # -- arithmetic ------------------------------------------------------
 
     def __add__(self, other):
+        if other.__class__ is not Scalar:
+            other = scal(other)
+        if self.tower is None and other.tower is None:
+            na, da, nb, db = self.a, self.b, other.a, other.b
+            g = gcd(da, db)
+            if g == 1:
+                return Scalar(None, na * db + nb * da, da * db)
+            s = da // g
+            t = na * (db // g) + nb * s
+            g2 = gcd(t, g)
+            return Scalar(None, t // g2, s * (db // g2))
         t, x, y = self._aligned(other)
-        if t is None:
-            return Scalar(None, x.a + y.a, None)
         xa, xb = x._parts_over(t)
         ya, yb = y._parts_over(t)
         return Scalar._ext(t, xa + ya, xb + yb)
@@ -156,7 +165,7 @@ class Scalar:
 
     def __neg__(self):
         if self.tower is None:
-            return Scalar(None, -self.a, None)
+            return Scalar(None, -self.a, self.b)
         return Scalar(self.tower, -self.a, -self.b)
 
     def __sub__(self, other):
@@ -166,9 +175,13 @@ class Scalar:
         return scal(other) + (-self)
 
     def __mul__(self, other):
+        if other.__class__ is not Scalar:
+            other = scal(other)
+        if self.tower is None and other.tower is None:
+            na, da, nb, db = self.a, self.b, other.a, other.b
+            g1, g2 = gcd(na, db), gcd(nb, da)
+            return Scalar(None, (na // g1) * (nb // g2), (da // g2) * (db // g1))
         t, x, y = self._aligned(other)
-        if t is None:
-            return Scalar(None, x.a * y.a, None)
         xa, xb = x._parts_over(t)
         ya, yb = y._parts_over(t)
         if xb.is_zero():
@@ -181,10 +194,11 @@ class Scalar:
     __rmul__ = __mul__
 
     def inverse(self) -> Scalar:
-        if self.is_zero():
-            raise ZeroDivisionError("scalar inverse of zero")
         if self.tower is None:
-            return Scalar(None, 1 / self.a, None)
+            n, d = self.a, self.b
+            if not n:
+                raise ZeroDivisionError("scalar inverse of zero")
+            return Scalar(None, d, n) if n > 0 else Scalar(None, -d, -n)
         a, b, r = self.a, self.b, self.tower.radicand
         # (a + b*sqrt(r))^-1 = (a - b*sqrt(r)) / (a^2 - b^2 r); the norm is
         # nonzero because r is a certified non-square of the parent level
@@ -214,32 +228,31 @@ class Scalar:
     # -- comparisons -----------------------------------------------------
 
     def __eq__(self, other):
-        if not isinstance(other, (Scalar, int, Fraction)):
-            return NotImplemented
-        other = scal(other)
+        if other.__class__ is not Scalar:
+            other = _rational(other)
+            if other is None:
+                return NotImplemented
         if self.tower is other.tower:
-            if self.tower is None:
-                return self.a == other.a
             return self.a == other.a and self.b == other.b
         return (self - other).is_zero()
 
     __hash__ = None  # equal values can differ structurally across chains
 
     def sign(self) -> int:
+        if self.tower is None:
+            return (self.a > 0) - (self.a < 0)
         if self._sign is None:
-            if self.is_zero():
-                self._sign = 0
-            else:
-                bits = 16
-                while True:
-                    lo, hi = self.interval(bits)
-                    if lo > 0:
-                        self._sign = 1
-                        break
-                    if hi < 0:
-                        self._sign = -1
-                        break
-                    bits *= 2
+            # b != 0 and the radicand is not a square, so self is not zero
+            bits = 16
+            while True:
+                lo, hi = self.interval(bits)
+                if lo > 0:
+                    self._sign = 1
+                    break
+                if hi < 0:
+                    self._sign = -1
+                    break
+                bits *= 2
         return self._sign
 
     def __lt__(self, other):
@@ -265,12 +278,13 @@ class Scalar:
     def interval(self, bits: int) -> tuple[Fraction, Fraction]:
         """Rational enclosure [lo, hi] with radicals resolved to ``bits``."""
         if self.tower is None:
-            return (self.a, self.a)
+            f = Fraction(self.a, self.b)
+            return (f, f)
         alo, ahi = self.a.interval(bits)
         blo, bhi = self.b.interval(bits)
         rlo, rhi = self.tower.radicand.interval(bits)
         if rlo < 0:
-            rlo = _ZERO
+            rlo = Fraction(0)
         slo, shi = _sqrt_floor(rlo, bits), _sqrt_ceil(rhi, bits)
         cands = (blo * slo, blo * shi, bhi * slo, bhi * shi)
         return (alo + min(cands), ahi + max(cands))
@@ -288,15 +302,32 @@ def scal(x: RatLike) -> Scalar:
     """Coerce an int, Fraction or string into a Scalar."""
     if isinstance(x, Scalar):
         return x
-    if isinstance(x, (int, Fraction)):
-        return Scalar(None, Fraction(x), None)
     if isinstance(x, str):
         return parse_scalar(x)
-    raise TypeError(f"cannot coerce {type(x).__name__} to Scalar")
+    s = _rational(x)
+    if s is None:
+        raise TypeError(f"cannot coerce {type(x).__name__} to Scalar")
+    return s
 
 
-ZERO = Scalar(None, _ZERO, None)
-ONE = Scalar(None, Fraction(1), None)
+def _rational(x) -> Scalar | None:
+    """The rational Scalar of an int or a Fraction; None for any other type."""
+    if isinstance(x, int):
+        return Scalar(None, int(x), 1)      # int() turns a bool into 0 or 1
+    if isinstance(x, Fraction):
+        return Scalar(None, x.numerator, x.denominator)
+    return None
+
+
+def ratio(n: int, d: int) -> Scalar:
+    """The rational scalar n/d for ints n and d > 0."""
+    g = gcd(n, d)
+    return Scalar(None, n // g, d // g)
+
+
+ZERO = Scalar(None, 0, 1)
+ONE = Scalar(None, 1, 1)
+_HALF = Scalar(None, 1, 2)
 
 
 # -- chain merging -------------------------------------------------------
@@ -358,13 +389,12 @@ def try_sqrt(s: Scalar, chain: Tower | None = None) -> Scalar | None:
 
 def _try_sqrt_in(s: Scalar, chain: Tower | None) -> Scalar | None:
     if chain is None:
-        f = s.a
-        n, d = f.numerator, f.denominator
+        n, d = s.a, s.b
         if n < 0:
             return None
         rn, rd = isqrt(n), isqrt(d)
         if rn * rn == n and rd * rd == d:
-            return Scalar(None, Fraction(rn, rd), None)
+            return Scalar(None, rn, rd)
         return None
     a, b = s._parts_over(chain)
     parent, r = chain.parent, chain.radicand
@@ -429,21 +459,17 @@ def _sqrt_ceil(f: Fraction, bits: int) -> Fraction:
 
 # -- serialization -------------------------------------------------------
 
-def _frac_str(f: Fraction) -> str:
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
+def _ratio_str(n: int, d: int) -> str:
+    return str(n) if d == 1 else f"{n}/{d}"
 
 
-def _terms(s: Scalar) -> list[tuple[Fraction, list[Scalar]]]:
-    """Expand into (rational coefficient, list of radicand scalars) terms."""
+def _terms(s: Scalar) -> list[tuple[int, int, list[Scalar]]]:
+    """Expand into (numerator, denominator, list of radicand scalars) terms."""
     if s.tower is None:
-        return [(s.a, [])] if s.a != 0 else []
-    out = []
-    for coef, rads in _terms(s.a):
-        out.append((coef, rads))
-    for coef, rads in _terms(s.b):
-        out.append((coef, rads + [s.tower.radicand]))
+        return [(s.a, s.b, [])] if s.a else []
+    out = _terms(s.a)
+    for n, d, rads in _terms(s.b):
+        out.append((n, d, rads + [s.tower.radicand]))
     return out
 
 
@@ -451,19 +477,19 @@ def scalar_to_str(s: Scalar) -> str:
     """Canonical text form: rationals as "n/d", deeper scalars as sums of
     rational multiples of products of sqrt(...) factors."""
     if s.tower is None:
-        return _frac_str(s.a)
+        return _ratio_str(s.a, s.b)
     parts = []
-    for idx, (coef, rads) in enumerate(_terms(s)):
+    for idx, (n, d, rads) in enumerate(_terms(s)):
         body = "*".join(f"sqrt({scalar_to_str(r)})" for r in rads)
-        mag = _frac_str(abs(coef))
+        mag = _ratio_str(abs(n), d)
         if body:
-            piece = body if abs(coef) == 1 else f"{mag}*{body}"
+            piece = body if mag == "1" else f"{mag}*{body}"
         else:
             piece = mag
         if idx == 0:
-            parts.append(piece if coef > 0 else f"-{piece}")
+            parts.append(piece if n > 0 else f"-{piece}")
         else:
-            parts.append(f" + {piece}" if coef > 0 else f" - {piece}")
+            parts.append(f" + {piece}" if n > 0 else f" - {piece}")
     return "".join(parts) if parts else "0"
 
 
@@ -471,8 +497,7 @@ def _fits(s: Scalar) -> bool:
     """Whether every number scalar_to_str writes for s has at most
     MAX_SCALAR_DIGITS digits."""
     if s.tower is None:
-        f = s.a
-        return -_DIGIT_BOUND < f.numerator < _DIGIT_BOUND and f.denominator < _DIGIT_BOUND
+        return -_DIGIT_BOUND < s.a < _DIGIT_BOUND and s.b < _DIGIT_BOUND
     return _fits(s.a) and _fits(s.b) and _fits(s.tower.radicand)
 
 
@@ -493,7 +518,7 @@ def ratio_to_json(n: int, d: int) -> str:
         n, d = n // g, d // g
     if not (-_DIGIT_BOUND < n < _DIGIT_BOUND and d < _DIGIT_BOUND):
         raise OutputTooLarge(_TOO_LARGE)
-    return str(n) if d == 1 else f"{n}/{d}"
+    return _ratio_str(n, d)
 
 
 # far beyond the tower depth any synthesized word reaches; bounds the
@@ -612,7 +637,7 @@ class _ScalarParser:
             if den == 0:
                 self.error("zero denominator", self.end)
             self.take()
-        return Scalar(None, Fraction(num, den), None)
+        return ratio(num, den)
 
 
 def parse_scalar(text: str) -> Scalar:

@@ -14,14 +14,13 @@ series, because padding with zeros is a choice of lift, not a no-op.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable
 
 from ..errors import BadSeed, NotAUnit, SeriesContextMismatch, ZeroSeed
 from .poly import Poly
 from .scalar import ONE, ZERO, RatLike, Scalar, scal
 
-_HALF = scal(Fraction(1, 2))
+_HALF = ONE / 2
 
 
 class Series:

@@ -197,6 +197,29 @@ def test_crt_skips_zero_residues_and_equals_the_full_sum(items, data):
     assert list(m.coeffs) == _node_product(items)
 
 
+def _no_series(*args):
+    raise AssertionError("series arithmetic at an order-1 node")
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(node, min_size=1, max_size=5, unique=True), st.data())
+def test_crt_at_order_one_nodes_forms_no_series(centers, data):
+    # at an order-1 node the lift is the scalar value / m_i(c): rational
+    # values and values in Q(sqrt 2) are interpolated with no series
+    # product or inverse, and the interpolant is still the full sum
+    triples = []
+    for c in centers:
+        a, b = data.draw(st.tuples(node, st.one_of(st.just(Fraction(0)), node)))
+        triples.append((c, 1, [scal(a) + scal(b) * s2]))
+    residues = [(scal(c), e, vals[0]) for c, e, vals in triples]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Series, "invert", _no_series)
+        mp.setattr(Series, "__mul__", _no_series)
+        p, m = crt_with_modulus(residues)
+    assert list(p.coeffs) == crt_full_sum(triples)
+    assert list(m.coeffs) == _node_product([(c, 1) for c in centers])
+
+
 def test_crt_of_zero_residues_still_checks_them():
     # all zero: the zero interpolant and the whole node product, and a
     # zero residue is still coerced to its (center, order)

@@ -3,15 +3,17 @@
 import sys
 import tracemalloc
 from fractions import Fraction
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jetmove.errors import JetmoveError, NegativeRadicand
-from jetmove.exactalg import (ONE, ZERO, Scalar, parse_scalar, scal,
+from jetmove.exactalg import (ONE, ZERO, Poly, Scalar, parse_scalar, scal,
                               scalar_sqrt_adjoin, scalar_to_str, try_sqrt)
 from jetmove.exactalg.scalar import MAX_SCALAR_DIGITS, MAX_SQRT_NESTING
+from oracles import Quad
 
 s2 = scalar_sqrt_adjoin(2)
 s3 = scalar_sqrt_adjoin(3)
@@ -231,3 +233,119 @@ def test_scalars_have_no_float_conversion():
         float(scal(1))
     with pytest.raises(TypeError):
         float(s2)
+
+
+# -- rationals as reduced int pairs, against Fraction ----------------------
+
+_BIG = 10 ** 100
+ints = st.one_of(st.integers(-9, 9), st.integers(-_BIG, _BIG))
+dens = st.one_of(st.integers(1, 9), st.integers(1, _BIG))
+rationals = st.one_of(st.just(Fraction(0)), st.builds(Fraction, ints, dens))
+
+
+def _canonical(s):
+    """The rational scalar s as a Fraction, after checking that it holds
+    its value as a reduced int pair with a positive denominator."""
+    assert s.tower is None
+    assert type(s.a) is int and type(s.b) is int
+    assert s.b > 0 and gcd(s.a, s.b) == 1
+    return Fraction(s.a, s.b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rationals, rationals, rationals)
+@example(Fraction(0), Fraction(0), Fraction(0))
+@example(Fraction(1, 6), Fraction(-1, 6), Fraction(5, 4))
+@example(Fraction(-_BIG + 1, _BIG), Fraction(1, _BIG - 1), Fraction(_BIG))
+def test_rational_arithmetic_is_canonical_and_agrees_with_fraction(x, y, z):
+    sx, sy, sz = scal(x), scal(y), scal(z)
+    assert _canonical(sx) == x
+    assert _canonical(sx + sy) == x + y
+    assert _canonical(sx - sy) == x - y
+    assert _canonical(sx * sy) == x * y
+    assert _canonical(-sx) == -x
+    assert (sx + sy) + sz == sx + (sy + sz)
+    assert (sx * sy) * sz == sx * (sy * sz)
+    assert sx * (sy + sz) == sx * sy + sx * sz
+    if y:
+        assert _canonical(sx / sy) == x / y
+        assert _canonical(sy.inverse()) == 1 / y
+        assert sy * sy.inverse() == ONE
+    else:
+        with pytest.raises(ZeroDivisionError):
+            sy.inverse()
+    assert sx.sign() == (x > 0) - (x < 0)
+    assert (sx == sy) == (x == y) == (sx._key() == sy._key())
+    assert (sx == y) == (x == y)
+    assert (sx < sy) == (x < y)
+    assert scalar_to_str(sx) == str(x)
+    assert _canonical(parse_scalar(scalar_to_str(sx))) == x
+
+
+@given(ints, dens)
+def test_scal_reduces_fractions_and_ints(n, d):
+    # a negative denominator given to Fraction comes out positive
+    assert _canonical(scal(Fraction(n, -d))) == Fraction(-n, d)
+    assert _canonical(scal(n)) == n
+    assert _canonical(scal(True)) == 1
+    assert _canonical(parse_scalar(f"{abs(n)}/{d}")) == Fraction(abs(n), d)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rationals, rationals)
+def test_rational_square_roots_are_canonical(x, y):
+    root = try_sqrt(scal(x * x))
+    assert _canonical(root) == abs(x)
+    got = try_sqrt(scal(y))
+    n, d = y.numerator, y.denominator
+    if y >= 0 and _is_square(n) and _is_square(d):
+        assert _canonical(got) ** 2 == y
+    else:
+        assert got is None
+
+
+def _is_square(n: int) -> bool:
+    return isqrt(n) ** 2 == n
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(rationals, max_size=6), st.integers(1, _BIG))
+def test_poly_coefficients_are_canonical(fs, den):
+    p = Poly([scal(f) for f in fs])
+    form = p.int_form()
+    back = Poly.from_ints(*form)
+    assert [_canonical(c) for c in back.coeffs] == [_canonical(c) for c in p.coeffs]
+    vector = [f.numerator for f in fs]
+    from_ints = Poly.from_ints(None, (vector,), den)
+    want = [Fraction(n, den) for n in vector]
+    while want and not want[-1]:
+        want.pop()
+    assert [_canonical(c) for c in from_ints.coeffs] == want
+
+
+def _parts(s, r):
+    """(a, b) of s = a + b sqrt(r), each checked canonical."""
+    if s.tower is None:
+        return _canonical(s), Fraction(0)
+    assert s.tower.radicand == r
+    return _canonical(s.a), _canonical(s.b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([Fraction(2), Fraction(3, 7), Fraction(10 ** 40 + 1)]),
+       rationals, rationals, rationals, rationals)
+def test_depth_one_arithmetic_agrees_with_quad(r, a, b, c, d):
+    root = scalar_sqrt_adjoin(r)
+    x, y = scal(a) + scal(b) * root, scal(c) + scal(d) * root
+    qx, qy = Quad(a, b, r), Quad(c, d, r)
+    for got, want in ((x + y, qx + qy), (x - y, qx - qy), (x * y, qx * qy)):
+        assert _parts(got, r) == (want.a, want.b)
+    if b or a:
+        inv = 1 / qx
+        assert _parts(x.inverse(), r) == (inv.a, inv.b)
+    vectors = ([a.numerator * 6, c.numerator], [b.numerator, d.numerator * 5])
+    den = 7
+    coeffs = Poly.from_ints(root.tower, vectors, den).coeffs
+    for k, got in enumerate(coeffs):
+        assert _parts(got, r) == (Fraction(vectors[0][k], den),
+                                  Fraction(vectors[1][k], den))

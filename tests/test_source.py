@@ -77,3 +77,41 @@ def test_perfbench_names_resolve():
     missing = [f"{module}:{path}" for module, path in wanted
                if not _resolves(module, path)]
     assert not missing, f"perfbench names missing from jetmove: {missing}"
+
+
+# rational arithmetic runs on the int pair; Fraction is only taken in and
+# handed out at the boundary, never named on these paths
+_FRACTION_FREE = {
+    "exactalg/scalar.py": ["Scalar.__add__", "Scalar.__mul__", "Scalar.__neg__",
+                           "Scalar.inverse", "Scalar.__eq__", "Scalar._key",
+                           "Scalar.sign"],
+    "exactalg/poly.py": ["_scalars", "Poly.int_form", "Poly.shifted"],
+    "exactalg/crt.py": ["_strip_node"],
+}
+
+
+def _functions(tree, prefix=""):
+    """(qualified name, node) for every function of a module, methods
+    named as Class.method."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            yield from _functions(node, f"{prefix}{node.name}.")
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield f"{prefix}{node.name}", node
+
+
+def test_rational_hot_paths_never_name_fraction():
+    found, seen = [], set()
+    for module, names in _FRACTION_FREE.items():
+        tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
+        for name, func in _functions(tree):
+            if name not in names:
+                continue
+            seen.add(f"{module}:{name}")
+            found += [f"{module}:{name}:{node.lineno}" for node in ast.walk(func)
+                      if (isinstance(node, ast.Name) and node.id == "Fraction")
+                      or (isinstance(node, ast.Attribute) and node.attr == "Fraction")]
+    wanted = {f"{module}:{name}" for module, names in _FRACTION_FREE.items()
+              for name in names}
+    assert seen == wanted, f"functions not found: {sorted(wanted - seen)}"
+    assert not found, f"Fraction named on a rational hot path: {found}"
