@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 from .errors import (CyclicReference, DuplicateCenter, PreconditionFailed,
                      ensure)
-from .surfaces import Jet, jet_from_json, jet_to_json, standard_config
+from .surfaces import (Jet, jet_from_json, jet_to_json, jets_mutually_distant,
+                       standard_config)
 
 SPHERE = "sphere"
 TORUS = "torus"
@@ -59,7 +60,13 @@ class BlowupRecord:
 
 @dataclass(frozen=True)
 class SurfaceDescriptor:
-    """Base surface plus the ordered list of blow-up records."""
+    """Base surface plus the ordered list of blow-up records.
+
+    Building one checks it, in this order: the base is known, every
+    record center lives on the base, every parent is ``"base"`` or a
+    strictly earlier record (CyclicReference), and no two base records
+    share a center point (DuplicateCenter).
+    """
 
     base: str
     records: tuple[BlowupRecord, ...] = ()
@@ -71,67 +78,13 @@ class SurfaceDescriptor:
         for rec in self.records:
             if rec.center is not None and rec.center.surface != self.base:
                 raise PreconditionFailed("record center lives on a different surface")
-
-
-@dataclass(frozen=True)
-class BlowupForest:
-    """Ancestry structure of the records of one descriptor.
-
-    Nodes are record indices.  A node is a root when its record sits on
-    the base; otherwise its single edge points at the earlier record
-    whose exceptional locus carries it.  ``below(i, j)`` holds when
-    record j appears on the ancestry chain of record i.
-    """
-
-    parents: tuple[str | int, ...]
-    roots: tuple[int, ...]
-    edges: tuple[tuple[int, int], ...]
-
-    @property
-    def s(self) -> int:
-        return len(self.edges)
-
-    @property
-    def trees(self) -> int:
-        return len(self.roots)
-
-    def below(self, i: int, j: int) -> bool:
-        node: str | int = i
-        while node != BASE:
-            if node == j:
-                return True
-            node = self.parents[node]
-        return False
-
-
-def forest_build(d: SurfaceDescriptor) -> BlowupForest:
-    """Check ancestry well-foundedness and return the record forest.
-
-    Raises CyclicReference when a parent index does not point at a
-    strictly earlier record, DuplicateCenter when two base records carry
-    the same explicit center point.
-    """
-    roots, edges = [], []
-    for i, rec in enumerate(d.records):
-        if rec.parent == BASE:
-            roots.append(i)
-        else:
-            if not 0 <= rec.parent < i:
+        for i, rec in enumerate(self.records):
+            if rec.parent != BASE and not 0 <= rec.parent < i:
                 raise CyclicReference(
                     f"record {i} refers to {rec.parent}, not an earlier record")
-            edges.append((i, rec.parent))
-    seen = []
-    for i in roots:
-        c = d.records[i].center
-        if c is None:
-            continue
-        if any(c.center == p for p in seen):
+        if not jets_mutually_distant(rec.center for rec in self.records
+                                     if rec.parent == BASE and rec.center is not None):
             raise DuplicateCenter("two base records share a center point")
-        seen.append(c.center)
-    forest = BlowupForest(tuple(r.parent for r in d.records),
-                          tuple(roots), tuple(edges))
-    ensure(forest.s == len(d.records) - forest.trees, "forest edge count is off")
-    return forest
 
 
 @dataclass(frozen=True)
@@ -197,7 +150,6 @@ def descriptor_normalize(d: SurfaceDescriptor) -> SurfaceDescriptor:
     the orders >= 2 and adding as many order-1 records as the resolution
     genus requires.
     """
-    forest_build(d)
     if _is_flat(d):
         return d
     inv = descriptor_invariants(d)
@@ -241,6 +193,4 @@ def descriptor_from_json(data: dict) -> SurfaceDescriptor:
     for item in data["records"]:
         center = jet_from_json(item["center"]) if "center" in item else None
         recs.append(BlowupRecord(item["parent"], item["order"], center))
-    d = SurfaceDescriptor(data["base"], tuple(recs))
-    forest_build(d)
-    return d
+    return SurfaceDescriptor(data["base"], tuple(recs))

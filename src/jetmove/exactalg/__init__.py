@@ -7,14 +7,13 @@ from .scalar import (ONE, ZERO, Scalar, Tower, parse_scalar, scal,
                      scalar_sqrt_adjoin, scalar_to_json, scalar_to_str,
                      try_sqrt)
 from .series import Series, compose_centered, hensel_sqrt, poly_to_series
-from .sturm import (NEG_INF, POS_INF, SturmChain, cauchy_bound, isolate_root,
-                    sturm_root_count)
+from .sturm import NEG_INF, POS_INF, SturmChain, cauchy_bound, sturm_root_count
 
 __all__ = [
     "ONE", "ZERO", "Scalar", "Tower", "Poly", "Series", "SturmChain",
     "cauchy_bound", "compose_centered", "crt_combine", "crt_with_modulus",
-    "hensel_sqrt", "isolate_root", "parse_scalar", "poly_from_json",
-    "poly_gcd", "poly_to_json", "poly_to_series", "scal",
-    "scalar_sqrt_adjoin", "scalar_to_json", "scalar_to_str",
-    "square_free_part", "sturm_root_count", "try_sqrt",
+    "hensel_sqrt", "parse_scalar", "poly_from_json", "poly_gcd",
+    "poly_to_json", "poly_to_series", "scal", "scalar_sqrt_adjoin",
+    "scalar_to_json", "scalar_to_str", "square_free_part",
+    "sturm_root_count", "try_sqrt",
 ]

@@ -33,7 +33,7 @@ from math import gcd, lcm
 from typing import Iterable
 
 from .scalar import (MAX_SCALAR_DIGITS, ZERO, RatLike, Scalar, Tower,
-                     parse_scalar, ratio, ratio_to_json, scal,
+                     parse_scalar, power, ratio, ratio_to_json, scal,
                      scalar_sqrt_adjoin, scalar_to_json)
 
 
@@ -214,14 +214,7 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        out = Poly.const(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return power(self, n, Poly.const(1))
 
     def inverse(self, n: int) -> Poly:
         """1/self cut below degree n; the constant term must be nonzero.

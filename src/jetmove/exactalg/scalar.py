@@ -216,14 +216,7 @@ class Scalar:
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        out = ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return power(self, n, ONE)
 
     # -- comparisons -----------------------------------------------------
 
@@ -296,6 +289,20 @@ class Scalar:
 
     def __repr__(self):
         return f"Scalar({scalar_to_str(self)})"
+
+
+def power(base, n: int, one):
+    """base ** n for n >= 0 by square-and-multiply, starting from ``one``;
+    the one loop behind the ``__pow__`` of Scalar, Poly and Series.  It
+    stops before squaring past the top bit of n, the largest product."""
+    out = one
+    while n:
+        if n & 1:
+            out = out * base
+        n >>= 1
+        if n:
+            base = base * base
+    return out
 
 
 def scal(x: RatLike) -> Scalar:

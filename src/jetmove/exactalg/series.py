@@ -18,7 +18,7 @@ from typing import Iterable
 
 from ..errors import BadSeed, NotAUnit, SeriesContextMismatch, ZeroSeed
 from .poly import Poly
-from .scalar import ONE, ZERO, RatLike, Scalar, scal
+from .scalar import ONE, ZERO, RatLike, Scalar, power, scal
 
 _HALF = ONE / 2
 
@@ -110,14 +110,7 @@ class Series:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        out = Series.constant(1, self.center, self.order)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return power(self, n, Series.constant(1, self.center, self.order))
 
     def invert(self) -> Series:
         """Multiplicative inverse; the constant term must be nonzero."""
@@ -150,18 +143,7 @@ class Series:
     def __str__(self):
         c = self.center
         var = "x" if c.is_zero() else f"(x - {c})" if c.sign() > 0 else f"(x + {-c})"
-        parts = []
-        for k, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            if k == 0:
-                parts.append(str(a))
-            else:
-                xs = var if k == 1 else f"{var}^{k}"
-                s = str(a)
-                parts.append(xs if s == "1" else f"-{xs}" if s == "-1" else f"{s}*{xs}")
-        body = " + ".join(parts) if parts else "0"
-        return f"({body} : order {self.order})"
+        return f"({self.poly.str_in(var)} : order {self.order})"
 
     def __repr__(self):
         return f"Series{self}"

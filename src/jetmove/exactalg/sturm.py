@@ -92,8 +92,3 @@ def sturm_root_count(p: Poly, interval: tuple | None = None) -> int:
     """Distinct real roots of p, whole-line or in closed [a, b]; raises
     ZeroPolynomial for p = 0, and a nonzero constant has none."""
     return SturmChain(p).count(interval)
-
-
-def isolate_root(p: Poly, region: tuple | None = None) -> tuple:
-    """SturmChain(p).witness(region)."""
-    return SturmChain(p).witness(region)

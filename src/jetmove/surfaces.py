@@ -308,7 +308,9 @@ class SphereParam:
 
 
 def _recenter_zero(s: Series) -> Series:
-    return Series(ZERO, s.order, s.coeffs)
+    """s with its center relabelled 0: the polynomial in (x - center)
+    is already one in the local parameter."""
+    return Series._of(ZERO, s.order, s.poly)
 
 
 def jet_parametrize(j: Jet) -> TorusParam | SphereParam:
@@ -389,67 +391,7 @@ def jet_from_sphere_param(p: SphereParam, order: int) -> Jet:
 
 
 # ---------------------------------------------------------------------------
-# canonicalization from raw ideal generators
-
-
-def canonicalize_torus_ideal(center, order: int, y_coeff: Series,
-                             const: Series) -> Jet:
-    """Jet with ideal ((x - center)^order, y_coeff * y + const).
-
-    The linear coefficient must be a unit at the center, otherwise the
-    generators do not define a graph over x and NotCurvilinear is raised.
-    """
-    c = scal(center)
-    if y_coeff.coeffs[0].is_zero():
-        raise NotCurvilinear("y coefficient vanishes at the center")
-    f = -(const * y_coeff.invert())
-    return Jet.torus(TorusPoint.affine(c, f.value()), order, f)
-
-
-def canonicalize_sphere_ideal(center, order: int,
-                              rows: tuple[tuple[Series, Series, Series],
-                                          tuple[Series, Series, Series]]) -> Jet:
-    """Jet with ideal ((x-center)^e, a1*y + b1*z + c1, a2*y + b2*z + c2).
-
-    The 2x2 series matrix (a_i, b_i) must be invertible at the center; the
-    solved graphs must satisfy the sphere congruence exactly.
-    """
-    (a1, b1, c1), (a2, b2, c2) = rows
-    det = a1 * b2 - a2 * b1
-    if det.coeffs[0].is_zero():
-        raise NotCurvilinear("linear system is singular at the center")
-    dinv = det.invert()
-    g = (b1 * c2 - b2 * c1) * dinv
-    h = (a2 * c1 - a1 * c2) * dinv
-    pt = SpherePoint(scal(center), g.value(), h.value())
-    return Jet.sphere(pt, order, g, h, "x")
-
-
-# ---------------------------------------------------------------------------
-# predicates and reports
-
-
-@dataclass
-class JetReport:
-    ok: bool
-    problems: list[str]
-
-
-def jet_validate(j: Jet) -> JetReport:
-    """Exact structural and congruence checks; reports every violation."""
-    problems: list[str] = []
-    try:
-        if j.surface == TORUS:
-            _check_torus_shape(j)
-        elif j.surface == SPHERE:
-            _check_sphere_shape(j)
-        else:
-            problems.append(f"unknown surface {j.surface!r}")
-    except PreconditionFailed as exc:
-        problems.append(str(exc))
-    if j.order < 1:
-        problems.append("order must be at least 1")
-    return JetReport(not problems, problems)
+# predicates
 
 
 def jet_tangent_vector(j: Jet) -> TangentVector:

@@ -10,7 +10,7 @@ from conftest import rand_fraction
 from jetmove.errors import DuplicateCenter, ZeroPolynomial
 from jetmove.exactalg import (NEG_INF, ONE, POS_INF, Poly, Series, SturmChain,
                               cauchy_bound, crt_combine, crt_with_modulus,
-                              isolate_root, poly_to_series, scal,
+                              poly_to_series, scal,
                               scalar_sqrt_adjoin, sturm_root_count)
 from jetmove.exactalg.crt import _strip_node
 from oracles import (count_closed, count_line, crt_full_sum, p_divmod, p_mul,
@@ -76,7 +76,7 @@ def test_cauchy_bound_brackets_roots():
 
 def test_isolate_root_brackets_exactly_one():
     p = (x - 1) * (x + 2) * (x - 5)
-    lo, hi = isolate_root(p, (scal(0), scal(3)))
+    lo, hi = SturmChain(p).witness((scal(0), scal(3)))
     assert lo < hi
     assert sturm_root_count(p, (lo, hi)) == 1
     assert scal(0) <= lo and hi <= scal(3)

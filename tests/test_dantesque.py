@@ -1,6 +1,10 @@
 """Blow-up descriptors: invariants, normalization, and the isomorphism test."""
 
+import json
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import euler_resolve_then_contract
 
@@ -18,7 +22,6 @@ from jetmove.dantesque import (
     descriptor_invariants,
     descriptor_normalize,
     descriptor_to_json,
-    forest_build,
     isomorphism_decide,
     singularity_name,
 )
@@ -46,27 +49,80 @@ def test_record_validation():
         SurfaceDescriptor("plane")
 
 
-def test_forest_counts():
-    d = desc(SPHERE, (BASE, 2), (0, 1), (BASE, 3), (1, 1))
-    f = forest_build(d)
-    assert f.trees == 2 and f.s == 2
-    assert f.below(3, 0) and not f.below(2, 0)
-
-
 def test_forest_rejects_forward_reference():
-    d = desc(SPHERE, (1, 1), (BASE, 1))
     with pytest.raises(CyclicReference):
-        forest_build(d)
+        desc(SPHERE, (1, 1), (BASE, 1))
     with pytest.raises(CyclicReference):
-        forest_build(desc(SPHERE, (0, 1)))
+        desc(SPHERE, (0, 1))
 
 
 def test_forest_rejects_duplicate_centers():
     j = standard_config(SPHERE, [1, 1]).jets[0]
-    d = SurfaceDescriptor(SPHERE, (BlowupRecord(BASE, 1, j),
-                                   BlowupRecord(BASE, 1, j)))
     with pytest.raises(DuplicateCenter):
-        forest_build(d)
+        SurfaceDescriptor(SPHERE, (BlowupRecord(BASE, 1, j),
+                                   BlowupRecord(BASE, 1, j)))
+
+
+@pytest.mark.parametrize("records", [
+    ((3, 2),),                      # a parent that does not exist
+    ((BASE, 1), (1, 2)),            # a parent equal to its own index
+    ((BASE, 1), (-1, 2)),           # a negative parent
+], ids=["dangling", "self", "negative"])
+def test_bad_parent_refused_when_built(records):
+    with pytest.raises(CyclicReference):
+        desc(SPHERE, *records)
+
+
+def test_base_records_at_one_center_refused_when_built():
+    # two different jets, orders 1 and 2, at the same center point
+    a = standard_config(SPHERE, [1, 2]).jets[0]
+    b = standard_config(SPHERE, [2, 1]).jets[0]
+    assert a != b and a.center == b.center
+    with pytest.raises(DuplicateCenter):
+        SurfaceDescriptor(SPHERE, (BlowupRecord(BASE, 1, a),
+                                   BlowupRecord(BASE, 2, b)))
+    # a record on an exceptional locus may reuse the center
+    d = SurfaceDescriptor(SPHERE, (BlowupRecord(BASE, 1, a),
+                                   BlowupRecord(0, 2, b)))
+    assert descriptor_from_json(descriptor_to_json(d)) == d
+
+
+def test_descriptor_faults_raise_in_order():
+    # base, then every record's surface, then every parent, then centers
+    s = standard_config(SPHERE, [1]).jets[0]
+    t = standard_config(TORUS, [1]).jets[0]
+    twice = (BlowupRecord(BASE, 1, s), BlowupRecord(BASE, 1, s))
+    with pytest.raises(PreconditionFailed, match="unknown base"):
+        SurfaceDescriptor("plane", (BlowupRecord(5, 1, t),))
+    with pytest.raises(PreconditionFailed, match="different surface"):
+        SurfaceDescriptor(SPHERE, (*twice, BlowupRecord(9, 1),
+                                   BlowupRecord(BASE, 1, t)))
+    with pytest.raises(CyclicReference):
+        SurfaceDescriptor(SPHERE, (*twice, BlowupRecord(9, 1)))
+    with pytest.raises(DuplicateCenter):
+        SurfaceDescriptor(SPHERE, twice)
+
+
+_CENTERS = (None, *standard_config(SPHERE, [1, 2]).jets,
+            *standard_config(SPHERE, [2, 1]).jets,
+            *standard_config(TORUS, [1, 2]).jets)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from((SPHERE, TORUS, KLEIN)), st.data())
+def test_built_descriptors_read_back(base, data):
+    n = data.draw(st.integers(0, 4))
+    parents = st.one_of(st.just(BASE), st.integers(-2, n + 1))
+    recs = [BlowupRecord(data.draw(parents), data.draw(st.integers(1, 3)),
+                         data.draw(st.sampled_from(_CENTERS)))
+            for _ in range(n)]
+    try:
+        d = SurfaceDescriptor(base, tuple(recs))
+    except (CyclicReference, DuplicateCenter, PreconditionFailed):
+        return
+    back = descriptor_from_json(json.loads(json.dumps(descriptor_to_json(d))))
+    assert back == d
+    assert descriptor_invariants(back) == descriptor_invariants(d)
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,18 @@ def test_poly_basics():
     assert Poly([0, 0]).is_zero()
 
 
+def test_powers_equal_repeated_products():
+    # Scalar, Poly and Series share one square-and-multiply loop
+    s2 = scalar_sqrt_adjoin(2)
+    for base, one in ((1 + s2 / 3, ONE), (x - scal(Fraction(5, 7)), Poly.const(1)),
+                      (x + s2, Poly.const(1)),
+                      (Series(s2, 4, [1, 2, s2]), Series.constant(1, s2, 4))):
+        want = one
+        for n in range(10):
+            assert base ** n == want
+            want = want * base
+
+
 def test_poly_call_refuses_series():
     with pytest.raises(TypeError):
         Poly([1, 2, 3])(Series(ZERO, 3, [1, 1]))

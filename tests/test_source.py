@@ -79,6 +79,16 @@ def test_perfbench_names_resolve():
     assert not missing, f"perfbench names missing from jetmove: {missing}"
 
 
+def test_exactalg_exports_resolve():
+    # a deleted function must not leave its name behind in __all__
+    exactalg = importlib.import_module("jetmove.exactalg")
+    missing = [name for name in exactalg.__all__ if not hasattr(exactalg, name)]
+    assert not missing, f"jetmove.exactalg.__all__ names nothing for {missing}"
+    namespace = {}
+    exec("from jetmove.exactalg import *", namespace)
+    assert set(exactalg.__all__) <= set(namespace)
+
+
 # rational arithmetic runs on the int pair; Fraction is only taken in and
 # handed out at the boundary, never named on these paths
 _FRACTION_FREE = {

@@ -11,15 +11,14 @@ from conftest import (noncanonical_sphere_jet_json, rand_fraction,
 from jetmove.errors import (MixedSurfaces, NotCurvilinear, NotOnEquator,
                             PreconditionFailed)
 from jetmove.exactalg import (ONE, ZERO, Poly, Series, compose_centered,
-                              hensel_sqrt, parse_scalar, poly_to_series, scal,
+                              hensel_sqrt, poly_to_series, scal,
                               scalar_sqrt_adjoin)
 from jetmove.surfaces import (MAX_JET_ORDER, Jet, Partition, ProjPoint,
-                              SpherePoint, TorusPoint, canonicalize_sphere_ideal,
-                              canonicalize_torus_ideal, equator_point,
+                              SpherePoint, TorusPoint, equator_point,
                               jet_from_json, jet_from_sphere_param,
                               jet_from_torus_param, jet_is_vertical,
                               jet_parametrize, jet_tangent_vector, jet_to_json,
-                              jet_validate, jets_mutually_distant,
+                              jets_mutually_distant,
                               point_from_json, point_to_json,
                               sphere_point_stereo, sphere_standard_center,
                               standard_config, torus_standard_center,
@@ -123,26 +122,6 @@ def test_param_read_back_keeps_the_series_order():
     assert jet_from_sphere_param(jet_parametrize(sphere), 3) == sphere
 
 
-def test_ideal_canonicalization_torus():
-    # y*2 - 2x = 0 along x near 1, order 2: graph y = x
-    y_coeff = Series(ONE, 2, [2, 0])
-    const = Series(ONE, 2, [-2, -2])
-    j = canonicalize_torus_ideal(ONE, 2, y_coeff, const)
-    assert j.f == Series(ONE, 2, [ONE, ONE])
-
-
-def test_ideal_canonicalization_sphere():
-    c = equator_point(1)
-    e = 2
-    u = poly_to_series(Poly([1, 0, -1]), c.x, e)
-    g = hensel_sqrt(u, c.y)
-    h = Series(c.x, e, [ZERO, ZERO])
-    one = Series.constant(1, c.x, e)
-    zero = Series.constant(0, c.x, e)
-    j = canonicalize_sphere_ideal(c.x, e, ((one, zero, -g), (zero, one, -h)))
-    assert j == Jet.sphere(c, e, g, h)
-
-
 def test_tangent_vectors():
     j = Jet.torus(TorusPoint.affine(0, 0), 2, Series(ZERO, 2, [ZERO, scal(3)]))
     assert jet_tangent_vector(j).components == (ONE, scal(3))
@@ -206,13 +185,6 @@ def test_jet_json_round_trip(rng):
         assert jet_from_json(jet_to_json(j)) == j
 
 
-def test_jet_validate_reports():
-    rep = jet_validate(standard_config("sphere", [2]).jets[0])
-    assert rep.ok
-    assert not jet_validate(Jet("sphere", 2, equator_point(1), "x", False,
-                                (Series(ONE, 2, [0, 1]), Series(ONE, 2, [0, 1])))).ok
-
-
 def test_non_curvilinear_param_rejected():
     from jetmove.surfaces import TorusParam
     flat = Series(ZERO, 2, [ONE, ZERO])
@@ -248,9 +220,6 @@ def test_torus_chart_tags_must_match_center():
     with pytest.raises(PreconditionFailed, match="chart tags"):
         Jet.torus(TorusPoint.affine(5, 7), 1, Series(scal(5), 1, [7]),
                   chart=(0, 1))
-    stale = Jet("torus", 1, TorusPoint.affine(5, 7), (1, 0), False,
-                (Series(scal(5), 1, [7]),))
-    assert not jet_validate(stale).ok
 
 
 def test_torus_chart_fields_must_be_json_typed():
@@ -277,11 +246,6 @@ def test_sphere_jet_in_noncanonical_chart_refused():
             jet_from_json(d)
         std = standard_config("sphere", [order]).jets[0]
         assert jet_from_json(jet_to_json(std)) == std
-        y0 = std.center.y
-        raw = Jet("sphere", order, std.center, "y", False,
-                  tuple(Series(y0, order, [parse_scalar(c) for c in d["graph"][k]])
-                        for k in "gh"))
-        assert jet_validate(raw).problems == ["canonical chart is x, stored y"]
 
 
 @pytest.mark.parametrize("surface, key, coeffs", [
