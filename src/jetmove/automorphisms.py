@@ -31,15 +31,29 @@ AutWord composes certified generators left-to-right.  Jets move through
 their parameter form (surfaces.TorusParam or SphereParam) and come back
 in canonical form, and a Jacobian as an order-2 jet: one transport
 serves all.  A point is an order-1 form, over F[t]/(t), which is the
-field F itself, so its series cross as their values, plain Scalars; only
-the leaves (_eval, _chart_pair, _normalize_pair, the sphere's 1/r) tell
-a Scalar from a Series.  Torus coordinates travel as (chart, local)
-pairs, so nothing breaks over infinity; only Moebius maps and twist
-steps form homogeneous pairs, and they normalize their result back at
-once.  A twist polynomial meets a series only through its Taylor shift
-to the series' value.  A twist step with a zero angle or translation
-is skipped: it multiplies by a unit and divides by it again (d^2, or q
-homogenized), exactly.
+field F itself, so the transport carries it as its values, plain
+Scalars (_carried), and only the read-back wraps them into series
+(_jet_of); the separation stages carry their forms that way for a whole
+stage.  Only the leaves (_eval, _chart_pair, _normalize_pair, the
+sphere's 1/r, _point_of) and the step functions' choice of path tell a
+Scalar from a Series.  Torus coordinates travel as
+(chart, local) pairs, so nothing breaks over infinity; only Moebius maps
+and twist steps form homogeneous pairs, and they normalize their result
+back at once.  A twist polynomial meets a series only through its
+Taylor shift to the series' value.  A twist step with a zero angle or
+translation is skipped: it multiplies by a unit and divides by it again
+(d^2, or q homogenized), exactly.
+
+A taken step of order >= 2 whose operands have integer forms over one
+field, Q or one Q(sqrt r), runs on those forms (exactalg's form_add and
+form_mul, unreduced) and reduces each moved coordinate once, with one
+Poly.inverse.  A sphere twist with d = 1, as every synthesized one is,
+moves (u, v) to (s (u - a v) - u, s (a u + v) - v) for a = n(t) and
+s = 2/(1 + a^2), since cos = s - 1 and sin = a s: five products.  A
+torus twist moving a chart-0 coordinate m gives m + ph/qh, qh being a
+unit.  Every other step (operands in two towers or a deeper one, a
+general d or the half turn, a chart-1 coordinate) keeps the full
+formula on Series as the one fallback, and an order-1 step its Scalars.
 """
 
 from __future__ import annotations
@@ -50,10 +64,10 @@ from math import isqrt
 from .errors import (DegreeMismatch, IdentityFails, MixedSurfaces,
                      NotCurvilinear, PreconditionFailed, RootInForbiddenRegion)
 from .exactalg import (ONE, ZERO, Poly, Scalar, Series, SturmChain,
-                       compose_centered, hensel_sqrt, poly_from_json, poly_gcd,
-                       poly_to_json, poly_to_series, scal, scalar_to_json,
-                       try_sqrt)
-from .surfaces import (SPHERE, SPHERE_CHARTS, TORUS, Jet, SphereParam,
+                       common_forms, compose_centered, form_add, form_mul,
+                       hensel_sqrt, poly_from_json, poly_gcd, poly_to_json,
+                       poly_to_series, scal, scalar_to_json, try_sqrt)
+from .surfaces import (SPHERE, SPHERE_CHARTS, TORUS, Jet, ProjPoint, SphereParam,
                        SpherePoint, TorusParam, TorusPoint, jet_from_sphere_param,
                        jet_from_torus_param, jet_parametrize, json_list,
                        scalars_from_json)
@@ -398,12 +412,66 @@ def _moebius(m, f: tuple) -> tuple:
                            f0 * m[1][0] + f1 * m[1][1])
 
 
+def _translate_series(ph, qh, moved: tuple) -> tuple:
+    """The (chart, local) pair ``moved`` plus ph/qh, for the homogenized
+    twist terms ph, qh: the pair (m0 qh + ph m1 : m1 qh), normalized."""
+    m0, m1 = _chart_pair(*moved)
+    return _normalize_pair(m0 * qh + ph * m1, m1 * qh)
+
+
+def _translate(ph, qh, moved: tuple) -> tuple:
+    """As _translate_series.  A chart-0 series m with qh a unit (always,
+    for a certified twist: q has no real root and degree n) comes out on
+    chart 0 as m + ph qh^-1, computed on the integer forms when ph, qh
+    and m lie in one field, with one reduction for the result."""
+    chart, m = moved
+    if chart == 0 and isinstance(m, Series) and qh.valuation() == 0:
+        common = common_forms(ph.poly, qh.poly, m.poly)
+        if common:
+            tower, (fp, _, fm) = common
+            e = m.order
+            qinv = qh.poly.inverse(e).int_form()[1:]
+            local = form_add(fm, form_mul(tower, fp, qinv, e))
+            return 0, Series._of(m.center, e, Poly.from_ints(tower, *local))
+    return _translate_series(ph, qh, moved)
+
+
+def _rotate_series(nv, dv, u, v) -> tuple:
+    """(u, v) rotated by the angle whose half-angle tangent is nv/dv:
+    ((u p - v q)/r, (u q + v p)/r) for (p, q, r) = (dv^2 - nv^2,
+    2 nv dv, dv^2 + nv^2), on Series or on Scalars."""
+    nn, dd, nd = nv * nv, dv * dv, nv * dv
+    pv, qv = dd - nn, nd + nd
+    r = dd + nn
+    rinv = r.inverse() if isinstance(r, Scalar) else r.invert()
+    return (u * pv - v * qv) * rinv, (u * qv + v * pv) * rinv
+
+
+def _rotate(g: SphereTwist, t, nv, u, v) -> tuple:
+    """(u, v) rotated by g, whose angle numerator at t is nv, as
+    _rotate_series.  For d = 1 (every synthesized twist) and series nv,
+    u, v in one field it runs on the integer forms: with s = 2/(1 + a^2)
+    for a = nv, cos = s - 1 and sin = a s, so the image is
+    (s (u - a v) - u, s (a u + v) - v), five products and one inverse,
+    and each coordinate is reduced once."""
+    if isinstance(nv, Series) and g.d.degree == 0 and g.d[0] == ONE:
+        common = common_forms(nv.poly, u.poly, v.poly)
+        if common:
+            tower, (fa, fu, fv) = common
+            e = u.order
+            # 2/(1 + a^2) is the inverse of (1 + a^2)/2
+            rows, den = form_add(form_mul(tower, fa, fa, e), ([(1,)], 1))
+            s = Poly.from_ints(tower, rows, 2 * den).inverse(e).int_form()[1:]
+            au, av = form_mul(tower, fa, fu, e), form_mul(tower, fa, fv, e)
+            u2 = form_add(form_mul(tower, s, form_add(fu, av, -1), e), fu, -1)
+            v2 = form_add(form_mul(tower, s, form_add(au, fv), e), fv, -1)
+            return tuple(Series._of(u.center, e, Poly.from_ints(tower, *f))
+                         for f in (u2, v2))
+    return _rotate_series(nv, _eval(g.d, t), u, v)
+
+
 def _push_torus(w: AutWord, par: TorusParam) -> TorusParam:
     x, y = par.x, par.y
-    point = x[1].order == 1
-    if point:
-        center = x[1].center
-        x, y = ((c, s.value()) for c, s in (x, y))
     for g in w.generators:
         if isinstance(g, TorusTwist):
             src, moved = (x, y) if g.axis == "y" else (y, x)
@@ -413,22 +481,14 @@ def _push_torus(w: AutWord, par: TorusParam) -> TorusParam:
                 # qh is a unit (q: no real root, deg n), so (m0 qh : m1 qh)
                 # normalizes back to moved, chart 1 having local value 0
                 continue
-            qh = _hom_eval_series(g.q, n, *src)
-            m0, m1 = _chart_pair(*moved)
-            moved = _normalize_pair(m0 * qh + ph * m1, m1 * qh)
+            moved = _translate(ph, _hom_eval_series(g.q, n, *src), moved)
             x, y = (src, moved) if g.axis == "y" else (moved, src)
         else:
             x, y = _moebius(g.mx, x), _moebius(g.my, y)
-    if point:
-        x, y = ((c, Series(center, 1, [v])) for c, v in (x, y))
     return TorusParam(x, y)
 
 
 def _push_sphere(w: AutWord, par: SphereParam) -> SphereParam:
-    point = par.x.order == 1
-    if point:
-        center = par.x.center
-        par = SphereParam(par.x.value(), par.y.value(), par.z.value())
     for g in w.generators:
         names = SPHERE_CHARTS[g.fixed]
         t, u, v = (getattr(par, n) for n in names)
@@ -436,50 +496,67 @@ def _push_sphere(w: AutWord, par: SphereParam) -> SphereParam:
         if nv.is_zero():
             # (p, q, r) = (d^2, 0, d^2), d(t) a unit (n, d coprime): identity
             continue
-        dv = _eval(g.d, t)
-        nn, dd, nd = nv * nv, dv * dv, nv * dv
-        pv, qv = dd - nn, nd + nd
-        r = dd + nn
-        rinv = r.inverse() if point else r.invert()
-        par = replace(par, **{names[1]: (u * pv - v * qv) * rinv,
-                              names[2]: (u * qv + v * pv) * rinv})
-    if point:
-        par = SphereParam(*(Series(center, 1, [v]) for v in (par.x, par.y, par.z)))
+        u, v = _rotate(g, t, nv, u, v)
+        par = replace(par, **{names[1]: u, names[2]: v})
     return par
 
 
-def _point_param(pt: TorusPoint | SpherePoint, tangent=None):
-    """The point as an order-1 parameter form or, given ``tangent`` in
-    local chart components, the order-2 line through it that way."""
-    torus = isinstance(pt, TorusPoint)
-    values = (pt.x.local, pt.y.local) if torus else pt.coords()
-    tails = [()] * len(values) if tangent is None else [(d,) for d in tangent]
-    local = [Series(ZERO, 1 + len(t), [v, *t]) for v, t in zip(values, tails)]
-    if torus:
-        return TorusParam((pt.x.chart, local[0]), (pt.y.chart, local[1]))
-    return SphereParam(*local)
+def _push(w: AutWord, par):
+    """The carried form par moved by w: the shared transport."""
+    return (_push_torus if w.surface == TORUS else _push_sphere)(w, par)
+
+
+def _point_form(pt: TorusPoint | SpherePoint):
+    """A point as the transport carries it: the values of its order-1
+    form, (chart, local value) pairs on the torus."""
+    if isinstance(pt, TorusPoint):
+        return TorusParam((pt.x.chart, pt.x.local), (pt.y.chart, pt.y.local))
+    return SphereParam(*pt.coords())
+
+
+def _carried(j: Jet):
+    """jet_parametrize(j) as the transport carries it: an order-1 form
+    as its values, since F[t]/(t) is F."""
+    return jet_parametrize(j) if j.order > 1 else _point_form(j.center)
+
+
+def _jet_of(par, order: int) -> Jet:
+    """The jet along a carried form, an order-1 form's values wrapped
+    back into order-1 series at 0 for the read-back."""
+    if isinstance(par, TorusParam):
+        if order == 1:
+            par = TorusParam(*((c, Series(ZERO, 1, [v])) for c, v in (par.x, par.y)))
+        return jet_from_torus_param(par, order)
+    if order == 1:
+        par = SphereParam(*(Series(ZERO, 1, [v]) for v in (par.x, par.y, par.z)))
+    return jet_from_sphere_param(par, order)
+
+
+def _point_of(par) -> TorusPoint | SpherePoint:
+    """The center of a carried form, read off its values or constant terms."""
+    val = lambda s: s if isinstance(s, Scalar) else s.value()
+    if isinstance(par, TorusParam):
+        (xc, x), (yc, y) = par.x, par.y
+        return TorusPoint(ProjPoint.in_chart(xc, val(x)), ProjPoint.in_chart(yc, val(y)))
+    return SpherePoint(val(par.x), val(par.y), val(par.z))
 
 
 def apply_point(w: AutWord, pt: TorusPoint | SpherePoint):
     """Image of the point under the word; exact, total on real points.
 
-    The point is an order-1 form, whose series the shared transport
-    carries as Scalars (F[t]/(t) is F), and is read back as a point.
+    The point crosses the shared transport as the values of its order-1
+    form (F[t]/(t) is F), and is read off them.
     """
     if not isinstance(pt, TorusPoint if w.surface == TORUS else SpherePoint):
         raise MixedSurfaces(f"{w.surface} word applied to a {type(pt).__name__}")
-    if w.surface == TORUS:
-        return jet_from_torus_param(_push_torus(w, _point_param(pt)), 1).center
-    return jet_from_sphere_param(_push_sphere(w, _point_param(pt)), 1).center
+    return _point_of(_push(w, _point_form(pt)))
 
 
 def apply_jet(w: AutWord, j: Jet) -> Jet:
     """Transport the jet, returning it in canonical graph form."""
     if j.surface != w.surface:
         raise MixedSurfaces("word and jet live on different surfaces")
-    if j.surface == TORUS:
-        return jet_from_torus_param(_push_torus(w, jet_parametrize(j)), j.order)
-    return jet_from_sphere_param(_push_sphere(w, jet_parametrize(j)), j.order)
+    return _jet_of(_push(w, _carried(j)), j.order)
 
 
 # ---------------------------------------------------------------------------
@@ -493,15 +570,17 @@ def jacobian_at(w: AutWord, pt: TorusPoint | SpherePoint):
     transporting first-order perturbations through the word, which is the
     chain rule without writing down any intermediate formula.
     """
-    n = 2 if w.surface == TORUS else 3
+    torus = w.surface == TORUS
+    values = (pt.x.local, pt.y.local) if torus else pt.coords()
     cols = []
-    for d in range(n):
-        par = _point_param(pt, [ONE if i == d else ZERO for i in range(n)])
-        if w.surface == TORUS:
-            out = _push_torus(w, par)
+    for d in range(len(values)):
+        # the order-2 line through the point along input direction d
+        local = [Series(ZERO, 2, [v, ONE if i == d else ZERO]) for i, v in enumerate(values)]
+        if torus:
+            out = _push_torus(w, TorusParam((pt.x.chart, local[0]), (pt.y.chart, local[1])))
             cols.append((out.x[1].coeffs[1], out.y[1].coeffs[1]))
         else:
-            out = _push_sphere(w, par)
+            out = _push_sphere(w, SphereParam(*local))
             cols.append((out.x.coeffs[1], out.y.coeffs[1], out.z.coeffs[1]))
     return tuple(zip(*cols))
 

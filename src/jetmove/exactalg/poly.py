@@ -19,6 +19,11 @@ Scalar coefficients only when they are read, and its valuation reads
 the form.  Coefficients in two towers or in a deeper tower, and a tower
 center, take the Scalar loop.
 
+The sum and product of two forms are module functions (form_add,
+form_mul) that take and return an unreduced (vectors, den) over one
+field, found by common_forms; Poly's + and mul are one of them and one
+from_ints, and a caller chaining several reduces only its result.
+
 A coefficient list in a word file is read and written on the integer
 form too (poly_from_json, poly_to_json): text in the shapes
 scalar_to_str writes for Q or one Q(sqrt r) goes straight to and from
@@ -153,15 +158,10 @@ class Poly:
 
     def __add__(self, other):
         other = _coerce(other)
-        common = _common(self, other)
+        common = common_forms(self, other)
         if common:
-            tower, (_, vs, ds), (_, vo, do) = common
-            den = lcm(ds, do)
-            ms, mo = den // ds, den // do
-            pad = (0,) * max(len(vs[0]), len(vo[0]))
-            rows = [_axpy(ms, vs[i] if i < len(vs) else pad, mo, vo[i] if i < len(vo) else pad)
-                    for i in range(max(len(vs), len(vo)))]
-            return Poly.from_ints(tower, rows, den)
+            tower, (x, y) = common
+            return Poly.from_ints(tower, *form_add(x, y))
         n = max(self._size(), other._size())
         return Poly([self[k] + other[k] for k in range(n)])
 
@@ -185,20 +185,10 @@ class Poly:
         other = _coerce(other)
         if self.is_zero() or other.is_zero() or n == 0:
             return Poly()
-        common = _common(self, other)
+        common = common_forms(self, other)
         if common:
-            tower, (_, vs, ds), (_, vo, do) = common
-            if len(vs) == 1 or len(vo) == 1:
-                (x,), ys = (vs, vo) if len(vs) == 1 else (vo, vs)
-                return Poly.from_ints(tower, [_conv(x, y, n) for y in ys], ds * do)
-            # (A + B sqrt r)(C + D sqrt r) for r = num / rden is
-            # (rden AC + num BD + rden (AD + BC) sqrt r) / rden
-            (a, b), (c, d) = vs, vo
-            num, rden = tower.radicand.a, tower.radicand.b
-            ac, bd = _conv(a, c, n), _conv(b, d, n)
-            mid = _axpy(1, _conv(a, d, n), 1, _conv(b, c, n))
-            return Poly.from_ints(tower, (_axpy(rden, ac, num, bd),
-                                          [rden * u for u in mid]), ds * do * rden)
+            tower, (x, y) = common
+            return Poly.from_ints(tower, *form_mul(tower, x, y, n))
         top = self._size() + other._size() - 1
         out = [ZERO] * (top if n is None else min(n, top))
         for i, a in enumerate(self.coeffs[:len(out)]):
@@ -395,15 +385,50 @@ def _scalars(tower: Tower | None, vectors, den: int) -> list[Scalar]:
     return out
 
 
-def _common(p: Poly, q: Poly):
-    """(tower, form of p, form of q) when both have an integer form over
-    one field: the same tower, or Q and a tower; else None."""
-    fp, fq = p.int_form(), q.int_form()
-    if fp and fq:
-        tp, tq = fp[0], fq[0]
-        if tp is tq or tp is None or tq is None:
-            return tp or tq, fp, fq
-    return None
+def common_forms(*polys: Poly):
+    """(tower, [(vectors, den) of each polynomial]) when every one has an
+    integer form and they lie in one field: Q, or Q and one tower Q(sqrt
+    r); else None.  The tower is None when all are rational."""
+    tower, forms = None, []
+    for p in polys:
+        f = p.int_form()
+        if not f:
+            return None
+        if f[0] is not None:
+            if tower is None:
+                tower = f[0]
+            elif f[0] is not tower:
+                return None
+        forms.append(f[1:])
+    return tower, forms
+
+
+def form_add(x, y, sign: int = 1):
+    """x + sign y for integer forms (vectors, den) over one field, as an
+    unreduced (vectors, den) over the lcm of the two denominators; a
+    missing B vector counts as zero."""
+    (vx, dx), (vy, dy) = x, y
+    den = lcm(dx, dy)
+    mx, my = den // dx, sign * (den // dy)
+    pad = (0,) * max(len(vx[0]), len(vy[0]))
+    return [_axpy(mx, vx[i] if i < len(vx) else pad, my, vy[i] if i < len(vy) else pad)
+            for i in range(max(len(vx), len(vy)))], den
+
+
+def form_mul(tower: Tower | None, x, y, n: int | None = None):
+    """x y cut below degree n when n is given, for integer forms
+    (vectors, den) over Q or over ``tower``, Q(sqrt r), as an unreduced
+    (vectors, den).  With r = num / rden, (A + B sqrt r)(C + D sqrt r)
+    is (rden AC + num BD + rden (AD + BC) sqrt r) / rden."""
+    (vx, dx), (vy, dy) = x, y
+    if len(vx) == 1 or len(vy) == 1:
+        (a,), vs = (vx, vy) if len(vx) == 1 else (vy, vx)
+        return [_conv(a, v, n) for v in vs], dx * dy
+    (a, b), (c, d) = vx, vy
+    num, rden = tower.radicand.a, tower.radicand.b
+    ac, bd = _conv(a, c, n), _conv(b, d, n)
+    mid = _axpy(1, _conv(a, d, n), 1, _conv(b, c, n))
+    return [_axpy(rden, ac, num, bd), [rden * u for u in mid]], dx * dy * rden
 
 
 def _axpy(a: int, x, b: int, y) -> list[int]:

@@ -9,7 +9,8 @@ leans on:
 * zero testing is structural (an element is zero iff its canonical
   representation is the rational zero), and
 * the sign of a nonzero element can be decided by refining rational
-  interval enclosures until zero is excluded.
+  interval enclosures until zero is excluded; over one Q(sqrt r) it is
+  decided from ints at once.
 
 Scalars are immutable and canonically stored at the shallowest level that
 can represent them, so a pure rational is a reduced pair of ints no
@@ -234,6 +235,8 @@ class Scalar:
     def sign(self) -> int:
         if self.tower is None:
             return (self.a > 0) - (self.a < 0)
+        if self._sign is None and self.tower.parent is None:
+            self._sign = _quadratic_sign(self.a, self.b, self.tower.radicand)
         if self._sign is None:
             # b != 0 and the radicand is not a square, so self is not zero
             bits = 16
@@ -289,6 +292,18 @@ class Scalar:
 
     def __repr__(self):
         return f"Scalar({scalar_to_str(self)})"
+
+
+def _quadratic_sign(a: Scalar, b: Scalar, r: Scalar) -> int:
+    """The sign of a + b sqrt(r) for rationals a, b != 0 and r > 0 not a
+    square, from ints: the common sign of a and b when they agree or a
+    is 0, else sign(a) sign(a^2 - b^2 r), which is never 0."""
+    sa, sb = (a.a > 0) - (a.a < 0), (b.a > 0) - (b.a < 0)
+    if sa == sb or not sa:
+        return sb
+    # a^2 - b^2 r over the positive denominator a.b^2 b.b^2 r.b
+    d = a.a * a.a * b.b * b.b * r.b - b.a * b.a * r.a * a.b * a.b
+    return sa if d > 0 else -sa
 
 
 def power(base, n: int, one):
@@ -647,5 +662,21 @@ class _ScalarParser:
         return ratio(num, den)
 
 
+# plain rational text, "n" or "n/d" with an optional leading minus and no
+# whitespace; parse_scalar reads it without the parser
+_PLAIN_RATIONAL = re.compile(
+    rf"(-?[0-9]{{1,{MAX_SCALAR_DIGITS}}})(?:/([0-9]{{1,{MAX_SCALAR_DIGITS}}}))?")
+
+
 def parse_scalar(text: str) -> Scalar:
+    """The scalar a text names.  Plain rational text with a nonzero
+    denominator is read by one regular expression; any other text,
+    refused or not, goes to _ScalarParser, so it is accepted or refused
+    with the same message as there."""
+    m = _PLAIN_RATIONAL.fullmatch(text)
+    if m is not None:
+        num, den = m.groups()
+        n, d = int(num), int(den) if den else 1
+        if d:
+            return ratio(n, d)
     return _ScalarParser(text).parse()

@@ -179,11 +179,21 @@ def compose_centered(outer: Series, inner: Series) -> Series:
     """outer(inner(t)) for ``inner`` a series whose value is outer's center.
 
     The result lives in inner's context.  Used to re-express a graph
-    function along a new local parameter.
+    function along a new local parameter.  A constant outer is its own
+    result.  Otherwise outer is composed with the deviation inner -
+    inner(0), which is inner with its constant term zeroed: on the
+    integer form, one column set to 0 and one reduction.
     """
     if not (inner.value() == outer.center):
         raise SeriesContextMismatch("inner value must equal outer center")
     if outer.order < inner.order:
         raise SeriesContextMismatch("outer order too small for composition")
-    dev = inner.poly - outer.center
+    if outer.poly.degree < 1:
+        return Series._of(inner.center, inner.order, outer.poly)
+    form = inner.poly.int_form()
+    if form:
+        tower, vectors, den = form
+        dev = Poly.from_ints(tower, [(0, *v[1:]) for v in vectors], den)
+    else:
+        dev = Poly([ZERO, *inner.poly.coeffs[1:]])
     return Series._of(inner.center, inner.order, outer.poly.compose(dev, inner.order))

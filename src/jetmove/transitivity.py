@@ -36,19 +36,18 @@ from itertools import count
 from math import gcd
 
 from .automorphisms import (MAX_TWIST_DEGREE, AutWord, Certificate, SphereTwist,
-                            TorusMoebius, TorusTwist, _push_sphere, _push_torus,
-                            apply_jet, apply_point, word_concat, word_identity,
-                            word_inverse)
+                            TorusMoebius, TorusTwist, _carried, _jet_of, _point_of,
+                            _push, apply_jet, apply_point, word_concat,
+                            word_identity, word_inverse)
 from .errors import (DuplicatePoints, EnumerationExhausted,
                      InternalVerificationFailure, MixedSurfaces, NotDistant,
                      OrderMismatch, PreconditionFailed, ensure)
 from .exactalg import (ONE, ZERO, Poly, Scalar, Series, crt_combine,
                        crt_with_modulus, scal, scalar_sqrt_adjoin)
-from .surfaces import (SPHERE, TORUS, Jet, ProjPoint, SpherePoint, TorusParam,
-                       TorusPoint, jet_from_sphere_param, jet_from_torus_param,
-                       jet_is_vertical, jet_parametrize, jet_tangent_vector,
-                       jets_mutually_distant, sphere_standard_center,
-                       standard_config, torus_standard_center)
+from .surfaces import (SPHERE, TORUS, Jet, SpherePoint, TorusPoint,
+                       jet_is_vertical, jet_tangent_vector, jets_mutually_distant,
+                       sphere_standard_center, standard_config,
+                       torus_standard_center)
 
 # candidates one generic choice may try before EnumerationExhausted
 ENUM_LIMIT = 1000
@@ -149,29 +148,22 @@ def _rotation_twists(fixed: str, nodes, orders, values):
             yield tw
 
 
-def _center(par):
-    """The center of a parameter form, read off its constant terms."""
-    if isinstance(par, TorusParam):
-        (xc, x), (yc, y) = par.x, par.y
-        return TorusPoint(ProjPoint.in_chart(xc, x.value()),
-                          ProjPoint.in_chart(yc, y.value()))
-    return SpherePoint(par.x.value(), par.y.value(), par.z.value())
-
-
 def _moved(gens: list, forms: list, g) -> tuple[list, list]:
     """Append generator g (None is the identity) and push the carried
     parameter forms through it; return the forms and their centers.
 
-    A center depends only on the constant terms going in, so it is the
-    image apply_point gives, and the jets read back from the forms at the
-    end of a stage are the images apply_jet gives under the stage's word.
+    The forms are carried as the transport carries them (_carried): an
+    order-1 form as its values for the whole stage, wrapped into series
+    only at the read-back.  A center depends only on the constant terms
+    going in, so it is the image apply_point gives, and the jets read
+    back from the forms at the end of a stage are the images apply_jet
+    gives under the stage's word.
     """
     if g is not None:
         gens.append(g)
         w = AutWord(g.surface, (g,))
-        push = _push_torus if g.surface == TORUS else _push_sphere
-        forms = [push(w, f) for f in forms]
-    return forms, [_center(f) for f in forms]
+        forms = [_push(w, f) for f in forms]
+    return forms, [_point_of(f) for f in forms]
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +186,7 @@ def separate_points_torus(jets) -> tuple[AutWord, tuple[Jet, ...]]:
     jets = tuple(jets)
     pts, gens = [j.center for j in jets], []
     _check_distinct_points(pts, TorusPoint)
-    forms = [jet_parametrize(j) for j in jets]
+    forms = [_carried(j) for j in jets]
 
     # everything into the affine chart
     if any(p.x.is_infinite or p.y.is_infinite for p in pts):
@@ -250,7 +242,7 @@ def separate_points_torus(jets) -> tuple[AutWord, tuple[Jet, ...]]:
     for i, p in enumerate(pts, 1):
         ensure(p == torus_standard_center(i), f"point {i - 1} missed its center")
     return (AutWord(TORUS, tuple(gens)),
-            tuple(jet_from_torus_param(f, j.order) for f, j in zip(forms, jets)))
+            tuple(_jet_of(f, j.order) for f, j in zip(forms, jets)))
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +271,7 @@ def separate_points_sphere(jets) -> tuple[AutWord, tuple[Jet, ...]]:
     targets = [sphere_standard_center(i) for i in range(1, len(pts) + 1)]
     if pts == targets:
         return word_identity(SPHERE), jets
-    forms = [jet_parametrize(j) for j in jets]
+    forms = [_carried(j) for j in jets]
 
     def xs_good(ps):
         xs = [p.x for p in ps]
@@ -367,7 +359,7 @@ def separate_points_sphere(jets) -> tuple[AutWord, tuple[Jet, ...]]:
 
     ensure(pts == targets, "points missed their standard centers")
     return (AutWord(SPHERE, tuple(gens)),
-            tuple(jet_from_sphere_param(f, e) for f, e in zip(forms, orders)))
+            tuple(_jet_of(f, e) for f, e in zip(forms, orders)))
 
 
 # ---------------------------------------------------------------------------

@@ -100,6 +100,13 @@ class Quad:
         o = self._lift(o)
         return self.a == o.a and self.b == o.b
 
+    def sign(self):
+        """-1, 0 or 1 for r > 0 not a square: the sign of the larger of
+        |a| and |b| sqrt(r), compared through a^2 and b^2 r."""
+        if self.a * self.a > self.b * self.b * self.r:
+            return (self.a > 0) - (self.a < 0)
+        return (self.b > 0) - (self.b < 0)
+
     def __repr__(self):
         return f"Quad({self.a}, {self.b}, r={self.r})"
 

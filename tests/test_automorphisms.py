@@ -1,22 +1,28 @@
 """Generator certification, group structure, and the action on points and jets."""
 
+import hashlib
+import json
 import re
 import sys
+from contextlib import nullcontext
 from dataclasses import replace
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import rand_sphere_jet, rand_sphere_point, rand_torus_jet
-from oracles import (moebius_step, p_add, p_mul, p_scale, p_sqrt, series_horner,
-                     sphere_route, sphere_twist_step, torus_twist_step, trim)
+from oracles import (Quad, moebius_step, p_add, p_mul, p_scale, p_sqrt,
+                     series_horner, sphere_route, sphere_twist_step,
+                     torus_twist_step, trim)
 
 from jetmove import automorphisms, surfaces
 from jetmove.automorphisms import (
     MAX_TWIST_DEGREE,
     AutWord,
+    Certificate,
     SphereTwist,
     TorusMoebius,
     TorusTwist,
@@ -54,6 +60,7 @@ from jetmove.surfaces import (
     jet_from_sphere_param,
     jet_from_torus_param,
     jet_parametrize,
+    jet_to_json,
     sphere_point_stereo,
 )
 from jetmove.transitivity import interpolating_twist, rotation_twist
@@ -690,6 +697,170 @@ def test_torus_step_matches_full_formula(axis, over_infinity, e, k, c, other, va
     m = (chart, _series(loc))
     want = TorusParam(s, m) if axis == "y" else TorusParam(m, s)
     assert apply_jet(AutWord(TORUS, (tw,)), j) == jet_from_torus_param(want, e)
+
+
+# ---------------------------------------------------------------------------
+# steps on the integer form: a taken twist step of order >= 2 whose
+# operands lie in Q or one Q(sqrt r) runs on their integer forms (the
+# sphere step for d = 1, the torus step into chart 0); each step is
+# checked against the oracle steps, run on Quads, and against the kept
+# Series formula, which every other step takes
+
+
+def _quads(cs, r):
+    """Scalars of Q or Q(sqrt r) (r None: Q alone) as the oracle's Quads."""
+    return [Quad(c.as_fraction(), 0, r or 0) if c.tower is None
+            else Quad(c.a.as_fraction(), c.b.as_fraction(), r) for c in cs]
+
+
+def _field(r):
+    """Scalars a + b sqrt(r), or rationals when r is None."""
+    if r is None:
+        return _rationals.map(scal)
+    root = scalar_sqrt_adjoin(r)
+    return st.tuples(_rationals, _rationals).map(lambda ab: scal(ab[0]) + scal(ab[1]) * root)
+
+
+_radicands = st.sampled_from([None, Fraction(2), Fraction(5, 3)])
+
+
+def _unless(taken: bool, name: str):
+    """A context refusing automorphisms.<name> when ``taken`` says the
+    integer-form step must run instead; else one that changes nothing."""
+    return mock.patch.object(automorphisms, name, _refuse) if taken else nullcontext()
+
+
+@settings(max_examples=25, deadline=None)
+@given(_radicands, st.integers(2, 4), st.sampled_from(["one", "monic", "half turn"]),
+       st.data())
+def test_sphere_step_on_integer_forms(r, e, d_kind, data):
+    coeff = _field(r)
+    t, u, v = (Series(ZERO, e, data.draw(st.lists(coeff, min_size=e, max_size=e)))
+               for _ in range(3))
+    n = Poly(data.draw(st.lists(coeff, min_size=1, max_size=3)))
+    if d_kind == "one":
+        d = Poly.const(1)
+    elif d_kind == "monic":
+        d = Poly([*data.draw(st.lists(_rationals, min_size=1, max_size=2)), 1])
+    else:
+        n, d = Poly.const(1), Poly()
+    g = SphereTwist("x", n, d, certificate=Certificate("sphere-twist"))
+    nv, dv = automorphisms._eval(n, t), automorphisms._eval(d, t)
+    assume(not nv.is_zero() and not (nv.value().is_zero() and dv.value().is_zero()))
+    kept = automorphisms._rotate_series(nv, dv, u, v)
+    with _unless(d_kind == "one", "_rotate_series"):
+        got = automorphisms._rotate(g, t, nv, u, v)
+    assert got == kept
+    want = sphere_twist_step(*(_quads(x.coeffs, r) for x in (n, d, t, u, v)))
+    assert [_quads(s.coeffs, r) for s in got] == list(want)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_radicands, st.integers(2, 4), st.integers(0, 1), st.integers(0, 1), st.data())
+def test_torus_step_on_integer_forms(r, e, src_chart, moved_chart, data):
+    # q = 1 + m^2 has no real root and a nonzero lead, so qh is a unit on
+    # either chart; a chart-1 local series has value 0
+    coeff = _field(r)
+    m = Poly(data.draw(st.lists(coeff, min_size=2, max_size=3)))
+    q = Poly.const(1) + m * m
+    assume(q.degree == 2 * m.degree)
+    p = Poly(data.draw(st.lists(coeff, min_size=1, max_size=q.degree + 1)))
+
+    def local(chart):
+        cs = data.draw(st.lists(coeff, min_size=e, max_size=e))
+        return Series(ZERO, e, [ZERO, *cs[1:]] if chart else cs)
+
+    src, moved = (src_chart, local(src_chart)), (moved_chart, local(moved_chart))
+    ph, qh = (automorphisms._hom_eval_series(pol, q.degree, *src) for pol in (p, q))
+    assume(not ph.is_zero())
+    kept = automorphisms._translate_series(ph, qh, moved)
+    with _unless(moved_chart == 0, "_translate_series"):
+        got = automorphisms._translate(ph, qh, moved)
+    assert got == kept
+    quads = lambda pair: (pair[0], _quads(pair[1].coeffs, r))
+    chart, loc = torus_twist_step(_quads(p.coeffs, r), _quads(q.coeffs, r),
+                                  quads(src), quads(moved))
+    assert quads(got) == (chart, loc)
+
+
+def _two_tower_jobs():
+    # jets over Q(sqrt 3) moved by twists over Q(sqrt 2): the angle and the
+    # translation meet the jet in Q(sqrt 2, sqrt 3), so no integer form
+    s2, s3 = scalar_sqrt_adjoin(2), scalar_sqrt_adjoin(3)
+    u = Series(ZERO, 3, [Fraction(1, 2), s3, 1])
+    v = Series(ZERO, 3, [Fraction(1, 3), 1, s3 / 2])
+    inv = (u * u + v * v + 1).invert()
+    sphere = jet_from_sphere_param(
+        SphereParam((u + u) * inv, (v + v) * inv, (u * u + v * v - 1) * inv), 3)
+    torus = Jet.torus(TorusPoint.affine(Fraction(1, 2), Fraction(-2, 3)), 3,
+                      Series(Fraction(1, 2), 3, [Fraction(-2, 3), s3, 1]), False)
+    return [
+        (sphere, SphereTwist("x", Poly([s2, 1]), Poly.const(1),
+                             certificate=Certificate("sphere-twist-square")),
+         "_rotate_series",
+         "e27d8fbae73e2558424679a915260e599e0ed347d307eee8fccd58cda2ac301e"),
+        (torus, TorusTwist("y", Poly([s2, 0, 1]), Poly([1, 0, 1]),
+                           certificate=Certificate("torus-twist-square")),
+         "_translate_series",
+         "be9d40718be7bbf97032a35793725e5cbdbfd438b6dfc28da3e7192d6e6ac807"),
+    ]
+
+
+@pytest.mark.parametrize("j, g, fallback, digest", _two_tower_jobs(),
+                         ids=["sphere", "torus"])
+def test_step_across_two_towers_takes_the_series_formula(monkeypatch, j, g, fallback,
+                                                         digest):
+    calls = []
+    kept = getattr(automorphisms, fallback)
+    monkeypatch.setattr(automorphisms, fallback, lambda *a: calls.append(a) or kept(*a))
+    image = apply_jet(AutWord(g.surface, (g,)), j)
+    assert len(calls) == 1
+    text = json.dumps(jet_to_json(image), sort_keys=True)
+    assert "sqrt(2)" in text and "sqrt(3)" in text
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_integer_form_steps_reduce_once_per_moved_coordinate(monkeypatch):
+    # an order-3 sphere jet and torus jet over Q(sqrt 2), each moved by one
+    # synthesized-shape twist: Poly.from_ints runs once per moved
+    # coordinate, once for the operand handed to the one Poly.inverse and
+    # inside that inverse, and no Series product or inverse is formed
+    s2 = scalar_sqrt_adjoin(2)
+    u = Series(ZERO, 3, [Fraction(1, 2), s2, 1])
+    v = Series(ZERO, 3, [Fraction(1, 3), 1, s2 / 2])
+    inv = (u * u + v * v + 1).invert()
+    sphere = jet_parametrize(jet_from_sphere_param(
+        SphereParam((u + u) * inv, (v + v) * inv, (u * u + v * v - 1) * inv), 3))
+    g = SphereTwist("x", Poly([1, s2]), Poly.const(1),
+                    certificate=Certificate("sphere-twist-square"))
+    nv = automorphisms._eval(g.n, sphere.x)
+    torus = jet_parametrize(Jet.torus(TorusPoint.affine(Fraction(1, 2), Fraction(-2, 3)), 3,
+                                      Series(Fraction(1, 2), 3, [Fraction(-2, 3), s2, 1]),
+                                      False))
+    ph, qh = (automorphisms._hom_eval_series(pol, 2, *torus.x)
+              for pol in (Poly([s2, 0, 1]), Poly([1, 0, 1])))
+
+    made, inside = [], []
+    from_ints, inverse = Poly.from_ints, Poly.inverse
+
+    def counted_inverse(p, n):
+        before = len(made)
+        out = inverse(p, n)
+        inside.append(len(made) - before)
+        return out
+
+    monkeypatch.setattr(Poly, "from_ints", staticmethod(
+        lambda *a: made.append(a) or from_ints(*a)))
+    monkeypatch.setattr(Poly, "inverse", counted_inverse)
+    monkeypatch.setattr(Series, "__mul__", _refuse)
+    monkeypatch.setattr(Series, "invert", _refuse)
+    y, z = automorphisms._rotate(g, sphere.x, nv, sphere.y, sphere.z)
+    assert y.poly.int_form()[0] is s2.tower and z.poly.int_form()[0] is s2.tower
+    assert len(inside) == 1 and len(made) == 2 + 1 + inside[0]
+    made.clear(), inside.clear()
+    chart, local = automorphisms._translate(ph, qh, torus.y)
+    assert chart == 0 and local.poly.int_form()[0] is s2.tower
+    assert len(inside) == 1 and len(made) == 1 + inside[0]
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,8 @@ from jetmove.exactalg import (ONE, ZERO, Poly, Scalar, Series, compose_centered,
                               scalar_sqrt_adjoin, scalar_to_str, square_free_part)
 from jetmove.exactalg.scalar import MAX_SCALAR_DIGITS
 from jetmove.surfaces import scalars_from_json
-from oracles import (Quad, p_eval, p_mul, p_taylor, s_inv, s_mul, s_sqrt,
-                     series_horner, trim)
+from oracles import (Quad, p_add, p_eval, p_mul, p_taylor, s_inv, s_mul,
+                     s_sqrt, series_horner, trim)
 
 x = Poly.x()
 
@@ -244,11 +244,14 @@ def _same(got, want):
 
 
 def _check_product(f, g):
+    """The product, and the sum, in both operand orders."""
     for x, y in ((f, g), (g, f)):
-        prod = x * y
+        prod, total = x * y, x + y
         _same(prod.coeffs, p_mul(list(x.coeffs), list(y.coeffs)))
+        _same(total.coeffs, p_add(list(x.coeffs), list(y.coeffs)))
         # the stored form is the one the coefficients give
         assert prod.int_form() == Poly(prod.coeffs).int_form()
+        assert total.int_form() == Poly(total.coeffs).int_form()
 
 
 @settings(max_examples=60, deadline=None)

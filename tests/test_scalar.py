@@ -9,10 +9,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import jetmove.exactalg.scalar as scalar_module
 from jetmove.errors import JetmoveError, NegativeRadicand
 from jetmove.exactalg import (ONE, ZERO, Poly, Scalar, parse_scalar, scal,
                               scalar_sqrt_adjoin, scalar_to_str, try_sqrt)
-from jetmove.exactalg.scalar import MAX_SCALAR_DIGITS, MAX_SQRT_NESTING
+from jetmove.exactalg.scalar import MAX_SCALAR_DIGITS, MAX_SQRT_NESTING, _ScalarParser
 from oracles import Quad
 
 s2 = scalar_sqrt_adjoin(2)
@@ -349,3 +350,87 @@ def test_depth_one_arithmetic_agrees_with_quad(r, a, b, c, d):
     for k, got in enumerate(coeffs):
         assert _parts(got, r) == (Fraction(vectors[0][k], den),
                                   Fraction(vectors[1][k], den))
+
+
+# -- the sign of a depth-1 scalar, decided from ints ------------------------
+
+
+def _interval_sign(s):
+    """The sign by refining interval enclosures, the route deeper towers take."""
+    bits = 16
+    while True:
+        lo, hi = s.interval(bits)
+        if lo > 0:
+            return 1
+        if hi < 0:
+            return -1
+        bits *= 2
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([Fraction(2), Fraction(3, 7), Fraction(10 ** 40 + 1)]),
+       rationals, rationals.filter(bool), st.integers(0, 80),
+       st.sampled_from([None, 0, 1]))
+@example(Fraction(2), Fraction(0), Fraction(-1), 0, None)
+@example(Fraction(3, 7), Fraction(1), Fraction(-1), 0, None)
+@example(Fraction(3, 7), Fraction(-1, 2), Fraction(1), 0, None)
+def test_depth_one_sign_agrees_with_quad_and_intervals(r, a, b, k, near):
+    if near is not None:
+        # a within 2^-k |b| of -b sqrt(r), below or above it: the two
+        # terms nearly cancel
+        root = isqrt(r.numerator * r.denominator << 2 * k) + near
+        a = -b * Fraction(root, r.denominator << k)
+    s = scal(a) + scal(b) * scalar_sqrt_adjoin(r)
+    assert s.tower is not None and s.tower.parent is None
+    assert s.sign() == Quad(a, b, r).sign() == _interval_sign(s)
+
+
+# -- plain rational text, read without the parser ---------------------------
+
+_LONG = "7" * MAX_SCALAR_DIGITS
+_NEAR_MISSES = [
+    "5/7", "-5/7", "0", "-0", "0/5", "007/010", "", "-", "1/", "/1", "1/0",
+    "-3/00", "--1", "+1", " 1", "1 ", "1\n", "1/ 2", "1 /2", "1/-2", "1/2/3",
+    "1.5", "1e3", "１", "٣/4", "3/٤", _LONG, "-" + _LONG,
+    f"-1/{_LONG}", _LONG + "7", f"1/{_LONG}7", f"{_LONG}7/0",
+]
+
+
+def _outcome(parse, text):
+    """The canonical parts of what parse(text) returns, or its error text."""
+    try:
+        s = parse(text)
+    except ValueError as err:
+        return str(err)
+    return s.tower, s.a, s.b
+
+
+@pytest.mark.parametrize("text", _NEAR_MISSES)
+def test_plain_rational_text_reads_as_the_parser_does(text):
+    assert _outcome(parse_scalar, text) == _outcome(lambda t: _ScalarParser(t).parse(), text)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.sampled_from([*"0123456789/-+ \n", "٣"]), max_size=12).map("".join))
+def test_rational_like_text_reads_as_the_parser_does(text):
+    assert _outcome(parse_scalar, text) == _outcome(lambda t: _ScalarParser(t).parse(), text)
+
+
+def test_plain_rational_text_skips_the_parser(monkeypatch):
+    monkeypatch.setattr(scalar_module, "_ScalarParser", None)
+    assert parse_scalar("-12/34") == Fraction(-6, 17)
+    assert parse_scalar("7") == 7
+
+
+def test_plain_rational_text_meets_int_digit_cap_as_the_parser_does():
+    # with int()'s cap below MAX_SCALAR_DIGITS, both raise int()'s own
+    # error, for the numerator first
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        for text in ("7" * 700, "1/" + "7" * 700, "7" * 700 + "/" + "7" * 800):
+            assert (_outcome(parse_scalar, text)
+                    == _outcome(lambda t: _ScalarParser(t).parse(), text))
+            assert "700 digits" in _outcome(parse_scalar, text)
+    finally:
+        sys.set_int_max_str_digits(saved)

@@ -32,7 +32,8 @@ from jetmove.errors import (
     OutputTooLarge,
     PreconditionFailed,
 )
-from jetmove.exactalg import ONE, ZERO, Poly, Series, hensel_sqrt, poly_to_series, scal
+from jetmove.exactalg import (ONE, ZERO, Poly, Scalar, Series, hensel_sqrt,
+                              poly_to_series, scal)
 from jetmove.exactalg.scalar import MAX_SCALAR_DIGITS
 from jetmove.surfaces import (
     Jet,
@@ -250,6 +251,31 @@ def test_separation_carries_the_targets_once(monkeypatch):
         assert moved_ref == moved
 
 
+def test_separation_carries_order_one_targets_as_values(monkeypatch):
+    # F[t]/(t) is the field: an order-1 target rides a whole stage as
+    # Scalars, and only an order >= 2 one as series
+    carried, seen = transitivity._moved, []
+
+    def spy(gens, forms, g):
+        forms, pts = carried(gens, forms, g)
+        seen.extend(forms)
+        return forms, pts
+
+    monkeypatch.setattr(transitivity, "_moved", spy)
+    extra = {separate_points_torus: TorusPoint.affine(7, -3),
+             separate_points_sphere: sphere_point_stereo(-2, 5)}
+    for stage, targets in _separation_targets():
+        targets = [*targets, _point_jet(extra[stage])]
+        seen.clear()
+        w, moved = stage(targets)
+        assert moved == tuple(apply_jet(w, j) for j in targets)
+        orders = [j.order for j in targets] * (len(seen) // len(targets))
+        assert 1 in orders and max(orders) > 1
+        for order, f in zip(orders, seen):
+            entries = (f.x[1], f.y[1]) if stage is separate_points_torus else (f.x, f.y, f.z)
+            assert all(isinstance(v, Scalar) == (order == 1) for v in entries)
+
+
 def test_torus_separation_word_depends_on_the_centers_only():
     _, targets = _separation_targets()[0]
     w1, _ = separate_points_torus(targets)
@@ -376,9 +402,11 @@ def test_shear_skips_order_one_jets(monkeypatch, surface):
     w, out = (make_nonvertical_torus if torus else make_nonvertical_sphere)(
         [vertical, *points])
     assert len(w) == 1 and out[1:] == points
+    # Poly.inverse is the inverse both step paths form: the integer-form
+    # step calls it directly, the Series fallback through Series.invert
     calls = []
-    invert = Series.invert
-    monkeypatch.setattr(Series, "invert", lambda s: calls.append(s) or invert(s))
+    inverse = Poly.inverse
+    monkeypatch.setattr(Poly, "inverse", lambda p, n: calls.append(p) or inverse(p, n))
     assert tuple(apply_jet(w, j) for j in points) == points
     assert calls == []
     apply_jet(w, vertical)
