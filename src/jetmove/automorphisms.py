@@ -34,39 +34,35 @@ serves all.  A point is an order-1 form, over F[t]/(t), which is the
 field F itself, so the transport carries it as its values, plain
 Scalars (_carried), and only the read-back wraps them into series
 (_jet_of); the separation stages carry their forms that way for a whole
-stage.  Only the leaves (_eval, _chart_pair, _normalize_pair, the
-sphere's 1/r, _point_of) and the step functions' choice of path tell a
-Scalar from a Series.  Torus coordinates travel as
-(chart, local) pairs, so nothing breaks over infinity; only Moebius maps
-and twist steps form homogeneous pairs, and they normalize their result
-back at once.  A twist polynomial meets a series only through its
-Taylor shift to the series' value.  A twist step with a zero angle or
-translation is skipped: it multiplies by a unit and divides by it again
-(d^2, or q homogenized), exactly.
+stage.  Only the leaves (_eval, _moebius's homogeneous pair,
+_normalize_pair, the sphere's 1/r, _point_of) and _rotate's choice of
+formula tell a Scalar from a Series.  Torus coordinates travel as
+(chart, local) pairs, so nothing breaks over infinity; Moebius maps form
+homogeneous pairs and normalize their result back at once.  A twist
+polynomial meets a series only through its Taylor shift to the series'
+value.  A twist step with a zero angle or translation is skipped, as
+it moves nothing.
 
-A taken step of order >= 2 whose operands have integer forms over one
-field, Q or one Q(sqrt r), runs on those forms (exactalg's form_add and
-form_mul, unreduced) and reduces each moved coordinate once, with one
-Poly.inverse.  A sphere twist with d = 1, as every synthesized one is,
-moves (u, v) to (s (u - a v) - u, s (a u + v) - v) for a = n(t) and
-s = 2/(1 + a^2), since cos = s - 1 and sin = a s: five products.  A
-torus twist moving a chart-0 coordinate m gives m + ph/qh, qh being a
-unit.  Every other step (operands in two towers or a deeper one, a
-general d or the half turn, a chart-1 coordinate) keeps the full
-formula on Series as the one fallback, and an order-1 step its Scalars.
+Each twist step is one closed formula in plain Series, Poly or Scalar
+arithmetic; how a polynomial stores its coefficients is exactalg's
+business.  A torus twist never moves a coordinate off its chart, since
+its homogenized q is a unit: a chart-0 local m becomes m + ph/qh, a
+chart-1 one m qh/(qh + ph m).  A sphere twist with d = 1, as every
+synthesized one is, moves series (u, v) to (s (u - a v) - u,
+s (a u + v) - v) for a = n(t) and s = 2/(1 + a^2), since cos = s - 1
+and sin = a s: five products and one inverse.  A general d, the half
+turn and an order-1 step keep the full rotation formula.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from math import isqrt
 
 from .errors import (DegreeMismatch, IdentityFails, MixedSurfaces,
                      NotCurvilinear, PreconditionFailed, RootInForbiddenRegion)
 from .exactalg import (ONE, ZERO, Poly, Scalar, Series, SturmChain,
-                       common_forms, compose_centered, form_add, form_mul,
-                       hensel_sqrt, poly_from_json, poly_gcd, poly_to_json,
-                       poly_to_series, scal, scalar_to_json, try_sqrt)
+                       compose_centered, poly_from_json, poly_gcd, poly_sqrt,
+                       poly_to_json, poly_to_series, scal, scalar_to_json)
 from .surfaces import (SPHERE, SPHERE_CHARTS, TORUS, Jet, ProjPoint, SphereParam,
                        SpherePoint, TorusParam, TorusPoint, jet_from_sphere_param,
                        jet_from_torus_param, jet_parametrize, json_list,
@@ -86,7 +82,7 @@ class Certificate:
 
     torus-twist-square: q - 1 = m^2 for an m found exactly (so q >= 1),
         deg p = deg q; over Q by an integer square root of q - 1's
-        integer form, in a tower by a series root (_is_square).
+        integer form, in a tower by a series root (exactalg's poly_sqrt).
     torus-twist: Sturm count of q on the real line, deg p = deg q.
     sphere-twist-square: (r - p)(r + p) = q^2 and deg r = 2 max(deg n,
         deg d) for the half-angle n/d, so r is a nonzero constant times
@@ -119,7 +115,7 @@ class TorusTwist:
         if axis not in ("x", "y"):
             raise PreconditionFailed("twist axis must be x or y")
         p, q = _as_poly(p), _as_poly(q)
-        if _is_square(q - ONE):
+        if poly_sqrt(q - ONE) is not None:
             kind = "torus-twist-square"
         else:
             _root_free(q, None, "twist")
@@ -298,52 +294,6 @@ def _root_free(pol: Poly, interval, kind: str) -> None:
             witness=chain.witness(interval))
 
 
-def _is_square(d: Poly) -> bool:
-    """Whether d = m^2 for a polynomial m found from the top down.
-
-    A rational d is tested on its integer form A / D, which is reduced
-    (D > 0 and D coprime to the content of A).  If m = B / E in lowest
-    terms, then B^2 / E^2 is in lowest terms too, since by Gauss's lemma
-    the content of B^2 is the square of B's; and the reduced form is
-    unique.  So d is a square in Q[x] exactly when D = E^2 and A = B^2
-    in Z[x], for E = isqrt(D).  B's leading coefficient is the isqrt of
-    A's, and each lower one, from the top down, is an exact integer
-    division by twice it: a remainder proves A is no square over Z.
-
-    Any other d, reversed, is a series in 1/x whose square root's
-    leading term comes from try_sqrt in the tower of d's leading
-    coefficient; its top k + 1 coefficients fix m of degree k, found by
-    hensel_sqrt.
-
-    The final product check makes True exact on both routes.  False
-    proves d no square on the integer route and only means no m was
-    found on the other; either way the caller falls back to Sturm.
-    """
-    if d.is_zero() or d.degree % 2:
-        return False
-    k = d.degree // 2
-    form = d.int_form()
-    if form and form[0] is None:
-        _, (a,), den = form
-        e, lead = isqrt(den), isqrt(max(a[-1], 0))
-        if e * e != den or lead * lead != a[-1]:
-            return False
-        b = [0] * k + [lead]
-        for i in range(1, k + 1):
-            t = a[2 * k - i] - sum(b[k - j] * b[k - i + j] for j in range(1, i))
-            b[k - i], rem = divmod(t, 2 * lead)
-            if rem:
-                return False
-        m = Poly.from_ints(None, (b,), e)
-    else:
-        lead = try_sqrt(d.lead())
-        if lead is None:
-            return False
-        top = Series(ZERO, k + 1, d.coeffs[k:][::-1])
-        m = Poly(hensel_sqrt(top, lead).coeffs[::-1])
-    return m * m == d
-
-
 def certify_twist(g: Generator) -> Generator:
     """The generator certified: as it is when it carries a certificate,
     otherwise proved by its kind's ``of``."""
@@ -384,12 +334,6 @@ def _hom_eval_series(pol: Poly, n: int, chart: int, loc: Series | Scalar):
     return _eval(pol, loc)
 
 
-def _chart_pair(chart: int, loc: Series | Scalar) -> tuple:
-    """The homogeneous P1 pair (loc : 1) on chart 0, (1 : loc) on chart 1."""
-    one = ONE if isinstance(loc, Scalar) else Series.constant(1, loc.center, loc.order)
-    return (loc, one) if chart == 0 else (one, loc)
-
-
 def _normalize_pair(s0: Series | Scalar, s1: Series | Scalar) -> tuple:
     """Return (chart, local part) for a homogeneous P1 pair of series, or
     of Scalars; a Scalar unit is a nonzero one, so a Scalar pair lands on
@@ -407,33 +351,25 @@ def _normalize_pair(s0: Series | Scalar, s1: Series | Scalar) -> tuple:
 
 
 def _moebius(m, f: tuple) -> tuple:
-    f0, f1 = _chart_pair(*f)
+    """The (chart, local) pair f moved by the matrix m: the homogeneous
+    pair (loc : 1) on chart 0, (1 : loc) on chart 1, times m, normalized."""
+    chart, loc = f
+    one = ONE if isinstance(loc, Scalar) else Series.constant(1, loc.center, loc.order)
+    f0, f1 = (loc, one) if chart == 0 else (one, loc)
     return _normalize_pair(f0 * m[0][0] + f1 * m[0][1],
                            f0 * m[1][0] + f1 * m[1][1])
 
 
-def _translate_series(ph, qh, moved: tuple) -> tuple:
-    """The (chart, local) pair ``moved`` plus ph/qh, for the homogenized
-    twist terms ph, qh: the pair (m0 qh + ph m1 : m1 qh), normalized."""
-    m0, m1 = _chart_pair(*moved)
-    return _normalize_pair(m0 * qh + ph * m1, m1 * qh)
-
-
 def _translate(ph, qh, moved: tuple) -> tuple:
-    """As _translate_series.  A chart-0 series m with qh a unit (always,
-    for a certified twist: q has no real root and degree n) comes out on
-    chart 0 as m + ph qh^-1, computed on the integer forms when ph, qh
-    and m lie in one field, with one reduction for the result."""
+    """The (chart, local) pair ``moved`` plus ph/qh, for the homogenized
+    twist terms ph, qh, on Series or on Scalars.  qh is a unit (q has no
+    real root and degree n), so the pair (m0 qh + ph m1 : m1 qh) never
+    leaves its chart: m + ph/qh on chart 0, and m qh/(qh + ph m) on
+    chart 1, where m vanishes at the center."""
     chart, m = moved
-    if chart == 0 and isinstance(m, Series) and qh.valuation() == 0:
-        common = common_forms(ph.poly, qh.poly, m.poly)
-        if common:
-            tower, (fp, _, fm) = common
-            e = m.order
-            qinv = qh.poly.inverse(e).int_form()[1:]
-            local = form_add(fm, form_mul(tower, fp, qinv, e))
-            return 0, Series._of(m.center, e, Poly.from_ints(tower, *local))
-    return _translate_series(ph, qh, moved)
+    if chart == 0:
+        return 0, m + ph / qh
+    return 1, m * qh / (qh + ph * m)
 
 
 def _rotate_series(nv, dv, u, v) -> tuple:
@@ -450,23 +386,14 @@ def _rotate_series(nv, dv, u, v) -> tuple:
 def _rotate(g: SphereTwist, t, nv, u, v) -> tuple:
     """(u, v) rotated by g, whose angle numerator at t is nv, as
     _rotate_series.  For d = 1 (every synthesized twist) and series nv,
-    u, v in one field it runs on the integer forms: with s = 2/(1 + a^2)
-    for a = nv, cos = s - 1 and sin = a s, so the image is
-    (s (u - a v) - u, s (a u + v) - v), five products and one inverse,
-    and each coordinate is reduced once."""
+    u, v it takes s = 2/(1 + a^2) for a = nv, so cos = s - 1 and
+    sin = a s, and the image (s (u - a v) - u, s (a u + v) - v) is five
+    products and one inverse of the series' polynomials."""
     if isinstance(nv, Series) and g.d.degree == 0 and g.d[0] == ONE:
-        common = common_forms(nv.poly, u.poly, v.poly)
-        if common:
-            tower, (fa, fu, fv) = common
-            e = u.order
-            # 2/(1 + a^2) is the inverse of (1 + a^2)/2
-            rows, den = form_add(form_mul(tower, fa, fa, e), ([(1,)], 1))
-            s = Poly.from_ints(tower, rows, 2 * den).inverse(e).int_form()[1:]
-            au, av = form_mul(tower, fa, fu, e), form_mul(tower, fa, fv, e)
-            u2 = form_add(form_mul(tower, s, form_add(fu, av, -1), e), fu, -1)
-            v2 = form_add(form_mul(tower, s, form_add(au, fv), e), fv, -1)
-            return tuple(Series._of(u.center, e, Poly.from_ints(tower, *f))
-                         for f in (u2, v2))
+        e, a, pu, pv = u.order, nv.poly, u.poly, v.poly
+        s = (a.mul(a, e) + 1).inverse(e) * 2
+        return (Series._of(u.center, e, s.mul(pu - a.mul(pv, e), e) - pu),
+                Series._of(u.center, e, s.mul(a.mul(pu, e) + pv, e) - pv))
     return _rotate_series(nv, _eval(g.d, t), u, v)
 
 
@@ -478,9 +405,7 @@ def _push_torus(w: AutWord, par: TorusParam) -> TorusParam:
             n = g.q.degree
             ph = _hom_eval_series(g.p, n, *src)
             if ph.is_zero():
-                # qh is a unit (q: no real root, deg n), so (m0 qh : m1 qh)
-                # normalizes back to moved, chart 1 having local value 0
-                continue
+                continue         # a zero translation moves nothing
             moved = _translate(ph, _hom_eval_series(g.q, n, *src), moved)
             x, y = (src, moved) if g.axis == "y" else (moved, src)
         else:

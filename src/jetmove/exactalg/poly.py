@@ -19,10 +19,10 @@ Scalar coefficients only when they are read, and its valuation reads
 the form.  Coefficients in two towers or in a deeper tower, and a tower
 center, take the Scalar loop.
 
-The sum and product of two forms are module functions (form_add,
-form_mul) that take and return an unreduced (vectors, den) over one
-field, found by common_forms; Poly's + and mul are one of them and one
-from_ints, and a caller chaining several reduces only its result.
+Poly's +, - and mul each form their result unreduced from the two
+integer forms (private helpers of this module) and reduce it once, in
+from_ints.  The integer form is exactalg's own choice: code outside the
+package uses Poly's arithmetic and never names the form.
 
 A coefficient list in a word file is read and written on the integer
 form too (poly_from_json, poly_to_json): text in the shapes
@@ -156,14 +156,19 @@ class Poly:
 
     __hash__ = None
 
-    def __add__(self, other):
-        other = _coerce(other)
-        common = common_forms(self, other)
+    def _plus(self, other: Poly, sign: int) -> Poly:
+        """self + sign other, for sign 1 or -1."""
+        common = _common_forms(self, other)
         if common:
             tower, (x, y) = common
-            return Poly.from_ints(tower, *form_add(x, y))
+            return Poly.from_ints(tower, *_form_add(x, y, sign))
         n = max(self._size(), other._size())
-        return Poly([self[k] + other[k] for k in range(n)])
+        if sign > 0:
+            return Poly([self[k] + other[k] for k in range(n)])
+        return Poly([self[k] - other[k] for k in range(n)])
+
+    def __add__(self, other):
+        return self._plus(_coerce(other), 1)
 
     __radd__ = __add__
 
@@ -175,20 +180,20 @@ class Poly:
         return Poly([-c for c in self.coeffs])
 
     def __sub__(self, other):
-        return self + (-_coerce(other))
+        return self._plus(_coerce(other), -1)
 
     def __rsub__(self, other):
-        return _coerce(other) + (-self)
+        return _coerce(other)._plus(self, -1)
 
     def mul(self, other, n: int | None = None) -> Poly:
         """self * other, cut below degree n when n is given."""
         other = _coerce(other)
         if self.is_zero() or other.is_zero() or n == 0:
             return Poly()
-        common = common_forms(self, other)
+        common = _common_forms(self, other)
         if common:
             tower, (x, y) = common
-            return Poly.from_ints(tower, *form_mul(tower, x, y, n))
+            return Poly.from_ints(tower, *_form_mul(tower, x, y, n))
         top = self._size() + other._size() - 1
         out = [ZERO] * (top if n is None else min(n, top))
         for i, a in enumerate(self.coeffs[:len(out)]):
@@ -385,25 +390,21 @@ def _scalars(tower: Tower | None, vectors, den: int) -> list[Scalar]:
     return out
 
 
-def common_forms(*polys: Poly):
-    """(tower, [(vectors, den) of each polynomial]) when every one has an
-    integer form and they lie in one field: Q, or Q and one tower Q(sqrt
-    r); else None.  The tower is None when all are rational."""
-    tower, forms = None, []
-    for p in polys:
-        f = p.int_form()
-        if not f:
-            return None
-        if f[0] is not None:
-            if tower is None:
-                tower = f[0]
-            elif f[0] is not tower:
-                return None
-        forms.append(f[1:])
-    return tower, forms
+def _common_forms(p: Poly, q: Poly):
+    """(tower, (x, y)) for the integer forms (vectors, den) x of p and y
+    of q when both have one and they lie in one field: Q, or Q and one
+    tower Q(sqrt r); else None.  The tower is None when both are rational."""
+    fp = p.int_form()
+    fq = fp and q.int_form()
+    if not fq:
+        return None
+    tower = fp[0] if fq[0] is None else fq[0]
+    if fp[0] is not None and fp[0] is not tower:
+        return None
+    return tower, (fp[1:], fq[1:])
 
 
-def form_add(x, y, sign: int = 1):
+def _form_add(x, y, sign: int):
     """x + sign y for integer forms (vectors, den) over one field, as an
     unreduced (vectors, den) over the lcm of the two denominators; a
     missing B vector counts as zero."""
@@ -415,7 +416,7 @@ def form_add(x, y, sign: int = 1):
             for i in range(max(len(vx), len(vy)))], den
 
 
-def form_mul(tower: Tower | None, x, y, n: int | None = None):
+def _form_mul(tower: Tower | None, x, y, n: int | None = None):
     """x y cut below degree n when n is given, for integer forms
     (vectors, den) over Q or over ``tower``, Q(sqrt r), as an unreduced
     (vectors, den).  With r = num / rden, (A + B sqrt r)(C + D sqrt r)

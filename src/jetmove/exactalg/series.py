@@ -10,15 +10,19 @@ to the next; the Scalar coefficients are built only when they are read
 form.  Series are immutable and arithmetic is only defined between
 series sharing both center and order; no method changes the order of a
 series, because padding with zeros is a choice of lift, not a no-op.
+
+poly_sqrt finds the square root of a polynomial: over Q on its integer
+form, otherwise through hensel_sqrt on its reversal.
 """
 
 from __future__ import annotations
 
+from math import isqrt
 from typing import Iterable
 
 from ..errors import BadSeed, NotAUnit, SeriesContextMismatch, ZeroSeed
 from .poly import Poly
-from .scalar import ONE, ZERO, RatLike, Scalar, power, scal
+from .scalar import ONE, ZERO, RatLike, Scalar, power, scal, try_sqrt
 
 _HALF = ONE / 2
 
@@ -173,6 +177,52 @@ def hensel_sqrt(u: Series, seed: RatLike) -> Series:
         k = min(2 * k, u.order)
         s = (s + u.poly.mul(s.inverse(k), k)) * _HALF
     return Series._of(u.center, u.order, s)
+
+
+def poly_sqrt(d: Poly) -> Poly | None:
+    """A polynomial m with m^2 = d found from the top down, or None.
+
+    A rational d is tested on its integer form A / D, which is reduced
+    (D > 0 and D coprime to the content of A).  If m = B / E in lowest
+    terms, then B^2 / E^2 is in lowest terms too, since by Gauss's lemma
+    the content of B^2 is the square of B's; and the reduced form is
+    unique.  So d is a square in Q[x] exactly when D = E^2 and A = B^2
+    in Z[x], for E = isqrt(D).  B's leading coefficient is the isqrt of
+    A's, and each lower one, from the top down, is an exact integer
+    division by twice it: a remainder proves A is no square over Z.
+
+    Any other d, reversed, is a series in 1/x whose square root's
+    leading term comes from try_sqrt in the tower of d's leading
+    coefficient; its top k + 1 coefficients fix m of degree k, found by
+    hensel_sqrt.
+
+    The final product check makes a returned m exact on both routes.
+    None proves d no square on the integer route and only means no m was
+    found on the other.  The zero polynomial and odd degrees give None.
+    """
+    if d.is_zero() or d.degree % 2:
+        return None
+    k = d.degree // 2
+    form = d.int_form()
+    if form and form[0] is None:
+        _, (a,), den = form
+        e, lead = isqrt(den), isqrt(max(a[-1], 0))
+        if e * e != den or lead * lead != a[-1]:
+            return None
+        b = [0] * k + [lead]
+        for i in range(1, k + 1):
+            t = a[2 * k - i] - sum(b[k - j] * b[k - i + j] for j in range(1, i))
+            b[k - i], rem = divmod(t, 2 * lead)
+            if rem:
+                return None
+        m = Poly.from_ints(None, (b,), e)
+    else:
+        lead = try_sqrt(d.lead())
+        if lead is None:
+            return None
+        top = Series(ZERO, k + 1, d.coeffs[k:][::-1])
+        m = Poly(hensel_sqrt(top, lead).coeffs[::-1])
+    return m if m * m == d else None
 
 
 def compose_centered(outer: Series, inner: Series) -> Series:

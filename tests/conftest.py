@@ -6,12 +6,20 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import Phase, settings
 
 import jetmove
 from jetmove.exactalg import ONE, ZERO, Poly, Series, hensel_sqrt, poly_to_series, scal
 from jetmove.surfaces import (Jet, ProjPoint, SphereParam, TorusPoint,
                               jet_from_sphere_param, jet_to_json,
                               sphere_point_stereo, standard_config)
+
+# Hypothesis's explain phase traces the package after a failure before it
+# reports, which took minutes on a failing step test; every other phase
+# runs, and each test's own @settings still apply on top of this profile
+settings.register_profile(
+    "jetmove", phases=[phase for phase in Phase if phase is not Phase.explain])
+settings.load_profile("jetmove")
 
 try:
     import tomllib

@@ -14,9 +14,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import rand_sphere_jet, rand_sphere_point, rand_torus_jet
-from oracles import (Quad, moebius_step, p_add, p_mul, p_scale, p_sqrt,
-                     series_horner, sphere_route, sphere_twist_step,
-                     torus_twist_step, trim)
+from oracles import (Quad, moebius_step, p_add, p_mul, p_scale, series_horner,
+                     sphere_route, sphere_twist_step, torus_twist_step)
 
 from jetmove import automorphisms, surfaces
 from jetmove.automorphisms import (
@@ -46,7 +45,7 @@ from jetmove.errors import (
     RootInForbiddenRegion,
 )
 from jetmove.exactalg import (ONE, ZERO, Poly, Series, SturmChain, poly_gcd,
-                              scal, scalar_sqrt_adjoin, sturm_root_count)
+                              poly_sqrt, scal, scalar_sqrt_adjoin, sturm_root_count)
 from jetmove.surfaces import (
     SPHERE_CHARTS,
     Jet,
@@ -83,7 +82,7 @@ def test_certify_torus_twist_sturm_route():
     # the square recovery at its edges: constants (k = 0), zero, odd
     # degree, a leading coefficient that is negative or has no rational
     # root, a square lead on a non-square, and a tower leading coefficient
-    is_square = automorphisms._is_square
+    is_square = lambda d: poly_sqrt(d) is not None
     s2 = scalar_sqrt_adjoin(2)
     m = Poly([ONE, s2, ONE + s2])
     for d in (Poly.const(4), Poly.const(1), Poly.const(ONE + s2) ** 2, m * m,
@@ -230,49 +229,6 @@ def test_sphere_twist_of_matches_lam_proof(triple):
         assert type(exc).__name__ == want
     else:
         assert (g.certificate.kind, g.n, g.d) == (want[0], Poly(want[1]), Poly(want[2]))
-
-
-_wide = st.one_of(_rationals, st.integers(-10 ** 12, 10 ** 12).map(Fraction),
-                 st.fractions(min_value=-10 ** 6, max_value=10 ** 6,
-                              max_denominator=10 ** 4))
-_wide_nonzero = _wide.filter(lambda f: f != 0)
-
-
-@st.composite
-def _square_candidates(draw):
-    """Fraction lists: c m^2 for a rational m (any lead, with
-    denominators) and c a square or any rational, m^2 with one
-    coefficient moved, an odd degree, or zero."""
-    m = draw(st.lists(_wide, max_size=5)) + [draw(_wide_nonzero)]
-    mm = p_mul(m, m)
-    shape = draw(st.sampled_from(["square", "scaled", "moved", "odd", "zero"]))
-    if shape == "square":
-        return p_scale(mm, draw(_nonzero.map(lambda f: f * f)))
-    if shape == "scaled":
-        c = draw(st.one_of(_nonzero, st.sampled_from([F(2), F(-1), F(-4), F(1, 2),
-                                                       F(8, 9)])))
-        return p_scale(mm, c)
-    if shape == "moved":
-        i = draw(st.integers(0, len(mm) - 1))
-        mm[i] += draw(_wide_nonzero)
-        return trim(mm)
-    if shape == "odd":
-        k = draw(st.integers(0, 3))
-        return draw(st.lists(_wide, min_size=2 * k + 1, max_size=2 * k + 1)) + \
-            [draw(_wide_nonzero)]
-    return []
-
-
-@settings(max_examples=120, deadline=None)
-@given(_square_candidates())
-@example([F(1, 4), F(1), F(1)])                  # (x + 1/2)^2
-@example([F(1), F(2), F(1), F(0), F(0)])        # trailing zeros trimmed
-@example([F(4, 9), F(0), F(-2, 3), F(0), F(1, 4)])  # (x^2/2 - 2/3)^2
-@example([F(1), F(0), F(2)])                    # square numerators, no square lead
-def test_is_square_agrees_with_fraction_oracle(d):
-    # rational d takes the integer route, which must accept exactly the
-    # squares in Q[x] that the Fraction top-down root finds
-    assert automorphisms._is_square(Poly(d)) == (p_sqrt(d) is not None)
 
 
 def _refuse(*args):
@@ -700,11 +656,10 @@ def test_torus_step_matches_full_formula(axis, over_infinity, e, k, c, other, va
 
 
 # ---------------------------------------------------------------------------
-# steps on the integer form: a taken twist step of order >= 2 whose
-# operands lie in Q or one Q(sqrt r) runs on their integer forms (the
-# sphere step for d = 1, the torus step into chart 0); each step is
-# checked against the oracle steps, run on Quads, and against the kept
-# Series formula, which every other step takes
+# the closed step formulas on operands over Q or one Q(sqrt r), which
+# exactalg runs on their integer forms: the torus step on both charts and
+# the sphere step for d = 1 are checked against the oracle steps, run on
+# Quads, and against the homogeneous pair and the full rotation formula
 
 
 def _quads(cs, r):
@@ -726,7 +681,7 @@ _radicands = st.sampled_from([None, Fraction(2), Fraction(5, 3)])
 
 def _unless(taken: bool, name: str):
     """A context refusing automorphisms.<name> when ``taken`` says the
-    integer-form step must run instead; else one that changes nothing."""
+    closed formula must run instead; else one that changes nothing."""
     return mock.patch.object(automorphisms, name, _refuse) if taken else nullcontext()
 
 
@@ -773,10 +728,10 @@ def test_torus_step_on_integer_forms(r, e, src_chart, moved_chart, data):
     src, moved = (src_chart, local(src_chart)), (moved_chart, local(moved_chart))
     ph, qh = (automorphisms._hom_eval_series(pol, q.degree, *src) for pol in (p, q))
     assume(not ph.is_zero())
-    kept = automorphisms._translate_series(ph, qh, moved)
-    with _unless(moved_chart == 0, "_translate_series"):
-        got = automorphisms._translate(ph, qh, moved)
-    assert got == kept
+    one = Series.constant(1, ZERO, e)
+    m0, m1 = (moved[1], one) if moved_chart == 0 else (one, moved[1])
+    got = automorphisms._translate(ph, qh, moved)
+    assert got == automorphisms._normalize_pair(m0 * qh + ph * m1, m1 * qh)
     quads = lambda pair: (pair[0], _quads(pair[1].coeffs, r))
     chart, loc = torus_twist_step(_quads(p.coeffs, r), _quads(q.coeffs, r),
                                   quads(src), quads(moved))
@@ -797,70 +752,31 @@ def _two_tower_jobs():
     return [
         (sphere, SphereTwist("x", Poly([s2, 1]), Poly.const(1),
                              certificate=Certificate("sphere-twist-square")),
-         "_rotate_series",
+         "_rotate",
          "e27d8fbae73e2558424679a915260e599e0ed347d307eee8fccd58cda2ac301e"),
         (torus, TorusTwist("y", Poly([s2, 0, 1]), Poly([1, 0, 1]),
                            certificate=Certificate("torus-twist-square")),
-         "_translate_series",
+         "_translate",
          "be9d40718be7bbf97032a35793725e5cbdbfd438b6dfc28da3e7192d6e6ac807"),
     ]
 
 
-@pytest.mark.parametrize("j, g, fallback, digest", _two_tower_jobs(),
+@pytest.mark.parametrize("j, g, step, digest", _two_tower_jobs(),
                          ids=["sphere", "torus"])
-def test_step_across_two_towers_takes_the_series_formula(monkeypatch, j, g, fallback,
+def test_step_across_two_towers_takes_the_series_formula(monkeypatch, j, g, step,
                                                          digest):
+    # the closed step formula runs once on the Series in the merged field,
+    # as on one tower (a d = 1 rotation takes no full rotation formula),
+    # and gives the pinned image
     calls = []
-    kept = getattr(automorphisms, fallback)
-    monkeypatch.setattr(automorphisms, fallback, lambda *a: calls.append(a) or kept(*a))
+    kept = getattr(automorphisms, step)
+    monkeypatch.setattr(automorphisms, step, lambda *a: calls.append(a) or kept(*a))
+    monkeypatch.setattr(automorphisms, "_rotate_series", _refuse)
     image = apply_jet(AutWord(g.surface, (g,)), j)
     assert len(calls) == 1
     text = json.dumps(jet_to_json(image), sort_keys=True)
     assert "sqrt(2)" in text and "sqrt(3)" in text
     assert hashlib.sha256(text.encode()).hexdigest() == digest
-
-
-def test_integer_form_steps_reduce_once_per_moved_coordinate(monkeypatch):
-    # an order-3 sphere jet and torus jet over Q(sqrt 2), each moved by one
-    # synthesized-shape twist: Poly.from_ints runs once per moved
-    # coordinate, once for the operand handed to the one Poly.inverse and
-    # inside that inverse, and no Series product or inverse is formed
-    s2 = scalar_sqrt_adjoin(2)
-    u = Series(ZERO, 3, [Fraction(1, 2), s2, 1])
-    v = Series(ZERO, 3, [Fraction(1, 3), 1, s2 / 2])
-    inv = (u * u + v * v + 1).invert()
-    sphere = jet_parametrize(jet_from_sphere_param(
-        SphereParam((u + u) * inv, (v + v) * inv, (u * u + v * v - 1) * inv), 3))
-    g = SphereTwist("x", Poly([1, s2]), Poly.const(1),
-                    certificate=Certificate("sphere-twist-square"))
-    nv = automorphisms._eval(g.n, sphere.x)
-    torus = jet_parametrize(Jet.torus(TorusPoint.affine(Fraction(1, 2), Fraction(-2, 3)), 3,
-                                      Series(Fraction(1, 2), 3, [Fraction(-2, 3), s2, 1]),
-                                      False))
-    ph, qh = (automorphisms._hom_eval_series(pol, 2, *torus.x)
-              for pol in (Poly([s2, 0, 1]), Poly([1, 0, 1])))
-
-    made, inside = [], []
-    from_ints, inverse = Poly.from_ints, Poly.inverse
-
-    def counted_inverse(p, n):
-        before = len(made)
-        out = inverse(p, n)
-        inside.append(len(made) - before)
-        return out
-
-    monkeypatch.setattr(Poly, "from_ints", staticmethod(
-        lambda *a: made.append(a) or from_ints(*a)))
-    monkeypatch.setattr(Poly, "inverse", counted_inverse)
-    monkeypatch.setattr(Series, "__mul__", _refuse)
-    monkeypatch.setattr(Series, "invert", _refuse)
-    y, z = automorphisms._rotate(g, sphere.x, nv, sphere.y, sphere.z)
-    assert y.poly.int_form()[0] is s2.tower and z.poly.int_form()[0] is s2.tower
-    assert len(inside) == 1 and len(made) == 2 + 1 + inside[0]
-    made.clear(), inside.clear()
-    chart, local = automorphisms._translate(ph, qh, torus.y)
-    assert chart == 0 and local.poly.int_form()[0] is s2.tower
-    assert len(inside) == 1 and len(made) == 1 + inside[0]
 
 
 # ---------------------------------------------------------------------------

@@ -10,13 +10,13 @@ from hypothesis import strategies as st
 from conftest import rand_poly, rand_series
 from jetmove.errors import NotAUnit, OutputTooLarge, SeriesContextMismatch
 from jetmove.exactalg import (ONE, ZERO, Poly, Scalar, Series, compose_centered,
-                              hensel_sqrt, poly_from_json, poly_gcd, poly_to_json,
-                              poly_to_series, scal, parse_scalar,
+                              hensel_sqrt, poly_from_json, poly_gcd, poly_sqrt,
+                              poly_to_json, poly_to_series, scal, parse_scalar,
                               scalar_sqrt_adjoin, scalar_to_str, square_free_part)
 from jetmove.exactalg.scalar import MAX_SCALAR_DIGITS
 from jetmove.surfaces import scalars_from_json
-from oracles import (Quad, p_add, p_eval, p_mul, p_taylor, s_inv, s_mul,
-                     s_sqrt, series_horner, trim)
+from oracles import (Quad, p_add, p_eval, p_mul, p_scale, p_sqrt, p_taylor, s_inv,
+                     s_mul, s_sqrt, series_horner, trim)
 
 x = Poly.x()
 
@@ -431,6 +431,74 @@ def test_hensel_sqrt_matches_pair_oracle(case):
     got = hensel_sqrt(_series(c, e, u, root), _scalar(s[0], root))
     _matches(got, s_sqrt(u, s[0]), root)
     _matches(got, s, root)
+
+
+F = Fraction
+_rationals = st.fractions(min_value=-9, max_value=9, max_denominator=7)
+_nonzero = _rationals.filter(lambda f: f != 0)
+_wide = st.one_of(_rationals, st.integers(-10 ** 12, 10 ** 12).map(Fraction),
+                 st.fractions(min_value=-10 ** 6, max_value=10 ** 6,
+                              max_denominator=10 ** 4))
+_wide_nonzero = _wide.filter(lambda f: f != 0)
+
+
+@st.composite
+def _square_candidates(draw):
+    """Fraction lists: c m^2 for a rational m (any lead, with
+    denominators) and c a square or any rational, m^2 with one
+    coefficient moved, an odd degree, or zero."""
+    m = draw(st.lists(_wide, max_size=5)) + [draw(_wide_nonzero)]
+    mm = p_mul(m, m)
+    shape = draw(st.sampled_from(["square", "scaled", "moved", "odd", "zero"]))
+    if shape == "square":
+        return p_scale(mm, draw(_nonzero.map(lambda f: f * f)))
+    if shape == "scaled":
+        c = draw(st.one_of(_nonzero, st.sampled_from([F(2), F(-1), F(-4), F(1, 2),
+                                                       F(8, 9)])))
+        return p_scale(mm, c)
+    if shape == "moved":
+        i = draw(st.integers(0, len(mm) - 1))
+        mm[i] += draw(_wide_nonzero)
+        return trim(mm)
+    if shape == "odd":
+        k = draw(st.integers(0, 3))
+        return draw(st.lists(_wide, min_size=2 * k + 1, max_size=2 * k + 1)) + \
+            [draw(_wide_nonzero)]
+    return []
+
+
+@settings(max_examples=120, deadline=None)
+@given(_square_candidates())
+@example([F(1, 4), F(1), F(1)])                  # (x + 1/2)^2
+@example([F(1), F(2), F(1), F(0), F(0)])        # trailing zeros trimmed
+@example([F(4, 9), F(0), F(-2, 3), F(0), F(1, 4)])  # (x^2/2 - 2/3)^2
+@example([F(1), F(0), F(2)])                    # square numerators, no square lead
+def test_poly_sqrt_agrees_with_fraction_oracle(d):
+    # rational d takes the integer route, which must find exactly the
+    # roots in Q[x] that the Fraction top-down root finds
+    want = p_sqrt(d)
+    got = poly_sqrt(Poly(d))
+    assert got is None if want is None else got == Poly(want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([F(2), F(5, 3)]), st.lists(_rationals, max_size=3),
+       st.lists(_rationals, max_size=3), _nonzero, _nonzero, st.data())
+def test_poly_sqrt_in_a_tower(r, a, b, lead, moved, data):
+    # m over Q(sqrt r): m^2 takes the series route and gives back m or -m.
+    # Moving a coefficient of m^2 below x^deg m leaves no square: a root
+    # with m's leading sign is m + e for some e of degree below deg m, and
+    # (m + e)^2 - m^2 = e (2m + e) is zero or has degree at least deg m
+    root = scalar_sqrt_adjoin(r)
+    cs = [scal(x) + root * y for x, y in zip(a, b)] + [scal(lead) + root * lead]
+    m = Poly(cs)
+    d = m * m
+    assert d.int_form()[0] is root.tower
+    got = poly_sqrt(d)
+    assert got is not None and (got == m or got == -m)
+    if m.degree >= 1:
+        k = data.draw(st.integers(0, m.degree - 1))
+        assert poly_sqrt(d + Poly([0] * k + [moved])) is None
 
 
 @settings(max_examples=40, deadline=None)

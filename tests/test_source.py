@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import re
 import sys
 from pathlib import Path
 
@@ -87,6 +88,21 @@ def test_exactalg_exports_resolve():
     namespace = {}
     exec("from jetmove.exactalg import *", namespace)
     assert set(exactalg.__all__) <= set(namespace)
+
+
+# the integer form of a polynomial is exactalg's own: no module outside
+# that package names the form or the helpers that build and reduce it
+_INT_FORM_NAME = re.compile(
+    r"\b_?(?:int_form|from_ints|form_add|form_mul|common_forms)\b|\b_ints\b")
+
+
+def test_integer_form_stays_inside_exactalg():
+    found = [f"{path.relative_to(PACKAGE)}:{k}"
+             for path in sorted(PACKAGE.rglob("*.py"))
+             if path.parent.name != "exactalg"
+             for k, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+             if _INT_FORM_NAME.search(line)]
+    assert not found, f"integer-form names outside exactalg: {found}"
 
 
 # rational arithmetic runs on the int pair; Fraction is only taken in and

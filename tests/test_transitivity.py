@@ -512,7 +512,7 @@ def test_synth_torus_certifies_by_construction(monkeypatch, rng):
     def refuse(*args):
         raise AssertionError("a synthesized generator was proved again")
 
-    monkeypatch.setattr(automorphisms, "_is_square", refuse)
+    monkeypatch.setattr(automorphisms, "poly_sqrt", refuse)
     monkeypatch.setattr(automorphisms, "SturmChain", refuse)
     jets = [
         Jet.torus(TorusPoint(ProjPoint.infinity(), ProjPoint.affine(2)), 2,
@@ -849,7 +849,7 @@ def test_pinned_words_load_with_no_series_root_or_gcd(monkeypatch):
     def refuse(*args):
         raise AssertionError("not expected on this load")
 
-    monkeypatch.setattr(automorphisms, "hensel_sqrt", refuse)
+    monkeypatch.setattr("jetmove.exactalg.series.hensel_sqrt", refuse)
     monkeypatch.setattr(automorphisms, "poly_gcd", refuse)
     for name, word in words:
         data = json.loads(json.dumps(word_to_json(word)))
