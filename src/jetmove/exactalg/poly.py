@@ -21,8 +21,10 @@ center, take the Scalar loop.
 
 Poly's +, - and mul each form their result unreduced from the two
 integer forms (private helpers of this module) and reduce it once, in
-from_ints.  The integer form is exactalg's own choice: code outside the
-package uses Poly's arithmetic and never names the form.
+from_ints; sum_of_products does the same for a whole sum of products,
+such as a CRT interpolant.  The integer form is exactalg's own choice:
+code outside the package uses Poly's arithmetic and never names the
+form.
 
 A coefficient list in a word file is read and written on the integer
 form too (poly_from_json, poly_to_json): text in the shapes
@@ -301,7 +303,18 @@ class Poly:
         """
         if not isinstance(x, (int, Scalar)):
             raise TypeError(f"cannot evaluate a Poly at {type(x).__name__}")
-        return self.shifted(scal(x), 1)[0]
+        x = scal(x)
+        form = self.int_form() if x.tower is None else None
+        if form and form[0] is None and form[1][0]:
+            # A / den at a / b is sum(A[k] a^k b^(d-k)) / (den b^d), d = deg
+            _, (v,), den = form
+            a, b = x.a, x.b
+            h, scale = 0, 1
+            for z in reversed(v):
+                h = h * a + z * scale
+                scale *= b
+            return ratio(h, den * (scale // b))
+        return self.shifted(x, 1)[0]
 
     def monic(self) -> Poly:
         if self.is_zero():
@@ -430,6 +443,24 @@ def _form_mul(tower: Tower | None, x, y, n: int | None = None):
     ac, bd = _conv(a, c, n), _conv(b, d, n)
     mid = _axpy(1, _conv(a, d, n), 1, _conv(b, c, n))
     return [_axpy(rden, ac, num, bd), [rden * u for u in mid]], dx * dy * rden
+
+
+def sum_of_products(pairs: list) -> Poly:
+    """sum(p * q for p, q in pairs).
+
+    When every factor lies in Q or one Q(sqrt r), the products and their
+    sum are formed unreduced on the integer forms and reduced once;
+    otherwise the sum runs on Poly arithmetic.
+    """
+    forms = [(p.int_form(), q.int_form()) for p, q in pairs]
+    towers = {f[0] for pq in forms for f in pq if f} - {None}
+    if len(towers) > 1 or not all(f for pq in forms for f in pq):
+        return sum((p * q for p, q in pairs), Poly())
+    tower = towers.pop() if towers else None
+    acc = [()], 1
+    for fp, fq in forms:
+        acc = _form_add(acc, _form_mul(tower, fp[1:], fq[1:]), 1)
+    return Poly.from_ints(tower, *acc)
 
 
 def _axpy(a: int, x, b: int, y) -> list[int]:

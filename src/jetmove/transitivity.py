@@ -42,7 +42,7 @@ from .automorphisms import (MAX_TWIST_DEGREE, AutWord, Certificate, SphereTwist,
 from .errors import (DuplicatePoints, EnumerationExhausted,
                      InternalVerificationFailure, MixedSurfaces, NotDistant,
                      OrderMismatch, PreconditionFailed, ensure)
-from .exactalg import (ONE, ZERO, Poly, Scalar, Series, crt_combine,
+from .exactalg import (ONE, ZERO, CrtBasis, Poly, Scalar, Series, crt_combine,
                        crt_with_modulus, scal, scalar_sqrt_adjoin)
 from .surfaces import (SPHERE, TORUS, Jet, SpherePoint, TorusPoint,
                        jet_is_vertical, jet_tangent_vector, jets_mutually_distant,
@@ -140,12 +140,13 @@ def rotation_twist(fixed: str, residues) -> SphereTwist | None:
 def _rotation_twists(fixed: str, nodes, orders, values):
     """One rotation twist per node, skipping the identities: angle
     values[i] to order orders[i] at node i and zero to order at the
-    others, so each point or jet stays inside its own ground field."""
+    others, so each point or jet stays inside its own ground field.  The
+    twists share one CRT basis, each the term of its one residue."""
+    basis = CrtBasis(nodes, orders)
     for i, val in enumerate(values):
-        tw = rotation_twist(fixed, [(c, e, val if k == i else 0)
-                                    for k, (c, e) in enumerate(zip(nodes, orders))])
-        if tw is not None:
-            yield tw
+        a = basis.term(i, val)
+        if not a.is_zero():
+            yield _half_angle_twist(fixed, a)
 
 
 def _moved(gens: list, forms: list, g) -> tuple[list, list]:

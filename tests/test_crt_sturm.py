@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from conftest import rand_fraction
 from jetmove.errors import DuplicateCenter, ZeroPolynomial
-from jetmove.exactalg import (NEG_INF, ONE, POS_INF, Poly, Series, SturmChain,
-                              cauchy_bound, crt_combine, crt_with_modulus,
-                              poly_to_series, scal,
+from jetmove.exactalg import (NEG_INF, ONE, POS_INF, CrtBasis, Poly, Series,
+                              SturmChain, cauchy_bound, crt_combine,
+                              crt_with_modulus, poly_to_series, scal,
                               scalar_sqrt_adjoin, sturm_root_count)
 from jetmove.exactalg.crt import _strip_node
 from oracles import (count_closed, count_line, crt_full_sum, p_divmod, p_mul,
@@ -49,6 +49,22 @@ def test_crt_scalar_residues():
 def test_crt_duplicate_center_rejected():
     with pytest.raises(DuplicateCenter):
         crt_combine([(scal(1), 1, scal(0)), (scal(1), 2, scal(0))])
+
+
+@pytest.mark.parametrize("nodes, orders", [
+    # rational nodes are compared by their reduced int pairs
+    ([Fraction(2, 4), 3, Fraction(1, 2)], [1, 1, 1]),
+    ([Fraction(-5, 3), 0, Fraction(-5, 3)], [1, 3, 2]),    # another order
+    # tower nodes by value: sqrt(8)/2 equals sqrt(2) over another tower
+    ([1 + scalar_sqrt_adjoin(2), Fraction(1, 3), 1 + scalar_sqrt_adjoin(8) / 2],
+     [2, 1, 1]),
+    ([scalar_sqrt_adjoin(3), scalar_sqrt_adjoin(3)], [1, 2]),
+])
+def test_crt_basis_duplicate_nodes_rejected(nodes, orders):
+    with pytest.raises(DuplicateCenter):
+        CrtBasis(nodes, orders)
+    with pytest.raises(DuplicateCenter):
+        crt_with_modulus([(c, e, 0) for c, e in zip(nodes, orders)])
 
 
 def test_sturm_pinned_counts():
@@ -263,3 +279,70 @@ def test_crt_and_strip_node_fall_back_on_towers(c, values):
         assert p_taylor(list(p.coeffs), center, e) == list(val.coeffs)
     tower_m = Poly([s2, 1]) * Poly([-c, 1])
     assert _strip_node(tower_m, c) == Poly([s2, 1])
+
+
+@settings(max_examples=40, deadline=None)
+@given(nodes, st.integers(0, 3), st.integers(1, 3))
+def test_strip_node_several_times_agrees_with_oracle(items, k, times):
+    # node k listed again with ``times`` more: stripping it that often
+    # leaves the product of the nodes as drawn
+    c = items[k % len(items)][0]
+    m = _node_product(items + [(c, times)])
+    assert list(_strip_node(Poly(m), scal(c), times).coeffs) == _node_product(items)
+
+
+# ---------------------------------------------------------------------------
+# one basis, several interpolations: the per-node data built for one value
+# vector must serve the next unchanged
+
+s3 = scalar_sqrt_adjoin(3)
+_ROOTS = (s2, s3)
+
+
+@st.composite
+def _basis_nodes(draw):
+    """Up to three distinct (node, order) pairs: rational nodes, and nodes
+    q + k sqrt 2 or q + k sqrt 3 with k != 0."""
+    keys = draw(st.lists(
+        st.tuples(node, st.integers(-2, 2), st.integers(0, 1)),
+        min_size=1, max_size=3,
+        unique_by=lambda t: (t[0], t[1], t[2] if t[1] else None)))
+    return [(scal(q) + scal(k) * _ROOTS[r] if k else scal(q), draw(st.integers(1, 3)))
+            for q, k, r in keys]
+
+
+_value = st.one_of(node.map(scal),
+                   st.tuples(node, node).map(lambda ab: scal(ab[0]) + scal(ab[1]) * s2))
+
+
+@st.composite
+def _value_vector(draw, items):
+    """Coefficient lists for every node: all zero, one nonzero residue, or
+    every residue drawn."""
+    kind = draw(st.sampled_from(("zero", "single", "full")))
+    hit = draw(st.integers(0, len(items) - 1))
+    out = []
+    for i, (_, e) in enumerate(items):
+        if kind == "full" or (kind == "single" and i == hit):
+            out.append(draw(st.lists(_value, min_size=e, max_size=e)))
+        else:
+            out.append([scal(0)] * e)
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(_basis_nodes(), st.data())
+def test_crt_basis_interpolations_agree_with_oracle_and_fresh_crt(items, data):
+    basis = CrtBasis([c for c, _ in items], [e for _, e in items])
+    for _ in range(3):
+        vectors = data.draw(_value_vector(items))
+        triples = [(c, e, vals) for (c, e), vals in zip(items, vectors)]
+        # an order-1 residue goes in as its scalar, a higher one as a series
+        values = [vals[0] if e == 1 else Series(c, e, vals) for c, e, vals in triples]
+        p = basis.interpolate(values)
+        assert list(p.coeffs) == crt_full_sum(triples)
+        fresh, m = crt_with_modulus([(c, e, v) for (c, e), v in zip(items, values)])
+        assert p == fresh and m == basis.modulus
+        for i, v in enumerate(values):
+            assert basis.term(i, v) == crt_with_modulus(
+                [(c, e, v if k == i else 0) for k, (c, e) in enumerate(items)])[0]

@@ -111,8 +111,10 @@ _FRACTION_FREE = {
     "exactalg/scalar.py": ["Scalar.__add__", "Scalar.__mul__", "Scalar.__neg__",
                            "Scalar.inverse", "Scalar.__eq__", "Scalar._key",
                            "Scalar.sign"],
-    "exactalg/poly.py": ["_scalars", "Poly.int_form", "Poly.shifted"],
-    "exactalg/crt.py": ["_strip_node"],
+    "exactalg/poly.py": ["_scalars", "Poly.int_form", "Poly.shifted", "Poly.__call__",
+                         "sum_of_products"],
+    "exactalg/crt.py": ["_strip_node", "_check_distinct", "CrtBasis.__init__",
+                        "CrtBasis._node", "CrtBasis._factors", "CrtBasis.interpolate"],
 }
 
 

@@ -32,8 +32,9 @@ from jetmove.errors import (
     OutputTooLarge,
     PreconditionFailed,
 )
-from jetmove.exactalg import (ONE, ZERO, Poly, Scalar, Series, hensel_sqrt,
-                              poly_to_series, scal)
+from jetmove.exactalg import (ONE, ZERO, CrtBasis, Poly, Scalar, Series,
+                              hensel_sqrt, poly_to_series, scal,
+                              scalar_sqrt_adjoin)
 from jetmove.exactalg.scalar import MAX_SCALAR_DIGITS
 from jetmove.surfaces import (
     Jet,
@@ -187,6 +188,47 @@ def test_separate_sphere_rejects_duplicates():
     p = _point_jet(sphere_point_stereo(2, 3))
     with pytest.raises(DuplicatePoints):
         separate_points_sphere([p, p])
+
+
+def _count_bases(monkeypatch) -> list[int]:
+    """The node count of every CrtBasis built from here on."""
+    built, init = [], CrtBasis.__init__
+
+    def counting(self, nodes, orders):
+        init(self, nodes, orders)
+        built.append(len(self.nodes))
+
+    monkeypatch.setattr(CrtBasis, "__init__", counting)
+    return built
+
+
+def test_rotation_twist_stage_builds_one_node_product(monkeypatch):
+    # k points, one CrtBasis: each twist is the term of its own residue on
+    # the shared basis, equal to the interpolant of that residue padded
+    # with zeros, and a zero value gives no twist
+    s2, s3 = scalar_sqrt_adjoin(2), scalar_sqrt_adjoin(3)
+    nodes = [scal(Fraction(k, 7)) for k in (-3, 1, 5, 6)]
+    orders = [1, 2, 3, 1]
+    values = [1 + s2, scal(Fraction(2, 3)), Series(nodes[2], 3, [0, 1, s3]), ZERO]
+    built = _count_bases(monkeypatch)
+    twists = list(transitivity._rotation_twists("x", nodes, orders, values))
+    assert built == [4]
+    monkeypatch.undo()
+    assert len(twists) == 3
+    for i, tw in enumerate(twists):
+        want = rotation_twist("x", [(c, e, values[i] if k == i else 0)
+                                    for k, (c, e) in enumerate(zip(nodes, orders))])
+        assert (tw.fixed, tw.n, tw.d) == (want.fixed, want.n, want.d)
+
+
+def test_sphere_separation_builds_one_basis_per_stage(monkeypatch, rng):
+    # the two per-point rotation stages and the final drop to the equator
+    # each build one basis over all k points
+    jets = [rand_sphere_jet(rng, e) for e in (2, 1, 3)]
+    built = _count_bases(monkeypatch)
+    w1, _ = separate_points_sphere(jets)
+    assert built == [3, 3, 3]
+    assert len(w1) > 0
 
 
 def _sphere_jet(c, tail):
