@@ -13,35 +13,37 @@ Three generator kinds:
   n/d in lowest terms, and (p, q, r) = (d^2 - n^2, 2nd, d^2 + n^2), so
   p^2 + q^2 = r^2 and r > 0 on R hold by construction.
 
-Every generator in a word carries a Certificate naming its proof route.
-The synthesizer attaches it as it builds the generator; what is read
-from outside is proved on load by its kind's ``of``, the one place that
-proves it: TorusTwist.of proves a q = 1 + m^2 from its coefficients (a
-rational q by an integer square root of q - 1 over Z, a tower q by a
-series root) and any other q by Sturm counts, TorusMoebius.of checks
-both determinants, and SphereTwist.of recovers n/d from a sphere triple
-(with no gcd when r + p is a constant, as in every synthesized twist)
-and proves p^2 + q^2 = r^2 by one product identity.  A word file holds only
-generator data; str(g) renders the formula.  Twist polynomial text in Q
-or one Q(sqrt r) is read and written on the integer form, with no
-Scalar built per coefficient (exactalg's poly_from_json and
-poly_to_json); other text is parsed and printed one Scalar at a time.
+Every generator carries its proof route, one of its kind's ROUTES, and
+only its kind's constructors name one.  Synthesis builds by shape:
+TorusTwist.square (q = 1 + m^2) and SphereTwist.half_angle (d = 1).
+What is read from outside is proved on load by its kind's ``of``, the
+one place that proves it: TorusTwist.of proves a q = 1 + m^2 from its
+coefficients (a rational q by an integer square root of q - 1 over Z, a
+tower q by a series root) and any other q by Sturm counts,
+TorusMoebius.of checks both determinants, and SphereTwist.of recovers
+n/d from a sphere triple (with no gcd when r + p is a constant, as in
+every synthesized twist) and proves p^2 + q^2 = r^2 by one product
+identity.  A word file holds only generator data; str(g) renders the
+formula.  Twist polynomial text in Q or one Q(sqrt r) is read and
+written on the integer form, with no Scalar built per coefficient
+(exactalg's poly_from_json and poly_to_json); other text is parsed and
+printed one Scalar at a time.
 
-AutWord composes certified generators left-to-right.  Jets move through
-their parameter form (surfaces.TorusParam or SphereParam) and come back
-in canonical form, and a Jacobian as an order-2 jet: one transport
-serves all.  A point is an order-1 form, over F[t]/(t), which is the
-field F itself, so the transport carries it as its values, plain
-Scalars (_carried), and only the read-back wraps them into series
-(_jet_of); the separation stages carry their forms that way for a whole
-stage.  Only the leaves (_eval, _moebius's homogeneous pair,
-_normalize_pair, the sphere's 1/r, _point_of) and _rotate's choice of
-formula tell a Scalar from a Series.  Torus coordinates travel as
-(chart, local) pairs, so nothing breaks over infinity; Moebius maps form
-homogeneous pairs and normalize their result back at once.  A twist
-polynomial meets a series only through its Taylor shift to the series'
-value.  A twist step with a zero angle or translation is skipped, as
-it moves nothing.
+AutWord composes generators left-to-right and refuses one whose route
+is not of its kind.  Jets move through their parameter form
+(surfaces.TorusParam or SphereParam) and come back in canonical form,
+and a Jacobian as an order-2 jet: one transport serves all.  A point
+is an order-1 form, over F[t]/(t), which is the field F itself, so the
+transport carries it as its values, plain Scalars (_carried), and only
+the read-back wraps them into series (_jet_of); the separation stages
+carry their forms that way for a whole stage.  Only the leaves (_eval,
+_moebius's homogeneous pair, _normalize_pair, the sphere's 1/r,
+_point_of) and _rotate's choice of formula tell a Scalar from a Series.
+Torus coordinates travel as (chart, local) pairs, so nothing breaks over
+infinity; Moebius maps form homogeneous pairs and normalize their result
+back at once.  A twist polynomial meets a series only through its Taylor
+shift to the series' value.  A twist step with a zero angle or
+translation is skipped, as it moves nothing.
 
 Each twist step is one closed formula in plain Series, Poly or Scalar
 arithmetic; how a polynomial stores its coefficients is exactalg's
@@ -59,7 +61,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from .errors import (DegreeMismatch, IdentityFails, MixedSurfaces,
-                     NotCurvilinear, PreconditionFailed, RootInForbiddenRegion)
+                     NotCurvilinear, PreconditionFailed, RootInForbiddenRegion,
+                     ensure)
 from .exactalg import (ONE, ZERO, Poly, Scalar, Series, SturmChain,
                        compose_centered, poly_from_json, poly_gcd, poly_sqrt,
                        poly_to_json, poly_to_series, scal, scalar_to_json)
@@ -77,31 +80,22 @@ MAX_TWIST_DEGREE = 64
 
 
 @dataclass(frozen=True, eq=True)
-class Certificate:
-    """The proof route a generator passed; each kind's ``of`` proves it.
-
-    torus-twist-square: q - 1 = m^2 for an m found exactly (so q >= 1),
-        deg p = deg q; over Q by an integer square root of q - 1's
-        integer form, in a tower by a series root (exactalg's poly_sqrt).
-    torus-twist: Sturm count of q on the real line, deg p = deg q.
-    sphere-twist-square: (r - p)(r + p) = q^2 and deg r = 2 max(deg n,
-        deg d) for the half-angle n/d, so r is a nonzero constant times
-        d^2 + n^2, which has no real root.  n/d is q/(r + p) divided by
-        its gcd, or read off with d = 1 when r + p is a constant.
-    sphere-twist: Sturm count of r on [-1, 1], then the same identity.
-    moebius: both matrices nonsingular.
-    """
-    kind: str
-
-
-@dataclass(frozen=True, eq=True)
 class TorusTwist:
+    """Translation of ``axis`` by p/q, a function of the other coordinate.
+
+    ``route`` is one of ROUTES.  torus-twist-square: q - 1 = m^2 for an
+    exact m (so q >= 1) and deg p = deg q; ``of`` finds m by an integer
+    square root of q - 1's integer form, or in a tower by a series root
+    (exactalg's poly_sqrt).  torus-twist: a Sturm count of q on the real
+    line, and deg p = deg q.
+    """
     axis: str            # coordinate being translated, "x" or "y"
     p: Poly
     q: Poly
-    certificate: Certificate | None = None
+    route: str = field(kw_only=True)
 
     surface = TORUS
+    ROUTES = ("torus-twist-square", "torus-twist")
 
     @staticmethod
     def of(axis: str, p, q) -> TorusTwist:
@@ -112,17 +106,25 @@ class TorusTwist:
         root is checked before the degree, so a candidate failing both
         reports the root.
         """
-        if axis not in ("x", "y"):
-            raise PreconditionFailed("twist axis must be x or y")
+        _check_coordinate(axis, ("x", "y"), "twist axis must be x or y")
         p, q = _as_poly(p), _as_poly(q)
         if poly_sqrt(q - ONE) is not None:
-            kind = "torus-twist-square"
+            route = "torus-twist-square"
         else:
             _root_free(q, None, "twist")
-            kind = "torus-twist"
+            route = "torus-twist"
         if p.degree != q.degree:
             raise DegreeMismatch(f"deg p = {p.degree} but deg q = {q.degree}")
-        return TorusTwist(axis, p, q, Certificate(kind))
+        return TorusTwist(axis, p, q, route=route)
+
+    @staticmethod
+    def square(axis: str, p: Poly, m: Poly) -> TorusTwist:
+        """The twist adding p/(1 + m^2) to ``axis``, certified by its shape:
+        q = 1 + m^2 is at least 1 on R, and deg p = deg q is checked."""
+        _check_coordinate(axis, ("x", "y"), "twist axis must be x or y")
+        q = Poly.const(1) + m * m
+        ensure(p.degree == q.degree, "twist numerator and denominator degrees differ")
+        return TorusTwist(axis, p, q, route="torus-twist-square")
 
     def inverse(self) -> TorusTwist:
         return replace(self, p=-self.p)
@@ -134,11 +136,14 @@ class TorusTwist:
 
 @dataclass(frozen=True, eq=True)
 class TorusMoebius:
+    """A fractional-linear map on each factor; its one route, moebius, is
+    that both matrices are nonsingular."""
     mx: tuple[tuple[Scalar, Scalar], tuple[Scalar, Scalar]]
     my: tuple[tuple[Scalar, Scalar], tuple[Scalar, Scalar]]
-    certificate: Certificate | None = None
+    route: str = field(kw_only=True)
 
     surface = TORUS
+    ROUTES = ("moebius",)
 
     @staticmethod
     def of(mx, my) -> TorusMoebius:
@@ -151,7 +156,7 @@ class TorusMoebius:
         mx, my = coerce(mx), coerce(my)
         if any((m[0][0] * m[1][1] - m[0][1] * m[1][0]).is_zero() for m in (mx, my)):
             raise PreconditionFailed("moebius matrix is singular")
-        return TorusMoebius(mx, my, Certificate("moebius"))
+        return TorusMoebius(mx, my, route="moebius")
 
     def inverse(self) -> TorusMoebius:
         adj = lambda m: ((m[1][1], -m[0][1]), (-m[1][0], m[0][0]))
@@ -167,13 +172,18 @@ class SphereTwist:
     """Rotation whose tangent half-angle is n/d, a function of ``fixed``.
 
     n/d is in lowest terms with d monic; the half turn is n = 1, d = 0.
+    ``route`` is one of ROUTES.  sphere-twist-square: (r - p)(r + p) =
+    q^2 and deg r = 2 max(deg n, deg d), so r is a nonzero constant
+    times d^2 + n^2, which has no real root.  sphere-twist: a Sturm count
+    of r on [-1, 1], then the same identity.
     """
     fixed: str           # invariant coordinate carrying the angle, "x", "y" or "z"
     n: Poly
     d: Poly
-    certificate: Certificate | None = field(default=None, kw_only=True)
+    route: str = field(kw_only=True)
 
     surface = SPHERE
+    ROUTES = ("sphere-twist-square", "sphere-twist")
 
     @staticmethod
     def of(fixed: str, p, q, r) -> SphereTwist:
@@ -189,8 +199,7 @@ class SphereTwist:
         [-1, 1] before the identity, so a candidate failing both reports
         the root.
         """
-        if fixed not in ("x", "y", "z"):
-            raise PreconditionFailed("fixed coordinate must be x, y or z")
+        _check_coordinate(fixed, ("x", "y", "z"), "fixed coordinate must be x, y or z")
         p, q, r = _as_poly(p), _as_poly(q), _as_poly(r)
         s = r + p
         if s.is_zero():
@@ -205,13 +214,20 @@ class SphereTwist:
             n, d = q // g * unit, d * unit
         holds = (r - p) * s == q * q
         if holds and r.degree == 2 * max(n.degree, d.degree):
-            kind = "sphere-twist-square"
+            route = "sphere-twist-square"
         else:
             _root_free(r, (scal(-1), scal(1)), "rotation")
-            kind = "sphere-twist"
+            route = "sphere-twist"
         if not holds:
             raise IdentityFails("p^2 + q^2 differs from r^2")
-        return SphereTwist(fixed, n, d, certificate=Certificate(kind))
+        return SphereTwist(fixed, n, d, route=route)
+
+    @staticmethod
+    def half_angle(fixed: str, a: Poly) -> SphereTwist:
+        """The twist with tangent half-angle a, certified by its shape:
+        p = 1 - a^2, q = 2a and r = 1 + a^2 >= 1, so p^2 + q^2 = r^2."""
+        _check_coordinate(fixed, ("x", "y", "z"), "fixed coordinate must be x, y or z")
+        return SphereTwist(fixed, a, Poly.const(1), route="sphere-twist-square")
 
     def triple(self) -> tuple[Poly, Poly, Poly]:
         """(p, q, r) = (d^2 - n^2, 2nd, d^2 + n^2)."""
@@ -231,6 +247,11 @@ class SphereTwist:
                 f"({self.n.str_in(v)})/({self.d.str_in(v)})")
 
 
+def _check_coordinate(name, allowed: tuple, message: str) -> None:
+    if name not in allowed:
+        raise PreconditionFailed(message)
+
+
 def _as_poly(p) -> Poly:
     if isinstance(p, Poly):
         return p
@@ -242,7 +263,8 @@ Generator = TorusTwist | TorusMoebius | SphereTwist
 
 @dataclass(frozen=True, eq=True)
 class AutWord:
-    """Generators applied left-to-right; all certified, one surface."""
+    """Generators applied left-to-right; one surface, each generator
+    carrying a proof route of its kind."""
     surface: str
     generators: tuple[Generator, ...]
 
@@ -250,8 +272,8 @@ class AutWord:
         for g in self.generators:
             if g.surface != self.surface:
                 raise MixedSurfaces("word mixes torus and sphere generators")
-            if not isinstance(g.certificate, Certificate):
-                raise PreconditionFailed("word contains an uncertified generator")
+            if not (isinstance(g.route, str) and g.route in g.ROUTES):
+                raise PreconditionFailed(f"no {type(g).__name__} route {g.route!r}")
 
     def __len__(self):
         return len(self.generators)
@@ -269,11 +291,6 @@ def word_concat(*words: AutWord) -> AutWord:
     for w in words:
         gens = gens + w.generators
     return AutWord(surfaces.pop(), gens)
-
-
-def word_of(surface: str, generators) -> AutWord:
-    """Certify each generator and assemble the word."""
-    return AutWord(surface, tuple(certify_twist(g) for g in generators))
 
 
 def word_inverse(w: AutWord) -> AutWord:
@@ -295,17 +312,14 @@ def _root_free(pol: Poly, interval, kind: str) -> None:
 
 
 def certify_twist(g: Generator) -> Generator:
-    """The generator certified: as it is when it carries a certificate,
-    otherwise proved by its kind's ``of``."""
-    if g.certificate is not None:
-        return g
+    """g proved again from its data by its kind's ``of``.  No package code
+    calls it; it stays because the benchmark's tracer names it, and the
+    tests check each synthesized route against it."""
     if isinstance(g, TorusTwist):
         return TorusTwist.of(g.axis, g.p, g.q)
     if isinstance(g, TorusMoebius):
         return TorusMoebius.of(g.mx, g.my)
-    if isinstance(g, SphereTwist):
-        return SphereTwist.of(g.fixed, *g.triple())
-    raise PreconditionFailed(f"unknown generator {type(g).__name__}")
+    return SphereTwist.of(g.fixed, *g.triple())
 
 
 # ---------------------------------------------------------------------------
@@ -318,10 +332,10 @@ def _eval(pol: Poly, s: Series | Scalar) -> Series | Scalar:
     Only the first s.order coefficients of pol around s(0) survive
     composition with the deviation s - s(0), so deg pol costs one
     synthetic division per kept coefficient, not one series product.
-    A Scalar s takes the shift's first coefficient alone.
+    A Scalar s is a plain evaluation.
     """
     if isinstance(s, Scalar):
-        return pol.shifted(s, 1)[0]
+        return pol(s)
     if pol.degree < 1:
         return Series.constant(pol[0], s.center, s.order)
     return compose_centered(poly_to_series(pol, s.value(), s.order), s)

@@ -129,7 +129,7 @@ def cmd_synth(args) -> int:
                 else synth_sphere(targets)
     _write_word(args.out, word)
     for g in word.generators:
-        print(f"{g.certificate.kind}: {g}")
+        print(f"{g.route}: {g}")
     print(f"wrote {len(word)} generators to {args.out}")
     return OK
 

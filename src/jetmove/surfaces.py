@@ -152,7 +152,11 @@ class SpherePoint:
 
 
 def sphere_point_stereo(u, v) -> SpherePoint:
-    """Rational point from stereographic parameters (never the north pole)."""
+    """Rational point from stereographic parameters (never the north pole).
+
+    Public API with no caller inside the package: the benchmark's job
+    generator and the tests draw random rational sphere points with it.
+    """
     u, v = scal(u), scal(v)
     d = u * u + v * v + 1
     return SpherePoint.of((u + u) / d, (v + v) / d, (u * u + v * v - 1) / d)
@@ -163,15 +167,6 @@ def equator_point(t) -> SpherePoint:
     t = scal(t)
     d = ONE + t * t
     return SpherePoint.of((ONE - t * t) / d, (t + t) / d, ZERO)
-
-
-@dataclass(frozen=True, eq=True)
-class TangentVector:
-    surface: str
-    components: tuple[Scalar, ...]
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.components)
 
 
 # ---------------------------------------------------------------------------
@@ -209,18 +204,6 @@ class Jet:
         jet = Jet(SPHERE, order, center, chart, False, (g, h))
         _check_sphere_shape(jet)
         return jet
-
-    @property
-    def f(self) -> Series:
-        return self.graphs[0]
-
-    @property
-    def g(self) -> Series:
-        return self.graphs[0]
-
-    @property
-    def h(self) -> Series:
-        return self.graphs[1]
 
     def local_centers(self) -> tuple[Scalar, ...]:
         """Local chart values of the center coordinates."""
@@ -280,7 +263,7 @@ def _check_sphere_shape(j: Jet):
         raise PreconditionFailed("jet does not lie on the sphere")
     # canonical chart: the first of x, y, z that moves along the jet, and
     # x for an order-1 jet, which does not move
-    comps = jet_tangent_vector(j).components
+    comps = jet_tangent_vector(j)
     want = next((n for n, c in zip("xyz", comps) if not c.is_zero()), "x")
     if j.chart != want:
         raise PreconditionFailed(f"canonical chart is {want}, stored {j.chart}")
@@ -394,18 +377,17 @@ def jet_from_sphere_param(p: SphereParam, order: int) -> Jet:
 # predicates
 
 
-def jet_tangent_vector(j: Jet) -> TangentVector:
-    """First-order direction in local chart coordinates; zero for order 1."""
-    n = 2 if j.surface == TORUS else 3
+def jet_tangent_vector(j: Jet) -> tuple[Scalar, ...]:
+    """First-order direction in local chart coordinates, (x, y) on the
+    torus and (x, y, z) on the sphere; zero for order 1."""
     if j.order == 1:
-        return TangentVector(j.surface, tuple([ZERO] * n))
+        return (ZERO,) * (2 if j.surface == TORUS else 3)
     if j.surface == TORUS:
         d = j.graphs[0].coeffs[1]
-        comps = (d, ONE) if j.transposed else (ONE, d)
-        return TangentVector(TORUS, comps)
+        return (d, ONE) if j.transposed else (ONE, d)
     local = (ONE, j.graphs[0].coeffs[1], j.graphs[1].coeffs[1])
     comps = dict(zip(SPHERE_CHARTS[j.chart], local))
-    return TangentVector(SPHERE, tuple(comps[n] for n in "xyz"))
+    return tuple(comps[n] for n in "xyz")
 
 
 def jet_is_vertical(j: Jet) -> bool:
@@ -415,18 +397,12 @@ def jet_is_vertical(j: Jet) -> bool:
     sphere it is the great circle through the poles, which is only a
     well-posed question at equator points (z = 0).
     """
-    if j.surface == TORUS:
-        if j.order == 1:
-            return False
-        t = jet_tangent_vector(j)
-        return t.components[0].is_zero()
-    x0, y0, z0 = j.center.coords()
-    if not z0.is_zero():
+    if j.surface == SPHERE and not j.center.z.is_zero():
         raise NotOnEquator("verticality needs a center on the equator z = 0")
     if j.order == 1:
         return False
     t = jet_tangent_vector(j)
-    return t.components[0].is_zero() and t.components[1].is_zero()
+    return t[0].is_zero() and (j.surface == TORUS or t[1].is_zero())
 
 
 def jets_mutually_distant(jets) -> bool:
@@ -443,35 +419,11 @@ def jets_mutually_distant(jets) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# partitions and standard configurations
-
-
-@dataclass(frozen=True)
-class Partition:
-    """Orders (e_1, ..., e_l), kept in the given positional order."""
-    parts: tuple[int, ...]
-
-    def __init__(self, parts):
-        parts = tuple(int(p) for p in parts)
-        if any(p < 1 for p in parts):
-            raise PreconditionFailed("partition parts must be positive")
-        object.__setattr__(self, "parts", parts)
-
-    @property
-    def n(self) -> int:
-        return sum(self.parts)
-
-    def __len__(self):
-        return len(self.parts)
-
-    def __iter__(self):
-        return iter(self.parts)
+# standard configurations
 
 
 @dataclass(frozen=True)
 class StandardConfig:
-    surface: str
-    partition: Partition
     jets: tuple[Jet, ...]
 
 
@@ -484,17 +436,17 @@ def sphere_standard_center(i: int) -> SpherePoint:
     return equator_point(i + 1)
 
 
-def standard_config(surface: str, partition: Partition | list) -> StandardConfig:
-    """The pinned reference configuration used by every synthesis routine.
+def standard_config(surface: str, orders) -> StandardConfig:
+    """The pinned reference configuration, one jet per entry of ``orders``.
 
     Torus slots sit at (i, 0) with horizontal jets ((x - i)^e, y); sphere
     slots sit at rational equator points with the jet following the
     equator, whose graph is the exact square root of 1 - x^2.
     """
-    if not isinstance(partition, Partition):
-        partition = Partition(partition)
     jets = []
-    for idx, e in enumerate(partition.parts, start=1):
+    for idx, e in enumerate(orders, start=1):
+        if e < 1:
+            raise PreconditionFailed("partition parts must be positive")
         if surface == TORUS:
             c = torus_standard_center(idx)
             f = Series.constant(0, c.x.value, e)
@@ -507,7 +459,7 @@ def standard_config(surface: str, partition: Partition | list) -> StandardConfig
             jets.append(Jet.sphere(c, e, g, h))
         else:
             raise MixedSurfaces(f"unknown surface {surface!r}")
-    return StandardConfig(surface, partition, tuple(jets))
+    return StandardConfig(tuple(jets))
 
 
 # ---------------------------------------------------------------------------

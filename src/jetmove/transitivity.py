@@ -25,8 +25,9 @@ that the batch front end's verify uses as well.
 Every generic choice enumerates rationals in a fixed order and takes
 the first that passes its exact test, so identical inputs produce
 identical words.  ENUM_LIMIT caps how many candidates any single choice
-may try.  Each generator carries its certificate from how it is built,
-so synthesis proves nothing twice.
+may try.  Every generator comes from a constructor that names its proof
+route (TorusTwist.square, SphereTwist.half_angle, TorusMoebius.of), so
+synthesis proves nothing twice.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from fractions import Fraction
 from itertools import count
 from math import gcd
 
-from .automorphisms import (MAX_TWIST_DEGREE, AutWord, Certificate, SphereTwist,
+from .automorphisms import (MAX_TWIST_DEGREE, AutWord, SphereTwist,
                             TorusMoebius, TorusTwist, _carried, _jet_of, _point_of,
                             _push, apply_jet, apply_point, word_concat,
                             word_identity, word_inverse)
@@ -102,39 +103,26 @@ def interpolating_twist(axis: str, residues) -> TorusTwist | None:
 
     residues are (center, order, value) as for crt_combine, and M is their
     node product.  The twist is p/q with q = 1 + M^2 and p the CRT
-    interpolant plus M^2: q is 1 at every node and at least 1 on R, and
-    deg p = deg q since the interpolant's degree is below deg M, so the
-    twist is certified as built.  None when every value is zero.
+    interpolant plus M^2 (TorusTwist.square): q is 1 at every node and at
+    least 1 on R, and deg p = deg q since the interpolant's degree is
+    below deg M.  None when every value is zero.
     """
     p0, m = crt_with_modulus(residues)
     if p0.is_zero():
         return None
-    ensure(p0.degree < m.degree, "CRT interpolant reaches the node degree")
-    mm = m * m
-    return TorusTwist(axis, p0 + mm, Poly.const(1) + mm,
-                      certificate=Certificate("torus-twist-square"))
-
-
-def _half_angle_twist(fixed: str, a: Poly) -> SphereTwist:
-    """Sphere twist with tangent half-angle a: p = 1 - a^2, q = 2a, r = 1 + a^2.
-
-    r = 1 + a^2 >= 1 and p^2 + q^2 = r^2 hold by construction, so the
-    twist is certified as built, with nothing to compute.
-    """
-    return SphereTwist(fixed, a, Poly.const(1),
-                       certificate=Certificate("sphere-twist-square"))
+    return TorusTwist.square(axis, p0 + m * m, m)
 
 
 def rotation_twist(fixed: str, residues) -> SphereTwist | None:
     """Sphere twist with tangent-half-angle polynomial interpolated by CRT.
 
-    a = a_i mod (x - c_i)^{e_i}, built by _half_angle_twist.  None when a
-    vanishes identically.
+    a = a_i mod (x - c_i)^{e_i}, built by SphereTwist.half_angle.  None
+    when a vanishes identically.
     """
     a = crt_combine(residues)
     if a.is_zero():
         return None
-    return _half_angle_twist(fixed, a)
+    return SphereTwist.half_angle(fixed, a)
 
 
 def _rotation_twists(fixed: str, nodes, orders, values):
@@ -146,7 +134,7 @@ def _rotation_twists(fixed: str, nodes, orders, values):
     for i, val in enumerate(values):
         a = basis.term(i, val)
         if not a.is_zero():
-            yield _half_angle_twist(fixed, a)
+            yield SphereTwist.half_angle(fixed, a)
 
 
 def _moved(gens: list, forms: list, g) -> tuple[list, list]:
@@ -201,10 +189,8 @@ def separate_points_torus(jets) -> tuple[AutWord, tuple[Jet, ...]]:
                           "affine chart shift")
             return ((ZERO, ONE), (ONE, -alpha))
 
-        # each matrix has determinant 1 or -1: certified as built
-        forms, pts = _moved(gens, forms, TorusMoebius(
-            chart_matrix([p.x for p in pts]), chart_matrix([p.y for p in pts]),
-            certificate=Certificate("moebius")))
+        forms, pts = _moved(gens, forms, TorusMoebius.of(
+            chart_matrix([p.x for p in pts]), chart_matrix([p.y for p in pts])))
 
     def distinct(vals):
         return all(not (vals[i] == vals[j])
@@ -285,7 +271,7 @@ def separate_points_sphere(jets) -> tuple[AutWord, tuple[Jet, ...]]:
         return True
 
     def generic_rotation(s, t):
-        return [_half_angle_twist(fixed, Poly.const(a))
+        return [SphereTwist.half_angle(fixed, Poly.const(a))
                 for fixed, a in (("x", t), ("z", s)) if not a.is_zero()]
 
     if not xs_good(pts):
@@ -381,8 +367,7 @@ def _shear_off_vertical(surface: str, jets, admissible, shear):
             raise PreconditionFailed(f"jet {i - 1} is not at standard center {center(i)}")
     if all(j.order == 1 for j in jets):
         return word_identity(surface), jets
-    data = [(jet_tangent_vector(j).components, j.center)
-            for j in jets if j.order >= 2]
+    data = [(jet_tangent_vector(j), j.center) for j in jets if j.order >= 2]
     lam = _pick(lambda lam: all(admissible(lam, t, c) for t, c in data),
                 "non-verticality parameter", _nonzero_rationals())
     w = AutWord(surface, (shear(lam),))
@@ -399,12 +384,11 @@ def make_nonvertical_torus(jets) -> tuple[AutWord, tuple[Jet, ...]]:
     The twist is x -> x + lam*(y + y^2)/(1 + y^2), whose derivative at
     y = 0 is lam; a jet with tangent (a, b) maps to one with tangent
     (a + lam*b, b), so lam only needs to avoid the values -a_i/b_i.  As
-    lam != 0, deg p = deg q = 2 with q = 1 + y^2: certified as built.
+    lam != 0, deg p = deg q = 2 with q = 1 + y^2 (TorusTwist.square).
     """
     return _shear_off_vertical(
         TORUS, jets, lambda lam, t, c: not (t[0] + lam * t[1]).is_zero(),
-        lambda lam: TorusTwist("x", Poly([ZERO, lam, lam]), Poly([1, 0, 1]),
-                               certificate=Certificate("torus-twist-square")))
+        lambda lam: TorusTwist.square("x", Poly([ZERO, lam, lam]), Poly.x()))
 
 
 def make_nonvertical_sphere(jets) -> tuple[AutWord, tuple[Jet, ...]]:
@@ -413,7 +397,7 @@ def make_nonvertical_sphere(jets) -> tuple[AutWord, tuple[Jet, ...]]:
     The twist has tangent half-angle lam*z (p = 1 - lam^2 z^2, q = 2 lam z,
     r = 1 + lam^2 z^2), so it is the identity on z = 0, its angle has
     derivative 2 lam there, shearing tangents off the vertical, and it is
-    built by _half_angle_twist like every other synthesized sphere twist.
+    built by SphereTwist.half_angle like every other synthesized sphere twist.
     """
     def admissible(lam, t, c):
         a, b, dz = t
@@ -422,7 +406,7 @@ def make_nonvertical_sphere(jets) -> tuple[AutWord, tuple[Jet, ...]]:
                     and (b + two_lam * c.x * dz).is_zero())
 
     return _shear_off_vertical(SPHERE, jets, admissible,
-                               lambda lam: _half_angle_twist("z", Poly([ZERO, lam])))
+                               lambda lam: SphereTwist.half_angle("z", Poly([ZERO, lam])))
 
 
 # ---------------------------------------------------------------------------

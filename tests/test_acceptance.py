@@ -33,7 +33,6 @@ from jetmove.automorphisms import (
     jacobian_at,
     word_concat,
     word_inverse,
-    word_of,
 )
 from jetmove.dantesque import (
     BASE,
@@ -258,7 +257,7 @@ def _rand_torus_word(rng, length):
             while p.degree != 2 * k:
                 p = rand_poly(rng, max_deg=2 * k)
             gens.append(TorusTwist.of(rng.choice("xy"), p, Poly([1, 0, 1]) ** k))
-    return word_of(TORUS, gens)
+    return AutWord(TORUS, tuple(gens))
 
 
 def _rand_sphere_word(rng, length):
@@ -272,7 +271,7 @@ def _rand_sphere_word(rng, length):
             a = rand_poly(rng, max_deg=rng.randint(0, 2))
             gens.append(SphereTwist.of(rng.choice("xyz"), Poly.const(1) - a * a,
                                        a + a, Poly.const(1) + a * a))
-    return word_of(SPHERE, gens)
+    return AutWord(SPHERE, tuple(gens))
 
 
 def test_criterion_7_words_act_as_a_group():

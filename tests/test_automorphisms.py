@@ -21,7 +21,6 @@ from jetmove import automorphisms, surfaces
 from jetmove.automorphisms import (
     MAX_TWIST_DEGREE,
     AutWord,
-    Certificate,
     SphereTwist,
     TorusMoebius,
     TorusTwist,
@@ -33,12 +32,12 @@ from jetmove.automorphisms import (
     word_from_json,
     word_identity,
     word_inverse,
-    word_of,
     word_to_json,
 )
 from jetmove.errors import (
     DegreeMismatch,
     IdentityFails,
+    InternalVerificationFailure,
     JetmoveError,
     MixedSurfaces,
     PreconditionFailed,
@@ -71,14 +70,13 @@ from jetmove.transitivity import interpolating_twist, rotation_twist
 
 def test_certify_torus_twist():
     g = certify_twist(TorusTwist.of("y", [0, 0, 1], [1, 0, 1]))
-    assert g.certificate is not None
-    assert g.certificate.kind == "torus-twist-square"
+    assert g.route == "torus-twist-square"
 
 
 def test_certify_torus_twist_sturm_route():
     # q - 1 = x^2 + x + 1 is no square, yet q = x^2 + x + 2 has no real root
     g = certify_twist(TorusTwist.of("y", [0, 0, 1], [2, 1, 1]))
-    assert g.certificate.kind == "torus-twist"
+    assert g.route == "torus-twist"
     # the square recovery at its edges: constants (k = 0), zero, odd
     # degree, a leading coefficient that is negative or has no rational
     # root, a square lead on a non-square, and a tower leading coefficient
@@ -113,8 +111,8 @@ def _polys(coeff, lead, max_deg=4):
 @given(st.one_of(_polys(_rationals, _nonzero), _polys(_towered, _towered_lead)))
 def test_certify_torus_square_shape(m):
     q = Poly.const(1) + m * m
-    g = certify_twist(TorusTwist("x", m * m, q))
-    assert g.certificate.kind == "torus-twist-square"
+    g = TorusTwist.of("x", m * m, q)
+    assert g.route == "torus-twist-square"
 
 
 @settings(max_examples=60, deadline=None)
@@ -128,12 +126,12 @@ def test_certify_torus_routes_agree_with_sturm(q):
     # whichever route proves q, it never accepts a q with a real root
     assume(not q.is_zero())
     try:
-        g = certify_twist(TorusTwist("y", q, q))
+        g = TorusTwist.of("y", q, q)
     except RootInForbiddenRegion:
         assert sturm_root_count(q) > 0
     else:
         assert sturm_root_count(q) == 0
-        assert g.certificate.kind in ("torus-twist", "torus-twist-square")
+        assert g.route in ("torus-twist", "torus-twist-square")
 
 
 @settings(max_examples=40, deadline=None)
@@ -142,10 +140,10 @@ def test_certify_sphere_square_shape(q, plus, other):
     r = (q * q + 4) * scal(Fraction(1, 4))
     p = r - 2 if plus else 2 - r
     g = SphereTwist.of("y", p, q, r)
-    assert g.certificate.kind == "sphere-twist-square"
+    assert g.route == "sphere-twist-square"
     assert p * p + q * q == r * r
     # the sign-flipped triple holds as well, so other = -2p is no bump
-    assert SphereTwist.of("y", -p, q, r).certificate.kind == "sphere-twist-square"
+    assert SphereTwist.of("y", -p, q, r).route == "sphere-twist-square"
     assume(not (other == -(p + p)))
     with pytest.raises(IdentityFails):
         SphereTwist.of("y", p + other, q, r)
@@ -166,9 +164,9 @@ _lams = st.one_of(
 def test_sphere_twist_of_recovers_half_angle(n, d, lam_kind, bump, which):
     assume(poly_gcd(n, d).degree == 0)
     lam, kind = lam_kind
-    p, q, r = (lam * c for c in SphereTwist("z", n, d).triple())
+    p, q, r = (lam * c for c in SphereTwist("z", n, d, route="sphere-twist").triple())
     g = SphereTwist.of("z", p, q, r)
-    assert (g.n, g.d, g.certificate.kind) == (n, d, kind)
+    assert (g.n, g.d, g.route) == (n, d, kind)
     # the half turn (-r, 0, r) has no finite half-angle
     half = SphereTwist.of("z", -r, Poly(), r)
     assert (half.n, half.d) == (Poly.const(1), Poly())
@@ -228,7 +226,7 @@ def test_sphere_twist_of_matches_lam_proof(triple):
     except JetmoveError as exc:
         assert type(exc).__name__ == want
     else:
-        assert (g.certificate.kind, g.n, g.d) == (want[0], Poly(want[1]), Poly(want[2]))
+        assert (g.route, g.n, g.d) == (want[0], Poly(want[1]), Poly(want[2]))
 
 
 def _refuse(*args):
@@ -251,7 +249,7 @@ def test_sphere_twist_of_constant_sum_route(lam, a):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(automorphisms, "poly_gcd", _refuse)
         g = SphereTwist.of("x", p, q, r)
-    assert (g.n, g.d, g.certificate.kind) == (a, Poly.const(1), "sphere-twist-square")
+    assert (g.n, g.d, g.route) == (a, Poly.const(1), "sphere-twist-square")
     assert g.triple() == (1 - a * a, a * 2, 1 + a * a)
 
 
@@ -264,7 +262,7 @@ def test_sphere_twist_of_nonconstant_sum_takes_the_gcd(monkeypatch):
     monkeypatch.setattr(automorphisms, "poly_gcd",
                         lambda *args: calls.append(args) or gcd(*args))
     g = SphereTwist.of("x", p, q, r)
-    assert (g.n, g.d, g.certificate.kind) == \
+    assert (g.n, g.d, g.route) == \
         (Poly.const(2), Poly([1, 1]), "sphere-twist-square")
     assert len(calls) == 1
 
@@ -295,9 +293,25 @@ def test_certify_rejects_bad_axis():
         certify_twist(TorusTwist.of("z", [1], [1]))
 
 
+def test_shape_constructors_check_their_data():
+    # the constructors synthesis builds with check the coordinate as the
+    # ``of``s do, and the degree by a raise that python -O keeps
+    with pytest.raises(PreconditionFailed):
+        TorusTwist.square("z", Poly([0, 0, 1]), Poly.x())
+    with pytest.raises(PreconditionFailed):
+        SphereTwist.half_angle("w", Poly.x())
+    with pytest.raises(InternalVerificationFailure):
+        TorusTwist.square("x", Poly([1, 1]), Poly.x())
+    # and build what ``of`` proves from the same data, route included
+    assert TorusTwist.square("y", Poly([0, 0, 1]), Poly.x()) == \
+        TorusTwist.of("y", [0, 0, 1], [1, 0, 1])
+    g = SphereTwist.half_angle("z", Poly([0, 2]))
+    assert g == SphereTwist.of("z", *g.triple())
+
+
 def test_certify_sphere_twist():
     g = certify_twist(SphereTwist.of("z", [1, 0, -1], [0, 2], [1, 0, 1]))
-    assert g.certificate.kind == "sphere-twist-square"
+    assert g.route == "sphere-twist-square"
 
 
 def test_certify_rejects_pythagorean_failure():
@@ -369,7 +383,7 @@ def test_certify_allows_root_outside_unit_interval():
     g = certify_twist(SphereTwist.of(
         "x", Poly([3]) * Poly([4, 0, -1]), Poly([4]) * Poly([4, 0, -1]),
         Poly([5]) * Poly([4, 0, -1])))
-    assert g.certificate is not None
+    assert g.route == "sphere-twist-square"
     del p, q2
 
 
@@ -394,7 +408,7 @@ def test_moebius_matrix_must_be_2x2(mx, my):
 
 def test_inverse_keeps_certificate():
     g = certify_twist(SphereTwist.of("y", [1, 0, -1], [0, 2], [1, 0, 1]))
-    assert g.inverse().certificate is not None
+    assert g.inverse().route == g.route == "sphere-twist-square"
 
 
 # ---------------------------------------------------------------------------
@@ -402,16 +416,29 @@ def test_inverse_keeps_certificate():
 
 
 def test_word_rejects_uncertified_generator():
-    # the raw constructor builds an uncertified twist; ``of`` certifies
-    with pytest.raises(PreconditionFailed):
-        AutWord(TORUS, (TorusTwist("x", Poly([1]), Poly([1])),))
-    # only a Certificate certifies; the certificate is keyword-only, so
-    # a (p, q, r) call cannot bind r to it
-    forged = SphereTwist("z", Poly([0, 1]), Poly.const(1), certificate=Poly([1]))
-    with pytest.raises(PreconditionFailed):
-        AutWord(SPHERE, (forged,))
+    # no generator exists without a route: the raw constructor needs one
+    with pytest.raises(TypeError):
+        TorusTwist("x", Poly([1]), Poly([1]))
+    with pytest.raises(TypeError):
+        TorusMoebius(((ONE, ZERO), (ZERO, ONE)), ((ONE, ZERO), (ZERO, ONE)))
+    with pytest.raises(TypeError):
+        SphereTwist("z", Poly([0, 1]), Poly.const(1))
+    # the route is keyword-only, so a (p, q, r) call cannot bind r to it
     with pytest.raises(TypeError):
         SphereTwist("z", Poly([1, 0, -1]), Poly([0, 2]), Poly([1, 0, 1]))
+    # a route of another kind, or one that is no string, does not certify
+    for forged in (SphereTwist("z", Poly([0, 1]), Poly.const(1), route=Poly([1])),
+                   SphereTwist("z", Poly([0, 1]), Poly.const(1), route="torus-twist"),
+                   SphereTwist("z", Poly([0, 1]), Poly.const(1), route="moebius")):
+        with pytest.raises(PreconditionFailed):
+            AutWord(SPHERE, (forged,))
+    for forged in (TorusTwist("x", Poly([1]), Poly([1]), route="sphere-twist"),
+                   TorusTwist("x", Poly([1]), Poly([1]), route=None)):
+        with pytest.raises(PreconditionFailed):
+            AutWord(TORUS, (forged,))
+    # the kind's own route passes
+    AutWord(SPHERE, (SphereTwist("z", Poly([0, 1]), Poly.const(1),
+                                 route="sphere-twist-square"),))
 
 
 def test_word_rejects_mixed_surfaces():
@@ -420,12 +447,12 @@ def test_word_rejects_mixed_surfaces():
     with pytest.raises(MixedSurfaces):
         AutWord(TORUS, (g1, g2))
     with pytest.raises(MixedSurfaces):
-        word_concat(word_of(TORUS, [g1]), word_of(SPHERE, [g2]))
+        word_concat(AutWord(TORUS, (g1,)), AutWord(SPHERE, (g2,)))
 
 
 def test_word_concat_and_len():
-    w1 = word_of(TORUS, [TorusTwist.of("x", [1], [2])])
-    w2 = word_of(TORUS, [TorusTwist.of("y", [0, 0, 1], [1, 0, 1])])
+    w1 = AutWord(TORUS, (TorusTwist.of("x", [1], [2]),))
+    w2 = AutWord(TORUS, (TorusTwist.of("y", [0, 0, 1], [1, 0, 1]),))
     assert len(word_concat(w1, w2)) == 2
     assert word_concat(w1, word_identity(TORUS)).generators == w1.generators
 
@@ -435,7 +462,7 @@ def test_word_concat_and_len():
 
 
 def test_twist_moves_points():
-    w = word_of(TORUS, [TorusTwist.of("y", [0, 0, 1], [1, 0, 1])])
+    w = AutWord(TORUS, (TorusTwist.of("y", [0, 0, 1], [1, 0, 1]),))
     pt = apply_point(w, TorusPoint.affine(2, 1))
     # y + x^2/(1+x^2) at x = 2
     assert pt.x.value == scal(2)
@@ -443,14 +470,14 @@ def test_twist_moves_points():
 
 
 def test_twist_at_infinity_uses_leading_coefficients():
-    w = word_of(TORUS, [TorusTwist.of("y", [0, 0, 1], [1, 0, 1])])
+    w = AutWord(TORUS, (TorusTwist.of("y", [0, 0, 1], [1, 0, 1]),))
     pt = apply_point(w, TorusPoint(ProjPoint.infinity(), ProjPoint.affine(5)))
     assert pt.x.is_infinite
     assert pt.y.value == scal(6)
 
 
 def test_moebius_swaps_zero_and_infinity():
-    w = word_of(TORUS, [TorusMoebius.of([[0, 1], [1, 0]], [[1, 0], [0, 1]])])
+    w = AutWord(TORUS, (TorusMoebius.of([[0, 1], [1, 0]], [[1, 0], [0, 1]]),))
     pt = apply_point(w, TorusPoint(ProjPoint.infinity(), ProjPoint.affine(7)))
     assert pt.x.value == ZERO
     assert pt.y.value == scal(7)
@@ -459,18 +486,18 @@ def test_moebius_swaps_zero_and_infinity():
 def test_points_move_onto_and_along_infinity():
     # a point rides the series transport in charts; one that lands at
     # infinity comes back in chart 1, one at infinity stays there
-    swap = word_of(TORUS, [TorusMoebius.of([[0, 1], [1, 0]], [[0, 1], [1, 0]])])
+    swap = AutWord(TORUS, (TorusMoebius.of([[0, 1], [1, 0]], [[0, 1], [1, 0]]),))
     pt = apply_point(swap, TorusPoint.affine(0, 3))
     assert pt.x.is_infinite
     assert pt.y.value == scal(Fraction(1, 3))
-    w = word_of(TORUS, [TorusTwist.of("y", [0, 0, 1], [1, 0, 1])])
+    w = AutWord(TORUS, (TorusTwist.of("y", [0, 0, 1], [1, 0, 1]),))
     pt = apply_point(w, TorusPoint(ProjPoint.affine(2), ProjPoint.infinity()))
     assert pt.x.value == scal(2)
     assert pt.y.is_infinite
 
 
 def test_sphere_rotation_constant_angle():
-    w = word_of(SPHERE, [SphereTwist.of("z", [3], [4], [5])])
+    w = AutWord(SPHERE, (SphereTwist.of("z", [3], [4], [5]),))
     pt = apply_point(w, SpherePoint(ONE, ZERO, ZERO))
     assert pt.coords() == (scal(Fraction(3, 5)), scal(Fraction(4, 5)), ZERO)
     back = apply_point(word_inverse(w), pt)
@@ -478,7 +505,7 @@ def test_sphere_rotation_constant_angle():
 
 
 def test_sphere_rotation_angle_varies_with_height():
-    w = word_of(SPHERE, [SphereTwist.of("z", [1, 0, -1], [0, 2], [1, 0, 1])])
+    w = AutWord(SPHERE, (SphereTwist.of("z", [1, 0, -1], [0, 2], [1, 0, 1]),))
     # on the equator z = 0 the angle is zero
     eq = apply_point(w, SpherePoint(ZERO, ONE, ZERO))
     assert eq.coords() == (ZERO, ONE, ZERO)
@@ -489,7 +516,7 @@ def test_sphere_rotation_angle_varies_with_height():
 
 
 def test_apply_point_rejects_wrong_surface():
-    w = word_of(TORUS, [TorusTwist.of("x", [1], [2])])
+    w = AutWord(TORUS, (TorusTwist.of("x", [1], [2]),))
     with pytest.raises(MixedSurfaces):
         apply_point(w, SpherePoint(ONE, ZERO, ZERO))
 
@@ -501,29 +528,29 @@ def test_apply_point_rejects_wrong_surface():
 def test_moebius_transports_graph_jet():
     # x -> 1/x carries the line y = 1 + x through (2, 3) to the curve
     # y = 1 + 1/x through (1/2, 3); expanding at 1/2 gives 3 - 4s + 8s^2
-    w = word_of(TORUS, [TorusMoebius.of([[0, 1], [1, 0]], [[1, 0], [0, 1]])])
+    w = AutWord(TORUS, (TorusMoebius.of([[0, 1], [1, 0]], [[1, 0], [0, 1]]),))
     j = Jet.torus(TorusPoint.affine(2, 3), 3, Series(scal(2), 3, [3, 1, 0]))
     out = apply_jet(w, j)
     assert out.center == TorusPoint.affine(Fraction(1, 2), 3)
-    assert list(out.f.coeffs) == [scal(3), scal(-4), scal(8)]
+    assert list(out.graphs[0].coeffs) == [scal(3), scal(-4), scal(8)]
     assert not out.transposed
 
 
 def test_twist_transports_graph_jet():
     # y -> y + 2x^2/(1+x^2); at x = 1 the value is 1 and the slope is 1
-    w = word_of(TORUS, [TorusTwist.of("y", [0, 0, 2], [1, 0, 1])])
+    w = AutWord(TORUS, (TorusTwist.of("y", [0, 0, 2], [1, 0, 1]),))
     j = Jet.torus(TorusPoint.affine(1, 1), 2, Series(ONE, 2, [1, 4]))
     out = apply_jet(w, j)
     assert out.center == TorusPoint.affine(1, 2)
-    assert list(out.f.coeffs) == [scal(2), scal(5)]
+    assert list(out.graphs[0].coeffs) == [scal(2), scal(5)]
 
 
 def test_twist_constant_translation_on_jet():
-    w = word_of(TORUS, [TorusTwist.of("y", [5], [2])])
+    w = AutWord(TORUS, (TorusTwist.of("y", [5], [2]),))
     j = Jet.torus(TorusPoint.affine(1, 1), 2, Series(ONE, 2, [1, 4]))
     out = apply_jet(w, j)
     assert out.center == TorusPoint.affine(1, Fraction(7, 2))
-    assert list(out.f.coeffs) == [scal(Fraction(7, 2)), scal(4)]
+    assert list(out.graphs[0].coeffs) == [scal(Fraction(7, 2)), scal(4)]
 
 
 def test_word_inverse_round_trips_jets(rng):
@@ -532,26 +559,26 @@ def test_word_inverse_round_trips_jets(rng):
         TorusMoebius.of([[1, 1], [0, 1]], [[2, 0], [0, 1]]),
         TorusTwist.of("x", [1, 0, -1], [2, 0, 1]),
     ]
-    w = word_of(TORUS, gens)
+    w = AutWord(TORUS, tuple(gens))
     for _ in range(25):
         j = rand_torus_jet(rng, rng.randint(1, 4))
         assert apply_jet(word_inverse(w), apply_jet(w, j)) == j
 
 
 def test_sphere_word_inverse_round_trips_jets(rng):
-    w = word_of(SPHERE, [
+    w = AutWord(SPHERE, (
         SphereTwist.of("z", [1, 0, -1], [0, 2], [1, 0, 1]),
         SphereTwist.of("x", [3], [4], [5]),
         SphereTwist.of("y", [0, 2], [-1, 0, 1], [1, 0, 1]),
-    ])
+    ))
     for _ in range(15):
         j = rand_sphere_jet(rng, rng.randint(1, 3))
         assert apply_jet(word_inverse(w), apply_jet(w, j)) == j
 
 
 def test_concat_acts_by_composition(rng):
-    w1 = word_of(TORUS, [TorusTwist.of("y", [0, 0, 1], [1, 0, 1])])
-    w2 = word_of(TORUS, [TorusMoebius.of([[0, 1], [1, 0]], [[1, 1], [0, 1]])])
+    w1 = AutWord(TORUS, (TorusTwist.of("y", [0, 0, 1], [1, 0, 1]),))
+    w2 = AutWord(TORUS, (TorusMoebius.of([[0, 1], [1, 0]], [[1, 1], [0, 1]]),))
     both = word_concat(w1, w2)
     for _ in range(20):
         j = rand_torus_jet(rng, rng.randint(1, 4))
@@ -699,7 +726,7 @@ def test_sphere_step_on_integer_forms(r, e, d_kind, data):
         d = Poly([*data.draw(st.lists(_rationals, min_size=1, max_size=2)), 1])
     else:
         n, d = Poly.const(1), Poly()
-    g = SphereTwist("x", n, d, certificate=Certificate("sphere-twist"))
+    g = SphereTwist("x", n, d, route="sphere-twist")
     nv, dv = automorphisms._eval(n, t), automorphisms._eval(d, t)
     assume(not nv.is_zero() and not (nv.value().is_zero() and dv.value().is_zero()))
     kept = automorphisms._rotate_series(nv, dv, u, v)
@@ -751,11 +778,11 @@ def _two_tower_jobs():
                       Series(Fraction(1, 2), 3, [Fraction(-2, 3), s3, 1]), False)
     return [
         (sphere, SphereTwist("x", Poly([s2, 1]), Poly.const(1),
-                             certificate=Certificate("sphere-twist-square")),
+                             route="sphere-twist-square"),
          "_rotate",
          "e27d8fbae73e2558424679a915260e599e0ed347d307eee8fccd58cda2ac301e"),
         (torus, TorusTwist("y", Poly([s2, 0, 1]), Poly([1, 0, 1]),
-                           certificate=Certificate("torus-twist-square")),
+                           route="torus-twist-square"),
          "_translate",
          "be9d40718be7bbf97032a35793725e5cbdbfd438b6dfc28da3e7192d6e6ac807"),
     ]
@@ -884,13 +911,13 @@ def test_jacobian_identity():
 
 def test_jacobian_torus_twist_is_shear():
     # y -> y + x^2/(1+x^2); d/dx at x = 2 is (2x(1+x^2) - x^2*2x)/(1+x^2)^2
-    w = word_of(TORUS, [TorusTwist.of("y", [0, 0, 1], [1, 0, 1])])
+    w = AutWord(TORUS, (TorusTwist.of("y", [0, 0, 1], [1, 0, 1]),))
     m = jacobian_at(w, TorusPoint.affine(2, 0))
     assert m == ((ONE, ZERO), (scal(Fraction(4, 25)), ONE))
 
 
 def test_jacobian_sphere_constant_rotation():
-    w = word_of(SPHERE, [SphereTwist.of("z", [3], [4], [5])])
+    w = AutWord(SPHERE, (SphereTwist.of("z", [3], [4], [5]),))
     m = jacobian_at(w, SpherePoint(ONE, ZERO, ZERO))
     want = ((scal(Fraction(3, 5)), scal(Fraction(-4, 5)), ZERO),
             (scal(Fraction(4, 5)), scal(Fraction(3, 5)), ZERO),
@@ -900,15 +927,15 @@ def test_jacobian_sphere_constant_rotation():
 
 def test_jacobian_sphere_varying_angle():
     # angle vanishes at the equator but its z-derivative does not
-    w = word_of(SPHERE, [SphereTwist.of("z", [1, 0, -1], [0, 2], [1, 0, 1])])
+    w = AutWord(SPHERE, (SphereTwist.of("z", [1, 0, -1], [0, 2], [1, 0, 1]),))
     m = jacobian_at(w, SpherePoint(ONE, ZERO, ZERO))
     want = ((ONE, ZERO, ZERO), (ZERO, ONE, scal(2)), (ZERO, ZERO, ONE))
     assert m == want
 
 
 def test_jacobian_composes_by_chain_rule():
-    w1 = word_of(TORUS, [TorusTwist.of("y", [0, 0, 1], [1, 0, 1])])
-    w2 = word_of(TORUS, [TorusTwist.of("x", [0, 0, -2], [1, 0, 2])])
+    w1 = AutWord(TORUS, (TorusTwist.of("y", [0, 0, 1], [1, 0, 1]),))
+    w2 = AutWord(TORUS, (TorusTwist.of("x", [0, 0, -2], [1, 0, 2]),))
     pt = TorusPoint.affine(Fraction(1, 2), Fraction(-3, 4))
     mid = apply_point(w1, pt)
     m1 = jacobian_at(w1, pt)
@@ -945,19 +972,19 @@ FOUR_FIELD_SPHERE_WORD = {"surface": "sphere", "generators": [
 
 
 def test_word_json_round_trip():
-    w = word_of(TORUS, [
+    w = AutWord(TORUS, (
         TorusTwist.of("y", [0, 0, 1], [1, 0, 1]),
         TorusMoebius.of([[0, 1], [1, 0]], [[1, 0], [0, 1]]),
-    ])
+    ))
     assert word_from_json(word_to_json(w)) == w
     # the stored Sturm kind is ignored: q = 1 + x^2 proves by its shape
     loaded = word_from_json(FOUR_FIELD_TORUS_WORD)
     assert loaded == w
-    assert loaded.generators[0].certificate.kind == "torus-twist-square"
+    assert loaded.generators[0].route == "torus-twist-square"
 
 
 def test_sphere_word_json_round_trip():
-    w = word_of(SPHERE, [SphereTwist.of("z", [1, 0, -1], [0, 2], [1, 0, 1])])
+    w = AutWord(SPHERE, (SphereTwist.of("z", [1, 0, -1], [0, 2], [1, 0, 1]),))
     d = word_to_json(w)
     # a word file holds generator data only: the route and the formula
     # both follow from it
@@ -967,7 +994,7 @@ def test_sphere_word_json_round_trip():
 
 
 def test_json_load_recertifies():
-    w = word_of(TORUS, [TorusTwist.of("y", [0, 0, 1], [1, 0, 1])])
+    w = AutWord(TORUS, (TorusTwist.of("y", [0, 0, 1], [1, 0, 1]),))
     d = word_to_json(w)
     # tamper with the stored denominator; the forged certificate is ignored
     d["generators"][0]["q"] = ["-1", "0", "1"]

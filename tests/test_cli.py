@@ -73,7 +73,7 @@ def test_synth_verify_round_trip(tmp_path, capsys, torus_targets):
     assert printed[-1].endswith("generators to " + out)
     # one "<route>: <formula>" line per generator; the file stores neither
     word = word_from_json(json.loads(Path(out).read_text()))
-    assert printed[:-1] == [f"{g.certificate.kind}: {g}" for g in word.generators]
+    assert printed[:-1] == [f"{g.route}: {g}" for g in word.generators]
     assert all(set(g) <= {"type", "axis", "p", "q", "mx", "my"}
                for g in json.loads(Path(out).read_text())["generators"])
 

@@ -336,7 +336,7 @@ def test_quadratic_fast_paths_multiply_no_scalars(monkeypatch):
     _same(prod.coeffs, want_prod)
     _same(shift.coeffs, trim(want_shift))
     assert (loaded.n, loaded.d) == (tw.n, tw.d)
-    assert loaded.certificate.kind == "sphere-twist-square"
+    assert loaded.route == "sphere-twist-square"
 
 
 # ---------------------------------------------------------------------------

@@ -143,3 +143,16 @@ def test_rational_hot_paths_never_name_fraction():
               for name in names}
     assert seen == wanted, f"functions not found: {sorted(wanted - seen)}"
     assert not found, f"Fraction named on a rational hot path: {found}"
+
+
+def test_routes_are_named_only_by_the_generator_kinds():
+    # a proof route follows from the constructor that built the generator,
+    # so no module but automorphisms spells one as a string literal
+    from jetmove.automorphisms import SphereTwist, TorusMoebius, TorusTwist
+    routes = {*TorusTwist.ROUTES, *TorusMoebius.ROUTES, *SphereTwist.ROUTES}
+    assert len(routes) == 5
+    spelled = {}
+    for where, node in _package_nodes():
+        if isinstance(node, ast.Constant) and node.value in routes:
+            spelled.setdefault(where.split(":")[0], set()).add(node.value)
+    assert spelled == {"automorphisms.py": routes}, spelled

@@ -13,7 +13,7 @@ from jetmove.errors import (MixedSurfaces, NotCurvilinear, NotOnEquator,
 from jetmove.exactalg import (ONE, ZERO, Poly, Series, compose_centered,
                               hensel_sqrt, poly_to_series, scal,
                               scalar_sqrt_adjoin)
-from jetmove.surfaces import (MAX_JET_ORDER, Jet, Partition, ProjPoint,
+from jetmove.surfaces import (MAX_JET_ORDER, Jet, ProjPoint,
                               SpherePoint, TorusPoint, equator_point,
                               jet_from_json, jet_from_sphere_param,
                               jet_from_torus_param, jet_is_vertical,
@@ -68,15 +68,16 @@ def test_standard_config_shapes():
     cfg = standard_config("torus", [2, 1])
     assert [j.order for j in cfg.jets] == [2, 1]
     assert cfg.jets[0].center == torus_standard_center(1)
-    assert list(cfg.jets[0].f.coeffs) == [ZERO, ZERO]
+    assert list(cfg.jets[0].graphs[0].coeffs) == [ZERO, ZERO]
 
     scfg = standard_config("sphere", [3])
     j = scfg.jets[0]
     assert j.center == sphere_standard_center(1)
     assert j.chart == "x"
-    assert j.h.is_zero()
+    g, h = j.graphs
+    assert h.is_zero()
     u = poly_to_series(Poly([1, 0, -1]), j.center.x, 3)
-    assert j.g * j.g == u
+    assert g * g == u
 
 
 def test_torus_jet_builder_validates():
@@ -124,14 +125,14 @@ def test_param_read_back_keeps_the_series_order():
 
 def test_tangent_vectors():
     j = Jet.torus(TorusPoint.affine(0, 0), 2, Series(ZERO, 2, [ZERO, scal(3)]))
-    assert jet_tangent_vector(j).components == (ONE, scal(3))
+    assert jet_tangent_vector(j) == (ONE, scal(3))
     tr = Jet.torus(TorusPoint.affine(0, 0), 2, Series(ZERO, 2, [ZERO, ZERO]),
                    transposed=True)
-    assert jet_tangent_vector(tr).components == (ZERO, ONE)
-    assert jet_tangent_vector(standard_config("torus", [1]).jets[0]).is_zero()
+    assert jet_tangent_vector(tr) == (ZERO, ONE)
+    assert jet_tangent_vector(standard_config("torus", [1]).jets[0]) == (ZERO, ZERO)
 
     s = standard_config("sphere", [2]).jets[0]
-    assert jet_tangent_vector(s).components == (ONE, scal(Fraction(3, 4)), ZERO)
+    assert jet_tangent_vector(s) == (ONE, scal(Fraction(3, 4)), ZERO)
 
 
 def test_verticality():
@@ -158,11 +159,13 @@ def test_distance_checks():
 
 
 def test_partition():
-    p = Partition([2, 1, 1])
-    assert p.n == 4
-    assert len(p) == 3
-    with pytest.raises(PreconditionFailed):
-        Partition([0, 1])
+    # the orders are kept in the given positional order
+    assert [j.order for j in standard_config("torus", [2, 1, 1]).jets] == [2, 1, 1]
+    for surface in ("torus", "sphere"):
+        with pytest.raises(PreconditionFailed):
+            standard_config(surface, [0, 1])
+        with pytest.raises(PreconditionFailed):
+            standard_config(surface, [2, -1])
 
 
 def test_point_json_round_trip():

@@ -22,7 +22,7 @@ from conftest import (
 import jetmove
 from jetmove import automorphisms, cli, exactalg, surfaces, transitivity
 from jetmove.automorphisms import (MAX_TWIST_DEGREE, apply_jet, apply_point,
-                                   word_from_json, word_to_json)
+                                   certify_twist, word_from_json, word_to_json)
 from jetmove.errors import (
     DuplicatePoints,
     EnumerationExhausted,
@@ -87,7 +87,7 @@ def test_enumeration_has_no_repeats():
 
 def test_interpolating_twist_hits_residues():
     tw = interpolating_twist("y", [(scal(1), 1, scal(3)), (scal(2), 1, scal(-1))])
-    assert tw.certificate is not None
+    assert tw.route == "torus-twist-square"
     w = word_of_one(tw)
     assert apply_point(w, TorusPoint.affine(1, 0)) == TorusPoint.affine(1, 3)
     assert apply_point(w, TorusPoint.affine(2, 5)) == TorusPoint.affine(2, 4)
@@ -540,7 +540,7 @@ def test_synth_torus_builds_twists_in_square_shape(monkeypatch, rng):
         rand_torus_jet(rng, 3, p_inf=0),
     ]
     word = synth_torus(jets)
-    kinds = {g.certificate.kind for g in word.generators}
+    kinds = {g.route for g in word.generators}
     assert "torus-twist-square" in kinds and "torus-twist" not in kinds
     loaded = automorphisms.word_from_json(word_to_json(word))
     assert loaded == word
@@ -549,8 +549,8 @@ def test_synth_torus_builds_twists_in_square_shape(monkeypatch, rng):
 
 
 def test_synth_torus_certifies_by_construction(monkeypatch, rng):
-    # the synthesizer attaches each certificate as it builds the generator,
-    # so neither square recovery nor a Sturm chain runs
+    # each synthesized generator takes its route from the constructor
+    # that built it, so neither square recovery nor a Sturm chain runs
     def refuse(*args):
         raise AssertionError("a synthesized generator was proved again")
 
@@ -563,7 +563,7 @@ def test_synth_torus_certifies_by_construction(monkeypatch, rng):
         rand_torus_jet(rng, 3, p_inf=0),
     ]
     word = synth_torus(jets)
-    kinds = [g.certificate.kind for g in word.generators]
+    kinds = [g.route for g in word.generators]
     assert set(kinds) == {"torus-twist-square", "moebius"}
 
 
@@ -578,7 +578,7 @@ def test_synth_sphere_builds_twists_in_square_shape(monkeypatch, rng):
     while jets[1].center == jets[0].center:
         jets[1] = rand_sphere_jet(rng, 2)
     word = synth_sphere(jets)
-    kinds = {g.certificate.kind for g in word.generators}
+    kinds = {g.route for g in word.generators}
     assert kinds == {"sphere-twist-square"}
     loaded = automorphisms.word_from_json(word_to_json(word))
     assert loaded == word
@@ -828,6 +828,28 @@ def test_apply_images_under_pinned_words_are_pinned():
         images = [jet_to_json(apply_jet(word, j)) for j in _probes(name)]
         dump = json.dumps(images, sort_keys=True).encode()
         assert hashlib.sha256(dump).hexdigest() == _PINNED_IMAGES[name], name
+
+
+def test_synthesized_routes_are_the_routes_their_data_proves():
+    # certify_twist proves a generator again from its data alone, through
+    # its kind's ``of``: a shape constructor naming a route its data would
+    # not prove fails here.  The jobs cover points over infinity, vertical
+    # jets, sphere and pair jobs, and inputs over two square roots, so
+    # coefficients lie in a tower of depth two
+    s2, s3 = scalar_sqrt_adjoin(2), scalar_sqrt_adjoin(3)
+    half = scal(Fraction(1, 2))
+    torus = [Jet.torus(TorusPoint.affine(s2, 1), 2, Series(s2, 2, [ONE, s3])),
+             _point_jet(TorusPoint.affine(s3, s2))]
+    sphere = [_point_jet(SpherePoint(s2 * half, s2 * half, ZERO)),
+              _sphere_jet3(sphere_point_stereo(2, 3), [1, 2])]
+    jobs = [*_pinned_jobs(), ("two-tower torus", lambda: synth_torus(torus)),
+            ("two-tower sphere", lambda: synth_sphere(sphere))]
+    routes = set()
+    for name, synth in jobs:
+        for g in synth().generators:
+            assert certify_twist(g) == g, name
+            routes.add(g.route)
+    assert routes == {"torus-twist-square", "sphere-twist-square", "moebius"}
 
 
 def test_order_1_transport_does_no_series_arithmetic(monkeypatch):
