@@ -34,26 +34,28 @@ is not of its kind.  Jets move through their parameter form
 (surfaces.TorusParam or SphereParam) and come back in canonical form,
 and a Jacobian as an order-2 jet: one transport serves all.  A point
 is an order-1 form, over F[t]/(t), which is the field F itself, so the
-transport carries it as its values, plain Scalars (_carried), and only
-the read-back wraps them into series (_jet_of); the separation stages
-carry their forms that way for a whole stage.  Only the leaves (_eval,
-_moebius's homogeneous pair, _normalize_pair, the sphere's 1/r,
-_point_of) and _rotate's choice of formula tell a Scalar from a Series.
-Torus coordinates travel as (chart, local) pairs, so nothing breaks over
-infinity; Moebius maps form homogeneous pairs and normalize their result
-back at once.  A twist polynomial meets a series only through its Taylor
-shift to the series' value.  A twist step with a zero angle or
-translation is skipped, as it moves nothing.
+transport carries it as its values, plain Scalars (_carried), and the
+read-back builds the order-1 jet straight from its point (_jet_of), with
+no series arithmetic; the separation stages carry their forms that way
+for a whole stage.  Only the leaves (_eval, _moebius's homogeneous pair,
+_normalize_pair, the sphere's 1/r, _point_of) and _rotate's choice of
+formula tell a Scalar from a Series.  Torus coordinates travel as
+(chart, local) pairs, so nothing breaks over infinity; Moebius maps form
+homogeneous pairs and normalize their result back at once.  A twist
+polynomial meets a series only through its Taylor shift to the series'
+value.  A twist step with a zero angle or translation is skipped, as it
+moves nothing.
 
 Each twist step is one closed formula in plain Series, Poly or Scalar
 arithmetic; how a polynomial stores its coefficients is exactalg's
 business.  A torus twist never moves a coordinate off its chart, since
 its homogenized q is a unit: a chart-0 local m becomes m + ph/qh, a
 chart-1 one m qh/(qh + ph m).  A sphere twist with d = 1, as every
-synthesized one is, moves series (u, v) to (s (u - a v) - u,
-s (a u + v) - v) for a = n(t) and s = 2/(1 + a^2), since cos = s - 1
-and sin = a s: five products and one inverse.  A general d, the half
-turn and an order-1 step keep the full rotation formula.
+synthesized one is, moves series (u, v) to ((1 - a^2) u - 2a v,
+2a u + (1 - a^2) v)/(1 + a^2) for a = n(t), one exactalg entry
+(half_angle_rotation) with one inverse and one reduction per image.  A
+general d, the half turn and an order-1 step keep the full rotation
+formula.
 """
 
 from __future__ import annotations
@@ -64,8 +66,9 @@ from .errors import (DegreeMismatch, IdentityFails, MixedSurfaces,
                      NotCurvilinear, PreconditionFailed, RootInForbiddenRegion,
                      ensure)
 from .exactalg import (ONE, ZERO, Poly, Scalar, Series, SturmChain,
-                       compose_centered, poly_from_json, poly_gcd, poly_sqrt,
-                       poly_to_json, poly_to_series, scal, scalar_to_json)
+                       compose_centered, half_angle_rotation, poly_from_json,
+                       poly_gcd, poly_sqrt, poly_to_json, poly_to_series, scal,
+                       scalar_to_json)
 from .surfaces import (SPHERE, SPHERE_CHARTS, TORUS, Jet, ProjPoint, SphereParam,
                        SpherePoint, TorusParam, TorusPoint, jet_from_sphere_param,
                        jet_from_torus_param, jet_parametrize, json_list,
@@ -400,14 +403,12 @@ def _rotate_series(nv, dv, u, v) -> tuple:
 def _rotate(g: SphereTwist, t, nv, u, v) -> tuple:
     """(u, v) rotated by g, whose angle numerator at t is nv, as
     _rotate_series.  For d = 1 (every synthesized twist) and series nv,
-    u, v it takes s = 2/(1 + a^2) for a = nv, so cos = s - 1 and
-    sin = a s, and the image (s (u - a v) - u, s (a u + v) - v) is five
-    products and one inverse of the series' polynomials."""
+    u, v the half-angle tangent is a = nv itself, and exactalg's
+    half_angle_rotation turns the series' polynomials by it."""
     if isinstance(nv, Series) and g.d.degree == 0 and g.d[0] == ONE:
-        e, a, pu, pv = u.order, nv.poly, u.poly, v.poly
-        s = (a.mul(a, e) + 1).inverse(e) * 2
-        return (Series._of(u.center, e, s.mul(pu - a.mul(pv, e), e) - pu),
-                Series._of(u.center, e, s.mul(a.mul(pu, e) + pv, e) - pv))
+        e, c = u.order, u.center
+        x, y = half_angle_rotation(nv.poly, u.poly, v.poly, e)
+        return Series._of(c, e, x), Series._of(c, e, y)
     return _rotate_series(nv, _eval(g.d, t), u, v)
 
 
@@ -460,15 +461,19 @@ def _carried(j: Jet):
 
 
 def _jet_of(par, order: int) -> Jet:
-    """The jet along a carried form, an order-1 form's values wrapped
-    back into order-1 series at 0 for the read-back."""
-    if isinstance(par, TorusParam):
-        if order == 1:
-            par = TorusParam(*((c, Series(ZERO, 1, [v])) for c, v in (par.x, par.y)))
-        return jet_from_torus_param(par, order)
-    if order == 1:
-        par = SphereParam(*(Series(ZERO, 1, [v]) for v in (par.x, par.y, par.z)))
-    return jet_from_sphere_param(par, order)
+    """The jet along a carried form.  An order-1 form, a point's values,
+    is read straight off them as the jet jet_from_*_param gives at order
+    1: on the torus chart (xc, yc), untransposed, with graph y over x;
+    on the sphere chart x, with graphs y and z over x."""
+    torus = isinstance(par, TorusParam)
+    if order > 1:
+        return (jet_from_torus_param if torus else jet_from_sphere_param)(par, order)
+    if torus:
+        (xc, x), (yc, y) = par.x, par.y
+        return Jet(TORUS, 1, _point_of(par), (xc, yc), False, (Series(x, 1, [y]),))
+    x = par.x
+    return Jet(SPHERE, 1, _point_of(par), "x", False,
+               (Series(x, 1, [par.y]), Series(x, 1, [par.z])))
 
 
 def _point_of(par) -> TorusPoint | SpherePoint:

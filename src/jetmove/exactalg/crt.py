@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from ..errors import DuplicateCenter
 from .poly import Poly, sum_of_products
-from .scalar import ONE, Scalar, scal
+from .scalar import ONE, Scalar, repeats, scal
 from .series import Series, poly_to_series
 
 
@@ -69,21 +69,12 @@ def _strip_node(m: Poly, c: Scalar, times: int = 1) -> Poly:
 
 
 def _check_distinct(nodes: list[Scalar]):
-    """Refuse a node listed twice.  Rational nodes are compared by their
-    reduced (numerator, denominator) pairs in one set; tower nodes
-    pairwise by value, since equal values can differ in structure across
-    chains, and a tower node is irrational, so never equals a rational."""
-    seen = set()
-    towered = []
-    for c in nodes:
-        if c.tower is not None:
-            if any(c == t for t in towered):
-                raise DuplicateCenter(f"center {c} listed twice")
-            towered.append(c)
-        elif (c.a, c.b) in seen:
-            raise DuplicateCenter(f"center {c} listed twice")
-        else:
-            seen.add((c.a, c.b))
+    """Refuse a node listed twice, naming the first node that repeats an
+    earlier one (scalar.repeats: rational nodes by their int pairs, tower
+    nodes by value)."""
+    pair = next(repeats([(c,) for c in nodes]), None)
+    if pair is not None:
+        raise DuplicateCenter(f"center {nodes[pair[1]]} listed twice")
 
 
 class CrtBasis:

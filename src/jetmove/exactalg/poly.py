@@ -463,6 +463,39 @@ def sum_of_products(pairs: list) -> Poly:
     return Poly.from_ints(tower, *acc)
 
 
+def half_angle_rotation(a: Poly, u: Poly, v: Poly, n: int) -> tuple[Poly, Poly]:
+    """(u, v) rotated by the angle whose half-angle tangent is a, cut
+    below degree n: ((1 - a^2) u - 2a v, 2a u + (1 - a^2) v) / (1 + a^2),
+    for a with 1 + a(0)^2 nonzero.
+
+    When a, u and v lie in Q or one Q(sqrt r), with a = A / D and the
+    cut a^2 = S / E on the integer forms, E cancels: the images are
+    ((E - S) u - 2 (E/D) A v) / (E + S) and (2 (E/D) A u + (E - S) v) /
+    (E + S), formed unreduced against one inverse of E + S and reduced
+    once each.  Otherwise the same formula runs on Poly arithmetic.
+    """
+    fu, fv = _common_forms(a, u), _common_forms(a, v)
+    if not (fu and fv and (fu[0] is None or fv[0] is None or fu[0] is fv[0])):
+        aa = a.mul(a, n)
+        p, q, rinv = 1 - aa, a + a, (1 + aa).inverse(n)
+        return ((p.mul(u, n) - q.mul(v, n)).mul(rinv, n),
+                (q.mul(u, n) + p.mul(v, n)).mul(rinv, n))
+    tower = fu[0] or fv[0]
+    (av, d), uf = fu[1]
+    vf = fv[1][1]
+    sv, e = _form_mul(tower, (av, d), (av, d), n)
+    p = [_axpy(1, [e], -1, sv[0]), *[[-z for z in w] for w in sv[1:]]], 1
+    q = [[2 * (e // d) * z for z in w] for w in av], 1
+    rinv = Poly.from_ints(tower, [_axpy(1, [e], 1, sv[0]), *sv[1:]], 1).inverse(n)
+    rf = rinv.int_form()[1:]
+
+    def image(x, sign, y):
+        num = _form_add(_form_mul(tower, x, uf, n), _form_mul(tower, y, vf, n), sign)
+        return Poly.from_ints(tower, *_form_mul(tower, num, rf, n))
+
+    return image(p, -1, q), image(q, 1, p)
+
+
 def _axpy(a: int, x, b: int, y) -> list[int]:
     """a x + b y for integer vectors, the shorter padded with zeros."""
     if len(x) < len(y):

@@ -347,6 +347,32 @@ def ratio(n: int, d: int) -> Scalar:
     return Scalar(None, n // g, d // g)
 
 
+def repeats(rows):
+    """(i, j) for each row j of Scalars equal to an earlier row, in
+    increasing j, with i the first row it equals.
+
+    The first pair yielded has the smallest j; the least pair, min(...),
+    is the one a pairwise scan meets first (the smallest i, then its
+    smallest j).  All-rational rows are compared by their reduced
+    (numerator, denominator) pairs in one dict.  A row with a tower entry
+    is compared pairwise by value, since equal values can differ in
+    structure across chains; a tower scalar is irrational, so such a row
+    never equals an all-rational one.
+    """
+    first: dict = {}
+    towered: list = []
+    for j, row in enumerate(rows):
+        if all(c.tower is None for c in row):
+            i = first.setdefault(tuple([(c.a, c.b) for c in row]), j)
+        else:
+            i = next((k for k, other in towered
+                      if all(x == y for x, y in zip(other, row))), j)
+            if i == j:
+                towered.append((j, row))
+        if i != j:
+            yield i, j
+
+
 ZERO = Scalar(None, 0, 1)
 ONE = Scalar(None, 1, 1)
 _HALF = Scalar(None, 1, 2)

@@ -33,7 +33,8 @@ from dataclasses import dataclass
 from .errors import (MixedSurfaces, NotCurvilinear, NotOnEquator,
                      PreconditionFailed)
 from .exactalg import (ONE, ZERO, Poly, Scalar, Series, hensel_sqrt,
-                       parse_scalar, poly_to_series, scal, scalar_to_json)
+                       parse_scalar, poly_to_series, repeats, scal,
+                       scalar_to_json)
 
 TORUS = "torus"
 SPHERE = "sphere"
@@ -405,17 +406,25 @@ def jet_is_vertical(j: Jet) -> bool:
     return t[0].is_zero() and (j.surface == TORUS or t[1].is_zero())
 
 
+def coinciding_points(points) -> tuple[int, int] | None:
+    """The first pair (i, j) of equal points of one surface, as a pairwise
+    scan meets it (the smallest i, then its smallest j), or None.
+
+    The points go through exactalg's repeats as rows of their stored
+    scalars; a ProjPoint is stored canonically, (value, 1) or (1, 0), so
+    two torus points are equal exactly when their rows are.
+    """
+    return min(repeats([(p.x.u, p.x.v, p.y.u, p.y.v) if isinstance(p, TorusPoint)
+                        else p.coords() for p in points]), default=None)
+
+
 def jets_mutually_distant(jets) -> bool:
     """True iff the supports (center points) are pairwise disjoint."""
     jets = list(jets)
     for j in jets[1:]:
         if j.surface != jets[0].surface:
             raise MixedSurfaces("jets live on different surfaces")
-    for i in range(len(jets)):
-        for k in range(i + 1, len(jets)):
-            if jets[i].center == jets[k].center:
-                return False
-    return True
+    return coinciding_points([j.center for j in jets]) is None
 
 
 # ---------------------------------------------------------------------------

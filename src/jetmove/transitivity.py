@@ -44,11 +44,11 @@ from .errors import (DuplicatePoints, EnumerationExhausted,
                      InternalVerificationFailure, MixedSurfaces, NotDistant,
                      OrderMismatch, PreconditionFailed, ensure)
 from .exactalg import (ONE, ZERO, CrtBasis, Poly, Scalar, Series, crt_combine,
-                       crt_with_modulus, scal, scalar_sqrt_adjoin)
+                       crt_with_modulus, repeats, scal, scalar_sqrt_adjoin)
 from .surfaces import (SPHERE, TORUS, Jet, SpherePoint, TorusPoint,
-                       jet_is_vertical, jet_tangent_vector, jets_mutually_distant,
-                       sphere_standard_center, standard_config,
-                       torus_standard_center)
+                       coinciding_points, jet_is_vertical, jet_tangent_vector,
+                       jets_mutually_distant, sphere_standard_center,
+                       standard_config, torus_standard_center)
 
 # candidates one generic choice may try before EnumerationExhausted
 ENUM_LIMIT = 1000
@@ -142,8 +142,8 @@ def _moved(gens: list, forms: list, g) -> tuple[list, list]:
     parameter forms through it; return the forms and their centers.
 
     The forms are carried as the transport carries them (_carried): an
-    order-1 form as its values for the whole stage, wrapped into series
-    only at the read-back.  A center depends only on the constant terms
+    order-1 form as its values for the whole stage, read back at the end
+    as the jet at its point.  A center depends only on the constant terms
     going in, so it is the image apply_point gives, and the jets read
     back from the forms at the end of a stage are the images apply_jet
     gives under the stage's word.
@@ -163,10 +163,9 @@ def _check_distinct_points(points, cls):
     for p in points:
         if not isinstance(p, cls):
             raise MixedSurfaces(f"expected {cls.__name__}, got {type(p).__name__}")
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            if points[i] == points[j]:
-                raise DuplicatePoints(f"points {i} and {j} coincide")
+    pair = coinciding_points(points)
+    if pair is not None:
+        raise DuplicatePoints(f"points {pair[0]} and {pair[1]} coincide")
 
 
 def separate_points_torus(jets) -> tuple[AutWord, tuple[Jet, ...]]:
@@ -192,13 +191,8 @@ def separate_points_torus(jets) -> tuple[AutWord, tuple[Jet, ...]]:
         forms, pts = _moved(gens, forms, TorusMoebius.of(
             chart_matrix([p.x for p in pts]), chart_matrix([p.y for p in pts])))
 
-    def distinct(vals):
-        return all(not (vals[i] == vals[j])
-                   for i in range(len(vals)) for j in range(i + 1, len(vals)))
-
     # distinct y everywhere: shift each x-group by its own amount
-    ys = [p.y.value for p in pts]
-    if not distinct(ys):
+    if any(repeats([(p.y.value,) for p in pts])):
         groups: list[tuple[Scalar, list[Scalar]]] = []
         for p in pts:
             for gx, members in groups:
@@ -261,14 +255,8 @@ def separate_points_sphere(jets) -> tuple[AutWord, tuple[Jet, ...]]:
     forms = [_carried(j) for j in jets]
 
     def xs_good(ps):
-        xs = [p.x for p in ps]
-        for i in range(len(xs)):
-            if xs[i] == ONE or xs[i] == -ONE:
-                return False
-            for j in range(i + 1, len(xs)):
-                if xs[i] == xs[j]:
-                    return False
-        return True
+        return not (any(p.x == ONE or p.x == -ONE for p in ps)
+                    or any(repeats([(p.x,) for p in ps])))
 
     def generic_rotation(s, t):
         return [SphereTwist.half_angle(fixed, Poly.const(a))

@@ -900,6 +900,32 @@ def test_sphere_point_path_matches_oracle_and_jets(case):
     assert apply_point(w, line.center) == want == apply_jet(w, line).center
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([None, Fraction(2)]), st.integers(0, 1), st.integers(0, 1),
+       st.data())
+def test_order_one_read_back_is_the_wrapped_series_jet(r, xc, yc, data):
+    # _jet_of reads a point's values straight into its order-1 jet; the
+    # jet equals the one jet_from_*_param reads off the values wrapped
+    # into order-1 series, text included, on both surfaces, over
+    # infinity (chart 1, local value 0) and over Q(sqrt 2)
+    coeff = _field(r)
+    x, y = (ZERO if chart else data.draw(coeff) for chart in (xc, yc))
+    wrap = lambda v: Series(ZERO, 1, [v])
+    direct = automorphisms._jet_of(TorusParam((xc, x), (yc, y)), 1)
+    want = jet_from_torus_param(TorusParam((xc, wrap(x)), (yc, wrap(y))), 1)
+    assert direct == want
+    assert jet_to_json(direct) == jet_to_json(want)
+    # a sphere point over Q(sqrt r): a rational point turned about x by
+    # a constant half-angle tangent in the field
+    a = data.draw(coeff)
+    turn = AutWord(SPHERE, (SphereTwist.half_angle("x", Poly.const(a)),))
+    pt = apply_point(turn, sphere_point_stereo(data.draw(_rationals), data.draw(_rationals)))
+    direct = automorphisms._jet_of(SphereParam(*pt.coords()), 1)
+    want = jet_from_sphere_param(SphereParam(*map(wrap, pt.coords())), 1)
+    assert direct == want
+    assert jet_to_json(direct) == jet_to_json(want)
+
+
 # ---------------------------------------------------------------------------
 # jacobians
 

@@ -110,9 +110,9 @@ def test_integer_form_stays_inside_exactalg():
 _FRACTION_FREE = {
     "exactalg/scalar.py": ["Scalar.__add__", "Scalar.__mul__", "Scalar.__neg__",
                            "Scalar.inverse", "Scalar.__eq__", "Scalar._key",
-                           "Scalar.sign"],
+                           "Scalar.sign", "repeats"],
     "exactalg/poly.py": ["_scalars", "Poly.int_form", "Poly.shifted", "Poly.__call__",
-                         "sum_of_products"],
+                         "sum_of_products", "half_angle_rotation"],
     "exactalg/crt.py": ["_strip_node", "_check_distinct", "CrtBasis.__init__",
                         "CrtBasis._node", "CrtBasis._factors", "CrtBasis.interpolate"],
 }

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (noncanonical_sphere_jet_json, rand_fraction,
@@ -14,7 +14,8 @@ from jetmove.exactalg import (ONE, ZERO, Poly, Series, compose_centered,
                               hensel_sqrt, poly_to_series, scal,
                               scalar_sqrt_adjoin)
 from jetmove.surfaces import (MAX_JET_ORDER, Jet, ProjPoint,
-                              SpherePoint, TorusPoint, equator_point,
+                              SpherePoint, TorusPoint, coinciding_points,
+                              equator_point,
                               jet_from_json, jet_from_sphere_param,
                               jet_from_torus_param, jet_is_vertical,
                               jet_parametrize, jet_tangent_vector, jet_to_json,
@@ -156,6 +157,54 @@ def test_distance_checks():
     assert not jets_mutually_distant(twin)
     with pytest.raises(MixedSurfaces):
         jets_mutually_distant([a[0], standard_config("sphere", [1]).jets[0]])
+
+
+def _pairwise_first(points):
+    """The oracle: the first equal pair (i, j) of a pairwise scan."""
+    for i in range(len(points)):
+        for j in range(i + 1, len(points)):
+            if points[i] == points[j]:
+                return i, j
+    return None
+
+
+_R2, _R8 = scalar_sqrt_adjoin(2), scalar_sqrt_adjoin(8)
+
+# coordinates whose equal values come in different shapes: 2 : 4 and
+# 1/2 : 1, two spellings of infinity, and 1 + sqrt(8)/2 = 1 + sqrt(2)
+# over two chains; the rest differ from all of them
+_PROJ_POOL = [ProjPoint(2, 4), ProjPoint(Fraction(1, 2), 1), ProjPoint.infinity(),
+              ProjPoint(3, 0), ProjPoint.affine(1 + _R8 / 2), ProjPoint.affine(1 + _R2),
+              ProjPoint.affine(0), ProjPoint.affine(-1), ProjPoint.affine(_R2)]
+
+# sphere points: one Q(sqrt 2) point over both chains, one rational point
+# spelled 3/5 and 6/10, and points differing from all of them
+_SPHERE_POOL = [SpherePoint(_R2 / 2, _R2 / 2, ZERO), SpherePoint(_R8 / 4, _R8 / 4, ZERO),
+                SpherePoint(ONE, ZERO, ZERO), SpherePoint.of(Fraction(3, 5), 0, Fraction(4, 5)),
+                SpherePoint.of(Fraction(6, 10), 0, Fraction(8, 10)),
+                SpherePoint(_R2 / 2, ZERO, -_R2 / 2), sphere_point_stereo(1, 2)]
+
+_torus_points = st.lists(st.tuples(st.sampled_from(_PROJ_POOL), st.sampled_from(_PROJ_POOL))
+                         .map(lambda xy: TorusPoint(*xy)), max_size=8)
+_sphere_points = st.lists(st.sampled_from(_SPHERE_POOL), max_size=8)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_torus_points | _sphere_points)
+@example([TorusPoint(p, p) for p in (ProjPoint(1, 0), ProjPoint.affine(1 + _R2),
+                                     ProjPoint.affine(1 + _R8 / 2), ProjPoint(5, 0))])
+@example([TorusPoint(ProjPoint(2, 4), ProjPoint.affine(1)),
+          TorusPoint(ProjPoint.affine(Fraction(1, 2)), ProjPoint(7, 7))])
+def test_coinciding_points_finds_the_pairwise_scans_pair(points):
+    # the first pair of the pairwise scan, also when a later value repeats
+    # first (A B B A gives (0, 3), not (1, 2)), rational rows by their int
+    # pairs and tower rows by value
+    want = _pairwise_first(points)
+    assert coinciding_points(points) == want
+    jets = [Jet.torus(p, 1, Series(p.x.local, 1, [p.y.local])) if isinstance(p, TorusPoint)
+            else Jet.sphere(p, 1, Series(p.x, 1, [p.y]), Series(p.x, 1, [p.z]))
+            for p in points]
+    assert jets_mutually_distant(jets) == (want is None)
 
 
 def test_partition():

@@ -24,6 +24,7 @@ from jetmove import automorphisms, cli, exactalg, surfaces, transitivity
 from jetmove.automorphisms import (MAX_TWIST_DEGREE, apply_jet, apply_point,
                                    certify_twist, word_from_json, word_to_json)
 from jetmove.errors import (
+    DuplicateCenter,
     DuplicatePoints,
     EnumerationExhausted,
     MixedSurfaces,
@@ -524,6 +525,65 @@ def test_synth_torus_mixed_configuration():
     w = synth_torus(jets)
     for src, j in zip(standard_config(TORUS, [2, 2, 1]).jets, jets):
         assert apply_jet(w, src) == j
+
+
+def _fourteen_points():
+    """14 order-1 torus targets, the point case of the theorem: 12 affine
+    centers and one over infinity in each factor."""
+    pts = [TorusPoint.affine(Fraction(k, 3), Fraction(5 - k, 2)) for k in range(12)]
+    pts += [TorusPoint(ProjPoint.infinity(), ProjPoint.affine(7)),
+            TorusPoint(ProjPoint.affine(-4), ProjPoint.infinity())]
+    return [_point_jet(p) for p in pts]
+
+
+def test_point_synthesis_and_verify_read_points_back_as_points(monkeypatch, tmp_path,
+                                                               capsys):
+    # a synth compares no two target centers (distinctness goes through
+    # their int pairs), and a verify reads each order-1 image straight
+    # off its point: no jet_from_torus_param, no reparametrization
+    targets = _fourteen_points()
+    coords = {id(c) for j in targets for c in (j.center.x, j.center.y)}
+    compared, eq = [], ProjPoint.__eq__
+
+    def spy(a, b):
+        if id(a) in coords and id(b) in coords:
+            compared.append((a, b))
+        return eq(a, b)
+
+    monkeypatch.setattr(ProjPoint, "__eq__", spy)
+    w = synth_torus(targets)
+    monkeypatch.undo()
+    assert compared == []
+
+    files = {"word": word_to_json(w),
+             "from": {"surface": TORUS, "jets": [jet_to_json(j) for j in
+                                                 standard_config(TORUS, [1] * 14).jets]},
+             "to": {"surface": TORUS, "jets": [jet_to_json(j) for j in targets]}}
+    for name, doc in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+
+    def refuse(*args):
+        raise AssertionError("an order-1 image took the series read-back")
+
+    monkeypatch.setattr(automorphisms, "jet_from_torus_param", refuse)
+    monkeypatch.setattr(surfaces, "_reparametrize", refuse)
+    argv = ["verify"] + [a for name in files for a in (f"--{name}", str(tmp_path / f"{name}.json"))]
+    assert cli.main(argv) == cli.OK
+    assert capsys.readouterr().out == "ok: 14 jets verified\n"
+
+
+def test_duplicate_messages_name_the_pairwise_scans_pair():
+    # A B B A: the pair of the first point that repeats, (0, 3), in the
+    # texts the checks have always written
+    a, b = TorusPoint.affine(1, 2), TorusPoint(ProjPoint.infinity(), ProjPoint.affine(3))
+    jets = [_point_jet(p) for p in (a, b, b, a)]
+    with pytest.raises(DuplicatePoints, match="^points 0 and 3 coincide$"):
+        separate_points_torus(jets)
+    with pytest.raises(NotDistant, match="^target jets share a center$"):
+        synth_torus(jets)
+    # a CRT node list names the first node that repeats an earlier one
+    with pytest.raises(DuplicateCenter, match="^center 3 listed twice$"):
+        CrtBasis([Fraction(1, 2), 3, 3, Fraction(2, 4)], [1, 1, 1, 1])
 
 
 def test_synth_torus_builds_twists_in_square_shape(monkeypatch, rng):
