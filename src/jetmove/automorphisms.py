@@ -35,11 +35,11 @@ is not of its kind.  Jets move through their parameter form
 and a Jacobian as an order-2 jet: one transport serves all.  A point
 is an order-1 form, over F[t]/(t), which is the field F itself, so the
 transport carries it as its values, plain Scalars (_carried), and the
-read-back builds the order-1 jet straight from its point (_jet_of), with
-no series arithmetic; the separation stages carry their forms that way
-for a whole stage.  Only the leaves (_eval, _moebius's homogeneous pair,
-_normalize_pair, the sphere's 1/r, _point_of) and _rotate's choice of
-formula tell a Scalar from a Series.  Torus coordinates travel as
+read-back builds the order-1 jet straight from its point (point_jet),
+with no series arithmetic; the separation stages carry their forms that
+way for a whole stage.  Only the leaves (_eval, _moebius's homogeneous
+pair, _normalize_pair, the sphere's 1/r, param_point) and _rotate's
+choice of formula tell a Scalar from a Series.  Torus coordinates travel as
 (chart, local) pairs, so nothing breaks over infinity; Moebius maps form
 homogeneous pairs and normalize their result back at once.  A twist
 polynomial meets a series only through its Taylor shift to the series'
@@ -69,10 +69,10 @@ from .exactalg import (ONE, ZERO, Poly, Scalar, Series, SturmChain,
                        compose_centered, half_angle_rotation, poly_from_json,
                        poly_gcd, poly_sqrt, poly_to_json, poly_to_series, scal,
                        scalar_to_json)
-from .surfaces import (SPHERE, SPHERE_CHARTS, TORUS, Jet, ProjPoint, SphereParam,
+from .surfaces import (SPHERE, SPHERE_CHARTS, TORUS, Jet, SphereParam,
                        SpherePoint, TorusParam, TorusPoint, jet_from_sphere_param,
                        jet_from_torus_param, jet_parametrize, json_list,
-                       scalars_from_json)
+                       param_point, point_jet, scalars_from_json)
 
 # highest twist degree a word file may hold; a load Sturm-checks up to it
 MAX_TWIST_DEGREE = 64
@@ -461,28 +461,12 @@ def _carried(j: Jet):
 
 
 def _jet_of(par, order: int) -> Jet:
-    """The jet along a carried form.  An order-1 form, a point's values,
-    is read straight off them as the jet jet_from_*_param gives at order
-    1: on the torus chart (xc, yc), untransposed, with graph y over x;
-    on the sphere chart x, with graphs y and z over x."""
+    """The jet along a carried form; an order-1 form, a point's values,
+    is read straight off its point, as jet_from_*_param reads it."""
+    if order == 1:
+        return point_jet(param_point(par))
     torus = isinstance(par, TorusParam)
-    if order > 1:
-        return (jet_from_torus_param if torus else jet_from_sphere_param)(par, order)
-    if torus:
-        (xc, x), (yc, y) = par.x, par.y
-        return Jet(TORUS, 1, _point_of(par), (xc, yc), False, (Series(x, 1, [y]),))
-    x = par.x
-    return Jet(SPHERE, 1, _point_of(par), "x", False,
-               (Series(x, 1, [par.y]), Series(x, 1, [par.z])))
-
-
-def _point_of(par) -> TorusPoint | SpherePoint:
-    """The center of a carried form, read off its values or constant terms."""
-    val = lambda s: s if isinstance(s, Scalar) else s.value()
-    if isinstance(par, TorusParam):
-        (xc, x), (yc, y) = par.x, par.y
-        return TorusPoint(ProjPoint.in_chart(xc, val(x)), ProjPoint.in_chart(yc, val(y)))
-    return SpherePoint(val(par.x), val(par.y), val(par.z))
+    return (jet_from_torus_param if torus else jet_from_sphere_param)(par, order)
 
 
 def apply_point(w: AutWord, pt: TorusPoint | SpherePoint):
@@ -493,7 +477,7 @@ def apply_point(w: AutWord, pt: TorusPoint | SpherePoint):
     """
     if not isinstance(pt, TorusPoint if w.surface == TORUS else SpherePoint):
         raise MixedSurfaces(f"{w.surface} word applied to a {type(pt).__name__}")
-    return _point_of(_push(w, _point_form(pt)))
+    return param_point(_push(w, _point_form(pt)))
 
 
 def apply_jet(w: AutWord, j: Jet) -> Jet:

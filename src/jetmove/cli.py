@@ -99,7 +99,7 @@ def _first_mismatch(i: int, got, want) -> str:
         return f"jet {i}: image center differs from target center"
     if got.order != want.order:
         return f"jet {i}: image order {got.order}, target order {want.order}"
-    if (got.chart, got.transposed) != (want.chart, want.transposed):
+    if got.var != want.var:
         return f"jet {i}: image and target use different canonical charts"
     for gi, (a, b) in enumerate(zip(got.graphs, want.graphs)):
         for k, (x, y) in enumerate(zip(a.coeffs, b.coeffs)):

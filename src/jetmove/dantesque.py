@@ -23,11 +23,9 @@ from dataclasses import dataclass
 
 from .errors import (CyclicReference, DuplicateCenter, PreconditionFailed,
                      ensure)
-from .surfaces import (Jet, jet_from_json, jet_to_json, jets_mutually_distant,
-                       standard_config)
+from .surfaces import (SPHERE, TORUS, Jet, jet_from_json, jet_to_json,
+                       jets_mutually_distant, standard_config)
 
-SPHERE = "sphere"
-TORUS = "torus"
 KLEIN = "klein"
 BASES = (SPHERE, TORUS, KLEIN)
 

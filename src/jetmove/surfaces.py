@@ -1,29 +1,27 @@
 """Points and curvilinear jets on the real torus P1 x P1 and the sphere S2.
 
 A curvilinear jet of order e is a closed subscheme isomorphic to
-Spec R[t]/(t^e) supported at one real point.  Jets are stored in a
-canonical graph form over an affine chart:
+Spec R[t]/(t^e) supported at one real point, and locally a graph over
+one coordinate.  A Jet stores its center, that coordinate ``var`` and
+``graphs``: the other coordinates as series of order e in var, centered
+at the center's value of var, in the cyclic order after var
+(coordinate_order: x, y on the torus, x, y, z on the sphere).  Over x
+the torus ideal is ((x - a)^e, y - f(x)) and the sphere ideal
+((x - x0)^e, y - g(x), z - h(x)), where x^2 + g^2 + h^2 = 1 holds
+exactly mod (x - x0)^e.
 
-* torus, non-transposed: ideal ((x - a)^e, y - f(x)) with f a Series of
-  order e centered at a;
-* torus, transposed (vertical jets only): ((y - b)^e, x - g(y));
-* sphere, chart x: ((x - x0)^e, y - g(x), z - h(x)) with the exact
-  congruence x^2 + g^2 + h^2 = 1 mod (x - x0)^e, and cyclically for
-  charts y and z.
-
-Chart tags record which affine chart of each P1 factor carries the data.
-ProjPoint alone fixes the rule (finite coordinates use chart 0, points
-at infinity chart 1 with local value 0), and a torus jet's tags must
-match its center, so every jet, including those over infinity, has
-exactly one stored form and equality is structural.  The sphere charts
-follow the cyclic order of SPHERE_CHARTS, and a stored sphere chart must
-be the canonical one (the first of x, y, z whose tangent component is
-nonzero).
+One rule makes the form canonical on both surfaces: var is the first of
+x, y(, z) whose tangent component is nonzero, and x at order 1.  A torus
+coordinate is read on the chart its ProjPoint fixes (finite values on
+chart 0, infinity on chart 1 at local value 0), so every jet, including
+those over infinity, has exactly one stored form and equality is
+structural.
 
 Internally jets convert to and from a one-parameter description, the
 coordinates as truncated series in a local parameter t: TorusParam keeps
 each torus coordinate as a (chart, local series) pair and SphereParam
-keeps x, y, z.  This is the one form the automorphism layer transports.
+keeps x, y, z.  This is the one form the automorphism layer transports,
+and one read-back turns it into a jet on either surface.
 """
 
 from __future__ import annotations
@@ -38,9 +36,6 @@ from .exactalg import (ONE, ZERO, Poly, Scalar, Series, hensel_sqrt,
 
 TORUS = "torus"
 SPHERE = "sphere"
-
-# sphere chart -> (chart variable, g coordinate, h coordinate)
-SPHERE_CHARTS = {"x": "xyz", "y": "yzx", "z": "zxy"}
 
 # largest order a jet file may ask for; loading allocates series that long
 MAX_JET_ORDER = 64
@@ -174,100 +169,95 @@ def equator_point(t) -> SpherePoint:
 # jets
 
 
+def coordinate_order(surface: str, var) -> str:
+    """The surface's coordinates, "xy" or "xyz", rotated to start at
+    ``var``; a coordinate the surface lacks is refused."""
+    names = "xy" if surface == TORUS else "xyz"
+    for i, name in enumerate(names):
+        if var == name:
+            return names[i:] + names[:i]
+    raise PreconditionFailed(f"{surface} chart must be one of {', '.join(names)}")
+
+
+# coordinate_order of each sphere var, which the transport also reads
+SPHERE_CHARTS = {v: coordinate_order(SPHERE, v) for v in "xyz"}
+
+
+def _in_xyz_order(items: tuple, var: str) -> tuple:
+    """``items``, one per coordinate in coordinate_order from ``var``,
+    put back in x, y(, z) order."""
+    k = len(items) - "xyz".index(var)
+    return items[k:] + items[:k]
+
+
+def _local(point: TorusPoint | SpherePoint, name: str) -> Scalar:
+    """The point's coordinate ``name``: on the torus its local chart value."""
+    c = getattr(point, name)
+    return c.local if isinstance(c, ProjPoint) else c
+
+
 @dataclass(frozen=True, eq=True)
 class Jet:
     """A curvilinear jet in canonical graph form; see the module docstring.
 
-    ``chart`` is (x_chart, y_chart) on the torus and one of "x", "y", "z"
-    on the sphere.  ``graphs`` holds (f,) on the torus and (g, h) on the
-    sphere.  Use the torus()/sphere() builders, which validate shape.
+    ``var`` is the coordinate the jet is a graph over, and ``graphs`` the
+    other coordinates in coordinate_order after it: (f,) on the torus and
+    (g, h) on the sphere.  Surface and order follow from the center and
+    the graphs.  Use the torus()/sphere() builders, which check the shape.
     """
 
-    surface: str
-    order: int
     center: TorusPoint | SpherePoint
-    chart: tuple[int, int] | str
-    transposed: bool
+    var: str
     graphs: tuple[Series, ...]
 
+    @property
+    def surface(self) -> str:
+        return TORUS if isinstance(self.center, TorusPoint) else SPHERE
+
+    @property
+    def order(self) -> int:
+        return self.graphs[0].order
+
     @staticmethod
-    def torus(center: TorusPoint, order: int, f: Series,
-              transposed: bool = False, chart: tuple[int, int] | None = None) -> Jet:
-        if chart is None:
-            chart = (center.x.chart, center.y.chart)
-        jet = Jet(TORUS, order, center, chart, transposed, (f,))
-        _check_torus_shape(jet)
-        return jet
+    def torus(center: TorusPoint, order: int, f: Series, transposed: bool = False) -> Jet:
+        """The graph f of y over x, or of x over y when ``transposed``."""
+        return _checked(Jet(center, "y" if transposed else "x", (f,)), order)
 
     @staticmethod
     def sphere(center: SpherePoint, order: int, g: Series, h: Series,
                chart: str = "x") -> Jet:
-        jet = Jet(SPHERE, order, center, chart, False, (g, h))
-        _check_sphere_shape(jet)
-        return jet
-
-    def local_centers(self) -> tuple[Scalar, ...]:
-        """Local chart values of the center coordinates."""
-        if self.surface == TORUS:
-            return (self.center.x.local, self.center.y.local)
-        return self.center.coords()
-
-    def __str__(self):
-        if self.surface == TORUS:
-            role = "x over y" if self.transposed else "y over x"
-            return f"TorusJet(center {self.center}, order {self.order}, {role}: {self.graphs[0]})"
-        return (f"SphereJet(center {self.center}, order {self.order}, chart {self.chart}, "
-                f"g {self.graphs[0]}, h {self.graphs[1]})")
+        """The graphs g, h over ``chart`` of the coordinates after it."""
+        return _checked(Jet(center, chart, (g, h)), order)
 
 
-def _check_torus_shape(j: Jet):
-    if j.chart != (j.center.x.chart, j.center.y.chart):
-        raise PreconditionFailed("chart tags do not match the center")
-    cx, cy = j.local_centers()
-    f = j.graphs[0]
-    if f.order != j.order:
-        raise PreconditionFailed("graph order differs from jet order")
-    base = cy if j.transposed else cx
-    other = cx if j.transposed else cy
-    if not (f.center == base):
-        raise PreconditionFailed("graph series is centered at the wrong value")
-    if not (f.value() == other):
-        raise PreconditionFailed("graph value does not match the center point")
-    if j.transposed:
-        # the transposed form is reserved for vertical jets, so the two
-        # graph directions never describe the same jet twice
-        if j.order < 2:
-            raise PreconditionFailed("order-1 jets use the plain graph form")
-        if not f.coeffs[1].is_zero():
-            raise PreconditionFailed("transposed graph must have zero slope")
-
-
-def _sphere_chart(chart) -> str:
-    """The coordinate names of a sphere chart, refusing unknown charts."""
-    if chart not in SPHERE_CHARTS:
-        raise PreconditionFailed("sphere chart must be x, y or z")
-    return SPHERE_CHARTS[chart]
-
-
-def _check_sphere_shape(j: Jet):
-    names = _sphere_chart(j.chart)
-    g, h = j.graphs
-    if g.order != j.order or h.order != j.order:
-        raise PreconditionFailed("graph order differs from jet order")
-    var0, g0, h0 = (getattr(j.center, n) for n in names)
-    if not (g.center == var0 and h.center == var0):
-        raise PreconditionFailed("graph series is centered at the wrong value")
-    if not (g.value() == g0 and h.value() == h0):
-        raise PreconditionFailed("graph values do not match the center point")
-    var = Series.variable(var0, j.order)
-    if not (var * var + g * g + h * h == Series.constant(1, var0, j.order)):
-        raise PreconditionFailed("jet does not lie on the sphere")
-    # canonical chart: the first of x, y, z that moves along the jet, and
-    # x for an order-1 jet, which does not move
-    comps = jet_tangent_vector(j)
-    want = next((n for n, c in zip("xyz", comps) if not c.is_zero()), "x")
-    if j.chart != want:
-        raise PreconditionFailed(f"canonical chart is {want}, stored {j.chart}")
+def _checked(j: Jet, order: int) -> Jet:
+    """j, once its graphs have ``order``, are centered at the center's var
+    value and take the center's other values there, it lies on the sphere
+    to that order (sphere only), and var is canonical."""
+    center, surface = j.center, j.surface
+    names = coordinate_order(surface, j.var)
+    v0 = _local(center, j.var)
+    for name, g in zip(names[1:], j.graphs):
+        if g.order != order:
+            raise PreconditionFailed("graph order differs from jet order")
+        if not g.center == v0:
+            raise PreconditionFailed("graph series is centered at the wrong value")
+        if not g.value() == _local(center, name):
+            raise PreconditionFailed("graph value does not match the center point")
+    if surface == SPHERE:
+        g, h = j.graphs
+        v = Series.variable(v0, order)
+        if not (v * v + g * g + h * h == Series.constant(1, v0, order)):
+            raise PreconditionFailed("jet does not lie on the sphere")
+    # canonical var: the first coordinate that moves along the jet, and x
+    # for an order-1 jet, which does not move; x always qualifies, as it
+    # comes first and moves along any jet over it of order 2 or more
+    if j.var != "x":
+        comps = jet_tangent_vector(j)
+        want = next((n for n, c in zip("xyz", comps) if not c.is_zero()), "x")
+        if j.var != want:
+            raise PreconditionFailed(f"canonical chart is {want}, stored {j.var}")
+    return j
 
 
 # ---------------------------------------------------------------------------
@@ -276,19 +266,20 @@ def _check_sphere_shape(j: Jet):
 
 @dataclass
 class TorusParam:
-    """Coordinates along the jet as (chart, local series in t) pairs.
+    """Coordinates along the jet as (chart, local series in t) pairs; an
+    order-1 form may hold their values, as a point's form does.
 
     Charts follow ProjPoint: chart 1 only at infinity, local value 0.
     """
-    x: tuple[int, Series]
-    y: tuple[int, Series]
+    x: tuple[int, Series | Scalar]
+    y: tuple[int, Series | Scalar]
 
 
 @dataclass
 class SphereParam:
-    x: Series
-    y: Series
-    z: Series
+    x: Series | Scalar
+    y: Series | Scalar
+    z: Series | Scalar
 
 
 def _recenter_zero(s: Series) -> Series:
@@ -298,33 +289,34 @@ def _recenter_zero(s: Series) -> Series:
 
 
 def jet_parametrize(j: Jet) -> TorusParam | SphereParam:
-    e = j.order
+    v = Series.variable(_local(j.center, j.var), j.order)
+    coords = _in_xyz_order(tuple(map(_recenter_zero, (v, *j.graphs))), j.var)
     if j.surface == TORUS:
-        cx, cy = j.local_centers()
-        if j.transposed:
-            yloc = Series(ZERO, e, [cy, ONE] if e >= 2 else [cy])
-            xloc = _recenter_zero(j.graphs[0])
-        else:
-            xloc = Series(ZERO, e, [cx, ONE] if e >= 2 else [cx])
-            yloc = _recenter_zero(j.graphs[0])
-        return TorusParam((j.chart[0], xloc), (j.chart[1], yloc))
-    v0 = getattr(j.center, j.chart)
-    var = Series(ZERO, e, [v0, ONE] if e >= 2 else [v0])
-    local = (var, _recenter_zero(j.graphs[0]), _recenter_zero(j.graphs[1]))
-    return SphereParam(**dict(zip(SPHERE_CHARTS[j.chart], local)))
+        return TorusParam((j.center.x.chart, coords[0]), (j.center.y.chart, coords[1]))
+    return SphereParam(*coords)
+
+
+def _value(c: Series | Scalar) -> Scalar:
+    return c if isinstance(c, Scalar) else c.value()
+
+
+def param_point(p: TorusParam | SphereParam) -> TorusPoint | SpherePoint:
+    """The center of a parameter form, read off its values or constant terms."""
+    if isinstance(p, TorusParam):
+        (xc, x), (yc, y) = p.x, p.y
+        return TorusPoint(ProjPoint.in_chart(xc, _value(x)), ProjPoint.in_chart(yc, _value(y)))
+    return SpherePoint(_value(p.x), _value(p.y), _value(p.z))
 
 
 def _reparametrize(driver: Series, others: list[Series], order: int) -> list[Series]:
     """Re-express ``others`` as order-``order`` series centered at
     driver(0), in the deviation s = driver - driver(0).
 
-    The driver must have valuation 1 in t; the caller checked that.  Then
-    s^k starts at t^k, so the powers of s form a triangular basis and
-    each coefficient peels off in turn: o = sum_k c_k s^k.  At order 1
-    s is zero and each series is its own constant.
+    The driver must have valuation 1 in t and order at least 2; the
+    caller checked that.  Then s^k starts at t^k, so the powers of s form
+    a triangular basis and each coefficient peels off in turn:
+    o = sum_k c_k s^k.
     """
-    if order == 1:
-        return [Series(driver.value(), 1, [o.value()]) for o in others]
     s = driver - driver.value()
     powers = [Series.constant(1, s.center, s.order)]
     for _ in range(1, s.order):
@@ -343,35 +335,36 @@ def _reparametrize(driver: Series, others: list[Series], order: int) -> list[Ser
     return out
 
 
-def jet_from_torus_param(p: TorusParam, order: int) -> Jet:
-    """The jet along p, whose series fix its order; at order 1 every
-    deviation is zero, of valuation 1, so a point takes the jet path."""
-    (xc, xloc), (yc, yloc) = p.x, p.y
-    if order != xloc.order:
-        raise ValueError(f"order {order} differs from the parameter order {xloc.order}")
-    cx, cy = xloc.value(), yloc.value()
-    center = TorusPoint(ProjPoint.in_chart(xc, cx), ProjPoint.in_chart(yc, cy))
-    if (xloc - cx).valuation() == 1:
-        return Jet(TORUS, order, center, (xc, yc), False,
-                   tuple(_reparametrize(xloc, [yloc], order)))
-    if (yloc - cy).valuation() == 1:
-        return Jet(TORUS, order, center, (xc, yc), True,
-                   tuple(_reparametrize(yloc, [xloc], order)))
+def point_jet(pt: TorusPoint | SpherePoint) -> Jet:
+    """The order-1 jet at a point: a graph over x, which does not move."""
+    x, *others = [_local(pt, n) for n in ("xy" if isinstance(pt, TorusPoint) else "xyz")]
+    return Jet(pt, "x", tuple([Series(x, 1, [c]) for c in others]))
+
+
+def _read_back(p: TorusParam | SphereParam, coords: tuple[Series, ...], order: int) -> Jet:
+    """The canonical jet along p, whose local coordinates, in x, y(, z)
+    order, are ``coords``: a graph over the first coordinate that moves
+    with t, or at order 1, where nothing moves, the jet at p's point."""
+    if order != coords[0].order:
+        raise ValueError(f"order {order} differs from the parameter order {coords[0].order}")
+    if order == 1:
+        return point_jet(param_point(p))
+    for i, driver in enumerate(coords):
+        if (driver - driver.value()).valuation() == 1:
+            others = coords[i + 1:] + coords[:i]
+            return Jet(param_point(p), "xyz"[i],
+                       tuple(_reparametrize(driver, others, order)))
     raise NotCurvilinear("parametrization is not an embedding")
+
+
+def jet_from_torus_param(p: TorusParam, order: int) -> Jet:
+    """The jet along p, whose series fix its order (see _read_back)."""
+    return _read_back(p, (p.x[1], p.y[1]), order)
 
 
 def jet_from_sphere_param(p: SphereParam, order: int) -> Jet:
-    """As jet_from_torus_param; an order-1 point reads back in chart x."""
-    if order != p.x.order:
-        raise ValueError(f"order {order} differs from the parameter order {p.x.order}")
-    center = SpherePoint(p.x.value(), p.y.value(), p.z.value())
-    for chart, names in SPHERE_CHARTS.items():
-        driver, g_src, h_src = (getattr(p, n) for n in names)
-        c = driver.value()
-        if (driver - c).valuation() == 1:
-            return Jet(SPHERE, order, center, chart, False,
-                       tuple(_reparametrize(driver, [g_src, h_src], order)))
-    raise NotCurvilinear("parametrization is not an embedding")
+    """As jet_from_torus_param, on the sphere."""
+    return _read_back(p, (p.x, p.y, p.z), order)
 
 
 # ---------------------------------------------------------------------------
@@ -382,13 +375,8 @@ def jet_tangent_vector(j: Jet) -> tuple[Scalar, ...]:
     """First-order direction in local chart coordinates, (x, y) on the
     torus and (x, y, z) on the sphere; zero for order 1."""
     if j.order == 1:
-        return (ZERO,) * (2 if j.surface == TORUS else 3)
-    if j.surface == TORUS:
-        d = j.graphs[0].coeffs[1]
-        return (d, ONE) if j.transposed else (ONE, d)
-    local = (ONE, j.graphs[0].coeffs[1], j.graphs[1].coeffs[1])
-    comps = dict(zip(SPHERE_CHARTS[j.chart], local))
-    return tuple(comps[n] for n in "xyz")
+        return (ZERO,) * (len(j.graphs) + 1)
+    return _in_xyz_order((ONE, *(g.coeffs[1] for g in j.graphs)), j.var)
 
 
 def jet_is_vertical(j: Jet) -> bool:
@@ -396,14 +384,15 @@ def jet_is_vertical(j: Jet) -> bool:
 
     On the torus the vertical direction is the P1 fiber over x; on the
     sphere it is the great circle through the poles, which is only a
-    well-posed question at equator points (z = 0).
+    well-posed question at equator points (z = 0).  By the canonical
+    rule a jet is vertical exactly when it is a graph over its surface's
+    last coordinate, y or z.
     """
-    if j.surface == SPHERE and not j.center.z.is_zero():
+    if j.surface == TORUS:
+        return j.var == "y"
+    if not j.center.z.is_zero():
         raise NotOnEquator("verticality needs a center on the equator z = 0")
-    if j.order == 1:
-        return False
-    t = jet_tangent_vector(j)
-    return t[0].is_zero() and (j.surface == TORUS or t[1].is_zero())
+    return j.var == "z"
 
 
 def coinciding_points(points) -> tuple[int, int] | None:
@@ -514,12 +503,11 @@ def jet_to_json(j: Jet) -> dict:
         "center": point_to_json(j.center),
     }
     if j.surface == TORUS:
-        d["chart"] = {"x": j.chart[0], "y": j.chart[1], "transposed": j.transposed}
-        d["graph"] = {"f": [scalar_to_json(c) for c in j.graphs[0].coeffs]}
+        c = j.center
+        d["chart"], keys = {"x": c.x.chart, "y": c.y.chart, "transposed": j.var == "y"}, "f"
     else:
-        d["chart"] = j.chart
-        d["graph"] = {"g": [scalar_to_json(c) for c in j.graphs[0].coeffs],
-                      "h": [scalar_to_json(c) for c in j.graphs[1].coeffs]}
+        d["chart"], keys = j.var, "gh"
+    d["graph"] = {k: [scalar_to_json(c) for c in g.coeffs] for k, g in zip(keys, j.graphs)}
     return d
 
 
@@ -541,13 +529,14 @@ def jet_from_json(d: dict) -> Jet:
             raise PreconditionFailed("chart tags must be JSON integers")
         if type(transposed) is not bool:
             raise PreconditionFailed("transposed must be a JSON bool")
-        base = (center.y if transposed else center.x).local
-        f = Series(base, order, scalars_from_json(d["graph"]["f"], "graph f", order))
-        return Jet.torus(center, order, f, transposed, chart)
-    if surface == SPHERE:
-        chart = d["chart"]
-        base = getattr(center, _sphere_chart(chart)[0])
-        g, h = (scalars_from_json(d["graph"][k], f"graph {k}", order) for k in "gh")
-        return Jet.sphere(center, order, Series(base, order, g), Series(base, order, h),
-                          chart)
-    raise MixedSurfaces(f"unknown surface {surface!r}")
+        if chart != (center.x.chart, center.y.chart):
+            raise PreconditionFailed("chart tags do not match the center")
+        var, keys = ("y" if transposed else "x"), "f"
+    elif surface == SPHERE:
+        var, keys = d["chart"], "gh"
+        coordinate_order(SPHERE, var)   # refuses a letter other than x, y, z
+    else:
+        raise MixedSurfaces(f"unknown surface {surface!r}")
+    base = _local(center, var)
+    graphs = [scalars_from_json(d["graph"][k], f"graph {k}", order) for k in keys]
+    return _checked(Jet(center, var, tuple([Series(base, order, g) for g in graphs])), order)

@@ -37,9 +37,9 @@ from itertools import count
 from math import gcd
 
 from .automorphisms import (MAX_TWIST_DEGREE, AutWord, SphereTwist,
-                            TorusMoebius, TorusTwist, _carried, _jet_of, _point_of,
-                            _push, apply_jet, apply_point, word_concat,
-                            word_identity, word_inverse)
+                            TorusMoebius, TorusTwist, _carried, _jet_of, _push,
+                            apply_jet, apply_point, word_concat, word_identity,
+                            word_inverse)
 from .errors import (DuplicatePoints, EnumerationExhausted,
                      InternalVerificationFailure, MixedSurfaces, NotDistant,
                      OrderMismatch, PreconditionFailed, ensure)
@@ -47,8 +47,9 @@ from .exactalg import (ONE, ZERO, CrtBasis, Poly, Scalar, Series, crt_combine,
                        crt_with_modulus, repeats, scal, scalar_sqrt_adjoin)
 from .surfaces import (SPHERE, TORUS, Jet, SpherePoint, TorusPoint,
                        coinciding_points, jet_is_vertical, jet_tangent_vector,
-                       jets_mutually_distant, sphere_standard_center,
-                       standard_config, torus_standard_center)
+                       jets_mutually_distant, param_point,
+                       sphere_standard_center, standard_config,
+                       torus_standard_center)
 
 # candidates one generic choice may try before EnumerationExhausted
 ENUM_LIMIT = 1000
@@ -152,7 +153,7 @@ def _moved(gens: list, forms: list, g) -> tuple[list, list]:
         gens.append(g)
         w = AutWord(g.surface, (g,))
         forms = [_push(w, f) for f in forms]
-    return forms, [_point_of(f) for f in forms]
+    return forms, [param_point(f) for f in forms]
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +470,7 @@ def _align_torus(nonv, std) -> AutWord:
     """One y-twist taking the standard jets onto the non-vertical ones."""
     residues = []
     for i, (j, s) in enumerate(zip(nonv, std)):
-        ensure(not j.transposed and j.chart == (0, 0),
+        ensure(j.var == "x" and (j.center.x.chart, j.center.y.chart) == (0, 0),
                f"jet {i} left the affine chart")
         residues.append((s.center.x.value, j.order, j.graphs[0]))
     final = interpolating_twist("y", residues)
@@ -481,7 +482,7 @@ def _align_sphere(nonv, std) -> AutWord:
     non-vertical one."""
     values = []
     for i, (j, s) in enumerate(zip(nonv, std)):
-        ensure(j.chart == "x", f"jet {i} is not a graph over x")
+        ensure(j.var == "x", f"jet {i} is not a graph over x")
         values.append(solve_rotation_parameter(s.graphs[0], j.graphs[0], j.graphs[1]))
     return AutWord(SPHERE, tuple(_rotation_twists(
         "x", [s.center.x for s in std], [s.order for s in std], values)))

@@ -195,6 +195,33 @@ def series_horner(a, s):
     return acc
 
 
+def read_back(coords, driver=None):
+    """(driver, graphs) for a curve whose coordinates are the truncated
+    Fraction series ``coords`` in t, all of one length e.
+
+    The driver is the first coordinate with a nonzero linear term, 0 when
+    e = 1, or ``driver`` when one is given; None is returned when no
+    coordinate has a linear term.  Each other coordinate, in cyclic order
+    after the driver, becomes a series in the driver's deviation
+    s = a(t) - a_0: the inverse t(s) is the fixed point of
+    t = (s - sum_(k>=2) a_k t^k) / a_1, each pass fixing one more
+    coefficient, and each coordinate is composed with it.
+    """
+    e = len(coords[0])
+    if driver is None:
+        driver = next((i for i, c in enumerate(coords) if e == 1 or c[1] != 0), None)
+        if driver is None:
+            return None
+    a = coords[driver]
+    t = [F(0)] * e
+    if e > 1:
+        s, higher = [F(0), F(1)] + [F(0)] * (e - 2), [F(0), F(0)] + list(a[2:])
+        for _ in range(e):
+            t = [(sk - hk) / a[1] for sk, hk in zip(s, series_horner(higher, t))]
+    others = coords[driver + 1:] + coords[:driver]
+    return driver, [series_horner(o, t) for o in others]
+
+
 def sphere_twist_step(n, d, t, u, v):
     """The rotated pair (u, v) of one sphere twist with half-angle n/d at
     the series t, always by the full formula ((u p - v q)/r, (u q + v p)/r)

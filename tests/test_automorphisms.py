@@ -533,7 +533,7 @@ def test_moebius_transports_graph_jet():
     out = apply_jet(w, j)
     assert out.center == TorusPoint.affine(Fraction(1, 2), 3)
     assert list(out.graphs[0].coeffs) == [scal(3), scal(-4), scal(8)]
-    assert not out.transposed
+    assert out.var == "x"
 
 
 def test_twist_transports_graph_jet():

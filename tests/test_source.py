@@ -1,7 +1,10 @@
 """Properties of the package source itself."""
 
 import ast
+import hashlib
 import importlib
+import importlib.util
+import json
 import re
 import sys
 from pathlib import Path
@@ -78,6 +81,24 @@ def test_perfbench_names_resolve():
     missing = [f"{module}:{path}" for module, path in wanted
                if not _resolves(module, path)]
     assert not missing, f"perfbench names missing from jetmove: {missing}"
+
+
+def test_benchmark_job_generator_output_is_pinned():
+    # the benchmark's job files come from gen.py through the package's
+    # jet builders and jet JSON, so a changed builder keyword, jet
+    # attribute or JSON text shows here as a changed hash of one schedule
+    # cycle of each workload
+    spec = importlib.util.spec_from_file_location("perfbench_gen", PERFBENCH / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    want = {
+        "torus-points": (1, "112ee574d8606ae40adc28bfb8d1841f98c8852475658d860ddac09f8d292a53"),
+        "sphere-jets": (1, "ef70e03f7e7a881d55217892198634f940d09c0252688ad8e465bec947bbc49f"),
+        "pair-mixed": (5, "37e30a77988cac492611fe08deb3b0b6204c69464c5eec8d939182eae78f409a"),
+    }
+    got = {w: hashlib.sha256(json.dumps(gen.generate(w, 1, n), sort_keys=True)
+                             .encode()).hexdigest() for w, (n, _) in want.items()}
+    assert got == {w: digest for w, (_, digest) in want.items()}
 
 
 def test_exactalg_exports_resolve():

@@ -3,18 +3,19 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (noncanonical_sphere_jet_json, rand_fraction,
                       rand_sphere_jet, rand_torus_jet)
+from oracles import read_back, s_inv, s_mul, s_sqrt
 from jetmove.errors import (MixedSurfaces, NotCurvilinear, NotOnEquator,
                             PreconditionFailed)
 from jetmove.exactalg import (ONE, ZERO, Poly, Series, compose_centered,
                               hensel_sqrt, poly_to_series, scal,
                               scalar_sqrt_adjoin)
-from jetmove.surfaces import (MAX_JET_ORDER, Jet, ProjPoint,
-                              SpherePoint, TorusPoint, coinciding_points,
+from jetmove.surfaces import (MAX_JET_ORDER, Jet, ProjPoint, SphereParam,
+                              SpherePoint, TorusParam, TorusPoint, coinciding_points,
                               equator_point,
                               jet_from_json, jet_from_sphere_param,
                               jet_from_torus_param, jet_is_vertical,
@@ -74,7 +75,7 @@ def test_standard_config_shapes():
     scfg = standard_config("sphere", [3])
     j = scfg.jets[0]
     assert j.center == sphere_standard_center(1)
-    assert j.chart == "x"
+    assert j.var == "x"
     g, h = j.graphs
     assert h.is_zero()
     u = poly_to_series(Poly([1, 0, -1]), j.center.x, 3)
@@ -232,9 +233,123 @@ def test_jet_json_round_trip(rng):
             Jet.torus(TorusPoint.affine(1, 0), 2, Series(ZERO, 2, [ONE, ZERO]),
                       transposed=True),
             Jet.torus(TorusPoint(ProjPoint.infinity(), ProjPoint.infinity()), 1,
-                      Series(ZERO, 1, [ZERO]), chart=(1, 1))]
+                      Series(ZERO, 1, [ZERO]))]
     for j in jets:
         assert jet_from_json(jet_to_json(j)) == j
+
+
+_q = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+_nonzero = _q.filter(lambda c: c != 0)
+
+
+@st.composite
+def _forms(draw):
+    """(charts, coords, driver): a parameter form of order 1 to 4 as
+    Fraction lists, the local coordinates in x, y(, z) order, whose first
+    coordinate with a linear term is ``driver`` (0 at order 1).  charts
+    is the torus (x, y) chart pair, chart 1 with local value 0, or None
+    on the sphere, where the curve is a tangent line pushed radially onto
+    the sphere, which keeps the linear terms."""
+    e = draw(st.integers(1, 4))
+    tail = lambda: [draw(_q) for _ in range(e - 2)]
+    if draw(st.booleans()):
+        charts = (draw(st.integers(0, 1)), draw(st.integers(0, 1)))
+        driver = draw(st.integers(0, 1)) if e > 1 else 0
+        slopes = [Fraction(0)] * driver + [draw(_nonzero), draw(_q)][:2 - driver]
+        coords = [([Fraction(0) if c else draw(_q), m] + tail())[:e]
+                  for c, m in zip(charts, slopes)]
+        return charts, coords, driver
+    driver = draw(st.integers(0, 2)) if e > 1 else 0
+    if driver == 2:
+        t = draw(_q)
+        p, v = ((1 - t * t) / (1 + t * t), 2 * t / (1 + t * t), Fraction(0)), (0, 0, 1)
+    else:
+        u, w = draw(_q), draw(_q)
+        d = u * u + w * w + 1
+        p = (2 * u / d, 2 * w / d, (u * u + w * w - 1) / d)
+        if driver == 1:
+            v = (0, p[2], -p[1])
+        else:
+            q = [draw(_q) for _ in range(3)]
+            v = (p[1] * q[2] - p[2] * q[1], p[2] * q[0] - p[0] * q[2],
+                 p[0] * q[1] - p[1] * q[0])
+        assume(v[driver] != 0)
+    lam = draw(_nonzero)
+    line = [([c, lam * m] + tail())[:e] for c, m in zip(p, v)]
+    norm2 = [sum(col) for col in zip(*(s_mul(c, c) for c in line))]
+    inv = s_inv(s_sqrt(norm2, Fraction(1)))
+    return None, [s_mul(c, inv) for c in line], driver
+
+
+def _read(charts, coords):
+    """The package's read-back of the form."""
+    e = len(coords[0])
+    local = [Series(ZERO, e, [scal(c) for c in cs]) for cs in coords]
+    if charts is None:
+        return jet_from_sphere_param(SphereParam(*local), e)
+    return jet_from_torus_param(TorusParam(*zip(charts, local)), e)
+
+
+# a sphere jet over z and one over y, and a vertical torus jet at (inf, inf)
+_drivers_seldom_drawn = [
+    (None, [[1, 0, Fraction(-1, 2)], [0, 0, 0], [0, 1, 0]], 2),
+    (None, [[0, 0, 0], [0, 1, 0], [1, 0, Fraction(-1, 2)]], 1),
+    ((1, 1), [[0, 0, 2], [0, 3, 1]], 1),
+]
+
+
+def _with_examples(test):
+    for form in _drivers_seldom_drawn:
+        test = example(form)(test)
+    return test
+
+
+@settings(max_examples=80, deadline=None)
+@_with_examples
+@given(_forms())
+def test_read_back_matches_the_oracle(form):
+    # both surfaces, orders 1 to 4, every driver, torus charts 0 and 1:
+    # the graphs of the package's read-back are the oracle's composition
+    # with the inverted driver, with no triangular peel
+    charts, coords, driver = form
+    j = _read(charts, coords)
+    got, graphs = read_back(coords)
+    assert got == driver and j.var == "xyz"[driver]
+    assert all(g.center == scal(coords[driver][0]) for g in j.graphs)
+    assert [[c.as_fraction() for c in g.coeffs] for g in j.graphs] == graphs
+
+
+@settings(max_examples=60, deadline=None)
+@_with_examples
+@given(_forms())
+def test_every_canonical_var_round_trips_and_every_other_is_refused(form):
+    # torus x and y (over infinity too) and sphere x, y and z round-trip
+    # through JSON and the parameter form; the same jet stored over any
+    # other coordinate it is a graph over is refused by the builders and
+    # by jet_from_json, through the one canonical rule
+    charts, coords, driver = form
+    j, e = _read(charts, coords), len(coords[0])
+    assert jet_from_json(jet_to_json(j)) == j
+    read = jet_from_torus_param if charts else jet_from_sphere_param
+    assert read(jet_parametrize(j), e) == j
+    for k, var in enumerate("xy" if charts else "xyz"):
+        if k == driver or (e > 1 and coords[k][1] == 0):
+            continue
+        graphs = read_back(coords, k)[1]
+        msg = f"canonical chart is {'xyz'[driver]}, stored {var}"
+        series = [Series(scal(coords[k][0]), e, [scal(c) for c in g]) for g in graphs]
+        d = jet_to_json(j)
+        with pytest.raises(PreconditionFailed, match=msg):
+            if charts:
+                Jet.torus(j.center, e, *series, transposed=True)
+            else:
+                Jet.sphere(j.center, e, *series, chart=var)
+        if charts:
+            d["chart"]["transposed"], d["graph"] = True, {"f": [str(c) for c in graphs[0]]}
+        else:
+            d["chart"], d["graph"] = var, {n: [str(c) for c in g] for n, g in zip("gh", graphs)}
+        with pytest.raises(PreconditionFailed, match=msg):
+            jet_from_json(d)
 
 
 def test_non_curvilinear_param_rejected():
@@ -269,9 +384,6 @@ def test_torus_chart_tags_must_match_center():
         bad = dict(good, chart=dict(good["chart"], x=tag))
         with pytest.raises(PreconditionFailed, match="chart tags"):
             jet_from_json(bad)
-    with pytest.raises(PreconditionFailed, match="chart tags"):
-        Jet.torus(TorusPoint.affine(5, 7), 1, Series(scal(5), 1, [7]),
-                  chart=(0, 1))
 
 
 def test_torus_chart_fields_must_be_json_typed():
@@ -279,7 +391,7 @@ def test_torus_chart_fields_must_be_json_typed():
     # load it as the vertical jet x = 5
     good = jet_to_json(Jet.torus(TorusPoint.affine(5, 5), 2,
                                  Series(scal(5), 2, [5, 0])))
-    assert jet_from_json(good).transposed is False
+    assert jet_from_json(good).var == "x"
     for tag in (0.5, "0", False, None):
         bad = dict(good, chart=dict(good["chart"], x=tag))
         with pytest.raises(PreconditionFailed, match="chart tags"):
