@@ -60,8 +60,6 @@ formula.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-
 from .errors import (DegreeMismatch, IdentityFails, MixedSurfaces,
                      NotCurvilinear, PreconditionFailed, RootInForbiddenRegion,
                      ensure)
@@ -73,6 +71,7 @@ from .surfaces import (SPHERE, SPHERE_CHARTS, TORUS, Jet, SphereParam,
                        SpherePoint, TorusParam, TorusPoint, jet_from_sphere_param,
                        jet_from_torus_param, jet_parametrize, json_list,
                        param_point, point_jet, scalars_from_json)
+from .values import Value
 
 # highest twist degree a word file may hold; a load Sturm-checks up to it
 MAX_TWIST_DEGREE = 64
@@ -82,8 +81,7 @@ MAX_TWIST_DEGREE = 64
 # generators
 
 
-@dataclass(frozen=True, eq=True)
-class TorusTwist:
+class TorusTwist(Value, frozen=True):
     """Translation of ``axis`` by p/q, a function of the other coordinate.
 
     ``route`` is one of ROUTES.  torus-twist-square: q - 1 = m^2 for an
@@ -92,13 +90,15 @@ class TorusTwist:
     (exactalg's poly_sqrt).  torus-twist: a Sturm count of q on the real
     line, and deg p = deg q.
     """
-    axis: str            # coordinate being translated, "x" or "y"
-    p: Poly
-    q: Poly
-    route: str = field(kw_only=True)
-
+    __slots__ = ("axis", "p", "q", "route")
     surface = TORUS
     ROUTES = ("torus-twist-square", "torus-twist")
+
+    def __init__(self, axis: str, p: Poly, q: Poly, *, route: str):
+        object.__setattr__(self, "axis", axis)    # coordinate being translated, "x" or "y"
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "route", route)
 
     @staticmethod
     def of(axis: str, p, q) -> TorusTwist:
@@ -130,23 +130,24 @@ class TorusTwist:
         return TorusTwist(axis, p, q, route="torus-twist-square")
 
     def inverse(self) -> TorusTwist:
-        return replace(self, p=-self.p)
+        return self.replace(p=-self.p)
 
     def __str__(self):
         o = "y" if self.axis == "x" else "x"
         return f"{self.axis} -> {self.axis} + ({self.p.str_in(o)})/({self.q.str_in(o)})"
 
 
-@dataclass(frozen=True, eq=True)
-class TorusMoebius:
+class TorusMoebius(Value, frozen=True):
     """A fractional-linear map on each factor; its one route, moebius, is
     that both matrices are nonsingular."""
-    mx: tuple[tuple[Scalar, Scalar], tuple[Scalar, Scalar]]
-    my: tuple[tuple[Scalar, Scalar], tuple[Scalar, Scalar]]
-    route: str = field(kw_only=True)
-
+    __slots__ = ("mx", "my", "route")
     surface = TORUS
     ROUTES = ("moebius",)
+
+    def __init__(self, mx: tuple, my: tuple, *, route: str):   # 2x2 Scalar matrices
+        object.__setattr__(self, "mx", mx)
+        object.__setattr__(self, "my", my)
+        object.__setattr__(self, "route", route)
 
     @staticmethod
     def of(mx, my) -> TorusMoebius:
@@ -163,15 +164,14 @@ class TorusMoebius:
 
     def inverse(self) -> TorusMoebius:
         adj = lambda m: ((m[1][1], -m[0][1]), (-m[1][0], m[0][0]))
-        return replace(self, mx=adj(self.mx), my=adj(self.my))
+        return self.replace(mx=adj(self.mx), my=adj(self.my))
 
     def __str__(self):
         f = lambda m: f"(({m[0][0]}, {m[0][1]}), ({m[1][0]}, {m[1][1]}))"
         return f"moebius x: {f(self.mx)}, y: {f(self.my)}"
 
 
-@dataclass(frozen=True, eq=True)
-class SphereTwist:
+class SphereTwist(Value, frozen=True):
     """Rotation whose tangent half-angle is n/d, a function of ``fixed``.
 
     n/d is in lowest terms with d monic; the half turn is n = 1, d = 0.
@@ -180,13 +180,15 @@ class SphereTwist:
     times d^2 + n^2, which has no real root.  sphere-twist: a Sturm count
     of r on [-1, 1], then the same identity.
     """
-    fixed: str           # invariant coordinate carrying the angle, "x", "y" or "z"
-    n: Poly
-    d: Poly
-    route: str = field(kw_only=True)
-
+    __slots__ = ("fixed", "n", "d", "route")
     surface = SPHERE
     ROUTES = ("sphere-twist-square", "sphere-twist")
+
+    def __init__(self, fixed: str, n: Poly, d: Poly, *, route: str):
+        object.__setattr__(self, "fixed", fixed)  # invariant coordinate carrying the angle
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "route", route)
 
     @staticmethod
     def of(fixed: str, p, q, r) -> SphereTwist:
@@ -233,14 +235,17 @@ class SphereTwist:
         return SphereTwist(fixed, a, Poly.const(1), route="sphere-twist-square")
 
     def triple(self) -> tuple[Poly, Poly, Poly]:
-        """(p, q, r) = (d^2 - n^2, 2nd, d^2 + n^2)."""
-        nn, dd, nd = self.n * self.n, self.d * self.d, self.n * self.d
+        """(p, q, r) = (d^2 - n^2, 2nd, d^2 + n^2): one product for d = 1."""
+        n, d, nn = self.n, self.d, self.n * self.n
+        if d.degree == 0 and d[0] == ONE:
+            return 1 - nn, n + n, nn + 1
+        dd, nd = d * d, n * d
         return dd - nn, nd + nd, dd + nn
 
     def inverse(self) -> SphereTwist:
         if self.d.is_zero():
             return self          # the half turn, kept as n = 1
-        return replace(self, n=-self.n)
+        return self.replace(n=-self.n)
 
     def __str__(self):
         v = self.fixed
@@ -264,19 +269,19 @@ def _as_poly(p) -> Poly:
 Generator = TorusTwist | TorusMoebius | SphereTwist
 
 
-@dataclass(frozen=True, eq=True)
-class AutWord:
+class AutWord(Value, frozen=True):
     """Generators applied left-to-right; one surface, each generator
     carrying a proof route of its kind."""
-    surface: str
-    generators: tuple[Generator, ...]
+    __slots__ = ("surface", "generators")
 
-    def __post_init__(self):
-        for g in self.generators:
-            if g.surface != self.surface:
+    def __init__(self, surface: str, generators: tuple[Generator, ...]):
+        for g in generators:
+            if g.surface != surface:
                 raise MixedSurfaces("word mixes torus and sphere generators")
             if not (isinstance(g.route, str) and g.route in g.ROUTES):
                 raise PreconditionFailed(f"no {type(g).__name__} route {g.route!r}")
+        object.__setattr__(self, "surface", surface)
+        object.__setattr__(self, "generators", generators)
 
     def __len__(self):
         return len(self.generators)
@@ -437,7 +442,7 @@ def _push_sphere(w: AutWord, par: SphereParam) -> SphereParam:
             # (p, q, r) = (d^2, 0, d^2), d(t) a unit (n, d coprime): identity
             continue
         u, v = _rotate(g, t, nv, u, v)
-        par = replace(par, **{names[1]: u, names[2]: v})
+        par = par.replace(**{names[1]: u, names[2]: v})
     return par
 
 

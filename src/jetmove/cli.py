@@ -27,9 +27,6 @@ import json
 import sys
 
 from .automorphisms import apply_jet, word_concat, word_from_json, word_to_json
-from .dantesque import (HYPOTHESIS_NOT_MET, ISOMORPHIC, descriptor_from_json,
-                        descriptor_invariants, isomorphism_decide,
-                        singularity_name)
 from .errors import (InternalVerificationFailure, JetmoveError,
                      OutputTooLarge, RootInForbiddenRegion)
 from .surfaces import (SPHERE, TORUS, jet_from_json, jet_to_json,
@@ -157,21 +154,25 @@ def cmd_apply(args) -> int:
     return OK
 
 
-def _describe(d) -> str:
-    inv = descriptor_invariants(d)
-    kind = "orientable" if inv.orientable else "nonorientable"
-    sings = ", ".join(singularity_name(e) for e in inv.singularities) or "none"
-    return (f"euler {inv.euler}, resolution {kind} genus {inv.genus}, "
-            f"singularities {sings}")
-
-
 def cmd_classify(args) -> int:
+    # imported here, so that no other command loads descriptors at start-up
+    from .dantesque import (HYPOTHESIS_NOT_MET, ISOMORPHIC, descriptor_from_json,
+                            descriptor_invariants, isomorphism_decide,
+                            singularity_name)
+
+    def describe(d) -> str:
+        inv = descriptor_invariants(d)
+        kind = "orientable" if inv.orientable else "nonorientable"
+        sings = ", ".join(singularity_name(e) for e in inv.singularities) or "none"
+        return (f"euler {inv.euler}, resolution {kind} genus {inv.genus}, "
+                f"singularities {sings}")
+
     d1 = descriptor_from_json(_load(args.first))
     d2 = descriptor_from_json(_load(args.second))
     verdict = isomorphism_decide(d1, d2)
     print(verdict)
-    print(f"  {args.first}: {_describe(d1)}")
-    print(f"  {args.second}: {_describe(d2)}")
+    print(f"  {args.first}: {describe(d1)}")
+    print(f"  {args.second}: {describe(d2)}")
     if verdict == ISOMORPHIC:
         return OK
     if verdict == HYPOTHESIS_NOT_MET:

@@ -19,12 +19,11 @@ their singularities have pairwise distinct types.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import (CyclicReference, DuplicateCenter, PreconditionFailed,
                      ensure)
 from .surfaces import (SPHERE, TORUS, Jet, jet_from_json, jet_to_json,
                        jets_mutually_distant, standard_config)
+from .values import Value
 
 KLEIN = "klein"
 BASES = (SPHERE, TORUS, KLEIN)
@@ -39,25 +38,22 @@ HYPOTHESIS_NOT_MET = "hypothesis-not-met"
 _EULER_OF_BASE = {SPHERE: 2, TORUS: 0, KLEIN: 0}
 
 
-@dataclass(frozen=True)
-class BlowupRecord:
+class BlowupRecord(Value, frozen=True):
     """One weighted blow-up: where it is centered and its weight."""
 
-    parent: str | int
-    order: int
-    center: Jet | None = None
+    __slots__ = ("parent", "order", "center")
 
-    def __post_init__(self):
-        if not (self.parent == BASE or isinstance(self.parent, int)):
+    def __init__(self, parent: str | int, order: int, center: Jet | None = None):
+        if isinstance(parent, bool) or not (parent == BASE or isinstance(parent, int)):
             raise PreconditionFailed("parent must be 'base' or a record index")
-        if isinstance(self.parent, bool):
-            raise PreconditionFailed("parent must be 'base' or a record index")
-        if type(self.order) is not int or self.order < 1:
+        if type(order) is not int or order < 1:
             raise PreconditionFailed("blow-up order must be an integer >= 1")
+        object.__setattr__(self, "parent", parent)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "center", center)
 
 
-@dataclass(frozen=True)
-class SurfaceDescriptor:
+class SurfaceDescriptor(Value, frozen=True):
     """Base surface plus the ordered list of blow-up records.
 
     Building one checks it, in this order: the base is known, every
@@ -66,27 +62,27 @@ class SurfaceDescriptor:
     share a center point (DuplicateCenter).
     """
 
-    base: str
-    records: tuple[BlowupRecord, ...] = ()
+    __slots__ = ("base", "records")
 
-    def __post_init__(self):
-        if self.base not in BASES:
-            raise PreconditionFailed(f"unknown base surface {self.base!r}")
-        object.__setattr__(self, "records", tuple(self.records))
-        for rec in self.records:
-            if rec.center is not None and rec.center.surface != self.base:
+    def __init__(self, base: str, records: tuple[BlowupRecord, ...] = ()):
+        if base not in BASES:
+            raise PreconditionFailed(f"unknown base surface {base!r}")
+        records = tuple(records)
+        for rec in records:
+            if rec.center is not None and rec.center.surface != base:
                 raise PreconditionFailed("record center lives on a different surface")
-        for i, rec in enumerate(self.records):
+        for i, rec in enumerate(records):
             if rec.parent != BASE and not 0 <= rec.parent < i:
                 raise CyclicReference(
                     f"record {i} refers to {rec.parent}, not an earlier record")
-        if not jets_mutually_distant(rec.center for rec in self.records
+        if not jets_mutually_distant(rec.center for rec in records
                                      if rec.parent == BASE and rec.center is not None):
             raise DuplicateCenter("two base records share a center point")
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "records", records)
 
 
-@dataclass(frozen=True)
-class HomeoInvariants:
+class HomeoInvariants(Value, frozen=True):
     """Exactly the data that determines the homeomorphism type.
 
     ``genus`` is the orientable genus of the minimal resolution when
@@ -95,10 +91,13 @@ class HomeoInvariants:
     largest first; the cone of order e has type A(e-1)-minus.
     """
 
-    euler: int
-    orientable: bool
-    genus: int
-    singularities: tuple[int, ...]
+    __slots__ = ("euler", "orientable", "genus", "singularities")
+
+    def __init__(self, euler: int, orientable: bool, genus: int, singularities: tuple):
+        object.__setattr__(self, "euler", euler)
+        object.__setattr__(self, "orientable", orientable)
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "singularities", singularities)
 
 
 def singularity_name(order: int) -> str:

@@ -26,13 +26,12 @@ and one read-back turns it into a jet on either surface.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import (MixedSurfaces, NotCurvilinear, NotOnEquator,
                      PreconditionFailed)
 from .exactalg import (ONE, ZERO, Poly, Scalar, Series, hensel_sqrt,
                        parse_scalar, poly_to_series, repeats, scal,
                        scalar_to_json)
+from .values import Value
 
 TORUS = "torus"
 SPHERE = "sphere"
@@ -57,8 +56,7 @@ class ProjPoint:
     def __init__(self, u, v):
         u, v = scal(u), scal(v)
         if not v.is_zero():
-            # a finite coordinate in a jet file is [u, "1"]: no division
-            self.u, self.v = u if v == ONE else u / v, ONE
+            self.u, self.v = u / v, ONE
         elif not u.is_zero():
             self.u, self.v = ONE, ZERO
         else:
@@ -113,10 +111,12 @@ class ProjPoint:
         return f"ProjPoint({self})"
 
 
-@dataclass(frozen=True, eq=True)
-class TorusPoint:
-    x: ProjPoint
-    y: ProjPoint
+class TorusPoint(Value, frozen=True):
+    __slots__ = ("x", "y")
+
+    def __init__(self, x: ProjPoint, y: ProjPoint):
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
 
     @staticmethod
     def affine(x, y) -> TorusPoint:
@@ -126,15 +126,15 @@ class TorusPoint:
         return f"({self.x}, {self.y})"
 
 
-@dataclass(frozen=True, eq=True)
-class SpherePoint:
-    x: Scalar
-    y: Scalar
-    z: Scalar
+class SpherePoint(Value, frozen=True):
+    __slots__ = ("x", "y", "z")
 
-    def __post_init__(self):
-        if not (self.x * self.x + self.y * self.y + self.z * self.z == ONE):
+    def __init__(self, x: Scalar, y: Scalar, z: Scalar):
+        if not (x * x + y * y + z * z == ONE):
             raise PreconditionFailed("point is not on the unit sphere")
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "z", z)
 
     @staticmethod
     def of(x, y, z) -> SpherePoint:
@@ -169,18 +169,18 @@ def equator_point(t) -> SpherePoint:
 # jets
 
 
+# coordinate_order of each var, which the transport also reads
+TORUS_CHARTS = {"x": "xy", "y": "yx"}
+SPHERE_CHARTS = {"x": "xyz", "y": "yzx", "z": "zxy"}
+
+
 def coordinate_order(surface: str, var) -> str:
     """The surface's coordinates, "xy" or "xyz", rotated to start at
     ``var``; a coordinate the surface lacks is refused."""
-    names = "xy" if surface == TORUS else "xyz"
-    for i, name in enumerate(names):
-        if var == name:
-            return names[i:] + names[:i]
-    raise PreconditionFailed(f"{surface} chart must be one of {', '.join(names)}")
-
-
-# coordinate_order of each sphere var, which the transport also reads
-SPHERE_CHARTS = {v: coordinate_order(SPHERE, v) for v in "xyz"}
+    charts = TORUS_CHARTS if surface == TORUS else SPHERE_CHARTS
+    if isinstance(var, str) and var in charts:
+        return charts[var]
+    raise PreconditionFailed(f"{surface} chart must be one of {', '.join(charts)}")
 
 
 def _in_xyz_order(items: tuple, var: str) -> tuple:
@@ -196,8 +196,7 @@ def _local(point: TorusPoint | SpherePoint, name: str) -> Scalar:
     return c.local if isinstance(c, ProjPoint) else c
 
 
-@dataclass(frozen=True, eq=True)
-class Jet:
+class Jet(Value, frozen=True):
     """A curvilinear jet in canonical graph form; see the module docstring.
 
     ``var`` is the coordinate the jet is a graph over, and ``graphs`` the
@@ -206,9 +205,12 @@ class Jet:
     the graphs.  Use the torus()/sphere() builders, which check the shape.
     """
 
-    center: TorusPoint | SpherePoint
-    var: str
-    graphs: tuple[Series, ...]
+    __slots__ = ("center", "var", "graphs")
+
+    def __init__(self, center: TorusPoint | SpherePoint, var: str, graphs: tuple):
+        object.__setattr__(self, "center", center)
+        object.__setattr__(self, "var", var)
+        object.__setattr__(self, "graphs", graphs)
 
     @property
     def surface(self) -> str:
@@ -264,22 +266,26 @@ def _checked(j: Jet, order: int) -> Jet:
 # parametrizations (internal exchange format for the automorphism layer)
 
 
-@dataclass
-class TorusParam:
+class TorusParam(Value):
     """Coordinates along the jet as (chart, local series in t) pairs; an
     order-1 form may hold their values, as a point's form does.
 
     Charts follow ProjPoint: chart 1 only at infinity, local value 0.
     """
-    x: tuple[int, Series | Scalar]
-    y: tuple[int, Series | Scalar]
+    __slots__ = ("x", "y")
+
+    def __init__(self, x: tuple[int, Series | Scalar], y: tuple[int, Series | Scalar]):
+        self.x = x
+        self.y = y
 
 
-@dataclass
-class SphereParam:
-    x: Series | Scalar
-    y: Series | Scalar
-    z: Series | Scalar
+class SphereParam(Value):
+    __slots__ = ("x", "y", "z")
+
+    def __init__(self, x: Series | Scalar, y: Series | Scalar, z: Series | Scalar):
+        self.x = x
+        self.y = y
+        self.z = z
 
 
 def _recenter_zero(s: Series) -> Series:
@@ -420,9 +426,11 @@ def jets_mutually_distant(jets) -> bool:
 # standard configurations
 
 
-@dataclass(frozen=True)
-class StandardConfig:
-    jets: tuple[Jet, ...]
+class StandardConfig(Value, frozen=True):
+    __slots__ = ("jets",)
+
+    def __init__(self, jets: tuple[Jet, ...]):
+        object.__setattr__(self, "jets", jets)
 
 
 def torus_standard_center(i: int) -> TorusPoint:
@@ -489,10 +497,17 @@ def point_to_json(p: TorusPoint | SpherePoint):
     return [scalar_to_json(c) for c in p.coords()]
 
 
+def _pp_from_json(c) -> ProjPoint:
+    """A torus center coordinate [u, v]; the finite form a file holds,
+    [value, "1"], is read with no parse of the 1."""
+    if type(c) is list and len(c) == 2 and c[1] == "1":
+        return ProjPoint.affine(parse_scalar(c[0]))
+    return ProjPoint(*scalars_from_json(c, "torus coordinate", 2))
+
+
 def point_from_json(surface: str, data):
     if surface == TORUS:
-        return TorusPoint(*(ProjPoint(*scalars_from_json(c, "torus coordinate", 2))
-                            for c in json_list(data, "torus center", 2)))
+        return TorusPoint(*map(_pp_from_json, json_list(data, "torus center", 2)))
     return SpherePoint(*scalars_from_json(data, "sphere center", 3))
 
 

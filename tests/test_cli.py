@@ -702,3 +702,22 @@ def test_module_entry_point(tmp_path):
                            "classify", a, b],
                           capture_output=True, text=True)
     assert proc.returncode == NEGATIVE
+
+
+# modules a fresh `import jetmove.cli` must not load, as start-up is most of
+# a CLI call: dataclasses brings in inspect and ast, which the package has
+# no other use for, and only classify needs dantesque, which it imports
+# when it runs
+_START_UP_FREE = ("dataclasses", "inspect", "ast", "jetmove.dantesque")
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_cli_import_loads_neither_dataclasses_nor_dantesque(flags):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(jetmove.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    probe = ("import sys, jetmove.cli; "
+             f"print(sorted(set({_START_UP_FREE!r}) & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, *flags, "-c", probe],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -31,11 +31,8 @@ def test_no_assert_statements():
     assert not found, f"assert statements in {', '.join(found)}"
 
 
-def test_runtime_imports_only_the_standard_library():
-    # the package runs on a bare interpreter: it imports itself and the
-    # standard library, nothing that needs installing
-    allowed = {"jetmove", *sys.stdlib_module_names}
-    found = []
+def _absolute_imports():
+    """(file:line, top-level name) for every absolute import of the package."""
     for where, node in _package_nodes():
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
@@ -43,9 +40,23 @@ def test_runtime_imports_only_the_standard_library():
             names = [node.module]
         else:
             continue
-        found += [f"{where} {name}" for name in names
-                  if name.split(".")[0] not in allowed]
+        yield from ((where, name.split(".")[0]) for name in names)
+
+
+def test_runtime_imports_only_the_standard_library():
+    # the package runs on a bare interpreter: it imports itself and the
+    # standard library, nothing that needs installing
+    allowed = {"jetmove", *sys.stdlib_module_names}
+    found = [f"{where} {name}" for where, name in _absolute_imports()
+             if name not in allowed]
     assert not found, f"imports outside the standard library: {found}"
+
+
+def test_no_module_imports_dataclasses():
+    # importing dataclasses loads inspect, ast and tokenize into every CLI
+    # call; the record classes build on jetmove.values instead
+    found = [where for where, name in _absolute_imports() if name == "dataclasses"]
+    assert not found, f"dataclasses imported in {', '.join(found)}"
 
 
 def _resolves(module: str, path: str) -> bool:
