@@ -69,7 +69,7 @@ from .exactalg import (ONE, ZERO, Poly, Scalar, Series, SturmChain,
                        scalar_to_json)
 from .surfaces import (SPHERE, SPHERE_CHARTS, TORUS, Jet, SphereParam,
                        SpherePoint, TorusParam, TorusPoint, jet_from_sphere_param,
-                       jet_from_torus_param, jet_parametrize, json_list,
+                       jet_from_torus_param, jet_parametrize, json_field, json_list,
                        param_point, point_jet, scalars_from_json)
 from .values import Value
 
@@ -522,10 +522,6 @@ def jacobian_at(w: AutWord, pt: TorusPoint | SpherePoint):
 # serialization
 
 
-def _poly_from_json(arr) -> Poly:
-    return poly_from_json(json_list(arr, "polynomial"))
-
-
 def generator_to_json(g: Generator) -> dict:
     """The generator's data keys only; a load re-proves it from them."""
     if isinstance(g, TorusTwist):
@@ -541,19 +537,22 @@ def generator_to_json(g: Generator) -> dict:
 
 def generator_from_json(surface: str, d: dict) -> Generator:
     """Rebuild and re-certify; keys other than the data are ignored."""
-    if d["type"] not in ("twist", "moebius"):
-        raise PreconditionFailed(f"unknown generator type {d['type']!r}")
-    if d["type"] == "moebius":
-        rows = lambda m: [scalars_from_json(row, "moebius row") for row in m]
-        return TorusMoebius.of(rows(d["mx"]), rows(d["my"]))
-    arrs = [d[k] for k in ("pq" if surface == TORUS else "pqr")]
+    kind = json_field(d, "type", "generator")
+    if kind not in ("twist", "moebius"):
+        raise PreconditionFailed(f"unknown generator type {kind!r}")
+    if kind == "moebius":
+        rows = lambda k: [scalars_from_json(row, "moebius row") for row in
+                          json_list(json_field(d, k, "generator"), "moebius matrix")]
+        return TorusMoebius.of(rows("mx"), rows("my"))
+    arrs = [json_list(json_field(d, k, "generator"), "polynomial")
+            for k in ("pq" if surface == TORUS else "pqr")]
     # bounded by list length, before any scalar is parsed
-    if any(type(a) is list and len(a) > MAX_TWIST_DEGREE + 1 for a in arrs):
+    if any(len(a) > MAX_TWIST_DEGREE + 1 for a in arrs):
         raise PreconditionFailed(
             f"a twist polynomial may have degree at most {MAX_TWIST_DEGREE}")
     if surface == TORUS:
-        return TorusTwist.of(d["axis"], *map(_poly_from_json, arrs))
-    return SphereTwist.of(d["fixed"], *map(_poly_from_json, arrs))
+        return TorusTwist.of(json_field(d, "axis", "generator"), *map(poly_from_json, arrs))
+    return SphereTwist.of(json_field(d, "fixed", "generator"), *map(poly_from_json, arrs))
 
 
 def word_to_json(w: AutWord) -> dict:
@@ -562,8 +561,8 @@ def word_to_json(w: AutWord) -> dict:
 
 
 def word_from_json(d: dict) -> AutWord:
-    surface = d["surface"]
+    surface = json_field(d, "surface", "word")
     if surface not in (TORUS, SPHERE):
         raise MixedSurfaces(f"unknown surface {surface!r}")
-    return AutWord(surface,
-                   tuple(generator_from_json(surface, g) for g in d["generators"]))
+    gens = json_list(json_field(d, "generators", "word"), "generators")
+    return AutWord(surface, tuple(generator_from_json(surface, g) for g in gens))

@@ -11,12 +11,14 @@ With ``from`` and ``to`` keys in place of ``jets`` the job asks for a
 word moving one configuration to the other while fixing the pinned jets.
 
 Exit codes: 0 success / positive verdict, 1 negative verdict, 2 invalid
-input (parse, validation, or certification failure), 3 internal
-verification failure or any other unexpected error, 4 question outside
-the decidable scope, 5 output too large: a result holding a number of
-more than MAX_SCALAR_DIGITS (4000) digits, which no file may hold since
-the readers refuse it, is not written.  main() alone maps exceptions to
-codes 2, 3 and 5.
+input (a JetmoveError: file text or JSON shape that cannot be read,
+reported as "cannot read ...", or a validation or certification
+failure), 3 internal verification failure or any built-in exception,
+which is a bug, 4 question outside the decidable scope, 5 output too
+large: a result holding a number of more than MAX_SCALAR_DIGITS (4000)
+digits, which no file may hold since the readers refuse it, is not
+written.  main() alone maps exceptions to codes 2, 3 and 5, by their
+type alone.
 """
 
 from __future__ import annotations
@@ -27,10 +29,10 @@ import json
 import sys
 
 from .automorphisms import apply_jet, word_concat, word_from_json, word_to_json
-from .errors import (InternalVerificationFailure, JetmoveError,
+from .errors import (InternalVerificationFailure, InvalidInput, JetmoveError,
                      OutputTooLarge, RootInForbiddenRegion)
-from .surfaces import (SPHERE, TORUS, jet_from_json, jet_to_json,
-                       standard_config)
+from .surfaces import (SPHERE, TORUS, jet_from_json, jet_to_json, json_field,
+                       json_list, standard_config)
 from .transitivity import first_miss, synth_pair, synth_sphere, synth_torus
 
 OK = 0
@@ -40,28 +42,22 @@ INTERNAL = 3
 OUT_OF_SCOPE = 4
 TOO_LARGE = 5
 
-_PARSE_ERRORS = (OSError, json.JSONDecodeError, KeyError, TypeError,
-                 ValueError, IndexError)
-
-
-def _interval(w) -> str:
-    if isinstance(w, tuple) and len(w) == 2:
-        return f"({w[0]}, {w[1]})"
-    return str(w)
-
-
 class _WriteFailed(Exception):
     """Writing an output file failed; main() reports the path, exit 2."""
 
 
 def _load(path: str):
-    """The JSON document in ``path``; nesting too deep for the parser
-    is invalid input, reported as a ValueError."""
-    with open(path) as fh:
-        try:
+    """The JSON document in ``path``.  A file that cannot be opened or
+    decoded, text that is not JSON (a JSONDecodeError, or json's plain
+    ValueError for an integer past int()'s digit cap) and nesting too
+    deep for the parser are all InvalidInput."""
+    try:
+        with open(path) as fh:
             return json.load(fh)
-        except RecursionError:
-            raise ValueError(f"{path}: JSON nested too deeply") from None
+    except RecursionError:
+        raise InvalidInput(f"{path}: JSON nested too deeply") from None
+    except (OSError, ValueError) as e:
+        raise InvalidInput(str(e)) from None
 
 
 def _write_word(path: str, word) -> None:
@@ -74,19 +70,17 @@ def _write_word(path: str, word) -> None:
         raise _WriteFailed(f"cannot write {path}: {e.strerror or e}") from e
 
 
-def _job_jets(job: dict, key: str) -> list:
-    if job["surface"] not in (TORUS, SPHERE):
-        raise JetmoveError(f"unknown job surface {job['surface']!r}")
-    jets = [jet_from_json(d) for d in job[key]]
-    for j in jets:
-        if j.surface != job["surface"]:
-            raise JetmoveError(f"{key} jet surface differs from job surface")
-    return jets
-
-
-def _job_config(job: dict, key: str = "jets") -> list:
-    jets = _job_jets(job, key)
-    if "partition" in job and list(job["partition"]) != [j.order for j in jets]:
+def _job_jets(job, key: str) -> list:
+    """The jets under ``key``, on the job's surface and, unless they are
+    the pinned ones, in the job's partition when it names one."""
+    surface = json_field(job, "surface", "job")
+    if surface not in (TORUS, SPHERE):
+        raise JetmoveError(f"unknown job surface {surface!r}")
+    jets = [jet_from_json(d) for d in json_list(json_field(job, key, "job"), key)]
+    if any(j.surface != surface for j in jets):
+        raise JetmoveError(f"{key} jet surface differs from job surface")
+    if key != "pinned" and "partition" in job and \
+            json_list(job["partition"], "partition") != [j.order for j in jets]:
         raise JetmoveError(f"partition does not match the {key} jet orders")
     return jets
 
@@ -110,20 +104,15 @@ def cmd_synth(args) -> int:
     """Synthesize and write a word, which synthesis has checked, and print
     each generator as ``<route>: <formula>``."""
     job = _load(args.job)
-    if "from" in job and "to" in job:
-        sources = _job_config(job, "from")
-        targets = _job_config(job, "to")
-        pinned = _job_jets(job, "pinned") if "pinned" in job else []
+    pair = type(job) is dict and "from" in job and "to" in job
+    targets = _job_jets(job, "to" if pair else "jets")
+    pinned = _job_jets(job, "pinned") if "pinned" in job else None
+    if pair or pinned is not None:
+        sources = _job_jets(job, "from") if pair else \
+            standard_config(job["surface"], [j.order for j in targets]).jets
         word = synth_pair(sources, targets, pinned)
     else:
-        targets = _job_config(job)
-        if "pinned" in job:
-            sources = standard_config(job["surface"],
-                                      [j.order for j in targets]).jets
-            word = synth_pair(sources, targets, _job_jets(job, "pinned"))
-        else:
-            word = synth_torus(targets) if job["surface"] == "torus" \
-                else synth_sphere(targets)
+        word = (synth_torus if job["surface"] == TORUS else synth_sphere)(targets)
     _write_word(args.out, word)
     for g in word.generators:
         print(f"{g.route}: {g}")
@@ -133,8 +122,8 @@ def cmd_synth(args) -> int:
 
 def cmd_verify(args) -> int:
     word = word_from_json(_load(args.word))
-    from_jets = _job_config(_load(args.from_job))
-    to_jets = _job_config(_load(args.to_job))
+    from_jets = _job_jets(_load(args.from_job), "jets")
+    to_jets = _job_jets(_load(args.to_job), "jets")
     if len(from_jets) != len(to_jets):
         raise JetmoveError("from and to configurations differ in length")
     miss = first_miss(word, from_jets, to_jets)
@@ -230,16 +219,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one command; the only place exceptions become exit codes.
 
-    ``what`` names the command's input in the messages.  An error of the
-    program itself exits 3 with one line on stderr, never 1, which is
-    reserved for a negative verdict.
+    ``what`` names the command's input in the messages.  The code follows
+    from the exception's type alone; any built-in exception is an error
+    of the program itself and exits 3 with one line on stderr, never 1,
+    which is reserved for a negative verdict.
     """
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except RootInForbiddenRegion as e:
-        print(f"certification failed: {e} (witness {_interval(e.witness)})",
-              file=sys.stderr)
+        lo, hi = e.witness
+        print(f"certification failed: {e} (witness ({lo}, {hi}))", file=sys.stderr)
         return INVALID
     except _WriteFailed as e:
         print(e, file=sys.stderr)
@@ -250,11 +240,11 @@ def main(argv=None) -> int:
     except InternalVerificationFailure as e:
         print(f"internal verification failure: {e}", file=sys.stderr)
         return INTERNAL
+    except (InvalidInput, OSError) as e:
+        print(f"cannot read {args.what}: {e}", file=sys.stderr)
+        return INVALID
     except JetmoveError as e:
         print(f"invalid {args.what}: {e}", file=sys.stderr)
-        return INVALID
-    except _PARSE_ERRORS as e:
-        print(f"cannot read {args.what}: {e}", file=sys.stderr)
         return INVALID
     except Exception as e:
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)

@@ -22,7 +22,7 @@ from __future__ import annotations
 from .errors import (CyclicReference, DuplicateCenter, PreconditionFailed,
                      ensure)
 from .surfaces import (SPHERE, TORUS, Jet, jet_from_json, jet_to_json,
-                       jets_mutually_distant, standard_config)
+                       jets_mutually_distant, json_field, json_list, standard_config)
 from .values import Value
 
 KLEIN = "klein"
@@ -187,7 +187,8 @@ def descriptor_to_json(d: SurfaceDescriptor) -> dict:
 
 def descriptor_from_json(data: dict) -> SurfaceDescriptor:
     recs = []
-    for item in data["records"]:
+    for item in json_list(json_field(data, "records", "descriptor"), "records"):
+        parent, order = (json_field(item, k, "blow-up record") for k in ("parent", "order"))
         center = jet_from_json(item["center"]) if "center" in item else None
-        recs.append(BlowupRecord(item["parent"], item["order"], center))
-    return SurfaceDescriptor(data["base"], tuple(recs))
+        recs.append(BlowupRecord(parent, order, center))
+    return SurfaceDescriptor(json_field(data, "base", "descriptor"), tuple(recs))

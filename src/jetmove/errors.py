@@ -1,12 +1,18 @@
 """Exception types raised by the exact-algebra layer and the geometry layers.
 
 Every failure that a caller can provoke with bad data gets its own class so
-command-line handling can map them to exit codes without string matching.
+command-line handling can map them to exit codes by type alone: file text
+or JSON shapes that cannot be read raise InvalidInput, data that reads but
+breaks a rule raises another class, and a built-in exception is a bug.
 """
 
 
 class JetmoveError(Exception):
     """Base class for all package-specific errors."""
+
+
+class InvalidInput(JetmoveError, ValueError):
+    """File text, JSON shape or scalar text that cannot be read."""
 
 
 class IncompatibleTowers(JetmoveError):

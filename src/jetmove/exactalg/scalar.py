@@ -29,7 +29,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 from typing import Union
 
-from ..errors import IncompatibleTowers, NegativeRadicand, OutputTooLarge
+from ..errors import IncompatibleTowers, InvalidInput, NegativeRadicand, OutputTooLarge
 
 RatLike = Union[int, str, Fraction, "Scalar"]
 
@@ -599,7 +599,7 @@ class _ScalarParser:
     and ``end`` are its span.  Square roots are built through
     scalar_sqrt_adjoin, so parsing a file reconstructs the same canonical
     towers the writer used.  Leading signs fold in a loop, and ``sqrt(``
-    nesting deeper than MAX_SQRT_NESTING is refused with ValueError, so
+    nesting deeper than MAX_SQRT_NESTING is refused with InvalidInput, so
     hostile text cannot exhaust the interpreter stack; so is a digit run
     longer than MAX_SCALAR_DIGITS, before int() sees it.
     """
@@ -612,7 +612,7 @@ class _ScalarParser:
     def error(self, msg, at=None):
         shown = self.text if len(self.text) <= 40 else self.text[:40] + "..."
         at = self.pos if at is None else at
-        raise ValueError(f"bad scalar {shown!r} at {at}: {msg}")
+        raise InvalidInput(f"bad scalar {shown!r} at {at}: {msg}")
 
     def take(self) -> str:
         """Consume the lookahead token, match the next one, and return the
@@ -698,7 +698,9 @@ def parse_scalar(text: str) -> Scalar:
     """The scalar a text names.  Plain rational text with a nonzero
     denominator is read by one regular expression; any other text,
     refused or not, goes to _ScalarParser, so it is accepted or refused
-    with the same message as there."""
+    with the same message as there; anything but a string is refused."""
+    if type(text) is not str:
+        raise InvalidInput("a scalar must be a JSON string")
     m = _PLAIN_RATIONAL.fullmatch(text)
     if m is not None:
         num, den = m.groups()

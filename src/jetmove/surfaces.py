@@ -26,8 +26,8 @@ and one read-back turns it into a jet on either surface.
 
 from __future__ import annotations
 
-from .errors import (MixedSurfaces, NotCurvilinear, NotOnEquator,
-                     PreconditionFailed)
+from .errors import (InvalidInput, MixedSurfaces, NotCurvilinear,
+                     NotOnEquator, PreconditionFailed)
 from .exactalg import (ONE, ZERO, Poly, Scalar, Series, hensel_sqrt,
                        parse_scalar, poly_to_series, repeats, scal,
                        scalar_to_json)
@@ -486,6 +486,15 @@ def json_list(arr, what: str, length: int | None = None) -> list:
     return arr
 
 
+def json_field(obj, key: str, what: str):
+    """``obj[key]`` once ``obj`` is a JSON object holding ``key``."""
+    if type(obj) is not dict:
+        raise InvalidInput(f"{what} must be a JSON object")
+    if key not in obj:
+        raise InvalidInput(f"{what} has no field {key!r}")
+    return obj[key]
+
+
 def scalars_from_json(arr, what: str, length: int | None = None) -> list[Scalar]:
     """The scalars of a JSON list, as json_list checks it."""
     return [parse_scalar(c) for c in json_list(arr, what, length)]
@@ -527,16 +536,15 @@ def jet_to_json(j: Jet) -> dict:
 
 
 def jet_from_json(d: dict) -> Jet:
-    surface = d["surface"]
-    order = d["order"]
+    surface, order = json_field(d, "surface", "jet"), json_field(d, "order", "jet")
     # bounded before any series of that length exists; bool is not an order
     if type(order) is not int or not 1 <= order <= MAX_JET_ORDER:
         raise PreconditionFailed(
             f"jet order must be an integer from 1 to {MAX_JET_ORDER}")
-    center = point_from_json(surface, d["center"])
+    center = point_from_json(surface, json_field(d, "center", "jet"))
     if surface == TORUS:
-        ch = d["chart"]
-        chart = (ch["x"], ch["y"])
+        ch = json_field(d, "chart", "jet")
+        chart = (json_field(ch, "x", "torus chart"), json_field(ch, "y", "torus chart"))
         transposed = ch.get("transposed", False)
         # JSON integers and a JSON bool only: int() and bool() would read
         # 0.5 as chart 0 and "false" as true
@@ -548,10 +556,12 @@ def jet_from_json(d: dict) -> Jet:
             raise PreconditionFailed("chart tags do not match the center")
         var, keys = ("y" if transposed else "x"), "f"
     elif surface == SPHERE:
-        var, keys = d["chart"], "gh"
+        var, keys = json_field(d, "chart", "jet"), "gh"
         coordinate_order(SPHERE, var)   # refuses a letter other than x, y, z
     else:
         raise MixedSurfaces(f"unknown surface {surface!r}")
     base = _local(center, var)
-    graphs = [scalars_from_json(d["graph"][k], f"graph {k}", order) for k in keys]
+    graph = json_field(d, "graph", "jet")
+    graphs = [scalars_from_json(json_field(graph, k, "jet graph"), f"graph {k}", order)
+              for k in keys]
     return _checked(Jet(center, var, tuple([Series(base, order, g) for g in graphs])), order)

@@ -14,7 +14,7 @@ from conftest import (PYPROJECT, noncanonical_sphere_jet_json,
                       parse_project_scripts, rand_sphere_jet, wrapper_source)
 import jetmove
 from jetmove.automorphisms import (MAX_TWIST_DEGREE, SphereTwist, apply_jet,
-                                   word_from_json)
+                                   word_from_json, word_to_json)
 from jetmove.cli import (INTERNAL, INVALID, NEGATIVE, OK, OUT_OF_SCOPE,
                          TOO_LARGE, main)
 from jetmove import cli
@@ -32,6 +32,7 @@ from jetmove.surfaces import (
     sphere_point_stereo,
     standard_config,
 )
+from jetmove.transitivity import synth_pair
 
 pytestmark = []
 
@@ -313,6 +314,82 @@ def test_crash_exits_internal_not_negative(tmp_path, capsys, torus_targets,
     err = capsys.readouterr().err
     assert err == "internal error: RuntimeError: boom\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("target, error", [
+    ("synth_torus", TypeError("cannot coerce Series to Scalar")),
+    ("apply_jet", KeyError("graph")),
+])
+def test_builtin_error_exits_internal(tmp_path, capsys, torus_targets, monkeypatch,
+                                      target, error):
+    # a built-in exception is a bug wherever it is raised, not unreadable
+    # input: each of these used to print "cannot read" and exit 2
+    def crash(*args):
+        raise error
+
+    monkeypatch.setattr(cli, target, crash)
+    out = tmp_path / "w.json"
+    jet = write(tmp_path / "jet.json", jet_to_json(standard_config(TORUS, [1]).jets[0]))
+    argv = (["synth", "--job", job_file(tmp_path, "job.json", TORUS, torus_targets),
+             "--out", str(out)] if target == "synth_torus"
+            else ["apply", "--word", identity_word(tmp_path, TORUS), "--jet", jet])
+    assert main(argv) == INTERNAL
+    assert capsys.readouterr().err == f"internal error: {type(error).__name__}: {error}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", [
+    # json refuses an integer literal past int()'s digit cap with a plain
+    # ValueError, not a JSONDecodeError
+    b'{"surface": "torus", "order": ' + b"1" * 5000 + b"}",
+    # a UTF-16 byte-order mark is not UTF-8 text
+    b"\xff\xfe{}",
+], ids=["5000-digit-order", "utf-16-mark"])
+def test_unreadable_file_text_is_invalid_input(tmp_path, capsys, text):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(text)
+    out = tmp_path / "w.json"
+    assert main(["synth", "--job", str(bad), "--out", str(out)]) == INVALID
+    assert main(["apply", "--word", identity_word(tmp_path, TORUS), "--jet", str(bad)]) \
+        == INVALID
+    err = capsys.readouterr().err.splitlines()
+    assert [line.split(": ")[0] for line in err] == ["cannot read job", "cannot read input"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("job, message", [
+    ([], "job must be a JSON object"),
+    ({"surface": TORUS}, "job has no field 'jets'"),
+    ({"surface": TORUS, "jets": [7]}, "jet must be a JSON object"),
+    ({"surface": TORUS, "jets": [{"surface": TORUS, "order": 1}]}, "jet has no field 'center'"),
+])
+def test_job_of_wrong_shape_names_the_field(tmp_path, capsys, job, message):
+    jfile = write(tmp_path / "job.json", job)
+    assert main(["synth", "--job", jfile, "--out", str(tmp_path / "w.json")]) == INVALID
+    assert capsys.readouterr().err == f"cannot read job: {message}\n"
+
+
+@pytest.mark.parametrize("key, value", [("jets", {}), ("jets", "12"), ("partition", 2),
+                                        ("pinned", {})])
+def test_job_lists_must_be_lists(tmp_path, capsys, torus_targets, key, value):
+    # "jets": {} used to synthesize an empty word, exit 0
+    job = json.loads(Path(job_file(tmp_path, "job.json", TORUS, torus_targets)).read_text())
+    job[key] = value
+    jfile = write(tmp_path / "job.json", job)
+    out = tmp_path / "w.json"
+    assert main(["synth", "--job", jfile, "--out", str(out)]) == INVALID
+    assert capsys.readouterr().err == f"invalid job: {key} must be a JSON list\n"
+    assert not out.exists()
+
+
+def test_empty_pinned_list_synthesizes_a_pair_word(tmp_path, capsys, torus_targets):
+    # a pinned key, even an empty list, routes through synth_pair from the
+    # standard configuration
+    job = job_file(tmp_path, "job.json", TORUS, torus_targets, pinned=[])
+    out = tmp_path / "w.json"
+    assert main(["synth", "--job", job, "--out", str(out)]) == OK
+    want = synth_pair(standard_config(TORUS, [2, 1]).jets, torus_targets, [])
+    assert json.loads(out.read_text()) == word_to_json(want)
 
 
 @pytest.mark.parametrize("command", ["synth", "compose"])

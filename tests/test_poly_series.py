@@ -315,13 +315,13 @@ def test_two_fields_deep_towers_and_tower_centers_take_the_scalar_loop(a, b, c, 
 def test_quadratic_fast_paths_multiply_no_scalars(monkeypatch):
     # a loaded sphere twist as synthesis builds it: n = a CRT interpolant
     # with Q(sqrt r) values, d = 1, stored as (1 - n^2, 2n, 1 + n^2)
-    from jetmove.automorphisms import SphereTwist, _poly_from_json, generator_to_json
+    from jetmove.automorphisms import SphereTwist, generator_to_json
     from jetmove.transitivity import rotation_twist
     root = scalar_sqrt_adjoin(Fraction(618849, 2719201))
     tw = rotation_twist("y", [(Fraction(-2, 7), 2, [3 * root, 5 - root]),
                               (Fraction(5, 9), 1, Fraction(1, 4) + root)])
     stored = generator_to_json(tw)
-    p, q, r = (_poly_from_json(stored[k]) for k in "pqr")
+    p, q, r = (poly_from_json(stored[k]) for k in "pqr")
     f, g = Poly(_q([(1, 2), (Fraction(-3, 5), 0), (0, 7)], root)), Poly(_q([(4, -1)], root))
     c = scal(Fraction(-3, 4))
     want_prod, want_shift = p_mul(list(f.coeffs), list(g.coeffs)), p_taylor(list(f.coeffs), c, 5)

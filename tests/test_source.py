@@ -10,6 +10,7 @@ import sys
 from pathlib import Path
 
 import jetmove
+from jetmove import errors
 
 PACKAGE = Path(jetmove.__file__).resolve().parent
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -29,6 +30,36 @@ def test_no_assert_statements():
     found = [where for where, node in _package_nodes()
              if isinstance(node, ast.Assert)]
     assert not found, f"assert statements in {', '.join(found)}"
+
+
+def _caught(handler: ast.ExceptHandler) -> list[str]:
+    """The names of the classes an except clause catches."""
+    kinds = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+    return [ast.unparse(kind) for kind in kinds if kind is not None]
+
+
+def test_no_handler_catches_key_type_or_index_errors():
+    # those are bugs wherever they are raised: the readers check JSON
+    # shapes and raise the package's own classes, so nothing catches them
+    found = [f"{where} {name}" for where, node in _package_nodes()
+             if isinstance(node, ast.ExceptHandler)
+             for name in _caught(node) if name in ("KeyError", "TypeError", "IndexError")]
+    assert not found, f"handlers of built-in lookup or type errors: {found}"
+
+
+def test_main_maps_package_errors_and_oserror_only():
+    # the exit code follows from the exception's type alone: every
+    # built-in exception but OSError reaches the final handler, exit 3
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    main = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "main")
+    caught = [_caught(h) for node in ast.walk(main) if isinstance(node, ast.Try)
+              for h in node.handlers]
+    assert caught[-1] == ["Exception"]
+    package = {name for name, obj in vars(errors).items()
+               if isinstance(obj, type) and issubclass(obj, errors.JetmoveError)}
+    others = {name for names in caught[:-1] for name in names} - package
+    assert others <= {"_WriteFailed", "OSError"}, others
 
 
 def _absolute_imports():
