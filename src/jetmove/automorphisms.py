@@ -44,7 +44,20 @@ choice of formula tell a Scalar from a Series.  Torus coordinates travel as
 homogeneous pairs and normalize their result back at once.  A twist
 polynomial meets a series only through its Taylor shift to the series'
 value.  A twist step with a zero angle or translation is skipped, as it
-moves nothing.
+moves nothing, and so is a Moebius factor that is a multiple of the
+identity.
+
+A jet's transport (apply_jet, and so every check of a word) also keeps
+the carried form inside the jet's own field.  A parametrization can hold
+a larger field than its jet: a pair word's halves meet at a rational
+standard jet that is still carried in the first half's Q(sqrt r).  So
+before a twist step over a field other than the carried form's
+(exactalg's same_field), the step's angle or translation is tested for
+zero from its Taylor coefficients alone (_fixes); a step that moves the
+form has it read back as its canonical jet and carried again from that
+(_reread), and only then moves it.  Points carry their values, which
+need no such read, and jacobian_at reads the parametrization's own
+coefficients, so neither re-reads.
 
 Each twist step is one closed formula in plain Series, Poly or Scalar
 arithmetic; how a polynomial stores its coefficients is exactalg's
@@ -65,8 +78,8 @@ from .errors import (DegreeMismatch, IdentityFails, MixedSurfaces,
                      ensure)
 from .exactalg import (ONE, ZERO, Poly, Scalar, Series, SturmChain,
                        compose_centered, half_angle_rotation, poly_from_json,
-                       poly_gcd, poly_sqrt, poly_to_json, poly_to_series, scal,
-                       scalar_to_json)
+                       poly_gcd, poly_sqrt, poly_to_json, poly_to_series,
+                       same_field, scal, scalar_to_json)
 from .surfaces import (SPHERE, SPHERE_CHARTS, TORUS, Jet, SphereParam,
                        SpherePoint, TorusParam, TorusPoint, jet_from_sphere_param,
                        jet_from_torus_param, jet_parametrize, json_field, json_list,
@@ -351,9 +364,17 @@ def _eval(pol: Poly, s: Series | Scalar) -> Series | Scalar:
 
 def _hom_eval_series(pol: Poly, n: int, chart: int, loc: Series | Scalar):
     """Degree-n homogenization of pol at the pair (loc : 1) or (1 : loc)."""
-    if chart == 1:
-        pol = Poly([pol[n - k] for k in range(n + 1)])
-    return _eval(pol, loc)
+    return _eval(pol.reversed(n) if chart == 1 else pol, loc)
+
+
+def _fixes(pol: Poly, s: Series) -> bool:
+    """Whether pol(s) is zero, read off pol's Taylor coefficients c_k at
+    s(0) with no product formed: pol(s) is the sum of c_k (s - s(0))^k,
+    and a deviation of valuation v puts term k at valuation k v exactly,
+    so pol(s) is zero exactly when c_k is zero for every k with k v below
+    the order."""
+    dev = s.poly.valuation(1) or s.order
+    return pol.shifted(s.value(), -(-s.order // dev)).is_zero()
 
 
 def _normalize_pair(s0: Series | Scalar, s1: Series | Scalar) -> tuple:
@@ -376,10 +397,11 @@ def _moebius(m, f: tuple) -> tuple:
     """The (chart, local) pair f moved by the matrix m: the homogeneous
     pair (loc : 1) on chart 0, (1 : loc) on chart 1, times m, normalized."""
     chart, loc = f
-    one = ONE if isinstance(loc, Scalar) else Series.constant(1, loc.center, loc.order)
-    f0, f1 = (loc, one) if chart == 0 else (one, loc)
-    return _normalize_pair(f0 * m[0][0] + f1 * m[0][1],
-                           f0 * m[1][0] + f1 * m[1][1])
+    if m[0][1].is_zero() and m[1][0].is_zero() and m[0][0] == m[1][1]:
+        return f         # a multiple of the identity moves nothing
+    if chart == 0:
+        return _normalize_pair(loc * m[0][0] + m[0][1], loc * m[1][0] + m[1][1])
+    return _normalize_pair(loc * m[0][1] + m[0][0], loc * m[1][1] + m[1][0])
 
 
 def _translate(ph, qh, moved: tuple) -> tuple:
@@ -417,12 +439,18 @@ def _rotate(g: SphereTwist, t, nv, u, v) -> tuple:
     return _rotate_series(nv, _eval(g.d, t), u, v)
 
 
-def _push_torus(w: AutWord, par: TorusParam) -> TorusParam:
+def _push_torus(w: AutWord, par: TorusParam, reread: bool = False) -> TorusParam:
     x, y = par.x, par.y
     for g in w.generators:
         if isinstance(g, TorusTwist):
-            src, moved = (x, y) if g.axis == "y" else (y, x)
             n = g.q.degree
+            if reread and not same_field((g.p, g.q, x[1].poly, y[1].poly)):
+                chart, loc = x if g.axis == "y" else y
+                if _fixes(g.p.reversed(n) if chart == 1 else g.p, loc):
+                    continue
+                par = _reread(TorusParam(x, y))
+                x, y = par.x, par.y
+            src, moved = (x, y) if g.axis == "y" else (y, x)
             ph = _hom_eval_series(g.p, n, *src)
             if ph.is_zero():
                 continue         # a zero translation moves nothing
@@ -433,10 +461,15 @@ def _push_torus(w: AutWord, par: TorusParam) -> TorusParam:
     return TorusParam(x, y)
 
 
-def _push_sphere(w: AutWord, par: SphereParam) -> SphereParam:
+def _push_sphere(w: AutWord, par: SphereParam, reread: bool = False) -> SphereParam:
     for g in w.generators:
         names = SPHERE_CHARTS[g.fixed]
         t, u, v = (getattr(par, n) for n in names)
+        if reread and not same_field((g.n, g.d, t.poly, u.poly, v.poly)):
+            if _fixes(g.n, t):
+                continue
+            par = _reread(par)
+            t, u, v = (getattr(par, n) for n in names)
         nv = _eval(g.n, t)
         if nv.is_zero():
             # (p, q, r) = (d^2, 0, d^2), d(t) a unit (n, d coprime): identity
@@ -446,9 +479,19 @@ def _push_sphere(w: AutWord, par: SphereParam) -> SphereParam:
     return par
 
 
-def _push(w: AutWord, par):
-    """The carried form par moved by w: the shared transport."""
-    return (_push_torus if w.surface == TORUS else _push_sphere)(w, par)
+def _push(w: AutWord, par, reread: bool = False):
+    """The carried form par moved by w: the shared transport.  With
+    ``reread`` (series forms only), a form about to be moved by a twist
+    over another field is first read back as its canonical jet and
+    carried from that (_reread)."""
+    return (_push_torus if w.surface == TORUS else _push_sphere)(w, par, reread)
+
+
+def _reread(par):
+    """The series form par carried again from the canonical jet along it:
+    one parametrization of the same jet, inside the jet's own field."""
+    order = (par.x[1] if isinstance(par, TorusParam) else par.x).order
+    return jet_parametrize(_jet_of(par, order))
 
 
 def _point_form(pt: TorusPoint | SpherePoint):
@@ -489,7 +532,7 @@ def apply_jet(w: AutWord, j: Jet) -> Jet:
     """Transport the jet, returning it in canonical graph form."""
     if j.surface != w.surface:
         raise MixedSurfaces("word and jet live on different surfaces")
-    return _jet_of(_push(w, _carried(j)), j.order)
+    return _jet_of(_push(w, _carried(j), j.order > 1), j.order)
 
 
 # ---------------------------------------------------------------------------

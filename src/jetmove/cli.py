@@ -30,7 +30,7 @@ import sys
 
 from .automorphisms import apply_jet, word_concat, word_from_json, word_to_json
 from .errors import (InternalVerificationFailure, InvalidInput, JetmoveError,
-                     OutputTooLarge, RootInForbiddenRegion)
+                     OutputTooLarge, PreconditionFailed, RootInForbiddenRegion)
 from .surfaces import (SPHERE, TORUS, jet_from_json, jet_to_json, json_field,
                        json_list, standard_config)
 from .transitivity import first_miss, synth_pair, synth_sphere, synth_torus
@@ -48,16 +48,21 @@ class _WriteFailed(Exception):
 
 def _load(path: str):
     """The JSON document in ``path``.  A file that cannot be opened or
-    decoded, text that is not JSON (a JSONDecodeError, or json's plain
-    ValueError for an integer past int()'s digit cap) and nesting too
-    deep for the parser are all InvalidInput."""
+    decoded, text that is not JSON, an integer past int()'s digit cap
+    (json's plain ValueError) and nesting too deep for the parser are
+    all InvalidInput, each message naming the file."""
     try:
         with open(path) as fh:
             return json.load(fh)
     except RecursionError:
         raise InvalidInput(f"{path}: JSON nested too deeply") from None
-    except (OSError, ValueError) as e:
-        raise InvalidInput(str(e)) from None
+    except OSError as e:
+        raise InvalidInput(f"{path}: {e.strerror or e}") from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+        raise InvalidInput(f"{path}: {e}") from None
+    except ValueError:
+        raise InvalidInput(f"{path}: a JSON integer has more than "
+                           f"{sys.get_int_max_str_digits()} digits") from None
 
 
 def _write_word(path: str, word) -> None:
@@ -79,9 +84,13 @@ def _job_jets(job, key: str) -> list:
     jets = [jet_from_json(d) for d in json_list(json_field(job, key, "job"), key)]
     if any(j.surface != surface for j in jets):
         raise JetmoveError(f"{key} jet surface differs from job surface")
-    if key != "pinned" and "partition" in job and \
-            json_list(job["partition"], "partition") != [j.order for j in jets]:
-        raise JetmoveError(f"partition does not match the {key} jet orders")
+    if key != "pinned" and "partition" in job:
+        parts = json_list(job["partition"], "partition")
+        # JSON integers only, as for jet orders: true and 1.0 equal 1
+        if any(type(e) is not int for e in parts):
+            raise PreconditionFailed("partition entries must be JSON integers")
+        if parts != [j.order for j in jets]:
+            raise JetmoveError(f"partition does not match the {key} jet orders")
     return jets
 
 

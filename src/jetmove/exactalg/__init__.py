@@ -2,7 +2,7 @@
 
 from .crt import CrtBasis, crt_combine, crt_with_modulus
 from .poly import (Poly, half_angle_rotation, poly_from_json, poly_gcd,
-                   poly_to_json, square_free_part)
+                   poly_to_json, same_field, square_free_part)
 from .scalar import (ONE, ZERO, Scalar, Tower, parse_scalar, repeats, scal,
                      scalar_sqrt_adjoin, scalar_to_json, scalar_to_str,
                      try_sqrt)
@@ -14,7 +14,7 @@ __all__ = [
     "ONE", "ZERO", "CrtBasis", "Scalar", "Tower", "Poly", "Series", "SturmChain",
     "cauchy_bound", "compose_centered", "crt_combine", "crt_with_modulus",
     "half_angle_rotation", "hensel_sqrt", "parse_scalar", "poly_from_json",
-    "poly_gcd", "poly_sqrt", "poly_to_json", "poly_to_series", "repeats", "scal",
-    "scalar_sqrt_adjoin", "scalar_to_json", "scalar_to_str", "square_free_part",
-    "sturm_root_count", "try_sqrt",
+    "poly_gcd", "poly_sqrt", "poly_to_json", "poly_to_series", "repeats",
+    "same_field", "scal", "scalar_sqrt_adjoin", "scalar_to_json", "scalar_to_str",
+    "square_free_part", "sturm_root_count", "try_sqrt",
 ]

@@ -21,10 +21,16 @@ center, take the Scalar loop.
 
 Poly's +, - and mul each form their result unreduced from the two
 integer forms (private helpers of this module) and reduce it once, in
-from_ints; sum_of_products does the same for a whole sum of products,
-such as a CRT interpolant.  The integer form is exactalg's own choice:
-code outside the package uses Poly's arithmetic and never names the
-form.
+from_ints; an int or a Scalar of Q or one Q(sqrt r) operand enters as
+the integer form of a constant (_const_form), so a product or a sum
+with it scales or shifts the form with no constant Poly built.
+compose runs all its Horner steps on unreduced forms and reduces once,
+reversed (x^n p(1/x), the chart-1 homogenization of a torus twist)
+reverses the vectors as they stand, and sum_of_products forms a whole
+sum of products, such as a CRT interpolant, with one reduction.
+same_field tells whether polynomials share one field of the towers,
+read off their forms.  The integer form is exactalg's own choice: code
+outside the package uses Poly's arithmetic and never names the form.
 
 A coefficient list in a word file is read and written on the integer
 form too (poly_from_json, poly_to_json): text in the shapes
@@ -40,8 +46,8 @@ from math import gcd, lcm
 from typing import Iterable
 
 from .scalar import (MAX_SCALAR_DIGITS, ZERO, RatLike, Scalar, Tower,
-                     parse_scalar, power, ratio, ratio_to_json, scal,
-                     scalar_sqrt_adjoin, scalar_to_json)
+                     _is_ancestor, parse_scalar, power, ratio, ratio_to_json,
+                     scal, scalar_sqrt_adjoin, scalar_to_json)
 
 
 class Poly:
@@ -141,12 +147,14 @@ class Poly:
     def __getitem__(self, k: int) -> Scalar:
         return self.coeffs[k] if 0 <= k < self._size() else ZERO
 
-    def valuation(self) -> int | None:
-        """Index of the first nonzero coefficient; None for zero."""
+    def valuation(self, start: int = 0) -> int | None:
+        """Index of the first nonzero coefficient from ``start`` on; None
+        when there is none."""
         if self._cs is None:
-            columns = zip(*self._ints[1])
-            return next((k for k, col in enumerate(columns) if any(col)), None)
-        return next((k for k, c in enumerate(self._cs) if not c.is_zero()), None)
+            columns = zip(*[v[start:] for v in self._ints[1]])
+            return next((k for k, col in enumerate(columns, start) if any(col)), None)
+        return next((k for k in range(start, len(self._cs)) if not self._cs[k].is_zero()),
+                    None)
 
     def __eq__(self, other):
         if not isinstance(other, Poly):
@@ -158,19 +166,8 @@ class Poly:
 
     __hash__ = None
 
-    def _plus(self, other: Poly, sign: int) -> Poly:
-        """self + sign other, for sign 1 or -1."""
-        common = _common_forms(self, other)
-        if common:
-            tower, (x, y) = common
-            return Poly.from_ints(tower, *_form_add(x, y, sign))
-        n = max(self._size(), other._size())
-        if sign > 0:
-            return Poly([self[k] + other[k] for k in range(n)])
-        return Poly([self[k] - other[k] for k in range(n)])
-
     def __add__(self, other):
-        return self._plus(_coerce(other), 1)
+        return _plus(self, other, 1)
 
     __radd__ = __add__
 
@@ -182,20 +179,23 @@ class Poly:
         return Poly([-c for c in self.coeffs])
 
     def __sub__(self, other):
-        return self._plus(_coerce(other), -1)
+        return _plus(self, other, -1)
 
     def __rsub__(self, other):
-        return _coerce(other)._plus(self, -1)
+        return _plus(other, self, -1)
 
     def mul(self, other, n: int | None = None) -> Poly:
-        """self * other, cut below degree n when n is given."""
-        other = _coerce(other)
-        if self.is_zero() or other.is_zero() or n == 0:
+        """self * other, cut below degree n when n is given; other may be
+        a Poly, an int or a Scalar."""
+        if self.is_zero() or n == 0:
             return Poly()
         common = _common_forms(self, other)
         if common:
             tower, (x, y) = common
             return Poly.from_ints(tower, *_form_mul(tower, x, y, n))
+        other = _coerce(other)
+        if other.is_zero():
+            return Poly()
         top = self._size() + other._size() - 1
         out = [ZERO] * (top if n is None else min(n, top))
         for i, a in enumerate(self.coeffs[:len(out)]):
@@ -252,21 +252,35 @@ class Poly:
 
     def compose(self, inner: Poly, n: int) -> Poly:
         """self(inner) cut below degree n >= 1, by Horner's rule on cut
-        products; each coefficient of self enters as a constant."""
+        products.  When both lie in Q or one Q(sqrt r), the Horner steps
+        run on their integer forms unreduced and the result is reduced
+        once; otherwise each coefficient of self enters as a constant."""
         top = self._size() - 1
         if top < 1:
             return self
-        acc = self._term(top)
+        common = _common_forms(self, inner)
+        if common:
+            tower, ((vs, den), y) = common
+            acc = [v[top:] for v in vs], den
+            for k in range(top - 1, -1, -1):
+                term = [v[k:k + 1] for v in vs], den
+                acc = _form_add(_form_mul(tower, acc, y, n), term, 1)
+            return Poly.from_ints(tower, *acc)
+        cs = self.coeffs
+        acc = Poly.const(cs[top])
         for k in range(top - 1, -1, -1):
-            acc = acc.mul(inner, n) + self._term(k)
+            acc = acc.mul(inner, n) + cs[k]
         return acc
 
-    def _term(self, k: int) -> Poly:
-        """The constant polynomial of coefficient k."""
-        if self._ints:
-            tower, vectors, den = self._ints
-            return Poly.from_ints(tower, [v[k:k + 1] for v in vectors], den)
-        return Poly.const(self.coeffs[k])
+    def reversed(self, n: int) -> Poly:
+        """x^n self(1/x) for n >= deg self: coefficient k is self[n - k].
+        An integer form is reversed as it stands, vector by vector."""
+        form = self.int_form()
+        if form:
+            tower, vectors, den = form
+            pad = [0] * (n + 1 - len(vectors[0]))
+            return Poly.from_ints(tower, [pad + list(v[::-1]) for v in vectors], den)
+        return Poly([self[n - k] for k in range(n + 1)])
 
     def divmod(self, other: Poly) -> tuple[Poly, Poly]:
         if other.is_zero():
@@ -403,18 +417,47 @@ def _scalars(tower: Tower | None, vectors, den: int) -> list[Scalar]:
     return out
 
 
-def _common_forms(p: Poly, q: Poly):
+def _const_form(c):
+    """The (tower, vectors, den) of an int or a Scalar in Q or one
+    Q(sqrt r) as a constant polynomial, as Poly.int_form gives it; None
+    for a deeper Scalar and for any other type."""
+    if c.__class__ is int:
+        return None, ((c,),), 1
+    if c.__class__ is not Scalar or (c.tower and c.tower.parent):
+        return None
+    if c.tower is None:
+        return None, ((c.a,),), c.b
+    a, b = c.a, c.b
+    den = lcm(a.b, b.b)
+    return c.tower, ((a.a * (den // a.b),), (b.a * (den // b.b),)), den
+
+
+def _common_forms(p, q):
     """(tower, (x, y)) for the integer forms (vectors, den) x of p and y
-    of q when both have one and they lie in one field: Q, or Q and one
-    tower Q(sqrt r); else None.  The tower is None when both are rational."""
-    fp = p.int_form()
-    fq = fp and q.int_form()
+    of q, each a Poly or a constant (_const_form), when both have one and
+    they lie in one field: Q, or Q and one tower Q(sqrt r); else None.
+    The tower is None when both are rational."""
+    fp = p.int_form() if p.__class__ is Poly else _const_form(p)
+    fq = fp and (q.int_form() if q.__class__ is Poly else _const_form(q))
     if not fq:
         return None
     tower = fp[0] if fq[0] is None else fq[0]
     if fp[0] is not None and fp[0] is not tower:
         return None
     return tower, (fp[1:], fq[1:])
+
+
+def _plus(p, q, sign: int) -> Poly:
+    """p + sign q, for sign 1 or -1, each a Poly, an int or a Scalar."""
+    common = _common_forms(p, q)
+    if common:
+        tower, (x, y) = common
+        return Poly.from_ints(tower, *_form_add(x, y, sign))
+    p, q = _coerce(p), _coerce(q)
+    n = max(p._size(), q._size())
+    if sign > 0:
+        return Poly([p[k] + q[k] for k in range(n)])
+    return Poly([p[k] - q[k] for k in range(n)])
 
 
 def _form_add(x, y, sign: int):
@@ -443,6 +486,23 @@ def _form_mul(tower: Tower | None, x, y, n: int | None = None):
     ac, bd = _conv(a, c, n), _conv(b, d, n)
     mid = _axpy(1, _conv(a, d, n), 1, _conv(b, c, n))
     return [_axpy(rden, ac, num, bd), [rden * u for u in mid]], dx * dy * rden
+
+
+def same_field(polys) -> bool:
+    """Whether every coefficient of the polynomials lies in one field of
+    the towers: all in Q, or all on one chain, the deepest of their
+    towers.  A polynomial with an integer form is read off it, with no
+    coefficient built."""
+    top = None
+    for p in polys:
+        form = p.int_form()
+        for t in (form[0],) if form else {c.tower for c in p.coeffs}:
+            if t is None or t is top or _is_ancestor(t, top):
+                continue
+            if not _is_ancestor(top, t):
+                return False
+            top = t
+    return True
 
 
 def sum_of_products(pairs: list) -> Poly:

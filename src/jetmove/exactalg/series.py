@@ -5,11 +5,12 @@ A Series is an element of F[x] / (x - center)^order: a polynomial in
 order that cuts it.  Sums, products, inverses, square roots and
 compositions are the polynomial's, cut at the order, so they run on its
 integer form (over Q or one Q(sqrt r)) and keep it from one operation
-to the next; the Scalar coefficients are built only when they are read
-(``coeffs``, ``value``), and the valuation, so the unit test, reads the
-form.  Series are immutable and arithmetic is only defined between
-series sharing both center and order; no method changes the order of a
-series, because padding with zeros is a choice of lift, not a no-op.
+to the next; a scalar operand goes to the polynomial as it is.  The
+Scalar coefficients are built only when they are read (``coeffs``,
+``value``), and the valuation, so the unit test, reads the form.
+Series are immutable and arithmetic is only defined between series
+sharing both center and order; no method changes the order of a series,
+because padding with zeros is a choice of lift, not a no-op.
 
 poly_sqrt finds the square root of a polynomial: over Q on its integer
 form, otherwise through hensel_sqrt on its reversal.
@@ -71,13 +72,14 @@ class Series:
                 f"series at ({self.center}, {self.order}) vs "
                 f"({other.center}, {other.order})")
 
-    def _lift(self, other) -> Series:
-        """``other`` as a series in self's context: a scalar becomes a
-        constant, a series must share center and order."""
+    def _operand(self, other):
+        """``other`` as a Poly operand in self's context: a scalar stands
+        as it is, for Poly's arithmetic takes it as a constant; a series
+        must share center and order."""
         if isinstance(other, (int, Scalar)):
-            return Series._of(self.center, self.order, Poly.const(other))
+            return other
         self._check(other)
-        return other
+        return other.poly
 
     def is_zero(self) -> bool:
         return self.poly.is_zero()
@@ -92,7 +94,7 @@ class Series:
     __hash__ = None
 
     def __add__(self, other):
-        return Series._of(self.center, self.order, self.poly + self._lift(other).poly)
+        return Series._of(self.center, self.order, self.poly + self._operand(other))
 
     __radd__ = __add__
 
@@ -100,16 +102,16 @@ class Series:
         return Series._of(self.center, self.order, -self.poly)
 
     def __sub__(self, other):
-        return Series._of(self.center, self.order, self.poly - self._lift(other).poly)
+        return Series._of(self.center, self.order, self.poly - self._operand(other))
 
     def __rsub__(self, other):
-        return (-self) + other
+        # Scalar - Poly would raise in Scalar.__sub__, so Poly takes it
+        difference = self.poly.__rsub__(self._operand(other))
+        return Series._of(self.center, self.order, difference)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Scalar)):
-            return Series._of(self.center, self.order, self.poly * other)
-        self._check(other)
-        return Series._of(self.center, self.order, self.poly.mul(other.poly, self.order))
+        product = self.poly.mul(self._operand(other), self.order)
+        return Series._of(self.center, self.order, product)
 
     __rmul__ = __mul__
 

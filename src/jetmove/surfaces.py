@@ -318,25 +318,28 @@ def _reparametrize(driver: Series, others: list[Series], order: int) -> list[Ser
     """Re-express ``others`` as order-``order`` series centered at
     driver(0), in the deviation s = driver - driver(0).
 
-    The driver must have valuation 1 in t and order at least 2; the
-    caller checked that.  Then s^k starts at t^k, so the powers of s form
-    a triangular basis and each coefficient peels off in turn:
-    o = sum_k c_k s^k.
+    The driver must have a nonzero t coefficient s_1 and order at least
+    2; the caller checked that.  Then u = s / s_1 is t plus higher
+    terms, so its powers u^k start at t^k with coefficient 1 and form a
+    triangular basis: each coefficient of o = sum_k c_k u^k peels off in
+    turn on Series arithmetic, and c_k / s_1^k is the coefficient of s^k.
     """
-    s = driver - driver.value()
-    powers = [Series.constant(1, s.center, s.order)]
-    for _ in range(1, s.order):
-        powers.append(powers[-1] * s)
+    inv = driver.poly[1].inverse()
+    powers = []
+    if order > 2:
+        u = (driver - driver.value()) * inv
+        powers.append(u)
+        for _ in range(3, order):
+            powers.append(powers[-1] * u)
     out = []
     for o in others:
-        rest = list(o.coeffs)
-        coeffs = []
-        for k, pw in enumerate(powers):
-            c = rest[k] / pw.coeffs[k]
-            coeffs.append(c)
-            if not c.is_zero():
-                for i in range(k + 1, s.order):
-                    rest[i] = rest[i] - c * pw.coeffs[i]
+        coeffs, rest, scale = [o.poly[0]], o, ONE
+        for k in range(1, order):
+            c = rest.poly[k]
+            scale = scale * inv
+            coeffs.append(c * scale)
+            if k < order - 1 and not c.is_zero():
+                rest = rest - powers[k - 1] * c
         out.append(Series(driver.value(), order, coeffs))
     return out
 
@@ -356,7 +359,7 @@ def _read_back(p: TorusParam | SphereParam, coords: tuple[Series, ...], order: i
     if order == 1:
         return point_jet(param_point(p))
     for i, driver in enumerate(coords):
-        if (driver - driver.value()).valuation() == 1:
+        if not driver.poly[1].is_zero():
             others = coords[i + 1:] + coords[:i]
             return Jet(param_point(p), "xyz"[i],
                        tuple(_reparametrize(driver, others, order)))
@@ -480,9 +483,9 @@ def json_list(arr, what: str, length: int | None = None) -> list:
     """``arr`` once it is a JSON list, of ``length`` entries when given; a
     string would read as one scalar per character."""
     if type(arr) is not list:
-        raise PreconditionFailed(f"{what} must be a JSON list")
+        raise InvalidInput(f"{what} must be a JSON list")
     if length is not None and len(arr) != length:
-        raise PreconditionFailed(f"{what} must hold {length} entries, not {len(arr)}")
+        raise InvalidInput(f"{what} must hold {length} entries, not {len(arr)}")
     return arr
 
 

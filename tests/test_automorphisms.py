@@ -681,6 +681,40 @@ def test_torus_step_matches_full_formula(axis, over_infinity, e, k, c, other, va
     assert apply_jet(AutWord(TORUS, (tw,)), j) == jet_from_torus_param(want, e)
 
 
+@settings(max_examples=60, deadline=None)
+@given(_rationals, st.integers(0, 4), st.lists(_rationals, max_size=3), st.integers(1, 5),
+       st.integers(1, 5), st.lists(_rationals, max_size=4))
+def test_zero_test_from_taylor_coefficients_matches_the_evaluation(c, k, q, e, v, tail):
+    # pol = (x - c)^k q(x) at s = c + t^v (a + ...): _fixes decides pol(s) = 0
+    # without forming it, as the transport's skip test does
+    pol = Poly([-c, 1]) ** k * Poly(q)
+    dev = [0] * min(v, e) + [1] + tail
+    s = Series(ZERO, e, [c, *dev[1:e]])
+    assert automorphisms._fixes(pol, s) == automorphisms._eval(pol, s).is_zero()
+
+
+def test_moebius_factor_that_fixes_its_coordinate_is_skipped(monkeypatch):
+    # the chart Moebius pairs of a synthesized word swap one factor and
+    # leave the other alone; the identity factor, or a multiple of it,
+    # forms no homogeneous pair
+    j = Jet.torus(TorusPoint.affine(2, 5), 3, Series(scal(2), 3, [5, 1, -3]))
+    swap = [[0, 1], [1, 0]]
+    inverse_x = Series(ZERO, 3, [Fraction(1, 2), Fraction(-1, 4), Fraction(1, 8)])  # 1/(2 + t)
+    want = jet_from_torus_param(TorusParam((0, inverse_x), jet_parametrize(j).y), 3)
+    original, pairs = automorphisms._normalize_pair, []
+
+    def counted(s0, s1):
+        pairs.append((s0, s1))
+        return original(s0, s1)
+
+    monkeypatch.setattr(automorphisms, "_normalize_pair", counted)
+    for ident in ([[1, 0], [0, 1]], [[-2, 0], [0, -2]]):
+        pairs.clear()
+        assert apply_jet(AutWord(TORUS, (TorusMoebius.of(swap, ident),)), j) == want
+        assert apply_jet(AutWord(TORUS, (TorusMoebius.of(ident, ident),)), j) == j
+        assert len(pairs) == 1
+
+
 # ---------------------------------------------------------------------------
 # the closed step formulas on operands over Q or one Q(sqrt r), which
 # exactalg runs on their integer forms: the torus step on both charts and

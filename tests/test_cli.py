@@ -29,6 +29,7 @@ from jetmove.surfaces import (
     TorusPoint,
     jet_from_json,
     jet_to_json,
+    point_jet,
     sphere_point_stereo,
     standard_config,
 )
@@ -172,10 +173,42 @@ def test_synth_rejects_partition_mismatch(tmp_path, capsys, torus_targets):
     assert "partition" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("entry", [True, 1.0], ids=["true", "1.0"])
+def test_partition_entry_must_be_a_json_integer(tmp_path, capsys, entry):
+    # true and 1.0 both equal 1, so a one-jet order-1 sphere job with
+    # either partition used to synthesize and exit 0
+    jet = jet_to_json(point_jet(sphere_point_stereo(Fraction(1, 2), 3)))
+    job = write(tmp_path / "job.json", {"surface": SPHERE, "partition": [entry],
+                                        "jets": [jet]})
+    assert main(["synth", "--job", job, "--out", str(tmp_path / "w.json")]) == INVALID
+    assert capsys.readouterr().err == \
+        "invalid job: partition entries must be JSON integers\n"
+    assert not (tmp_path / "w.json").exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    (b'{"surface": "torus", "generators": [', "Expecting value: line 1 column 37"),
+    (b'{"surface": "torus", "order": ' + b"1" * 5000 + b"}",
+     f"a JSON integer has more than {sys.get_int_max_str_digits()} digits"),
+    (b"\xff\xfe{}", "'utf-8' codec can't decode byte 0xff"),
+], ids=["truncated", "5000-digit-order", "utf-16-mark"])
+def test_unreadable_file_is_named(tmp_path, capsys, text, message):
+    # verify reads three files under one "input"; the message says which
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(text)
+    std = std_file(tmp_path, "std.json", TORUS, [1])
+    assert main(["verify", "--word", identity_word(tmp_path, TORUS),
+                 "--from", std, "--to", str(bad)]) == INVALID
+    err = capsys.readouterr().err
+    assert err.startswith(f"cannot read input: {bad}: {message}")
+    assert err.count("\n") == 1 and "set_int_max_str_digits" not in err
+
+
 def test_missing_file_is_invalid(tmp_path, capsys):
     assert main(["synth", "--job", str(tmp_path / "absent.json"),
                  "--out", str(tmp_path / "w.json")]) == INVALID
-    assert "cannot read job" in capsys.readouterr().err
+    assert capsys.readouterr().err == \
+        f"cannot read job: {tmp_path / 'absent.json'}: No such file or directory\n"
 
 
 def test_bad_word_fails_certification(tmp_path, capsys, torus_targets):
@@ -378,7 +411,7 @@ def test_job_lists_must_be_lists(tmp_path, capsys, torus_targets, key, value):
     jfile = write(tmp_path / "job.json", job)
     out = tmp_path / "w.json"
     assert main(["synth", "--job", jfile, "--out", str(out)]) == INVALID
-    assert capsys.readouterr().err == f"invalid job: {key} must be a JSON list\n"
+    assert capsys.readouterr().err == f"cannot read job: {key} must be a JSON list\n"
     assert not out.exists()
 
 
@@ -567,7 +600,7 @@ def test_center_of_wrong_shape_is_invalid(tmp_path, capsys, surface, center, mes
     jfile = write(tmp_path / "jet.json", jet)
     assert main(["apply", "--word", identity_word(tmp_path, surface),
                  "--jet", jfile]) == INVALID
-    assert capsys.readouterr().err == f"invalid input: {message}\n"
+    assert capsys.readouterr().err == f"cannot read input: {message}\n"
 
 
 @pytest.mark.parametrize("surface, key", [(TORUS, "f"), (SPHERE, "g"), (SPHERE, "h")])

@@ -4,17 +4,18 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import rand_poly, rand_series
 from jetmove.errors import NotAUnit, OutputTooLarge, SeriesContextMismatch
 from jetmove.exactalg import (ONE, ZERO, Poly, Scalar, Series, compose_centered,
                               hensel_sqrt, poly_from_json, poly_gcd, poly_sqrt,
-                              poly_to_json, poly_to_series, scal, parse_scalar,
-                              scalar_sqrt_adjoin, scalar_to_str, square_free_part)
+                              poly_to_json, poly_to_series, same_field, scal,
+                              parse_scalar, scalar_sqrt_adjoin, scalar_to_str,
+                              square_free_part)
 from jetmove.exactalg.scalar import MAX_SCALAR_DIGITS
-from jetmove.surfaces import scalars_from_json
+from jetmove.surfaces import _reparametrize, scalars_from_json
 from oracles import (Quad, p_add, p_eval, p_mul, p_scale, p_sqrt, p_taylor, s_inv,
                      s_mul, s_sqrt, series_horner, trim)
 
@@ -337,6 +338,118 @@ def test_quadratic_fast_paths_multiply_no_scalars(monkeypatch):
     _same(shift.coeffs, trim(want_shift))
     assert (loaded.n, loaded.d) == (tw.n, tw.d)
     assert loaded.route == "sphere-twist-square"
+
+
+# ---------------------------------------------------------------------------
+# composition, scalar operands, reversal and the read-back against the
+# Scalar loops they replace
+
+# (root of the first operand, root of the second): Q, one Q(sqrt r), Q
+# with one Q(sqrt r), and the fallbacks, two towers or a depth-2 one
+fields = st.sampled_from([(None, None), (s2, s2), (None, s3), (s2, None),
+                          (s2, s3), (s2, s2 + s3)])
+
+
+def _in(pairs, root):
+    """Scalars a + b root for the (a, b) pairs; just a for root None."""
+    return [scal(a) for a, _ in pairs] if root is None else _q(pairs, root)
+
+
+def _horner(a, b, n):
+    """a(b) cut below degree n, by Horner's rule on Scalar lists."""
+    if len(a) < 2:
+        return list(a)
+    acc = [a[-1]]
+    for c in reversed(a[:-1]):
+        acc = p_add(p_mul(acc, b)[:n], [c])
+    return trim(acc[:n])
+
+
+def _formed(p):
+    """p, once the integer form it stores is the one its coefficients give."""
+    assert p.int_form() == Poly(p.coeffs).int_form()
+    return p
+
+
+@settings(max_examples=80, deadline=None)
+@given(fields, st.lists(qpair, max_size=6), st.lists(qpair, max_size=4), st.integers(1, 6))
+@example((s2, None), [(1, 2), (Fraction(-1, 3), 1), (0, 5)],
+         [(Fraction(2, 7), 0), (3, 0)], 3)
+def test_compose_matches_the_scalar_horner_loop(roots, a, b, n):
+    f, g = Poly(_in(a, roots[0])), Poly(_in(b, roots[1]))
+    _same(_formed(f.compose(g, n)).coeffs, _horner(list(f.coeffs), list(g.coeffs), n))
+
+
+@settings(max_examples=80, deadline=None)
+@given(fields, st.lists(qpair, max_size=6), qpair, st.integers(-3, 3))
+def test_scalar_operands_match_the_constant_polynomial(roots, a, k, i):
+    f, c = Poly(_in(a, roots[0])), _in([k], roots[1])[0]
+    fs = list(f.coeffs)
+    for got, want in ((f * c, p_scale(fs, c)), (f.mul(c, 2), p_scale(fs, c)[:2]),
+                      (f + c, p_add(fs, [c])), (f - c, p_add(fs, [-c])),
+                      (f.__rsub__(c), p_add(p_scale(fs, -1), [c])),
+                      (i * f, p_scale(fs, i)), (f + i, p_add(fs, [i])),
+                      (i - f, p_add(p_scale(fs, -1), [i]))):
+        _same(_formed(got).coeffs, trim(list(want)))
+    assert f * c == f * Poly([c]) and f + c == f + Poly([c])
+
+
+@settings(max_examples=60, deadline=None)
+@given(fields, st.lists(qpair, max_size=6), st.integers(0, 3), st.integers(0, 5))
+def test_reversed_matches_the_coefficient_list(roots, a, extra, k):
+    # roots[1] joins one coefficient: a second field, or a depth-2 tower
+    cs = _in(a, roots[0])
+    if cs and roots[1] is not None:
+        cs[k % len(cs)] = cs[k % len(cs)] + roots[1]
+    f = Poly(cs)
+    fs, n = list(f.coeffs), max(f.degree, 0) + extra
+    want = [fs[n - j] if n - j < len(fs) else ZERO for j in range(n + 1)]
+    _same(_formed(f.reversed(n)).coeffs, trim(want))
+
+
+def _peel(driver, others, order):
+    """The read-back's former Scalar loop: o = sum_k c_k s^k for
+    s = driver - driver(0), peeled off the powers of s one Scalar
+    coefficient at a time."""
+    s = driver - driver.value()
+    powers = [Series.constant(1, s.center, order)]
+    for _ in range(1, order):
+        powers.append(powers[-1] * s)
+    out = []
+    for o in others:
+        rest, coeffs = list(o.coeffs), []
+        for k, pw in enumerate(powers):
+            c = rest[k] / pw.coeffs[k]
+            coeffs.append(c)
+            for i in range(k + 1, order):
+                rest[i] = rest[i] - c * pw.coeffs[i]
+        out.append(coeffs)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(fields, st.integers(2, 5), st.data())
+def test_read_back_matches_the_scalar_peel(roots, e, data):
+    # the driver over the first root, the graphs over the second
+    row = lambda root: _in(data.draw(st.lists(qpair, min_size=e, max_size=e)), root)
+    driver = Series(ZERO, e, row(roots[0]))
+    assume(not driver.coeffs[1].is_zero())
+    others = [Series(ZERO, e, row(roots[1])) for _ in range(2)]
+    got = _reparametrize(driver, others, e)
+    for g, want in zip(got, _peel(driver, others, e)):
+        assert (g.center, g.order) == (driver.value(), e)
+        _same(g.coeffs, want)
+
+
+def test_same_field_reads_the_towers():
+    q, two, three = Poly([1, Fraction(1, 2)]), Poly([s2, 1]), Poly([s3])
+    deep = Poly([s2 * s3 + 1])
+    assert same_field([]) and same_field([q, q]) and same_field([q, two, two])
+    assert not same_field([two, three]) and not same_field([q, two, three])
+    assert same_field([deep, two, q]) and same_field([two, deep])
+    assert not same_field([deep, Poly([scalar_sqrt_adjoin(5)])])
+    # a polynomial whose coefficients lie in two towers is two fields
+    assert not same_field([Poly([s2, s3])])
 
 
 # ---------------------------------------------------------------------------

@@ -156,7 +156,7 @@ def test_exactalg_exports_resolve():
 # the integer form of a polynomial is exactalg's own: no module outside
 # that package names the form or the helpers that build and reduce it
 _INT_FORM_NAME = re.compile(
-    r"\b_?(?:int_form|from_ints|form_add|form_mul|common_forms)\b|\b_ints\b")
+    r"\b_?(?:int_form|from_ints|form_add|form_mul|common_forms|const_form)\b|\b_ints\b")
 
 
 def test_integer_form_stays_inside_exactalg():

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from conftest import (noncanonical_sphere_jet_json, rand_fraction,
                       rand_sphere_jet, rand_torus_jet)
 from oracles import read_back, s_inv, s_mul, s_sqrt
-from jetmove.errors import (MixedSurfaces, NotCurvilinear, NotOnEquator,
-                            PreconditionFailed)
+from jetmove.errors import (InvalidInput, MixedSurfaces, NotCurvilinear,
+                            NotOnEquator, PreconditionFailed)
 from jetmove.exactalg import (ONE, ZERO, Poly, Series, compose_centered,
                               hensel_sqrt, poly_to_series, scal,
                               scalar_sqrt_adjoin)
@@ -426,7 +426,7 @@ def test_graph_list_of_wrong_length_refused(monkeypatch, surface, key, coeffs):
         raise AssertionError("a series was allocated")
 
     monkeypatch.setattr(Series, "__init__", no_series)
-    with pytest.raises(PreconditionFailed, match=f"graph {key} must hold 3 entries"):
+    with pytest.raises(InvalidInput, match=f"graph {key} must hold 3 entries"):
         jet_from_json(d)
 
 

@@ -22,7 +22,8 @@ from conftest import (
 import jetmove
 from jetmove import automorphisms, cli, exactalg, surfaces, transitivity
 from jetmove.automorphisms import (MAX_TWIST_DEGREE, apply_jet, apply_point,
-                                   certify_twist, word_from_json, word_to_json)
+                                   certify_twist, jacobian_at, word_concat,
+                                   word_from_json, word_inverse, word_to_json)
 from jetmove.errors import (
     DuplicateCenter,
     DuplicatePoints,
@@ -33,7 +34,7 @@ from jetmove.errors import (
     OutputTooLarge,
     PreconditionFailed,
 )
-from jetmove.exactalg import (ONE, ZERO, CrtBasis, Poly, Scalar, Series,
+from jetmove.exactalg import (ONE, ZERO, CrtBasis, Poly, Scalar, Series, Tower,
                               hensel_sqrt, poly_to_series, scal,
                               scalar_sqrt_adjoin)
 from jetmove.exactalg.scalar import MAX_SCALAR_DIGITS
@@ -341,9 +342,9 @@ def test_synthesis_moves_each_target_through_separation_once(monkeypatch):
     steps, words = [], {}
     original = automorphisms._push_torus
 
-    def counted(w, par):
+    def counted(w, par, *reread):
         steps.append(len(w.generators))
-        return original(w, par)
+        return original(w, par, *reread)
 
     for mname, module in list(sys.modules.items()):
         if mname.startswith("jetmove") and getattr(module, "_push_torus", None) is original:
@@ -814,12 +815,18 @@ def _pinned_jobs():
     frm = [Jet.torus(TorusPoint.affine(5, 7), 2, Series(scal(5), 2, [7, 2]))]
     to = [Jet.torus(TorusPoint.affine(0, 1), 2, Series(ZERO, 2, [1, -1]))]
     yield "pair", lambda: synth_pair(frm, to, pin)
-    # sphere pair: order-3 jets on both sides and one pinned point, so
-    # both halves run the rotation-parameter solve at order 3
+    yield "sphere-pair", lambda: synth_pair(*_sphere_pair_job())
+
+
+def _sphere_pair_job():
+    """(from, to, pinned) of the pinned sphere pair job: order-3 jets on
+    both sides and one pinned point, so both halves run the
+    rotation-parameter solve at order 3."""
+    c1 = SpherePoint.of(Fraction(1, 3), Fraction(-2, 3), Fraction(2, 3))
     pin = [Jet.sphere(c1, 1, Series(c1.x, 1, [c1.y]), Series(c1.x, 1, [c1.z]))]
     frm = [_sphere_jet3(sphere_point_stereo(2, 3), [1, 2])]
     to = [_sphere_jet3(sphere_point_stereo(-1, 2), [Fraction(1, 2), -1])]
-    yield "sphere-pair", lambda: synth_pair(frm, to, pin)
+    return frm, to, pin
 
 
 def _sphere_jet3(c, tail):
@@ -888,6 +895,70 @@ def test_apply_images_under_pinned_words_are_pinned():
         images = [jet_to_json(apply_jet(word, j)) for j in _probes(name)]
         dump = json.dumps(images, sort_keys=True).encode()
         assert hashlib.sha256(dump).hexdigest() == _PINNED_IMAGES[name], name
+
+
+def _torus_pair_over_two_fields():
+    """(from, to, pinned) of a torus pair job whose source jet lies over
+    Q(sqrt 2) and whose target jet lies over Q(sqrt 3)."""
+    s2, s3 = scalar_sqrt_adjoin(2), scalar_sqrt_adjoin(3)
+    frm = [Jet.torus(TorusPoint.affine(s2, 1), 2, Series(s2, 2, [ONE, s2]))]
+    to = [Jet.torus(TorusPoint.affine(s3, 2), 2, Series(s3, 2, [2, s3]))]
+    return frm, to, []
+
+
+def _pair_halves(frm, to, pin):
+    """The sources of a pair job and the two halves of its word,
+    w_S = build(sources)^-1 and w_T = build(targets), which meet at the
+    standard jets."""
+    sources, targets = tuple(pin + frm), tuple(pin + to)
+    surface = sources[0].surface
+    std = standard_config(surface, [j.order for j in sources]).jets
+    return (sources, word_inverse(transitivity._build(surface, sources, std)),
+            transitivity._build(surface, targets, std))
+
+
+@pytest.mark.parametrize("job", [_sphere_pair_job, _torus_pair_over_two_fields],
+                         ids=["sphere-pair", "torus-sqrt2-sqrt3"])
+def test_pair_word_transport_stays_in_each_halfs_field(monkeypatch, job):
+    # the halves meet at the rational standard jets, still carried in the
+    # source side's Q(sqrt r); read back there, the jet crosses the target
+    # side in its own Q(sqrt r), with no depth-2 tower formed
+    sources, w_s, w_t = _pair_halves(*job())
+    deep, extend = [], Tower.extend
+
+    def spy(parent, radicand):
+        tower = extend(parent, radicand)
+        if tower.depth > 1:
+            deep.append(tower)
+        return tower
+
+    before = set(Tower._intern)
+    monkeypatch.setattr(Tower, "extend", staticmethod(spy))
+    w = synth_pair(*job())
+    assert word_concat(w_s, w_t) == w
+    images = [apply_jet(w, j) for j in sources]
+    monkeypatch.undo()
+    assert deep == []
+    assert [t for k, t in Tower._intern.items() if k not in before and t.depth > 1] == []
+    assert images == [apply_jet(w_t, apply_jet(w_s, j)) for j in sources]
+
+
+def test_jacobian_of_a_pair_word_reads_its_own_parametrization(monkeypatch):
+    # jacobian_at reads the coefficients of the parametrization it
+    # carries, so it never re-reads it, and its matrices are the ones
+    # recorded before the transport kept jets in their own field
+    def refuse(par):
+        raise AssertionError("jacobian_at re-read its parameter form")
+
+    frm, _, pin = _sphere_pair_job()
+    w = synth_pair(*_sphere_pair_job())
+    monkeypatch.setattr(automorphisms, "_reread", refuse)
+    want = ["94906c08dca9060ff595f3c19dd2cb66796979c33ecd04c24b7a809bdb254f28",
+            "c1adea3831e1f14e8801c7dd69141228ec87c20268f284990456c725428b8f40"]
+    got = [hashlib.sha256(json.dumps([[str(c) for c in row] for row in
+                                      jacobian_at(w, j.center)]).encode()).hexdigest()
+           for j in frm + pin]
+    assert got == want
 
 
 def test_synthesized_routes_are_the_routes_their_data_proves():
