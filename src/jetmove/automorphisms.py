@@ -23,11 +23,13 @@ tower q by a series root) and any other q by Sturm counts,
 TorusMoebius.of checks both determinants, and SphereTwist.of recovers
 n/d from a sphere triple (with no gcd when r + p is a constant, as in
 every synthesized twist) and proves p^2 + q^2 = r^2 by one product
-identity.  A word file holds only generator data; str(g) renders the
-formula.  Twist polynomial text in Q or one Q(sqrt r) is read and
-written on the integer form, with no Scalar built per coefficient
-(exactalg's poly_from_json and poly_to_json); other text is parsed and
-printed one Scalar at a time.
+identity, one square when r + p is a rational constant.  A word file
+holds only generator data; str(g) renders the formula.  Twist
+polynomial text in Q or one Q(sqrt r) is read and written on the
+integer form, with no Scalar built per coefficient (exactalg's
+poly_from_json and poly_to_json, and for a d = 1 sphere twist, whose p
+is -r past the constant term, p's text is r's negated both ways); other
+text is parsed and printed one Scalar at a time.
 
 AutWord composes generators left-to-right and refuses one whose route
 is not of its kind.  Jets move through their parameter form
@@ -66,9 +68,9 @@ its homogenized q is a unit: a chart-0 local m becomes m + ph/qh, a
 chart-1 one m qh/(qh + ph m).  A sphere twist with d = 1, as every
 synthesized one is, moves series (u, v) to ((1 - a^2) u - 2a v,
 2a u + (1 - a^2) v)/(1 + a^2) for a = n(t), one exactalg entry
-(half_angle_rotation) with one inverse and one reduction per image.  A
-general d, the half turn and an order-1 step keep the full rotation
-formula.
+(half_angle_rotation) with one inverse and one reduction per image, and
+a point's values take it with one square.  A general d and the half
+turn keep the full rotation formula.
 """
 
 from __future__ import annotations
@@ -77,9 +79,10 @@ from .errors import (DegreeMismatch, IdentityFails, MixedSurfaces,
                      NotCurvilinear, PreconditionFailed, RootInForbiddenRegion,
                      ensure)
 from .exactalg import (ONE, ZERO, Poly, Scalar, Series, SturmChain,
-                       compose_centered, half_angle_rotation, poly_from_json,
-                       poly_gcd, poly_sqrt, poly_to_json, poly_to_series,
-                       same_field, scal, scalar_to_json)
+                       compose_centered, half_angle_of, half_angle_rotation,
+                       half_angle_to_json, poly_from_json, poly_gcd, poly_sqrt,
+                       poly_to_json, poly_to_series, same_field, scal,
+                       scalar_to_json, triple_from_json)
 from .surfaces import (SPHERE, SPHERE_CHARTS, TORUS, Jet, SphereParam,
                        SpherePoint, TorusParam, TorusPoint, jet_from_sphere_param,
                        jet_from_torus_param, jet_parametrize, json_field, json_list,
@@ -209,28 +212,33 @@ class SphereTwist(Value, frozen=True):
 
         Its half-angle is n/d = q/(r + p), reduced by their gcd unless
         r + p is a constant (then d = 1), and p^2 + q^2 = r^2 is checked
-        as (r - p)(r + p) = q^2.  When that holds, r is a polynomial lam
-        times d^2 + n^2, which has no real root because n and d are
-        coprime, and whose leading coefficient is positive; so lam is a
-        nonzero constant, needing no root count, exactly when
+        as (r - p)(r + p) = q^2, with one square on the integer forms for
+        a rational constant r + p (half_angle_of).  When that holds, r is
+        a polynomial lam times d^2 + n^2, which has no real root because
+        n and d are coprime, and whose leading coefficient is positive; so
+        lam is a nonzero constant, needing no root count, exactly when
         deg r = 2 max(deg n, deg d).  Any other r is Sturm-checked on
         [-1, 1] before the identity, so a candidate failing both reports
         the root.
         """
         _check_coordinate(fixed, ("x", "y", "z"), "fixed coordinate must be x, y or z")
         p, q, r = _as_poly(p), _as_poly(q), _as_poly(r)
-        s = r + p
-        if s.is_zero():
-            n, d = Poly.const(1), Poly()
-        elif s.degree == 0:
-            # a nonzero constant is coprime to q: q/s is in lowest terms
-            n, d = q * s.lead().inverse(), Poly.const(1)
+        found = half_angle_of(p, q, r)
+        if found:
+            (n, holds), d = found, Poly.const(1)
         else:
-            g = poly_gcd(q, s)
-            d = s // g
-            unit = d.lead().inverse()
-            n, d = q // g * unit, d * unit
-        holds = (r - p) * s == q * q
+            s = r + p
+            if s.is_zero():
+                n, d = Poly.const(1), Poly()
+            elif s.degree == 0:
+                # a nonzero constant is coprime to q: q/s is in lowest terms
+                n, d = q * s.lead().inverse(), Poly.const(1)
+            else:
+                g = poly_gcd(q, s)
+                d = s // g
+                unit = d.lead().inverse()
+                n, d = q // g * unit, d * unit
+            holds = (r - p) * s == q * q
         if holds and r.degree == 2 * max(n.degree, d.degree):
             route = "sphere-twist-square"
         else:
@@ -248,11 +256,9 @@ class SphereTwist(Value, frozen=True):
         return SphereTwist(fixed, a, Poly.const(1), route="sphere-twist-square")
 
     def triple(self) -> tuple[Poly, Poly, Poly]:
-        """(p, q, r) = (d^2 - n^2, 2nd, d^2 + n^2): one product for d = 1."""
-        n, d, nn = self.n, self.d, self.n * self.n
-        if d.degree == 0 and d[0] == ONE:
-            return 1 - nn, n + n, nn + 1
-        dd, nd = d * d, n * d
+        """(p, q, r) = (d^2 - n^2, 2nd, d^2 + n^2)."""
+        n, d = self.n, self.d
+        nn, dd, nd = n * n, d * d, n * d
         return dd - nn, nd + nd, dd + nn
 
     def inverse(self) -> SphereTwist:
@@ -419,24 +425,29 @@ def _translate(ph, qh, moved: tuple) -> tuple:
 def _rotate_series(nv, dv, u, v) -> tuple:
     """(u, v) rotated by the angle whose half-angle tangent is nv/dv:
     ((u p - v q)/r, (u q + v p)/r) for (p, q, r) = (dv^2 - nv^2,
-    2 nv dv, dv^2 + nv^2), on Series or on Scalars."""
-    nn, dd, nd = nv * nv, dv * dv, nv * dv
-    pv, qv = dd - nn, nd + nd
-    r = dd + nn
+    2 nv dv, dv^2 + nv^2), on Series or on Scalars; dv None is 1."""
+    nn = nv * nv
+    if dv is None:
+        pv, qv, r = 1 - nn, nv + nv, 1 + nn
+    else:
+        dd, nd = dv * dv, nv * dv
+        pv, qv, r = dd - nn, nd + nd, dd + nn
     rinv = r.inverse() if isinstance(r, Scalar) else r.invert()
     return (u * pv - v * qv) * rinv, (u * qv + v * pv) * rinv
 
 
 def _rotate(g: SphereTwist, t, nv, u, v) -> tuple:
     """(u, v) rotated by g, whose angle numerator at t is nv, as
-    _rotate_series.  For d = 1 (every synthesized twist) and series nv,
-    u, v the half-angle tangent is a = nv itself, and exactalg's
-    half_angle_rotation turns the series' polynomials by it."""
-    if isinstance(nv, Series) and g.d.degree == 0 and g.d[0] == ONE:
-        e, c = u.order, u.center
-        x, y = half_angle_rotation(nv.poly, u.poly, v.poly, e)
-        return Series._of(c, e, x), Series._of(c, e, y)
-    return _rotate_series(nv, _eval(g.d, t), u, v)
+    _rotate_series.  For d = 1 (every synthesized twist) the half-angle
+    tangent is a = nv itself, and d is not evaluated: exactalg's
+    half_angle_rotation turns series by it, and points take it as well."""
+    if not (g.d.degree == 0 and g.d[0] == ONE):
+        return _rotate_series(nv, _eval(g.d, t), u, v)
+    if isinstance(nv, Scalar):
+        return _rotate_series(nv, None, u, v)
+    e, c = u.order, u.center
+    x, y = half_angle_rotation(nv.poly, u.poly, v.poly, e)
+    return Series._of(c, e, x), Series._of(c, e, y)
 
 
 def _push_torus(w: AutWord, par: TorusParam, reread: bool = False) -> TorusParam:
@@ -571,9 +582,8 @@ def generator_to_json(g: Generator) -> dict:
         return {"type": "twist", "axis": g.axis,
                 "p": poly_to_json(g.p), "q": poly_to_json(g.q)}
     if isinstance(g, SphereTwist):
-        p, q, r = g.triple()
-        return {"type": "twist", "fixed": g.fixed, "p": poly_to_json(p),
-                "q": poly_to_json(q), "r": poly_to_json(r)}
+        p, q, r = half_angle_to_json(g.n, g.d) or map(poly_to_json, g.triple())
+        return {"type": "twist", "fixed": g.fixed, "p": p, "q": q, "r": r}
     ser = lambda m: [[scalar_to_json(e) for e in row] for row in m]
     return {"type": "moebius", "mx": ser(g.mx), "my": ser(g.my)}
 
@@ -595,7 +605,7 @@ def generator_from_json(surface: str, d: dict) -> Generator:
             f"a twist polynomial may have degree at most {MAX_TWIST_DEGREE}")
     if surface == TORUS:
         return TorusTwist.of(json_field(d, "axis", "generator"), *map(poly_from_json, arrs))
-    return SphereTwist.of(json_field(d, "fixed", "generator"), *map(poly_from_json, arrs))
+    return SphereTwist.of(json_field(d, "fixed", "generator"), *triple_from_json(*arrs))
 
 
 def word_to_json(w: AutWord) -> dict:

@@ -69,8 +69,7 @@ def _write_word(path: str, word) -> None:
     data = word_to_json(word)     # before the file is opened, as it may refuse
     try:
         with open(path, "w") as fh:
-            json.dump(data, fh, indent=2)
-            fh.write("\n")
+            fh.write(json.dumps(data, indent=2) + "\n")
     except OSError as e:
         raise _WriteFailed(f"cannot write {path}: {e.strerror or e}") from e
 

@@ -27,7 +27,8 @@ with it scales or shifts the form with no constant Poly built.
 compose runs all its Horner steps on unreduced forms and reduces once,
 reversed (x^n p(1/x), the chart-1 homogenization of a torus twist)
 reverses the vectors as they stand, and sum_of_products forms a whole
-sum of products, such as a CRT interpolant, with one reduction.
+sum of products, such as a CRT interpolant, with one reduction; a square
+p * p forms each cross product once (over Q(sqrt r): A^2, B^2 and one AB).
 same_field tells whether polynomials share one field of the towers,
 read off their forms.  The integer form is exactalg's own choice: code
 outside the package uses Poly's arithmetic and never names the form.
@@ -36,7 +37,9 @@ A coefficient list in a word file is read and written on the integer
 form too (poly_from_json, poly_to_json): text in the shapes
 scalar_to_str writes for Q or one Q(sqrt r) goes straight to and from
 the vectors, byte for byte, and any other list takes parse_scalar and
-scalar_to_json one coefficient at a time.
+scalar_to_json one coefficient at a time.  A sphere triple (1 - n^2, 2n,
+1 + n^2) has p = -r past the constant term, so p's texts are written and
+read as r's negated, and half_angle_of proves it with one square.
 """
 
 from __future__ import annotations
@@ -484,7 +487,10 @@ def _form_mul(tower: Tower | None, x, y, n: int | None = None):
     (a, b), (c, d) = vx, vy
     num, rden = tower.radicand.a, tower.radicand.b
     ac, bd = _conv(a, c, n), _conv(b, d, n)
-    mid = _axpy(1, _conv(a, d, n), 1, _conv(b, c, n))
+    if vx is vy:        # a square: AD + BC is 2AB, one product
+        mid = [2 * u for u in _conv(a, b, n)]
+    else:
+        mid = _axpy(1, _conv(a, d, n), 1, _conv(b, c, n))
     return [_axpy(rden, ac, num, bd), [rden * u for u in mid]], dx * dy * rden
 
 
@@ -556,6 +562,25 @@ def half_angle_rotation(a: Poly, u: Poly, v: Poly, n: int) -> tuple[Poly, Poly]:
     return image(p, -1, q), image(q, 1, p)
 
 
+def half_angle_of(p: Poly, q: Poly, r: Poly):
+    """(n, holds) for a sphere triple in Q or one Q(sqrt r) whose r + p
+    is a nonzero rational constant c: n = q/c over d = 1, and whether
+    (r - p) c = q^2, on the integer forms with one square; else None."""
+    forms = [x.int_form() for x in (p, q, r)]
+    towers = {f[0] for f in forms if f} - {None}
+    if not all(forms) or len(towers) > 1:
+        return None
+    fp, fq, fr = (f[1:] for f in forms)
+    (s, *sb), ds = _form_add(fr, fp, 1)
+    c = s[0] if s else 0
+    if not c or any(s[1:]) or any(map(any, sb)):
+        return None
+    diff, dd = _form_add(fr, fp, -1)
+    gap, _ = _form_add(([[c * z for z in v] for v in diff], dd * ds),
+                       _form_mul(towers.pop() if towers else None, fq, fq), -1)
+    return q * (ratio(ds, c) if c > 0 else ratio(-ds, -c)), not any(map(any, gap))
+
+
 def _axpy(a: int, x, b: int, y) -> list[int]:
     """a x + b y for integer vectors, the shorter padded with zeros."""
     if len(x) < len(y):
@@ -568,7 +593,7 @@ def _axpy(a: int, x, b: int, y) -> list[int]:
 
 def _conv(x, y, n: int | None = None) -> list[int]:
     """The product of two integer coefficient vectors, cut below degree
-    n when n is given."""
+    n when n is given; a square (x is y) forms each cross product once."""
     if len(x) > len(y):
         x, y = y, x
     top = len(x) + len(y) - 1
@@ -578,6 +603,14 @@ def _conv(x, y, n: int | None = None) -> list[int]:
         a = x[0]
         return [a * b for b in y[:top]]
     out = [0] * top
+    if x is y:
+        for i, a in enumerate(x[:(top + 1) // 2]):
+            if a:
+                out[2 * i] += a * a
+                a += a
+                for j, b in enumerate(x[i + 1:top - i], 2 * i + 1):
+                    out[j] += a * b
+        return out
     for i, a in enumerate(x[:top]):
         if a:
             for j, b in enumerate(y[:top - i], i):
@@ -667,6 +700,14 @@ def _text_form(texts: list):
     return root.tower, rows, den
 
 
+def _read_form(texts: list):
+    """_text_form(texts); None also when int()'s own digit cap refuses."""
+    try:
+        return _text_form(texts)
+    except ValueError:
+        return None
+
+
 def poly_from_json(texts: list) -> Poly:
     """The polynomial whose coefficients are the texts of a JSON list.
 
@@ -676,13 +717,37 @@ def poly_from_json(texts: list) -> Poly:
     other list is parsed whole by parse_scalar, one entry at a time, so
     it is accepted or refused exactly as there.
     """
-    try:
-        form = _text_form(texts)
-    except ValueError:     # int()'s own digit cap, when set below ours
-        form = None
+    form = _read_form(texts)
     if form is None:
         return Poly([parse_scalar(t) for t in texts])
     return Poly.from_ints(*form)
+
+
+_SIGNS = str.maketrans("+-", "-+")
+
+
+def _negated(text: str) -> str:
+    """The text of -x, as the writers write it, for a text of x in
+    _COEFF_TEXT's shape, where a sign stands only first and between terms."""
+    if text == "0":
+        return text
+    return text[1:].translate(_SIGNS) if text[:1] == "-" else "-" + text.translate(_SIGNS)
+
+
+def triple_from_json(p: list, q: list, r: list) -> tuple[Poly, Poly, Poly]:
+    """poly_from_json of each of a sphere triple's texts; p is formed from
+    r's integer form and its constant term when its other texts are r's
+    negated (_negated), as half_angle_to_json writes them."""
+    rf, head = _read_form(r), None
+    if rf and p and len(p) == len(r) and p[1:] == [_negated(u) for u in r[1:]]:
+        head = _read_form(p[:1])
+    if head and head[0] in (None, rf[0]):
+        tail = [[0, *v[1:]] for v in rf[1]], rf[2]
+        pp = Poly.from_ints(rf[0], *_form_add(head[1:], tail, -1))
+    else:
+        pp = poly_from_json(p)
+    qp = poly_from_json(q)       # read in order, so p's refusal comes first
+    return pp, qp, Poly.from_ints(*rf) if rf else poly_from_json(r)
 
 
 def poly_to_json(p: Poly) -> list[str]:
@@ -692,7 +757,12 @@ def poly_to_json(p: Poly) -> list[str]:
     form = p.int_form()
     if not form:
         return [scalar_to_json(c) for c in p.coeffs]
-    tower, vectors, den = form
+    return _form_to_json(*form)
+
+
+def _form_to_json(tower: Tower | None, vectors, den: int) -> list[str]:
+    """The texts of an integer form's coefficients, reduced or not, as
+    scalar_to_json writes them; its top column is nonzero."""
     if tower is None:
         return [ratio_to_json(a, den) for a in vectors[0]]
     rad = f"sqrt({ratio_to_json(tower.radicand.a, tower.radicand.b)})"
@@ -708,3 +778,19 @@ def poly_to_json(p: Poly) -> list[str]:
         else:
             out.append(f"{ratio_to_json(a, den)} {'+' if b > 0 else '-'} {term}")
     return out
+
+
+def half_angle_to_json(n: Poly, d: Poly) -> list[list[str]] | None:
+    """[poly_to_json(x) for x in (1 - n^2, 2n, 1 + n^2)], byte for byte, for
+    d = 1 and n of degree 1 or more with an integer form, else None: r is
+    written from one unreduced n^2, and p past its constant term as r's
+    texts negated."""
+    form = n.int_form()
+    if not form or n.degree < 1 or d.int_form() != (None, ((1,),), 1):
+        return None
+    tower, vectors, den = form
+    (a, *b), e = _form_mul(tower, (vectors, den), (vectors, den))
+    r = _form_to_json(tower, [[a[0] + e, *a[1:]], *b], e)
+    p = _form_to_json(tower, [[e - a[0]], *[[-v[0]] for v in b]], e)
+    q = _form_to_json(tower, [[2 * z for z in v] for v in vectors], den)
+    return [p + [_negated(t) for t in r[1:]], q, r]

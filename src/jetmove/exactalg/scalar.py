@@ -147,7 +147,9 @@ class Scalar:
 
     def __add__(self, other):
         if other.__class__ is not Scalar:
-            other = scal(other)
+            other = _operand(other)
+            if other is None:
+                return NotImplemented
         if self.tower is None and other.tower is None:
             na, da, nb, db = self.a, self.b, other.a, other.b
             g = gcd(da, db)
@@ -170,14 +172,18 @@ class Scalar:
         return Scalar(self.tower, -self.a, -self.b)
 
     def __sub__(self, other):
-        return self + (-scal(other))
+        other = other if other.__class__ is Scalar else _operand(other)
+        return NotImplemented if other is None else self + (-other)
 
     def __rsub__(self, other):
-        return scal(other) + (-self)
+        other = _operand(other)
+        return NotImplemented if other is None else other + (-self)
 
     def __mul__(self, other):
         if other.__class__ is not Scalar:
-            other = scal(other)
+            other = _operand(other)
+            if other is None:
+                return NotImplemented
         if self.tower is None and other.tower is None:
             na, da, nb, db = self.a, self.b, other.a, other.b
             g1, g2 = gcd(na, db), gcd(nb, da)
@@ -330,6 +336,12 @@ def scal(x: RatLike) -> Scalar:
     if s is None:
         raise TypeError(f"cannot coerce {type(x).__name__} to Scalar")
     return s
+
+
+def _operand(x) -> Scalar | None:
+    """A non-Scalar x as scal coerces it; None where scal raises, so that
+    an arithmetic operator leaves the operation to the other operand."""
+    return parse_scalar(x) if isinstance(x, str) else _rational(x)
 
 
 def _rational(x) -> Scalar | None:

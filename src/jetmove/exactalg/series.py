@@ -105,9 +105,7 @@ class Series:
         return Series._of(self.center, self.order, self.poly - self._operand(other))
 
     def __rsub__(self, other):
-        # Scalar - Poly would raise in Scalar.__sub__, so Poly takes it
-        difference = self.poly.__rsub__(self._operand(other))
-        return Series._of(self.center, self.order, difference)
+        return Series._of(self.center, self.order, self._operand(other) - self.poly)
 
     def __mul__(self, other):
         product = self.poly.mul(self._operand(other), self.order)

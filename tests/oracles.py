@@ -4,7 +4,9 @@ Everything here runs on plain lists, so the code under test shares no
 polynomial or series arithmetic with the oracle that checks it.  The
 lists hold Fractions, except that the series oracle also takes the
 package's scalars, to cover tower coefficients.  Polynomials and series
-are coefficient lists, lowest degree first.
+are coefficient lists, lowest degree first.  One exception is
+sphere_twist_of, a former version of package code kept as the reference
+for the proof that replaced it.
 """
 
 from __future__ import annotations
@@ -414,3 +416,37 @@ def sphere_route(p, q, r):
     if rem or p != p_mul(lam, cos) or q != p_mul(lam, sin):
         return "IdentityFails"
     return route, n, d
+
+
+def sphere_twist_of(fixed, p, q, r):
+    """SphereTwist.of as it read before a triple with r + p a nonzero
+    rational constant took exactalg's integer-form proof: the body is
+    kept verbatim, on the package's own Poly arithmetic, so that the
+    proof that replaced part of it can be checked against it."""
+    from jetmove.automorphisms import (SphereTwist, _as_poly, _check_coordinate,
+                                       _root_free)
+    from jetmove.errors import IdentityFails
+    from jetmove.exactalg import Poly, poly_gcd, scal
+
+    _check_coordinate(fixed, ("x", "y", "z"), "fixed coordinate must be x, y or z")
+    p, q, r = _as_poly(p), _as_poly(q), _as_poly(r)
+    s = r + p
+    if s.is_zero():
+        n, d = Poly.const(1), Poly()
+    elif s.degree == 0:
+        # a nonzero constant is coprime to q: q/s is in lowest terms
+        n, d = q * s.lead().inverse(), Poly.const(1)
+    else:
+        g = poly_gcd(q, s)
+        d = s // g
+        unit = d.lead().inverse()
+        n, d = q // g * unit, d * unit
+    holds = (r - p) * s == q * q
+    if holds and r.degree == 2 * max(n.degree, d.degree):
+        route = "sphere-twist-square"
+    else:
+        _root_free(r, (scal(-1), scal(1)), "rotation")
+        route = "sphere-twist"
+    if not holds:
+        raise IdentityFails("p^2 + q^2 differs from r^2")
+    return SphereTwist(fixed, n, d, route=route)

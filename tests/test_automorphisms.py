@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 from conftest import rand_sphere_jet, rand_sphere_point, rand_torus_jet
 from oracles import (Quad, moebius_step, p_add, p_mul, p_scale, series_horner,
-                     sphere_route, sphere_twist_step, torus_twist_step)
+                     sphere_route, sphere_twist_of, sphere_twist_step,
+                     torus_twist_step)
 
 from jetmove import automorphisms, surfaces
 from jetmove.automorphisms import (
@@ -42,8 +43,10 @@ from jetmove.errors import (
     PreconditionFailed,
     RootInForbiddenRegion,
 )
-from jetmove.exactalg import (ONE, ZERO, Poly, Series, SturmChain, poly_gcd,
-                              poly_sqrt, scal, scalar_sqrt_adjoin, sturm_root_count)
+from jetmove.exactalg import poly
+from jetmove.exactalg import (ONE, ZERO, Poly, Series, SturmChain, poly_from_json,
+                              poly_gcd, poly_sqrt, poly_to_json, scal,
+                              scalar_sqrt_adjoin, sturm_root_count)
 from jetmove.surfaces import (
     SPHERE_CHARTS,
     Jet,
@@ -264,6 +267,90 @@ def test_sphere_twist_of_nonconstant_sum_takes_the_gcd(monkeypatch):
     assert (g.n, g.d, g.route) == \
         (Poly.const(2), Poly([1, 1]), "sphere-twist-square")
     assert len(calls) == 1
+
+
+_S8 = scalar_sqrt_adjoin(8)
+
+
+@st.composite
+def _stored_triples(draw):
+    """The (p, q, r) texts of a sphere twist in a word file: those of a
+    half-angle n over Q or one Q(sqrt r), kept or with one change: a
+    coefficient of p, q or r bumped (p's constant term alone among
+    them), p's constant term moved to another field, r + p made zero,
+    a non-constant or an irrational constant, q rewritten in the tower
+    of sqrt(8), or the triple scaled into a depth-2 tower."""
+    root = draw(st.sampled_from([None, _S2, _S3]))
+    coeff = _rationals if root is None else st.builds(
+        lambda a, b: scal(a) + root * b, _rationals, _rationals)
+    n = draw(st.one_of(st.just(Poly()), _polys(coeff, _nonzero, max_deg=3)))
+    p, q, r = SphereTwist.half_angle("z", n).triple()
+    shape = draw(st.sampled_from(["kept", "p", "p0", "q", "r", "tower", "zero",
+                                  "scaled", "irrational", "sqrt8", "deep"]))
+    bump = draw(st.one_of(_nonzero.map(scal), _towered_lead))
+    if shape in ("p", "p0", "q", "r"):
+        x = {"p": p, "p0": p, "q": q, "r": r}[shape]
+        cs = list(x.coeffs) or [ZERO]
+        k = 0 if shape == "p0" else draw(st.integers(0, len(cs) - 1))
+        cs[k] = cs[k] + bump
+        x = Poly(cs)
+        p, q, r = {"p": (x, q, r), "p0": (x, q, r), "q": (p, x, r), "r": (p, q, x)}[shape]
+    elif shape == "tower":
+        p = p + _S3
+    elif shape == "zero":
+        p = -r
+    elif shape == "scaled":
+        lam = Poly([draw(_positive), 0, 1])
+        p, q, r = p * lam, q * lam, r * lam
+    elif shape == "irrational":
+        p, q, r = (x * (1 + _S2) for x in (p, q, r))
+    elif shape == "sqrt8" and root is _S2:
+        q = Poly([c.a + c.b * F(1, 2) * _S8 if c.tower else c for c in q.coeffs])
+    elif shape == "deep":
+        p, q, r = (x * (root or _S2) * _S3 for x in (p, q, r))
+    return [poly_to_json(x) for x in (p, q, r)]
+
+
+def _proved(make):
+    """(route, n, d) of the twist make() returns, or the class, message
+    and witness of what it raises."""
+    try:
+        g = make()
+    except JetmoveError as e:
+        return type(e), str(e), getattr(e, "witness", None)
+    return g.route, g.n, g.d
+
+
+@settings(max_examples=150, deadline=None)
+@given(_stored_triples())
+@example([["1"], ["0"], ["1"]])                                 # n = 0
+@example([["0", "-1"], ["2", "2"], ["2", "1"]])                 # r + p = 2, p(0) = 0
+@example([["3/4"], ["1"], ["5/4"]])                             # constant n
+@example([["-1 - sqrt(2)", "0", "-1"], ["0", "2"], ["1 + sqrt(2)", "0", "1"]])
+def test_sphere_load_matches_the_poly_arithmetic_proof(texts):
+    # the integer-form proof, and p formed from r's form, give the route,
+    # n and d of the former Poly-arithmetic SphereTwist.of on the same
+    # polynomials, or raise the same error with the same message and witness
+    stored = {"type": "twist", "fixed": "z", **dict(zip("pqr", texts))}
+    got = _proved(lambda: word_from_json({"surface": SPHERE, "generators": [stored]})
+                  .generators[0])
+    want = _proved(lambda: sphere_twist_of("z", *map(poly_from_json, texts)))
+    assert got == want
+
+
+def test_sphere_load_forms_p_from_r(monkeypatch):
+    # a written half-angle triple is read with no parse of p past its
+    # constant term
+    n = Poly([F(1, 3), _S2, F(-2, 7) + _S2])
+    g = SphereTwist.half_angle("y", n)
+    word = word_to_json(AutWord(SPHERE, (g,)))
+    read = []
+    text_form = poly._text_form
+    monkeypatch.setattr(poly, "_text_form", lambda texts: read.append(texts) or text_form(texts))
+    loaded, = word_from_json(word).generators
+    stored = word["generators"][0]
+    assert sorted(read, key=len) == [stored["p"][:1], stored["q"], stored["r"]]
+    assert loaded == g and loaded.route == "sphere-twist-square"
 
 
 def test_certify_rejects_denominator_root():
@@ -768,6 +855,26 @@ def test_sphere_step_on_integer_forms(r, e, d_kind, data):
     assert got == kept
     want = sphere_twist_step(*(_quads(x.coeffs, r) for x in (n, d, t, u, v)))
     assert [_quads(s.coeffs, r) for s in got] == list(want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_radicands, st.sampled_from(["one", "monic"]), st.data())
+def test_sphere_step_on_point_values_never_evaluates_d_of_one(r, d_kind, data):
+    # a point's values through a d = 1 twist take the half-angle formula
+    # with a = n(t), so d is never evaluated, and land on the scalars the
+    # full rotation formula gives, text included
+    coeff = _field(r)
+    t, u, v = (data.draw(coeff) for _ in range(3))
+    n = Poly(data.draw(st.lists(coeff, min_size=1, max_size=3)))
+    d = Poly.const(1) if d_kind == "one" else \
+        Poly([*data.draw(st.lists(_rationals, min_size=1, max_size=2)), 1])
+    g = SphereTwist("x", n, d, route="sphere-twist")
+    nv, dv = n(t), d(t)
+    assume(not nv.is_zero())
+    with _unless(d_kind == "one", "_eval"):
+        got = automorphisms._rotate(g, t, nv, u, v)
+    want = automorphisms._rotate_series(nv, dv, u, v)
+    assert [(x.tower, str(x)) for x in got] == [(x.tower, str(x)) for x in want]
 
 
 @settings(max_examples=25, deadline=None)

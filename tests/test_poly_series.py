@@ -8,12 +8,12 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import rand_poly, rand_series
-from jetmove.errors import NotAUnit, OutputTooLarge, SeriesContextMismatch
+from jetmove.errors import JetmoveError, NotAUnit, OutputTooLarge, SeriesContextMismatch
 from jetmove.exactalg import (ONE, ZERO, Poly, Scalar, Series, compose_centered,
-                              hensel_sqrt, poly_from_json, poly_gcd, poly_sqrt,
-                              poly_to_json, poly_to_series, same_field, scal,
-                              parse_scalar, scalar_sqrt_adjoin, scalar_to_str,
-                              square_free_part)
+                              half_angle_to_json, hensel_sqrt, poly, poly_from_json,
+                              poly_gcd, poly_sqrt, poly_to_json, poly_to_series,
+                              same_field, scal, parse_scalar, scalar_sqrt_adjoin,
+                              scalar_to_str, square_free_part, triple_from_json)
 from jetmove.exactalg.scalar import MAX_SCALAR_DIGITS
 from jetmove.surfaces import _reparametrize, scalars_from_json
 from oracles import (Quad, p_add, p_eval, p_mul, p_scale, p_sqrt, p_taylor, s_inv,
@@ -843,3 +843,128 @@ def test_word_text_writer_refuses_what_the_reader_refuses():
     for p in (Poly([big - 1, Fraction(1, big - 1)]), Poly([(1 - big) * root]),
               Poly([deep * (big - 1)])):
         assert poly_from_json(poly_to_json(p)) == p
+
+
+# ---------------------------------------------------------------------------
+# squares, and a sphere twist's triple read and written from its half-angle
+
+
+_ints = st.one_of(st.integers(-9, 9), st.integers(-10 ** 30, 10 ** 30))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_ints, min_size=1, max_size=9), st.one_of(st.none(), st.integers(0, 20)))
+@example([0, 0, 5], 3)
+@example([3, -1], 2)
+def test_square_kernel_matches_the_product_with_a_copy(x, n):
+    assert poly._conv(x, x, n) == poly._conv(x, list(x), n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_int_forms(), st.one_of(st.none(), st.integers(0, 16)))
+def test_polynomial_square_matches_the_product_with_a_copy(form, n):
+    # over Q(sqrt r) the square takes A^2, B^2 and one AB
+    p = Poly.from_ints(*form)
+    square, product = p.mul(p, n), p.mul(Poly(p.coeffs), n)
+    _same(_formed(square).coeffs, product.coeffs)
+    _same(square.coeffs, trim(p_mul(list(p.coeffs), list(p.coeffs))[:n]))
+
+
+@st.composite
+def _shaped_texts(draw):
+    """One coefficient text in _COEFF_TEXT's shape: a signed rational, a
+    rational and a radical term, or a radical term alone, with zero
+    parts, leading zeros and zero denominators among them."""
+    sign, rat, rad = draw(st.sampled_from(["", "-"])), draw(_rat), draw(_rad)
+    coef = draw(st.one_of(st.just(""), _rat.map(lambda c: c + "*")))
+    shape = draw(st.sampled_from(["rat", "both", "root"]))
+    if shape == "rat":
+        return sign + rat
+    if shape == "root":
+        return f"{sign}{coef}sqrt({rad})"
+    return f"{sign}{rat}{draw(st.sampled_from([' + ', ' - ']))}{coef}sqrt({rad})"
+
+
+@settings(max_examples=200, deadline=None)
+@given(_shaped_texts())
+@example("0")
+@example("-0")
+@example("0 - sqrt(2)")
+@example("-3/4 + 5/7*sqrt(3/5)")
+@example("1/0")
+def test_negated_text_reads_as_minus_the_value(text):
+    neg = poly._negated(text)
+    assert poly._COEFF_TEXT.fullmatch(text) and poly._COEFF_TEXT.fullmatch(neg)
+    try:
+        value = parse_scalar(text)
+    except JetmoveError:
+        with pytest.raises(JetmoveError):
+            parse_scalar(neg)
+        return
+    got = parse_scalar(neg)
+    assert got.tower is value.tower and got == -value
+    assert poly._negated(neg) == text or value.is_zero()
+
+
+@settings(max_examples=100, deadline=None)
+@given(_int_forms())
+def test_negated_written_text_is_the_written_negation(form):
+    p = Poly.from_ints(*form)
+    assert [poly._negated(t) for t in poly_to_json(p)] == poly_to_json(-p)
+
+
+def _triple_texts(n):
+    nn = n * n
+    return [poly_to_json(x) for x in (1 - nn, n + n, nn + 1)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_int_forms())
+@example((None, ([],), 1))
+@example((None, ([3],), 4))
+def test_half_angle_writer_matches_the_triple_text(form):
+    # a constant n, whose p may vanish, is left to the triple's writer
+    n = Poly.from_ints(*form)
+    got = half_angle_to_json(n, Poly.const(1))
+    assert got == (_triple_texts(n) if n.degree >= 1 else None)
+
+
+def test_half_angle_writer_takes_d_of_one_on_the_integer_form_only():
+    deep = scalar_sqrt_adjoin(1 + s2)
+    n = Poly([Fraction(1, 3), s2])
+    for n, d in ((Poly([deep, 1, s3]), Poly.const(1)), (n, Poly([1, 1])), (n, Poly.const(2))):
+        assert half_angle_to_json(n, d) is None
+    # n^2 holds a number of 2001 + 2001 digits; n itself fits
+    for n in (Poly([0, 10 ** 2001]), Poly([1, s2 * 10 ** 2001])):
+        poly_to_json(n)
+        with pytest.raises(OutputTooLarge, match=f"more than {MAX_SCALAR_DIGITS} digits"):
+            half_angle_to_json(n, Poly([1]))
+
+
+def _same_read(got, want):
+    """Equal polynomials over the same tower object with the same
+    integer form."""
+    assert got == want
+    fg, fw = got.int_form(), want.int_form()
+    assert fg == fw and (fg is None or fg[0] is fw[0])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_coeff_texts(), _int_forms().map(lambda f: poly_to_json(Poly.from_ints(*f)))),
+       _coeff_texts(), _coeff_texts())
+@example(["2", "-1/3 + sqrt(2)"], ["sqrt(3)"], ["0"])
+@example(["2", "sqrt(2)"], ["sqrt(4/2)"], [])
+@example(["sqrt(2)", "0", "1"], ["-sqrt(8)"], ["1"])
+@example(["1/0"], ["sqrt(-2)"], ["x"])                  # p's refusal comes first
+def test_triple_reader_matches_three_reads(r, head, q):
+    # p with r's texts negated past its constant term is formed from r's
+    # form: the same polynomials, or the same refusal, as read one by one
+    p = head[:1] + [poly._negated(t) if isinstance(t, str) else t for t in r[1:]]
+    for texts in ((p, q, r), (head, q, r)):
+        got, gerr = _outcome(lambda: triple_from_json(*texts))
+        want, werr = _outcome(lambda: tuple(map(poly_from_json, texts)))
+        if gerr is not None or werr is not None:
+            assert (type(gerr), str(gerr)) == (type(werr), str(werr)), texts
+            continue
+        for g, w in zip(got, want):
+            _same_read(g, w)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import jetmove.exactalg.scalar as scalar_module
 from jetmove.errors import JetmoveError, NegativeRadicand
-from jetmove.exactalg import (ONE, ZERO, Poly, Scalar, parse_scalar, scal,
+from jetmove.exactalg import (ONE, ZERO, Poly, Scalar, Series, parse_scalar, scal,
                               scalar_sqrt_adjoin, scalar_to_str, try_sqrt)
 from jetmove.exactalg.scalar import MAX_SCALAR_DIGITS, MAX_SQRT_NESTING, _ScalarParser
 from oracles import Quad
@@ -226,6 +226,21 @@ def test_merged_tower_ignores_operand_order():
 def test_sqrt_of_square_is_abs(a):
     s = scal(a)
     assert try_sqrt(s * s) == abs(s)
+
+
+def test_arithmetic_with_a_polynomial_or_series_is_left_to_it():
+    # a Scalar cannot coerce a Poly or a Series, so it leaves the operator
+    # to their reflected ones; an operand nothing can take still raises
+    assert ONE * Poly([1, 2]) == Poly([1, 2])
+    assert ONE + Poly([1, 2]) == Poly([2, 2])
+    assert s2 - Poly([1, 2]) == Poly([s2 - 1, -2])
+    assert ONE - Series(0, 2, [1, 2]) == Series(0, 2, [0, -2])
+    assert s2 * Series(0, 2, [1, 2]) == Series(0, 2, [s2, 2 * s2])
+    assert ONE + "1/2" == scal(Fraction(3, 2)) and "1/2" - ONE == scal(Fraction(-1, 2))
+    for op in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y):
+        for a, b in ((ONE, object()), (object(), ONE), (s2, 1.5)):
+            with pytest.raises(TypeError):
+                op(a, b)
 
 
 def test_scalars_have_no_float_conversion():

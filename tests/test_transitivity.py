@@ -855,6 +855,15 @@ def test_synthesized_words_are_pinned():
         assert hashlib.sha256(dump).hexdigest() == _PINNED_WORDS[name], name
 
 
+def test_pinned_words_write_load_and_write_again_byte_for_byte():
+    # a written word loads to generators that write the same bytes: the
+    # sphere triple read with p formed from r, and the d = 1 writer
+    for name, synth in _pinned_jobs():
+        text = json.dumps(word_to_json(synth()), indent=2)
+        again = json.dumps(word_to_json(word_from_json(json.loads(text))), indent=2)
+        assert again == text, name
+
+
 def _probes(name):
     """Fixed jets to move by the pinned word of job ``name``: an order-3
     jet at the job's first source center, bent away from the source jet
