@@ -21,10 +21,10 @@ one place that proves it: TorusTwist.of proves a q = 1 + m^2 from its
 coefficients (a rational q by an integer square root of q - 1 over Z, a
 tower q by a series root) and any other q by Sturm counts,
 TorusMoebius.of checks both determinants, and SphereTwist.of recovers
-n/d from a sphere triple (with no gcd when r + p is a constant, as in
-every synthesized twist) and proves p^2 + q^2 = r^2 by one product
-identity, one square when r + p is a rational constant.  A word file
-holds only generator data; str(g) renders the formula.  Twist
+n/d from a sphere triple (with no gcd when r + p is a rational
+constant, as in every synthesized twist) and proves p^2 + q^2 = r^2 by
+one product identity, one square when r + p is a rational constant.  A
+word file holds only generator data; str(g) renders the formula.  Twist
 polynomial text in Q or one Q(sqrt r) is read and written on the
 integer form, with no Scalar built per coefficient (exactalg's
 poly_from_json and poly_to_json, and for a d = 1 sphere twist, whose p
@@ -68,9 +68,9 @@ its homogenized q is a unit: a chart-0 local m becomes m + ph/qh, a
 chart-1 one m qh/(qh + ph m).  A sphere twist with d = 1, as every
 synthesized one is, moves series (u, v) to ((1 - a^2) u - 2a v,
 2a u + (1 - a^2) v)/(1 + a^2) for a = n(t), one exactalg entry
-(half_angle_rotation) with one inverse and one reduction per image, and
-a point's values take it with one square.  A general d and the half
-turn keep the full rotation formula.
+(half_angle_rotation) with one inverse and one reduction per image on
+one integer form; a point's values and other series take it with one
+square.  A general d and the half turn keep the full rotation formula.
 """
 
 from __future__ import annotations
@@ -210,10 +210,10 @@ class SphereTwist(Value, frozen=True):
     def of(fixed: str, p, q, r) -> SphereTwist:
         """The certified twist with cos = p/r and sin = q/r.
 
-        Its half-angle is n/d = q/(r + p), reduced by their gcd unless
-        r + p is a constant (then d = 1), and p^2 + q^2 = r^2 is checked
-        as (r - p)(r + p) = q^2, with one square on the integer forms for
-        a rational constant r + p (half_angle_of).  When that holds, r is
+        Its half-angle is n/d = q/(r + p) reduced by their gcd, and p^2 +
+        q^2 = r^2 is checked as (r - p)(r + p) = q^2; a rational constant
+        r + p gives d = 1 with no gcd and the identity with one square on
+        the integer forms (half_angle_of).  When that holds, r is
         a polynomial lam times d^2 + n^2, which has no real root because
         n and d are coprime, and whose leading coefficient is positive; so
         lam is a nonzero constant, needing no root count, exactly when
@@ -230,9 +230,6 @@ class SphereTwist(Value, frozen=True):
             s = r + p
             if s.is_zero():
                 n, d = Poly.const(1), Poly()
-            elif s.degree == 0:
-                # a nonzero constant is coprime to q: q/s is in lowest terms
-                n, d = q * s.lead().inverse(), Poly.const(1)
             else:
                 g = poly_gcd(q, s)
                 d = s // g
@@ -439,15 +436,15 @@ def _rotate_series(nv, dv, u, v) -> tuple:
 def _rotate(g: SphereTwist, t, nv, u, v) -> tuple:
     """(u, v) rotated by g, whose angle numerator at t is nv, as
     _rotate_series.  For d = 1 (every synthesized twist) the half-angle
-    tangent is a = nv itself, and d is not evaluated: exactalg's
-    half_angle_rotation turns series by it, and points take it as well."""
+    tangent is a = nv and d is not evaluated: half_angle_rotation turns
+    series on one integer form by it, and anything else takes dv None."""
     if not (g.d.degree == 0 and g.d[0] == ONE):
         return _rotate_series(nv, _eval(g.d, t), u, v)
-    if isinstance(nv, Scalar):
-        return _rotate_series(nv, None, u, v)
-    e, c = u.order, u.center
-    x, y = half_angle_rotation(nv.poly, u.poly, v.poly, e)
-    return Series._of(c, e, x), Series._of(c, e, y)
+    if not isinstance(nv, Scalar):
+        xy = half_angle_rotation(nv.poly, u.poly, v.poly, u.order)
+        if xy:
+            return tuple(Series._of(u.center, u.order, w) for w in xy)
+    return _rotate_series(nv, None, u, v)
 
 
 def _push_torus(w: AutWord, par: TorusParam, reread: bool = False) -> TorusParam:

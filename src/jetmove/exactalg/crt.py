@@ -40,12 +40,12 @@ def _residue(value, center: Scalar, order: int):
 
 
 def _strip_node(m: Poly, c: Scalar, times: int = 1) -> Poly:
-    """m / (x - c)^times by synthetic division; (x - c)^times must divide m.
+    """m / (x - c)^times; (x - c)^times must divide m.
 
     For rational m and c = a/b, Gauss's lemma makes the integer form of m
     (z over den) divisible by b x - a in Z[x], so each quotient w comes
     from exact integer divisions, and m / (x - c)^times is b^times w / den,
-    reduced once.
+    reduced once; any other m or c takes Poly division.
     """
     form = m.int_form() if c.tower is None else None
     if form is not None and form[0] is None:
@@ -59,13 +59,7 @@ def _strip_node(m: Poly, c: Scalar, times: int = 1) -> Poly:
             z = w
         scale = b ** times
         return Poly.from_ints(None, ([scale * v for v in z],), den)
-    q = m
-    for _ in range(times):
-        q = list(q.coeffs[1:])
-        for k in range(len(q) - 2, -1, -1):
-            q[k] = q[k] + q[k + 1] * c
-        q = Poly(q)
-    return q
+    return m // Poly([-c, ONE]) ** times
 
 
 def _check_distinct(nodes: list[Scalar]):

@@ -16,8 +16,8 @@ and the Taylor shift to a rational center run on that form over Z, with
 one gcd per result instead of one per coefficient step, and their
 results keep it: a polynomial made from an integer form builds its
 Scalar coefficients only when they are read, and its valuation reads
-the form.  Coefficients in two towers or in a deeper tower, and a tower
-center, take the Scalar loop.
+the form.  Coefficients in two towers or in a deeper tower take the
+Scalar loop, and a shift to a tower center is a composition.
 
 Poly's +, - and mul each form their result unreduced from the two
 integer forms (private helpers of this module) and reduce it once, in
@@ -25,10 +25,9 @@ from_ints; an int or a Scalar of Q or one Q(sqrt r) operand enters as
 the integer form of a constant (_const_form), so a product or a sum
 with it scales or shifts the form with no constant Poly built.
 compose runs all its Horner steps on unreduced forms and reduces once,
-reversed (x^n p(1/x), the chart-1 homogenization of a torus twist)
-reverses the vectors as they stand, and sum_of_products forms a whole
-sum of products, such as a CRT interpolant, with one reduction; a square
-p * p forms each cross product once (over Q(sqrt r): A^2, B^2 and one AB).
+and sum_of_products forms a whole sum of products, such as a CRT
+interpolant, with one reduction; a square p * p forms each cross product
+once (over Q(sqrt r): A^2, B^2 and one AB).
 same_field tells whether polynomials share one field of the towers,
 read off their forms.  The integer form is exactalg's own choice: code
 outside the package uses Poly's arithmetic and never names the form.
@@ -276,13 +275,7 @@ class Poly:
         return acc
 
     def reversed(self, n: int) -> Poly:
-        """x^n self(1/x) for n >= deg self: coefficient k is self[n - k].
-        An integer form is reversed as it stands, vector by vector."""
-        form = self.int_form()
-        if form:
-            tower, vectors, den = form
-            pad = [0] * (n + 1 - len(vectors[0]))
-            return Poly.from_ints(tower, [pad + list(v[::-1]) for v in vectors], den)
+        """x^n self(1/x) for n >= deg self: coefficient k is self[n - k]."""
         return Poly([self[n - k] for k in range(n + 1)])
 
     def divmod(self, other: Poly) -> tuple[Poly, Poly]:
@@ -347,7 +340,7 @@ class Poly:
         den b^d v(y / b) has integer coefficients, its synthetic divisions
         at the integer a give T_j den b^(d-j) with T_j the wanted
         coefficients, and each T_j is formed once; T_j b^j over den b^d
-        is the result's integer form.
+        is the result's integer form; any other shift composes with x + center.
         """
         form = self.int_form() if center.tower is None else None
         if form is not None:
@@ -370,18 +363,9 @@ class Poly:
                         scale *= b
                 ws.append(w[:n])
             return Poly.from_ints(tower, ws, den * b ** max(d, 0))
-        rem = list(self.coeffs)
-        out = []
-        for _ in range(n):
-            if not rem:
-                break
-            # synthetic division by (x - center): remainder is the value
-            acc = ZERO
-            for k in range(len(rem) - 1, -1, -1):
-                acc = acc * center + rem[k]
-                rem[k] = acc
-            out.append(rem.pop(0))
-        return Poly(out)
+        if n < 1:
+            return Poly()
+        return self.compose(Poly([center, 1]), n)
 
     def str_in(self, var: str) -> str:
         if self.is_zero():
@@ -529,23 +513,20 @@ def sum_of_products(pairs: list) -> Poly:
     return Poly.from_ints(tower, *acc)
 
 
-def half_angle_rotation(a: Poly, u: Poly, v: Poly, n: int) -> tuple[Poly, Poly]:
+def half_angle_rotation(a: Poly, u: Poly, v: Poly, n: int) -> tuple[Poly, Poly] | None:
     """(u, v) rotated by the angle whose half-angle tangent is a, cut
     below degree n: ((1 - a^2) u - 2a v, 2a u + (1 - a^2) v) / (1 + a^2),
-    for a with 1 + a(0)^2 nonzero.
+    for a with 1 + a(0)^2 nonzero, when a, u and v lie in Q or one
+    Q(sqrt r); else None.
 
-    When a, u and v lie in Q or one Q(sqrt r), with a = A / D and the
-    cut a^2 = S / E on the integer forms, E cancels: the images are
-    ((E - S) u - 2 (E/D) A v) / (E + S) and (2 (E/D) A u + (E - S) v) /
-    (E + S), formed unreduced against one inverse of E + S and reduced
-    once each.  Otherwise the same formula runs on Poly arithmetic.
+    With a = A / D and the cut a^2 = S / E on the integer forms, E
+    cancels: the images are ((E - S) u - 2 (E/D) A v) / (E + S) and
+    (2 (E/D) A u + (E - S) v) / (E + S), formed unreduced against one
+    inverse of E + S and reduced once each.
     """
     fu, fv = _common_forms(a, u), _common_forms(a, v)
     if not (fu and fv and (fu[0] is None or fv[0] is None or fu[0] is fv[0])):
-        aa = a.mul(a, n)
-        p, q, rinv = 1 - aa, a + a, (1 + aa).inverse(n)
-        return ((p.mul(u, n) - q.mul(v, n)).mul(rinv, n),
-                (q.mul(u, n) + p.mul(v, n)).mul(rinv, n))
+        return None
     tower = fu[0] or fv[0]
     (av, d), uf = fu[1]
     vf = fv[1][1]

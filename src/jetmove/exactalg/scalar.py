@@ -316,6 +316,8 @@ def power(base, n: int, one):
     """base ** n for n >= 0 by square-and-multiply, starting from ``one``;
     the one loop behind the ``__pow__`` of Scalar, Poly and Series.  It
     stops before squaring past the top bit of n, the largest product."""
+    if n < 0:
+        raise ValueError(f"negative power {n}")
     out = one
     while n:
         if n & 1:

@@ -129,7 +129,8 @@ def rotation_twist(fixed: str, residues) -> SphereTwist | None:
 def _rotation_twists(fixed: str, nodes, orders, values):
     """One rotation twist per node, skipping the identities: angle
     values[i] to order orders[i] at node i and zero to order at the
-    others, so each point or jet stays inside its own ground field.  The
+    others, so each moved point or jet stays inside its own ground field
+    (the twist itself lies in the field of all the nodes together).  The
     twists share one CRT basis, each the term of its one residue."""
     basis = CrtBasis(nodes, orders)
     for i, val in enumerate(values):

@@ -279,6 +279,9 @@ def test_crt_and_strip_node_fall_back_on_towers(c, values):
         assert p_taylor(list(p.coeffs), center, e) == list(val.coeffs)
     tower_m = Poly([s2, 1]) * Poly([-c, 1])
     assert _strip_node(tower_m, c) == Poly([s2, 1])
+    # twice, with a node over Q(sqrt 3) beside it
+    m = Poly(_node_product([(c, 3), (s3, 1)]))
+    assert _strip_node(m, c, 2) == Poly(_node_product([(c, 1), (s3, 1)]))
 
 
 @settings(max_examples=40, deadline=None)

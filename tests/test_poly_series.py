@@ -45,6 +45,15 @@ def test_powers_equal_repeated_products():
             want = want * base
 
 
+def test_negative_powers_refused():
+    # only a Scalar inverts first; a Poly or a Series raises, not loops
+    assert scal(2) ** -2 == scal(Fraction(1, 4))
+    for base in (Poly([1, 1]), Series(ZERO, 3, [1, 1])):
+        for n in (-1, -2):
+            with pytest.raises(ValueError, match="negative power"):
+                base ** n
+
+
 def test_poly_call_refuses_series():
     with pytest.raises(TypeError):
         Poly([1, 2, 3])(Series(ZERO, 3, [1, 1]))
@@ -214,10 +223,14 @@ def test_tower_coefficient_takes_the_scalar_loop(a, k, c, extra):
 
 @settings(max_examples=40, deadline=None)
 @given(st.lists(coeff, max_size=6), center, st.integers(0, 4))
-def test_tower_center_takes_the_scalar_loop(a, c, extra):
-    at = c + s2
-    assert Poly(a).shifted(at, len(a) + extra) == \
-        Poly(p_taylor(trim(list(a)), at, len(a) + extra))
+def test_tower_center_shift_is_the_taylor_expansion(a, c, extra):
+    # a center of depth 1 or 2 shifts by composing with x + center; n = 0
+    # gives zero there as on the integer path
+    for at in (c + s2, c + s2 + s3):
+        assert Poly(a).shifted(at, len(a) + extra) == \
+            Poly(p_taylor(trim(list(a)), at, len(a) + extra))
+        assert Poly(a).shifted(at, 0).is_zero()
+    assert Poly(a).shifted(scal(c), 0).is_zero()
 
 
 # ---------------------------------------------------------------------------
