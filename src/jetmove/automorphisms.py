@@ -27,8 +27,9 @@ one product identity, one square when r + p is a rational constant.  A
 word file holds only generator data; str(g) renders the formula.  Twist
 polynomial text in Q or one Q(sqrt r) is read and written on the
 integer form, with no Scalar built per coefficient (exactalg's
-poly_from_json and poly_to_json, and for a d = 1 sphere twist, whose p
-is -r past the constant term, p's text is r's negated both ways); other
+poly_from_json and poly_to_json; a d = 1 sphere twist's p, -r past the
+constant term, is written as r's texts negated, and its load proves the
+triple on the vectors of r's and q's texts, half_angle_from_json); other
 text is parsed and printed one Scalar at a time.
 
 AutWord composes generators left-to-right and refuses one whose route
@@ -79,10 +80,10 @@ from .errors import (DegreeMismatch, IdentityFails, MixedSurfaces,
                      NotCurvilinear, PreconditionFailed, RootInForbiddenRegion,
                      ensure)
 from .exactalg import (ONE, ZERO, Poly, Scalar, Series, SturmChain,
-                       compose_centered, half_angle_of, half_angle_rotation,
-                       half_angle_to_json, poly_from_json, poly_gcd, poly_sqrt,
-                       poly_to_json, poly_to_series, same_field, scal,
-                       scalar_to_json, triple_from_json)
+                       compose_centered, half_angle_from_json, half_angle_proof,
+                       half_angle_rotation, half_angle_to_json, poly_from_json,
+                       poly_gcd, poly_sqrt, poly_to_json, poly_to_series,
+                       same_field, scal, scalar_to_json)
 from .surfaces import (SPHERE, SPHERE_CHARTS, TORUS, Jet, SphereParam,
                        SpherePoint, TorusParam, TorusPoint, jet_from_sphere_param,
                        jet_from_torus_param, jet_parametrize, json_field, json_list,
@@ -91,6 +92,7 @@ from .values import Value
 
 # highest twist degree a word file may hold; a load Sturm-checks up to it
 MAX_TWIST_DEGREE = 64
+_UNIT = Poly.const(1)       # the d of every d = 1 sphere twist, one shared value
 
 
 # ---------------------------------------------------------------------------
@@ -207,35 +209,41 @@ class SphereTwist(Value, frozen=True):
         object.__setattr__(self, "route", route)
 
     @staticmethod
-    def of(fixed: str, p, q, r) -> SphereTwist:
-        """The certified twist with cos = p/r and sin = q/r.
+    def of(fixed: str, p, q, r, *, texts: bool = False) -> SphereTwist:
+        """The certified twist with cos = p/r and sin = q/r, from Polys or
+        coefficient lists, or with ``texts`` from a word file's texts.
 
         Its half-angle is n/d = q/(r + p) reduced by their gcd, and p^2 +
         q^2 = r^2 is checked as (r - p)(r + p) = q^2; a rational constant
         r + p gives d = 1 with no gcd and the identity with one square on
-        the integer forms (half_angle_of).  When that holds, r is
-        a polynomial lam times d^2 + n^2, which has no real root because
-        n and d are coprime, and whose leading coefficient is positive; so
-        lam is a nonzero constant, needing no root count, exactly when
-        deg r = 2 max(deg n, deg d).  Any other r is Sturm-checked on
-        [-1, 1] before the identity, so a candidate failing both reports
-        the root.
+        the Polys' integer forms, or on the vectors of texts in the
+        writer's d = 1 shape (half_angle_proof, half_angle_from_json).
+        When it holds, r is a polynomial lam times d^2 + n^2, which has no
+        real root because n and d are coprime, and whose leading
+        coefficient is positive; so lam is a nonzero constant, needing no
+        root count, exactly when deg r = 2 max(deg n, deg d), as for d = 1.
+        Any other r is Sturm-checked on [-1, 1] before the identity, so a
+        candidate failing both reports the root.
         """
+        n = half_angle_from_json(p, q, r) if texts else None
+        if texts and n is None:
+            p, q, r = map(poly_from_json, (p, q, r))
         _check_coordinate(fixed, ("x", "y", "z"), "fixed coordinate must be x, y or z")
-        p, q, r = _as_poly(p), _as_poly(q), _as_poly(r)
-        found = half_angle_of(p, q, r)
-        if found:
-            (n, holds), d = found, Poly.const(1)
-        else:
+        if n is None:
+            p, q, r = _as_poly(p), _as_poly(q), _as_poly(r)
             s = r + p
-            if s.is_zero():
-                n, d = Poly.const(1), Poly()
-            else:
-                g = poly_gcd(q, s)
-                d = s // g
-                unit = d.lead().inverse()
-                n, d = q // g * unit, d * unit
-            holds = (r - p) * s == q * q
+            if s.degree == 0 and s[0].tower is None:
+                n = half_angle_proof(s[0], q, r)
+        if n is not None:
+            return SphereTwist(fixed, n, _UNIT, route="sphere-twist-square")
+        if s.is_zero():
+            n, d = Poly.const(1), Poly()
+        else:
+            g = poly_gcd(q, s)
+            d = s // g
+            unit = d.lead().inverse()
+            n, d = q // g * unit, d * unit
+        holds = (r - p) * s == q * q
         if holds and r.degree == 2 * max(n.degree, d.degree):
             route = "sphere-twist-square"
         else:
@@ -250,7 +258,7 @@ class SphereTwist(Value, frozen=True):
         """The twist with tangent half-angle a, certified by its shape:
         p = 1 - a^2, q = 2a and r = 1 + a^2 >= 1, so p^2 + q^2 = r^2."""
         _check_coordinate(fixed, ("x", "y", "z"), "fixed coordinate must be x, y or z")
-        return SphereTwist(fixed, a, Poly.const(1), route="sphere-twist-square")
+        return SphereTwist(fixed, a, _UNIT, route="sphere-twist-square")
 
     def triple(self) -> tuple[Poly, Poly, Poly]:
         """(p, q, r) = (d^2 - n^2, 2nd, d^2 + n^2)."""
@@ -602,7 +610,7 @@ def generator_from_json(surface: str, d: dict) -> Generator:
             f"a twist polynomial may have degree at most {MAX_TWIST_DEGREE}")
     if surface == TORUS:
         return TorusTwist.of(json_field(d, "axis", "generator"), *map(poly_from_json, arrs))
-    return SphereTwist.of(json_field(d, "fixed", "generator"), *triple_from_json(*arrs))
+    return SphereTwist.of(json_field(d, "fixed", "generator"), *arrs, texts=True)
 
 
 def word_to_json(w: AutWord) -> dict:

@@ -37,13 +37,14 @@ form too (poly_from_json, poly_to_json): text in the shapes
 scalar_to_str writes for Q or one Q(sqrt r) goes straight to and from
 the vectors, byte for byte, and any other list takes parse_scalar and
 scalar_to_json one coefficient at a time.  A sphere triple (1 - n^2, 2n,
-1 + n^2) has p = -r past the constant term, so p's texts are written and
-read as r's negated, and half_angle_of proves it with one square.
+1 + n^2) has p = -r past the constant term, so p's texts are written as
+r's negated, and half_angle_from_json proves them with one square.
 """
 
 from __future__ import annotations
 
 import re
+from itertools import zip_longest
 from math import gcd, lcm
 from typing import Iterable
 
@@ -543,23 +544,26 @@ def half_angle_rotation(a: Poly, u: Poly, v: Poly, n: int) -> tuple[Poly, Poly] 
     return image(p, -1, q), image(q, 1, p)
 
 
-def half_angle_of(p: Poly, q: Poly, r: Poly):
-    """(n, holds) for a sphere triple in Q or one Q(sqrt r) whose r + p
-    is a nonzero rational constant c: n = q/c over d = 1, and whether
-    (r - p) c = q^2, on the integer forms with one square; else None."""
-    forms = [x.int_form() for x in (p, q, r)]
-    towers = {f[0] for f in forms if f} - {None}
-    if not all(forms) or len(towers) > 1:
+def half_angle_proof(c: Scalar, q, r) -> Poly | None:
+    """n = q/c over d = 1 for a sphere triple whose r + p is the nonzero
+    rational c, given q and r as Polys or integer forms in Q or one
+    Q(sqrt s), when (r - p) c = q^2, that is (2r - c) c = q^2, holds on
+    their vectors with one square of q; else None."""
+    q, r = (x.int_form() if x.__class__ is Poly else x for x in (q, r))
+    if not (q and r) or (q[0] and r[0] and q[0] is not r[0]):
         return None
-    fp, fq, fr = (f[1:] for f in forms)
-    (s, *sb), ds = _form_add(fr, fp, 1)
-    c = s[0] if s else 0
-    if not c or any(s[1:]) or any(map(any, sb)):
+    tower = q[0] or r[0]
+    (_, vq, dq), (_, vr, dr) = q, r
+    sq, e = _form_mul(tower, (vq, dq), (vq, dq))
+    cn, cd = c.a, c.b
+    # (2 cd R - cn dr) cn e = cd^2 dr S for r = R / dr and q^2 = S / e
+    k, m = 2 * cd * cn * e, cd * cd * dr
+    gap = [_axpy(k, x, -m, y) for x, y in zip_longest(vr, sq, fillvalue=())]
+    gap[0] = _axpy(1, gap[0], -cn * cn * dr * e, (1,))
+    if any(map(any, gap)):
         return None
-    diff, dd = _form_add(fr, fp, -1)
-    gap, _ = _form_add(([[c * z for z in v] for v in diff], dd * ds),
-                       _form_mul(towers.pop() if towers else None, fq, fq), -1)
-    return q * (ratio(ds, c) if c > 0 else ratio(-ds, -c)), not any(map(any, gap))
+    f = cd if cn > 0 else -cd
+    return Poly.from_ints(tower, [[f * z for z in v] for v in vq], dq * abs(cn))
 
 
 def _axpy(a: int, x, b: int, y) -> list[int]:
@@ -715,20 +719,22 @@ def _negated(text: str) -> str:
     return text[1:].translate(_SIGNS) if text[:1] == "-" else "-" + text.translate(_SIGNS)
 
 
-def triple_from_json(p: list, q: list, r: list) -> tuple[Poly, Poly, Poly]:
-    """poly_from_json of each of a sphere triple's texts; p is formed from
-    r's integer form and its constant term when its other texts are r's
-    negated (_negated), as half_angle_to_json writes them."""
-    rf, head = _read_form(r), None
-    if rf and p and len(p) == len(r) and p[1:] == [_negated(u) for u in r[1:]]:
-        head = _read_form(p[:1])
-    if head and head[0] in (None, rf[0]):
-        tail = [[0, *v[1:]] for v in rf[1]], rf[2]
-        pp = Poly.from_ints(rf[0], *_form_add(head[1:], tail, -1))
-    else:
-        pp = poly_from_json(p)
-    qp = poly_from_json(q)       # read in order, so p's refusal comes first
-    return pp, qp, Poly.from_ints(*rf) if rf else poly_from_json(r)
+def half_angle_from_json(p: list, q: list, r: list) -> Poly | None:
+    """half_angle_proof of a sphere triple's texts in the d = 1 shape
+    half_angle_to_json writes: p's texts past its first are r's negated
+    (_negated), so c = r(0) + p(0) is read off r's form and p's first
+    text alone, and r's and q's texts are read once; None for any other
+    texts, an irrational or zero c, or when the proof fails."""
+    fr = _read_form(r)
+    head = (fr and p and len(p) == len(r) and p[1:] == [_negated(u) for u in r[1:]]
+            and _read_form(p[:1]))
+    if not head or head[0] not in (None, fr[0]):
+        return None
+    (_, vr, dr), (_, vh, dh) = fr, head
+    cn, *cb = _axpy(dh, [v[0] for v in vr], dr, [v[0] for v in vh])   # (r(0) + p(0)) dr dh
+    if not cn or any(cb):
+        return None
+    return half_angle_proof(ratio(cn, dr * dh), _read_form(q), fr)
 
 
 def poly_to_json(p: Poly) -> list[str]:

@@ -540,6 +540,8 @@ def jet_to_json(j: Jet) -> dict:
 
 def jet_from_json(d: dict) -> Jet:
     surface, order = json_field(d, "surface", "jet"), json_field(d, "order", "jet")
+    if surface not in (TORUS, SPHERE):
+        raise MixedSurfaces(f"unknown surface {surface!r}")
     # bounded before any series of that length exists; bool is not an order
     if type(order) is not int or not 1 <= order <= MAX_JET_ORDER:
         raise PreconditionFailed(
@@ -558,11 +560,9 @@ def jet_from_json(d: dict) -> Jet:
         if chart != (center.x.chart, center.y.chart):
             raise PreconditionFailed("chart tags do not match the center")
         var, keys = ("y" if transposed else "x"), "f"
-    elif surface == SPHERE:
+    else:
         var, keys = json_field(d, "chart", "jet"), "gh"
         coordinate_order(SPHERE, var)   # refuses a letter other than x, y, z
-    else:
-        raise MixedSurfaces(f"unknown surface {surface!r}")
     base = _local(center, var)
     graph = json_field(d, "graph", "jet")
     graphs = [scalars_from_json(json_field(graph, k, "jet graph"), f"graph {k}", order)

@@ -355,6 +355,24 @@ def test_sphere_load_forms_p_from_r(monkeypatch):
     assert loaded == g and loaded.route == "sphere-twist-square"
 
 
+def test_sphere_load_builds_n_alone(monkeypatch):
+    # a written d = 1 twist is proved on the integer vectors its texts are
+    # read into: n is the one polynomial built, and no form is added
+    built = []
+    from_ints = Poly.from_ints
+    monkeypatch.setattr(Poly, "from_ints",
+                        staticmethod(lambda *form: built.append(form) or from_ints(*form)))
+    monkeypatch.setattr(poly, "_form_add", _refuse)
+    for n in (Poly([F(1, 3), _S2, F(-2, 7) + _S2]), Poly([0, _S2 * 3]),
+              Poly([F(-5, 2), 0, 7])):
+        g = SphereTwist.half_angle("y", n)
+        word = word_to_json(AutWord(SPHERE, (g,)))
+        built.clear()
+        loaded, = word_from_json(word).generators
+        assert len(built) == 1
+        assert loaded == g and loaded.route == "sphere-twist-square"
+
+
 def test_certify_rejects_denominator_root():
     # q = x^2 - 1 vanishes at +-1
     with pytest.raises(RootInForbiddenRegion) as exc:

@@ -603,6 +603,17 @@ def test_center_of_wrong_shape_is_invalid(tmp_path, capsys, surface, center, mes
     assert capsys.readouterr().err == f"cannot read input: {message}\n"
 
 
+def test_jet_of_unknown_surface_is_named_before_its_center_is_read(tmp_path, capsys):
+    # a torus-shaped center used to be read as a sphere's first, and
+    # refused for holding 2 entries, not 3
+    jet = jet_to_json(standard_config(TORUS, [1]).jets[0])
+    jet["surface"] = "klein"
+    jfile = write(tmp_path / "jet.json", jet)
+    assert main(["apply", "--word", identity_word(tmp_path, TORUS),
+                 "--jet", jfile]) == INVALID
+    assert capsys.readouterr().err == "invalid input: unknown surface 'klein'\n"
+
+
 @pytest.mark.parametrize("surface, key", [(TORUS, "f"), (SPHERE, "g"), (SPHERE, "h")])
 def test_short_graph_list_is_invalid(tmp_path, capsys, surface, key):
     # an order-3 torus jet with "f": ["7"] used to load as 7, 0, 0

@@ -8,16 +8,17 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import rand_poly, rand_series
+from jetmove.automorphisms import SphereTwist
 from jetmove.errors import JetmoveError, NotAUnit, OutputTooLarge, SeriesContextMismatch
 from jetmove.exactalg import (ONE, ZERO, Poly, Scalar, Series, compose_centered,
-                              half_angle_to_json, hensel_sqrt, poly, poly_from_json,
-                              poly_gcd, poly_sqrt, poly_to_json, poly_to_series,
-                              same_field, scal, parse_scalar, scalar_sqrt_adjoin,
-                              scalar_to_str, square_free_part, triple_from_json)
+                              half_angle_from_json, half_angle_to_json, hensel_sqrt, poly,
+                              poly_from_json, poly_gcd, poly_sqrt, poly_to_json,
+                              poly_to_series, same_field, scal, parse_scalar,
+                              scalar_sqrt_adjoin, scalar_to_str, square_free_part)
 from jetmove.exactalg.scalar import MAX_SCALAR_DIGITS
 from jetmove.surfaces import _reparametrize, scalars_from_json
 from oracles import (Quad, p_add, p_eval, p_mul, p_scale, p_sqrt, p_taylor, s_inv,
-                     s_mul, s_sqrt, series_horner, trim)
+                     s_mul, s_sqrt, series_horner, sphere_twist_of, trim)
 
 x = Poly.x()
 
@@ -954,30 +955,68 @@ def test_half_angle_writer_takes_d_of_one_on_the_integer_form_only():
             half_angle_to_json(n, Poly([1]))
 
 
-def _same_read(got, want):
-    """Equal polynomials over the same tower object with the same
-    integer form."""
-    assert got == want
-    fg, fw = got.int_form(), want.int_form()
-    assert fg == fw and (fg is None or fg[0] is fw[0])
+def _proved(make):
+    """(route, n, d, n's tower) of the twist make() gives, or the type
+    and message of its refusal."""
+    g, err = _outcome(make)
+    if err is not None:
+        return type(err), str(err)
+    form = g.n.int_form()
+    return g.route, g.n, g.d, form and form[0]
+
+
+@st.composite
+def _written_triples(draw):
+    """The texts of lam (1 - n^2, 2n, 1 + n^2) as poly_to_json writes
+    them, for n on an integer form and lam rational or not, so p past
+    its constant term is r's texts negated exactly when lam is rational."""
+    n = Poly.from_ints(*draw(_int_forms()))
+    lam = draw(st.sampled_from([scal(1), scal(Fraction(-3, 7)), scal(5), s2 / 3]))
+    nn = n * n
+    return [poly_to_json(x * lam) for x in (1 - nn, n + n, 1 + nn)]
+
+
+@st.composite
+def _shaped_triples(draw):
+    """r's texts with p's tail written as r's negated around a drawn
+    head, or the head alone as p, beside a drawn q: mostly not a proof."""
+    r = draw(st.one_of(_coeff_texts(),
+                       _int_forms().map(lambda f: poly_to_json(Poly.from_ints(*f)))))
+    head, q = draw(_coeff_texts()), draw(_coeff_texts())
+    if draw(st.booleans()):
+        return [head, q, r]
+    return [head[:1] + [poly._negated(t) if isinstance(t, str) else t for t in r[1:]], q, r]
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.one_of(_coeff_texts(), _int_forms().map(lambda f: poly_to_json(Poly.from_ints(*f)))),
-       _coeff_texts(), _coeff_texts())
-@example(["2", "-1/3 + sqrt(2)"], ["sqrt(3)"], ["0"])
-@example(["2", "sqrt(2)"], ["sqrt(4/2)"], [])
-@example(["sqrt(2)", "0", "1"], ["-sqrt(8)"], ["1"])
-@example(["1/0"], ["sqrt(-2)"], ["x"])                  # p's refusal comes first
-def test_triple_reader_matches_three_reads(r, head, q):
-    # p with r's texts negated past its constant term is formed from r's
-    # form: the same polynomials, or the same refusal, as read one by one
-    p = head[:1] + [poly._negated(t) if isinstance(t, str) else t for t in r[1:]]
-    for texts in ((p, q, r), (head, q, r)):
-        got, gerr = _outcome(lambda: triple_from_json(*texts))
-        want, werr = _outcome(lambda: tuple(map(poly_from_json, texts)))
-        if gerr is not None or werr is not None:
-            assert (type(gerr), str(gerr)) == (type(werr), str(werr)), texts
-            continue
-        for g, w in zip(got, want):
-            _same_read(g, w)
+@given(st.one_of(_written_triples(), _shaped_triples()))
+# p and r rational while q and n lie in Q(sqrt 2) with zero rational part
+@example([["1", "0", "-2"], ["0", "2*sqrt(2)"], ["1", "0", "2"]])
+# r's radicand written sqrt(2), q's sqrt(8): two towers, the general path
+@example([["1", "0", "-3 - 2*sqrt(2)"], ["0", "2 + sqrt(8)"], ["1", "0", "3 + 2*sqrt(2)"]])
+@example([["2", "-1/3 + sqrt(2)"], ["sqrt(3)"], ["0"]])
+@example([["2", "sqrt(2)"], ["sqrt(4/2)"], []])
+@example([["sqrt(2)", "0", "1"], ["-sqrt(8)"], ["1"]])
+@example([["1/0"], ["sqrt(-2)"], ["x"]])                  # p's refusal comes first
+def test_triple_reader_matches_three_reads(texts):
+    # a sphere triple's texts load to the twist, n's tower object
+    # included, or the refusal that three poly_from_json reads give, both
+    # through SphereTwist.of and through its former gcd-route body
+    # (oracles.sphere_twist_of); the d = 1 reader's n is that twist's n
+    loaded = _proved(lambda: SphereTwist.of("z", *texts, texts=True))
+    general = _proved(lambda: SphereTwist.of("z", *map(poly_from_json, texts)))
+    oracle = _proved(lambda: sphere_twist_of("z", *map(poly_from_json, texts)))
+    assert loaded == general == oracle, texts
+    n = half_angle_from_json(*texts)
+    if n is not None:
+        assert loaded == ("sphere-twist-square", n, Poly.const(1), n.int_form()[0]), texts
+
+
+def test_triple_reader_takes_the_writers_shape_over_one_radicand_text():
+    # q and n with zero rational part beside a rational r are read and
+    # proved; r's and q's radicands written sqrt(2) and sqrt(8), two
+    # towers of one field, are left to the general path
+    n = half_angle_from_json(["1", "0", "-2"], ["0", "2*sqrt(2)"], ["1", "0", "2"])
+    assert n == Poly([0, s2]) and n.int_form()[0] is s2.tower
+    assert half_angle_from_json(["1", "0", "-3 - 2*sqrt(2)"], ["0", "2 + sqrt(8)"],
+                                ["1", "0", "3 + 2*sqrt(2)"]) is None

@@ -175,8 +175,8 @@ _FRACTION_FREE = {
                            "Scalar.inverse", "Scalar.__eq__", "Scalar._key",
                            "Scalar.sign", "repeats"],
     "exactalg/poly.py": ["_scalars", "Poly.int_form", "Poly.shifted", "Poly.__call__",
-                         "sum_of_products", "half_angle_rotation", "half_angle_of",
-                         "triple_from_json", "half_angle_to_json"],
+                         "sum_of_products", "half_angle_rotation", "half_angle_proof",
+                         "half_angle_from_json", "half_angle_to_json"],
     "exactalg/crt.py": ["_strip_node", "_check_distinct", "CrtBasis.__init__",
                         "CrtBasis._node", "CrtBasis._factors", "CrtBasis.interpolate"],
 }

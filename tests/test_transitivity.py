@@ -18,6 +18,7 @@ from conftest import (
     solve_half_angle_brute,
     tau_triple,
 )
+from oracles import sphere_twist_of
 
 import jetmove
 from jetmove import automorphisms, cli, exactalg, surfaces, transitivity
@@ -862,6 +863,28 @@ def test_pinned_words_write_load_and_write_again_byte_for_byte():
         text = json.dumps(word_to_json(synth()), indent=2)
         again = json.dumps(word_to_json(word_from_json(json.loads(text))), indent=2)
         assert again == text, name
+
+
+def test_pinned_words_load_alike_on_both_paths():
+    # each twist of a pinned word loads through word_from_json (a sphere
+    # twist through the d = 1 reader, but for a quarter turn, whose p = 0
+    # has no constant term to read) to the generator, route included, that
+    # three poly_from_json reads give through the general path: the torus
+    # twist's ``of`` and the sphere twist's gcd-route body
+    for name, synth in _pinned_jobs():
+        data = json.loads(json.dumps(word_to_json(synth())))
+        loaded = word_from_json(data).generators
+        for g, stored in zip(loaded, data["generators"]):
+            if stored["type"] != "twist":
+                continue
+            if "fixed" in stored:
+                texts = [stored[k] for k in "pqr"]
+                assert (exactalg.half_angle_from_json(*texts) is None) == (not texts[0])
+                want = sphere_twist_of(stored["fixed"], *map(exactalg.poly_from_json, texts))
+            else:
+                want = automorphisms.TorusTwist.of(
+                    stored["axis"], *(exactalg.poly_from_json(stored[k]) for k in "pq"))
+            assert g == want and g.route == want.route, name
 
 
 def _probes(name):
