@@ -114,8 +114,8 @@ def cmd_synth(args) -> int:
     job = _load(args.job)
     pair = type(job) is dict and "from" in job and "to" in job
     targets = _job_jets(job, "to" if pair else "jets")
-    pinned = _job_jets(job, "pinned") if "pinned" in job else None
-    if pair or pinned is not None:
+    pinned = _job_jets(job, "pinned") if "pinned" in job else []
+    if pair or pinned:
         sources = _job_jets(job, "from") if pair else \
             standard_config(job["surface"], [j.order for j in targets]).jets
         word = synth_pair(sources, targets, pinned)

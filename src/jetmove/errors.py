@@ -73,7 +73,7 @@ class RootInForbiddenRegion(JetmoveError):
     Carries an exact isolating interval for one offending root.
     """
 
-    def __init__(self, message, witness=None):
+    def __init__(self, message, witness):
         super().__init__(message)
         self.witness = witness
 

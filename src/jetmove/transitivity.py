@@ -11,9 +11,9 @@ stage functions differ by surface:
    through the stage as parameter forms, pushed one generator at a time;
    its point tests read the centers off their constant terms, and each
    jet is read back once, at the end, as apply_jet(w1, target).
-2. make_nonvertical_*: w2 is one shear, its parameter the first nonzero
-   rational that leaves no moved jet vertical; the two surfaces differ
-   only in that test and in the shear itself.
+2. make_nonvertical_*: w2 is one shear, its parameter the first rational
+   that leaves no moved jet vertical, and the empty word when that is 0;
+   the two surfaces differ only in that test and in the shear itself.
 3. _align_*: w3 matches the standard jets to the sheared targets
    exactly, graph by graph: one interpolated y-twist on the torus, one
    rotation twist per jet on the sphere.
@@ -66,10 +66,6 @@ def enumerate_rationals():
                     yield Fraction(num, den)
                     yield Fraction(-num, den)
         h += 1
-
-
-def _nonzero_rationals():
-    return (scal(r) for r in enumerate_rationals() if r != 0)
 
 
 def _rational_pairs():
@@ -344,22 +340,22 @@ def separate_points_sphere(jets) -> tuple[AutWord, tuple[Jet, ...]]:
 
 
 def _shear_off_vertical(surface: str, jets, admissible, shear):
-    """The one generator ``shear(lam)`` leaving the standard centers fixed
-    and no jet vertical; the identity when every jet has order 1.
+    """Empty when no jet is vertical, else the one generator ``shear(lam)``:
+    the word leaving the standard centers fixed and no jet vertical.
 
     ``admissible(lam, tangent, center)`` tests lam on one jet of order at
-    least 2, and lam runs over the nonzero rationals.
+    least 2, and lam runs over the rationals, 0 (the empty word) first.
     """
     jets = tuple(jets)
     center = torus_standard_center if surface == TORUS else sphere_standard_center
     for i, j in enumerate(jets, 1):
         if not (j.surface == surface and j.center == center(i)):
             raise PreconditionFailed(f"jet {i - 1} is not at standard center {center(i)}")
-    if all(j.order == 1 for j in jets):
-        return word_identity(surface), jets
     data = [(jet_tangent_vector(j), j.center) for j in jets if j.order >= 2]
     lam = _pick(lambda lam: all(admissible(lam, t, c) for t, c in data),
-                "non-verticality parameter", _nonzero_rationals())
+                "non-verticality parameter")
+    if lam.is_zero():
+        return word_identity(surface), jets
     w = AutWord(surface, (shear(lam),))
     out = tuple(apply_jet(w, j) for j in jets)
     for i, j in enumerate(out, 1):
@@ -369,11 +365,11 @@ def _shear_off_vertical(surface: str, jets, admissible, shear):
 
 
 def make_nonvertical_torus(jets) -> tuple[AutWord, tuple[Jet, ...]]:
-    """One x-twist leaving centers (i, 0) fixed and no jet vertical.
+    """At most one x-twist leaving centers (i, 0) fixed and no jet vertical.
 
     The twist is x -> x + lam*(y + y^2)/(1 + y^2), whose derivative at
     y = 0 is lam; a jet with tangent (a, b) maps to one with tangent
-    (a + lam*b, b), so lam only needs to avoid the values -a_i/b_i.  As
+    (a + lam*b, b), so lam only needs to avoid the values -a_i/b_i.  For
     lam != 0, deg p = deg q = 2 with q = 1 + y^2 (TorusTwist.square).
     """
     return _shear_off_vertical(
@@ -382,7 +378,7 @@ def make_nonvertical_torus(jets) -> tuple[AutWord, tuple[Jet, ...]]:
 
 
 def make_nonvertical_sphere(jets) -> tuple[AutWord, tuple[Jet, ...]]:
-    """One twist about z fixing the equator pointwise, no jet vertical.
+    """At most one twist about z fixing the equator pointwise, no jet vertical.
 
     The twist has tangent half-angle lam*z (p = 1 - lam^2 z^2, q = 2 lam z,
     r = 1 + lam^2 z^2), so it is the identity on z = 0, its angle has
@@ -493,8 +489,8 @@ def _build(surface: str, targets: tuple[Jet, ...], std) -> AutWord:
     """The word taking the standard jets ``std`` to ``targets``, unchecked:
     w1 separates the target centers onto the standard ones, the targets
     riding through it and read back once, w2 shears the moved jets off
-    the vertical and w3 aligns the standard jets with them, so the word
-    is w3 (w1 w2)^-1."""
+    the vertical (empty when none is vertical) and w3 aligns the standard
+    jets with them, so the word is w3 (w1 w2)^-1."""
     if not targets:
         return word_identity(surface)
     torus = surface == TORUS
@@ -530,8 +526,7 @@ def synth_pair(from_jets, to_jets, pinned=()) -> AutWord:
     jets occupying the same leading slots, so the pinned moves cancel.
     Only the composite is checked, not the two halves.
     """
-    from_jets, to_jets = tuple(from_jets), tuple(to_jets)
-    pinned = tuple(pinned) if pinned is not None else ()
+    from_jets, to_jets, pinned = tuple(from_jets), tuple(to_jets), tuple(pinned)
     if [j.order for j in from_jets] != [j.order for j in to_jets]:
         raise OrderMismatch("from and to configurations have different order lists")
     sources, targets = pinned + from_jets, pinned + to_jets

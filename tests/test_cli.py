@@ -13,8 +13,7 @@ import pytest
 from conftest import (PYPROJECT, noncanonical_sphere_jet_json,
                       parse_project_scripts, rand_sphere_jet, wrapper_source)
 import jetmove
-from jetmove.automorphisms import (MAX_TWIST_DEGREE, SphereTwist, apply_jet,
-                                   word_from_json, word_to_json)
+from jetmove.automorphisms import MAX_TWIST_DEGREE, SphereTwist, apply_jet, word_from_json
 from jetmove.cli import (INTERNAL, INVALID, NEGATIVE, OK, OUT_OF_SCOPE,
                          TOO_LARGE, main)
 from jetmove import cli
@@ -33,7 +32,6 @@ from jetmove.surfaces import (
     sphere_point_stereo,
     standard_config,
 )
-from jetmove.transitivity import synth_pair
 
 pytestmark = []
 
@@ -415,14 +413,17 @@ def test_job_lists_must_be_lists(tmp_path, capsys, torus_targets, key, value):
     assert not out.exists()
 
 
-def test_empty_pinned_list_synthesizes_a_pair_word(tmp_path, capsys, torus_targets):
-    # a pinned key, even an empty list, routes through synth_pair from the
-    # standard configuration
-    job = job_file(tmp_path, "job.json", TORUS, torus_targets, pinned=[])
-    out = tmp_path / "w.json"
-    assert main(["synth", "--job", job, "--out", str(out)]) == OK
-    want = synth_pair(standard_config(TORUS, [2, 1]).jets, torus_targets, [])
-    assert json.loads(out.read_text()) == word_to_json(want)
+def test_empty_pinned_list_writes_the_word_of_the_job_without_it(tmp_path, capsys,
+                                                                 torus_targets):
+    # an empty pinned list pins nothing, so the job synthesizes as if the
+    # key were absent, not as a pair job from the standard configuration
+    words = []
+    for name, extra in (("plain", {}), ("pinned", {"pinned": []})):
+        job = job_file(tmp_path, f"{name}.json", TORUS, torus_targets, **extra)
+        out = tmp_path / f"{name}-word.json"
+        assert main(["synth", "--job", job, "--out", str(out)]) == OK
+        words.append(out.read_bytes())
+    assert words[0] == words[1]
 
 
 @pytest.mark.parametrize("command", ["synth", "compose"])

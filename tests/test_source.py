@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 
 import jetmove
-from jetmove import errors
+from jetmove import cli, errors
 
 PACKAGE = Path(jetmove.__file__).resolve().parent
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -125,14 +125,20 @@ def test_perfbench_names_resolve():
     assert not missing, f"perfbench names missing from jetmove: {missing}"
 
 
+def _perfbench_gen():
+    """perfbench/gen.py, loaded as a module outside sys.path."""
+    spec = importlib.util.spec_from_file_location("perfbench_gen", PERFBENCH / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen
+
+
 def test_benchmark_job_generator_output_is_pinned():
     # the benchmark's job files come from gen.py through the package's
     # jet builders and jet JSON, so a changed builder keyword, jet
     # attribute or JSON text shows here as a changed hash of one schedule
     # cycle of each workload
-    spec = importlib.util.spec_from_file_location("perfbench_gen", PERFBENCH / "gen.py")
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
+    gen = _perfbench_gen()
     want = {
         "torus-points": (1, "112ee574d8606ae40adc28bfb8d1841f98c8852475658d860ddac09f8d292a53"),
         "sphere-jets": (1, "ef70e03f7e7a881d55217892198634f940d09c0252688ad8e465bec947bbc49f"),
@@ -140,6 +146,28 @@ def test_benchmark_job_generator_output_is_pinned():
     }
     got = {w: hashlib.sha256(json.dumps(gen.generate(w, 1, n), sort_keys=True)
                              .encode()).hexdigest() for w, (n, _) in want.items()}
+    assert got == {w: digest for w, (_, digest) in want.items()}
+
+
+def test_benchmark_words_are_pinned(tmp_path, capsys):
+    # the words `synth` writes for the seed-1 jobs of each workload at the
+    # counts `perfbench/run.py --seconds 25` selects, hashed over the file
+    # bytes in job order as the benchmark's word_sha256 is; a change that
+    # alters a benchmark word must say why and record the new hash here
+    gen = _perfbench_gen()
+    want = {
+        "torus-points": (12, "8db33f788b8cd4e130ff54ad11be9fcd7e097e25c57354e67d7d5b7917b98409"),
+        "sphere-jets": (16, "ea20f041e183ba44396a06b350837a50df7c72016e06177e56defd4ccc5d2cfa"),
+        "pair-mixed": (50, "27cde47d7188407d1e8d9d4c8358786cb821670bde82569a0198ac35514ed669"),
+    }
+    got = {}
+    for workload, (count, _) in want.items():
+        digest = hashlib.sha256()
+        for job in gen.write_jobs(gen.generate(workload, 1, count), tmp_path / workload):
+            paths = job["paths"]
+            assert cli.main(["synth", "--job", paths["job"], "--out", paths["word"]]) == 0
+            digest.update(Path(paths["word"]).read_bytes())
+        got[workload] = digest.hexdigest()
     assert got == {w: digest for w, (_, digest) in want.items()}
 
 

@@ -10,6 +10,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     rand_fraction,
@@ -338,8 +340,9 @@ def test_sphere_separation_at_the_standard_centers_is_the_identity():
 
 def test_synthesis_moves_each_target_through_separation_once(monkeypatch):
     # generator steps of the torus transport over one synth_torus: the
-    # targets cross the separating word w1 once, the shear w2 once, and
-    # the final check crosses the whole word once
+    # targets cross the separating word w1 once, the shear w2 once (here
+    # empty, as no moved jet is vertical), and the final check crosses the
+    # whole word once
     steps, words = [], {}
     original = automorphisms._push_torus
 
@@ -359,7 +362,7 @@ def test_synthesis_moves_each_target_through_separation_once(monkeypatch):
     n = 2
     w1 = words["separate_points_torus"][0]
     w2 = words["make_nonvertical_torus"][0]
-    assert len(w1) > 0 and len(w2) == 1
+    assert len(w1) > 0 and len(w2) == 0
     assert sum(steps) == len(w1) * n + len(w2) * n + len(w) * n
 
 
@@ -376,16 +379,17 @@ def test_make_nonvertical_torus_first_parameter():
     w, out = make_nonvertical_torus([_vertical_jet_at(1)])
     assert len(w) == 1
     assert not jet_is_vertical(out[0])
-    # tangent (0, 1) only rules out lam = 0, so the first try wins
+    # tangent (0, 1) only rules out lam = 0, so the first nonzero try wins
     assert "(y + y^2)/(1 + y^2)" in str(w.generators[0])
 
 
 def test_make_nonvertical_torus_skips_bad_parameter():
-    # tangent (1, -1) collides with lam = 1; the next candidate is -1
-    j = Jet.torus(torus_standard_center(1), 2, Series(ONE, 2, [ZERO, -ONE]))
-    w, out = make_nonvertical_torus([j])
+    # the vertical jet rules out lam = 0 and tangent (1, -1) collides with
+    # lam = 1; the next candidate is -1
+    j = Jet.torus(torus_standard_center(2), 2, Series(scal(2), 2, [ZERO, -ONE]))
+    w, out = make_nonvertical_torus([_vertical_jet_at(1), j])
     assert "(-y + -y^2)/(1 + y^2)" in str(w.generators[0])
-    assert not jet_is_vertical(out[0])
+    assert not any(jet_is_vertical(k) for k in out)
 
 
 def test_make_nonvertical_torus_identity_on_simple_orders():
@@ -403,9 +407,8 @@ def test_make_nonvertical_torus_rejects_misplaced_jet():
 
 def test_make_nonvertical_torus_exhausts_under_tiny_limit(monkeypatch):
     monkeypatch.setattr(transitivity, "ENUM_LIMIT", 1)
-    j = Jet.torus(torus_standard_center(1), 2, Series(ONE, 2, [ZERO, -ONE]))
     with pytest.raises(EnumerationExhausted):
-        make_nonvertical_torus([j])
+        make_nonvertical_torus([_vertical_jet_at(1)])
 
 
 def _sphere_vertical_jet(i):
@@ -456,6 +459,74 @@ def test_shear_skips_order_one_jets(monkeypatch, surface):
     assert calls == []
     apply_jet(w, vertical)
     assert calls
+
+
+@pytest.mark.parametrize("surface", [TORUS, SPHERE])
+def test_make_nonvertical_is_empty_when_no_jet_is_vertical(surface):
+    # lam = 0 is the first candidate, and it passes when no jet of order
+    # >= 2 is vertical: no shear, and the jets come back as they went in
+    jets = standard_config(surface, [2, 3, 1]).jets
+    if surface == TORUS:
+        jets += (Jet.torus(torus_standard_center(4), 2, Series(scal(4), 2, [ZERO, -ONE])),)
+    assert not any(jet_is_vertical(j) for j in jets)
+    w, out = (make_nonvertical_torus if surface == TORUS else make_nonvertical_sphere)(jets)
+    assert len(w) == 0 and w.surface == surface
+    assert out == tuple(jets)
+
+
+def _stage_2_calls(synth):
+    """(moved jets, w2) of every non-verticality stage run by synth()."""
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("make_nonvertical_torus", "make_nonvertical_sphere"):
+            def stage(jets, inner=getattr(transitivity, name)):
+                w2, out = inner(jets)
+                calls.append((tuple(jets), w2))
+                return w2, out
+            mp.setattr(transitivity, name, stage)
+        synth()
+    return calls
+
+
+def _assert_shear_exactly_when_vertical(synth):
+    calls = _stage_2_calls(synth)
+    assert calls
+    for moved, w2 in calls:
+        vertical = any(j.order >= 2 and jet_is_vertical(j) for j in moved)
+        assert len(w2) == int(vertical)
+        # the shear takes the route its data proves
+        assert all(certify_twist(g) == g for g in w2.generators)
+
+
+def _vertical_at_standard_job(surface):
+    """A vertical order-2 jet and a point at the standard centers, which
+    separation leaves in place, so stage 2 must shear."""
+    vertical = _vertical_jet_at(1) if surface == TORUS else _sphere_vertical_jet(1)
+    point = standard_config(surface, [2, 1]).jets[1]
+    synth = synth_torus if surface == TORUS else synth_sphere
+    return lambda: synth([vertical, point])
+
+
+@pytest.mark.parametrize("name", ["torus", "sphere", "pair", "sphere-pair",
+                                  "vertical torus", "vertical sphere"])
+def test_pinned_jobs_shear_exactly_when_a_moved_jet_is_vertical(name):
+    jobs = dict(_pinned_jobs())
+    jobs.update({f"vertical {s}": _vertical_at_standard_job(s) for s in (TORUS, SPHERE)})
+    _assert_shear_exactly_when_vertical(jobs[name])
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from([TORUS, SPHERE]), st.lists(st.integers(1, 3), min_size=1, max_size=3),
+       st.randoms(use_true_random=False))
+def test_synthesis_shears_exactly_when_a_moved_jet_is_vertical(surface, orders, rng):
+    rand_jet = rand_torus_jet if surface == TORUS else rand_sphere_jet
+    jets = []
+    while len(jets) < len(orders):
+        j = rand_jet(rng, orders[len(jets)])
+        if all(j.center != k.center for k in jets):
+            jets.append(j)
+    synth = synth_torus if surface == TORUS else synth_sphere
+    _assert_shear_exactly_when_vertical(lambda: synth(jets))
 
 
 # ---------------------------------------------------------------------------
@@ -589,8 +660,8 @@ def test_duplicate_messages_name_the_pairwise_scans_pair():
 
 
 def test_synth_torus_builds_twists_in_square_shape(monkeypatch, rng):
-    # every torus twist the synthesizer builds, including the
-    # non-verticality shear, must prove itself without a Sturm chain
+    # every torus twist the synthesizer builds must prove itself without
+    # a Sturm chain (the shear's route is checked with the stage-2 tests)
     def no_sturm(*args):
         raise AssertionError("a synthesized twist took the Sturm route")
 
@@ -630,8 +701,8 @@ def test_synth_torus_certifies_by_construction(monkeypatch, rng):
 
 
 def test_synth_sphere_builds_twists_in_square_shape(monkeypatch, rng):
-    # every sphere twist the synthesizer builds, including the
-    # non-verticality shear, must prove itself without a Sturm chain
+    # every sphere twist the synthesizer builds must prove itself without
+    # a Sturm chain (the shear's route is checked with the stage-2 tests)
     def no_sturm(*args):
         raise AssertionError("a synthesized twist took the Sturm route")
 
@@ -797,7 +868,8 @@ def test_word_check_raises_under_optimize():
 def _pinned_jobs():
     """Four fixed synthesis jobs, each touching a different stage."""
     # torus: a point over x = infinity and a vertical order-2 jet, so the
-    # chart Moebius map and the non-verticality shear both appear
+    # chart Moebius map appears; separation moves the jet off the vertical,
+    # so no shear does (the sphere job's moved jet needs one)
     at_infinity = Jet.torus(TorusPoint(ProjPoint.infinity(), ProjPoint.affine(3)),
                             1, Series(ZERO, 1, [scal(3)]))
     vertical = Jet.torus(TorusPoint.affine(2, 5), 2, Series(scal(5), 2, [2, 0]),
@@ -839,14 +911,15 @@ def _sphere_jet3(c, tail):
 
 
 # SHA-256 of json.dumps(word_to_json(word), sort_keys=True), recorded when
-# synthesis still had one pipeline per surface (sphere-pair: when the
-# rotation-parameter solve still lifted to order e + 2 val(h)); a change
-# that alters a word must say why and record the new hash
+# synthesis still had one pipeline per surface (torus, pair and
+# sphere-pair: when the shear became the empty word for moved jets that
+# are not vertical); a change that alters a word must say why and record
+# the new hash
 _PINNED_WORDS = {
-    "torus": "cb668fced973849888cdb6fdc6428b10e8d3d1f197ebee2274fe404d8c5e79dd",
+    "torus": "98a6b33d76c3bbabf08c274cd3cd1764152f6eae3fb5781007edcdab5fe3344c",
     "sphere": "745a01b6e6658ed7fe11edc6c67938ef0457b4bd6c83d8b579cc6672343687da",
-    "pair": "3c5c1cb88d7df403cdb14821cd04141be25402568665cb3b0113535dbc05b7d6",
-    "sphere-pair": "854549be9a44e8517100b174e4eb95edcaaeac33d0b1dc3906356e6b2d91e297",
+    "pair": "6d62b728b83e5bb70445637d0bfb504470d831c5479ab24742725a85bc943a44",
+    "sphere-pair": "a19cccad8755ef12c51ebb2dfe819734ea234d3edf7b0eaff42e4b2c9b8a566a",
 }
 
 
@@ -914,10 +987,10 @@ def _probes(name):
 # sort_keys=True) for each pinned word; they guard the transport of jets
 # through a word, and a change that moves an image must say why
 _PINNED_IMAGES = {
-    "torus": "93b735880f50980f12d69b417749e22578de7ddefef3b220171ff3e9cbfb26e1",
+    "torus": "77b26845acad2567712745db59497649d9059abda8f1bf20a1ad2d9c026cd1eb",
     "sphere": "913b0095dc222836345188be6220838d73d91bbf846f19eae9614006205f078d",
-    "pair": "5dcfdcf6c4e74741339038cd2847a9e8c0681c7281f62ac846780af051d15fb2",
-    "sphere-pair": "2b7cc5805038cc384c444855009b1350b64d0f1499e665b31e7df468889f65aa",
+    "pair": "6262e52d4af60b1486249598018499d785d55a138dd6448f9911d7c22e4a38d5",
+    "sphere-pair": "30a21548d6b5a1fa58fb8d812ff2700552111cd0ebd61e0cd71aa43db02898b4",
 }
 
 
@@ -978,15 +1051,16 @@ def test_pair_word_transport_stays_in_each_halfs_field(monkeypatch, job):
 def test_jacobian_of_a_pair_word_reads_its_own_parametrization(monkeypatch):
     # jacobian_at reads the coefficients of the parametrization it
     # carries, so it never re-reads it, and its matrices are the ones
-    # recorded before the transport kept jets in their own field
+    # recorded when the shear became the empty word for moved jets that
+    # are not vertical
     def refuse(par):
         raise AssertionError("jacobian_at re-read its parameter form")
 
     frm, _, pin = _sphere_pair_job()
     w = synth_pair(*_sphere_pair_job())
     monkeypatch.setattr(automorphisms, "_reread", refuse)
-    want = ["94906c08dca9060ff595f3c19dd2cb66796979c33ecd04c24b7a809bdb254f28",
-            "c1adea3831e1f14e8801c7dd69141228ec87c20268f284990456c725428b8f40"]
+    want = ["2c7168319a6b78677104a2a99eeef7254c74eb180f892db62e8fe6e7bcadefe5",
+            "5791072e261cbeacb7321f59e475d2cbe40555314e0cae4d784a8b25ad66c15b"]
     got = [hashlib.sha256(json.dumps([[str(c) for c in row] for row in
                                       jacobian_at(w, j.center)]).encode()).hexdigest()
            for j in frm + pin]
