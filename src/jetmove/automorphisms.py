@@ -16,21 +16,20 @@ Three generator kinds:
 Every generator carries its proof route, one of its kind's ROUTES, and
 only its kind's constructors name one.  Synthesis builds by shape:
 TorusTwist.square (q = 1 + m^2) and SphereTwist.half_angle (d = 1).
-What is read from outside is proved on load by its kind's ``of``, the
-one place that proves it: TorusTwist.of proves a q = 1 + m^2 from its
-coefficients (a rational q by an integer square root of q - 1 over Z, a
-tower q by a series root) and any other q by Sturm counts,
-TorusMoebius.of checks both determinants, and SphereTwist.of recovers
-n/d from a sphere triple (with no gcd when r + p is a rational
-constant, as in every synthesized twist) and proves p^2 + q^2 = r^2 by
-one product identity, one square when r + p is a rational constant.  A
-word file holds only generator data; str(g) renders the formula.  Twist
-polynomial text in Q or one Q(sqrt r) is read and written on the
-integer form, with no Scalar built per coefficient (exactalg's
-poly_from_json and poly_to_json; a d = 1 sphere twist's p, -r past the
-constant term, is written as r's texts negated, and its load proves the
-triple on the vectors of r's and q's texts, half_angle_from_json); other
-text is parsed and printed one Scalar at a time.
+What is read from outside is proved on load by its kind's ``of``:
+TorusTwist.of proves a q = 1 + m^2 from its coefficients (a rational q
+by an integer square root of q - 1 over Z, a tower q by a series root)
+and any other q by Sturm counts, TorusMoebius.of checks both
+determinants, and SphereTwist.of recovers n/d from a sphere triple
+(with no gcd when r + p is a rational constant, as in every synthesized
+twist) and proves p^2 + q^2 = r^2 by one product identity, one square
+when r + p is a rational constant.  A word file holds only generator
+data; str(g) renders the formula.  Twist polynomial text in Q or one
+Q(sqrt r) is read and written on the integer form (exactalg's
+poly_from_json and poly_to_json), other text one Scalar at a time.  A
+d = 1 sphere twist's p, -r past the constant term, is written as r's
+texts negated, and its load proves the triple on the vectors of r's and
+q's texts (half_angle_from_json) and builds it by half_angle, not of.
 
 AutWord composes generators left-to-right and refuses one whose route
 is not of its kind.  Jets move through their parameter form
@@ -76,9 +75,8 @@ square.  A general d and the half turn keep the full rotation formula.
 
 from __future__ import annotations
 
-from .errors import (DegreeMismatch, IdentityFails, MixedSurfaces,
-                     NotCurvilinear, PreconditionFailed, RootInForbiddenRegion,
-                     ensure)
+from .errors import (DegreeMismatch, IdentityFails, PreconditionFailed,
+                     RootInForbiddenRegion, ensure)
 from .exactalg import (ONE, ZERO, Poly, Scalar, Series, SturmChain,
                        compose_centered, half_angle_from_json, half_angle_proof,
                        half_angle_rotation, half_angle_to_json, poly_from_json,
@@ -209,15 +207,14 @@ class SphereTwist(Value, frozen=True):
         object.__setattr__(self, "route", route)
 
     @staticmethod
-    def of(fixed: str, p, q, r, *, texts: bool = False) -> SphereTwist:
+    def of(fixed: str, p, q, r) -> SphereTwist:
         """The certified twist with cos = p/r and sin = q/r, from Polys or
-        coefficient lists, or with ``texts`` from a word file's texts.
+        coefficient lists.
 
         Its half-angle is n/d = q/(r + p) reduced by their gcd, and p^2 +
         q^2 = r^2 is checked as (r - p)(r + p) = q^2; a rational constant
         r + p gives d = 1 with no gcd and the identity with one square on
-        the Polys' integer forms, or on the vectors of texts in the
-        writer's d = 1 shape (half_angle_proof, half_angle_from_json).
+        the Polys' integer forms (half_angle_proof).
         When it holds, r is a polynomial lam times d^2 + n^2, which has no
         real root because n and d are coprime, and whose leading
         coefficient is positive; so lam is a nonzero constant, needing no
@@ -225,15 +222,12 @@ class SphereTwist(Value, frozen=True):
         Any other r is Sturm-checked on [-1, 1] before the identity, so a
         candidate failing both reports the root.
         """
-        n = half_angle_from_json(p, q, r) if texts else None
-        if texts and n is None:
-            p, q, r = map(poly_from_json, (p, q, r))
         _check_coordinate(fixed, ("x", "y", "z"), "fixed coordinate must be x, y or z")
-        if n is None:
-            p, q, r = _as_poly(p), _as_poly(q), _as_poly(r)
-            s = r + p
-            if s.degree == 0 and s[0].tower is None:
-                n = half_angle_proof(s[0], q, r)
+        p, q, r = _as_poly(p), _as_poly(q), _as_poly(r)
+        s = r + p
+        n = None
+        if s.degree == 0 and s[0].tower is None:
+            n = half_angle_proof(s[0], q, r)
         if n is not None:
             return SphereTwist(fixed, n, _UNIT, route="sphere-twist-square")
         if s.is_zero():
@@ -301,7 +295,7 @@ class AutWord(Value, frozen=True):
     def __init__(self, surface: str, generators: tuple[Generator, ...]):
         for g in generators:
             if g.surface != surface:
-                raise MixedSurfaces("word mixes torus and sphere generators")
+                raise PreconditionFailed("word mixes torus and sphere generators")
             if not (isinstance(g.route, str) and g.route in g.ROUTES):
                 raise PreconditionFailed(f"no {type(g).__name__} route {g.route!r}")
         object.__setattr__(self, "surface", surface)
@@ -318,7 +312,7 @@ def word_identity(surface: str) -> AutWord:
 def word_concat(*words: AutWord) -> AutWord:
     surfaces = {w.surface for w in words}
     if len(surfaces) != 1:
-        raise MixedSurfaces("cannot concatenate words on different surfaces")
+        raise PreconditionFailed("cannot concatenate words on different surfaces")
     gens: tuple[Generator, ...] = ()
     for w in words:
         gens = gens + w.generators
@@ -401,7 +395,7 @@ def _normalize_pair(s0: Series | Scalar, s1: Series | Scalar) -> tuple:
         return 0, s0 * s1.invert()
     elif s0.valuation() == 0:
         return 1, s1 * s0.invert()
-    raise NotCurvilinear("homogeneous pair vanishes at the center")
+    raise PreconditionFailed("homogeneous pair vanishes at the center")
 
 
 def _moebius(m, f: tuple) -> tuple:
@@ -539,15 +533,19 @@ def apply_point(w: AutWord, pt: TorusPoint | SpherePoint):
     The point crosses the shared transport as the values of its order-1
     form (F[t]/(t) is F), and is read off them.
     """
-    if not isinstance(pt, TorusPoint if w.surface == TORUS else SpherePoint):
-        raise MixedSurfaces(f"{w.surface} word applied to a {type(pt).__name__}")
+    _check_point(w, pt)
     return param_point(_push(w, _point_form(pt)))
+
+
+def _check_point(w: AutWord, pt) -> None:
+    if not isinstance(pt, TorusPoint if w.surface == TORUS else SpherePoint):
+        raise PreconditionFailed(f"{w.surface} word applied to a {type(pt).__name__}")
 
 
 def apply_jet(w: AutWord, j: Jet) -> Jet:
     """Transport the jet, returning it in canonical graph form."""
     if j.surface != w.surface:
-        raise MixedSurfaces("word and jet live on different surfaces")
+        raise PreconditionFailed("word and jet live on different surfaces")
     return _jet_of(_push(w, _carried(j), j.order > 1), j.order)
 
 
@@ -562,6 +560,7 @@ def jacobian_at(w: AutWord, pt: TorusPoint | SpherePoint):
     transporting first-order perturbations through the word, which is the
     chain rule without writing down any intermediate formula.
     """
+    _check_point(w, pt)
     torus = w.surface == TORUS
     values = (pt.x.local, pt.y.local) if torus else pt.coords()
     cols = []
@@ -610,7 +609,11 @@ def generator_from_json(surface: str, d: dict) -> Generator:
             f"a twist polynomial may have degree at most {MAX_TWIST_DEGREE}")
     if surface == TORUS:
         return TorusTwist.of(json_field(d, "axis", "generator"), *map(poly_from_json, arrs))
-    return SphereTwist.of(json_field(d, "fixed", "generator"), *arrs, texts=True)
+    fixed = json_field(d, "fixed", "generator")
+    n = half_angle_from_json(*arrs)          # a d = 1 twist, proved on its texts
+    if n is not None:
+        return SphereTwist.half_angle(fixed, n)
+    return SphereTwist.of(fixed, *map(poly_from_json, arrs))
 
 
 def word_to_json(w: AutWord) -> dict:
@@ -621,6 +624,6 @@ def word_to_json(w: AutWord) -> dict:
 def word_from_json(d: dict) -> AutWord:
     surface = json_field(d, "surface", "word")
     if surface not in (TORUS, SPHERE):
-        raise MixedSurfaces(f"unknown surface {surface!r}")
+        raise PreconditionFailed(f"unknown surface {surface!r}")
     gens = json_list(json_field(d, "generators", "word"), "generators")
     return AutWord(surface, tuple(generator_from_json(surface, g) for g in gens))

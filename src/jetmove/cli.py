@@ -79,17 +79,17 @@ def _job_jets(job, key: str) -> list:
     the pinned ones, in the job's partition when it names one."""
     surface = json_field(job, "surface", "job")
     if surface not in (TORUS, SPHERE):
-        raise JetmoveError(f"unknown job surface {surface!r}")
+        raise PreconditionFailed(f"unknown job surface {surface!r}")
     jets = [jet_from_json(d) for d in json_list(json_field(job, key, "job"), key)]
     if any(j.surface != surface for j in jets):
-        raise JetmoveError(f"{key} jet surface differs from job surface")
+        raise PreconditionFailed(f"{key} jet surface differs from job surface")
     if key != "pinned" and "partition" in job:
         parts = json_list(job["partition"], "partition")
         # JSON integers only, as for jet orders: true and 1.0 equal 1
         if any(type(e) is not int for e in parts):
             raise PreconditionFailed("partition entries must be JSON integers")
         if parts != [j.order for j in jets]:
-            raise JetmoveError(f"partition does not match the {key} jet orders")
+            raise PreconditionFailed(f"partition does not match the {key} jet orders")
     return jets
 
 
@@ -133,7 +133,7 @@ def cmd_verify(args) -> int:
     from_jets = _job_jets(_load(args.from_job), "jets")
     to_jets = _job_jets(_load(args.to_job), "jets")
     if len(from_jets) != len(to_jets):
-        raise JetmoveError("from and to configurations differ in length")
+        raise PreconditionFailed("from and to configurations differ in length")
     miss = first_miss(word, from_jets, to_jets)
     if miss is not None:
         print(_first_mismatch(*miss))

@@ -19,8 +19,7 @@ their singularities have pairwise distinct types.
 
 from __future__ import annotations
 
-from .errors import (CyclicReference, DuplicateCenter, PreconditionFailed,
-                     ensure)
+from .errors import PreconditionFailed, ensure
 from .surfaces import (SPHERE, TORUS, Jet, jet_from_json, jet_to_json,
                        jets_mutually_distant, json_field, json_list, standard_config)
 from .values import Value
@@ -58,8 +57,8 @@ class SurfaceDescriptor(Value, frozen=True):
 
     Building one checks it, in this order: the base is known, every
     record center lives on the base, every parent is ``"base"`` or a
-    strictly earlier record (CyclicReference), and no two base records
-    share a center point (DuplicateCenter).
+    strictly earlier record, and no two base records share a center
+    point; each refusal is a PreconditionFailed.
     """
 
     __slots__ = ("base", "records")
@@ -73,11 +72,11 @@ class SurfaceDescriptor(Value, frozen=True):
                 raise PreconditionFailed("record center lives on a different surface")
         for i, rec in enumerate(records):
             if rec.parent != BASE and not 0 <= rec.parent < i:
-                raise CyclicReference(
+                raise PreconditionFailed(
                     f"record {i} refers to {rec.parent}, not an earlier record")
         if not jets_mutually_distant(rec.center for rec in records
                                      if rec.parent == BASE and rec.center is not None):
-            raise DuplicateCenter("two base records share a center point")
+            raise PreconditionFailed("two base records share a center point")
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "records", records)
 

@@ -1,9 +1,12 @@
 """Exception types raised by the exact-algebra layer and the geometry layers.
 
-Every failure that a caller can provoke with bad data gets its own class so
-command-line handling can map them to exit codes by type alone: file text
-or JSON shapes that cannot be read raise InvalidInput, data that reads but
-breaks a rule raises another class, and a built-in exception is a bug.
+A class exists only where a failure is told apart: cli.main catches
+InvalidInput (text or JSON shape that cannot be read, "cannot read ..."),
+RootInForbiddenRegion, OutputTooLarge and InternalVerificationFailure by
+name, and ZeroPolynomial, DegreeMismatch and IdentityFails name which
+proof a loaded generator failed.  Every other rule that data read without
+error breaks raises PreconditionFailed, its message naming the rule.
+JetmoveError is only caught, never raised; a built-in exception is a bug.
 """
 
 
@@ -15,48 +18,12 @@ class InvalidInput(JetmoveError, ValueError):
     """File text, JSON shape or scalar text that cannot be read."""
 
 
-class IncompatibleTowers(JetmoveError):
-    """Two scalars live in extension chains that cannot be merged."""
-
-
-class NegativeRadicand(JetmoveError):
-    """Square root of a negative scalar was requested."""
-
-
-class NotAUnit(JetmoveError):
-    """Series inversion needs a nonzero constant term."""
-
-
-class ZeroSeed(NotAUnit):
-    """Series square root needs a nonzero seed value."""
-
-
-class BadSeed(JetmoveError):
-    """Seed does not square to the constant term of the series."""
-
-
-class SeriesContextMismatch(JetmoveError):
-    """Arithmetic between series with different centers or orders."""
-
-
-class DuplicateCenter(JetmoveError):
-    """Interpolation residues list the same center twice."""
+class PreconditionFailed(JetmoveError):
+    """Input data violates a documented precondition of the algorithm."""
 
 
 class ZeroPolynomial(JetmoveError):
     """Root counting on the zero polynomial is undefined."""
-
-
-class NotCurvilinear(JetmoveError):
-    """Ideal generators do not cut out a curvilinear subscheme in this chart."""
-
-
-class NotOnEquator(JetmoveError):
-    """Verticality on the sphere is only defined at points with z = 0."""
-
-
-class MixedSurfaces(JetmoveError):
-    """An operation combined objects living on different surfaces."""
 
 
 class DegreeMismatch(JetmoveError):
@@ -76,30 +43,6 @@ class RootInForbiddenRegion(JetmoveError):
     def __init__(self, message, witness):
         super().__init__(message)
         self.witness = witness
-
-
-class DuplicatePoints(JetmoveError):
-    """A configuration of points contains a repeated point."""
-
-
-class NotDistant(JetmoveError):
-    """Jets overlap: two of them share a point of their supports."""
-
-
-class OrderMismatch(JetmoveError):
-    """Orders of two jet configurations do not agree positionally."""
-
-
-class PreconditionFailed(JetmoveError):
-    """Input data violates a documented precondition of the algorithm."""
-
-
-class CyclicReference(JetmoveError):
-    """Blow-up record refers to itself or to a later record."""
-
-
-class EnumerationExhausted(JetmoveError):
-    """Search over rational parameters hit the configured cap."""
 
 
 class OutputTooLarge(JetmoveError):

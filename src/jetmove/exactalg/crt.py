@@ -18,7 +18,7 @@ cached beyond that.
 
 from __future__ import annotations
 
-from ..errors import DuplicateCenter
+from ..errors import PreconditionFailed
 from .poly import Poly, sum_of_products
 from .scalar import ONE, Scalar, repeats, scal
 from .series import Series, poly_to_series
@@ -68,7 +68,7 @@ def _check_distinct(nodes: list[Scalar]):
     nodes by value)."""
     pair = next(repeats([(c,) for c in nodes]), None)
     if pair is not None:
-        raise DuplicateCenter(f"center {nodes[pair[1]]} listed twice")
+        raise PreconditionFailed(f"center {nodes[pair[1]]} listed twice")
 
 
 class CrtBasis:

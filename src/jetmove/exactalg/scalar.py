@@ -29,7 +29,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 from typing import Union
 
-from ..errors import IncompatibleTowers, InvalidInput, NegativeRadicand, OutputTooLarge
+from ..errors import InvalidInput, OutputTooLarge, PreconditionFailed
 
 RatLike = Union[int, str, Fraction, "Scalar"]
 
@@ -419,7 +419,7 @@ def _merge_chains(t1: Tower, t2: Tower):
     for level in t2.chain():
         rad = embed(level.radicand)
         if not _is_ancestor(rad.tower, merged):
-            raise IncompatibleTowers("cannot merge extension chains")
+            raise PreconditionFailed("cannot merge extension chains")
         root = try_sqrt(rad, merged)
         if root is None:
             merged = Tower.extend(merged, rad)
@@ -440,7 +440,7 @@ def try_sqrt(s: Scalar, chain: Tower | None = None) -> Scalar | None:
     if chain is None:
         chain = s.tower
     if not _is_ancestor(s.tower, chain):
-        raise IncompatibleTowers("scalar does not live in the given chain")
+        raise PreconditionFailed("scalar does not live in the given chain")
     if s.sign() < 0:
         return None
     root = _try_sqrt_in(s, chain)
@@ -490,12 +490,12 @@ def _try_sqrt_in(s: Scalar, chain: Tower | None) -> Scalar | None:
 def scalar_sqrt_adjoin(s: RatLike) -> Scalar:
     """Nonnegative square root of ``s``, extending the tower only if needed.
 
-    Raises NegativeRadicand for negative input.  When s is already a square
+    Raises PreconditionFailed for negative input.  When s is already a square
     in its own chain the existing root is returned and no level is added.
     """
     s = scal(s)
     if s.sign() < 0:
-        raise NegativeRadicand(f"sqrt of negative scalar {s}")
+        raise PreconditionFailed(f"sqrt of negative scalar {s}")
     if s.is_zero():
         return ZERO
     root = try_sqrt(s)

@@ -21,7 +21,7 @@ from __future__ import annotations
 from math import isqrt
 from typing import Iterable
 
-from ..errors import BadSeed, NotAUnit, SeriesContextMismatch, ZeroSeed
+from ..errors import PreconditionFailed
 from .poly import Poly
 from .scalar import ONE, ZERO, RatLike, Scalar, power, scal, try_sqrt
 
@@ -68,7 +68,7 @@ class Series:
     def _check(self, other: Series):
         if self.order != other.order or not (
                 self.center is other.center or self.center == other.center):
-            raise SeriesContextMismatch(
+            raise PreconditionFailed(
                 f"series at ({self.center}, {self.order}) vs "
                 f"({other.center}, {other.order})")
 
@@ -119,7 +119,7 @@ class Series:
     def invert(self) -> Series:
         """Multiplicative inverse; the constant term must be nonzero."""
         if self.valuation():
-            raise NotAUnit("series with zero constant term has no inverse")
+            raise PreconditionFailed("series with zero constant term has no inverse")
         return Series._of(self.center, self.order, self.poly.inverse(self.order))
 
     def __truediv__(self, other):
@@ -169,9 +169,9 @@ def hensel_sqrt(u: Series, seed: RatLike) -> Series:
     """
     s0 = scal(seed)
     if s0.is_zero():
-        raise ZeroSeed("square-root seed must be nonzero")
+        raise PreconditionFailed("square-root seed must be nonzero")
     if not (s0 * s0 == u.value()):
-        raise BadSeed(f"seed {s0} does not square to {u.value()}")
+        raise PreconditionFailed(f"seed {s0} does not square to {u.value()}")
     s, k = Poly.const(s0), 1
     while k < u.order:
         k = min(2 * k, u.order)
@@ -235,9 +235,9 @@ def compose_centered(outer: Series, inner: Series) -> Series:
     integer form, one column set to 0 and one reduction.
     """
     if not (inner.value() == outer.center):
-        raise SeriesContextMismatch("inner value must equal outer center")
+        raise PreconditionFailed("inner value must equal outer center")
     if outer.order < inner.order:
-        raise SeriesContextMismatch("outer order too small for composition")
+        raise PreconditionFailed("outer order too small for composition")
     if outer.poly.degree < 1:
         return Series._of(inner.center, inner.order, outer.poly)
     form = inner.poly.int_form()

@@ -26,8 +26,7 @@ and one read-back turns it into a jet on either surface.
 
 from __future__ import annotations
 
-from .errors import (InvalidInput, MixedSurfaces, NotCurvilinear,
-                     NotOnEquator, PreconditionFailed)
+from .errors import InvalidInput, PreconditionFailed
 from .exactalg import (ONE, ZERO, Poly, Scalar, Series, hensel_sqrt,
                        parse_scalar, poly_to_series, repeats, scal,
                        scalar_to_json)
@@ -363,7 +362,7 @@ def _read_back(p: TorusParam | SphereParam, coords: tuple[Series, ...], order: i
             others = coords[i + 1:] + coords[:i]
             return Jet(param_point(p), "xyz"[i],
                        tuple(_reparametrize(driver, others, order)))
-    raise NotCurvilinear("parametrization is not an embedding")
+    raise PreconditionFailed("parametrization is not an embedding")
 
 
 def jet_from_torus_param(p: TorusParam, order: int) -> Jet:
@@ -400,7 +399,7 @@ def jet_is_vertical(j: Jet) -> bool:
     if j.surface == TORUS:
         return j.var == "y"
     if not j.center.z.is_zero():
-        raise NotOnEquator("verticality needs a center on the equator z = 0")
+        raise PreconditionFailed("verticality needs a center on the equator z = 0")
     return j.var == "z"
 
 
@@ -421,7 +420,7 @@ def jets_mutually_distant(jets) -> bool:
     jets = list(jets)
     for j in jets[1:]:
         if j.surface != jets[0].surface:
-            raise MixedSurfaces("jets live on different surfaces")
+            raise PreconditionFailed("jets live on different surfaces")
     return coinciding_points([j.center for j in jets]) is None
 
 
@@ -467,7 +466,7 @@ def standard_config(surface: str, orders) -> StandardConfig:
             h = Series.constant(0, c.x, e)
             jets.append(Jet.sphere(c, e, g, h))
         else:
-            raise MixedSurfaces(f"unknown surface {surface!r}")
+            raise PreconditionFailed(f"unknown surface {surface!r}")
     return StandardConfig(tuple(jets))
 
 
@@ -541,7 +540,7 @@ def jet_to_json(j: Jet) -> dict:
 def jet_from_json(d: dict) -> Jet:
     surface, order = json_field(d, "surface", "jet"), json_field(d, "order", "jet")
     if surface not in (TORUS, SPHERE):
-        raise MixedSurfaces(f"unknown surface {surface!r}")
+        raise PreconditionFailed(f"unknown surface {surface!r}")
     # bounded before any series of that length exists; bool is not an order
     if type(order) is not int or not 1 <= order <= MAX_JET_ORDER:
         raise PreconditionFailed(

@@ -40,9 +40,7 @@ from .automorphisms import (MAX_TWIST_DEGREE, AutWord, SphereTwist,
                             TorusMoebius, TorusTwist, _carried, _jet_of, _push,
                             apply_jet, apply_point, word_concat, word_identity,
                             word_inverse)
-from .errors import (DuplicatePoints, EnumerationExhausted,
-                     InternalVerificationFailure, MixedSurfaces, NotDistant,
-                     OrderMismatch, PreconditionFailed, ensure)
+from .errors import InternalVerificationFailure, PreconditionFailed, ensure
 from .exactalg import (ONE, ZERO, CrtBasis, Poly, Scalar, Series, crt_combine,
                        crt_with_modulus, repeats, scal, scalar_sqrt_adjoin)
 from .surfaces import (SPHERE, TORUS, Jet, SpherePoint, TorusPoint,
@@ -51,7 +49,7 @@ from .surfaces import (SPHERE, TORUS, Jet, SpherePoint, TorusPoint,
                        sphere_standard_center, standard_config,
                        torus_standard_center)
 
-# candidates one generic choice may try before EnumerationExhausted
+# candidates one generic choice may try before _pick refuses
 ENUM_LIMIT = 1000
 
 
@@ -88,7 +86,7 @@ def _pick(test, what: str, candidates=None):
             break
         if test(c):
             return c
-    raise EnumerationExhausted(f"no admissible {what} in {ENUM_LIMIT} tries")
+    raise PreconditionFailed(f"no admissible {what} in {ENUM_LIMIT} tries")
 
 
 # ---------------------------------------------------------------------------
@@ -160,10 +158,10 @@ def _moved(gens: list, forms: list, g) -> tuple[list, list]:
 def _check_distinct_points(points, cls):
     for p in points:
         if not isinstance(p, cls):
-            raise MixedSurfaces(f"expected {cls.__name__}, got {type(p).__name__}")
+            raise PreconditionFailed(f"expected {cls.__name__}, got {type(p).__name__}")
     pair = coinciding_points(points)
     if pair is not None:
-        raise DuplicatePoints(f"points {pair[0]} and {pair[1]} coincide")
+        raise PreconditionFailed(f"points {pair[0]} and {pair[1]} coincide")
 
 
 def separate_points_torus(jets) -> tuple[AutWord, tuple[Jet, ...]]:
@@ -458,9 +456,9 @@ def _check_config(surface: str, jets, what: str):
             f"{what} jet orders sum to {total}, more than {MAX_TWIST_DEGREE // 2}")
     for j in jets:
         if j.surface != surface:
-            raise MixedSurfaces(f"{what} jets must all lie on the {surface}")
+            raise PreconditionFailed(f"{what} jets must all lie on the {surface}")
     if not jets_mutually_distant(jets):
-        raise NotDistant(f"{what} jets share a center")
+        raise PreconditionFailed(f"{what} jets share a center")
 
 
 def _align_torus(nonv, std) -> AutWord:
@@ -528,7 +526,7 @@ def synth_pair(from_jets, to_jets, pinned=()) -> AutWord:
     """
     from_jets, to_jets, pinned = tuple(from_jets), tuple(to_jets), tuple(pinned)
     if [j.order for j in from_jets] != [j.order for j in to_jets]:
-        raise OrderMismatch("from and to configurations have different order lists")
+        raise PreconditionFailed("from and to configurations have different order lists")
     sources, targets = pinned + from_jets, pinned + to_jets
     if not sources:
         raise PreconditionFailed("nothing to move")

@@ -39,7 +39,6 @@ from jetmove.errors import (
     IdentityFails,
     InternalVerificationFailure,
     JetmoveError,
-    MixedSurfaces,
     PreconditionFailed,
     RootInForbiddenRegion,
 )
@@ -550,9 +549,10 @@ def test_word_rejects_uncertified_generator():
 def test_word_rejects_mixed_surfaces():
     g1 = certify_twist(TorusTwist.of("x", [1], [2]))
     g2 = certify_twist(SphereTwist.of("z", [3], [4], [5]))
-    with pytest.raises(MixedSurfaces):
+    with pytest.raises(PreconditionFailed, match=r"^word mixes torus and sphere generators$"):
         AutWord(TORUS, (g1, g2))
-    with pytest.raises(MixedSurfaces):
+    with pytest.raises(PreconditionFailed,
+                       match=r"^cannot concatenate words on different surfaces$"):
         word_concat(AutWord(TORUS, (g1,)), AutWord(SPHERE, (g2,)))
 
 
@@ -623,8 +623,22 @@ def test_sphere_rotation_angle_varies_with_height():
 
 def test_apply_point_rejects_wrong_surface():
     w = AutWord(TORUS, (TorusTwist.of("x", [1], [2]),))
-    with pytest.raises(MixedSurfaces):
+    with pytest.raises(PreconditionFailed, match=r"^torus word applied to a SpherePoint$"):
         apply_point(w, SpherePoint(ONE, ZERO, ZERO))
+
+
+@pytest.mark.parametrize("surface, g, pt", [
+    (TORUS, TorusTwist.of("x", [1], [2]), SpherePoint(ONE, ZERO, ZERO)),
+    (SPHERE, SphereTwist.of("z", [3], [4], [5]), TorusPoint.affine(1, 2)),
+], ids=["sphere-point-on-torus-word", "torus-point-on-sphere-word"])
+def test_point_off_the_words_surface_is_refused(surface, g, pt):
+    # jacobian_at used to read the point's coordinates unchecked and fail
+    # with an AttributeError where apply_point refuses
+    w = AutWord(surface, (g,))
+    message = f"^{surface} word applied to a {type(pt).__name__}$"
+    for f in (apply_point, jacobian_at):
+        with pytest.raises(PreconditionFailed, match=message):
+            f(w, pt)
 
 
 # ---------------------------------------------------------------------------
@@ -1235,7 +1249,7 @@ def test_twist_degree_limit_is_inclusive():
 
 
 def test_json_rejects_unknown_surface():
-    with pytest.raises(MixedSurfaces):
+    with pytest.raises(PreconditionFailed, match=r"^unknown surface 'cylinder'$"):
         word_from_json({"surface": "cylinder", "generators": []})
 
 

@@ -644,6 +644,49 @@ def test_jet_order_out_of_range_is_invalid(tmp_path, capsys, monkeypatch,
     assert "jet order must be an integer" in capsys.readouterr().err
 
 
+_T1, _T2 = (jet_to_json(standard_config(TORUS, [e]).jets[0]) for e in (1, 2))
+_S1 = jet_to_json(standard_config(SPHERE, [1]).jets[0])
+_TORUS_WORD = {"surface": TORUS, "generators": []}
+
+
+@pytest.mark.parametrize("files, argv, message", [
+    ({"job": {"surface": TORUS, "partition": [1, 1], "jets": [_T1, _T1]}},
+     ["synth", "--job", "job", "--out", "out"],
+     "invalid job: target jets share a center"),
+    ({"job": {"surface": TORUS, "partition": [1], "jets": [_S1]}},
+     ["synth", "--job", "job", "--out", "out"],
+     "invalid job: jets jet surface differs from job surface"),
+    ({"job": {"surface": TORUS, "from": [_T1], "to": [_T2]}},
+     ["synth", "--job", "job", "--out", "out"],
+     "invalid job: from and to configurations have different order lists"),
+    ({"word": _TORUS_WORD, "one": {"surface": TORUS, "jets": [_T1]},
+      "none": {"surface": TORUS, "jets": []}},
+     ["verify", "--word", "word", "--from", "one", "--to", "none"],
+     "invalid input: from and to configurations differ in length"),
+    ({"word": _TORUS_WORD, "jet": {**_T1, "graph": {"f": ["sqrt(-2)"]}}},
+     ["apply", "--word", "word", "--jet", "jet"],
+     "invalid input: sqrt of negative scalar -2"),
+    ({"desc": {"base": SPHERE, "records": [{"parent": 5, "order": 1}]}},
+     ["classify", "desc", "desc"],
+     "invalid descriptor: record 0 refers to 5, not an earlier record"),
+    ({"desc": {"base": SPHERE,
+               "records": [{"parent": "base", "order": 1, "center": _S1}] * 2}},
+     ["classify", "desc", "desc"],
+     "invalid descriptor: two base records share a center point"),
+], ids=["equal-points", "sphere-jet-in-torus-job", "pair-orders-differ",
+        "verify-lengths-differ", "sqrt-of-negative", "cyclic-descriptor",
+        "shared-base-center"])
+def test_broken_rule_exits_invalid_with_its_line(tmp_path, capsys, files, argv,
+                                                 message):
+    # data that reads but breaks a rule: exit 2 and one "invalid ..." line
+    paths = {name: write(tmp_path / f"{name}.json", data) for name, data in files.items()}
+    out = tmp_path / "out.json"
+    paths["out"] = str(out)
+    assert main([paths.get(a, a) for a in argv]) == INVALID
+    assert capsys.readouterr().err == message + "\n"
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # apply and compose
 

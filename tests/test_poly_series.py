@@ -8,15 +8,15 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import rand_poly, rand_series
-from jetmove.automorphisms import SphereTwist
-from jetmove.errors import JetmoveError, NotAUnit, OutputTooLarge, SeriesContextMismatch
+from jetmove.automorphisms import SphereTwist, generator_from_json
+from jetmove.errors import JetmoveError, OutputTooLarge, PreconditionFailed
 from jetmove.exactalg import (ONE, ZERO, Poly, Scalar, Series, compose_centered,
                               half_angle_from_json, half_angle_to_json, hensel_sqrt, poly,
                               poly_from_json, poly_gcd, poly_sqrt, poly_to_json,
                               poly_to_series, same_field, scal, parse_scalar,
                               scalar_sqrt_adjoin, scalar_to_str, square_free_part)
 from jetmove.exactalg.scalar import MAX_SCALAR_DIGITS
-from jetmove.surfaces import _reparametrize, scalars_from_json
+from jetmove.surfaces import SPHERE, _reparametrize, scalars_from_json
 from oracles import (Quad, p_add, p_eval, p_mul, p_scale, p_sqrt, p_taylor, s_inv,
                      s_mul, s_sqrt, series_horner, sphere_twist_of, trim)
 
@@ -83,9 +83,9 @@ def test_series_ring_and_context_guard():
     s = Series(ZERO, 3, [1, 2, 3])
     t = Series(ZERO, 3, [0, 1, 0])
     assert list((s * t).coeffs) == [scal(0), scal(1), scal(2)]
-    with pytest.raises(SeriesContextMismatch):
+    with pytest.raises(PreconditionFailed, match=r"^series at \(0, 3\) vs \(1, 3\)$"):
         s + Series(ONE, 3, [1, 2, 3])
-    with pytest.raises(SeriesContextMismatch):
+    with pytest.raises(PreconditionFailed, match=r"^series at \(0, 3\) vs \(0, 2\)$"):
         s + Series(ZERO, 2, [1, 2])
 
 
@@ -94,7 +94,8 @@ def test_series_invert_pinned():
     v = u.invert()
     assert list(v.coeffs) == [scal(Fraction(1, 2)), scal(Fraction(-1, 4)),
                               scal(Fraction(1, 8))]
-    with pytest.raises(NotAUnit):
+    with pytest.raises(PreconditionFailed,
+                       match=r"^series with zero constant term has no inverse$"):
         Series(ZERO, 3, [0, 1, 0]).invert()
 
 
@@ -117,9 +118,8 @@ def test_hensel_sqrt_off_center():
 
 
 def test_hensel_sqrt_rejects_bad_seed():
-    from jetmove.errors import BadSeed
     u = poly_to_series(Poly([1, 0, -1]), ZERO, 3)
-    with pytest.raises(BadSeed):
+    with pytest.raises(PreconditionFailed, match=r"^seed 2 does not square to 1$"):
         hensel_sqrt(u, 2)
 
 
@@ -529,7 +529,8 @@ def test_series_invert_matches_pair_oracle(case):
     root, c, e, (a,) = case
     s = _series(c, e, a, root)
     if a[0] == 0:
-        with pytest.raises(NotAUnit):
+        with pytest.raises(PreconditionFailed,
+                           match=r"^series with zero constant term has no inverse$"):
             s.invert()
         return
     inv = s.invert()
@@ -665,17 +666,20 @@ def test_series_in_two_towers_or_depth_two_take_the_scalar_loop(c, e, a, b):
 
 def test_series_refusals_are_unchanged():
     s = Series(Fraction(1, 3), 3, [1, 2])
-    with pytest.raises(NotAUnit):
+    with pytest.raises(PreconditionFailed,
+                       match=r"^series with zero constant term has no inverse$"):
         Series(ZERO, 3, [0, 5]).invert()
-    with pytest.raises(NotAUnit):
+    with pytest.raises(PreconditionFailed,
+                       match=r"^series with zero constant term has no inverse$"):
         Series(ZERO, 2, [s2 - s2, s2]).invert()
     for other in (Series(ZERO, 3, [1]), Series(Fraction(1, 3), 2, [1])):
         for op in (lambda: s + other, lambda: s - other, lambda: s * other):
-            with pytest.raises(SeriesContextMismatch):
+            with pytest.raises(PreconditionFailed,
+                               match=r"^series at \(1/3, 3\) vs \((0, 3|1/3, 2)\)$"):
                 op()
-    with pytest.raises(SeriesContextMismatch):
+    with pytest.raises(PreconditionFailed, match=r"^inner value must equal outer center$"):
         compose_centered(Series(ZERO, 3, [1]), s)
-    with pytest.raises(SeriesContextMismatch):
+    with pytest.raises(PreconditionFailed, match=r"^outer order too small for composition$"):
         compose_centered(Series(ONE, 2, [1]), s)
     with pytest.raises(ValueError, match="more coefficients"):
         Series(ZERO, 2, [1, 0, 0])
@@ -999,11 +1003,13 @@ def _shaped_triples(draw):
 @example([["sqrt(2)", "0", "1"], ["-sqrt(8)"], ["1"]])
 @example([["1/0"], ["sqrt(-2)"], ["x"]])                  # p's refusal comes first
 def test_triple_reader_matches_three_reads(texts):
-    # a sphere triple's texts load to the twist, n's tower object
-    # included, or the refusal that three poly_from_json reads give, both
-    # through SphereTwist.of and through its former gcd-route body
-    # (oracles.sphere_twist_of); the d = 1 reader's n is that twist's n
-    loaded = _proved(lambda: SphereTwist.of("z", *texts, texts=True))
+    # a sphere triple's texts load from a word file to the twist, n's
+    # tower object included, or the refusal that three poly_from_json
+    # reads give, both through SphereTwist.of and through its former
+    # gcd-route body (oracles.sphere_twist_of); the d = 1 reader's n is
+    # that twist's n
+    generator = {"type": "twist", "fixed": "z", **dict(zip("pqr", texts))}
+    loaded = _proved(lambda: generator_from_json(SPHERE, generator))
     general = _proved(lambda: SphereTwist.of("z", *map(poly_from_json, texts)))
     oracle = _proved(lambda: sphere_twist_of("z", *map(poly_from_json, texts)))
     assert loaded == general == oracle, texts

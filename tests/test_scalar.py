@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import jetmove.exactalg.scalar as scalar_module
-from jetmove.errors import JetmoveError, NegativeRadicand
+from jetmove.errors import JetmoveError, PreconditionFailed
 from jetmove.exactalg import (ONE, ZERO, Poly, Scalar, Series, parse_scalar, scal,
                               scalar_sqrt_adjoin, scalar_to_str, try_sqrt)
 from jetmove.exactalg.scalar import MAX_SCALAR_DIGITS, MAX_SQRT_NESTING, _ScalarParser
@@ -83,7 +83,7 @@ def test_inverse_and_pow():
 
 
 def test_negative_radicand_rejected():
-    with pytest.raises(NegativeRadicand):
+    with pytest.raises(PreconditionFailed, match=r"^sqrt of negative scalar -1$"):
         scalar_sqrt_adjoin(-1)
 
 

@@ -62,6 +62,32 @@ def test_main_maps_package_errors_and_oserror_only():
     assert others <= {"_WriteFailed", "OSError"}, others
 
 
+# every class of jetmove.errors, each with the reason it is not folded
+# into PreconditionFailed
+_ERROR_CLASSES = {
+    "JetmoveError",                 # the base: caught last in cli.main, never raised
+    "InvalidInput",                 # caught by name in cli.main: "cannot read ..."
+    "RootInForbiddenRegion",        # caught by name in cli.main: prints the witness
+    "OutputTooLarge",               # caught by name in cli.main: exit 5
+    "InternalVerificationFailure",  # caught by name in cli.main: exit 3
+    "PreconditionFailed",           # the generic class: data reads but breaks a rule
+    "ZeroPolynomial",               # load-certificate refusals, which the oracles
+    "DegreeMismatch",               # and the differential tests tell apart by
+    "IdentityFails",                # class: which proof a loaded generator failed
+}
+
+
+def test_error_classes_are_pinned():
+    # a new class comes with a handler in cli.main or a reason above
+    found = {name for name, obj in vars(errors).items()
+             if isinstance(obj, type) and issubclass(obj, errors.JetmoveError)}
+    assert found == _ERROR_CLASSES
+    raised = [where for where, node in _package_nodes()
+              if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+              and ast.unparse(node.exc.func) == "JetmoveError"]
+    assert not raised, f"the base class raised in {', '.join(raised)}"
+
+
 def _absolute_imports():
     """(file:line, top-level name) for every absolute import of the package."""
     for where, node in _package_nodes():
