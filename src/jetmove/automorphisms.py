@@ -20,16 +20,17 @@ What is read from outside is proved on load by its kind's ``of``:
 TorusTwist.of proves a q = 1 + m^2 from its coefficients (a rational q
 by an integer square root of q - 1 over Z, a tower q by a series root)
 and any other q by Sturm counts, TorusMoebius.of checks both
-determinants, and SphereTwist.of recovers n/d from a sphere triple
-(with no gcd when r + p is a rational constant, as in every synthesized
-twist) and proves p^2 + q^2 = r^2 by one product identity, one square
-when r + p is a rational constant.  A word file holds only generator
-data; str(g) renders the formula.  Twist polynomial text in Q or one
-Q(sqrt r) is read and written on the integer form (exactalg's
-poly_from_json and poly_to_json), other text one Scalar at a time.  A
-d = 1 sphere twist's p, -r past the constant term, is written as r's
-texts negated, and its load proves the triple on the vectors of r's and
-q's texts (half_angle_from_json) and builds it by half_angle, not of.
+determinants, and SphereTwist.of recovers n/d from a sphere triple by
+the gcd of q and r + p and proves p^2 + q^2 = r^2 by one product
+identity.  A word file holds only generator data; str(g) renders the
+formula.  Twist polynomial text in Q or one Q(sqrt r) is read and
+written on the integer form (exactalg's poly_from_json and
+poly_to_json), other text one Scalar at a time.  A d = 1 sphere twist's
+p, -r past the constant term, is written as r's texts negated, and its
+load proves the triple on the vectors of r's and q's texts
+(half_angle_from_json) and builds it by half_angle, not of.  That
+reader proves every d = 1 twist over Q or one Q(sqrt r), quarter turns
+n = +-1 included, whose p = 0 is written as no texts; of takes the rest.
 
 AutWord composes generators left-to-right and refuses one whose route
 is not of its kind.  Jets move through their parameter form
@@ -78,10 +79,10 @@ from __future__ import annotations
 from .errors import (DegreeMismatch, IdentityFails, PreconditionFailed,
                      RootInForbiddenRegion, ensure)
 from .exactalg import (ONE, ZERO, Poly, Scalar, Series, SturmChain,
-                       compose_centered, half_angle_from_json, half_angle_proof,
-                       half_angle_rotation, half_angle_to_json, poly_from_json,
-                       poly_gcd, poly_sqrt, poly_to_json, poly_to_series,
-                       same_field, scal, scalar_to_json)
+                       compose_centered, half_angle_from_json, half_angle_rotation,
+                       half_angle_to_json, poly_from_json, poly_gcd, poly_sqrt,
+                       poly_to_json, poly_to_series, same_field, scal,
+                       scalar_to_json)
 from .surfaces import (SPHERE, SPHERE_CHARTS, TORUS, Jet, SphereParam,
                        SpherePoint, TorusParam, TorusPoint, jet_from_sphere_param,
                        jet_from_torus_param, jet_parametrize, json_field, json_list,
@@ -90,14 +91,14 @@ from .values import Value
 
 # highest twist degree a word file may hold; a load Sturm-checks up to it
 MAX_TWIST_DEGREE = 64
-_UNIT = Poly.const(1)       # the d of every d = 1 sphere twist, one shared value
+_UNIT = Poly.const(1)       # the d of every twist half_angle builds, one shared value
 
 
 # ---------------------------------------------------------------------------
 # generators
 
 
-class TorusTwist(Value, frozen=True):
+class TorusTwist(Value):
     """Translation of ``axis`` by p/q, a function of the other coordinate.
 
     ``route`` is one of ROUTES.  torus-twist-square: q - 1 = m^2 for an
@@ -153,7 +154,7 @@ class TorusTwist(Value, frozen=True):
         return f"{self.axis} -> {self.axis} + ({self.p.str_in(o)})/({self.q.str_in(o)})"
 
 
-class TorusMoebius(Value, frozen=True):
+class TorusMoebius(Value):
     """A fractional-linear map on each factor; its one route, moebius, is
     that both matrices are nonsingular."""
     __slots__ = ("mx", "my", "route")
@@ -187,7 +188,7 @@ class TorusMoebius(Value, frozen=True):
         return f"moebius x: {f(self.mx)}, y: {f(self.my)}"
 
 
-class SphereTwist(Value, frozen=True):
+class SphereTwist(Value):
     """Rotation whose tangent half-angle is n/d, a function of ``fixed``.
 
     n/d is in lowest terms with d monic; the half turn is n = 1, d = 0.
@@ -212,24 +213,17 @@ class SphereTwist(Value, frozen=True):
         coefficient lists.
 
         Its half-angle is n/d = q/(r + p) reduced by their gcd, and p^2 +
-        q^2 = r^2 is checked as (r - p)(r + p) = q^2; a rational constant
-        r + p gives d = 1 with no gcd and the identity with one square on
-        the Polys' integer forms (half_angle_proof).
-        When it holds, r is a polynomial lam times d^2 + n^2, which has no
-        real root because n and d are coprime, and whose leading
-        coefficient is positive; so lam is a nonzero constant, needing no
-        root count, exactly when deg r = 2 max(deg n, deg d), as for d = 1.
+        q^2 = r^2 is checked as (r - p)(r + p) = q^2.  When it holds, r is
+        a polynomial lam times d^2 + n^2, which has no real root because
+        n and d are coprime, and whose leading coefficient is positive; so
+        lam is a nonzero constant, needing no root count, exactly when
+        deg r = 2 max(deg n, deg d), as for d = 1.
         Any other r is Sturm-checked on [-1, 1] before the identity, so a
         candidate failing both reports the root.
         """
         _check_coordinate(fixed, ("x", "y", "z"), "fixed coordinate must be x, y or z")
         p, q, r = _as_poly(p), _as_poly(q), _as_poly(r)
         s = r + p
-        n = None
-        if s.degree == 0 and s[0].tower is None:
-            n = half_angle_proof(s[0], q, r)
-        if n is not None:
-            return SphereTwist(fixed, n, _UNIT, route="sphere-twist-square")
         if s.is_zero():
             n, d = Poly.const(1), Poly()
         else:
@@ -287,7 +281,7 @@ def _as_poly(p) -> Poly:
 Generator = TorusTwist | TorusMoebius | SphereTwist
 
 
-class AutWord(Value, frozen=True):
+class AutWord(Value):
     """Generators applied left-to-right; one surface, each generator
     carrying a proof route of its kind."""
     __slots__ = ("surface", "generators")

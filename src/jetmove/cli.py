@@ -82,7 +82,8 @@ def _job_jets(job, key: str) -> list:
         raise PreconditionFailed(f"unknown job surface {surface!r}")
     jets = [jet_from_json(d) for d in json_list(json_field(job, key, "job"), key)]
     if any(j.surface != surface for j in jets):
-        raise PreconditionFailed(f"{key} jet surface differs from job surface")
+        raise PreconditionFailed(
+            f"a jet under {key!r} does not lie on the job's {surface}")
     if key != "pinned" and "partition" in job:
         parts = json_list(job["partition"], "partition")
         # JSON integers only, as for jet orders: true and 1.0 equal 1

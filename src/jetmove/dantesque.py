@@ -20,8 +20,8 @@ their singularities have pairwise distinct types.
 from __future__ import annotations
 
 from .errors import PreconditionFailed, ensure
-from .surfaces import (SPHERE, TORUS, Jet, jet_from_json, jet_to_json,
-                       jets_mutually_distant, json_field, json_list, standard_config)
+from .surfaces import (SPHERE, TORUS, Jet, coinciding_points, jet_from_json,
+                       jet_to_json, json_field, json_list, standard_config)
 from .values import Value
 
 KLEIN = "klein"
@@ -37,7 +37,7 @@ HYPOTHESIS_NOT_MET = "hypothesis-not-met"
 _EULER_OF_BASE = {SPHERE: 2, TORUS: 0, KLEIN: 0}
 
 
-class BlowupRecord(Value, frozen=True):
+class BlowupRecord(Value):
     """One weighted blow-up: where it is centered and its weight."""
 
     __slots__ = ("parent", "order", "center")
@@ -52,7 +52,7 @@ class BlowupRecord(Value, frozen=True):
         object.__setattr__(self, "center", center)
 
 
-class SurfaceDescriptor(Value, frozen=True):
+class SurfaceDescriptor(Value):
     """Base surface plus the ordered list of blow-up records.
 
     Building one checks it, in this order: the base is known, every
@@ -74,14 +74,14 @@ class SurfaceDescriptor(Value, frozen=True):
             if rec.parent != BASE and not 0 <= rec.parent < i:
                 raise PreconditionFailed(
                     f"record {i} refers to {rec.parent}, not an earlier record")
-        if not jets_mutually_distant(rec.center for rec in records
-                                     if rec.parent == BASE and rec.center is not None):
+        if coinciding_points([rec.center.center for rec in records
+                              if rec.parent == BASE and rec.center is not None]) is not None:
             raise PreconditionFailed("two base records share a center point")
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "records", records)
 
 
-class HomeoInvariants(Value, frozen=True):
+class HomeoInvariants(Value):
     """Exactly the data that determines the homeomorphism type.
 
     ``genus`` is the orientable genus of the minimal resolution when

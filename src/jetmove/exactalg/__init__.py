@@ -1,7 +1,7 @@
 """Exact scalar, polynomial and series arithmetic used by every layer above."""
 
 from .crt import CrtBasis, crt_combine, crt_with_modulus
-from .poly import (Poly, half_angle_from_json, half_angle_proof, half_angle_rotation,
+from .poly import (Poly, half_angle_from_json, half_angle_rotation,
                    half_angle_to_json, poly_from_json, poly_gcd, poly_to_json,
                    same_field, square_free_part)
 from .scalar import (ONE, ZERO, Scalar, Tower, parse_scalar, repeats, scal,
@@ -14,7 +14,7 @@ from .sturm import NEG_INF, POS_INF, SturmChain, cauchy_bound, sturm_root_count
 __all__ = [
     "ONE", "ZERO", "CrtBasis", "Scalar", "Tower", "Poly", "Series", "SturmChain",
     "cauchy_bound", "compose_centered", "crt_combine", "crt_with_modulus",
-    "half_angle_from_json", "half_angle_proof", "half_angle_rotation",
+    "half_angle_from_json", "half_angle_rotation",
     "half_angle_to_json", "hensel_sqrt", "parse_scalar", "poly_from_json",
     "poly_gcd", "poly_sqrt", "poly_to_json", "poly_to_series", "repeats",
     "same_field", "scal", "scalar_sqrt_adjoin", "scalar_to_json", "scalar_to_str",

@@ -546,10 +546,9 @@ def half_angle_rotation(a: Poly, u: Poly, v: Poly, n: int) -> tuple[Poly, Poly] 
 
 def half_angle_proof(c: Scalar, q, r) -> Poly | None:
     """n = q/c over d = 1 for a sphere triple whose r + p is the nonzero
-    rational c, given q and r as Polys or integer forms in Q or one
-    Q(sqrt s), when (r - p) c = q^2, that is (2r - c) c = q^2, holds on
-    their vectors with one square of q; else None."""
-    q, r = (x.int_form() if x.__class__ is Poly else x for x in (q, r))
+    rational c, given q and r as integer forms in Q or one Q(sqrt s), when
+    (r - p) c = q^2, that is (2r - c) c = q^2, holds on their vectors with
+    one square of q; else None."""
     if not (q and r) or (q[0] and r[0] and q[0] is not r[0]):
         return None
     tower = q[0] or r[0]
@@ -724,9 +723,12 @@ def half_angle_from_json(p: list, q: list, r: list) -> Poly | None:
     half_angle_to_json writes: p's texts past its first are r's negated
     (_negated), so c = r(0) + p(0) is read off r's form and p's first
     text alone, and r's and q's texts are read once; None for any other
-    texts, an irrational or zero c, or when the proof fails."""
+    texts, an irrational or zero c, or when the proof fails.  An empty p,
+    the zero p of a quarter turn n = +-1, reads as ["0"], so a quarter
+    turn is proved here too."""
+    p = p or ["0"]
     fr = _read_form(r)
-    head = (fr and p and len(p) == len(r) and p[1:] == [_negated(u) for u in r[1:]]
+    head = (fr and len(p) == len(r) and p[1:] == [_negated(u) for u in r[1:]]
             and _read_form(p[:1]))
     if not head or head[0] not in (None, fr[0]):
         return None

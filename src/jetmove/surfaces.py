@@ -15,7 +15,10 @@ x, y(, z) whose tangent component is nonzero, and x at order 1.  A torus
 coordinate is read on the chart its ProjPoint fixes (finite values on
 chart 0, infinity on chart 1 at local value 0), so every jet, including
 those over infinity, has exactly one stored form and equality is
-structural.
+structural.  Points, jets and parameter forms are frozen records
+(values.Value), a ProjPoint included.  coinciding_points is the one
+test of distinct points: the synthesis configuration check and the
+descriptor constructor run it on jet centers.
 
 Internally jets convert to and from a one-parameter description, the
 coordinates as truncated series in a local parameter t: TorusParam keeps
@@ -43,7 +46,7 @@ MAX_JET_ORDER = 64
 # points
 
 
-class ProjPoint:
+class ProjPoint(Value):
     """A point of P1(R), canonically (value, 1) for finite or (1, 0).
 
     The chart rule lives here: a finite point sits on chart 0 at its
@@ -55,16 +58,19 @@ class ProjPoint:
     def __init__(self, u, v):
         u, v = scal(u), scal(v)
         if not v.is_zero():
-            self.u, self.v = u / v, ONE
+            u, v = u / v, ONE
         elif not u.is_zero():
-            self.u, self.v = ONE, ZERO
+            u, v = ONE, ZERO
         else:
             raise PreconditionFailed("(0 : 0) is not a projective point")
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "v", v)
 
     @staticmethod
     def affine(value) -> ProjPoint:
         pt = ProjPoint.__new__(ProjPoint)
-        pt.u, pt.v = scal(value), ONE
+        object.__setattr__(pt, "u", scal(value))
+        object.__setattr__(pt, "v", ONE)
         return pt
 
     @staticmethod
@@ -94,15 +100,6 @@ class ProjPoint:
         """The point at local ``value`` on ``chart`` (0 on chart 1)."""
         return ProjPoint.infinity() if chart else ProjPoint.affine(value)
 
-    def __eq__(self, other):
-        if not isinstance(other, ProjPoint):
-            return NotImplemented
-        if self.is_infinite != other.is_infinite:
-            return False
-        return self.is_infinite or self.u == other.u
-
-    __hash__ = None
-
     def __str__(self):
         return "inf" if self.is_infinite else str(self.u)
 
@@ -110,7 +107,7 @@ class ProjPoint:
         return f"ProjPoint({self})"
 
 
-class TorusPoint(Value, frozen=True):
+class TorusPoint(Value):
     __slots__ = ("x", "y")
 
     def __init__(self, x: ProjPoint, y: ProjPoint):
@@ -125,7 +122,7 @@ class TorusPoint(Value, frozen=True):
         return f"({self.x}, {self.y})"
 
 
-class SpherePoint(Value, frozen=True):
+class SpherePoint(Value):
     __slots__ = ("x", "y", "z")
 
     def __init__(self, x: Scalar, y: Scalar, z: Scalar):
@@ -195,7 +192,7 @@ def _local(point: TorusPoint | SpherePoint, name: str) -> Scalar:
     return c.local if isinstance(c, ProjPoint) else c
 
 
-class Jet(Value, frozen=True):
+class Jet(Value):
     """A curvilinear jet in canonical graph form; see the module docstring.
 
     ``var`` is the coordinate the jet is a graph over, and ``graphs`` the
@@ -274,17 +271,17 @@ class TorusParam(Value):
     __slots__ = ("x", "y")
 
     def __init__(self, x: tuple[int, Series | Scalar], y: tuple[int, Series | Scalar]):
-        self.x = x
-        self.y = y
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
 
 
 class SphereParam(Value):
     __slots__ = ("x", "y", "z")
 
     def __init__(self, x: Series | Scalar, y: Series | Scalar, z: Series | Scalar):
-        self.x = x
-        self.y = y
-        self.z = z
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "z", z)
 
 
 def _recenter_zero(s: Series) -> Series:
@@ -415,20 +412,11 @@ def coinciding_points(points) -> tuple[int, int] | None:
                         else p.coords() for p in points]), default=None)
 
 
-def jets_mutually_distant(jets) -> bool:
-    """True iff the supports (center points) are pairwise disjoint."""
-    jets = list(jets)
-    for j in jets[1:]:
-        if j.surface != jets[0].surface:
-            raise PreconditionFailed("jets live on different surfaces")
-    return coinciding_points([j.center for j in jets]) is None
-
-
 # ---------------------------------------------------------------------------
 # standard configurations
 
 
-class StandardConfig(Value, frozen=True):
+class StandardConfig(Value):
     __slots__ = ("jets",)
 
     def __init__(self, jets: tuple[Jet, ...]):

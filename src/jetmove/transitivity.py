@@ -45,8 +45,7 @@ from .exactalg import (ONE, ZERO, CrtBasis, Poly, Scalar, Series, crt_combine,
                        crt_with_modulus, repeats, scal, scalar_sqrt_adjoin)
 from .surfaces import (SPHERE, TORUS, Jet, SpherePoint, TorusPoint,
                        coinciding_points, jet_is_vertical, jet_tangent_vector,
-                       jets_mutually_distant, param_point,
-                       sphere_standard_center, standard_config,
+                       param_point, sphere_standard_center, standard_config,
                        torus_standard_center)
 
 # candidates one generic choice may try before _pick refuses
@@ -170,6 +169,8 @@ def separate_points_torus(jets) -> tuple[AutWord, tuple[Jet, ...]]:
     jets = tuple(jets)
     pts, gens = [j.center for j in jets], []
     _check_distinct_points(pts, TorusPoint)
+    if pts == [torus_standard_center(i) for i in range(1, len(pts) + 1)]:
+        return word_identity(TORUS), jets
     forms = [_carried(j) for j in jets]
 
     # everything into the affine chart
@@ -457,7 +458,7 @@ def _check_config(surface: str, jets, what: str):
     for j in jets:
         if j.surface != surface:
             raise PreconditionFailed(f"{what} jets must all lie on the {surface}")
-    if not jets_mutually_distant(jets):
+    if coinciding_points([j.center for j in jets]) is not None:
         raise PreconditionFailed(f"{what} jets share a center")
 
 

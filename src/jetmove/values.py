@@ -1,15 +1,14 @@
 """The one base of the package's record classes.
 
 A record class lists its fields in ``__slots__`` and writes its own
-``__init__``, checks included; a frozen one (``class P(Value,
-frozen=True)``) sets each field there with ``object.__setattr__``.  The
-base adds what a dataclass would: equality between two values of one
-class whose fields are equal, a ``Name(field=value, ...)`` repr and
-``replace``.  A frozen value refuses to set or delete a field and hashes
-by its fields, so it hashes exactly when they all do; any other value
-does not hash.  The ``dataclasses`` module is not used: it imports
-``inspect`` and ``ast``, which a CLI call has no other use for, and
-builds each class's methods at import time.
+``__init__``, checks included, setting each field there with
+``object.__setattr__``: every record is frozen.  The base adds what a
+dataclass would: equality between two values of one class whose fields
+are equal, a ``Name(field=value, ...)`` repr and ``replace``.  A value
+refuses to set or delete a field and hashes by its fields, so it hashes
+exactly when they all do.  The ``dataclasses`` module is not used: it
+imports ``inspect`` and ``ast``, which a CLI call has no other use for,
+and builds each class's methods at import time.
 """
 
 from __future__ import annotations
@@ -17,29 +16,22 @@ from __future__ import annotations
 from operator import attrgetter
 
 
-def _no_assign(self, name, value):
-    raise AttributeError(f"cannot assign to field {name!r}")
-
-
-def _no_delete(self, name):
-    raise AttributeError(f"cannot delete field {name!r}")
-
-
-def _hash_fields(self):
-    return hash(self._field_values(self))
-
-
 class Value:
     __slots__ = ()
-    __hash__ = None
 
-    def __init_subclass__(cls, frozen: bool = False):
+    def __init_subclass__(cls):
         # every field in one C call: jets and points are compared while
         # a word is verified
         cls._field_values = attrgetter(*cls.__slots__)
-        if frozen:
-            cls.__setattr__, cls.__delattr__ = _no_assign, _no_delete
-            cls.__hash__ = _hash_fields
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self):
+        return hash(self._field_values(self))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

@@ -245,13 +245,9 @@ _over_s2 = st.builds(lambda a, b: scal(a) + _S2 * b, _rationals, _rationals)
                             _polys(_over_s2, _towered_lead)))
 def test_sphere_twist_of_constant_sum_route(lam, a):
     # lam (1 - a^2, 2a, 1 + a^2) has r + p = 2 lam, a nonzero constant:
-    # n = q / (2 lam) = a and d = 1, read off with no gcd for a rational
-    # lam, and by the gcd with that constant for an irrational one
+    # n = q / (2 lam) = a and d = 1, by the gcd with that constant
     p, q, r = (1 - a * a) * lam, a * 2 * lam, (1 + a * a) * lam
-    with pytest.MonkeyPatch.context() as mp:
-        if lam.tower is None:
-            mp.setattr(automorphisms, "poly_gcd", _refuse)
-        g = SphereTwist.of("x", p, q, r)
+    g = SphereTwist.of("x", p, q, r)
     assert (g.n, g.d, g.route) == (a, Poly.const(1), "sphere-twist-square")
     assert g.triple() == (1 - a * a, a * 2, 1 + a * a)
 
@@ -1194,6 +1190,24 @@ def test_sphere_word_json_round_trip():
     assert not {"certificate", "formula"} & set(d["generators"][0])
     assert word_from_json(d) == w
     assert word_from_json(FOUR_FIELD_SPHERE_WORD) == w
+
+
+@pytest.mark.parametrize("n, quarter_turn", [(1, True), (-1, True), (Fraction(3, 5), False),
+                                             (_S2, False)], ids=["1", "-1", "3/5", "sqrt2"])
+def test_constant_twists_load_through_the_half_angle_reader(monkeypatch, n, quarter_turn):
+    # a constant half-angle is written as its triple, whose p = 1 - n^2 is
+    # written as no texts for a quarter turn; the d = 1 reader proves
+    # each, to the twist half_angle builds, with no call of SphereTwist.of
+    want = SphereTwist.half_angle("y", Poly.const(n))
+    data = json.loads(json.dumps(automorphisms.generator_to_json(want)))
+    assert (data["p"] == []) == quarter_turn
+
+    def refuse(*args):
+        raise AssertionError("a d = 1 twist loaded through SphereTwist.of")
+
+    monkeypatch.setattr(SphereTwist, "of", staticmethod(refuse))
+    g = automorphisms.generator_from_json(SPHERE, data)
+    assert g == want and g.route == want.route
 
 
 def test_json_load_recertifies():

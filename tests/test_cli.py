@@ -426,6 +426,26 @@ def test_empty_pinned_list_writes_the_word_of_the_job_without_it(tmp_path, capsy
     assert words[0] == words[1]
 
 
+@pytest.mark.parametrize("surface", [TORUS, SPHERE])
+def test_pair_job_from_the_standard_configuration_writes_the_plain_jobs_word(
+        tmp_path, capsys, rng, torus_targets, surface):
+    # moving the standard jets takes the empty word, so a pair job from
+    # them synthesizes the word of the plain job to the same targets
+    targets = (torus_targets if surface == TORUS
+               else [rand_sphere_jet(rng, 2), rand_sphere_jet(rng, 1)])
+    std = standard_config(surface, [j.order for j in targets]).jets
+    jobs = {"plain": {"jets": targets}, "pair": {"from": std, "to": targets}}
+    words = []
+    for name, keys in jobs.items():
+        data = {"surface": surface, "partition": [j.order for j in targets],
+                **{k: [jet_to_json(j) for j in jets] for k, jets in keys.items()}}
+        out = tmp_path / f"{name}-word.json"
+        assert main(["synth", "--job", write(tmp_path / f"{name}.json", data),
+                     "--out", str(out)]) == OK
+        words.append(out.read_bytes())
+    assert words[0] == words[1]
+
+
 @pytest.mark.parametrize("command", ["synth", "compose"])
 def test_out_write_error_names_the_output(tmp_path, capsys, torus_targets,
                                           command):
@@ -655,7 +675,7 @@ _TORUS_WORD = {"surface": TORUS, "generators": []}
      "invalid job: target jets share a center"),
     ({"job": {"surface": TORUS, "partition": [1], "jets": [_S1]}},
      ["synth", "--job", "job", "--out", "out"],
-     "invalid job: jets jet surface differs from job surface"),
+     "invalid job: a jet under 'jets' does not lie on the job's torus"),
     ({"job": {"surface": TORUS, "from": [_T1], "to": [_T2]}},
      ["synth", "--job", "job", "--out", "out"],
      "invalid job: from and to configurations have different order lists"),

@@ -88,6 +88,24 @@ def test_error_classes_are_pinned():
     assert not raised, f"the base class raised in {', '.join(raised)}"
 
 
+def test_record_classes_are_values():
+    # a class declaring __slots__ outside exactalg is a record: it takes
+    # equality, hashing, repr and immutability from values.Value alone
+    from jetmove.values import Value
+    slotted, found = set(), []
+    for path in sorted(PACKAGE.glob("*.py")):
+        name = "jetmove" if path.stem == "__init__" else f"jetmove.{path.stem}"
+        module = importlib.import_module(name)
+        for obj in vars(module).values():
+            if (isinstance(obj, type) and obj.__module__ == name
+                    and "__slots__" in vars(obj)):
+                slotted.add(f"{path.name}:{obj.__qualname__}")
+                if not issubclass(obj, Value):
+                    found.append(f"{path.name}:{obj.__qualname__}")
+    assert {"values.py:Value", "surfaces.py:ProjPoint", "surfaces.py:Jet"} <= slotted
+    assert not found, f"records outside values.Value: {found}"
+
+
 def _absolute_imports():
     """(file:line, top-level name) for every absolute import of the package."""
     for where, node in _package_nodes():

@@ -19,7 +19,6 @@ from jetmove.surfaces import (MAX_JET_ORDER, Jet, ProjPoint, SphereParam,
                               jet_from_json, jet_from_sphere_param,
                               jet_from_torus_param, jet_is_vertical,
                               jet_parametrize, jet_tangent_vector, jet_to_json,
-                              jets_mutually_distant,
                               point_from_json, point_to_json,
                               sphere_point_stereo, sphere_standard_center,
                               standard_config, torus_standard_center,
@@ -153,11 +152,9 @@ def test_verticality():
 
 def test_distance_checks():
     a = standard_config("torus", [1, 1]).jets
-    assert jets_mutually_distant(a)
+    assert coinciding_points([j.center for j in a]) is None
     twin = (a[0], a[0])
-    assert not jets_mutually_distant(twin)
-    with pytest.raises(PreconditionFailed, match=r"^jets live on different surfaces$"):
-        jets_mutually_distant([a[0], standard_config("sphere", [1]).jets[0]])
+    assert coinciding_points([j.center for j in twin]) == (0, 1)
 
 
 def _pairwise_first(points):
@@ -205,7 +202,7 @@ def test_coinciding_points_finds_the_pairwise_scans_pair(points):
     jets = [Jet.torus(p, 1, Series(p.x.local, 1, [p.y.local])) if isinstance(p, TorusPoint)
             else Jet.sphere(p, 1, Series(p.x, 1, [p.y]), Series(p.x, 1, [p.z]))
             for p in points]
-    assert jets_mutually_distant(jets) == (want is None)
+    assert coinciding_points([j.center for j in jets]) == want
 
 
 def test_partition():

@@ -651,6 +651,15 @@ def test_duplicate_messages_name_the_pairwise_scans_pair():
         CrtBasis([Fraction(1, 2), 3, 3, Fraction(2, 4)], [1, 1, 1, 1])
 
 
+@pytest.mark.parametrize("surface", [TORUS, SPHERE])
+@pytest.mark.parametrize("orders", [[1, 1, 1], [2, 1], [3, 2, 2]])
+def test_build_of_the_standard_configuration_is_empty(surface, orders):
+    # the standard jets sit on the standard centers already, horizontal
+    # on the torus and along the equator on the sphere: no stage moves them
+    std = standard_config(surface, orders).jets
+    assert len(transitivity._build(surface, std, std)) == 0
+
+
 def test_synth_torus_builds_twists_in_square_shape(monkeypatch, rng):
     # every torus twist the synthesizer builds must prove itself without
     # a Sturm chain (the shear's route is checked with the stage-2 tests)
@@ -932,10 +941,10 @@ def test_pinned_words_write_load_and_write_again_byte_for_byte():
 
 
 def test_pinned_words_load_alike_on_both_paths():
-    # each twist of a pinned word loads through word_from_json (a sphere
-    # twist through the d = 1 reader, but for a quarter turn, whose p = 0
-    # has no constant term to read) to the generator, route included, that
-    # three poly_from_json reads give through the general path: the torus
+    # each twist of a pinned word loads through word_from_json (every
+    # sphere twist through the d = 1 reader, a quarter turn's p = 0
+    # included) to the generator, route included, that three
+    # poly_from_json reads give through the general path: the torus
     # twist's ``of`` and the sphere twist's gcd-route body
     for name, synth in _pinned_jobs():
         data = json.loads(json.dumps(word_to_json(synth())))
@@ -945,7 +954,7 @@ def test_pinned_words_load_alike_on_both_paths():
                 continue
             if "fixed" in stored:
                 texts = [stored[k] for k in "pqr"]
-                assert (exactalg.half_angle_from_json(*texts) is None) == (not texts[0])
+                assert exactalg.half_angle_from_json(*texts) is not None
                 want = sphere_twist_of(stored["fixed"], *map(exactalg.poly_from_json, texts))
             else:
                 want = automorphisms.TorusTwist.of(

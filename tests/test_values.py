@@ -20,6 +20,7 @@ def _values():
     sphere_jet = standard_config(SPHERE, [2]).jets[0]
     twist = TorusTwist.square("y", Poly([0, 0, 3]), Poly([0, 1]))
     return {
+        "ProjPoint": ProjPoint.affine(2),
         "TorusPoint": TorusPoint.affine(1, 2),
         "SpherePoint": SpherePoint.of(0, 1, 0),
         "Jet": torus_jet,
@@ -37,7 +38,8 @@ def _values():
 
 
 # each frozen class, and its first field
-FROZEN = {"TorusPoint": "x", "SpherePoint": "x", "Jet": "center",
+FROZEN = {"ProjPoint": "u", "TorusPoint": "x", "SpherePoint": "x", "Jet": "center",
+          "TorusParam": "x", "SphereParam": "x",
           "StandardConfig": "jets", "TorusTwist": "axis", "TorusMoebius": "mx",
           "SphereTwist": "fixed", "AutWord": "surface", "BlowupRecord": "parent",
           "SurfaceDescriptor": "base", "HomeoInvariants": "euler"}
