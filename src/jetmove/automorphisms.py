@@ -356,14 +356,7 @@ def _eval(pol: Poly, s: Series | Scalar) -> Series | Scalar:
     """
     if isinstance(s, Scalar):
         return pol(s)
-    if pol.degree < 1:
-        return Series.constant(pol[0], s.center, s.order)
     return compose_centered(poly_to_series(pol, s.value(), s.order), s)
-
-
-def _hom_eval_series(pol: Poly, n: int, chart: int, loc: Series | Scalar):
-    """Degree-n homogenization of pol at the pair (loc : 1) or (1 : loc)."""
-    return _eval(pol.reversed(n) if chart == 1 else pol, loc)
 
 
 def _fixes(pol: Poly, s: Series) -> bool:
@@ -447,18 +440,20 @@ def _push_torus(w: AutWord, par: TorusParam, reread: bool = False) -> TorusParam
     x, y = par.x, par.y
     for g in w.generators:
         if isinstance(g, TorusTwist):
+            # p, q homogenized at (loc : 1) or (1 : loc); a re-read keeps the chart
             n = g.q.degree
+            chart, loc = x if g.axis == "y" else y
+            p, q = (g.p.reversed(n), g.q.reversed(n)) if chart == 1 else (g.p, g.q)
             if reread and not same_field((g.p, g.q, x[1].poly, y[1].poly)):
-                chart, loc = x if g.axis == "y" else y
-                if _fixes(g.p.reversed(n) if chart == 1 else g.p, loc):
+                if _fixes(p, loc):
                     continue
                 par = _reread(TorusParam(x, y))
                 x, y = par.x, par.y
             src, moved = (x, y) if g.axis == "y" else (y, x)
-            ph = _hom_eval_series(g.p, n, *src)
+            ph = _eval(p, src[1])
             if ph.is_zero():
                 continue         # a zero translation moves nothing
-            moved = _translate(ph, _hom_eval_series(g.q, n, *src), moved)
+            moved = _translate(ph, _eval(q, src[1]), moved)
             x, y = (src, moved) if g.axis == "y" else (moved, src)
         else:
             x, y = _moebius(g.mx, x), _moebius(g.my, y)

@@ -165,13 +165,10 @@ def isomorphism_decide(d1: SurfaceDescriptor, d2: SurfaceDescriptor) -> str:
     ``hypothesis-not-met``.  Within scope, the surfaces are isomorphic
     exactly when their invariants coincide.
     """
-    for d in (d1, d2):
-        sings = descriptor_invariants(d).singularities
-        if len(set(sings)) < len(sings):
-            return HYPOTHESIS_NOT_MET
-    if descriptor_invariants(d1) == descriptor_invariants(d2):
-        return ISOMORPHIC
-    return NOT_ISOMORPHIC
+    inv1, inv2 = descriptor_invariants(d1), descriptor_invariants(d2)
+    if any(len(set(i.singularities)) < len(i.singularities) for i in (inv1, inv2)):
+        return HYPOTHESIS_NOT_MET
+    return ISOMORPHIC if inv1 == inv2 else NOT_ISOMORPHIC
 
 
 def descriptor_to_json(d: SurfaceDescriptor) -> dict:

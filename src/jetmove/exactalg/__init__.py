@@ -1,6 +1,6 @@
 """Exact scalar, polynomial and series arithmetic used by every layer above."""
 
-from .crt import CrtBasis, crt_combine, crt_with_modulus
+from .crt import CrtBasis, crt_combine
 from .poly import (Poly, half_angle_from_json, half_angle_rotation,
                    half_angle_to_json, poly_from_json, poly_gcd, poly_to_json,
                    same_field, square_free_part)
@@ -13,7 +13,7 @@ from .sturm import NEG_INF, POS_INF, SturmChain, cauchy_bound, sturm_root_count
 
 __all__ = [
     "ONE", "ZERO", "CrtBasis", "Scalar", "Tower", "Poly", "Series", "SturmChain",
-    "cauchy_bound", "compose_centered", "crt_combine", "crt_with_modulus",
+    "cauchy_bound", "compose_centered", "crt_combine",
     "half_angle_from_json", "half_angle_rotation",
     "half_angle_to_json", "hensel_sqrt", "parse_scalar", "poly_from_json",
     "poly_gcd", "poly_sqrt", "poly_to_json", "poly_to_series", "repeats",

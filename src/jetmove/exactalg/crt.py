@@ -12,8 +12,9 @@ data of node i, m_i = M / (x - c_i)^{e_i} and the inverse of m_i modulo
 (x - c_i)^{e_i}, is built the first time a nonzero residue there needs
 it.  An interpolant is the sum of the terms m_i lift_i, formed on their
 integer forms and reduced once (poly.sum_of_products).  A basis lives
-for one interpolation or one stage of rotation twists; nothing is
-cached beyond that.
+for one interpolation or one stage of rotation twists, and a torus
+interpolating twist reads its node product off the basis it
+interpolates on; nothing is cached beyond that.
 """
 
 from __future__ import annotations
@@ -153,12 +154,6 @@ def crt_combine(residues) -> Poly:
     ``residues`` is a list of (center, order, value) with value a Series at
     that center and order, or anything coercible to one.
     """
-    return crt_with_modulus(residues)[0]
-
-
-def crt_with_modulus(residues) -> tuple[Poly, Poly]:
-    """crt_combine's interpolant and its node product prod (x - c_i)^{e_i},
-    from one CrtBasis and one interpolation."""
     residues = list(residues)
     basis = CrtBasis([c for c, _, _ in residues], [e for _, e, _ in residues])
-    return basis.interpolate([v for _, _, v in residues]), basis.modulus
+    return basis.interpolate([v for _, _, v in residues])

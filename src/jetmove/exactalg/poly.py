@@ -614,7 +614,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic gcd over the scalar field."""
     while not b.is_zero():
         a, b = b, a % b
-    return a.monic() if not a.is_zero() else a
+    return a.monic()
 
 
 def square_free_part(p: Poly) -> Poly:

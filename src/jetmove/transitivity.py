@@ -42,10 +42,11 @@ from .automorphisms import (MAX_TWIST_DEGREE, AutWord, SphereTwist,
                             word_inverse)
 from .errors import InternalVerificationFailure, PreconditionFailed, ensure
 from .exactalg import (ONE, ZERO, CrtBasis, Poly, Scalar, Series, crt_combine,
-                       crt_with_modulus, repeats, scal, scalar_sqrt_adjoin)
-from .surfaces import (SPHERE, TORUS, Jet, SpherePoint, TorusPoint,
-                       coinciding_points, jet_is_vertical, jet_tangent_vector,
-                       param_point, sphere_standard_center, standard_config,
+                       repeats, scal, scalar_sqrt_adjoin)
+from .surfaces import (SPHERE, SPHERE_CHARTS, TORUS, Jet, SpherePoint,
+                       TorusPoint, coinciding_points, jet_is_vertical,
+                       jet_tangent_vector, jet_to_json, param_point,
+                       sphere_standard_center, standard_config,
                        torus_standard_center)
 
 # candidates one generic choice may try before _pick refuses
@@ -101,7 +102,8 @@ def interpolating_twist(axis: str, residues) -> TorusTwist | None:
     least 1 on R, and deg p = deg q since the interpolant's degree is
     below deg M.  None when every value is zero.
     """
-    p0, m = crt_with_modulus(residues)
+    basis = CrtBasis([c for c, _, _ in residues], [e for _, e, _ in residues])
+    p0, m = basis.interpolate([v for _, _, v in residues]), basis.modulus
     if p0.is_zero():
         return None
     return TorusTwist.square(axis, p0 + m * m, m)
@@ -169,7 +171,8 @@ def separate_points_torus(jets) -> tuple[AutWord, tuple[Jet, ...]]:
     jets = tuple(jets)
     pts, gens = [j.center for j in jets], []
     _check_distinct_points(pts, TorusPoint)
-    if pts == [torus_standard_center(i) for i in range(1, len(pts) + 1)]:
+    targets = [torus_standard_center(i) for i in range(1, len(pts) + 1)]
+    if pts == targets:
         return word_identity(TORUS), jets
     forms = [_carried(j) for j in jets]
 
@@ -188,25 +191,17 @@ def separate_points_torus(jets) -> tuple[AutWord, tuple[Jet, ...]]:
         forms, pts = _moved(gens, forms, TorusMoebius.of(
             chart_matrix([p.x for p in pts]), chart_matrix([p.y for p in pts])))
 
-    # distinct y everywhere: shift each x-group by its own amount
+    # distinct y everywhere: the points over the x-node first met at point
+    # k move by k c, c the first rational leaving no two points one y; a
+    # pair over two nodes rules out one c, so n(n - 1)/2 + 1 tries suffice
     if any(repeats([(p.y.value,) for p in pts])):
-        groups: list[tuple[Scalar, list[Scalar]]] = []
-        for p in pts:
-            for gx, members in groups:
-                if gx == p.x.value:
-                    members.append(p.y.value)
-                    break
-            else:
-                groups.append((p.x.value, [p.y.value]))
-        taken: list[Scalar] = []
-        residues = []
-        for gx, members in groups:
-            shift = _pick(
-                lambda r: all(not (y + r == t) for y in members for t in taken),
-                "y-separating shift")
-            taken.extend(y + shift for y in members)
-            residues.append((gx, 1, shift))
-        tw = interpolating_twist("y", residues)
+        head = {j: i for i, j in repeats([(p.x.value,) for p in pts])}
+        ks = [head.get(i, i) for i in range(len(pts))]
+        c = _pick(lambda c: not any(repeats([(p.y.value + k * c,)
+                                             for p, k in zip(pts, ks)])),
+                  "y-separating shift")
+        tw = interpolating_twist("y", [(p.x.value, 1, k * c)
+                                       for k, p in enumerate(pts) if k not in head])
         ensure(tw is not None, "y-separating twist came out as the identity")
         forms, pts = _moved(gens, forms, tw)
 
@@ -217,14 +212,24 @@ def separate_points_torus(jets) -> tuple[AutWord, tuple[Jet, ...]]:
     forms, pts = _moved(gens, forms, interpolating_twist(
         "y", [(scal(i), 1, -p.y.value) for i, p in enumerate(pts, 1)]))
 
-    for i, p in enumerate(pts, 1):
-        ensure(p == torus_standard_center(i), f"point {i - 1} missed its center")
+    ensure(pts == targets, "points missed their standard centers")
     return (AutWord(TORUS, tuple(gens)),
             tuple(_jet_of(f, j.order) for f, j in zip(forms, jets)))
 
 
 # ---------------------------------------------------------------------------
 # point separation, sphere
+
+
+def _turns(fixed: str, pts, goals) -> list[Scalar]:
+    """The tangent half-angle of the rotation about ``fixed`` turning each
+    point's pair (u, v), its coordinates after ``fixed`` in SPHERE_CHARTS,
+    onto its goal (gu, gv) on the same circle u^2 + v^2 = r^2 = 1 - fixed^2:
+    cos = c/r^2 and sin = s/r^2 for c = u gu + v gv and s = u gv - v gu,
+    so the half-angle tangent is s/(r^2 + c)."""
+    coords = ([getattr(p, n) for n in SPHERE_CHARTS[fixed]] for p in pts)
+    return [(u * gv - v * gu) / (ONE - t * t + u * gu + v * gv)
+            for (t, u, v), (gu, gv) in zip(coords, goals)]
 
 
 def separate_points_sphere(jets) -> tuple[AutWord, tuple[Jet, ...]]:
@@ -272,8 +277,7 @@ def separate_points_sphere(jets) -> tuple[AutWord, tuple[Jet, ...]]:
     # x-move leg sqrt(Y_i^2 - v_i^2) = 2 Y_i s/(1+s^2) is rational and the
     # only adjoined root per point is the fiber one; heights stay distinct,
     # strictly inside the fiber circle, and off every half-turn
-    vs: list[Scalar] = []
-    ws: list[Scalar] = []
+    vs, ws = [], []
     for p, tgt in zip(pts, targets):
         rho2 = ONE - p.x * p.x
 
@@ -296,37 +300,20 @@ def separate_points_sphere(jets) -> tuple[AutWord, tuple[Jet, ...]]:
         vs.append(v)
         ws.append(w)
 
-    def half_angle(c, s, denom):
-        # tangent half-angle of the rotation with cos = c/denom, sin = s/denom
-        return s / (denom + c)
-
-    values = []
-    for p, v in zip(pts, vs):
-        rho2 = ONE - p.x * p.x
-        z = scalar_sqrt_adjoin(rho2 - v * v)
-        c = p.y * v + p.z * z
-        s = p.y * z - p.z * v
-        values.append(half_angle(c, s, rho2))
+    zs = [scalar_sqrt_adjoin(ONE - p.x * p.x - v * v) for p, v in zip(pts, vs)]
+    values = _turns("x", pts, zip(vs, zs))
     for g in _rotation_twists("x", [p.x for p in pts], orders, values):
         forms, pts = _moved(gens, forms, g)
 
     # move x to its target along the circle of constant y
-    values = []
-    for p, tgt, w in zip(pts, targets, ws):
-        r2 = ONE - p.y * p.y
-        c = p.z * w + p.x * tgt.x
-        s = p.z * tgt.x - p.x * w
-        values.append(half_angle(c, s, r2))
+    values = _turns("y", pts, [(w, tgt.x) for w, tgt in zip(ws, targets)])
     for g in _rotation_twists("y", [p.y for p in pts], orders, values):
         forms, pts = _moved(gens, forms, g)
 
     # drop to the equator within each target fiber; all angles are rational
     # here, so a single interpolated twist is fine
-    residues = []
-    for p, tgt, e in zip(pts, targets, orders):
-        c = p.y * tgt.y
-        s = -(p.z * tgt.y)
-        residues.append((p.x, e, half_angle(c, s, tgt.y * tgt.y)))
+    values = _turns("x", pts, [(tgt.y, ZERO) for tgt in targets])
+    residues = [(p.x, e, a) for p, e, a in zip(pts, orders, values)]
     forms, pts = _moved(gens, forms, rotation_twist("x", residues))
 
     ensure(pts == targets, "points missed their standard centers")
@@ -523,7 +510,8 @@ def synth_pair(from_jets, to_jets, pinned=()) -> AutWord:
 
     Both sides route through the standard configuration with the pinned
     jets occupying the same leading slots, so the pinned moves cancel.
-    Only the composite is checked, not the two halves.
+    Only the composite is checked, not the two halves.  Equal sides,
+    compared as JSON texts so that no tower is built, take the empty word.
     """
     from_jets, to_jets, pinned = tuple(from_jets), tuple(to_jets), tuple(pinned)
     if [j.order for j in from_jets] != [j.order for j in to_jets]:
@@ -534,6 +522,8 @@ def synth_pair(from_jets, to_jets, pinned=()) -> AutWord:
     surface = sources[0].surface
     _check_config(surface, sources, "pinned + from")
     _check_config(surface, targets, "pinned + to")
+    if all(jet_to_json(s) == jet_to_json(t) for s, t in zip(sources, targets)):
+        return word_identity(surface)
     std = standard_config(surface, [j.order for j in sources]).jets
     w = word_concat(word_inverse(_build(surface, sources, std)),
                     _build(surface, targets, std))

@@ -725,7 +725,7 @@ def test_twist_series_evaluation_matches_horner(data, order, chart, extra):
     s = Series(ZERO, order, loc[:order])
     hom = list(pol.coeffs) if chart == 0 else [pol[n - k] for k in range(n + 1)]
     want = series_horner(hom, list(s.coeffs))
-    got = automorphisms._hom_eval_series(pol, n, chart, s)
+    got = automorphisms._eval(pol.reversed(n) if chart == 1 else pol, s)
     assert got.center == ZERO and got.order == order
     assert all(a == b for a, b in zip(got.coeffs, want))
 
@@ -923,7 +923,8 @@ def test_torus_step_on_integer_forms(r, e, src_chart, moved_chart, data):
         return Series(ZERO, e, [ZERO, *cs[1:]] if chart else cs)
 
     src, moved = (src_chart, local(src_chart)), (moved_chart, local(moved_chart))
-    ph, qh = (automorphisms._hom_eval_series(pol, q.degree, *src) for pol in (p, q))
+    ph, qh = (automorphisms._eval(pol.reversed(q.degree) if src_chart == 1 else pol,
+                                  src[1]) for pol in (p, q))
     assume(not ph.is_zero())
     one = Series.constant(1, ZERO, e)
     m0, m1 = (moved[1], one) if moved_chart == 0 else (one, moved[1])
@@ -977,6 +978,24 @@ def test_step_across_two_towers_takes_the_series_formula(monkeypatch, j, g, step
     text = json.dumps(jet_to_json(image), sort_keys=True)
     assert "sqrt(2)" in text and "sqrt(3)" in text
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_torus_twist_over_another_field_that_fixes_the_jet_is_skipped(monkeypatch):
+    # p = (sqrt(3) + 1) m^2 with m = x^2 - 2 vanishes to order 2 at
+    # x = sqrt(2), so the twist over Q(sqrt 3) fixes the order-2 jet over
+    # Q(sqrt 2) there: the cross-field test reads that off p alone, and
+    # the jet is neither re-read nor moved
+    s2, s3 = scalar_sqrt_adjoin(2), scalar_sqrt_adjoin(3)
+    m = Poly([-2, 0, 1])
+    g = TorusTwist.square("y", s3 * m * m + m * m, m)
+    j = Jet.torus(TorusPoint.affine(s2, 1), 2, Series(s2, 2, [1, s2]))
+    seen = []
+    fixes = automorphisms._fixes
+    monkeypatch.setattr(automorphisms, "_fixes",
+                        lambda pol, s: seen.append(fixes(pol, s)) or seen[-1])
+    monkeypatch.setattr(automorphisms, "_reread", _refuse)
+    assert apply_jet(AutWord(TORUS, (g,)), j) == j
+    assert seen == [True]
 
 
 # ---------------------------------------------------------------------------

@@ -446,6 +446,28 @@ def test_pair_job_from_the_standard_configuration_writes_the_plain_jobs_word(
     assert words[0] == words[1]
 
 
+@pytest.mark.parametrize("surface", [TORUS, SPHERE])
+def test_pair_job_with_equal_sides_writes_the_empty_word(tmp_path, capsys, rng,
+                                                         surface):
+    # a job whose sources are its targets, pinned jets only or one jet
+    # given as both from and to, moves nothing: 0 generators, and verify
+    # accepts the empty word on that configuration
+    jet = (Jet.torus(TorusPoint.affine(9, 9), 1, Series(scal(9), 1, [scal(9)]))
+           if surface == TORUS else rand_sphere_jet(rng, 2))
+    side = [jet_to_json(jet)]
+    jobs = {"pinned-only": {"partition": [], "jets": [], "pinned": side},
+            "from-is-to": {"partition": [jet.order], "from": side, "to": side}}
+    config = job_file(tmp_path, "config.json", surface, [jet])
+    for name, keys in jobs.items():
+        job = write(tmp_path / f"{name}.json", {"surface": surface, **keys})
+        out = str(tmp_path / f"{name}-word.json")
+        assert main(["synth", "--job", job, "--out", out]) == OK
+        assert capsys.readouterr().out == f"wrote 0 generators to {out}\n"
+        assert json.loads(Path(out).read_text()) == {"surface": surface, "generators": []}
+        assert main(["verify", "--word", out, "--from", config, "--to", config]) == OK
+        assert capsys.readouterr().out == "ok: 1 jets verified\n"
+
+
 @pytest.mark.parametrize("command", ["synth", "compose"])
 def test_out_write_error_names_the_output(tmp_path, capsys, torus_targets,
                                           command):
@@ -686,6 +708,12 @@ _TORUS_WORD = {"surface": TORUS, "generators": []}
     ({"word": _TORUS_WORD, "jet": {**_T1, "graph": {"f": ["sqrt(-2)"]}}},
      ["apply", "--word", "word", "--jet", "jet"],
      "invalid input: sqrt of negative scalar -2"),
+    ({"word": _TORUS_WORD, "jet": _S1},
+     ["apply", "--word", "word", "--jet", "jet"],
+     "invalid input: word and jet live on different surfaces"),
+    ({"word": _TORUS_WORD, "config": {"surface": SPHERE, "jets": [_S1]}},
+     ["verify", "--word", "word", "--from", "config", "--to", "config"],
+     "invalid input: word and jet live on different surfaces"),
     ({"desc": {"base": SPHERE, "records": [{"parent": 5, "order": 1}]}},
      ["classify", "desc", "desc"],
      "invalid descriptor: record 0 refers to 5, not an earlier record"),
@@ -694,7 +722,8 @@ _TORUS_WORD = {"surface": TORUS, "generators": []}
      ["classify", "desc", "desc"],
      "invalid descriptor: two base records share a center point"),
 ], ids=["equal-points", "sphere-jet-in-torus-job", "pair-orders-differ",
-        "verify-lengths-differ", "sqrt-of-negative", "cyclic-descriptor",
+        "verify-lengths-differ", "sqrt-of-negative", "apply-torus-word-to-sphere-jet",
+        "verify-torus-word-on-sphere-jets", "cyclic-descriptor",
         "shared-base-center"])
 def test_broken_rule_exits_invalid_with_its_line(tmp_path, capsys, files, argv,
                                                  message):
@@ -705,6 +734,27 @@ def test_broken_rule_exits_invalid_with_its_line(tmp_path, capsys, files, argv,
     assert main([paths.get(a, a) for a in argv]) == INVALID
     assert capsys.readouterr().err == message + "\n"
     assert not out.exists()
+
+
+_AT_2_3 = Jet.torus(TorusPoint.affine(2, 3), 2, Series(scal(2), 2, [3, 5]))
+
+
+@pytest.mark.parametrize("target, message", [
+    (Jet.torus(TorusPoint.affine(2, 3), 3, Series(scal(2), 3, [3, 5, 7])),
+     "jet 0: image order 2, target order 3"),
+    (Jet.torus(TorusPoint.affine(2, 3), 2, Series(scal(3), 2, [2, 0]), transposed=True),
+     "jet 0: image and target use different canonical charts"),
+], ids=["order", "chart"])
+def test_verify_names_the_first_mismatching_jet_field(tmp_path, capsys, target,
+                                                      message):
+    # the empty word leaves the order-2 jet at (2, 3) as it is, so it
+    # misses a target of another order there, or one over the other chart
+    word = identity_word(tmp_path, TORUS)
+    ffile = job_file(tmp_path, "from.json", TORUS, [_AT_2_3])
+    tfile = job_file(tmp_path, "to.json", TORUS, [target])
+    assert main(["verify", "--word", word, "--from", ffile, "--to", tfile]) == NEGATIVE
+    captured = capsys.readouterr()
+    assert captured.out == message + "\n" and captured.err == ""
 
 
 # ---------------------------------------------------------------------------

@@ -10,13 +10,20 @@ from conftest import rand_fraction
 from jetmove.errors import PreconditionFailed, ZeroPolynomial
 from jetmove.exactalg import (NEG_INF, ONE, POS_INF, CrtBasis, Poly, Series,
                               SturmChain, cauchy_bound, crt_combine,
-                              crt_with_modulus, poly_to_series, scal,
-                              scalar_sqrt_adjoin, sturm_root_count)
+                              poly_to_series, scal, scalar_sqrt_adjoin,
+                              sturm_root_count)
 from jetmove.exactalg.crt import _strip_node
 from oracles import (count_closed, count_line, crt_full_sum, p_divmod, p_mul,
                      p_taylor)
 
 x = Poly.x()
+
+
+def _crt(residues):
+    """crt_combine's interpolant and the node product of the residues'
+    CrtBasis, the pair a torus interpolating twist is built from."""
+    basis = CrtBasis([c for c, _, _ in residues], [e for _, e, _ in residues])
+    return crt_combine(residues), basis.modulus
 
 
 def test_crt_pinned():
@@ -64,7 +71,7 @@ def test_crt_basis_duplicate_nodes_rejected(nodes, orders):
     with pytest.raises(PreconditionFailed, match=r"^center .+ listed twice$"):
         CrtBasis(nodes, orders)
     with pytest.raises(PreconditionFailed, match=r"^center .+ listed twice$"):
-        crt_with_modulus([(c, e, 0) for c, e in zip(nodes, orders)])
+        crt_combine([(c, e, 0) for c, e in zip(nodes, orders)])
 
 
 def test_sturm_pinned_counts():
@@ -185,12 +192,12 @@ def _node_product(items):
 
 @settings(max_examples=60, deadline=None)
 @given(nodes, st.data())
-def test_crt_with_modulus_agrees_with_oracle(items, data):
+def test_crt_combine_and_node_product_agree_with_oracle(items, data):
     residues = []
     for c, e in items:
         vals = data.draw(st.lists(node, min_size=e, max_size=e))
         residues.append((scal(c), e, Series(scal(c), e, vals)))
-    p, m = crt_with_modulus(residues)
+    p, m = _crt(residues)
     assert list(m.coeffs) == _node_product(items)
     assert p.is_zero() or p.degree < m.degree
     for c, e, val in residues:
@@ -208,7 +215,7 @@ def test_crt_skips_zero_residues_and_equals_the_full_sum(items, data):
                                    st.lists(node, min_size=e, max_size=e)))
         residues.append((scal(c), e, Series(scal(c), e, vals)))
         triples.append((c, e, vals))
-    p, m = crt_with_modulus(residues)
+    p, m = _crt(residues)
     assert list(p.coeffs) == crt_full_sum(triples)
     assert list(m.coeffs) == _node_product(items)
 
@@ -231,7 +238,7 @@ def test_crt_at_order_one_nodes_forms_no_series(centers, data):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Series, "invert", _no_series)
         mp.setattr(Series, "__mul__", _no_series)
-        p, m = crt_with_modulus(residues)
+        p, m = _crt(residues)
     assert list(p.coeffs) == crt_full_sum(triples)
     assert list(m.coeffs) == _node_product([(c, 1) for c in centers])
 
@@ -239,10 +246,10 @@ def test_crt_at_order_one_nodes_forms_no_series(centers, data):
 def test_crt_of_zero_residues_still_checks_them():
     # all zero: the zero interpolant and the whole node product, and a
     # zero residue is still coerced to its (center, order)
-    p, m = crt_with_modulus([(scal(0), 2, scal(0)), (scal(1), 1, [0])])
+    p, m = _crt([(scal(0), 2, scal(0)), (scal(1), 1, [0])])
     assert p.is_zero() and m == Poly([0, -1, 1]) * Poly([0, 1])
     with pytest.raises(ValueError):
-        crt_with_modulus([(scal(0), 2, Series(scal(0), 1, [0]))])
+        _crt([(scal(0), 2, Series(scal(0), 1, [0]))])
 
 
 @settings(max_examples=60, deadline=None)
@@ -272,7 +279,7 @@ def test_strip_node_at_high_degree_and_constants():
 def test_crt_and_strip_node_fall_back_on_towers(c, values):
     c = scal(c)
     residues = [(c, 2, Series(c, 2, values)), (scal(-1), 1, scal(3))]
-    p, m = crt_with_modulus(residues)
+    p, m = _crt(residues)
     assert list(m.coeffs) == p_mul(p_mul([-c, ONE], [-c, ONE]), [ONE, ONE])
     for center, e, val in residues:
         val = val if isinstance(val, Series) else Series.constant(val, center, 1)
@@ -344,8 +351,8 @@ def test_crt_basis_interpolations_agree_with_oracle_and_fresh_crt(items, data):
         values = [vals[0] if e == 1 else Series(c, e, vals) for c, e, vals in triples]
         p = basis.interpolate(values)
         assert list(p.coeffs) == crt_full_sum(triples)
-        fresh, m = crt_with_modulus([(c, e, v) for (c, e), v in zip(items, values)])
+        fresh, m = _crt([(c, e, v) for (c, e), v in zip(items, values)])
         assert p == fresh and m == basis.modulus
         for i, v in enumerate(values):
-            assert basis.term(i, v) == crt_with_modulus(
-                [(c, e, v if k == i else 0) for k, (c, e) in enumerate(items)])[0]
+            assert basis.term(i, v) == crt_combine(
+                [(c, e, v if k == i else 0) for k, (c, e) in enumerate(items)])

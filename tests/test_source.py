@@ -215,6 +215,29 @@ def test_benchmark_words_are_pinned(tmp_path, capsys):
     assert got == {w: digest for w, (_, digest) in want.items()}
 
 
+def test_benchmark_apply_output_is_pinned(tmp_path, capsys):
+    # what `apply` prints for each seed-1 job's jet under its synthesized
+    # word, at the counts above, hashed over the stdout texts in job
+    # order; a change that alters one must say why and record the new hash
+    gen = _perfbench_gen()
+    want = {
+        "torus-points": (12, "fb739a34c36343f2857dc1225da8f97cb5d853298635578c70bb456c5b4a6487"),
+        "sphere-jets": (16, "771ff9715613d05c8918e5a12dad386e036728f0861d6226eed7af2556c13e80"),
+        "pair-mixed": (50, "e6706e55e4f7f72d145128da6815c7fbd5f64bb2181de97c7816dfc0d78c52fd"),
+    }
+    got = {}
+    for workload, (count, _) in want.items():
+        digest = hashlib.sha256()
+        for job in gen.write_jobs(gen.generate(workload, 1, count), tmp_path / workload):
+            paths = job["paths"]
+            assert cli.main(["synth", "--job", paths["job"], "--out", paths["word"]]) == 0
+            capsys.readouterr()
+            assert cli.main(["apply", "--word", paths["word"], "--jet", paths["jet"]]) == 0
+            digest.update(capsys.readouterr().out.encode())
+        got[workload] = digest.hexdigest()
+    assert got == {w: digest for w, (_, digest) in want.items()}
+
+
 def test_exactalg_exports_resolve():
     # a deleted function must not leave its name behind in __all__
     exactalg = importlib.import_module("jetmove.exactalg")

@@ -160,6 +160,28 @@ def test_separate_torus_points_sharing_a_column():
         assert apply_point(w, p) == torus_standard_center(i)
 
 
+def test_y_separation_of_two_rows_tries_at_most_one_shift_per_pair(monkeypatch):
+    # 32 order-1 jets on 16 columns and the rows y = 2 and y = 5 share y
+    # values: the y-separation picks one shift c, and each point pair over
+    # two x-nodes rules out one c, so n(n - 1)/2 + 1 tries suffice
+    n = 32
+    jets = [_point_jet(TorusPoint.affine(Fraction(k, 3), y))
+            for k in range(1, n // 2 + 1) for y in (2, 5)]
+    tries = []
+    pick = transitivity._pick
+
+    def counting(test, what, candidates=None):
+        if what == "y-separating shift":
+            test = lambda c, test=test: tries.append(c) or test(c)
+        return pick(test, what, candidates)
+
+    monkeypatch.setattr(transitivity, "_pick", counting)
+    w = synth_torus(jets)
+    assert 2 <= len(tries) <= n * (n - 1) // 2 + 1
+    std = standard_config(TORUS, [1] * n).jets
+    assert [apply_jet(w, s) for s in std] == jets
+
+
 def test_separate_rejects_duplicates():
     with pytest.raises(PreconditionFailed, match=r"^points 0 and 1 coincide$"):
         separate_points_torus([_point_jet(TorusPoint.affine(1, 1))] * 2)
